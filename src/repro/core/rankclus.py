@@ -19,8 +19,6 @@ benchmark E1 measures against a one-shot spectral baseline.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -133,7 +131,6 @@ class RankClus(Estimator):
         w_xy,
         *,
         w_yy=None,
-        hin: HIN | None = None,
         target_type: str | None = None,
         attribute_type: str | None = None,
         target_attribute_path=None,
@@ -145,20 +142,9 @@ class RankClus(Estimator):
         ``fit(hin, target_type=..., attribute_type=...)`` — with optional
         meta-paths selecting indirect link matrices.  The matrix form
         ``fit(w_xy, w_yy=...)`` takes the bi-type link matrix directly.
-        ``hin=`` as a keyword is a deprecated spelling of the first form.
         """
-        if hin is not None:
-            warnings.warn(
-                "RankClus.fit(..., hin=...) is deprecated; pass the HIN "
-                "positionally: fit(hin, target_type=..., attribute_type=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if w_xy is not None:
-                raise ValueError("pass either w_xy or hin=, not both")
-        elif isinstance(w_xy, HIN):
-            hin, w_xy = w_xy, None
-        if hin is not None:
+        if isinstance(w_xy, HIN):
+            hin = w_xy
             if target_type is None or attribute_type is None:
                 raise ValueError(
                     "target_type and attribute_type are required with a HIN"
@@ -189,7 +175,7 @@ class RankClus(Estimator):
                     )
                 w_yy = engine.commuting_matrix(mp)
         if w_xy is None:
-            raise ValueError("either w_xy or hin= must be provided")
+            raise ValueError("fit() needs a HIN or a link matrix, got None")
         w = to_csr(w_xy)
         n_x, n_y = w.shape
         k = self.n_clusters

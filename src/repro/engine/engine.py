@@ -57,6 +57,7 @@ import scipy.sparse as sp
 
 from dataclasses import replace as _dc_replace
 
+from repro.engine import kernels
 from repro.engine.fused import (
     fused_block_scores,
     fused_partial_block,
@@ -411,15 +412,6 @@ class MetaPathEngine:
 
         return self._cache.get_or_compute(key, compute)
 
-    @staticmethod
-    def _dense_row(w: sp.csr_matrix, i: int) -> np.ndarray:
-        """Row *i* of *w* as a dense vector, sliced straight off the CSR
-        arrays (``getrow`` carries surprising per-call overhead)."""
-        out = np.zeros(w.shape[1])
-        start, end = w.indptr[i], w.indptr[i + 1]
-        out[w.indices[start:end]] = w.data[start:end]
-        return out
-
     @_reader
     def prewarm(self, paths: Sequence, *, plan: str | None = None) -> "MetaPathEngine":
         """Materialize *paths* up front (symmetric ones as PathSim parts)."""
@@ -441,11 +433,8 @@ class MetaPathEngine:
         w, diag = self._pathsim_parts(mp)
         i = self._resolve(mp.source_type, x)
         j = self._resolve(mp.source_type, y)
-        denom = diag[i] + diag[j]
-        if denom == 0:
-            return 0.0
         m_ij = w.getrow(i).dot(w.getrow(j).T)[0, 0]
-        return float(2.0 * m_ij / denom)
+        return float(kernels.pathsim_scores(m_ij, diag[i] + diag[j]))
 
     @_reader
     def pathsim_row(self, path, query, *, plan: str | None = None) -> np.ndarray:
@@ -457,14 +446,7 @@ class MetaPathEngine:
         mp = self.symmetric_path(path)
         w, diag = self._pathsim_parts(mp, plan)
         i = self._resolve(mp.source_type, query)
-        row = w.dot(self._dense_row(w, i))
-        denom = diag[i] + diag
-        return np.divide(
-            2.0 * row,
-            denom,
-            out=np.zeros_like(row, dtype=np.float64),
-            where=denom != 0,
-        )
+        return kernels.pathsim_solo(w, diag, kernels.dense_row(w, i), diag[i])
 
     @_reader
     def pathsim_partial(
@@ -496,13 +478,8 @@ class MetaPathEngine:
         idx = np.asarray(candidates, dtype=np.int64)
         if idx.size == 0:
             return np.zeros(0)
-        dots = w[idx].dot(self._dense_row(w, i))
-        denom = diag[i] + diag[idx]
-        return np.divide(
-            2.0 * dots,
-            denom,
-            out=np.zeros_like(dots, dtype=np.float64),
-            where=denom != 0,
+        return kernels.pathsim_solo(
+            w[idx], diag[idx], kernels.dense_row(w, i), diag[i]
         )
 
     @_reader
@@ -540,18 +517,7 @@ class MetaPathEngine:
         idx = np.asarray(candidates, dtype=np.int64)
         if rows.size == 0 or idx.size == 0:
             return np.zeros((rows.size, idx.size))
-        # F-ordered (len(rows), dim) densification transposes into a
-        # C-contiguous (dim, len(rows)) operand with no second copy.
-        block = w[rows].toarray(order="F").T
-        dots = w[idx].dot(block)  # (len(idx), len(rows))
-        denom = diag[idx][:, None] + diag[rows][None, :]
-        scores = np.divide(
-            2.0 * dots,
-            denom,
-            out=np.zeros_like(dots, dtype=np.float64),
-            where=denom != 0,
-        )
-        return scores.T
+        return kernels.pathsim_partial(w, diag, idx, w[rows], diag[rows])
 
     @_reader
     def pathsim_rows(self, path, queries, *, plan: str | None = None) -> np.ndarray:
@@ -559,17 +525,10 @@ class MetaPathEngine:
         block from a single sparse-times-dense block product."""
         mp = self.symmetric_path(path)
         w, diag = self._pathsim_parts(mp, plan)
-        idx = np.array([self._resolve(mp.source_type, q) for q in queries])
-        if idx.size == 0:
-            return np.zeros((0, w.shape[0]))
-        block = w.dot(np.asarray(w[idx].todense()).T).T  # (len(idx), n)
-        denom = diag[idx][:, None] + diag[None, :]
-        return np.divide(
-            2.0 * block,
-            denom,
-            out=np.zeros_like(block, dtype=np.float64),
-            where=denom != 0,
+        idx = np.array(
+            [self._resolve(mp.source_type, q) for q in queries], dtype=np.int64
         )
+        return kernels.pathsim_block(w, diag, w[idx], diag[idx])
 
     @_reader
     def pathsim_query_rows(self, path, queries, *, plan: str | None = None):
@@ -610,11 +569,7 @@ class MetaPathEngine:
         mp = self.symmetric_path(path)
         m = self.commuting_matrix(mp)
         diag = m.diagonal()
-        denom = diag[:, None] + diag[None, :]
-        dense = m.toarray()
-        return np.divide(
-            2.0 * dense, denom, out=np.zeros_like(dense), where=denom != 0
-        )
+        return kernels.pathsim_scores(m.toarray(), diag[:, None] + diag[None, :])
 
     @_reader
     def pathsim_top_k(
@@ -736,7 +691,7 @@ class MetaPathEngine:
         if pathsim is not None:
             # A PathSim-warmed symmetric path: M[i, :] = W (W[i, :])^T.
             w, _ = pathsim
-            return w.dot(self._dense_row(w, i))
+            return w.dot(kernels.dense_row(w, i))
         if mode == "auto":
             mats = self._planner.row_chain(tuple(mp.steps()))
         else:

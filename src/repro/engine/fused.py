@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import kernels
 
 __all__ = [
     "fused_row_scores",
@@ -136,11 +137,7 @@ def fused_block_scores(engine, mp, idx, plan: str) -> np.ndarray:
             diag[cand] = cached[1][cand]
         else:
             diag[cand] = _row_norms(_thread_rows(first, cand))
-    dense = np.asarray(num.toarray(), dtype=np.float64)
-    denom = diag_q[:, None] + diag[None, :]
-    return np.divide(
-        2.0 * dense, denom, out=np.zeros_like(dense), where=denom != 0
-    )
+    return kernels.pathsim_scores(num.toarray(), diag_q[:, None] + diag[None, :])
 
 
 def _suffix_bound(v: float, diag_i: float) -> float:
@@ -198,18 +195,14 @@ def fused_row_scores(
 
     cached = engine._cache.get(("pathsim", mp.canonical_key()))
     if cached is not None:
-        denom = diag_i + cached[1][cols]
-        scores[cols] = np.divide(
-            2.0 * vals, denom, out=np.zeros_like(vals), where=denom != 0
-        )
+        scores[cols] = kernels.pathsim_scores(vals, diag_i + cached[1][cols])
         return scores
 
     def score_into(take: np.ndarray) -> np.ndarray:
         """Thread diagonals for candidate positions *take*, fill scores."""
         ccols, cvals = cols[take], vals[take]
-        denom = diag_i + _row_norms(_thread_rows(first, ccols))
-        block = np.divide(
-            2.0 * cvals, denom, out=np.zeros_like(cvals), where=denom != 0
+        block = kernels.pathsim_scores(
+            cvals, diag_i + _row_norms(_thread_rows(first, ccols))
         )
         scores[ccols] = block
         return block
@@ -242,10 +235,11 @@ def fused_row_scores(
 def fused_partial_block(engine, mp, rows, candidates, plan: str) -> np.ndarray:
     """Fused ``(len(rows), len(candidates))`` partial score block.
 
-    Bit-identical to ``engine.pathsim_partial_block`` — same operand
-    values, same CSR-times-dense kernel, same division — but both
-    operand blocks are *threaded* (rows of ``W`` via the chain) instead
-    of sliced from a materialized half product.  This is what keeps
+    Bit-identical to ``engine.pathsim_partial_block`` — the same
+    :func:`repro.engine.kernels.pathsim_block` call over the same
+    operand values — but both operand blocks are *threaded* (rows of
+    ``W`` via the chain) instead of sliced from a materialized half
+    product.  This is what keeps
     standing-query maintenance (:mod:`repro.watch`) delta-priced on
     paths nobody ever materialized: per commit it costs the touched
     rows' reach, not a full chain SpGEMM.
@@ -262,15 +256,4 @@ def fused_partial_block(engine, mp, rows, candidates, plan: str) -> np.ndarray:
         diag_r, diag_c = cached[1][rows], cached[1][idx]
     else:
         diag_r, diag_c = _row_norms(w_rows), _row_norms(w_cand)
-    # Same F-order densification trick as the materialized kernel: the
-    # transpose view is C-contiguous with no second copy.
-    block = np.asarray(w_rows.toarray(order="F"), dtype=np.float64).T
-    dots = w_cand.dot(block)  # (len(idx), len(rows))
-    denom = diag_c[:, None] + diag_r[None, :]
-    scores = np.divide(
-        2.0 * dots,
-        denom,
-        out=np.zeros_like(dots, dtype=np.float64),
-        where=denom != 0,
-    )
-    return scores.T
+    return kernels.pathsim_block(w_cand, diag_c, w_rows, diag_r)

@@ -1,0 +1,90 @@
+"""PathSim kernels — the one place the measure's arithmetic is written.
+
+PathSim over a symmetric meta-path is one formula,
+
+    s(i, j) = 2·M[i, j] / (M[i, i] + M[j, j]),    M = W·Wᵀ,
+
+and every serving path in the library — the engine's materialized entry
+points, the fused row-threading kernels (:mod:`repro.engine.fused`) and
+the shard workers (:mod:`repro.serving.shards`) — evaluates it by
+calling the pure functions below over ``(w, diag, q_rows, q_diag)``:
+
+``w`` / ``diag``
+    The scored rows of the half product and their diagonal entries of
+    ``M``.  The whole ``W`` for the engine; a ``w[lo:hi], diag[lo:hi]``
+    slice for a shard; a fancy-indexed ``w[idx], diag[idx]`` subset for
+    partial re-scores.  CSR row selection keeps each row's stored
+    entries and their order, so a row's dot product — and therefore its
+    score — is bitwise the same whichever subset it is scored in.
+``q_rows`` / ``q_diag``
+    The queries' rows of ``W`` (one CSR block) and their diagonal
+    entries.
+
+Answers are bit-identical across callers because there is nothing to
+keep in step: one division, one operand layout per kernel.
+``tests/engine/test_kernels.py`` pins the remaining identities (block
+row == solo row; kernel on a slice == columns of the kernel on the
+whole; partial == fancy-indexing the block).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.utils.sparse import safe_divide
+
+__all__ = [
+    "dense_row",
+    "pathsim_scores",
+    "pathsim_solo",
+    "pathsim_block",
+    "pathsim_partial",
+]
+
+
+def pathsim_scores(numerators, denominators) -> np.ndarray:
+    """``2·numerators / denominators``, exactly ``0.0`` wherever the
+    denominator is zero (an object with no path instances at all)."""
+    return safe_divide(2.0 * numerators, denominators)
+
+
+def dense_row(rows, i: int = 0) -> np.ndarray:
+    """Row *i* of the CSR matrix *rows* as a zero-filled dense vector,
+    sliced straight off the CSR arrays (``getrow`` carries surprising
+    per-call overhead)."""
+    out = np.zeros(rows.shape[1])
+    start, end = rows.indptr[i], rows.indptr[i + 1]
+    out[rows.indices[start:end]] = rows.data[start:end]
+    return out
+
+
+def pathsim_solo(w, diag, q_row: np.ndarray, q_diag: float) -> np.ndarray:
+    """One query against every row of *w*: a single CSR mat-vec.
+
+    *q_row* is the query's dense row of ``W`` (:func:`dense_row`) and
+    *q_diag* its diagonal entry; returns the ``len(diag)`` scores.
+    """
+    return pathsim_scores(w.dot(q_row), q_diag + diag)
+
+
+def pathsim_block(w, diag, q_rows, q_diag: np.ndarray) -> np.ndarray:
+    """Several queries against every row of *w*: one CSR × dense block
+    product, returned as ``(len(q_diag), len(diag))`` scores.
+
+    The F-ordered densification transposes into a C-contiguous
+    ``(dim, queries)`` operand with no second copy; the product
+    accumulates each output column in the same stored-entry order as
+    :func:`pathsim_solo`'s mat-vec, so row *r* equals the solo kernel
+    on query *r*.
+    """
+    if q_rows.shape[0] == 0:
+        return np.zeros((0, w.shape[0]))
+    dots = w.dot(q_rows.toarray(order="F").T)  # (len(diag), queries)
+    return pathsim_scores(dots, diag[:, None] + q_diag[None, :]).T
+
+
+def pathsim_partial(w, diag, candidates, q_rows, q_diag: np.ndarray) -> np.ndarray:
+    """:func:`pathsim_block` restricted to the *candidates* rows of *w*
+    — bitwise ``pathsim_block(w, diag, q_rows, q_diag)[:, candidates]``
+    at the cost of the candidates' nnz, not the whole matrix."""
+    return pathsim_block(w[candidates], diag[candidates], q_rows, q_diag)

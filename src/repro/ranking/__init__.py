@@ -1,15 +1,14 @@
 """Ranking: PageRank, HITS, Personalized PageRank, and the bi-type
 simple/authority ranking functions used by RankClus.
 
-:func:`rank_bi_type` survives as a deprecated shim — the blessed
-spelling is ``hin.query().rank(target, by=attribute)``, which returns a
-typed :class:`~repro.query.results.RankingResult` (see ``docs/API.md``).
+Ranking one node type by another on a network is spelled
+``hin.query().rank(target, by=attribute)``, which returns a typed
+:class:`~repro.query.results.RankingResult` (see ``docs/API.md``).
 """
 
 from repro.ranking.authority import (
     BiTypeRanking,
     authority_ranking,
-    rank_bi_type,
     simple_ranking,
 )
 from repro.ranking.hits import hits, hits_scores
@@ -31,5 +30,4 @@ __all__ = [
     "BiTypeRanking",
     "simple_ranking",
     "authority_ranking",
-    "rank_bi_type",
 ]

@@ -29,7 +29,7 @@ from repro.utils.convergence import ConvergenceInfo
 from repro.utils.sparse import to_csr
 from repro.utils.validation import check_probability
 
-__all__ = ["BiTypeRanking", "simple_ranking", "authority_ranking", "rank_bi_type"]
+__all__ = ["BiTypeRanking", "simple_ranking", "authority_ranking"]
 
 
 @dataclass
@@ -168,8 +168,10 @@ def _rank_bi_type(
     alpha: float = 0.95,
     **kwargs,
 ) -> BiTypeRanking:
-    """Shared implementation behind ``QuerySession.rank`` and the
-    deprecated :func:`rank_bi_type` shim."""
+    """Rank a target/attribute type pair of *hin* — the implementation
+    behind ``QuerySession.rank(target, by=attribute)``, which documents
+    the parameters.  The link matrices come from the shared engine: the
+    direct relation between the two types, or the given meta-paths."""
     engine = hin.engine()
     if target_attribute_path is None:
         w_xy = engine.matrix_between(target_type, attribute_type)
@@ -193,60 +195,3 @@ def _rank_bi_type(
             )
         w_yy = engine.commuting_matrix(mp)
     return authority_ranking(w_xy, w_yy, alpha=alpha, **kwargs)
-
-
-def rank_bi_type(
-    hin: HIN,
-    target_type: str,
-    attribute_type: str,
-    *,
-    target_attribute_path=None,
-    attribute_attribute_path=None,
-    method: str = "authority",
-    alpha: float = 0.95,
-    **kwargs,
-) -> BiTypeRanking:
-    """Rank a target/attribute type pair of a HIN.
-
-    .. deprecated::
-        Superseded by the query facade:
-        ``hin.query().rank(target_type, by=attribute_type)`` returns a
-        typed :class:`~repro.query.results.RankingResult`.  This shim
-        keeps the old signature and behaviour (and emits
-        ``DeprecationWarning``).
-
-    Parameters
-    ----------
-    hin:
-        The network holding both types.
-    target_type, attribute_type:
-        The X (ranked conditionally) and Y (evidence) node types.
-    target_attribute_path:
-        Defaults to the unique direct relation between the two types;
-        pass a meta-path (e.g. ``"venue-paper-author"``) when the
-        connection is indirect.
-    attribute_attribute_path:
-        Optional Y–Y propagation path (e.g. ``"author-paper-author"``)
-        supplying the ``W_YY`` matrix for authority ranking.
-    method:
-        ``"authority"`` (default) or ``"simple"``.
-    alpha:
-        Authority ranking's direct-evidence weight; see
-        :func:`authority_ranking`.
-    """
-    warnings.warn(
-        "rank_bi_type() is deprecated; use hin.query().rank(target, by=...) "
-        "(returns a typed RankingResult)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _rank_bi_type(
-        hin,
-        target_type,
-        attribute_type,
-        target_attribute_path=target_attribute_path,
-        attribute_attribute_path=attribute_attribute_path,
-        method=method,
-        alpha=alpha,
-        **kwargs,
-    )

@@ -3,9 +3,8 @@
 The production-facing layer above the query facade.  Every deployment
 shape exposes the **same client surface** — the
 :class:`~repro.serving.api.ServingAPI` verbs ``similar`` / ``connected``
-/ ``rank`` / ``watch`` (plus the deprecated ``top_k`` spelling) — so
-code written against one service class runs unchanged against the
-others; only construction differs.  Five pieces:
+/ ``rank`` / ``watch`` — so code written against one service class runs
+unchanged against the others; only construction differs.  Five pieces:
 
 * thread-safe engine serving — the engine's read–write lock
   (:attr:`repro.engine.MetaPathEngine.lock`) lets any number of query
@@ -25,7 +24,9 @@ others; only construction differs.  Five pieces:
   (:mod:`repro.serving.shards`): top-k runs as scatter → per-shard
   partial top-k → exact tie-stable merge, bit-identical to the
   single-process answer, and updates republish only the shards they
-  touch;
+  touch (both process tiers share one generation container, worker
+  loop and service scaffold: :mod:`repro.serving.shm`,
+  :mod:`repro.serving.workers`);
 * snapshots — :func:`save_snapshot` / :func:`load_snapshot` /
   :func:`warm_from_snapshot` persist the network plus its materialized
   commuting matrices so a new process starts warm (optionally

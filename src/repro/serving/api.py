@@ -20,20 +20,10 @@ dispatch — is the core's existing machinery.
 Every verb returns a :class:`concurrent.futures.Future`.  Submission
 never raises for bad arguments: path or object errors are delivered
 through the future, and only a closed service raises at submit time.
-
-Deprecations
-------------
-:meth:`top_k` — the engine-parity ``(path, obj)`` spelling of
-:meth:`similar` — is retained as a thin shim that emits a
-``DeprecationWarning`` and forwards.  New code calls
-``similar(obj, path, k)``; the tier-1 CI runs one leg with
-``-W error:ServingAPI:DeprecationWarning`` so internal code can never
-regrow calls to the shimmed spelling.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import Future
 
 __all__ = ["ServingAPI"]
@@ -217,30 +207,3 @@ class ServingAPI:
         return self._serving_core()._submit_watch(
             obj, path, k, measure=measure, exclude_self=exclude_self, plan=plan
         )
-
-    # ------------------------------------------------------------------
-    # Deprecated spellings (shims)
-    # ------------------------------------------------------------------
-    def top_k(
-        self,
-        path,
-        obj,
-        k: int = 10,
-        *,
-        exclude_self: bool = True,
-        plan: str | None = None,
-    ) -> Future:
-        """Deprecated engine-parity spelling of :meth:`similar`.
-
-        .. deprecated::
-            Call ``similar(obj, path, k, ...)`` instead — one verb, one
-            argument order, on every service.  This shim forwards and
-            emits a ``DeprecationWarning``.
-        """
-        warnings.warn(
-            "ServingAPI.top_k(path, obj, ...) is deprecated; call "
-            "similar(obj, path, ...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.similar(obj, path, k, exclude_self=exclude_self, plan=plan)

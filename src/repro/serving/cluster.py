@@ -46,58 +46,22 @@ process count.
 
 from __future__ import annotations
 
-import gc
-import multiprocessing
-import os
-import pickle
+import contextlib
 import queue as _queue
-import shutil
-import tempfile
 import threading
-import time
-from pathlib import Path
 
-from repro.serving.api import ServingAPI
-from repro.serving.service import QueryService
+from repro.exceptions import SnapshotError
 from repro.serving.shm import (
     attach_generation,
     generation_from_snapshot,
     publish_generation,
 )
-from repro.utils.cache import LRUCache
+from repro.serving.workers import _picklable, _ProcessTier
 
 __all__ = ["ClusterService"]
 
-_SHUTDOWN = None  # task-queue sentinel
 
-
-def _default_start_method() -> str:
-    """``fork`` where the platform offers it (fast, shares the imported
-    interpreter), ``spawn`` elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
-def _pickles(value) -> bool:
-    """Whether *value* survives a pickle round trip."""
-    try:
-        pickle.dumps(value)
-        return True
-    except Exception:
-        return False
-
-
-def _picklable(error: BaseException) -> BaseException:
-    """*error* itself when it survives pickling, else a faithful stand-in
-    (a result queue must never choke on an exotic exception)."""
-    try:
-        pickle.loads(pickle.dumps(error))
-        return error
-    except Exception:
-        return RuntimeError(f"{type(error).__name__}: {error}")
-
-
-def _execute_spec(state, spec):  # pragma: no cover
+def _execute_spec(state, spec):
     """Run one declarative request spec against an attached generation."""
     op = spec[0]
     if op == "pathsim":
@@ -121,49 +85,17 @@ def _execute_spec(state, spec):  # pragma: no cover
     raise ValueError(f"unknown request spec {op!r}")
 
 
-def _process_rss() -> int:  # pragma: no cover
-    """This process's resident set size in bytes.
-
-    Reads ``/proc/self/status`` (current RSS) where it exists, falling
-    back to ``getrusage`` peak RSS — no third-party dependency either
-    way.
-    """
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    import resource
-
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-
-
-def _execute_job(state, kind, payload):  # pragma: no cover
+def _execute_job(state, kind, payload):
     """One job -> aligned ``("ok", value) | ("err", error)`` statuses.
 
-    ``batch`` jobs answer every query with one block product — the same
-    ``pathsim_top_k_batch`` call the in-process service makes, so
-    answers stay bit-identical — and fall back to per-query execution
-    when the batch raises, so one bad request cannot poison its
-    co-batched neighbours.  ``info`` jobs report the worker's memory
-    footprint (process RSS plus the attached generation's shared
-    payload bytes) for deployment sizing and the E18/E21 memory-ratio
-    benchmarks.
+    *state* is anything with the network's ``hin`` and ``engine`` — an
+    attached generation in a worker, the live pair in a parent that
+    answers in-process.  ``batch`` jobs answer every query with one
+    block product — the same ``pathsim_top_k_batch`` call the
+    in-process service makes, so answers stay bit-identical — and fall
+    back to per-query execution when the batch raises, so one bad
+    request cannot poison its co-batched neighbours.
     """
-    if kind == "info":
-        return [
-            (
-                "ok",
-                {
-                    "rss_bytes": _process_rss(),
-                    "payload_bytes": getattr(state, "payload_bytes", 0),
-                    "generation": state.generation,
-                    "epoch": state.epoch,
-                },
-            )
-        ]
     if kind == "batch":
         path, k, exclude, plan, mode, objs = payload
         try:
@@ -172,13 +104,7 @@ def _execute_job(state, kind, payload):  # pragma: no cover
             )
             return [("ok", result) for result in results]
         except BaseException:
-            return [
-                _execute_job(
-                    state, "solo",
-                    [("pathsim", path, obj, k, exclude, plan, mode)],
-                )[0]
-                for obj in objs
-            ]
+            payload = [("pathsim", path, obj, k, exclude, plan, mode) for obj in objs]
     out = []
     for spec in payload:
         try:
@@ -188,197 +114,7 @@ def _execute_job(state, kind, payload):  # pragma: no cover
     return out
 
 
-def _close_attachment(state) -> None:  # pragma: no cover
-    """Release one attached generation: break the hin<->engine reference
-    cycle promptly so the segment mapping can actually unmap."""
-    state.close()
-    gc.collect()
-
-
-def _worker_main(  # pragma: no cover — runs in child processes
-    worker_id, task_queue, result_queue, gen_value, gen_dir, untrack
-):
-    """Worker-process loop: attach the current generation, serve jobs.
-
-    Generation swaps happen *between* jobs: the worker polls the shared
-    counter before each job and attaches the newer descriptor when
-    behind.  Each job carries an **epoch floor** — the parent's update
-    epoch when the job was dispatched — and the worker refuses to
-    answer from an older generation: a commit's publish may still be
-    copying when the next request arrives, so the worker waits for the
-    counter to catch up rather than serve a pre-update answer.  The
-    previous attachments live in a small generation-stamped LRU whose
-    eviction hook closes their segments — the worker-side half of
-    generation retirement.
-    """
-    current = None
-    attached = LRUCache(2, on_evict=lambda _key, state: _close_attachment(state))
-
-    def ensure_generation(min_epoch):
-        """The current generation, at epoch >= *min_epoch* (waits for an
-        in-flight publish; raises after a 60 s deadline)."""
-        nonlocal current
-        deadline = time.monotonic() + 60.0
-        while True:
-            target = gen_value.value
-            if current is None or current.generation != target:
-                try:
-                    state = attach_generation(
-                        Path(gen_dir) / f"gen-{target}.json", untrack=untrack
-                    )
-                except FileNotFoundError:
-                    # Raced a republish-and-retire; re-read the counter.
-                    if time.monotonic() > deadline:
-                        raise RuntimeError(
-                            f"worker {worker_id} could not attach "
-                            f"generation {target}"
-                        ) from None
-                    time.sleep(0.002)
-                    continue
-                current = state
-                attached.bump_generation()
-                attached.put(target, state)
-                attached.evict_written_before(attached.generation)
-            if current.epoch >= min_epoch:
-                return current
-            if time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"worker {worker_id} waited for epoch {min_epoch} but "
-                    f"generation {current.generation} is at epoch "
-                    f"{current.epoch} (publish stalled?)"
-                )
-            time.sleep(0.002)
-
-    while True:
-        job = task_queue.get()
-        if job is _SHUTDOWN:
-            break
-        job_id, kind, payload, min_epoch = job
-        try:
-            state = ensure_generation(min_epoch)
-            statuses = _execute_job(state, kind, payload)
-        except BaseException as exc:  # noqa: BLE001 — deliver, don't die
-            size = len(payload[4]) if kind == "batch" else len(payload)
-            statuses = [("err", _picklable(exc))] * size
-        try:
-            pickle.dumps(statuses)
-        except Exception:
-            # An unpicklable "ok" value would kill the queue's feeder
-            # thread silently; sanitize per status so the parent always
-            # hears back.
-            statuses = [
-                (status, value)
-                if _pickles(value)
-                else ("err", RuntimeError(f"result not picklable: {value!r:.200}"))
-                for status, value in statuses
-            ]
-        result_queue.put((job_id, statuses))
-    attached.clear()
-
-
-class _WorkerChannel:
-    """One worker process plus its private task/result queues.
-
-    A channel is checked out exclusively for the duration of one job
-    (the free-list in :class:`ClusterService` guarantees it), so the
-    synchronous put-then-get protocol needs no response routing.
-    """
-
-    def __init__(self, ctx, worker_id, gen_value, gen_dir, target=None):
-        self.task_queue = ctx.Queue()
-        self.result_queue = ctx.Queue()
-        self.jobs = 0
-        # Workers share the parent's resource tracker under fork AND
-        # spawn (multiprocessing hands children the tracker fd), so the
-        # publisher's create-time registration is the single
-        # authoritative one — workers must NOT untrack their
-        # attachments, or they would strip it.  untrack=True is only
-        # for foreign processes attaching outside multiprocessing.
-        untrack = False
-        self.process = ctx.Process(
-            # The loop is pluggable so shard workers
-            # (repro.serving.shards) reuse the channel protocol — same
-            # queues, same job framing, different attach/execute body.
-            target=target if target is not None else _worker_main,
-            name=f"repro-cluster-{worker_id}",
-            args=(
-                worker_id,
-                self.task_queue,
-                self.result_queue,
-                gen_value,
-                gen_dir,
-                untrack,
-            ),
-            daemon=True,
-        )
-        self.process.start()
-
-    def post(self, kind, payload, min_epoch: int) -> int:
-        """Enqueue one job without waiting for its answer.
-
-        The payload is pickle-validated *here*, on the calling thread:
-        ``Queue.put`` pickles in a background feeder thread whose
-        failure would otherwise surface only as a silent
-        ``timeout``-long hang.  Pair every ``post`` with a
-        :meth:`collect` before the next one — the channel routes by a
-        single outstanding job id.  Splitting the round trip is what
-        lets a scatter (:mod:`repro.serving.shards`) put one job on
-        *every* shard's queue before collecting any answer, so shards
-        compute concurrently instead of in sequence.
-        """
-        try:
-            pickle.dumps(payload)
-        except Exception as exc:
-            raise TypeError(
-                f"request arguments are not picklable for cluster "
-                f"dispatch: {exc}"
-            ) from exc
-        self.jobs += 1
-        self.task_queue.put((self.jobs, kind, payload, min_epoch))
-        return self.jobs
-
-    def collect(self, timeout: float):
-        """Wait for the posted job's statuses; raises when the worker died."""
-        while True:
-            try:
-                job_id, statuses = self.result_queue.get(timeout=min(timeout, 1.0))
-            except _queue.Empty:
-                timeout -= 1.0
-                if not self.process.is_alive():
-                    raise RuntimeError(
-                        f"cluster worker {self.process.name} died "
-                        f"(exit code {self.process.exitcode})"
-                    ) from None
-                if timeout <= 0:
-                    raise TimeoutError(
-                        f"cluster worker {self.process.name} did not answer"
-                    ) from None
-                continue
-            if job_id == self.jobs:
-                return statuses
-            # A stale answer from a job whose waiter gave up; drop it.
-
-    def call(self, kind, payload, min_epoch: int, timeout: float):
-        """Synchronous job round trip (:meth:`post` + :meth:`collect`)."""
-        self.post(kind, payload, min_epoch)
-        return self.collect(timeout)
-
-    def shutdown(self, join_timeout: float = 5.0) -> None:
-        """Stop the worker: sentinel, join, terminate stragglers."""
-        try:
-            self.task_queue.put(_SHUTDOWN)
-        except (ValueError, OSError):
-            pass
-        self.process.join(timeout=join_timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=join_timeout)
-        self.process.close()
-        self.task_queue.close()
-        self.result_queue.close()
-
-
-class ClusterService(ServingAPI):
+class ClusterService(_ProcessTier):
     """Multi-process query serving with shared-memory state.
 
     Parameters
@@ -405,16 +141,10 @@ class ClusterService(ServingAPI):
     directory:
         Where generation descriptors live (a private temp directory by
         default).
-    mp_context:
-        ``multiprocessing`` start method (``"fork"`` where available,
-        else ``"spawn"``).  With ``fork``, construct the cluster before
-        starting your own threads.
-    keep_generations:
-        How many published generations stay attachable at once (>= 2,
-        so a worker mid-swap never finds its target retired).
-    job_timeout:
-        Seconds a dispatched job may take before the parent gives up on
-        that worker.
+
+    Workers start with ``fork`` where the platform offers it (else
+    ``spawn``); with ``fork``, construct the cluster before starting
+    your own threads.
 
     Raises
     ------
@@ -444,111 +174,78 @@ class ClusterService(ServingAPI):
         max_batch: int = 64,
         warm_snapshot=None,
         directory=None,
-        mp_context: str | None = None,
-        keep_generations: int = 2,
-        job_timeout: float = 120.0,
     ):
         if hin is None and warm_snapshot is None:
             raise ValueError("ClusterService needs a hin, a warm_snapshot, or both")
-        if processes is None:
-            try:
-                usable = len(os.sched_getaffinity(0))
-            except AttributeError:
-                usable = os.cpu_count() or 1
-            processes = max(1, min(usable, 4))
-        if processes < 1:
-            raise ValueError(f"processes must be >= 1, got {processes}")
-        self._ctx = multiprocessing.get_context(mp_context or _default_start_method())
-        # Start the resource tracker BEFORE forking workers: forked
-        # children then share the parent's tracker instead of each
-        # lazily spawning their own (whose exit-time cleanup would warn
-        # about — or on some Pythons unlink — segments it never owned).
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
-        self._directory = (
-            Path(directory)
-            if directory
-            else Path(tempfile.mkdtemp(prefix="repro-cluster-"))
-        )
-        self._own_directory = directory is None
-        self._job_timeout = float(job_timeout)
+        self._warm_snapshot = warm_snapshot
         self._gen_counter = 0
-        self._gen_value = self._ctx.Value("L", 0)
+        self._gen_value = None
         self._publish_mutex = threading.Lock()
-        self._published = LRUCache(
-            max(2, int(keep_generations)),
-            on_evict=lambda _key, generation: generation.dispose(),
-        )
         self._jobs_dispatched = 0
         self._generations_published = 0
-        self._closed = False
-        self._channels: list[_WorkerChannel] = []
         self._parent_state = None
-        self._hook = None
-        self._service = None
-        self.hin = hin
+        # A channel is checked out of this free-list for the duration
+        # of one job.
+        self._free: _queue.Queue = _queue.Queue()
+        self._start(hin, processes, max_batch, directory)
+        for channel in self._channels:
+            self._free.put(channel)
 
-        # Everything past the directory is resource acquisition; a
-        # failure part-way (stale snapshot, fork error) must release
-        # what was already acquired instead of leaking segments,
-        # processes, and temp directories until interpreter exit.
-        try:
-            if warm_snapshot is not None:
-                first = generation_from_snapshot(
-                    warm_snapshot, directory=self._directory, generation=0
-                )
-                self._published.put(0, first)
-                if hin is None:
-                    # Cold parent: attach the same mmap-backed generation
-                    # the workers will use — one page-in warms everyone.
-                    self._parent_state = attach_generation(first.path)
-                    self.hin = hin = self._parent_state.hin
-                elif getattr(hin, "version", 0) != first.epoch:
-                    from repro.exceptions import SnapshotError
-
-                    raise SnapshotError(
-                        f"warm_snapshot is at epoch {first.epoch} but the "
-                        f"live network is at epoch "
-                        f"{getattr(hin, 'version', 0)}; re-run "
-                        f"save_snapshot() after updates"
-                    )
-            else:
-                first = publish_generation(
-                    hin, hin.engine(), directory=self._directory, generation=0
-                )
-                self._published.put(0, first)
-
-            # Workers fork/spawn BEFORE any service thread exists (fork
-            # while this object's own threads run would be unsound).
-            for i in range(int(processes)):
-                self._channels.append(
-                    _WorkerChannel(
-                        self._ctx, i, self._gen_value, str(self._directory)
-                    )
-                )
-            self._free: _queue.Queue = _queue.Queue()
-            for channel in self._channels:
-                self._free.put(channel)
-
-            self._hook = hin.add_commit_hook(self._on_commit)
-            self._service = QueryService(
-                hin, workers=len(self._channels), max_batch=max_batch, executor=self
+    def _prepare(self, _count) -> None:
+        """Generation 0: the live network, or the warm snapshot's files."""
+        self._gen_value = self._ctx.Value("L", 0)
+        if self._warm_snapshot is None:
+            self._export(0)
+            return
+        first = generation_from_snapshot(
+            self._warm_snapshot, directory=self._directory, generation=0
+        )
+        self._retain(0, first)
+        if self.hin is None:
+            # Cold parent: attach the same mmap-backed generation the
+            # workers will use — one page-in warms everyone.
+            self._parent_state = attach_generation(first.path)
+            self.hin = self._parent_state.hin
+        elif self.epoch != first.epoch:
+            raise SnapshotError(
+                f"warm_snapshot is at epoch {first.epoch} but the live "
+                f"network is at epoch {self.epoch}; re-run save_snapshot() "
+                f"after updates"
             )
-        except BaseException:
-            self.close()
-            raise
 
-    # ------------------------------------------------------------------
-    # Futures API (ServingAPI verbs submit through the embedded core)
-    # ------------------------------------------------------------------
-    def _serving_core(self) -> QueryService:
-        """The embedded :class:`QueryService` — it owns the request
-        queue; this cluster is its execution backend."""
-        return self._service
+    def _export(self, generation: int) -> None:
+        """Publish the parent's current state as *generation*."""
+        self._retain(
+            0,
+            publish_generation(
+                self.hin,
+                self.hin.engine(),
+                directory=self._directory,
+                generation=generation,
+            ),
+        )
+
+    def _worker_spec(self, _worker: int) -> tuple:
+        """Every worker follows the one ``gen-<n>.json`` series through
+        the shared counter and runs whole-network jobs."""
+        return self._gen_value, "gen", _execute_job
+
+    def _fence(self, _worker: int) -> tuple:
+        """Jobs carry the parent's current epoch as a floor: dispatch
+        happens at or after submission, so a worker that honours the
+        floor can never hand a post-update submitter a pre-update
+        answer, even while the commit's publish is still copying."""
+        return self.epoch, None
+
+    @contextlib.contextmanager
+    def _exclusive(self):
+        """Check every channel out of the free-list, then return all."""
+        channels = [self._free.get() for _ in self._channels]
+        try:
+            yield
+        finally:
+            for channel in channels:
+                self._free.put(channel)
 
     def prewarm(self, *paths) -> "ClusterService":
         """Materialize *paths* in the parent cache and republish, so
@@ -565,11 +262,6 @@ class ClusterService(ServingAPI):
         """The latest published shared-memory generation counter."""
         return self._gen_counter
 
-    @property
-    def epoch(self) -> int:
-        """The served network's current update epoch."""
-        return getattr(self.hin, "version", 0)
-
     def publish(self) -> int:
         """Export the parent's current state as a new generation.
 
@@ -579,14 +271,7 @@ class ClusterService(ServingAPI):
         """
         with self._publish_mutex:
             self._gen_counter += 1
-            generation = publish_generation(
-                self.hin,
-                self.hin.engine(),
-                directory=self._directory,
-                generation=self._gen_counter,
-            )
-            self._published.bump_generation()
-            self._published.put(self._gen_counter, generation)
+            self._export(self._gen_counter)
             self._generations_published += 1
             # Publication point: workers swap on their next job.
             self._gen_value.value = self._gen_counter
@@ -604,51 +289,19 @@ class ClusterService(ServingAPI):
 
         The executor half of the :class:`~repro.serving.QueryService`
         contract: returns one ``("ok", value) | ("err", error)`` status
-        per request in the group.  The job carries the parent's current
-        epoch as a floor — dispatch happens at or after submission, so
-        a worker that honours the floor can never hand a post-update
-        submitter a pre-update answer, even while the commit's publish
-        is still copying.
+        per request in the group.
         """
-        min_epoch = self.epoch
+        count = len(payload[5]) if kind == "batch" else len(payload)
         channel = self._free.get()
         try:
             self._jobs_dispatched += 1
-            return channel.call(kind, payload, min_epoch, self._job_timeout)
+            return channel.call(kind, payload, count, self._fence(0))
         finally:
             self._free.put(channel)
 
     # ------------------------------------------------------------------
     # Observability / lifecycle
     # ------------------------------------------------------------------
-    def worker_memory(self) -> list[dict]:
-        """One memory report per worker process.
-
-        Each report carries ``rss_bytes`` (the worker's resident set —
-        includes its share of the interpreter and of faulted shared
-        pages), ``payload_bytes`` (the attached generation's
-        shared-memory/file payload — the part that is *shared*, not
-        replicated, across workers), and the ``generation``/``epoch``
-        the worker is serving.  Every channel is checked out first so
-        each worker answers exactly once, then all are returned; calls
-        interleave safely with serving (they just wait their turn for
-        the channels).
-        """
-        channels = [self._free.get() for _ in self._channels]
-        try:
-            reports = []
-            for channel in channels:
-                status, value = channel.call(
-                    "info", [None], self.epoch, self._job_timeout
-                )[0]
-                if status != "ok":
-                    raise value
-                reports.append(value)
-            return reports
-        finally:
-            for channel in channels:
-                self._free.put(channel)
-
     def stats(self) -> dict:
         """The embedded service's counters plus cluster-level ones
         (``processes``, ``jobs_dispatched``, ``generations_published``,
@@ -663,35 +316,13 @@ class ClusterService(ServingAPI):
         return out
 
     def close(self) -> None:
-        """Drain queued work, stop the workers, retire every generation.
-
-        Also the failure-path cleanup for a partially constructed
-        cluster, so every branch tolerates resources that were never
-        acquired.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._hook is not None and self.hin is not None:
-            self.hin.remove_commit_hook(self._hook)
-        if self._service is not None:
-            self._service.close()
-        for channel in self._channels:
-            channel.shutdown()
-        self._published.clear()  # on_evict disposes segments + descriptors
+        """Drain queued work, stop the workers, retire every generation."""
+        super().close()
         if self._parent_state is not None:
             # Keep serving the caller's hin object (it may outlive the
             # cluster) — only the attachment bookkeeping is dropped; the
             # mmap pages release with the matrices' last reference.
             self._parent_state._resources = []
-        if self._own_directory:
-            shutil.rmtree(self._directory, ignore_errors=True)
-
-    def __enter__(self) -> "ClusterService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (

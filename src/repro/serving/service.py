@@ -104,11 +104,6 @@ class QueryService(ServingAPI):
     max_batch:
         Upper bound on how many same-shape top-k requests one worker
         groups into a single block product.
-    session:
-        Override the session object (e.g. one with a different SimRank
-        memo bound).  It must execute on the network's *shared* engine —
-        a session built over a detached engine is rejected, because
-        ``hin.apply()`` only coordinates with the shared engine's lock.
     executor:
         Optional execution backend: an object with
         ``run_group(kind, payload) -> [("ok", value) | ("err", error)]``
@@ -132,7 +127,6 @@ class QueryService(ServingAPI):
         *,
         workers: int = 2,
         max_batch: int = 64,
-        session=None,
         executor=None,
     ):
         if workers < 1:
@@ -141,18 +135,11 @@ class QueryService(ServingAPI):
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.hin = hin
         self._executor = executor
-        self._session = session if session is not None else hin.query()
+        # Always the shared session and engine: hin.apply() commits
+        # under the shared engine's lock, so serving through any other
+        # engine could observe torn mid-commit network state.
+        self._session = hin.query()
         self._engine = self._session.engine
-        if executor is None and self._engine is not hin.engine():
-            # A detached engine holds its own lock — the one hin.apply()
-            # does NOT commit under — so queries through it could observe
-            # torn mid-commit network state.  Concurrent serving is only
-            # sound on the shared engine.
-            raise ValueError(
-                "QueryService requires a session on the network's shared "
-                "engine (hin.engine()); detached engines cannot coordinate "
-                "with hin.apply()"
-            )
         self._max_batch = int(max_batch)
         self._cond = threading.Condition()
         self._work: deque[_Request] = deque()

@@ -24,8 +24,10 @@ generation, and a top-k query executes as
 **Bit-identity.**  The distributed answer equals the single-process
 engine's, bit for bit, by construction rather than by tolerance:
 
-* CSR row slicing preserves each row's stored entries and their order,
-  so ``W_s.dot(w_q)`` runs the identical per-row summation as rows
+* A shard job calls the engine's own kernels
+  (:mod:`repro.engine.kernels`) on its slice.  CSR row slicing
+  preserves each row's stored entries and their order, so
+  ``W_s.dot(w_q)`` runs the identical per-row summation as rows
   ``[lo, hi)`` of the full ``W.dot(w_q)``.
 * The query-side operands a shard cannot derive from its slice — the
   query's ``W`` rows and its PathSim diagonal entry — are extracted
@@ -62,55 +64,30 @@ cluster, and the touched-shards-only republication.
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import os
-import shutil
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.engine import kernels
 from repro.engine.topk import finalize_top_k, merge_top_k, shard_top_k
-from repro.exceptions import SnapshotError
 from repro.networks.stats import balanced_ranges, type_row_weights
 from repro.query.results import TopKResult
-from repro.serving.api import ServingAPI
-from repro.serving.cluster import (
-    _SHUTDOWN,
-    _WorkerChannel,
-    _default_start_method,
-    _execute_job,
-    _pickles,
-    _picklable,
-    _process_rss,
-)
-from repro.serving.service import QueryService
+from repro.serving.cluster import _execute_job
 from repro.serving.shm import (
     PublishedGeneration,
-    _csr_from_arrays,
+    _build_entry_index,
     _csr_to_arrays,
-    attach_arrays,
+    _write_descriptor,
     export_arrays,
 )
-from repro.utils.cache import LRUCache
+from repro.serving.workers import _JOB_TIMEOUT_S, _ProcessTier
 from repro.watch.analysis import touched_chain_rows
 
-__all__ = [
-    "ShardPlan",
-    "ShardState",
-    "ShardedClusterService",
-    "publish_shard_generation",
-    "attach_shard_generation",
-]
-
-_FORMAT = "repro-shard-generation"
-_FORMAT_VERSION = 1
+__all__ = ["ShardPlan", "ShardedClusterService", "publish_shard_generation"]
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +153,8 @@ class _ServedPath:
     def __init__(self, mp):
         self.mp = mp
         # The canonical key is the path's identity across every
-        # spelling; its repr travels in picklable job payloads.
-        self.token = repr(mp.canonical_key())
+        # spelling; it names the path in job payloads and descriptors.
+        self.token = mp.canonical_key()
         steps = tuple(mp.steps())
         self.half_steps = steps[: len(steps) // 2]
         self.relations = frozenset(rel.name for rel, _ in self.half_steps)
@@ -189,20 +166,8 @@ class _ServedPath:
 
 
 # ----------------------------------------------------------------------
-# Per-shard generations (pack / attach)
+# Per-shard generations and the shard job executor
 # ----------------------------------------------------------------------
-def _write_shard_descriptor(directory, shard: int, generation: int, descriptor) -> Path:
-    """Atomically write ``shard<s>-gen-<n>.json`` (the rename is the
-    publication point, exactly like full generations)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"shard{int(shard)}-gen-{int(generation)}.json"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(descriptor, indent=2), encoding="utf-8")
-    os.replace(tmp, path)
-    return path
-
-
 def publish_shard_generation(
     hin, engine, served, plan: ShardPlan, shard: int, *, directory, generation: int
 ) -> PublishedGeneration:
@@ -213,10 +178,11 @@ def publish_shard_generation(
     one engine read-lock hold — the same planner-aware
     ``_pathsim_parts`` materialization the single-process entry points
     use, so the packed values are bitwise the ones a replicated worker
-    would compute — then copied once into a shared-memory segment
-    (:func:`repro.serving.shm.export_arrays`).  Nothing else ships:
-    a shard worker holds ~1/N of each served path's index, not the
-    network.
+    would compute — then copied once into a shared-memory segment.
+    The result is an ordinary generation
+    (:mod:`repro.serving.shm`) whose PathSim entries carry their
+    ``lo``/``hi`` row range and which has no network section: a shard
+    worker holds ~1/N of each served path's index, not the network.
 
     Parameters
     ----------
@@ -230,294 +196,73 @@ def publish_shard_generation(
         Where the descriptor lives and the shard-local monotonic
         counter naming it (``shard<s>-gen-<n>.json``).
     """
-    arrays: dict[str, np.ndarray] = {}
-    entries = []
+    entries, ranges = [], []
     with engine.lock.read():
         epoch = getattr(hin, "version", 0)
-        for i, spath in enumerate(served):
+        for spath in served:
             w, diag = engine._pathsim_parts(spath.mp)
             lo, hi = plan.range_of(spath.source_type, shard)
-            prefix = f"path/{i}"
-            entry = {"token": spath.token, "prefix": prefix, "lo": int(lo), "hi": int(hi)}
-            entry.update(_csr_to_arrays(f"{prefix}/w", w[lo:hi].tocsr(), arrays))
-            arrays[f"{prefix}/diag"] = np.ascontiguousarray(diag[lo:hi])
-            entries.append(entry)
-    segment, source = export_arrays(arrays)
-    descriptor = {
-        "format": _FORMAT,
-        "format_version": _FORMAT_VERSION,
-        "shard": int(shard),
-        "generation": int(generation),
-        "epoch": int(epoch),
-        "entries": entries,
-        "sources": [source],
-    }
-    path = _write_shard_descriptor(directory, shard, generation, descriptor)
-    return PublishedGeneration(generation, epoch, path, segment)
-
-
-class ShardState:
-    """A shard worker's live view of one published shard generation.
-
-    ``entries`` maps each served path token to ``(w_s, diag_s, lo)`` —
-    the shard's CSR row slice of the half product, the matching
-    diagonal slice, and the global index of the slice's first row.
-    All views over the shared segment; nothing copied.
-    """
-
-    def __init__(self, shard, generation, epoch, entries, resources, payload_bytes):
-        self.shard = int(shard)
-        self.generation = int(generation)
-        self.epoch = int(epoch)
-        self.entries = entries
-        self.payload_bytes = int(payload_bytes)
-        self._resources = resources
-
-    def close(self) -> None:
-        """Release the attachment (idempotent, tolerant of live views)."""
-        self.entries = {}
-        resources, self._resources = self._resources, []
-        for resource in resources:
-            if resource is None:
-                continue
-            try:
-                resource.close()
-            except BufferError:
-                pass  # views still alive; the mapping dies with them
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardState(shard={self.shard}, generation={self.generation}, "
-            f"epoch={self.epoch}, paths={len(self.entries)})"
-        )
-
-
-def attach_shard_generation(path_or_descriptor, *, untrack: bool = False) -> ShardState:
-    """Attach one published shard generation zero-copy.
-
-    Mirrors :func:`repro.serving.shm.attach_generation` for the
-    shard-slice descriptor format; raises ``FileNotFoundError`` when
-    the descriptor or its segment is already retired.
-    """
-    if isinstance(path_or_descriptor, dict):
-        descriptor = path_or_descriptor
-    else:
-        descriptor = json.loads(Path(path_or_descriptor).read_text(encoding="utf-8"))
-    if descriptor.get("format") != _FORMAT:
-        raise SnapshotError(
-            f"not a {_FORMAT} descriptor: format={descriptor.get('format')!r}"
-        )
-    if descriptor.get("format_version") != _FORMAT_VERSION:
-        raise SnapshotError(
-            f"shard generation format version "
-            f"{descriptor.get('format_version')!r} not supported"
-        )
-    resources = []
+            entries.append((("pathsim", spath.token), (w[lo:hi], diag[lo:hi])))
+            ranges.append({"lo": int(lo), "hi": int(hi)})
     arrays: dict[str, np.ndarray] = {}
-    payload_bytes = 0
-    try:
-        for source in descriptor["sources"]:
-            resource, chunk = attach_arrays(source, untrack=untrack)
-            resources.append(resource)
-            arrays.update(chunk)
-            if resource is not None:
-                payload_bytes += int(resource.size)
-        entries = {}
-        for entry in descriptor["entries"]:
-            w_s = _csr_from_arrays(f"{entry['prefix']}/w", arrays, entry["shape"])
-            diag_s = arrays[f"{entry['prefix']}/diag"]
-            entries[entry["token"]] = (w_s, diag_s, int(entry["lo"]))
-    except BaseException:
-        for resource in resources:
-            if resource is not None:
-                try:
-                    resource.close()
-                except BufferError:
-                    pass
-        raise
-    return ShardState(
-        descriptor["shard"],
-        descriptor["generation"],
-        descriptor["epoch"],
-        entries,
-        resources,
-        payload_bytes,
+    index = _build_entry_index(entries, arrays, _csr_to_arrays)
+    for desc, rows in zip(index, ranges):
+        desc.update(rows)
+    segment, source = export_arrays(arrays)
+    return _write_descriptor(
+        directory, f"shard{int(shard)}-gen", generation, epoch, index, [source],
+        segment=segment,
     )
 
 
-# ----------------------------------------------------------------------
-# Shard worker process
-# ----------------------------------------------------------------------
+def _pack_queries(q_rows: sp.csr_matrix, q_diag: np.ndarray) -> tuple:
+    """The scattered query payload ``(W[q] rows, diag[q])`` as bare
+    arrays (cheaper to pickle than the matrix object)."""
+    return q_rows.data, q_rows.indices, q_rows.indptr, q_rows.shape, q_diag
+
+
 def _unpack_queries(packed) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Rebuild the scattered query payload: ``(W[q] rows, diag[q])``."""
+    """Rebuild :func:`_pack_queries`' payload."""
     data, indices, indptr, shape, q_diag = packed
     rows = sp.csr_matrix((data, indices, indptr), shape=tuple(shape), copy=False)
     rows.has_canonical_format = True
     return rows, np.asarray(q_diag, dtype=np.float64)
 
 
-def _shard_scores(w_s, diag_s, q_rows, q_diag) -> np.ndarray:
-    """The shard's slice of each query's dense PathSim score row.
-
-    Bit-identical to columns ``[lo, hi)`` of the engine's answer: one
-    query runs the 1-D mat-vec kernel exactly as
-    ``MetaPathEngine.pathsim_row`` does (zero-filled dense query row,
-    ``W_s.dot``, scalar-plus-vector denominator), several queries run
-    the 2-D block kernel exactly as ``pathsim_rows`` does — mirroring
-    the engine's own solo/batch split, so either dispatch path on the
-    parent meets the identical summation here.
-    """
-    if q_rows.shape[0] == 1:
-        dense = np.zeros(q_rows.shape[1])
-        dense[q_rows.indices] = q_rows.data
-        row = w_s.dot(dense)
-        denom = q_diag[0] + diag_s
-        return np.divide(
-            2.0 * row,
-            denom,
-            out=np.zeros_like(row, dtype=np.float64),
-            where=denom != 0,
-        )[None, :]
-    block = w_s.dot(np.asarray(q_rows.todense()).T).T  # (m, n_s)
-    denom = q_diag[:, None] + diag_s[None, :]
-    return np.divide(
-        2.0 * block,
-        denom,
-        out=np.zeros_like(block, dtype=np.float64),
-        where=denom != 0,
-    )
-
-
-def _execute_shard_job(state: ShardState, kind, payload):  # pragma: no cover
+def _execute_shard_job(state, kind, payload):
     """One shard job -> aligned ``("ok", value) | ("err", error)`` statuses.
 
-    ``block`` answers a scattered top-k: one status per query, each
-    carrying the shard's partial ``(global indices, scores)`` list.
-    ``partial`` answers a watch-maintenance re-score: the shard's
-    columns of the partial PathSim block, mirroring
-    ``pathsim_partial_block``'s kernel on the slice.  ``info`` reports
-    the worker's memory footprint.
+    Both kinds are the engine's own kernels
+    (:mod:`repro.engine.kernels`) applied to the attached slice
+    ``w[lo:hi], diag[lo:hi]``.  ``block`` answers a scattered top-k:
+    one status per query, each carrying the shard's partial ``(global
+    indices, scores)`` list — one query takes the mat-vec kernel,
+    several the block kernel, the same split the engine makes between
+    ``pathsim_top_k`` and ``pathsim_top_k_batch``.  ``partial`` answers
+    a watch-maintenance re-score: the shard's columns of the partial
+    PathSim block over the slice-local candidate rows.
     """
-    if kind == "info":
-        return [
-            (
-                "ok",
-                {
-                    "rss_bytes": _process_rss(),
-                    "payload_bytes": state.payload_bytes,
-                    "generation": state.generation,
-                    "epoch": state.epoch,
-                    "shard": state.shard,
-                },
-            )
-        ]
+    token, arg, packed = payload
+    w_s, diag_s, lo = state.slices[token]
+    q_rows, q_diag = _unpack_queries(packed)
     if kind == "block":
-        token, need, packed = payload
-        w_s, diag_s, lo = state.entries[token]
-        q_rows, q_diag = _unpack_queries(packed)
-        scores = _shard_scores(w_s, diag_s, q_rows, q_diag)
-        return [("ok", shard_top_k(row, need, offset=lo)) for row in scores]
+        if q_rows.shape[0] == 1:
+            scores = kernels.pathsim_solo(
+                w_s, diag_s, kernels.dense_row(q_rows), q_diag[0]
+            )[None, :]
+        else:
+            scores = kernels.pathsim_block(w_s, diag_s, q_rows, q_diag)
+        return [("ok", shard_top_k(row, arg, offset=lo)) for row in scores]
     if kind == "partial":
-        token, local_idx, packed = payload
-        w_s, diag_s, lo = state.entries[token]
-        q_rows, q_diag = _unpack_queries(packed)
-        local = np.asarray(local_idx, dtype=np.int64)
-        # Mirror pathsim_partial_block's kernel on the slice: F-ordered
-        # densify-then-transpose operand, CSR x dense block, candidate
-        # diagonal plus query diagonal, transposed back.
-        block = q_rows.toarray(order="F").T
-        dots = w_s[local].dot(block)
-        denom = diag_s[local][:, None] + q_diag[None, :]
-        scores = np.divide(
-            2.0 * dots,
-            denom,
-            out=np.zeros_like(dots, dtype=np.float64),
-            where=denom != 0,
-        )
-        return [("ok", scores.T)]
+        local = np.asarray(arg, dtype=np.int64)
+        return [("ok", kernels.pathsim_partial(w_s, diag_s, local, q_rows, q_diag))]
     raise ValueError(f"unknown shard job kind {kind!r}")
-
-
-def _job_size(kind, payload) -> int:  # pragma: no cover
-    """How many statuses a failed job must still deliver."""
-    if kind == "block":
-        return max(1, len(payload[2][2]) - 1)  # queries = len(indptr) - 1
-    return 1
-
-
-def _shard_worker_main(  # pragma: no cover — runs in child processes
-    shard_id, task_queue, result_queue, gen_value, gen_dir, untrack
-):
-    """Shard worker loop: attach the pinned shard generation, serve jobs.
-
-    Unlike the replicated cluster's epoch *floor*, every shard job pins
-    an **exact generation**: a scattered query's per-shard partials
-    must all come from the same epoch as the parent-extracted query
-    rows, and the parent guarantees (by dispatching under the engine
-    read lock, which excludes commits, hence republications) that the
-    pinned generation is current and stays attachable for the job's
-    duration.  The retry loop below only absorbs descriptor-visibility
-    races on attach, with the same LRU(2) retirement as the replicated
-    worker.
-    """
-    import pickle
-
-    current = None
-    attached = LRUCache(2, on_evict=lambda _key, state: state.close())
-
-    def ensure_generation(target):
-        """Attach exactly generation ``target``, retrying until published."""
-        nonlocal current
-        if current is not None and current.generation == target:
-            return current
-        deadline = time.monotonic() + 60.0
-        while True:
-            try:
-                state = attach_shard_generation(
-                    Path(gen_dir) / f"shard{shard_id}-gen-{target}.json",
-                    untrack=untrack,
-                )
-                break
-            except FileNotFoundError:
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"shard worker {shard_id} could not attach "
-                        f"generation {target}"
-                    ) from None
-                time.sleep(0.002)
-        current = state
-        attached.bump_generation()
-        attached.put(target, state)
-        attached.evict_written_before(attached.generation)
-        return current
-
-    while True:
-        job = task_queue.get()
-        if job is _SHUTDOWN:
-            break
-        job_id, kind, payload, target_gen = job
-        try:
-            state = ensure_generation(target_gen)
-            statuses = _execute_shard_job(state, kind, payload)
-        except BaseException as exc:  # noqa: BLE001 — deliver, don't die
-            statuses = [("err", _picklable(exc))] * _job_size(kind, payload)
-        try:
-            pickle.dumps(statuses)
-        except Exception:
-            statuses = [
-                (status, value)
-                if _pickles(value)
-                else ("err", RuntimeError(f"result not picklable: {value!r:.200}"))
-                for status, value in statuses
-            ]
-        result_queue.put((job_id, statuses))
-    attached.clear()
 
 
 # ----------------------------------------------------------------------
 # The service
 # ----------------------------------------------------------------------
-class ShardedClusterService(ServingAPI):
+class ShardedClusterService(_ProcessTier):
     """Multi-process serving with row-sharded state and scatter/merge top-k.
 
     Parameters
@@ -541,23 +286,14 @@ class ShardedClusterService(ServingAPI):
     directory:
         Where shard generation descriptors live (a private temp
         directory by default).
-    mp_context:
-        ``multiprocessing`` start method (``"fork"`` where available).
-    keep_generations:
-        How many published generations per shard stay attachable at
-        once (>= 2).
-    job_timeout:
-        Seconds a dispatched shard job may take before the parent
-        gives up.
-    workers:
-        Service thread count (defaults to the shard count) — threads
-        that coalesce/batch requests and drive scatters.
 
     The client surface is the shared
     :class:`~repro.serving.api.ServingAPI`; swapping a replicated
     ``ClusterService`` for this class changes construction only (see
     GUIDE §8).  Use as a context manager, or call :meth:`close`.
     """
+
+    _label = "shards"
 
     def __init__(
         self,
@@ -567,10 +303,6 @@ class ShardedClusterService(ServingAPI):
         shards: int | None = None,
         max_batch: int = 64,
         directory=None,
-        mp_context: str | None = None,
-        keep_generations: int = 2,
-        job_timeout: float = 120.0,
-        workers: int | None = None,
     ):
         if hin is None:
             raise ValueError("ShardedClusterService needs a live hin")
@@ -580,107 +312,59 @@ class ShardedClusterService(ServingAPI):
                 "ShardedClusterService needs at least one served meta-path"
             )
         engine = hin.engine()
-        served: dict[str, _ServedPath] = {}
+        self._served: dict[tuple, _ServedPath] = {}
         for p in paths:
             spath = _ServedPath(engine.symmetric_path(p))
-            served.setdefault(spath.token, spath)
-        if shards is None:
-            try:
-                usable = len(os.sched_getaffinity(0))
-            except AttributeError:
-                usable = os.cpu_count() or 1
-            shards = max(1, min(usable, 4))
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self._ctx = multiprocessing.get_context(
-            mp_context or _default_start_method()
-        )
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
-        self._directory = (
-            Path(directory)
-            if directory
-            else Path(tempfile.mkdtemp(prefix="repro-shards-"))
-        )
-        self._own_directory = directory is None
-        self.hin = hin
-        self._served = served
-        self._plan = ShardPlan.compute(
-            hin, sorted({s.source_type for s in served.values()}), shards
-        )
-        self._job_timeout = float(job_timeout)
+            self._served.setdefault(spath.token, spath)
         # One mutex for anything that uses the shard channels (scatter,
         # watch partial scoring, worker_memory) — channels carry one
         # outstanding job each; one for republication bookkeeping.
         self._scatter_mutex = threading.Lock()
         self._publish_mutex = threading.Lock()
         self._stats_mutex = threading.Lock()
-        self._shard_gens = [0] * shards
-        self._shard_epochs = [0] * shards
-        self._republications = [0] * shards
-        self._gen_values = [self._ctx.Value("L", 0) for _ in range(shards)]
-        self._published = [
-            LRUCache(
-                max(2, int(keep_generations)),
-                on_evict=lambda _key, generation: generation.dispose(),
-            )
-            for _ in range(shards)
-        ]
         self._scatters = 0
         self._fallbacks = 0
         self._partial_jobs = 0
-        self._closed = False
-        self._channels: list[_WorkerChannel] = []
-        self._service = None
-        self._hook = None
         self._scorer = None
         self._parent_state = SimpleNamespace(hin=hin, engine=engine)
+        self._start(hin, shards, max_batch, directory)
 
-        try:
-            epoch0 = getattr(hin, "version", 0)
-            for s in range(shards):
-                generation = publish_shard_generation(
-                    hin, engine, list(self._served.values()), self._plan, s,
-                    directory=self._directory, generation=0,
-                )
-                self._published[s].put(0, generation)
-                self._shard_epochs[s] = generation.epoch
-            self._published_epoch = epoch0
-            # Workers fork/spawn BEFORE any service thread exists.
-            for s in range(shards):
-                self._channels.append(
-                    _WorkerChannel(
-                        self._ctx,
-                        s,
-                        self._gen_values[s],
-                        str(self._directory),
-                        target=_shard_worker_main,
-                    )
-                )
-            self._hook = hin.add_commit_hook(self._on_commit)
-            self._scorer = self._partial_scorer
-            hin.watches().set_partial_scorer(self._scorer)
-            self._service = QueryService(
-                hin,
-                workers=int(workers) if workers else len(self._channels),
-                max_batch=max_batch,
-                executor=self,
-            )
-        except BaseException:
-            self.close()
-            raise
+    def _prepare(self, shards: int) -> None:
+        """Plan the row ranges, publish every shard's generation 0, and
+        route watch re-scores here."""
+        self._plan = self._replan(shards)
+        self._shard_gens = [0] * shards
+        self._shard_epochs = [0] * shards
+        self._republications = [0] * shards
+        self._published_epoch = self.epoch
+        for s in range(shards):
+            self._publish_shard(s)
+        self._scorer = self._partial_scorer
+        self.hin.watches().set_partial_scorer(self._scorer)
 
-    # ------------------------------------------------------------------
-    # ServingAPI plumbing
-    # ------------------------------------------------------------------
-    def _serving_core(self) -> QueryService:
-        """The embedded :class:`QueryService`; this cluster is its
-        execution backend."""
-        return self._service
+    def _replan(self, shards: int) -> ShardPlan:
+        """A fresh :class:`ShardPlan` over the served paths' source types."""
+        return ShardPlan.compute(
+            self.hin, sorted({s.source_type for s in self._served.values()}), shards
+        )
+
+    def _worker_spec(self, shard: int) -> tuple:
+        """Worker *shard* follows its own ``shard<s>-gen-<n>.json``
+        series; jobs pin the generation, so there is no shared counter."""
+        return None, f"shard{shard}-gen", _execute_shard_job
+
+    def _fence(self, shard: int) -> tuple:
+        """Every shard job pins an **exact generation**: a scattered
+        query's per-shard partials must all come from the same epoch as
+        the parent-extracted query rows, and the parent guarantees (by
+        dispatching under the engine read lock, which excludes commits,
+        hence republications) that the pinned generation is current
+        and stays attachable for the job's duration."""
+        return 0, self._shard_gens[shard]
+
+    def _exclusive(self):
+        """The scatter mutex grants every channel at once."""
+        return self._scatter_mutex
 
     def prewarm(self, *paths) -> "ShardedClusterService":
         """Add *paths* to the shard-served set and republish every shard.
@@ -694,9 +378,8 @@ class ShardedClusterService(ServingAPI):
         with self._scatter_mutex, self._publish_mutex:
             for spath in new:
                 self._served.setdefault(spath.token, spath)
-            types = sorted({s.source_type for s in self._served.values()})
-            if set(types) - set(self._plan.ranges):
-                self._plan = ShardPlan.compute(self.hin, types, self._plan.shards)
+            if {s.source_type for s in new} - set(self._plan.ranges):
+                self._plan = self._replan(self._plan.shards)
             for s in range(len(self._channels)):
                 self._republish_shard(s)
         return self
@@ -705,19 +388,14 @@ class ShardedClusterService(ServingAPI):
     # Generation lifecycle
     # ------------------------------------------------------------------
     @property
-    def epoch(self) -> int:
-        """The served network's current update epoch."""
-        return getattr(self.hin, "version", 0)
-
-    @property
     def republications(self) -> list[int]:
         """Per-shard republication counters (initial publish excluded) —
         the observable E21 asserts touched-shards-only maintenance on."""
         return list(self._republications)
 
-    def _republish_shard(self, shard: int) -> None:
-        """Export *shard*'s current slice as its next generation."""
-        self._shard_gens[shard] += 1
+    def _publish_shard(self, shard: int) -> None:
+        """Export *shard*'s current slice as generation
+        ``_shard_gens[shard]``; jobs pin it from their next fence on."""
         generation = publish_shard_generation(
             self.hin,
             self.hin.engine(),
@@ -727,12 +405,14 @@ class ShardedClusterService(ServingAPI):
             directory=self._directory,
             generation=self._shard_gens[shard],
         )
-        self._published[shard].bump_generation()
-        self._published[shard].put(self._shard_gens[shard], generation)
+        self._retain(shard, generation)
         self._shard_epochs[shard] = generation.epoch
+
+    def _republish_shard(self, shard: int) -> None:
+        """Export *shard*'s current slice as its next generation."""
+        self._shard_gens[shard] += 1
+        self._publish_shard(shard)
         self._republications[shard] += 1
-        # Publication point for this shard's workers.
-        self._gen_values[shard].value = self._shard_gens[shard]
 
     def _classify(self, update) -> set[int] | None:
         """Which shards *update* can touch; ``None`` means replan + all.
@@ -768,11 +448,7 @@ class ShardedClusterService(ServingAPI):
         with self._publish_mutex:
             touched = self._classify(update)
             if touched is None:
-                self._plan = ShardPlan.compute(
-                    self.hin,
-                    sorted({s.source_type for s in self._served.values()}),
-                    self._plan.shards,
-                )
+                self._plan = self._replan(self._plan.shards)
                 touched = set(range(len(self._channels)))
             for shard in sorted(touched):
                 self._republish_shard(shard)
@@ -791,8 +467,8 @@ class ShardedClusterService(ServingAPI):
         actually running (on the writer's thread, lock-free), so this
         resolves in publication time, not job time.
         """
-        deadline = time.monotonic() + self._job_timeout
-        while self._published_epoch != getattr(self.hin, "version", 0):
+        deadline = time.monotonic() + _JOB_TIMEOUT_S
+        while self._published_epoch != self.epoch:
             if time.monotonic() > deadline:
                 raise RuntimeError(
                     "shard republication did not catch up to the committed "
@@ -809,7 +485,7 @@ class ShardedClusterService(ServingAPI):
             mp = self.hin.engine().symmetric_path(path)
         except Exception:
             return None
-        return self._served.get(repr(mp.canonical_key()))
+        return self._served.get(mp.canonical_key())
 
     def run_group(self, kind: str, payload) -> list[tuple]:
         """Dispatch one request group: scatter when shard-served, else
@@ -827,20 +503,19 @@ class ShardedClusterService(ServingAPI):
         means answering from the parent's threaded rows instead.
         Answers are bit-identical either way.
         """
+        request = None
         if kind == "batch":
             path, k, exclude, plan, mode, objs = payload
-            spath = self._served_for(path) if mode != "fused" else None
-            if spath is not None:
-                with self._stats_mutex:
-                    self._scatters += 1
-                return self._scatter_top_k(spath, objs, k, exclude, plan)
+            request = objs, k, exclude, plan
         elif kind == "solo" and payload and payload[0][0] == "pathsim":
             _, path, obj, k, exclude, plan, mode = payload[0]
-            spath = self._served_for(path) if mode != "fused" else None
+            request = [obj], k, exclude, plan
+        if request is not None and mode != "fused":
+            spath = self._served_for(path)
             if spath is not None:
                 with self._stats_mutex:
                     self._scatters += 1
-                return self._scatter_top_k(spath, [obj], k, exclude, plan)
+                return self._scatter_top_k(spath, *request)
         with self._stats_mutex:
             self._fallbacks += 1
         return _execute_job(self._parent_state, kind, payload)
@@ -861,7 +536,7 @@ class ShardedClusterService(ServingAPI):
         with self._scatter_mutex:
             with engine.lock.read():
                 self._await_publish()
-                epoch = getattr(self.hin, "version", 0)
+                epoch = self.epoch
                 try:
                     idx, q_rows, q_diag = engine.pathsim_query_rows(
                         spath.mp, objs, plan=mode
@@ -870,27 +545,22 @@ class ShardedClusterService(ServingAPI):
                     # Unknown object / bad k shape: retry per query on
                     # the parent engine so each request gets its own
                     # error (or answer), like a worker's batch fallback.
-                    return [
-                        _execute_job(
-                            self._parent_state,
-                            "solo",
-                            [("pathsim", str(spath.mp), obj, int(k),
-                              bool(exclude), plan, "materialize")],
-                        )[0]
-                        for obj in objs
-                    ]
-                packed = (
-                    q_rows.data, q_rows.indices, q_rows.indptr,
-                    q_rows.shape, q_diag,
-                )
-                for s, channel in enumerate(self._channels):
-                    channel.post(
-                        "block", (spath.token, need, packed), self._shard_gens[s]
+                    return _execute_job(
+                        self._parent_state,
+                        "solo",
+                        [
+                            ("pathsim", str(spath.mp), obj, int(k),
+                             bool(exclude), plan, "materialize")
+                            for obj in objs
+                        ],
                     )
+                job = (spath.token, need, _pack_queries(q_rows, q_diag))
+                for s, channel in enumerate(self._channels):
+                    channel.post("block", job, len(objs), self._fence(s))
                 per_shard = []
                 for channel in self._channels:
                     try:
-                        per_shard.append(channel.collect(self._job_timeout))
+                        per_shard.append(channel.collect())
                     except BaseException as exc:  # noqa: BLE001
                         per_shard.append([("err", exc)] * len(objs))
                 return self._merge_results(
@@ -903,7 +573,7 @@ class ShardedClusterService(ServingAPI):
     ) -> list[tuple]:
         """Exact k-way merge of per-shard partials into TopKResults.
 
-        Mirrors the engine's ``_select`` exactly: the merged order is
+        The engine's ``_select``, distributed: the merged order is
         ``(-score, global index)`` (:func:`merge_top_k` over partials
         that each surfaced their own top ``need``), the query row is
         filtered under self-exclusion, names resolve through the same
@@ -968,10 +638,10 @@ class ShardedClusterService(ServingAPI):
         maintainer's in-process fallback, so watch exactness never
         depends on the shard workers.
         """
-        spath = self._served.get(repr(mp.canonical_key()))
+        spath = self._served.get(mp.canonical_key())
         if spath is None or not queries:
             return None
-        epoch = getattr(self.hin, "version", 0)
+        epoch = self.epoch
         if self._published_epoch != epoch:
             return None
         touched = np.asarray(touched, dtype=np.int64)
@@ -980,15 +650,12 @@ class ShardedClusterService(ServingAPI):
         engine = self.hin.engine()
         mode = engine._plan_mode(plan)
         with self._scatter_mutex:
-            if self._published_epoch != getattr(self.hin, "version", 0):
+            if self._published_epoch != self.epoch:
                 return None
             _, q_rows, q_diag = engine.pathsim_query_rows(
                 spath.mp, list(queries), plan=mode
             )
-            packed = (
-                q_rows.data, q_rows.indices, q_rows.indptr,
-                q_rows.shape, q_diag,
-            )
+            packed = _pack_queries(q_rows, q_diag)
             posted = []
             for s, (lo, hi) in enumerate(self._plan.ranges[spath.source_type]):
                 a = int(np.searchsorted(touched, lo, side="left"))
@@ -997,12 +664,13 @@ class ShardedClusterService(ServingAPI):
                     self._channels[s].post(
                         "partial",
                         (spath.token, touched[a:b] - lo, packed),
-                        self._shard_gens[s],
+                        1,
+                        self._fence(s),
                     )
                     posted.append(s)
             blocks = []
             for s in posted:
-                status, value = self._channels[s].collect(self._job_timeout)[0]
+                status, value = self._channels[s].collect()[0]
                 if status != "ok":
                     raise value  # the maintainer treats a raise as a decline
                 blocks.append(value)
@@ -1020,16 +688,10 @@ class ShardedClusterService(ServingAPI):
         :meth:`ClusterService.worker_memory`; adds ``shard``).  The
         ``payload_bytes`` side is ~1/N of each served path's index —
         the sharded memory claim E21 measures."""
-        with self._scatter_mutex:
-            reports = []
-            for s, channel in enumerate(self._channels):
-                status, value = channel.call(
-                    "info", [None], self._shard_gens[s], self._job_timeout
-                )[0]
-                if status != "ok":
-                    raise value
-                reports.append(value)
-            return reports
+        reports = super().worker_memory()
+        for shard, report in enumerate(reports):
+            report["shard"] = shard
+        return reports
 
     def stats(self) -> dict:
         """The embedded service's counters plus sharding ones:
@@ -1053,36 +715,14 @@ class ShardedClusterService(ServingAPI):
         return out
 
     def close(self) -> None:
-        """Drain, stop the workers, retire every shard generation.
-
-        Also the failure-path cleanup for partial construction, so
-        every branch tolerates resources never acquired.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._hook is not None and self.hin is not None:
-            self.hin.remove_commit_hook(self._hook)
-        if self._scorer is not None and self.hin is not None:
+        """Drain, stop the workers, retire every shard generation."""
+        if self._scorer is not None:
             # Peek, never create: closing must not instantiate a
             # watch manager on a network that never watched.
             manager = getattr(self.hin, "_watch_manager", None)
             if manager is not None:
                 manager.clear_partial_scorer(self._scorer)
-        if self._service is not None:
-            self._service.close()
-        for channel in self._channels:
-            channel.shutdown()
-        for cache in self._published:
-            cache.clear()  # on_evict disposes segments + descriptors
-        if self._own_directory:
-            shutil.rmtree(self._directory, ignore_errors=True)
-
-    def __enter__(self) -> "ShardedClusterService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        super().close()
 
     def __repr__(self) -> str:
         return (

@@ -36,13 +36,20 @@ them).  Generations are immutable once published — a new epoch means a
 matrix: it either still serves the old generation or has atomically
 swapped to the complete new one.
 
-:class:`~repro.serving.cluster.ClusterService` drives the lifecycle:
+There is one container.  A *shard* generation
+(:func:`repro.serving.shards.publish_shard_generation`) is the same
+descriptor without the network section, whose PathSim entries carry the
+``lo``/``hi`` row range they were sliced to; it goes through the same
+writer, reader and :func:`attach_generation`.
+
+The service classes drive the lifecycle (:mod:`repro.serving.workers`):
 publish on start, re-publish from the ``hin.apply()`` commit hook,
 retire old generations once workers have moved on.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import zipfile
@@ -245,27 +252,25 @@ def export_arrays(arrays: dict) -> tuple[shared_memory.SharedMemory, dict]:
     return segment, descriptor
 
 
-def attach_arrays(descriptor: dict, *, untrack: bool = False):
+def attach_arrays(descriptor: dict):
     """Open one source descriptor's arrays without copying.
 
     ``kind == "shm"`` attaches the named segment and wraps each array
     spec in a read-only ``np.ndarray`` view over the shared buffer;
     ``kind == "npz"`` memory-maps the named file via :func:`mmap_npz`.
 
+    Python <= 3.12 registers a segment with the ``multiprocessing``
+    resource tracker on EVERY open, not just on create (bpo-39959).
+    That is harmless here because attachers share the publisher's
+    tracker — ``multiprocessing`` hands its children the tracker fd
+    under ``fork`` and ``spawn`` alike — so the publisher's create-time
+    registration stays the single authoritative one.  On Python >= 3.13
+    the attach is simply untracked.
+
     Parameters
     ----------
     descriptor:
         One entry of a generation descriptor's ``sources`` list.
-    untrack:
-        Python <= 3.12 registers a segment with the ``multiprocessing``
-        resource tracker on EVERY open, not just on create (bpo-39959);
-        a worker whose tracker is *not* shared with the publisher (the
-        ``spawn`` start method) would therefore unlink — destroy —
-        live segments when it exits.  Pass ``True`` from such workers
-        to compensate the attach-side registration; leave ``False``
-        when the tracker is inherited (``fork``), where the publisher's
-        single registration is the correct one.  On Python >= 3.13 the
-        attach is simply untracked and this flag is moot.
 
     Returns
     -------
@@ -287,13 +292,6 @@ def attach_arrays(descriptor: dict, *, untrack: bool = False):
         segment = shared_memory.SharedMemory(name=descriptor["segment"], track=False)
     except TypeError:
         segment = shared_memory.SharedMemory(name=descriptor["segment"])
-        if untrack:
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:
-                pass  # tracker quirks must never break an attach
     arrays = {}
     for key, spec in descriptor["arrays"].items():
         view = np.ndarray(
@@ -354,16 +352,28 @@ def _csr_from_arrays(prefix: str, arrays: dict, shape) -> sp.csr_matrix:
 # ----------------------------------------------------------------------
 # Generations
 # ----------------------------------------------------------------------
+def _release(resources) -> None:
+    """Close attached mappings.  One whose buffers are still exported —
+    numpy views alive somewhere, e.g. in an answer the caller holds —
+    is left to die with their last reference instead of being
+    invalidated out from under them."""
+    for resource in resources:
+        if resource is None:
+            continue
+        try:
+            resource.close()
+        except BufferError:
+            pass
+
+
 class PublishedGeneration:
     """The publisher's handle on one generation it exported.
 
     Holds the shared-memory segment (when the payload is shm-backed)
     and the descriptor-file path, so the generation can be retired —
     segment unlinked, descriptor removed — once every worker has moved
-    to a newer one.  :class:`~repro.serving.cluster.ClusterService`
-    keeps these in a generation-stamped
-    :class:`~repro.utils.cache.LRUCache` whose eviction hook calls
-    :meth:`dispose`.
+    to a newer one (see ``docs/ARCHITECTURE.md`` → "Generations, the
+    worker loop and fences").
     """
 
     def __init__(self, generation: int, epoch: int, path: Path, segment):
@@ -396,17 +406,23 @@ class PublishedGeneration:
 
 
 class AttachedGeneration:
-    """A worker's live view of one published generation.
+    """A process's live, zero-copy view of one published generation.
 
     Attributes
     ----------
-    hin:
-        The attached :class:`~repro.networks.hin.HIN`, built zero-copy
-        over the generation's buffers at the published epoch.
-    engine:
-        ``hin.engine()`` with the published warm cache installed.
     generation / epoch:
         The generation counter and update epoch this state serves.
+    hin / engine:
+        For a *network* generation: the attached
+        :class:`~repro.networks.hin.HIN`, built over the generation's
+        buffers at the published epoch, and its ``hin.engine()`` with
+        the published warm cache installed.  ``None`` for a shard
+        generation, which carries no network section.
+    slices:
+        For a *shard* generation: ``{canonical path key: (w, diag,
+        lo)}`` — the shard's CSR row slice of each served half product,
+        the matching diagonal slice, and the global index of the
+        slice's first row.  Empty for a network generation.
     payload_bytes:
         Total size of the attached buffers (segment sizes plus
         mmap-backed payload files).  These bytes are *shared* — mapped,
@@ -417,47 +433,42 @@ class AttachedGeneration:
     """
 
     def __init__(
-        self, generation: int, epoch: int, hin, engine, resources,
-        payload_bytes: int = 0,
+        self, generation: int, epoch: int, resources, payload_bytes: int = 0,
+        *, hin=None, slices=None,
     ):
         self.generation = int(generation)
         self.epoch = int(epoch)
         self.hin = hin
-        self.engine = engine
+        self.engine = hin.engine() if hin is not None else None
+        self.slices = slices or {}
         self.payload_bytes = int(payload_bytes)
         self._resources = resources
 
     def close(self) -> None:
         """Release the attachment (idempotent).
 
-        Drops the HIN/engine references (which hold the numpy views)
-        and closes the underlying segment mappings.  A mapping whose
-        buffers are still exported — e.g. an answer object alive in the
-        caller — is left for the garbage collector plus OS teardown
-        rather than invalidated out from under it.
+        Drops every reference holding numpy views over the buffers —
+        collecting the ``hin`` <-> ``engine`` reference cycle right
+        away, so the mappings can actually unmap — then closes them
+        (:func:`_release`).
         """
-        self.hin = None
-        self.engine = None
+        had_network = self.hin is not None
+        self.hin = self.engine = None
+        self.slices = {}
+        if had_network:
+            gc.collect()
         resources, self._resources = self._resources, []
-        for resource in resources:
-            if resource is None:
-                continue
-            try:
-                resource.close()
-            except BufferError:
-                # numpy views over the buffer are still alive somewhere;
-                # the mapping dies with their last reference instead.
-                pass
+        _release(resources)
 
     def __repr__(self) -> str:
         return (
             f"AttachedGeneration(generation={self.generation}, "
-            f"epoch={self.epoch}, hin={self.hin!r})"
+            f"epoch={self.epoch}, hin={self.hin!r}, slices={len(self.slices)})"
         )
 
 
 def _network_structure(hin) -> dict:
-    """The JSON-able non-array half of a generation descriptor."""
+    """The JSON-able network section of a generation descriptor."""
     return {
         "node_types": list(hin.schema.node_types),
         "node_counts": {t: hin.node_count(t) for t in hin.schema.node_types},
@@ -473,16 +484,46 @@ def _network_structure(hin) -> dict:
     }
 
 
-def _write_descriptor(directory: Path, generation: int, descriptor: dict) -> Path:
-    """Atomically write ``gen-<n>.json`` (workers must never read a torn
-    descriptor; the rename is the publication point)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"gen-{int(generation)}.json"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(descriptor, indent=2), encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+def descriptor_path(directory, stem: str, generation: int) -> Path:
+    """Where generation *generation* of the *stem* series is described:
+    ``<directory>/<stem>-<generation>.json``."""
+    return Path(directory) / f"{stem}-{int(generation)}.json"
+
+
+def _write_descriptor(
+    directory, stem, generation, epoch, entries, sources, *, network=None, segment=None
+) -> PublishedGeneration:
+    """Atomically write one generation's descriptor; return its handle.
+
+    The single descriptor format: a header (``generation``, ``epoch``),
+    the optional *network* section (:func:`_network_structure` — absent
+    from shard generations), the ``entries`` index over the arrays
+    (the snapshot entry schema; shard entries add their ``lo``/``hi``
+    row range) and the ``sources`` holding those arrays.  Workers must
+    never read a torn descriptor: the rename is the publication point.
+    A failed write retires *segment* instead of leaking it.
+    """
+    published = PublishedGeneration(
+        generation, epoch, descriptor_path(directory, stem, generation), segment
+    )
+    descriptor = {
+        "format": _FORMAT,
+        "format_version": _FORMAT_VERSION,
+        "generation": published.generation,
+        "epoch": published.epoch,
+        **(network or {}),
+        "entries": entries,
+        "sources": sources,
+    }
+    try:
+        published.path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = published.path.with_name(published.path.name + ".tmp")
+        tmp.write_text(json.dumps(descriptor, indent=2), encoding="utf-8")
+        os.replace(tmp, published.path)
+    except BaseException:
+        published.dispose()
+        raise
+    return published
 
 
 def publish_generation(hin, engine, *, directory, generation: int) -> PublishedGeneration:
@@ -527,17 +568,10 @@ def publish_generation(hin, engine, *, directory, generation: int) -> PublishedG
     # into attach_generation, so the two serializers must never drift.
     entry_index = _build_entry_index(entries, arrays, _csr_to_arrays)
     segment, source = export_arrays(arrays)
-    descriptor = {
-        "format": _FORMAT,
-        "format_version": _FORMAT_VERSION,
-        "generation": int(generation),
-        "epoch": int(epoch),
-        **structure,
-        "entries": entry_index,
-        "sources": [source],
-    }
-    path = _write_descriptor(directory, generation, descriptor)
-    return PublishedGeneration(generation, epoch, path, segment)
+    return _write_descriptor(
+        directory, "gen", generation, epoch, entry_index, [source],
+        network=structure, segment=segment,
+    )
 
 
 def generation_from_snapshot(path, *, directory, generation: int) -> PublishedGeneration:
@@ -569,43 +603,43 @@ def generation_from_snapshot(path, *, directory, generation: int) -> PublishedGe
     """
     snap = Path(path).resolve()
     manifest = _read_manifest(snap)
-    relations = [
-        {
-            "name": r["name"],
-            "source": r["source"],
-            "target": r["target"],
-            "shape": r["shape"],
-            "prefix": f"rel/{r['name']}",
-        }
-        for r in manifest["relations"]
-    ]
-    descriptor = {
-        "format": _FORMAT,
-        "format_version": _FORMAT_VERSION,
-        "generation": int(generation),
-        "epoch": int(manifest["epoch"]),
+    network = {
         "node_types": manifest["node_types"],
         "node_counts": manifest["node_counts"],
-        "relations": relations,
-        "names": manifest["names"],
-        "entries": manifest["entries"],
-        "sources": [
-            {"kind": "npz", "file": str(snap / manifest["files"]["network"])},
-            {"kind": "npz", "file": str(snap / manifest["files"]["cache"])},
+        "relations": [
+            {
+                "name": r["name"],
+                "source": r["source"],
+                "target": r["target"],
+                "shape": r["shape"],
+            }
+            for r in manifest["relations"]
         ],
+        "names": manifest["names"],
     }
-    gen_path = _write_descriptor(directory, generation, descriptor)
-    return PublishedGeneration(generation, manifest["epoch"], gen_path, None)
+    sources = [
+        {"kind": "npz", "file": str(snap / manifest["files"]["network"])},
+        {"kind": "npz", "file": str(snap / manifest["files"]["cache"])},
+    ]
+    return _write_descriptor(
+        directory, "gen", generation, manifest["epoch"], manifest["entries"],
+        sources, network=network,
+    )
 
 
-def _read_generation(path) -> dict:
-    path = Path(path)
-    try:
-        descriptor = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise
-    except ValueError as exc:
-        raise SnapshotError(f"unreadable generation descriptor: {exc}") from None
+def _read_generation(path_or_descriptor) -> dict:
+    """The validated descriptor dict behind a path (or passed as is)."""
+    if isinstance(path_or_descriptor, dict):
+        descriptor = path_or_descriptor
+    else:
+        try:
+            descriptor = json.loads(
+                Path(path_or_descriptor).read_text(encoding="utf-8")
+            )
+        except ValueError as exc:
+            raise SnapshotError(
+                f"unreadable generation descriptor: {exc}"
+            ) from None
     if descriptor.get("format") != _FORMAT:
         raise SnapshotError(
             f"not a {_FORMAT} descriptor: format={descriptor.get('format')!r}"
@@ -618,26 +652,48 @@ def _read_generation(path) -> dict:
     return descriptor
 
 
-def attach_generation(path_or_descriptor, *, untrack: bool = False) -> AttachedGeneration:
-    """Attach one published generation as a live, warm, zero-copy HIN.
+def _attach_network(descriptor: dict, arrays: dict, entries) -> HIN:
+    """The descriptor's network section as a live HIN over *arrays*,
+    its shared engine warmed with *entries*."""
+    schema = NetworkSchema(
+        descriptor["node_types"],
+        [(r["name"], r["source"], r["target"]) for r in descriptor["relations"]],
+    )
+    matrices = {
+        r["name"]: _csr_from_arrays(f"rel/{r['name']}", arrays, r["shape"])
+        for r in descriptor["relations"]
+    }
+    hin = HIN(
+        schema,
+        descriptor["node_counts"],
+        matrices,
+        node_names=descriptor["names"] or None,
+        validate=False,
+    )
+    hin._version = int(descriptor["epoch"])
+    hin.engine().attach_state(int(descriptor["epoch"]), entries)
+    return hin
+
+
+def attach_generation(path_or_descriptor) -> AttachedGeneration:
+    """Attach one published generation, zero-copy.
 
     Parameters
     ----------
     path_or_descriptor:
-        A ``gen-<n>.json`` path or an already-parsed descriptor dict.
-    untrack:
-        Passed through to :func:`attach_arrays`; ``True`` from worker
-        processes that do not share the publisher's resource tracker.
+        A descriptor path (:func:`descriptor_path`) or an
+        already-parsed descriptor dict.
 
     Returns
     -------
-    An :class:`AttachedGeneration` whose ``hin``/``engine`` serve the
-    published epoch.  Matrices and cache entries are views over the
-    generation's buffers — nothing was copied, and nothing here may
-    write them (``HIN(validate=False)`` guarantees the construction
-    path doesn't; the engine's maintenance paths *replace* matrices
-    rather than mutate, so even a worker that applied its own updates
-    would not corrupt peers).
+    An :class:`AttachedGeneration`.  A network generation's
+    ``hin``/``engine`` serve the published epoch; a shard generation's
+    ``slices`` hold its row ranges.  Matrices and cache entries are
+    views over the generation's buffers — nothing was copied, and
+    nothing here may write them (``HIN(validate=False)`` guarantees the
+    construction path doesn't; the engine's maintenance paths *replace*
+    matrices rather than mutate, so even a worker that applied its own
+    updates would not corrupt peers).
 
     Raises
     ------
@@ -648,17 +704,13 @@ def attach_generation(path_or_descriptor, *, untrack: bool = False) -> AttachedG
     repro.exceptions.SnapshotError
         When the descriptor is unreadable or of an unsupported format.
     """
-    descriptor = (
-        path_or_descriptor
-        if isinstance(path_or_descriptor, dict)
-        else _read_generation(path_or_descriptor)
-    )
+    descriptor = _read_generation(path_or_descriptor)
     resources = []
     arrays: dict[str, np.ndarray] = {}
     payload_bytes = 0
     try:
         for source in descriptor["sources"]:
-            resource, chunk = attach_arrays(source, untrack=untrack)
+            resource, chunk = attach_arrays(source)
             resources.append(resource)
             arrays.update(chunk)
             if source["kind"] == "npz":
@@ -666,45 +718,25 @@ def attach_generation(path_or_descriptor, *, untrack: bool = False) -> AttachedG
                     payload_bytes += os.path.getsize(source["file"])
                 except OSError:
                     pass
-            elif resource is not None:
+            else:
                 payload_bytes += int(resource.size)
-        schema = NetworkSchema(
-            descriptor["node_types"],
-            [
-                (r["name"], r["source"], r["target"])
-                for r in descriptor["relations"]
-            ],
-        )
-        matrices = {
-            r["name"]: _csr_from_arrays(
-                r.get("prefix", f"rel/{r['name']}"), arrays, r["shape"]
-            )
-            for r in descriptor["relations"]
-        }
-        hin = HIN(
-            schema,
-            descriptor["node_counts"],
-            matrices,
-            node_names=descriptor["names"] or None,
-            validate=False,
-        )
-        hin._version = int(descriptor["epoch"])
         entries = _restore_entries(descriptor["entries"], arrays, _csr_from_arrays)
-        engine = hin.engine()
-        engine.attach_state(int(descriptor["epoch"]), entries)
+        hin = None
+        if "relations" in descriptor:
+            hin = _attach_network(descriptor, arrays, entries)
+        slices = {
+            key[1]: (*value, int(desc["lo"]))
+            for desc, (key, value) in zip(descriptor["entries"], entries)
+            if "lo" in desc
+        }
     except BaseException:
-        for resource in resources:
-            if resource is not None:
-                try:
-                    resource.close()
-                except BufferError:
-                    pass
+        _release(resources)
         raise
     return AttachedGeneration(
         descriptor["generation"],
         descriptor["epoch"],
-        hin,
-        engine,
         resources,
         payload_bytes,
+        hin=hin,
+        slices=slices,
     )

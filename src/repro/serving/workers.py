@@ -1,0 +1,425 @@
+"""What the multi-process serving tiers share: one worker loop, one
+channel, one service scaffold.
+
+:class:`~repro.serving.ClusterService` (every worker attaches the whole
+network) and :class:`~repro.serving.ShardedClusterService` (every
+worker attaches its row slice) differ in *what* they publish and *how*
+a request group is routed — nothing else.  Everything below is the
+common remainder, written once:
+
+* :func:`_worker_main` — the worker-process loop: fence on the right
+  generation, run the job through the tier's executor, deliver one
+  status per request no matter what failed;
+* :class:`_WorkerChannel` — one worker process plus its private queues
+  and the post/collect protocol;
+* :class:`_ProcessTier` — the service scaffold: worker count default,
+  start method, resource tracker, descriptor directory, generation
+  retirement, ``worker_memory()``, ``close()``.
+
+See ``docs/ARCHITECTURE.md`` → "Generations, the worker loop and
+fences" for the design.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import pickle
+import queue as _queue
+import shutil
+import tempfile
+import time
+from collections import deque
+from pathlib import Path
+
+from repro.serving.api import ServingAPI
+from repro.serving.service import QueryService
+from repro.serving.shm import attach_generation, descriptor_path
+
+_SHUTDOWN = None  # task-queue sentinel
+
+#: Seconds a worker waits at the generation fence (for a descriptor to
+#: become visible, or for a publish to reach the job's epoch floor).
+_FENCE_DEADLINE_S = 60.0
+#: Seconds the parent waits for a dispatched job's answer.
+_JOB_TIMEOUT_S = 120.0
+#: Published generations kept attachable per worker series (>= 2, so a
+#: worker mid-swap never finds its target retired).
+_KEEP_GENERATIONS = 2
+
+
+def _default_start_method() -> str:
+    """``fork`` where the platform offers it (fast, shares the imported
+    interpreter), ``spawn`` elsewhere."""
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"
+
+
+def _pickles(value) -> bool:
+    """Whether *value* survives a pickle round trip."""
+    try:
+        pickle.loads(pickle.dumps(value))
+        return True
+    except Exception:
+        return False
+
+
+def _picklable(error: BaseException) -> BaseException:
+    """*error* itself when it survives pickling, else a faithful stand-in
+    (a result queue must never choke on an exotic exception)."""
+    if _pickles(error):
+        return error
+    return RuntimeError(f"{type(error).__name__}: {error}")
+
+
+def _process_rss() -> int:
+    """This process's resident set size in bytes.
+
+    Reads ``/proc/self/status`` (current RSS) where it exists, falling
+    back to ``getrusage`` peak RSS — no third-party dependency either
+    way.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
+def _worker_main(
+    worker_id, task_queue, result_queue, gen_value, gen_dir, stem, execute
+):
+    """Worker loop: fence on a generation, run the job, always answer.
+
+    A job is ``(job_id, kind, payload, count, min_epoch, pinned)``.
+    *count* is how many statuses the parent expects, so a job that
+    fails before it ever runs — the attach itself, say — still answers
+    every request in it with the typed error.  The two fences travel
+    as data:
+
+    * ``pinned`` names the exact generation to answer from (a scatter's
+      partials must all come from the epoch its query rows were
+      extracted at).  ``None`` means "whatever the shared counter
+      *gen_value* says is current".
+    * ``min_epoch`` is a floor: a commit's publish may still be copying
+      when the next request arrives, so the worker waits for the
+      counter to catch up rather than serve a pre-update answer.
+
+    Generations are immutable and swaps happen *between* jobs, so a job
+    is answered entirely at one epoch.  ``info`` jobs report the
+    worker's memory footprint (process RSS plus the attached
+    generation's shared payload bytes); every other kind goes to
+    *execute* ``(state, kind, payload) -> statuses``.
+    """
+    current = None
+
+    def ensure_generation(min_epoch, pinned):
+        """The generation to answer from, attached (see above)."""
+        nonlocal current
+        deadline = time.monotonic() + _FENCE_DEADLINE_S
+        while True:
+            target = gen_value.value if pinned is None else pinned
+            if current is None or current.generation != target:
+                try:
+                    state = attach_generation(descriptor_path(gen_dir, stem, target))
+                except FileNotFoundError:
+                    # Not visible yet, or raced a republish-and-retire:
+                    # re-read the counter.
+                    if time.monotonic() > deadline:
+                        raise RuntimeError(
+                            f"worker {worker_id} could not attach "
+                            f"generation {target}"
+                        ) from None
+                    time.sleep(0.002)
+                    continue
+                # The worker-side half of generation retirement.
+                previous, current = current, state
+                if previous is not None:
+                    previous.close()
+            if current.epoch >= min_epoch:
+                return current
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    f"worker {worker_id} waited for epoch {min_epoch} but "
+                    f"generation {current.generation} is at epoch "
+                    f"{current.epoch} (publish stalled?)"
+                )
+            time.sleep(0.002)
+
+    while True:
+        job = task_queue.get()
+        if job is _SHUTDOWN:
+            break
+        job_id, kind, payload, count, min_epoch, pinned = job
+        try:
+            state = ensure_generation(min_epoch, pinned)
+            if kind == "info":
+                statuses = [
+                    (
+                        "ok",
+                        {
+                            "rss_bytes": _process_rss(),
+                            "payload_bytes": state.payload_bytes,
+                            "generation": state.generation,
+                            "epoch": state.epoch,
+                        },
+                    )
+                ]
+            else:
+                statuses = execute(state, kind, payload)
+        except BaseException as exc:  # noqa: BLE001 — deliver, don't die
+            statuses = [("err", _picklable(exc))] * count
+        try:
+            pickle.dumps(statuses)
+        except Exception:
+            # An unpicklable value would kill the queue's feeder thread
+            # silently; sanitize per status so the parent always hears
+            # back.
+            statuses = [
+                (status, value)
+                if _pickles(value)
+                else ("err", RuntimeError(f"result not picklable: {value!r:.200}"))
+                for status, value in statuses
+            ]
+        result_queue.put((job_id, statuses))
+    if current is not None:
+        current.close()
+
+
+class _WorkerChannel:
+    """One worker process plus its private task/result queues.
+
+    A channel carries one outstanding job at a time (each tier
+    guarantees exclusive use for the round trip), so the put-then-get
+    protocol needs no response routing.
+    """
+
+    def __init__(self, ctx, worker_id, gen_dir, gen_value, stem, execute):
+        self.task_queue = ctx.Queue()
+        self.result_queue = ctx.Queue()
+        self.jobs = 0
+        self.process = ctx.Process(
+            target=_worker_main,
+            name=f"repro-cluster-{worker_id}",
+            args=(
+                worker_id,
+                self.task_queue,
+                self.result_queue,
+                gen_value,
+                str(gen_dir),
+                stem,
+                execute,
+            ),
+            daemon=True,
+        )
+        self.process.start()
+
+    def post(self, kind, payload, count: int, fence: tuple) -> int:
+        """Enqueue one job without waiting for its answer.
+
+        *count* is how many statuses the job answers with; *fence* is
+        its ``(min_epoch, pinned generation)`` pair (see
+        :func:`_worker_main`).  The payload is pickle-validated *here*,
+        on the calling thread: ``Queue.put`` pickles in a background
+        feeder thread whose failure would otherwise surface only as a
+        silent timeout-long hang.  Pair every ``post`` with a
+        :meth:`collect` before the next one — the channel routes by a
+        single outstanding job id.  Splitting the round trip is what
+        lets a scatter put one job on *every* shard's queue before
+        collecting any answer, so shards compute concurrently instead
+        of in sequence.
+        """
+        try:
+            pickle.dumps(payload)
+        except Exception as exc:
+            raise TypeError(
+                f"request arguments are not picklable for cluster "
+                f"dispatch: {exc}"
+            ) from exc
+        self.jobs += 1
+        self.task_queue.put((self.jobs, kind, payload, count, *fence))
+        return self.jobs
+
+    def collect(self):
+        """Wait for the posted job's statuses; raises when the worker
+        died (noticed within a second) or stayed silent too long."""
+        deadline = time.monotonic() + _JOB_TIMEOUT_S
+        while True:
+            try:
+                job_id, statuses = self.result_queue.get(timeout=1.0)
+            except _queue.Empty:
+                if not self.process.is_alive():
+                    raise RuntimeError(
+                        f"cluster worker {self.process.name} died "
+                        f"(exit code {self.process.exitcode})"
+                    ) from None
+                if time.monotonic() > deadline:
+                    raise TimeoutError(
+                        f"cluster worker {self.process.name} did not answer"
+                    ) from None
+                continue
+            if job_id == self.jobs:
+                return statuses
+            # A stale answer from a job whose waiter gave up; drop it.
+
+    def call(self, kind, payload, count: int, fence: tuple):
+        """Synchronous job round trip (:meth:`post` + :meth:`collect`)."""
+        self.post(kind, payload, count, fence)
+        return self.collect()
+
+    def shutdown(self, join_timeout: float = 5.0) -> None:
+        """Stop the worker: sentinel, join, terminate stragglers."""
+        try:
+            self.task_queue.put(_SHUTDOWN)
+        except (ValueError, OSError):
+            pass
+        self.process.join(timeout=join_timeout)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=join_timeout)
+        self.process.close()
+        self.task_queue.close()
+        self.result_queue.close()
+
+
+class _ProcessTier(ServingAPI):
+    """Scaffold of a multi-process service: N worker processes serving
+    published generations behind one embedded :class:`QueryService`.
+
+    A subclass says what differs: ``_prepare(count)`` (publish the
+    generation(s) workers start on, before they fork),
+    ``_worker_spec(i)`` (worker *i*'s ``(shared counter, descriptor
+    stem, job executor)``),
+    ``_fence(i)`` (the fence a job sent to worker *i* carries),
+    ``_exclusive()`` (a context manager granting every channel),
+    ``_on_commit(update)`` and ``run_group(kind, payload)``.
+    """
+
+    _label = "cluster"  # names the private descriptor directory
+
+    def _start(self, hin, count: int | None, max_batch: int, directory) -> None:
+        """Acquire everything, in the one order that is sound; a failure
+        part-way (stale snapshot, fork error) releases what was already
+        acquired instead of leaking segments, processes and temp
+        directories until interpreter exit."""
+        if count is None:
+            try:
+                usable = len(os.sched_getaffinity(0))
+            except AttributeError:
+                usable = os.cpu_count() or 1
+            count = max(1, min(usable, 4))
+        if count < 1:
+            raise ValueError(f"worker count must be >= 1, got {count}")
+        self._ctx = multiprocessing.get_context(_default_start_method())
+        # Start the resource tracker BEFORE forking workers: forked
+        # children then share the parent's tracker instead of each
+        # lazily spawning their own (whose exit-time cleanup would warn
+        # about — or on some Pythons unlink — segments it never owned).
+        try:
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
+        except Exception:
+            pass
+        self._directory = (
+            Path(directory)
+            if directory
+            else Path(tempfile.mkdtemp(prefix=f"repro-{self._label}-"))
+        )
+        self._own_directory = directory is None
+        self._closed = False
+        self._channels: list[_WorkerChannel] = []
+        # One retirement queue per worker's generation series (a tier
+        # whose workers all follow one series uses the first only).
+        self._published = [deque() for _ in range(count)]
+        self._hook = None
+        self._service = None
+        self.hin = hin
+        try:
+            self._prepare(count)
+            # Workers fork/spawn BEFORE any service thread exists (fork
+            # while this object's own threads run would be unsound).
+            for i in range(count):
+                self._channels.append(
+                    _WorkerChannel(
+                        self._ctx, i, self._directory, *self._worker_spec(i)
+                    )
+                )
+            self._hook = self.hin.add_commit_hook(self._on_commit)
+            self._service = QueryService(
+                self.hin, workers=count, max_batch=max_batch, executor=self
+            )
+        except BaseException:
+            self.close()
+            raise
+
+    def _retain(self, series: int, generation) -> None:
+        """Record *generation* as the newest of *series*; retire (unlink
+        segment, remove descriptor) whatever falls off the keep bound."""
+        held = self._published[series]
+        held.append(generation)
+        while len(held) > _KEEP_GENERATIONS:
+            held.popleft().dispose()
+
+    def _serving_core(self) -> QueryService:
+        """The embedded :class:`QueryService` — it owns the request
+        queue; this tier is its execution backend."""
+        return self._service
+
+    @property
+    def epoch(self) -> int:
+        """The served network's current update epoch."""
+        return getattr(self.hin, "version", 0)
+
+    def worker_memory(self) -> list[dict]:
+        """One memory report per worker process.
+
+        Each report carries ``rss_bytes`` (the worker's resident set —
+        includes its share of the interpreter and of faulted shared
+        pages), ``payload_bytes`` (the attached generation's
+        shared-memory/file payload — the part that is *shared*, not
+        copied, across processes), and the ``generation``/``epoch`` the
+        worker is serving.  Calls interleave safely with serving (they
+        just wait their turn for the channels).
+        """
+        with self._exclusive():
+            reports = []
+            for i, channel in enumerate(self._channels):
+                status, value = channel.call("info", None, 1, self._fence(i))[0]
+                if status != "ok":
+                    raise value
+                reports.append(value)
+            return reports
+
+    def close(self) -> None:
+        """Drain queued work, stop the workers, retire every generation.
+
+        Also the failure-path cleanup for a partially constructed
+        service, so every branch tolerates resources that were never
+        acquired.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if self._hook is not None:
+            self.hin.remove_commit_hook(self._hook)
+        if self._service is not None:
+            self._service.close()
+        for channel in self._channels:
+            channel.shutdown()
+        for held in self._published:
+            while held:
+                held.pop().dispose()
+        if self._own_directory:
+            shutil.rmtree(self._directory, ignore_errors=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()

@@ -57,33 +57,17 @@ class LRUCache:
     (:class:`repro.utils.locks.RWLock`), which the serving layer provides.
     """
 
-    def __init__(self, maxsize: int = 64, *, on_evict: Callable | None = None):
+    def __init__(self, maxsize: int = 64):
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
         self._data: OrderedDict = OrderedDict()
         self._written_at: dict = {}
         self._mutex = threading.RLock()
-        #: Optional ``fn(key, value)`` called after an entry leaves the
-        #: cache through ANY removal path (LRU overflow, :meth:`pop`,
-        #: :meth:`resize`, :meth:`clear`, :meth:`evict_written_before`).
-        #: Owners whose values hold external resources — shared-memory
-        #: segment attachments above all — use it to release them the
-        #: moment the cache stops referencing them.  Called outside the
-        #: internal mutex, so a slow teardown never blocks cache traffic.
-        self.on_evict = on_evict
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.generation = 0
-
-    def _notify_evicted(self, removed: list) -> None:
-        """Run the :attr:`on_evict` hook for *removed* ``(key, value)``
-        pairs (outside the mutex; a raising hook propagates to the
-        mutator that caused the eviction)."""
-        if self.on_evict is not None:
-            for key, value in removed:
-                self.on_evict(key, value)
 
     def __len__(self) -> int:
         with self._mutex:
@@ -126,17 +110,14 @@ class LRUCache:
 
     def put(self, key: Hashable, value) -> None:
         """Insert or refresh *key*, evicting the LRU entry when full."""
-        removed = []
         with self._mutex:
             self._data[key] = value
             self._written_at[key] = self.generation
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
-                evicted, old = self._data.popitem(last=False)
+                evicted, _ = self._data.popitem(last=False)
                 self._written_at.pop(evicted, None)
                 self.evictions += 1
-                removed.append((evicted, old))
-        self._notify_evicted(removed)
 
     def keys(self) -> list:
         """Current keys, least-recently-used first (a stable snapshot —
@@ -161,9 +142,7 @@ class LRUCache:
                 return default
             self._written_at.pop(key, None)
             self.evictions += 1
-            value = self._data.pop(key)
-        self._notify_evicted([(key, value)])
-        return value
+            return self._data.pop(key)
 
     def replace(self, key: Hashable, value) -> None:
         """Swap the value stored under an existing *key* in place.
@@ -183,15 +162,12 @@ class LRUCache:
         """Change the entry bound, evicting LRU entries when shrinking."""
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        removed = []
         with self._mutex:
             self.maxsize = int(maxsize)
             while len(self._data) > self.maxsize:
-                evicted, old = self._data.popitem(last=False)
+                evicted, _ = self._data.popitem(last=False)
                 self._written_at.pop(evicted, None)
                 self.evictions += 1
-                removed.append((evicted, old))
-        self._notify_evicted(removed)
 
     def bump_generation(self) -> int:
         """Advance (and return) the cache generation.
@@ -224,35 +200,11 @@ class LRUCache:
             self.put(key, value)
         return value
 
-    def evict_written_before(self, generation: int) -> int:
-        """Evict every entry written under a generation older than
-        *generation*; returns how many were removed.
-
-        The generation-aware bulk eviction: after the cached world moves
-        on (a network update commits, a new shared-memory generation is
-        published), entries stamped with an earlier generation are dead
-        weight — and, for caches holding shared-memory attachments,
-        dangling references that keep detached segments mapped.  Evicted
-        values flow through :attr:`on_evict` so those segments can be
-        closed the moment the cache lets go of them.
-        """
-        removed = []
-        with self._mutex:
-            for key in list(self._data):
-                if self._written_at.get(key, 0) < generation:
-                    removed.append((key, self._data.pop(key)))
-                    self._written_at.pop(key, None)
-                    self.evictions += 1
-        self._notify_evicted(removed)
-        return len(removed)
-
     def clear(self) -> None:
         """Drop every entry (counters are kept — they describe the lifetime)."""
         with self._mutex:
-            removed = list(self._data.items()) if self.on_evict is not None else []
             self._data.clear()
             self._written_at.clear()
-        self._notify_evicted(removed)
 
     def info(self) -> CacheInfo:
         """Current :class:`CacheInfo` snapshot."""

@@ -81,8 +81,7 @@ class TestRankClus:
 
     def test_hin_interface(self, small_bib):
         model = RankClus(n_clusters=2, em_iter=3, max_iter=10, seed=0).fit(
-            None,
-            hin=small_bib,
+            small_bib,
             target_type="venue",
             attribute_type="author",
             target_attribute_path="venue-paper-author",
@@ -92,10 +91,14 @@ class TestRankClus:
 
     def test_hin_requires_types(self, small_bib):
         with pytest.raises(ValueError, match="target_type"):
+            RankClus(n_clusters=2).fit(small_bib)
+
+    def test_hin_keyword_spelling_is_gone(self, small_bib):
+        with pytest.raises(TypeError, match="hin"):
             RankClus(n_clusters=2).fit(None, hin=small_bib)
 
     def test_no_input_raises(self):
-        with pytest.raises(ValueError, match="w_xy or hin"):
+        with pytest.raises(ValueError, match="HIN or a link matrix"):
             RankClus(n_clusters=2).fit(None)
 
     def test_k_too_large(self, planted):

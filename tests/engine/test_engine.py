@@ -118,36 +118,6 @@ class TestLRUCache:
         assert c.generation_of("a") == 1 and c.generation_of("b") == 1
         assert c.generation_of("missing") is None
 
-    def test_on_evict_fires_on_every_removal_path(self):
-        evicted = []
-        c = LRUCache(maxsize=2, on_evict=lambda k, v: evicted.append((k, v)))
-        c.put("a", 1)
-        c.put("b", 2)
-        c.put("c", 3)  # LRU overflow drops "a"
-        assert evicted == [("a", 1)]
-        c.pop("b")
-        assert evicted == [("a", 1), ("b", 2)]
-        c.put("d", 4)
-        c.resize(1)  # shrink drops "c"
-        assert ("c", 3) in evicted
-        c.clear()
-        assert ("d", 4) in evicted
-        assert len(evicted) == 4
-
-    def test_evict_written_before_is_generation_aware(self):
-        evicted = []
-        c = LRUCache(maxsize=8, on_evict=lambda k, v: evicted.append(k))
-        c.put("old1", 1)
-        c.put("old2", 2)
-        c.bump_generation()
-        c.put("new", 3)
-        assert c.evict_written_before(c.generation) == 2
-        assert sorted(evicted) == ["old1", "old2"]
-        assert "new" in c and "old1" not in c
-        assert c.evictions == 2
-        # idempotent: nothing older remains
-        assert c.evict_written_before(c.generation) == 0
-
 
 class TestTopKIndices:
     def test_matches_stable_argsort(self):

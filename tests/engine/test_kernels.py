@@ -1,0 +1,132 @@
+"""The PathSim kernels' identities — the argument for bit-identical serving.
+
+Every serving path (engine, fused, shard workers) calls the functions
+in :mod:`repro.engine.kernels`; what remains to show is that the
+kernels agree *with each other* bitwise: a block row equals the solo
+mat-vec, the kernel on a row slice equals the matching columns of the
+kernel on the whole, and the partial kernel equals fancy-indexing the
+block.  ``np.array_equal`` throughout — never a tolerance.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import kernels
+from tests.property.test_fused_properties import (
+    _base_hin,
+    symmetric_paths,
+    update_batches,
+)
+
+
+@st.composite
+def half_products(draw):
+    """A random integer-weight ``W`` (zero rows — hence zero diagonal
+    entries — included) with its PathSim diagonal."""
+    n = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 6))
+    cells = draw(
+        st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim)
+    )
+    dense = np.array(cells, dtype=np.float64).reshape(n, dim)
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        dense[row] = 0.0
+    w = sp.csr_matrix(dense)
+    diag = np.asarray(w.multiply(w).sum(axis=1)).ravel()
+    return w, diag
+
+
+@st.composite
+def partitions(draw, n):
+    """Contiguous ascending ``[lo, hi)`` ranges covering ``range(n)``,
+    empty ranges included."""
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    bounds = [0, *cuts, n]
+    return list(zip(bounds, bounds[1:]))
+
+
+@st.composite
+def kernel_cases(draw):
+    w, diag = draw(half_products())
+    n = w.shape[0]
+    queries = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    candidates = draw(st.lists(st.integers(0, n - 1), max_size=6))
+    return w, diag, np.array(queries), np.array(candidates, dtype=np.int64), draw(
+        partitions(n)
+    )
+
+
+class TestKernelIdentities:
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_block_row_equals_solo(self, case):
+        w, diag, queries, _candidates, _ranges = case
+        block = kernels.pathsim_block(w, diag, w[queries], diag[queries])
+        assert block.shape == (queries.size, w.shape[0])
+        for r, q in enumerate(queries):
+            solo = kernels.pathsim_solo(w, diag, kernels.dense_row(w, q), diag[q])
+            assert np.array_equal(block[r], solo)
+
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_on_a_slice_equals_columns_of_the_whole(self, case):
+        w, diag, queries, _candidates, ranges = case
+        q_rows, q_diag = w[queries], diag[queries]
+        whole = kernels.pathsim_block(w, diag, q_rows, q_diag)
+        solo = kernels.pathsim_solo(w, diag, kernels.dense_row(q_rows), q_diag[0])
+        for lo, hi in ranges:
+            part = kernels.pathsim_block(w[lo:hi], diag[lo:hi], q_rows, q_diag)
+            assert np.array_equal(part, whole[:, lo:hi])
+            part = kernels.pathsim_solo(
+                w[lo:hi], diag[lo:hi], kernels.dense_row(q_rows), q_diag[0]
+            )
+            assert np.array_equal(part, solo[lo:hi])
+
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_partial_equals_indexing_the_block(self, case):
+        w, diag, queries, candidates, _ranges = case
+        q_rows, q_diag = w[queries], diag[queries]
+        whole = kernels.pathsim_block(w, diag, q_rows, q_diag)
+        partial = kernels.pathsim_partial(w, diag, candidates, q_rows, q_diag)
+        assert partial.shape == (queries.size, candidates.size)
+        assert np.array_equal(partial, whole[:, candidates])
+
+    def test_zero_diagonals_score_exactly_zero(self):
+        w = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 2.0]]))
+        diag = np.array([0.0, 5.0])
+        block = kernels.pathsim_block(w, diag, w, diag)
+        assert np.array_equal(block, np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert kernels.pathsim_block(w, diag, w[[]], diag[[]]).shape == (0, 2)
+
+
+class TestEngineIsTheKernel:
+    @given(symmetric_paths(), update_batches(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_engine_row_equals_kernel_on_the_parts(self, path, batches, query):
+        """Across random update streams, the engine's answer is the
+        kernel over its own ``(W, diag)`` — whole, or stitched from any
+        two row slices, which is all a shard does."""
+        hin = _base_hin()
+        engine = hin.engine()  # incrementally maintained by hin.apply()
+        for batch in [None, *batches]:
+            if batch is not None:
+                hin.apply(batch)
+            n = hin.node_count(path.split("-")[0])
+            q = query % n
+            row = engine.pathsim_row(path, q)
+            w, diag = engine._pathsim_parts(path)
+            q_row = kernels.dense_row(w, q)
+            cut = n // 2
+            stitched = np.concatenate(
+                [
+                    kernels.pathsim_solo(w[:cut], diag[:cut], q_row, diag[q]),
+                    kernels.pathsim_solo(w[cut:], diag[cut:], q_row, diag[q]),
+                ]
+            )
+            assert np.array_equal(row, stitched)
+            assert np.array_equal(engine.pathsim_rows(path, [q, q])[1], row)

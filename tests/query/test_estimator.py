@@ -1,4 +1,4 @@
-"""Estimator protocol: params, fitted state, typed results, deprecation shims."""
+"""Estimator protocol: params, fitted state, typed results."""
 
 from __future__ import annotations
 
@@ -142,34 +142,3 @@ class TestTypedResults:
         # top peers of node 0 are its own clique
         assert all(labels[i] == labels[0] for i in r.labels)
         assert model.similarity(0, 1) == pytest.approx(model.matrix_[0, 1])
-
-
-class TestDeprecationShims:
-    def test_rank_bi_type_warns_and_delegates(self, small_bib):
-        from repro.ranking import rank_bi_type
-        from repro.ranking.authority import _rank_bi_type
-
-        with pytest.warns(DeprecationWarning, match="hin.query"):
-            shimmed = rank_bi_type(small_bib, "paper", "author", method="simple")
-        direct = _rank_bi_type(small_bib, "paper", "author", method="simple")
-        assert np.allclose(shimmed.target_scores, direct.target_scores)
-
-    def test_rankclus_hin_keyword_warns_and_matches_positional(self, small_bib):
-        kwargs = dict(
-            target_type="venue",
-            attribute_type="author",
-            target_attribute_path="venue-paper-author",
-        )
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            old = RankClus(n_clusters=2, seed=0, n_init=1, max_iter=5).fit(
-                None, hin=small_bib, **kwargs
-            )
-        new = RankClus(n_clusters=2, seed=0, n_init=1, max_iter=5).fit(
-            small_bib, **kwargs
-        )
-        assert np.array_equal(old.labels_, new.labels_)
-
-    def test_hin_both_positional_and_keyword_rejected(self, small_bib):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                RankClus(n_clusters=2).fit(small_bib, hin=small_bib)

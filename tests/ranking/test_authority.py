@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ranking import authority_ranking, rank_bi_type, simple_ranking
+from repro.ranking import authority_ranking, simple_ranking
 
 
 @pytest.fixture
@@ -104,41 +104,36 @@ class TestAuthorityRanking:
 
 
 class TestRankBiType:
+    """Bi-type ranking through its one spelling, ``hin.query().rank``."""
+
     def test_direct_relation(self, small_bib):
-        r = rank_bi_type(small_bib, "paper", "author", method="simple")
-        assert r.target_scores.shape == (5,)
-        assert r.attribute_scores.shape == (4,)
+        r = small_bib.query().rank("paper", by="author", method="simple")
+        assert r.node_type == "paper"
+        assert r.scores.shape == (5,)
 
     def test_meta_path_venue_author(self, small_bib):
-        r = rank_bi_type(
-            small_bib,
+        r = small_bib.query().rank(
             "venue",
-            "author",
-            target_attribute_path="venue-paper-author",
-            attribute_attribute_path="author-paper-author",
+            by="author",
+            path="venue-paper-author",
+            attribute_path="author-paper-author",
         )
-        assert r.target_scores.shape == (2,)
-        assert r.target_scores.sum() == pytest.approx(1.0)
+        assert r.scores.shape == (2,)
+        assert r.scores.sum() == pytest.approx(1.0)
         # v0 hosts 3 papers vs v1's 2 -> higher authority
-        assert r.target_scores[0] > r.target_scores[1]
+        assert r.scores[0] > r.scores[1]
 
     def test_wrong_path_endpoints(self, small_bib):
         with pytest.raises(ValueError, match="does not go"):
-            rank_bi_type(
-                small_bib,
-                "venue",
-                "author",
-                target_attribute_path="author-paper-venue",
-            )
+            small_bib.query().rank("venue", by="author", path="author-paper-venue")
         with pytest.raises(ValueError, match="does not go"):
-            rank_bi_type(
-                small_bib,
+            small_bib.query().rank(
                 "venue",
-                "author",
-                target_attribute_path="venue-paper-author",
-                attribute_attribute_path="venue-paper-venue",
+                by="author",
+                path="venue-paper-author",
+                attribute_path="venue-paper-venue",
             )
 
     def test_bad_method(self, small_bib):
         with pytest.raises(ValueError, match="method"):
-            rank_bi_type(small_bib, "paper", "author", method="zzz")
+            small_bib.query().rank("paper", by="author", method="zzz")

@@ -2,8 +2,8 @@
 
 ServingAPI is the contract that lets code written against the
 in-process :class:`QueryService` run unchanged against the replicated
-and sharded clusters: every verb exists on every service, answers the
-same, and the deprecated spellings warn identically everywhere.
+and sharded clusters: every verb exists on every service and answers the
+same.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.serving.api import ServingAPI as CanonicalServingAPI
 
 APA = "author-paper-author"
 
-VERBS = ("similar", "connected", "rank", "watch", "top_k")
+VERBS = ("similar", "connected", "rank", "watch")
 
 
 @pytest.fixture(
@@ -75,14 +75,6 @@ class TestBehaviour:
         expected = small_bib.engine().pathsim_top_k(APA, "a0", 2)
         got = any_service.similar("a0", APA, 2).result(timeout=60)
         assert list(got) == list(expected)
-
-    def test_deprecated_top_k_warns_and_matches_similar(
-        self, small_bib, any_service
-    ):
-        fresh = any_service.similar("a0", APA, 2).result(timeout=60)
-        with pytest.warns(DeprecationWarning, match="ServingAPI"):
-            legacy = any_service.top_k(APA, "a0", k=2).result(timeout=60)
-        assert list(legacy) == list(fresh)
 
     def test_watch_verb_everywhere(self, small_bib, any_service):
         handle = any_service.watch("a0", APA, k=2).result(timeout=60)

@@ -22,13 +22,6 @@ class TestAnswers:
         assert isinstance(got, TopKResult)
         assert list(got) == list(expected)
 
-    def test_top_k_is_engine_parity_spelling(self, small_bib):
-        with QueryService(small_bib) as svc:
-            a = svc.similar("a0", APA, k=2).result(timeout=10)
-            with pytest.warns(DeprecationWarning, match="ServingAPI"):
-                b = svc.top_k(APA, "a0", k=2).result(timeout=10)
-        assert list(a) == list(b)
-
     def test_connected_matches_engine(self, small_bib):
         expected = small_bib.engine().top_k_connectivity("author-paper-venue", "a0", 2)
         with QueryService(small_bib) as svc:

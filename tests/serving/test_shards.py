@@ -8,7 +8,6 @@ heavy-load and live-writer story lives in benchmark E21.
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 import pytest
@@ -211,15 +210,6 @@ class TestLifecycle:
         assert [report["shard"] for report in reports] == [0, 1]
         assert all(report["payload_bytes"] > 0 for report in reports)
         assert all(report["rss_bytes"] > 0 for report in reports)
-
-    def test_deprecated_top_k_spelling_still_answers(self, small_bib, sharded):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = sharded.top_k(APA, "a0", k=2).result(timeout=60)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert list(got) == list(small_bib.engine().pathsim_top_k(APA, "a0", 2))
 
     def test_close_unhooks_the_writer_path(self, small_bib):
         service = ShardedClusterService(small_bib, [APA], shards=2)

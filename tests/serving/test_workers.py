@@ -1,0 +1,209 @@
+"""The shared worker loop, channel and service scaffold — failure paths.
+
+One test body per fault, run against both multi-process tiers: every
+job answers with one status per request whatever failed, a dead worker
+surfaces as an error in bounded time, and ``close()`` leaves nothing
+behind — not even after a construction that failed half-way.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import queue
+import signal
+import tempfile
+import threading
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from repro.exceptions import SnapshotError
+from repro.serving import ClusterService, ShardedClusterService
+from repro.serving import cluster as cluster_module
+from repro.serving import shards as shards_module
+from repro.serving import workers
+from repro.serving.shm import publish_generation
+
+APA = "author-paper-author"
+
+#: Per tier: how to build a small service, which module-level publisher
+#: writes its descriptors, and the public call that republishes.
+TIERS = {
+    "replicated": SimpleNamespace(
+        build=lambda hin, **kw: ClusterService(hin, processes=2, **kw),
+        publisher=(cluster_module, "publish_generation"),
+        republish=lambda service: service.publish(),
+    ),
+    "sharded": SimpleNamespace(
+        build=lambda hin, **kw: ShardedClusterService(hin, [APA], shards=2, **kw),
+        publisher=(shards_module, "publish_shard_generation"),
+        republish=lambda service: service.prewarm(),
+    ),
+}
+
+
+@pytest.fixture(params=sorted(TIERS))
+def tier(request):
+    return TIERS[request.param]
+
+
+def _worker_processes():
+    return [
+        p for p in multiprocessing.active_children()
+        if p.name.startswith("repro-cluster-")
+    ]
+
+
+def _residue():
+    """Everything a service may leave behind: shared-memory segments
+    and private descriptor directories."""
+    shm = Path("/dev/shm")
+    segments = set(shm.iterdir()) if shm.is_dir() else set()
+    return segments | set(Path(tempfile.gettempdir()).glob("repro-*-*"))
+
+
+class TestFailedAttach:
+    @pytest.mark.parametrize("mode", [None, "auto"])
+    def test_every_request_gets_the_typed_error_and_the_worker_lives(
+        self, small_bib, tier, mode, monkeypatch
+    ):
+        """A batch sent to a worker that cannot attach its generation
+        (unparseable descriptor) answers each request with the
+        ``SnapshotError``; the same worker answers the next job."""
+        engine = small_bib.engine()
+        module, name = tier.publisher
+        publish = getattr(module, name)
+
+        def publish_garbage(*args, **kwargs):
+            published = publish(*args, **kwargs)
+            published.path.write_text("{ not json", encoding="utf-8")
+            return published
+
+        with tier.build(small_bib) as service:
+            before = [report["generation"] for report in service.worker_memory()]
+            monkeypatch.setattr(module, name, publish_garbage)
+            tier.republish(service)
+            statuses = service.run_group(
+                "batch", (APA, 2, True, None, mode, [0, 1, 2])
+            )
+            assert [status for status, _ in statuses] == ["err"] * 3
+            assert all(isinstance(error, SnapshotError) for _, error in statuses)
+            with pytest.raises(SnapshotError):
+                service.similar(0, APA, 2).result(timeout=60)
+
+            monkeypatch.setattr(module, name, publish)
+            tier.republish(service)
+            got = service.similar(0, APA, 2).result(timeout=60)
+            assert list(got) == list(engine.pathsim_top_k(APA, 0, 2))
+            # Same processes, moved on two generations — nobody died.
+            after = [report["generation"] for report in service.worker_memory()]
+            assert after == [generation + 2 for generation in before]
+
+
+class TestWorkerDeath:
+    def test_killed_worker_fails_the_job_in_bounded_time(self, small_bib, tier):
+        """SIGKILL under a posted job: the future resolves with the
+        "worker died" error within seconds (not after the job timeout),
+        and ``close()`` still returns."""
+        service = tier.build(small_bib)
+        try:
+            [victim] = [p for p in _worker_processes() if p.name.endswith("-0")]
+            os.kill(victim.pid, signal.SIGSTOP)  # the job stays posted
+            future = service.similar(0, APA, 2)
+            time.sleep(0.2)
+            assert not future.done()
+            os.kill(victim.pid, signal.SIGKILL)
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="died"):
+                future.result(timeout=30)
+            assert time.monotonic() - start < 10
+        finally:
+            start = time.monotonic()
+            service.close()
+            assert time.monotonic() - start < 30
+        assert _worker_processes() == []
+
+
+class TestNothingLeftBehind:
+    def test_close_removes_segments_and_private_directory(self, small_bib, tier):
+        before = _residue()
+        with tier.build(small_bib) as service:
+            service.similar(0, APA, 2).result(timeout=60)
+            tier.republish(service)
+            assert _residue() - before  # it does hold resources while open
+        assert _residue() - before == set()
+
+    def test_construction_failing_half_way_cleans_up(
+        self, small_bib, tier, monkeypatch
+    ):
+        """First generation published, worker processes half started,
+        then the next start fails: everything acquired is released."""
+        before = _residue()
+        real = workers._WorkerChannel
+        started = []
+
+        def flaky(*args, **kwargs):
+            if started:
+                raise OSError("cannot fork")
+            started.append(real(*args, **kwargs))
+            return started[0]
+
+        monkeypatch.setattr(workers, "_WorkerChannel", flaky)
+        with pytest.raises(OSError, match="cannot fork"):
+            tier.build(small_bib)
+        assert _residue() - before == set()
+        assert _worker_processes() == []
+
+    def test_unwritable_descriptor_directory_does_not_leak_the_segment(
+        self, small_bib, tier, tmp_path
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("in the way")
+        before = _residue()
+        with pytest.raises(OSError):
+            tier.build(small_bib, directory=blocker / "generations")
+        assert _residue() - before == set()
+
+
+class TestWorkerLoopInProcess:
+    """The loop body itself, driven over plain queues on a thread."""
+
+    def test_info_error_count_and_unpicklable_results(self, small_bib, tmp_path):
+        published = publish_generation(
+            small_bib, small_bib.engine(), directory=tmp_path, generation=0
+        )
+
+        def execute(state, kind, payload):
+            if kind == "lambda":
+                return [("ok", lambda: None), ("ok", state.epoch)]
+            raise ValueError(f"unknown kind {kind!r}")
+
+        tasks, results = queue.Queue(), queue.Queue()
+        thread = threading.Thread(
+            target=workers._worker_main,
+            args=(7, tasks, results, SimpleNamespace(value=0), tmp_path, "gen", execute),
+        )
+        thread.start()
+        try:
+            tasks.put((1, "info", None, 1, 0, None))
+            job_id, [(status, report)] = results.get(timeout=30)
+            assert (job_id, status) == (1, "ok")
+            assert report["generation"] == 0 and report["payload_bytes"] > 0
+
+            tasks.put((2, "nonsense", None, 3, 0, None))
+            _, statuses = results.get(timeout=30)
+            assert [status for status, _ in statuses] == ["err"] * 3
+            assert isinstance(statuses[0][1], ValueError)
+
+            tasks.put((3, "lambda", None, 2, 0, None))
+            _, [(bad, error), (good, epoch)] = results.get(timeout=30)
+            assert bad == "err" and "not picklable" in str(error)
+            assert (good, epoch) == ("ok", 0)
+        finally:
+            tasks.put(None)
+            thread.join(timeout=30)
+            published.dispose()
+        assert not thread.is_alive()
