@@ -1,40 +1,136 @@
-"""ServingAPI — the one client-facing verb surface of every service.
+"""ServingAPI — the one client-facing verb surface, and the one request form.
 
 :class:`~repro.serving.QueryService`,
 :class:`~repro.serving.ClusterService` and
-:class:`~repro.serving.ShardedClusterService` used to each spell out the
-same five submission methods; the thread service carried the real
-bodies and the clusters carried kwargs-forwarding copies that drifted
-one docstring at a time.  This mixin is the collapse: **one documented
-entry point per verb** — :meth:`similar`, :meth:`connected`,
-:meth:`rank`, :meth:`watch` — implemented once, driven by the same
-declarative picklable request specs that already travel to worker
-processes, and inherited by every service.
-
-A service plugs in by implementing :meth:`_serving_core`, returning the
+:class:`~repro.serving.ShardedClusterService` inherit **one documented
+entry point per verb** — :meth:`~ServingAPI.similar`,
+:meth:`~ServingAPI.connected`, :meth:`~ServingAPI.rank`,
+:meth:`~ServingAPI.watch` — from this mixin.  A service plugs in by
+implementing :meth:`~ServingAPI._serving_core`, returning the
 :class:`~repro.serving.QueryService` that owns its request queue (the
 thread service returns itself; the clusters return their embedded
-service).  Everything else — coalescing, batching, futures, executor
-dispatch — is the core's existing machinery.
+service).
+
+A request has exactly one form, wherever it runs: ``(shape, obj)``.
+*shape* is a declarative, picklable tuple — the op plus everything that
+is not the query object — and *obj* is the query object (the ranking
+target, for ``rank``):
+
+======================================================  ===============
+shape                                                   built by
+======================================================  ===============
+``("pathsim", path, k, exclude, plan, mode)``           ``similar`` (PathSim)
+``("similar", path, k, measure, exclude, plan)``        ``similar`` (other measures)
+``("connected", path, k, exclude, plan)``               ``connected``
+``("rank", kwargs)``                                    ``rank``
+``("watch", path, k, measure, exclude, plan)``          ``watch``
+======================================================  ===============
+
+The verbs below are the only builders of shapes and
+:func:`_execute_spec` their only interpreter, so this module is the one
+place that knows the layouts.  The queue's batching identity *is* the
+shape, its coalescing identity is ``(epoch, shape, obj)``, and a job is
+``(shape, objs)`` run by :func:`_execute_job` — in a worker process
+against an attached generation, or in the parent against the live
+``(hin, engine)`` pair.  *path* is always the resolved path's
+schema-disambiguated DSL spelling and *k* always a plain ``int``, so
+every spelling of a request shares work and every tier sees the same
+arguments.
 
 Every verb returns a :class:`concurrent.futures.Future`.  Submission
-never raises for bad arguments: path or object errors are delivered
-through the future, and only a closed service raises at submit time.
+never raises for bad arguments: path, ``k`` or object errors are
+delivered through the future, and only a closed service raises at
+submit time.
 """
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import Future
 
 __all__ = ["ServingAPI"]
 
 
+def _pathsim_fields(shape: tuple) -> tuple | None:
+    """``(path, k, exclude, plan, mode)`` of a PathSim top-k shape —
+    the one op a single block product (or a scatter) answers for many
+    query objects at once — else ``None``."""
+    return shape[1:] if shape[0] == "pathsim" else None
+
+
+def _is_registration(shape: tuple) -> bool:
+    """Whether *shape* registers a standing query: such requests never
+    coalesce (each caller gets its own subscription) and always run
+    against the live pair, where ``hin.apply()`` commits."""
+    return shape[0] == "watch"
+
+
+def _execute_spec(state, shape: tuple, obj):
+    """Run one request against *state* — anything with the network's
+    ``hin`` and ``engine``.  Every branch takes the engine read lock
+    itself, so the answer is computed at one epoch."""
+    op, *args = shape
+    if op == "pathsim":
+        path, k, exclude, plan, mode = args
+        return state.engine.pathsim_top_k(
+            path, obj, k, exclude_query=exclude, plan=plan, mode=mode
+        )
+    if op == "similar":
+        path, k, measure, exclude, plan = args
+        return state.hin.query().similar(
+            obj, path, k, measure=measure, exclude_self=exclude, plan=plan
+        )
+    if op == "connected":
+        path, k, exclude, plan = args
+        return state.engine.top_k_connectivity(
+            path, obj, k, exclude_query=exclude, plan=plan
+        )
+    if op == "rank":
+        (kwargs,) = args
+        return state.hin.query().rank(obj, **dict(kwargs))
+    if op == "watch":
+        path, k, measure, exclude, plan = args
+        return state.hin.watches().watch(
+            path, obj, k=k, measure=measure, exclude_self=exclude, plan=plan
+        )
+    raise ValueError(f"unknown request shape {op!r}")
+
+
+def _execute_job(state, shape: tuple, objs) -> list[tuple]:
+    """One job -> aligned ``("ok", value) | ("err", error)`` statuses.
+
+    *state* is an attached generation in a worker process, or the live
+    ``(hin, engine)`` pair in the parent.  Several PathSim objects are
+    answered with one block product (``pathsim_top_k_batch`` — the same
+    per-row summation as the solo kernel, so answers stay
+    bit-identical); when that raises, each object is retried alone, so
+    one bad request cannot poison its co-batched neighbours.
+    """
+    fields = _pathsim_fields(shape)
+    if fields is not None and len(objs) > 1:
+        path, k, exclude, plan, mode = fields
+        try:
+            results = state.engine.pathsim_top_k_batch(
+                path, objs, k, exclude_query=exclude, plan=plan, mode=mode
+            )
+            return [("ok", result) for result in results]
+        except Exception:
+            pass  # retried below, per object
+    statuses = []
+    for obj in objs:
+        try:
+            statuses.append(("ok", _execute_spec(state, shape, obj)))
+        except Exception as exc:
+            statuses.append(("err", exc))
+    return statuses
+
+
 class ServingAPI:
     """Mixin: the unified serving verbs, shared by every service class.
 
-    Subclasses implement :meth:`_serving_core`; the verbs here build the
-    request (closure + picklable spec forms) through the core's
-    submission machinery and hand back the future.
+    Subclasses implement :meth:`_serving_core`; each verb builds its
+    request shape (see the module docstring) and submits it to the
+    core's queue, handing back the future.
     """
 
     def _serving_core(self):
@@ -43,6 +139,19 @@ class ServingAPI:
         raise NotImplementedError(
             f"{type(self).__name__} must implement _serving_core()"
         )
+
+    def _path_request(self, op: str, obj, path, k, *rest) -> Future:
+        """Submit ``(op, path, k, *rest)`` for *obj*: the one place a
+        path is resolved and ``k`` normalised, with any failure
+        delivered through the future (the uniform error contract)."""
+        core = self._serving_core()
+        try:
+            shape = (op, core._spell(path), operator.index(k), *rest)
+        except Exception as exc:
+            future = Future()
+            future.set_exception(exc)
+            return future
+        return core._submit(shape, obj)
 
     # ------------------------------------------------------------------
     # The verbs (one documented entry point each)
@@ -75,7 +184,7 @@ class ServingAPI:
             Any meta-path spelling (DSL string, type list,
             ``MetaPath``); must be symmetric for ``pathsim``.
         k:
-            How many peers to return.
+            How many peers to return — an ``int`` or numpy integer.
         measure:
             ``"pathsim"`` (engine-served, batchable) or any measure
             ``QuerySession.similar`` accepts.
@@ -98,13 +207,16 @@ class ServingAPI:
         ------
         RuntimeError
             When the service is already closed (the only submit-time
-            raise).  Every other failure — bad path, unknown object,
-            engine error — is delivered through the returned future,
-            never raised on the submitting thread.
+            raise).  Every other failure — bad path, non-integer *k*,
+            unknown object, engine error — is delivered through the
+            returned future, never raised on the submitting thread.
         """
-        return self._serving_core()._submit_similar(
-            obj, path, k, measure=measure, exclude_self=exclude_self,
-            plan=plan, mode=mode,
+        if measure == "pathsim":
+            return self._path_request(
+                "pathsim", obj, path, k, bool(exclude_self), plan, mode
+            )
+        return self._path_request(
+            "similar", obj, path, k, measure, bool(exclude_self), plan
         )
 
     def connected(
@@ -141,8 +253,8 @@ class ServingAPI:
             When the service is already closed; execution failures
             arrive through the future.
         """
-        return self._serving_core()._submit_connected(
-            obj, path, k, exclude_self=exclude_self, plan=plan
+        return self._path_request(
+            "connected", obj, path, k, bool(exclude_self), plan
         )
 
     def rank(self, target, **kwargs) -> Future:
@@ -163,7 +275,9 @@ class ServingAPI:
             When the service is already closed; execution failures
             arrive through the future.
         """
-        return self._serving_core()._submit_rank(target, **kwargs)
+        return self._serving_core()._submit(
+            ("rank", tuple(sorted(kwargs.items()))), target
+        )
 
     def watch(
         self,
@@ -204,6 +318,6 @@ class ServingAPI:
         plan:
             Association-order override for the watch's recomputations.
         """
-        return self._serving_core()._submit_watch(
-            obj, path, k, measure=measure, exclude_self=exclude_self, plan=plan
+        return self._path_request(
+            "watch", obj, path, k, measure, exclude_self, plan
         )

@@ -26,10 +26,12 @@ Architecture
   entirely at the next.
 * The parent-facing API is the **same futures surface** as
   :class:`~repro.serving.QueryService` — in fact it *is* a
-  ``QueryService`` whose execution backend dispatches request groups to
-  worker processes instead of computing under the engine read lock, so
-  request coalescing and same-shape batching keep working unchanged
-  (one block product per batch, now on a core of its own).
+  ``QueryService`` whose execution backend runs each ``(shape, objs)``
+  job in a worker process instead of against the live network: the job,
+  and the function that runs it (:func:`~repro.serving.api._execute_job`),
+  are the same on every tier, so request coalescing and same-shape
+  batching keep working unchanged (one block product per batch, now on
+  a core of its own).
 
 Warm starts attach straight off a snapshot:
 ``ClusterService(warm_snapshot=path)`` publishes a generation whose
@@ -51,67 +53,15 @@ import queue as _queue
 import threading
 
 from repro.exceptions import SnapshotError
+from repro.serving.api import _execute_job
 from repro.serving.shm import (
     attach_generation,
     generation_from_snapshot,
     publish_generation,
 )
-from repro.serving.workers import _picklable, _ProcessTier
+from repro.serving.workers import _ProcessTier
 
 __all__ = ["ClusterService"]
-
-
-def _execute_spec(state, spec):
-    """Run one declarative request spec against an attached generation."""
-    op = spec[0]
-    if op == "pathsim":
-        _, path, obj, k, exclude, plan, mode = spec
-        return state.engine.pathsim_top_k(
-            path, obj, k, exclude_query=exclude, plan=plan, mode=mode
-        )
-    if op == "similar":
-        _, obj, path, k, measure, exclude, plan = spec
-        return state.hin.query().similar(
-            obj, path, k, measure=measure, exclude_self=exclude, plan=plan
-        )
-    if op == "connected":
-        _, obj, path, k, exclude, plan = spec
-        return state.engine.top_k_connectivity(
-            path, obj, k, exclude_query=exclude, plan=plan
-        )
-    if op == "rank":
-        _, target, kwargs = spec
-        return state.hin.query().rank(target, **dict(kwargs))
-    raise ValueError(f"unknown request spec {op!r}")
-
-
-def _execute_job(state, kind, payload):
-    """One job -> aligned ``("ok", value) | ("err", error)`` statuses.
-
-    *state* is anything with the network's ``hin`` and ``engine`` — an
-    attached generation in a worker, the live pair in a parent that
-    answers in-process.  ``batch`` jobs answer every query with one
-    block product — the same ``pathsim_top_k_batch`` call the
-    in-process service makes, so answers stay bit-identical — and fall
-    back to per-query execution when the batch raises, so one bad
-    request cannot poison its co-batched neighbours.
-    """
-    if kind == "batch":
-        path, k, exclude, plan, mode, objs = payload
-        try:
-            results = state.engine.pathsim_top_k_batch(
-                path, objs, k, exclude_query=exclude, plan=plan, mode=mode
-            )
-            return [("ok", result) for result in results]
-        except BaseException:
-            payload = [("pathsim", path, obj, k, exclude, plan, mode) for obj in objs]
-    out = []
-    for spec in payload:
-        try:
-            out.append(("ok", _execute_spec(state, spec)))
-        except BaseException as exc:  # noqa: BLE001 — status travels the queue
-            out.append(("err", _picklable(exc)))
-    return out
 
 
 class ClusterService(_ProcessTier):
@@ -227,7 +177,9 @@ class ClusterService(_ProcessTier):
 
     def _worker_spec(self, _worker: int) -> tuple:
         """Every worker follows the one ``gen-<n>.json`` series through
-        the shared counter and runs whole-network jobs."""
+        the shared counter and runs the queue's ``(shape, objs)`` jobs
+        (:func:`~repro.serving.api._execute_job`) against the whole
+        network it attached."""
         return self._gen_value, "gen", _execute_job
 
     def _fence(self, _worker: int) -> tuple:
@@ -284,18 +236,17 @@ class ClusterService(_ProcessTier):
     # ------------------------------------------------------------------
     # QueryService executor protocol
     # ------------------------------------------------------------------
-    def run_group(self, kind: str, payload) -> list[tuple]:
-        """Dispatch one request group to a free worker (blocking).
+    def run_group(self, shape: tuple, objs) -> list[tuple]:
+        """Dispatch one ``(shape, objs)`` job to a free worker (blocking).
 
         The executor half of the :class:`~repro.serving.QueryService`
         contract: returns one ``("ok", value) | ("err", error)`` status
-        per request in the group.
+        per object.
         """
-        count = len(payload[5]) if kind == "batch" else len(payload)
         channel = self._free.get()
         try:
             self._jobs_dispatched += 1
-            return channel.call(kind, payload, count, self._fence(0))
+            return channel.call(shape, objs, len(objs), self._fence(0))
         finally:
             self._free.put(channel)
 

@@ -19,13 +19,13 @@ serving layer:
   against update commits (``hin.apply()``), each answer computed
   entirely at one update epoch.
 * **Request coalescing.**  Identical requests in flight at the same
-  time (same operation, same spelling of the arguments) share one
-  computation and one future — a thundering herd of ``similar("SIGMOD",
-  "V-P-A-P-V", k=10)`` costs one row slice.
+  update epoch (same operation, same arguments — any spelling of the
+  same meta-path) share one computation — a thundering herd of
+  ``similar("SIGMOD", "V-P-A-P-V", k=10)`` costs one row slice.
 * **Opportunistic batching.**  When a worker picks up a PathSim top-k
-  request, it drains every queued request with the same
-  ``(path, k, exclude)`` shape (up to ``max_batch``) and answers them
-  with one call to
+  request, it drains every queued request with the same shape —
+  everything but the query object — (up to ``max_batch``) and answers
+  them with one call to
   :meth:`~repro.engine.MetaPathEngine.pathsim_top_k_batch` — one sparse
   × dense block product instead of one mat-vec per query.  Under load
   the batch assembles itself; an idle service degenerates to per-query
@@ -49,8 +49,9 @@ import threading
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .api import ServingAPI
+from .api import ServingAPI, _execute_job, _is_registration, _pathsim_fields
 
 __all__ = ["QueryService"]
 
@@ -63,22 +64,16 @@ class _Request:
     :class:`~concurrent.futures.Future`, so one client cancelling its
     future never cancels another client's answer.
 
-    Every request carries two execution forms: closures (``call`` /
-    ``batch_call``) for the in-process path, and a declarative,
-    picklable ``spec`` for process-backed executors
-    (:class:`~repro.serving.cluster.ClusterService`) — the same queued
-    request can execute either way.
+    ``(shape, obj)`` is the request itself, in the one declarative form
+    :mod:`repro.serving.api` defines: queued requests with equal shapes
+    batch into one job, and the same ``(shape, objs)`` job runs in this
+    process or in a worker process unchanged.
     """
 
-    op: str
-    call: object  # () -> result, for solo execution
+    shape: tuple  # the op plus every argument but the query object
+    obj: object  # the query object (the target, for a ranking)
     futures: list  # one Future per (coalesced) submitter
-    key: tuple | None = None  # coalescing identity (None: never coalesce)
-    batch_key: tuple | None = None  # grouping shape (None: not batchable)
-    batch_call: object = None  # (queries) -> [results], for grouped execution
-    query: object = None  # this request's query object within a batch
-    spec: tuple | None = None  # declarative form for remote execution
-    batch_spec: tuple | None = None  # (path, k, exclude, plan, mode): remote batching
+    key: tuple | None  # coalescing identity (None: never coalesce)
 
 
 class QueryService(ServingAPI):
@@ -86,8 +81,9 @@ class QueryService(ServingAPI):
 
     The client verbs (``similar``, ``connected``, ``rank``, ``watch``)
     come from :class:`~repro.serving.api.ServingAPI` — this class is
-    the *core* behind them: the ``_submit_*`` bodies below build each
-    request's closure and picklable spec forms and feed the queue.
+    the *core* behind them: the queue their ``(shape, obj)`` requests
+    coalesce and batch in, and the worker pool that runs the resulting
+    ``(shape, objs)`` jobs through an execution backend.
 
     Parameters
     ----------
@@ -106,16 +102,13 @@ class QueryService(ServingAPI):
         groups into a single block product.
     executor:
         Optional execution backend: an object with
-        ``run_group(kind, payload) -> [("ok", value) | ("err", error)]``
-        — :class:`~repro.serving.cluster.ClusterService` passes itself.
-        When set, request groups are *dispatched* (as picklable specs)
-        instead of computed under the engine read lock on this thread;
-        coalescing and batching still happen here, so a thundering herd
-        costs one dispatched job either way.  Coalescing keys are then
-        epoch-prefixed: the in-process path guarantees "a post-update
-        submitter never receives a pre-update answer" by retiring
-        requests inside the read lock, and the executor path gets the
-        same guarantee by never coalescing across an epoch boundary.
+        ``run_group(shape, objs) -> [("ok", value) | ("err", error)]``,
+        one status per object — the process tiers pass themselves and
+        run the job in a worker process.  The default backend is this
+        service's own :meth:`run_group`: the same job against the live
+        network, under one engine read-lock hold.  Coalescing and
+        batching happen here either way, so a thundering herd costs
+        one job.
 
     Use as a context manager, or call :meth:`close` explicitly; both
     drain queued work before returning.
@@ -134,12 +127,14 @@ class QueryService(ServingAPI):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.hin = hin
-        self._executor = executor
+        self._executor = self if executor is None else executor
         # Always the shared session and engine: hin.apply() commits
         # under the shared engine's lock, so serving through any other
         # engine could observe torn mid-commit network state.
         self._session = hin.query()
         self._engine = self._session.engine
+        self._live = SimpleNamespace(hin=hin, engine=self._engine)
+        self._spelled: dict[tuple, str] = {}
         self._max_batch = int(max_batch)
         self._cond = threading.Condition()
         self._work: deque[_Request] = deque()
@@ -170,207 +165,64 @@ class QueryService(ServingAPI):
         """This service *is* the core — the verbs submit to it directly."""
         return self
 
-    def _submit_similar(
-        self,
-        obj,
-        path,
-        k: int = 10,
-        *,
-        measure: str = "pathsim",
-        exclude_self: bool = True,
-        plan: str | None = None,
-        mode: str | None = None,
-    ) -> Future:
-        """Build and enqueue a similarity request (see
-        :meth:`ServingAPI.similar` for the client contract)."""
-        if measure == "pathsim":
-            try:
-                mp = self._session.path(path)
-            except Exception as exc:  # uniform error contract: via the future
-                return self._failed(exc)
-            shape = (
-                "similar", mp.canonical_key(), int(k), bool(exclude_self),
-                plan, mode,
-            )
-            return self._submit(
-                self._safe_key("similar", shape[1:] + (obj,)),
-                lambda key: _Request(
-                    op="similar",
-                    call=lambda: self._engine.pathsim_top_k(
-                        mp, obj, k, exclude_query=exclude_self, plan=plan,
-                        mode=mode,
-                    ),
-                    futures=[Future()],
-                    key=key,
-                    batch_key=shape,
-                    batch_call=lambda queries: self._engine.pathsim_top_k_batch(
-                        mp, queries, k, exclude_query=exclude_self, plan=plan,
-                        mode=mode,
-                    ),
-                    query=obj,
-                    spec=(
-                        "pathsim", str(mp), obj, int(k), bool(exclude_self),
-                        plan, mode,
-                    ),
-                    batch_spec=(str(mp), int(k), bool(exclude_self), plan, mode),
-                ),
-            )
-        return self._submit(
-            self._safe_key(
-                "similar",
-                (str(path), obj, int(k), measure, bool(exclude_self), plan),
-            ),
-            lambda key: _Request(
-                op="similar",
-                call=lambda: self._session.similar(
-                    obj, path, k,
-                    measure=measure, exclude_self=exclude_self, plan=plan,
-                ),
-                futures=[Future()],
-                key=key,
-                spec=(
-                    "similar", obj, str(path), int(k), measure,
-                    bool(exclude_self), plan,
-                ),
-            ),
-        )
-
-    def _submit_connected(
-        self, obj, path, k: int = 10, *, exclude_self: bool = False,
-        plan: str | None = None,
-    ) -> Future:
-        """Build and enqueue a connectivity request (see
-        :meth:`ServingAPI.connected` for the client contract)."""
-        try:
-            mp = self._session.path(path)
-        except Exception as exc:  # uniform error contract: via the future
-            return self._failed(exc)
-        return self._submit(
-            self._safe_key(
-                "connected",
-                (mp.canonical_key(), int(k), bool(exclude_self), plan, obj),
-            ),
-            lambda key: _Request(
-                op="connected",
-                call=lambda: self._engine.top_k_connectivity(
-                    mp, obj, k, exclude_query=exclude_self, plan=plan
-                ),
-                futures=[Future()],
-                key=key,
-                spec=(
-                    "connected", obj, str(mp), int(k), bool(exclude_self), plan
-                ),
-            ),
-        )
-
-    def _submit_rank(self, target, **kwargs) -> Future:
-        """Build and enqueue a ranking request (see
-        :meth:`ServingAPI.rank` for the client contract)."""
-        return self._submit(
-            self._safe_key("rank", (target, tuple(sorted(kwargs.items())))),
-            lambda key: _Request(
-                op="rank",
-                call=lambda: self._session.rank(target, **kwargs),
-                futures=[Future()],
-                key=key,
-                spec=("rank", target, tuple(sorted(kwargs.items()))),
-            ),
-        )
-
-    def _submit_watch(
-        self,
-        obj,
-        path,
-        k: int = 10,
-        *,
-        measure: str = "pathsim",
-        exclude_self: bool | None = None,
-        plan: str | None = None,
-    ) -> Future:
-        """Build and enqueue a watch registration (see
-        :meth:`ServingAPI.watch` for the client contract).
-
-        Registrations never coalesce and always execute in this
-        process, executor or not: result maintenance lives with the
-        writer (:class:`~repro.serving.cluster.ClusterService` keeps it
-        in the parent and fans results out from there).
-        """
-        return self._submit(
-            None,
-            lambda key: _Request(
-                op="watch",
-                call=lambda: self.hin.watches().watch(
-                    path,
-                    obj,
-                    k=k,
-                    measure=measure,
-                    exclude_self=exclude_self,
-                    plan=plan,
-                ),
-                futures=[Future()],
-                key=key,
-            ),
-        )
-
     def prewarm(self, *paths) -> "QueryService":
         """Materialize *paths* into the shared cache before serving."""
         self._session.prewarm(*paths)
         return self
 
-    @staticmethod
-    def _failed(exc: BaseException) -> Future:
-        """A pre-failed future: submit-time errors use the same channel
-        as execution errors."""
-        future = Future()
-        future.set_exception(exc)
-        return future
+    def _spell(self, path) -> str:
+        """*path* (any spelling) as the one DSL string requests carry:
+        schema-disambiguated, so it parses back to the same path on any
+        schema and in any process.  Memoised per canonical path — the
+        spelling walk costs as much as a whole coalesced submit."""
+        mp = self._session.path(path)
+        key = mp.canonical_key()
+        spelled = self._spelled.get(key)
+        if spelled is None:
+            spelled = self._spelled[key] = mp.to_string(self.hin.schema)
+        return spelled
 
-    def _safe_key(self, op: str, parts: tuple) -> tuple | None:
-        """A coalescing key, or ``None`` when any argument is unhashable.
+    def _submit(self, shape: tuple, obj) -> Future:
+        """Coalesce onto the in-flight request for ``(epoch, shape, obj)``,
+        or enqueue a new one.
 
-        With an executor, the key is epoch-prefixed: execution happens
-        in another process outside this engine's read lock, so the
-        retire-inside-the-lock guarantee does not apply — refusing to
-        coalesce across an epoch boundary restores "a post-update
-        submitter never receives a pre-update answer".
+        The epoch prefix is the whole epoch rule: ``hin.version`` moves
+        only under the engine write lock, so a request keyed at epoch
+        *e* executes at *e* or later, and a submitter who starts after
+        ``hin.apply()`` returned reads the new epoch and can only join
+        requests keyed at it — a post-update submitter never receives a
+        pre-update answer, wherever the request runs.
         """
-        key = (op,) + parts
-        if self._executor is not None:
-            key = (getattr(self.hin, "version", 0),) + key
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
-
-    # ------------------------------------------------------------------
-    # Queue machinery
-    # ------------------------------------------------------------------
-    def _submit(self, key: tuple | None, factory) -> Future:
-        """Coalesce onto an in-flight request for *key*, or enqueue a new
-        one built by *factory* — which only runs on a coalescing miss, so
-        the hot duplicate path never constructs futures it throws away."""
+        key = None
+        if not _is_registration(shape):
+            key = (self.epoch, shape, obj)
+            try:
+                hash(key)
+            except TypeError:  # an unhashable argument: answer it alone
+                key = None
+        # Share the computation, not the future: each coalesced
+        # submitter gets its own, so cancelling one never cancels
+        # another's answer.
+        future = Future()
         with self._cond:
             if self._closed:
                 raise RuntimeError("QueryService is closed")
-            if key is not None:
-                existing = self._inflight.get(key)
-                if existing is not None:
-                    # Share the computation, not the future: each
-                    # coalesced submitter gets its own, so cancelling
-                    # one never cancels another's answer.
-                    self._stats["coalesced"] += 1
-                    future = Future()
-                    existing.futures.append(future)
-                    return future
-            request = factory(key)
+            existing = self._inflight.get(key)  # never holds a None key
+            if existing is not None:
+                self._stats["coalesced"] += 1
+                existing.futures.append(future)
+                return future
+            request = _Request(shape, obj, [future], key)
             if key is not None:
                 self._inflight[key] = request
             self._stats["submitted"] += 1
             self._work.append(request)
             self._cond.notify()
-        return request.futures[0]
+        return future
 
+    # ------------------------------------------------------------------
+    # Queue machinery
+    # ------------------------------------------------------------------
     def _worker(self) -> None:
         while True:
             with self._cond:
@@ -380,7 +232,7 @@ class QueryService(ServingAPI):
                     return  # closed and fully drained
                 first = self._work.popleft()
                 group = [first]
-                if first.batch_key is not None and self._work:
+                if _pathsim_fields(first.shape) is not None and self._work:
                     # Bounded drain: scan at most a few batches' worth of
                     # queue — unbounded scanning would churn the whole
                     # deque under this lock for every batchable request
@@ -394,7 +246,7 @@ class QueryService(ServingAPI):
                         and len(skipped) + len(group) <= scan_limit
                     ):
                         other = self._work.popleft()
-                        if other.batch_key == first.batch_key:
+                        if other.shape == first.shape:
                             group.append(other)
                         else:
                             skipped.append(other)
@@ -429,109 +281,53 @@ class QueryService(ServingAPI):
             self._run(active)
 
     def _run(self, group: list[_Request]) -> None:
-        # The engine's own entry points take the read lock; holding it
-        # across the whole request additionally covers facade operations
-        # that read network state outside the engine (degree rankings,
-        # projections), so every answer is computed at one epoch.
-        #
-        # Retirement (_finish) happens INSIDE the read lock: an update
-        # cannot commit until the lock is released, so every submitter
-        # that coalesced onto this request did so before the next epoch
-        # existed — a submitter arriving after a commit always starts a
-        # fresh request and never receives a pre-update answer.
-        # Delivery happens OUTSIDE the lock on every path: a future's
-        # done-callbacks run on this thread, and one that takes the
-        # write lock (hin.apply, clear_cache) would otherwise hit the
-        # read-to-write upgrade guard.
-        deliveries: list[tuple[Future, object, object]] = []
-        if group[0].op == "watch":
-            # Watch registration manages its own locking (registry
-            # mutex, then the engine read lock inside the initial
-            # computation — the canonical order).  Taking the read lock
-            # here first would invert that order against the maintainer
-            # running in a commit hook, and a queued writer between the
-            # two would close the cycle into deadlock.  Executor or
-            # not, registration is local: maintenance lives with the
-            # writer.
-            self._compute(group, deliveries)
-        elif self._executor is not None:
-            self._dispatch(group, deliveries)
-        else:
-            with self._engine.lock.read():
-                self._compute(group, deliveries)
-        for future, result, error in deliveries:
-            self._resolve(future, result=result, error=error)
-
-    def _dispatch(self, group: list[_Request], deliveries: list) -> None:
-        """Execute *group* through the process-backed executor.
-
-        The group travels as its declarative specs — one ``batch`` job
-        when the worker can answer it with a single block product, else
-        one ``solo`` job — and comes back as one aligned status per
-        request (workers retry a failed batch per-query, so statuses
-        never collapse).  Epoch consistency needs no lock here: workers
-        attach immutable generations, so each job is answered entirely
-        at one epoch, and epoch-prefixed coalescing keys (see
-        :meth:`_safe_key`) keep post-update submitters off pre-update
-        requests.
-        """
+        """Run *group* as one ``(shape, objs)`` job, retire it, deliver."""
+        shape = group[0].shape
+        objs = [request.obj for request in group]
         try:
-            if len(group) > 1:
-                path, k, exclude, plan, mode = group[0].batch_spec
-                statuses = self._executor.run_group(
-                    "batch",
-                    (path, k, exclude, plan, mode, [r.query for r in group]),
-                )
+            if _is_registration(shape):
+                # Registration takes the registry mutex, then the engine
+                # read lock inside the initial computation.  Taking the
+                # read lock first (as run_group does) would invert that
+                # order against the maintainer in a commit hook, and a
+                # queued writer between the two would close the cycle.
+                statuses = _execute_job(self._live, shape, objs)
             else:
-                statuses = self._executor.run_group("solo", [group[0].spec])
+                statuses = self._executor.run_group(shape, objs)
         except BaseException as exc:  # noqa: BLE001 — futures carry failures
-            for futures in self._finish(group):
-                for future in futures:
-                    deliveries.append((future, None, exc))
-            return
+            statuses = [("err", exc)] * len(group)
+        # Delivery happens outside every lock: a future's done-callbacks
+        # run on this thread, and one that takes the write lock
+        # (hin.apply, clear_cache) must not find a read lock held.
         for futures, (status, value) in zip(self._finish(group), statuses):
             for future in futures:
-                if status == "ok":
-                    deliveries.append((future, value, None))
-                else:
-                    deliveries.append((future, None, value))
+                self._resolve(future, status, value)
 
-    def _compute(self, group: list[_Request], deliveries: list) -> None:
-        """Execute *group* (caller holds the read lock), retire it, and
-        record the per-future deliveries for after the lock releases."""
-        try:
-            if len(group) == 1:
-                results = [group[0].call()]
-            else:
-                results = group[0].batch_call([r.query for r in group])
-        except BaseException as exc:  # noqa: BLE001 — futures carry failures
-            if len(group) == 1:
-                for future in self._finish(group)[0]:
-                    deliveries.append((future, None, exc))
-            else:
-                # One bad request must not poison the co-batched ones:
-                # retry each solo so every future gets its own result
-                # or its own error.
-                for request in group:
-                    self._compute([request], deliveries)
-            return
-        for futures, result in zip(self._finish(group), results):
-            for future in futures:
-                deliveries.append((future, result, None))
+    def run_group(self, shape: tuple, objs) -> list[tuple]:
+        """The in-process backend: one job against the live network.
+
+        The engine's entry points take the read lock themselves; holding
+        it across the whole job additionally covers facade operations
+        that read network state outside the engine (degree rankings,
+        projections) and keeps a batch's retries at the batch's epoch.
+        """
+        with self._engine.lock.read():
+            return _execute_job(self._live, shape, objs)
 
     @staticmethod
-    def _resolve(future: Future, *, result=None, error=None) -> None:
-        """Deliver to one submitter, tolerating a mid-compute cancel.
+    def _resolve(future: Future, status: str, value) -> None:
+        """Deliver one status to one submitter, tolerating a mid-compute
+        cancel.
 
         Futures that coalesced onto a request after its group started
         running are still PENDING here; setting their result is legal,
         but one cancelled in that window would raise InvalidStateError.
         """
         try:
-            if error is not None:
-                future.set_exception(error)
+            if status == "ok":
+                future.set_result(value)
             else:
-                future.set_result(result)
+                future.set_exception(value)
         except InvalidStateError:
             pass  # the submitter cancelled while we computed
 

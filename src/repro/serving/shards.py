@@ -67,7 +67,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,7 +75,7 @@ from repro.engine import kernels
 from repro.engine.topk import finalize_top_k, merge_top_k, shard_top_k
 from repro.networks.stats import balanced_ranges, type_row_weights
 from repro.query.results import TopKResult
-from repro.serving.cluster import _execute_job
+from repro.serving.api import _pathsim_fields
 from repro.serving.shm import (
     PublishedGeneration,
     _build_entry_index,
@@ -326,7 +325,6 @@ class ShardedClusterService(_ProcessTier):
         self._fallbacks = 0
         self._partial_jobs = 0
         self._scorer = None
-        self._parent_state = SimpleNamespace(hin=hin, engine=engine)
         self._start(hin, shards, max_batch, directory)
 
     def _prepare(self, shards: int) -> None:
@@ -487,15 +485,16 @@ class ShardedClusterService(_ProcessTier):
             return None
         return self._served.get(mp.canonical_key())
 
-    def run_group(self, kind: str, payload) -> list[tuple]:
-        """Dispatch one request group: scatter when shard-served, else
+    def run_group(self, shape: tuple, objs) -> list[tuple]:
+        """Run one ``(shape, objs)`` job: scatter when shard-served, else
         execute parent-side.
 
-        Shard-served top-k PathSim ("batch" groups and solo "pathsim"
-        specs over a served path) scatters across every worker.  All
-        other requests run on the parent's live engine under its own
-        read lock — same epoch guarantees, no worker round trip — so
-        the full verb surface works before any path was shard-served.
+        Top-k PathSim over a served path scatters across every worker.
+        All other requests run through the embedded service's
+        in-process backend — the same job against the parent's live
+        engine under its read lock: same epoch guarantees, no worker
+        round trip — so the full verb surface works before any path was
+        shard-served.
 
         An explicit ``mode="fused"`` also falls through to the parent
         engine: scattering is materialized by construction (workers
@@ -503,24 +502,19 @@ class ShardedClusterService(_ProcessTier):
         means answering from the parent's threaded rows instead.
         Answers are bit-identical either way.
         """
-        request = None
-        if kind == "batch":
-            path, k, exclude, plan, mode, objs = payload
-            request = objs, k, exclude, plan
-        elif kind == "solo" and payload and payload[0][0] == "pathsim":
-            _, path, obj, k, exclude, plan, mode = payload[0]
-            request = [obj], k, exclude, plan
-        if request is not None and mode != "fused":
-            spath = self._served_for(path)
+        fields = _pathsim_fields(shape)
+        if fields is not None:
+            path, k, exclude, plan, mode = fields
+            spath = None if mode == "fused" else self._served_for(path)
             if spath is not None:
-                with self._stats_mutex:
-                    self._scatters += 1
-                return self._scatter_top_k(spath, *request)
+                statuses = self._scatter_top_k(spath, objs, k, exclude, plan)
+                if statuses is not None:
+                    return statuses
         with self._stats_mutex:
             self._fallbacks += 1
-        return _execute_job(self._parent_state, kind, payload)
+        return self._service.run_group(shape, objs)
 
-    def _scatter_top_k(self, spath, objs, k, exclude, plan) -> list[tuple]:
+    def _scatter_top_k(self, spath, objs, k, exclude, plan) -> list[tuple] | None:
         """Scatter one top-k group; merge exact per-query results.
 
         Runs under the scatter mutex (exclusive use of the shard
@@ -528,11 +522,16 @@ class ShardedClusterService(_ProcessTier):
         pin: commits queue behind it, so between `_await_publish` and
         the last collected partial, neither ``hin.version`` nor any
         shard generation can move — every worker provably answers from
-        the same epoch the query rows were extracted at.
+        the same epoch the query rows were extracted at.  Returns
+        ``None`` for a negative ``k`` or when the query rows cannot be
+        extracted (unknown object): the caller's parent-side job then
+        gives each request its own answer or the engine's own error.
         """
+        if k < 0:
+            return None
         engine = self.hin.engine()
         mode = engine._plan_mode(plan)
-        need = (int(k) + 1) if exclude else int(k)
+        need = k + 1 if exclude else k
         with self._scatter_mutex:
             with engine.lock.read():
                 self._await_publish()
@@ -541,19 +540,10 @@ class ShardedClusterService(_ProcessTier):
                     idx, q_rows, q_diag = engine.pathsim_query_rows(
                         spath.mp, objs, plan=mode
                     )
-                except BaseException:
-                    # Unknown object / bad k shape: retry per query on
-                    # the parent engine so each request gets its own
-                    # error (or answer), like a worker's batch fallback.
-                    return _execute_job(
-                        self._parent_state,
-                        "solo",
-                        [
-                            ("pathsim", str(spath.mp), obj, int(k),
-                             bool(exclude), plan, "materialize")
-                            for obj in objs
-                        ],
-                    )
+                except Exception:
+                    return None
+                with self._stats_mutex:
+                    self._scatters += 1
                 job = (spath.token, need, _pack_queries(q_rows, q_diag))
                 for s, channel in enumerate(self._channels):
                     channel.post("block", job, len(objs), self._fence(s))
@@ -564,8 +554,7 @@ class ShardedClusterService(_ProcessTier):
                     except BaseException as exc:  # noqa: BLE001
                         per_shard.append([("err", exc)] * len(objs))
                 return self._merge_results(
-                    spath, idx, per_shard, int(k), need, bool(exclude),
-                    mode, epoch,
+                    spath, idx, per_shard, k, need, exclude, mode, epoch
                 )
 
     def _merge_results(

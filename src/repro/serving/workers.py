@@ -72,6 +72,28 @@ def _picklable(error: BaseException) -> BaseException:
     return RuntimeError(f"{type(error).__name__}: {error}")
 
 
+def _sendable(statuses: list) -> list:
+    """*statuses* as they can cross the result queue — the one place
+    they are sanitised, because this is the one place they are pickled.
+    An unpicklable value would kill the queue's feeder thread silently,
+    so the parent always hears back: an error becomes its
+    :func:`_picklable` stand-in, a result an error naming it."""
+    statuses = [
+        (status, _picklable(value)) if status == "err" else (status, value)
+        for status, value in statuses
+    ]
+    try:
+        pickle.dumps(statuses)
+    except Exception:
+        statuses = [
+            (status, value)
+            if _pickles(value)
+            else ("err", RuntimeError(f"result not picklable: {value!r:.200}"))
+            for status, value in statuses
+        ]
+    return statuses
+
+
 def _process_rss() -> int:
     """This process's resident set size in bytes.
 
@@ -114,7 +136,9 @@ def _worker_main(
     is answered entirely at one epoch.  ``info`` jobs report the
     worker's memory footprint (process RSS plus the attached
     generation's shared payload bytes); every other kind goes to
-    *execute* ``(state, kind, payload) -> statuses``.
+    *execute* ``(state, kind, payload) -> statuses`` — for the queue's
+    jobs that is :func:`~repro.serving.api._execute_job` with the
+    request shape as *kind* and its query objects as *payload*.
     """
     current = None
 
@@ -173,20 +197,8 @@ def _worker_main(
             else:
                 statuses = execute(state, kind, payload)
         except BaseException as exc:  # noqa: BLE001 — deliver, don't die
-            statuses = [("err", _picklable(exc))] * count
-        try:
-            pickle.dumps(statuses)
-        except Exception:
-            # An unpicklable value would kill the queue's feeder thread
-            # silently; sanitize per status so the parent always hears
-            # back.
-            statuses = [
-                (status, value)
-                if _pickles(value)
-                else ("err", RuntimeError(f"result not picklable: {value!r:.200}"))
-                for status, value in statuses
-            ]
-        result_queue.put((job_id, statuses))
+            statuses = [("err", exc)] * count
+        result_queue.put((job_id, _sendable(statuses)))
     if current is not None:
         current.close()
 
@@ -224,7 +236,7 @@ class _WorkerChannel:
 
         *count* is how many statuses the job answers with; *fence* is
         its ``(min_epoch, pinned generation)`` pair (see
-        :func:`_worker_main`).  The payload is pickle-validated *here*,
+        :func:`_worker_main`).  The job is pickle-validated *here*,
         on the calling thread: ``Queue.put`` pickles in a background
         feeder thread whose failure would otherwise surface only as a
         silent timeout-long hang.  Pair every ``post`` with a
@@ -235,7 +247,7 @@ class _WorkerChannel:
         of in sequence.
         """
         try:
-            pickle.dumps(payload)
+            pickle.dumps((kind, payload))
         except Exception as exc:
             raise TypeError(
                 f"request arguments are not picklable for cluster "
@@ -297,7 +309,7 @@ class _ProcessTier(ServingAPI):
     stem, job executor)``),
     ``_fence(i)`` (the fence a job sent to worker *i* carries),
     ``_exclusive()`` (a context manager granting every channel),
-    ``_on_commit(update)`` and ``run_group(kind, payload)``.
+    ``_on_commit(update)`` and ``run_group(shape, objs)``.
     """
 
     _label = "cluster"  # names the private descriptor directory

@@ -9,10 +9,13 @@ same.
 from __future__ import annotations
 
 import inspect
+import threading
 
+import numpy as np
 import pytest
 
 import repro.serving as serving
+from repro.networks import HIN, NetworkSchema, UpdateBatch
 from repro.serving import (
     ClusterService,
     QueryService,
@@ -82,3 +85,179 @@ class TestBehaviour:
         assert list(current) == list(
             small_bib.engine().pathsim_top_k(APA, "a0", 2)
         )
+
+    @pytest.mark.parametrize("measure", ["pathsim", "simrank"])
+    def test_every_path_spelling_answers_everywhere(
+        self, small_bib, any_service, measure
+    ):
+        """The request carries the resolved path's DSL spelling, so a
+        type list or ``MetaPath`` works for every measure on every tier
+        (non-PathSim measures used to ship ``str(path)`` to workers)."""
+        session = small_bib.query()
+        expected = session.similar("a0", APA, 2, measure=measure)
+        for spelling in (APA, ["author", "paper", "author"], session.path(APA)):
+            got = any_service.similar("a0", spelling, 2, measure=measure)
+            assert list(got.result(timeout=60)) == list(expected)
+
+    def test_ambiguous_type_pairs_keep_their_relation_everywhere(self):
+        """Two relations join author and paper, so the bare type string
+        does not parse: the carried spelling must name the relation."""
+        schema = NetworkSchema(
+            ["author", "paper"],
+            [("writes", "author", "paper"), ("reviews", "author", "paper")],
+        )
+        hin = HIN.from_edges(
+            schema,
+            nodes={"author": ["a0", "a1"], "paper": ["p0", "p1"]},
+            edges={"writes": [(0, 0), (1, 0), (1, 1)], "reviews": [(0, 1)]},
+        )
+        path = "author-[writes]-paper-[writes]-author"
+        expected = hin.engine().pathsim_top_k(path, "a0", 1)
+        for factory in (
+            QueryService(hin),
+            ClusterService(hin, processes=1),
+            ShardedClusterService(hin, [path], shards=2),
+        ):
+            with factory as service:
+                got = service.similar("a0", path, 1).result(timeout=60)
+                assert list(got) == list(expected)
+
+    @pytest.mark.parametrize("k", [2, np.int64(2)])
+    def test_integer_k_answers_everywhere(self, small_bib, any_service, k):
+        expected = small_bib.engine().pathsim_top_k(APA, "a0", 2)
+        got = any_service.similar("a0", APA, k).result(timeout=60)
+        assert list(got) == list(expected)
+        assert len(any_service.connected("a0", APA, k).result(timeout=60)) == 2
+
+    @pytest.mark.parametrize("k", [2.7, "2", None])
+    def test_non_integer_k_fails_through_the_future_everywhere(
+        self, any_service, k
+    ):
+        """One rule (``operator.index``) on every tier, applied inside
+        the failed-future guard: nothing is raised at submit time."""
+        for submit in (any_service.similar, any_service.connected, any_service.watch):
+            future = submit("a0", APA, k)
+            with pytest.raises(TypeError):
+                future.result(timeout=60)
+
+    def test_negative_k_has_one_outcome_everywhere(self, small_bib, any_service):
+        with pytest.raises(ValueError):
+            small_bib.engine().pathsim_top_k(APA, "a0", -1)
+        with pytest.raises(ValueError):
+            any_service.similar("a0", APA, -1).result(timeout=60)
+
+
+class _Unpicklable(Exception):
+    """An engine failure that cannot cross a process boundary."""
+
+    def __reduce__(self):
+        raise TypeError("cannot pickle me")
+
+
+class TestErrorBoundary:
+    def test_in_process_errors_arrive_as_the_same_object(
+        self, small_bib, monkeypatch
+    ):
+        """Errors are sanitised where they are pickled — the worker
+        loop — and nowhere else: in-process, the caller's exception
+        reaches the future untouched."""
+        boom = _Unpicklable("boom")
+
+        def fail(*args, **kwargs):
+            raise boom
+
+        monkeypatch.setattr(small_bib.engine(), "pathsim_top_k", fail)
+        with QueryService(small_bib) as service:
+            assert service.similar("a0", APA, 2).exception(timeout=60) is boom
+
+    @pytest.mark.parametrize("tier", ["cluster", "sharded"])
+    def test_process_tier_errors_arrive_as_a_named_stand_in(
+        self, small_bib, tier, monkeypatch, tmp_path
+    ):
+        """Across the process boundary the same failure arrives as a
+        ``RuntimeError`` naming it, and the worker answers the next job."""
+        from repro.engine import MetaPathEngine, kernels
+
+        expected = small_bib.engine().pathsim_top_k(APA, "a0", 2)
+        # What a worker runs for this request: the engine entry point on a
+        # replicated worker, the solo kernel on a shard.  Patched before
+        # the workers fork (they inherit it); armed through a file so the
+        # test can heal the fault from outside the worker process.
+        owner, name = {
+            "cluster": (MetaPathEngine, "pathsim_top_k"),
+            "sharded": (kernels, "pathsim_solo"),
+        }[tier]
+        real = getattr(owner, name)
+        armed = tmp_path / "armed"
+        armed.touch()
+
+        def flaky(*args, **kwargs):
+            if armed.exists():
+                raise _Unpicklable("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, flaky)
+        if tier == "cluster":
+            factory = ClusterService(small_bib, processes=1)
+        else:
+            factory = ShardedClusterService(small_bib, [APA], shards=2)
+        with factory as service:
+            error = service.similar("a0", APA, 2).exception(timeout=60)
+            assert type(error) is RuntimeError
+            assert "_Unpicklable: boom" in str(error)
+            armed.unlink()
+            got = service.similar("a0", APA, 2).result(timeout=60)
+            assert list(got) == list(expected)
+
+
+class TestEpochRule:
+    """A post-update submitter never receives a pre-update answer — one
+    rule (epoch-prefixed coalescing keys), one test body, three tiers."""
+
+    def test_every_post_update_answer_is_at_the_new_epoch(
+        self, small_bib, any_service
+    ):
+        for expected_epoch in range(1, 4):
+            small_bib.apply(UpdateBatch().add_edges("writes", [(1, 0)]))
+            futures = [any_service.similar(a, APA, 3) for a in range(4)]
+            for future in futures:
+                assert future.result(timeout=60).network_version == expected_epoch
+
+    def test_post_update_submitters_do_not_coalesce_across_epochs(
+        self, small_bib, any_service
+    ):
+        first = any_service.similar(0, APA, 3).result(timeout=60)
+        small_bib.apply(UpdateBatch().add_edges("writes", [(0, 4)]))
+        second = any_service.similar(0, APA, 3).result(timeout=60)
+        assert first.network_version == 0
+        assert second.network_version == 1
+
+    def test_a_queued_request_is_not_joined_after_a_commit(self, small_bib):
+        """The interleaving retire-inside-the-read-lock used to cover:
+        the only worker is parked in a done-callback (delivery runs
+        outside every lock), request R is queued behind it, a commit
+        lands, and R is submitted again.  The second submitter gets its
+        own request and an answer at the new epoch."""
+        parked, release = threading.Event(), threading.Event()
+
+        def park(_future):
+            parked.set()
+            release.wait(timeout=60)
+
+        with QueryService(small_bib, workers=1) as service:
+            service.similar(1, APA, 3).add_done_callback(park)
+            assert parked.wait(timeout=60)
+            try:
+                before = service.similar(0, APA, 3)  # R, queued at epoch 0
+                small_bib.apply(UpdateBatch().add_edges("writes", [(0, 4)]))
+                after = service.similar(0, APA, 3)  # R again, at epoch 1
+            finally:
+                release.set()
+            assert after is not before
+            assert before.result(timeout=60).network_version in (0, 1)
+            answer = after.result(timeout=60)
+            assert answer.network_version == 1
+            assert list(answer) == list(small_bib.engine().pathsim_top_k(APA, 0, 3))
+            stats = service.stats()
+        assert stats["submitted"] == 3
+        assert stats["coalesced"] == 0

@@ -95,27 +95,6 @@ class TestUpdates:
         assert answer.network_version == 3
         assert list(answer) == list(small_bib.engine().pathsim_top_k(APA, 2, 3))
 
-    def test_every_post_update_answer_is_at_the_new_epoch(self, small_bib, cluster):
-        # The epoch floor: a request submitted after hin.apply() returns
-        # must NEVER be answered from a pre-update generation, even when
-        # the request lands on a worker that has not swapped yet.
-        for expected_epoch in range(1, 4):
-            small_bib.apply(UpdateBatch().add_edges("writes", [(1, 0)]))
-            futures = [cluster.similar(a, APA, 3) for a in range(4)]
-            for future in futures:
-                assert future.result(timeout=60).network_version == expected_epoch
-
-    def test_post_update_submitters_do_not_coalesce_across_epochs(
-        self, small_bib, cluster
-    ):
-        # Epoch-prefixed keys: same request before and after an update
-        # must produce answers at their own epochs.
-        first = cluster.similar(0, APA, 3).result(timeout=60)
-        small_bib.apply(UpdateBatch().add_edges("writes", [(0, 4)]))
-        second = cluster.similar(0, APA, 3).result(timeout=60)
-        assert first.network_version == 0
-        assert second.network_version == 1
-
 
 class TestWarmStart:
     def test_cold_start_from_snapshot(self, small_bib, tmp_path):

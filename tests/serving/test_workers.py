@@ -87,7 +87,7 @@ class TestFailedAttach:
             monkeypatch.setattr(module, name, publish_garbage)
             tier.republish(service)
             statuses = service.run_group(
-                "batch", (APA, 2, True, None, mode, [0, 1, 2])
+                ("pathsim", APA, 2, True, None, mode), [0, 1, 2]
             )
             assert [status for status, _ in statuses] == ["err"] * 3
             assert all(isinstance(error, SnapshotError) for _, error in statuses)
