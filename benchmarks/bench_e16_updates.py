@@ -11,10 +11,17 @@ network's edges, and maintain every cached materialization two ways:
   (full cache invalidation on any change).
 
 Acceptance: incremental maintenance is >= 5x faster with *identical*
-top-k PathSim answers (DBLP link weights are integer counts, so the
-maintained matrices are bit-for-bit equal to rebuilt ones — same
-scores, same tie-breaking).  Machine-readable result lands in
-``BENCH_e16.json`` for the perf-regression CI job.
+top-k PathSim answers **and identical cached matrices** (DBLP link
+weights are integer counts, so the maintained matrices are bit-for-bit
+equal to rebuilt ones — same scores, same tie-breaking).  The network
+is sized so the one update crosses the commit path's splice rule
+(:func:`repro.utils.sparse.add_delta`) in both directions — the 30
+touched author rows of the 245k-entry ``A-P-T`` half product (and the
+``T-P-A`` and ``A-P-A`` halves) are spliced, the 10k-entry venue
+products and the full commuting matrices, whose deltas reach every row,
+take the whole-matrix add — and the ``config`` block of
+``BENCH_e16.json`` records how many patches went each way, which the
+perf-regression CI job gates together with ``identical``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +37,9 @@ import pytest
 from benchmarks.conftest import format_table, record_table
 from repro.datasets import make_dblp_four_area
 from repro.engine import MetaPathEngine
+from repro.engine import engine as engine_module
 from repro.networks import UpdateBatch
+from repro.utils import sparse
 
 PATHS = [
     "venue-paper-author-paper-venue",
@@ -118,6 +128,12 @@ def _warm(engine) -> None:
         engine.commuting_matrix(path)
 
 
+def _arrays(entry) -> list:
+    """The arrays of one cache entry: a product, or a pathsim ``(W, diag)``."""
+    w, *diag = entry if isinstance(entry, tuple) else (entry,)
+    return [w.indptr, w.indices, w.data, *diag]
+
+
 def _experiment():
     hin = _make_network()
     # Detached engines: the benchmark delivers the update receipt by hand
@@ -129,9 +145,16 @@ def _experiment():
     batch = _one_percent_batch(hin, rng)
     receipt = hin.apply(batch)
 
-    start = time.perf_counter()
-    report = incremental.apply_update(receipt)
-    incremental_s = time.perf_counter() - start
+    # Count which side of add_delta's size rule each patch takes (two
+    # pass-through calls per patch; nothing else in the timed region).
+    splice = mock.Mock(side_effect=sparse._splice_rows)
+    add = mock.Mock(side_effect=engine_module.add_delta)
+    with mock.patch.object(sparse, "_splice_rows", splice), mock.patch.object(
+        engine_module, "add_delta", add
+    ):
+        start = time.perf_counter()
+        report = incremental.apply_update(receipt)
+        incremental_s = time.perf_counter() - start
 
     start = time.perf_counter()
     rebuilt = MetaPathEngine(hin)
@@ -146,7 +169,23 @@ def _experiment():
             b = rebuilt.pathsim_top_k(path, q, K)
             if list(a) != list(b):  # names AND exact scores
                 identical = False
+    # ... and every maintained matrix, array for array (the top-k legs
+    # above read 20-row venue products only, which never splice).
+    rebuilt_entries = dict(rebuilt.snapshot_entries())
+    for key, value in incremental.snapshot_entries():
+        identical &= all(
+            np.array_equal(got, want)
+            for got, want in zip(_arrays(value), _arrays(rebuilt_entries[key]))
+        )
     return {
+        "config": {
+            "authors": hin.node_count("author"),
+            "papers": hin.node_count("paper"),
+            "terms": hin.node_count("term"),
+            "paths": len(PATHS),
+            "spliced": splice.call_count,
+            "whole_adds": add.call_count - splice.call_count,
+        },
         "total_links": hin.total_links,
         "batch_links": receipt.n_changed_links,
         "incremental_s": incremental_s,
@@ -186,7 +225,8 @@ def test_e16_incremental_maintenance_speedup(benchmark):
         json.dumps(
             {
                 "speedup": r["speedup"],
-                "identical": r["identical"],
+                "identical": bool(r["identical"]),
+                "config": r["config"],
                 "batch_links": r["batch_links"],
                 "total_links": r["total_links"],
                 "maintenance_report": r["report"],
@@ -197,6 +237,9 @@ def test_e16_incremental_maintenance_speedup(benchmark):
 
     assert r["identical"], "incremental answers diverged from rebuild"
     assert r["report"]["updated"] > 0, "nothing was maintained incrementally"
+    assert r["config"]["spliced"] and r["config"]["whole_adds"], (
+        f"the update no longer crosses the splice rule: {r['config']}"
+    )
     assert r["speedup"] >= 5.0, (
         f"incremental maintenance speedup {r['speedup']:.2f}x < 5x"
     )

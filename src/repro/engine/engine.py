@@ -70,6 +70,7 @@ from repro.networks.updates import AppliedUpdate, pad_csr
 from repro.query.results import TopKResult
 from repro.utils.cache import CacheInfo, LRUCache
 from repro.utils.locks import RWLock
+from repro.utils.sparse import add_delta, nonempty_rows
 from repro.engine.topk import finalize_top_k, top_k_indices
 
 __all__ = ["MetaPathEngine"]
@@ -730,6 +731,15 @@ class MetaPathEngine:
     # ------------------------------------------------------------------
     # Incremental maintenance under network updates
     # ------------------------------------------------------------------
+    _EMPTY_REPORT = {
+        "updated": 0,
+        "padded": 0,
+        "evicted": 0,
+        "kept": 0,
+        "rows_touched": 0,
+        "rows_total": 0,
+    }
+
     @_writer
     def apply_update(self, update: AppliedUpdate) -> dict:
         """Maintain every cached materialization under *update*.
@@ -747,8 +757,18 @@ class MetaPathEngine:
         — new matrices left of each delta, old matrices right of it, which
         telescopes exactly to ``M' - M``.  Each term threads a matrix with
         ``delta.nnz`` entries through the chain, so its cost scales with
-        the *update*, not the network.  Relations whose delta is denser
-        than :attr:`delta_rebuild_threshold` of the relation get their
+        the *update*, not the network.  Installing the result follows
+        the delta too: ``M + ΔM`` is summed on ``ΔM``'s rows only and
+        spliced into one contiguous copy of ``M``
+        (:func:`repro.utils.sparse.add_delta`), the PathSim diagonal is
+        corrected on those rows, each distinct matrix is patched once
+        however many keys hold it (a pathsim ``W`` and the cached half
+        product receive the same object), and backward traversals read
+        the pre-commit transposes the receipt carries instead of
+        transposing a relation.  Entries are replaced, never written
+        to, so readers, snapshots and exports see whole values.
+        Relations whose delta is denser than
+        :attr:`delta_rebuild_threshold` of the relation get their
         dependent entries evicted instead (rebuild lazily beats a dense
         delta); untouched entries are kept, padded with zero rows/columns
         when an endpoint type grew.
@@ -758,7 +778,10 @@ class MetaPathEngine:
         with fractional weights they agree to floating-point roundoff.
 
         Returns a maintenance report: counts of ``updated`` / ``padded`` /
-        ``evicted`` / ``kept`` entries.
+        ``evicted`` / ``kept`` entries, plus ``rows_touched`` (rows the
+        deltas of the updated entries touch) and ``rows_total`` (rows
+        those entries have), both summed over the updated entries — the
+        commit's reach against the size of what it maintains.
         """
         if update.epoch != self._epoch + 1:
             # A receipt from the wrong base epoch: a *replayed* receipt
@@ -770,24 +793,25 @@ class MetaPathEngine:
             dropped = len(self._cache) if stale else 0
             kept = 0 if stale else len(self._cache)
             self._sync()
-            return {"updated": 0, "padded": 0, "evicted": dropped, "kept": kept}
+            return {**self._EMPTY_REPORT, "evicted": dropped, "kept": kept}
         dense_rels = {
             name
             for name, d in update.deltas.items()
             if d.density_vs_rebuild > self.delta_rebuild_threshold
         }
-        # Per-call scratch shared across entries: oriented old transposes,
-        # memoized delta products (a pathsim half and its full product
-        # compute each Δ once), and a pre-maintenance snapshot of cached
-        # values so symmetric products can be patched from their *old*
-        # half product regardless of processing order.
+        # Per-call scratch shared across entries: oriented transposes of
+        # the receipt's matrices, one delta and one patched matrix per
+        # distinct step tuple (a pathsim ``W`` and the cached half
+        # product are one matrix under two keys), and a pre-maintenance
+        # snapshot of cached values so symmetric products can be patched
+        # from their *old* half product regardless of processing order.
         scratch = {
-            "old_transposes": {},
+            "transposes": {},
             "delta_products": {},
             "patched_products": {},
             "snapshot": {key: self._cache.peek(key) for key in self._cache.keys()},
         }
-        report = {"updated": 0, "padded": 0, "evicted": 0, "kept": 0}
+        report = dict(self._EMPTY_REPORT)
         for key in self._cache.keys():
             kind, full_steps = key
             steps = (
@@ -809,7 +833,10 @@ class MetaPathEngine:
                 else:
                     report["kept"] += 1
                 continue
-            self._maintain_entry(key, kind, steps, update, scratch)
+            report["rows_touched"] += self._maintain_entry(
+                key, kind, steps, update, scratch
+            )
+            report["rows_total"] += self._entry_shape(steps)[0]
             report["updated"] += 1
         self._epoch = update.epoch
         self._cache.bump_generation()
@@ -844,22 +871,6 @@ class MetaPathEngine:
         else:
             self._cache.replace(key, pad_csr(self._cache.peek(key), shape))
 
-    @staticmethod
-    def _patch(matrix: sp.csr_matrix, delta) -> sp.csr_matrix:
-        """``matrix + delta`` in canonical CSR form.
-
-        scipy's CSR addition already returns sorted, duplicate-free
-        indices; explicit zeros (exact cancellations) can only appear
-        where the delta is negative, so the O(nnz) prune runs only then.
-        """
-        if delta is None:
-            return matrix
-        delta = _canonical(delta.tocsr())
-        out = (matrix + delta).tocsr()
-        if delta.nnz and delta.data.min() < 0:
-            out.eliminate_zeros()
-        return out
-
     def _maintain_entry(
         self,
         key: tuple,
@@ -867,61 +878,70 @@ class MetaPathEngine:
         steps: tuple,
         update: AppliedUpdate,
         scratch: dict,
-    ) -> None:
-        """Rewrite one cached entry as ``pad(old) + delta``."""
+    ) -> int:
+        """Replace one cached entry with ``pad(old) + delta``; returns the
+        number of rows the delta touches."""
         shape = self._entry_shape(steps)
+        delta = self._memo_delta(steps, update, scratch)
+        rows = np.array([], dtype=np.int64) if delta is None else nonempty_rows(delta)
         if kind == "pathsim":
-            delta = self._memo_delta(steps, update, scratch)
             w, diag = self._cache.peek(key)
             w = pad_csr(w, shape)
             if shape[0] > diag.shape[0]:
                 diag = np.concatenate([diag, np.zeros(shape[0] - diag.shape[0])])
-            if delta is not None:
-                delta = _canonical(delta.tocsr())
+            if rows.size:
                 # diag maintained incrementally on the delta's support:
-                # ||w'_i||² = ||w_i||² + Σ_j (2 w_ij Δ_ij + Δ_ij²).
-                correction = (
-                    w.multiply(delta).sum(axis=1)
-                    * 2.0
-                    + delta.multiply(delta).sum(axis=1)
+                # ||w'_i||² = ||w_i||² + Σ_j (2 w_ij Δ_ij + Δ_ij²), with
+                # w_ij looked up at the delta's cells only.
+                starts = delta.indptr[rows]
+                cell_rows = np.repeat(rows, delta.indptr[rows + 1] - starts)
+                w_cells = np.asarray(w[cell_rows, delta.indices]).ravel()
+                diag = diag.copy()
+                diag[rows] += (
+                    np.add.reduceat(w_cells * delta.data, starts) * 2.0
+                    + np.add.reduceat(delta.data * delta.data, starts)
                 )
-                diag = diag + np.asarray(correction).ravel()
-                w = self._patched_product(steps, w, delta, scratch)
-            self._cache.replace(key, (w, diag))
+            value = (self._patched_product(steps, w, delta, scratch), diag)
         else:
-            delta = self._symmetric_delta(steps, update, scratch)
-            if delta is NotImplemented:
-                delta = self._memo_delta(steps, update, scratch)
-                m = self._patched_product(
-                    steps, pad_csr(self._cache.peek(key), shape), delta, scratch
-                )
-            else:
-                m = self._patch(pad_csr(self._cache.peek(key), shape), delta)
-            self._cache.replace(key, m)
+            value = self._patched_product(
+                steps, pad_csr(self._cache.peek(key), shape), delta, scratch
+            )
+        self._cache.replace(key, value)
+        return rows.size
 
     def _patched_product(self, steps: tuple, padded, delta, scratch: dict):
-        """Memoized ``padded + delta`` for plain product entries.
+        """``padded + delta``, once per distinct product per
+        :meth:`apply_update` pass.
 
-        A symmetric path's pathsim ``W`` and the cached half product hold
-        the same matrix under two keys; patching it is the expensive part
-        of maintenance for large products, so the result is shared within
-        one :meth:`apply_update` pass.
+        A symmetric path's pathsim ``W`` and the cached half product
+        hold the same matrix under two keys; the copy is the expensive
+        part of maintenance for large products, so both keys receive the
+        one patched object.  A single relation step is not patched at
+        all: the network already holds its ``old + delta``.
         """
         memo = scratch["patched_products"]
         got = memo.get(steps)
         if got is None:
-            got = self._patch(padded, delta)
+            if len(steps) == 1:
+                got = self.hin.oriented_matrix(*steps[0])
+            elif delta is None:
+                got = padded
+            else:
+                got = add_delta(padded, delta)
             memo[steps] = got
         return got
 
     def _memo_delta(self, steps: tuple, update: AppliedUpdate, scratch: dict):
-        """Per-apply_update memo over :meth:`_delta_product` — a pathsim
-        half and the cached half product share one computation."""
+        """Canonical ``ΔM`` of the product over *steps* (``None`` when it
+        vanishes), computed once per :meth:`apply_update` pass — from the
+        half delta when the path is symmetric, else by the general
+        telescoped delta product."""
         memo = scratch["delta_products"]
         if steps not in memo:
-            memo[steps] = self._delta_product(
-                steps, update, scratch["old_transposes"]
-            )
+            delta = self._symmetric_delta(steps, update, scratch)
+            if delta is NotImplemented:
+                delta = self._delta_product(steps, update, scratch)
+            memo[steps] = None if delta is None else _canonical(delta.tocsr())
         return memo[steps]
 
     def _symmetric_delta(self, steps: tuple, update: AppliedUpdate, scratch: dict):
@@ -935,43 +955,39 @@ class MetaPathEngine:
         — two thin-times-full products instead of threading the delta
         through all ``k`` steps, whose backward half can reach most of the
         network even for a localized update.  Needs the *old* half
-        product, read from the pre-maintenance snapshot (the pathsim
-        entry's ``W`` or the cached half product itself); returns
-        ``NotImplemented`` when the path is asymmetric or no old half is
-        cached, so the caller falls back to the general delta product.
+        product transposed: for a one-step half that is the relation's
+        pre-update reverse orientation (CSR on the receipt, no
+        conversion); longer halves read the pre-maintenance snapshot
+        (the pathsim entry's ``W`` or the cached half product itself).
+        Returns ``NotImplemented`` when the path is asymmetric or no old
+        half is cached, so the caller falls back to the general delta
+        product.
         """
         k = len(steps)
         if k < 2 or k % 2 or not self._steps_symmetric(steps):
             return NotImplemented
         half = steps[: k // 2]
-        snapshot = scratch["snapshot"]
-        cached = snapshot.get(("pathsim", steps))
-        w_old = cached[0] if cached is not None else snapshot.get(("product", half))
-        if w_old is None and len(half) == 1:
+        if len(half) == 1:
             name, forward = half[0]
-            d = update.deltas.get(name)
-            w_old = (
-                self._old_oriented(half[0], update, scratch["old_transposes"])
-                if d is not None
-                else None
-            )
-        if w_old is None:
-            return NotImplemented
+            w_old_t = self._old_oriented((name, not forward), update, scratch)
+        else:
+            snapshot = scratch["snapshot"]
+            cached = snapshot.get(("pathsim", steps))
+            w_old = cached[0] if cached is not None else snapshot.get(("product", half))
+            if w_old is None:
+                return NotImplemented
+            w_old_t = pad_csr(w_old, self._entry_shape(half)).T
         dw = self._memo_delta(half, update, scratch)
         if dw is None:
             return None
-        dw = _canonical(dw.tocsr())
-        w_old = pad_csr(w_old, dw.shape)
-        left = _canonical((dw @ w_old.T).tocsr())
+        left = _canonical((dw @ w_old_t).tocsr())
         return left + left.T.tocsr() + _canonical((dw @ dw.T).tocsr())
 
     @staticmethod
     def _steps_symmetric(steps: tuple) -> bool:
         return steps == tuple((name, not fwd) for name, fwd in reversed(steps))
 
-    def _delta_product(
-        self, steps: tuple, update: AppliedUpdate, old_transposes: dict
-    ):
+    def _delta_product(self, steps: tuple, update: AppliedUpdate, scratch: dict):
         """``Σ_i W'_1…W'_{i-1} ΔW_i W_{i+1}…W_k`` over *steps* (``None``
         when no step's relation changed).
 
@@ -984,13 +1000,17 @@ class MetaPathEngine:
             d = update.deltas.get(name)
             if d is None or d.delta.nnz == 0:
                 continue
-            term = d.delta if forward else d.delta.T.tocsr()
+            term = (
+                d.delta
+                if forward
+                else self._transposed(("delta", name), d.delta, scratch)
+            )
             # Old suffix first: a delta that only references newly added
             # nodes hits their all-zero rows in the old matrices and the
             # whole term vanishes structurally — stop multiplying the
             # moment it does.
             for j in range(i + 1, len(steps)):
-                term = term @ self._old_oriented(steps[j], update, old_transposes)
+                term = term @ self._old_oriented(steps[j], update, scratch)
                 if term.nnz == 0:
                     break
             if term.nnz == 0:
@@ -1006,13 +1026,15 @@ class MetaPathEngine:
         return total
 
     def _old_oriented(
-        self, step: tuple, update: AppliedUpdate, old_transposes: dict
+        self, step: tuple, update: AppliedUpdate, scratch: dict
     ) -> sp.csr_matrix:
         """Pre-update matrix of *step*, oriented along the traversal.
 
         Unchanged relations read (already padded) from the network;
-        changed ones come from the receipt's ``old`` snapshot, with
-        backward traversals transposed once per :meth:`apply_update` call.
+        changed ones come from the receipt: ``old`` forward, and backward
+        the transpose the network had cached before the commit — or,
+        for receipts without one, ``old`` transposed once per
+        :meth:`apply_update` call.
         """
         name, forward = step
         d = update.deltas.get(name)
@@ -1020,11 +1042,17 @@ class MetaPathEngine:
             return self.hin.oriented_matrix(name, forward)
         if forward:
             return d.old
-        cached = old_transposes.get(name)
-        if cached is None:
-            cached = d.old.T.tocsr()
-            old_transposes[name] = cached
-        return cached
+        if d.old_transposed is not None:
+            return d.old_transposed
+        return self._transposed(("old", name), d.old, scratch)
+
+    @staticmethod
+    def _transposed(key: tuple, matrix, scratch: dict) -> sp.csr_matrix:
+        """``matrix.T`` as CSR, converted once per :meth:`apply_update`."""
+        memo = scratch["transposes"]
+        if key not in memo:
+            memo[key] = matrix.T.tocsr()
+        return memo[key]
 
     # ------------------------------------------------------------------
     # Warm-cache snapshots

@@ -54,7 +54,7 @@ from repro.networks.updates import (
     UpdateBatch,
     pad_csr,
 )
-from repro.utils.sparse import to_csr
+from repro.utils.sparse import add_delta, to_csr
 
 __all__ = ["HIN"]
 
@@ -611,6 +611,7 @@ class HIN:
             if rel.source in growth or rel.target in growth
         )
         deltas: dict[str, RelationDelta] = {}
+        transposes: dict[str, sp.csr_matrix] = {}
         for rel_name in batch.touched_relations:
             rel = self.schema.relation(rel_name)  # raises on unknown
             shape = (new_counts[rel.source], new_counts[rel.target])
@@ -623,13 +624,22 @@ class HIN:
                 (final[changed] - current[changed], (rows[changed], cols[changed])),
                 shape=shape,
             ).tocsr()
-            new = (old + delta).tocsr()
-            new.eliminate_zeros()
-            new.sort_indices()
+            # A cached transpose is maintained like the matrix itself —
+            # old + delta on the delta's rows — and the pre-commit one
+            # rides on the receipt, so neither the engine's backward
+            # delta terms nor the first reader after the commit
+            # transposes the whole relation again.  A resized relation
+            # keeps the drop-and-rederive: its deltas are wide (ingest
+            # chunks), and two generations of transposes alive at once
+            # showed in peak RSS.
+            old_t = None if rel_name in resized else self._transposes.get(rel_name)
+            if old_t is not None:
+                transposes[rel_name] = add_delta(old_t, delta.T.tocsr())
             deltas[rel_name] = RelationDelta(
-                rel_name, old, new, delta, source=rel.source, target=rel.target
+                rel_name, old, add_delta(old, delta), delta,
+                source=rel.source, target=rel.target, old_transposed=old_t,
             )
-        return new_counts, appended_names, growth, resized, deltas
+        return new_counts, appended_names, growth, resized, deltas, transposes
 
     def _commit(
         self,
@@ -638,6 +648,7 @@ class HIN:
         growth: dict,
         resized: frozenset,
         deltas: dict,
+        transposes: dict,
     ) -> AppliedUpdate:
         """Install a prepared update plan (caller holds the engine write
         lock, so no query observes a partial commit)."""
@@ -656,7 +667,13 @@ class HIN:
                     (new_counts[rel.source], new_counts[rel.target]),
                 )
         for rel_name in set(deltas) | resized:
-            self._transposes.pop(rel_name, None)
+            # Anything without a prepared successor (never cached, merely
+            # resized, or first cached by a reader during the build
+            # phase) is dropped and re-derived lazily, as before.
+            if rel_name in transposes:
+                self._transposes[rel_name] = transposes[rel_name]
+            else:
+                self._transposes.pop(rel_name, None)
         self._version += 1
         applied = AppliedUpdate(
             epoch=self._version,

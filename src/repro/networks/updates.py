@@ -51,6 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import EdgeError, GraphError, UpdateError
+from repro.utils.sparse import nonempty_rows
 
 __all__ = [
     "UpdateBatch",
@@ -95,7 +96,11 @@ def pad_csr(matrix: sp.csr_matrix, shape: tuple[int, int]) -> sp.csr_matrix:
         indptr = np.concatenate(
             [indptr, np.full(new_rows - n_rows, indptr[-1], dtype=indptr.dtype)]
         )
-    return sp.csr_matrix((matrix.data, matrix.indices, indptr), shape=shape)
+    out = sp.csr_matrix((matrix.data, matrix.indices, indptr), shape=shape)
+    # Padding cannot unsort or duplicate an index; carrying the flag over
+    # spares the next sparse add an O(nnz) re-check of the shared arrays.
+    out.has_canonical_format = matrix.has_canonical_format
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,12 @@ class RelationDelta:
         :meth:`HIN.apply`, e.g. in old pickles).
     target:
         Node type of the matrix columns.
+    old_transposed:
+        ``old.T`` as CSR when the network had the transpose cached at
+        commit time and the relation kept its shape (the engine's
+        backward traversals read it instead of transposing ``old``
+        again); ``None`` otherwise, and for receipts built outside
+        :meth:`HIN.apply`.
     """
 
     relation: str
@@ -127,18 +138,17 @@ class RelationDelta:
     delta: sp.csr_matrix
     source: str = ""
     target: str = ""
+    old_transposed: sp.csr_matrix | None = None
 
     @property
     def touched_sources(self) -> np.ndarray:
         """Sorted unique row indices the delta touches (source-type side)."""
-        coo = self.delta.tocoo()
-        return np.unique(coo.row.astype(np.int64))
+        return nonempty_rows(self.delta).astype(np.int64, copy=False)
 
     @property
     def touched_targets(self) -> np.ndarray:
         """Sorted unique column indices the delta touches (target-type side)."""
-        coo = self.delta.tocoo()
-        return np.unique(coo.col.astype(np.int64))
+        return np.unique(self.delta.indices).astype(np.int64, copy=False)
 
     @property
     def density_vs_rebuild(self) -> float:

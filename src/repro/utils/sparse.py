@@ -19,6 +19,8 @@ __all__ = [
     "safe_divide",
     "is_binary",
     "degree_vector",
+    "nonempty_rows",
+    "add_delta",
 ]
 
 
@@ -114,3 +116,115 @@ def is_binary(matrix) -> bool:
         return True
     data = m.data
     return bool(np.all((data == 0) | (data == 1)))
+
+
+def _canonical_csr(data, indices, indptr, shape) -> sp.csr_matrix:
+    """Wrap arrays known to be sorted and duplicate-free (no copy, no scan)."""
+    out = sp.csr_matrix((data, indices, indptr), shape=shape, copy=False)
+    out.has_canonical_format = True
+    return out
+
+
+def nonempty_rows(matrix: sp.csr_matrix) -> np.ndarray:
+    """Sorted int64 indices of the CSR rows that store at least one entry."""
+    return np.flatnonzero(np.diff(matrix.indptr))
+
+
+def _take_rows(matrix: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """``matrix[rows]`` for canonical CSR by a raw-array gather.
+
+    Same rows, same entry order as scipy's fancy row indexing, without
+    its per-call index validation — which costs more than the gather
+    itself when *rows* is a handful of a large matrix's rows.
+    """
+    indptr = matrix.indptr
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    sub_indptr = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(lengths, out=sub_indptr[1:])
+    entries = np.arange(sub_indptr[-1], dtype=indptr.dtype) + np.repeat(
+        starts - sub_indptr[:-1], lengths
+    )
+    return _canonical_csr(
+        matrix.data[entries],
+        matrix.indices[entries],
+        sub_indptr,
+        (rows.size, matrix.shape[1]),
+    )
+
+
+def add_delta(matrix: sp.csr_matrix, delta: sp.csr_matrix) -> sp.csr_matrix:
+    """``matrix + delta`` as a new canonical CSR matrix, at the delta's cost.
+
+    The one sparse add of the commit path (changed relations, their
+    cached transposes, every maintained engine product).  **Invariant:**
+    every matrix the commit path installs is canonical CSR — sorted,
+    duplicate-free indices and no stored zeros; both operands must be,
+    and the result is (and is flagged so, which spares scipy's O(nnz)
+    re-check on the next add).  Neither operand is written to.
+
+    The sum is computed on the delta's non-empty rows only and those
+    rows are *spliced* into one contiguous copy of the old arrays, so
+    the work is that copy plus O(rows the delta touches) instead of a
+    merge over all of *matrix*.  Every cell is the same single float
+    addition ``a + d`` scipy's whole-matrix add performs, so the arrays
+    equal ``(matrix + delta)`` after ``eliminate_zeros()`` bit for bit.
+    Stored zeros can only arise where the delta is negative (an exact
+    cancellation), so the prune runs only then.
+
+    The splice pays a python-level slice per touched row where the whole
+    add pays a merge per stored entry, so it cannot win on a small
+    matrix or a wide delta, and the choice is made here from the two
+    sizes.  Measured once on the benchmark box (6 000-row matrices of
+    5k-450k entries, 1-2 000 touched rows of 4 delta cells, median of
+    25): against the whole add the splice saves ~1.7 ns per stored entry
+    (3.0 ns merged vs 1.3 ns copied) and costs ~0.03 ms more up front
+    plus ~2 us per touched row.  Hence: splice iff
+    ``nnz > 20 000 + 1 200 * rows``.  A localized edit (tens of rows of
+    a 10^5-entry product) splices at a third to a half of the add's
+    cost; a bulk-ingest chunk (a quarter of all rows) keeps the add.
+    """
+    rows = nonempty_rows(delta)
+    if rows.size == 0:
+        return matrix
+    # Operands that break the invariant only ever meet scipy's general add.
+    canonical = matrix.has_canonical_format and delta.has_canonical_format
+    if canonical and matrix.nnz > 20_000 + 1_200 * rows.size:
+        return _splice_rows(matrix, delta, rows)
+    out = (matrix + delta).tocsr()
+    if delta.data.min() < 0:
+        out.eliminate_zeros()
+    if canonical:
+        out.has_canonical_format = True
+    return out
+
+
+def _splice_rows(
+    matrix: sp.csr_matrix, delta: sp.csr_matrix, rows: np.ndarray
+) -> sp.csr_matrix:
+    """The splice side of :func:`add_delta`: *rows* are *delta*'s
+    non-empty rows (at least one), both operands canonical."""
+    patched = _take_rows(matrix, rows) + _take_rows(delta, rows)
+    if delta.data.min() < 0:
+        patched.eliminate_zeros()
+    indptr = matrix.indptr
+    lengths = np.diff(indptr)
+    lengths[rows] = np.diff(patched.indptr)
+    new_indptr = np.zeros(indptr.size, dtype=np.int64)
+    np.cumsum(lengths, out=new_indptr[1:])
+    # Interleave the untouched runs of the old arrays with the patched
+    # rows; the slices are views, the two concatenates are the copy.
+    starts, stops = indptr[rows].tolist(), indptr[rows + 1].tolist()
+    cuts = patched.indptr.tolist()
+    index_runs, data_runs = [], []
+    at = 0
+    for k, start in enumerate(starts):
+        row = slice(cuts[k], cuts[k + 1])
+        index_runs += (matrix.indices[at:start], patched.indices[row])
+        data_runs += (matrix.data[at:start], patched.data[row])
+        at = stops[k]
+    index_runs.append(matrix.indices[at:])
+    data_runs.append(matrix.data[at:])
+    return _canonical_csr(
+        np.concatenate(data_runs), np.concatenate(index_runs), new_indptr, matrix.shape
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.datasets import make_dblp_four_area
 from repro.engine import MetaPathEngine
@@ -137,7 +138,10 @@ class TestFallbacks:
         # replaying it must change nothing and say so.
         size = engine.cache_info().currsize
         report = engine.apply_update(applied)
-        assert report == {"updated": 0, "padded": 0, "evicted": 0, "kept": size}
+        assert report == {
+            "updated": 0, "padded": 0, "evicted": 0, "kept": size,
+            "rows_touched": 0, "rows_total": 0,
+        }
         assert engine.cache_info().currsize == size
         assert_engine_matches_rebuild(engine, bib, [APA])
 
@@ -206,3 +210,142 @@ class TestDblpEndToEnd:
             assert engine.pathsim_top_k(VPAPV, q, 5) == fresh.pathsim_top_k(
                 VPAPV, q, 5
             )
+
+
+HOT_PATHS = ["A-P-A", "A-P-V-P-A", "A-P-T-P-A", "A-P-A-P-A"]
+
+
+def _cold_product(hin, steps):
+    """The chain product over *steps*, multiplied out from the relations."""
+    m = None
+    for name, forward in steps:
+        step = hin.relation_matrix(name)
+        step = step if forward else step.T.tocsr()
+        m = step if m is None else m @ step
+    m = m.tocsr()
+    m.sum_duplicates()
+    return m
+
+
+def _assert_same_arrays(got, want, what):
+    assert got.shape == want.shape, what
+    assert np.array_equal(got.indptr, want.indptr), what
+    assert np.array_equal(got.indices, want.indices), what
+    assert np.array_equal(got.data, want.data), what
+    # The commit path's invariant, re-derived from the arrays rather
+    # than read from the flag the path itself sets.
+    unflagged = sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape)
+    assert unflagged.has_canonical_format and 0 not in got.data, what
+
+
+def _assert_everything_matches_cold_rebuild(hin, engine):
+    entries = dict(engine.snapshot_entries())
+    assert entries
+    for (kind, steps), value in entries.items():
+        if kind == "product":
+            _assert_same_arrays(value, _cold_product(hin, steps), (kind, steps))
+        else:
+            w, diag = value
+            cold = _cold_product(hin, steps[: len(steps) // 2])
+            _assert_same_arrays(w, cold, (kind, steps))
+            cold_diag = np.asarray(cold.multiply(cold).sum(axis=1)).ravel()
+            assert np.array_equal(diag, cold_diag), (kind, steps)
+    for rel in hin.schema.relations:
+        _assert_same_arrays(
+            hin.oriented_matrix(rel.name, False),
+            hin.relation_matrix(rel.name).T.tocsr(),
+            rel.name,
+        )
+    # One half product under two keys is one object, patched once.
+    apa = (("writes", True), ("writes", False))
+    assert entries[("product", apa)] is entries[("pathsim", apa + apa)][0]
+
+
+class TestSpliceSizedNetwork:
+    """The oracles above run on products of a few hundred entries, where
+    every patch takes the whole-matrix add; this network is big enough
+    that one commit stream crosses the size rule in both directions."""
+
+    def test_stream_matches_rebuild_on_both_sides_of_the_crossover(self, monkeypatch):
+        from repro.engine import engine as engine_module
+        from repro.networks import hin as hin_module
+        from repro.utils import sparse
+
+        spliced, added = set(), set()
+        real_splice, real_add = sparse._splice_rows, sparse.add_delta
+
+        def spy_splice(matrix, delta, rows):
+            spliced.add(matrix.shape)
+            return real_splice(matrix, delta, rows)
+
+        def spy_add(matrix, delta):
+            if delta.nnz:
+                added.add(matrix.shape)
+            return real_add(matrix, delta)
+
+        monkeypatch.setattr(sparse, "_splice_rows", spy_splice)
+        monkeypatch.setattr(engine_module, "add_delta", spy_add)
+        monkeypatch.setattr(hin_module, "add_delta", spy_add)
+
+        hin = make_dblp_four_area(
+            authors_per_area=300, papers_per_area=1500, seed=0
+        ).hin
+        engine = hin.engine()
+        engine.prewarm(HOT_PATHS)
+        for rel in hin.schema.relations:  # cache every transpose, as readers do
+            hin.oriented_matrix(rel.name, False)
+        writes = hin.relation_matrix("writes")
+        mentions = hin.relation_matrix("mentions")
+        n_a, n_p, n_t = (hin.node_count(t) for t in ("author", "paper", "term"))
+
+        def own(author):
+            return [int(p) for p in writes[author].indices]
+
+        term_of_11 = int(mentions[11].indices[0])
+        localized = UpdateBatch()  # three authors, two papers' terms
+        localized.add_edges("writes", [(5, 11), (6, 11), (7, 12), (5, own(6)[0])])
+        localized.set_weights("mentions", [(11, term_of_11, 3.0), (12, 0, 2.0)])
+        growth = UpdateBatch()  # two new papers, linked on every relation
+        growth.add_nodes("paper", ["grown_0", "grown_1"])
+        growth.add_edges("writes", [(5, n_p), (8, n_p), (8, n_p + 1)])
+        growth.add_edges("published_in", [(n_p, 3), (n_p + 1, 3)])
+        growth.add_edges("mentions", [(n_p, 0), (n_p, 7), (n_p + 1, 7)])
+        deletes = UpdateBatch()  # down to emptied rows and exact cancellations
+        deletes.remove_edges("writes", [(9, p) for p in own(9)] + [(5, 11), (8, n_p + 1)])
+        deletes.remove_edges("mentions", [(11, term_of_11)])
+        deletes.set_weights("writes", [(10, own(10)[0], 2.0)])
+        stream = [localized, growth, deletes]
+        for batch in stream:
+            hin.apply(batch)
+            _assert_everything_matches_cold_rebuild(hin, engine)
+        assert (n_a, n_t) in spliced, "the A-P-T half product never took the splice"
+        assert (n_p, n_t) in spliced and (n_t, n_p) in spliced  # mentions, transposed
+        assert (n_a, 20) in added - spliced, "A-P-V never took the whole add"
+
+
+class TestCommitReach:
+    def test_rows_touched_stay_flat_while_the_network_grows(self):
+        """ROADMAP gate: the rows a commit rewrites follow the batch's
+        reach, asserted at three network sizes (1.5k / 3k / 6k authors)."""
+        edges = [(a, p) for a in range(5) for p in range(a, a + 4)]
+        reports = []
+        for authors_per_area in (375, 750, 1500):
+            hin = make_dblp_four_area(
+                authors_per_area=authors_per_area,
+                papers_per_area=3 * authors_per_area,
+                seed=7,
+            ).hin
+            engine = MetaPathEngine(hin)  # detached: gets the receipt once, here
+            engine.prewarm(HOT_PATHS)
+            applied = hin.apply(UpdateBatch().add_edges("writes", edges))
+            reports.append(engine.apply_update(applied))
+        small, mid, large = reports
+        assert small["updated"] == mid["updated"] == large["updated"] == 7
+        for report, n_authors in zip(reports, (1500, 3000, 6000)):
+            assert report["rows_total"] == 7 * n_authors
+        touched = [r["rows_touched"] for r in reports]
+        # 5 edited authors per entry, plus their co-authors where a path
+        # walks back through papers: the batch's reach, not the network.
+        assert min(touched) >= 7 * 5
+        assert max(touched) <= 2 * min(touched), touched
+        assert max(touched) * 100 < large["rows_total"]

@@ -319,6 +319,22 @@ class TestTouchedRows:
         assert np.array_equal(delta.touched_sources, [0, 1])
         assert np.array_equal(delta.touched_targets, [0, 1])
 
+    def test_touched_indices_equal_the_coo_round_trip_they_replaced(self, bib):
+        applied = bib.apply(
+            UpdateBatch()
+            .add_nodes("paper", 2)
+            .add_edges("writes", [(1, 4), (0, 3), (1, 0), (0, 4)])
+            .remove_edges("writes", [(0, 1)])
+        )
+        delta = applied.deltas["writes"]
+        coo = delta.delta.tocoo()
+        for got, want in (
+            (delta.touched_sources, np.unique(coo.row.astype(np.int64))),
+            (delta.touched_targets, np.unique(coo.col.astype(np.int64))),
+        ):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
     def test_touched_rows_unions_source_and_target_sides(self, bib):
         applied = bib.apply(
             UpdateBatch()
@@ -335,6 +351,51 @@ class TestTouchedRows:
         applied = bib.apply(UpdateBatch().add_edges("writes", [(1, 0)]))
         rows = applied.touched_rows("venue")
         assert rows.size == 0 and rows.dtype == np.int64
+
+
+class TestTransposeMaintenance:
+    def test_cached_transpose_rides_the_receipt_and_is_replaced_not_dropped(self, bib):
+        before = bib.oriented_matrix("writes", False)
+        applied = bib.apply(
+            UpdateBatch().add_edges("writes", [(1, 0)]).remove_edges("writes", [(0, 1)])
+        )
+        assert applied.deltas["writes"].old_transposed is before
+        after = bib._transposes["writes"]  # installed by the commit, no reader asked
+        assert after is not before
+        want = bib.relation_matrix("writes").T.tocsr()
+        assert np.array_equal(after.indptr, want.indptr)
+        assert np.array_equal(after.indices, want.indices)
+        assert np.array_equal(after.data, want.data)
+
+    def test_uncached_or_resized_transposes_keep_the_lazy_drop(self, bib):
+        applied = bib.apply(UpdateBatch().add_edges("writes", [(1, 0)]))
+        assert applied.deltas["writes"].old_transposed is None  # nobody had asked
+        bib.oriented_matrix("writes", False)
+        applied = bib.apply(
+            UpdateBatch().add_nodes("paper", 1).add_edges("writes", [(1, 3)])
+        )
+        assert applied.deltas["writes"].old_transposed is None
+        assert "writes" not in bib._transposes
+        assert (
+            bib.oriented_matrix("writes", False) != bib.relation_matrix("writes").T
+        ).nnz == 0
+
+    def test_receipt_without_a_transpose_still_maintains_the_engine(self, bib):
+        from repro.engine import MetaPathEngine
+        from repro.networks.updates import AppliedUpdate, RelationDelta
+
+        path = "author-paper-author"  # its delta needs the old writes, transposed
+        engine = MetaPathEngine(bib, delta_rebuild_threshold=1.0)
+        engine.commuting_matrix(path)
+        applied = bib.apply(UpdateBatch().add_edges("writes", [(1, 0), (0, 2)]))
+        d = applied.deltas["writes"]
+        bare = AppliedUpdate(
+            applied.epoch,
+            {"writes": RelationDelta("writes", d.old, d.new, d.delta, d.source, d.target)},
+        )
+        assert engine.apply_update(bare)["updated"] >= 1
+        fresh = MetaPathEngine(bib)
+        assert (engine.commuting_matrix(path) != fresh.commuting_matrix(path)).nnz == 0
 
 
 class TestTrustedConstruction:
