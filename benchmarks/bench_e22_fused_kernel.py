@@ -110,18 +110,17 @@ def _experiment():
         )
 
     # Serving lift (the E18-facing number): time-to-first-answer on a
-    # cold service.  mode="auto" picks the fused kernel on its own; the
-    # forced materialized run pays the half product before answering.
+    # cold service.  The engine's "auto" policy picks the fused kernel
+    # on its own; the materialized run prewarms inside the timer, paying
+    # the half product before answering.
     first_answer_ms = {}
-    for mode in ("materialize", None):  # None -> engine default "auto"
+    for mode in ("materialize", "auto"):
         with QueryService(hin) as svc:
             start = time.perf_counter()
-            answer = svc.similar(
-                QUERIES[0], PATHS[0], K, mode=mode
-            ).result(timeout=300)
-            first_answer_ms["auto" if mode is None else mode] = (
-                time.perf_counter() - start
-            ) * 1000.0
+            if mode == "materialize":
+                svc.prewarm(PATHS[0])
+            answer = svc.similar(QUERIES[0], PATHS[0], K).result(timeout=300)
+            first_answer_ms[mode] = (time.perf_counter() - start) * 1000.0
             identical = identical and (
                 list(answer)
                 == list(

@@ -30,9 +30,11 @@ The engine fixes this with four ideas:
    in the association order a matrix-chain DP picks from per-relation
    statistics (:mod:`repro.engine.planner`), seeded from cached
    prefixes, suffixes, infixes and reversed-path (transpose) entries —
-   association never changes the answer, only the cost.  The ``plan=``
-   knob (engine-wide or per call) selects ``"auto"`` (default) or
-   ``"left"`` (the historical strict left-to-right order).
+   association never changes the answer, only the cost.  The policy is
+   a property of the engine, fixed at construction:
+   ``MetaPathEngine(hin, plan="auto")`` (default) or ``plan="left"``
+   (strict left-to-right order — the reference the planner is tested
+   against).
 5. **Incremental maintenance.**  When the network mutates
    (``hin.apply()``/``hin.mutate()``), the update receipt reaches
    :meth:`MetaPathEngine.apply_update`, which patches every cached
@@ -138,14 +140,19 @@ class MetaPathEngine:
         engine evicts the cached products that traverse it (they rebuild
         lazily) instead of computing a delta denser than a rebuild.
     plan:
-        Default association-order policy for chain products: ``"auto"``
-        routes materializations through the cost-based planner
-        (:mod:`repro.engine.planner`); ``"left"`` preserves the
-        historical strict left-to-right order.  Either can be
-        overridden per call via the ``plan=`` keyword on
-        :meth:`commuting_matrix`, :meth:`pathsim_top_k` (and batch),
-        and the connectivity entry points.  Answers are identical
-        either way; only the evaluation cost differs.
+        Association-order policy for every chain product this engine
+        evaluates (:attr:`plan_mode`): ``"auto"`` routes
+        materializations through the cost-based planner
+        (:mod:`repro.engine.planner`); ``"left"`` is strict
+        left-to-right order, the reference implementation the planner
+        is tested against.  Chosen here and nowhere else — no query
+        method takes it.  Answers are identical either way; only the
+        evaluation cost differs.
+    mode:
+        PathSim top-k kernel policy (:attr:`topk_mode`): ``"auto"``
+        dispatches per request on cache state, ``"fused"`` /
+        ``"materialize"`` pin one kernel (see :meth:`pathsim_top_k`).
+        Answers are bit-identical across kernels.
 
     Example
     -------
@@ -305,16 +312,10 @@ class MetaPathEngine:
             self._cache.put(key, cached)
         return cached
 
-    def _plan_mode(self, plan) -> str:
-        """Resolve a per-call ``plan=`` override against the engine default."""
-        mode = self.plan_mode if plan is None else plan
-        if mode not in ("auto", "left"):
-            raise ValueError(f"plan must be 'auto' or 'left', got {mode!r}")
-        return mode
-
-    def _product_for(self, steps: tuple, mode: str) -> sp.csr_matrix:
-        """Cached chain product over *steps* under association *mode*."""
-        if mode == "left":
+    def _product_for(self, steps: tuple) -> sp.csr_matrix:
+        """Cached chain product over *steps*, in the association order
+        the engine's :attr:`plan_mode` selects."""
+        if self.plan_mode == "left":
             return self._product(steps)
         return self._planner.materialize(steps)
 
@@ -328,15 +329,16 @@ class MetaPathEngine:
             return "materialize", False
         return "fused", True
 
-    def _topk_kernel(self, mode: str | None, mp: MetaPath, nq: int) -> str:
-        """Resolve a per-call ``mode=`` override to the kernel to run.
+    def _topk_kernel(self, mp: MetaPath, nq: int, mode: str | None = None) -> str:
+        """The kernel to run for *nq* more queries on *mp*: the engine's
+        :attr:`topk_mode` (or :meth:`pathsim_top_k`'s per-call *mode*).
 
-        ``"fused"`` and ``"materialize"`` are forced; ``"auto"`` (or
-        ``None`` → the engine's :attr:`topk_mode`) picks materialized
-        when the path's PathSim entry is already cached, fused while the
-        path is cold — until :attr:`fused_auto_threshold` answers have
-        gone through fused, after which the path is deemed hot and auto
-        materializes (one SpGEMM that every later query amortizes).
+        ``"fused"`` and ``"materialize"`` are forced; ``"auto"`` picks
+        materialized when the path's PathSim entry is already cached,
+        fused while the path is cold — until
+        :attr:`fused_auto_threshold` answers have gone through fused,
+        after which the path is deemed hot and auto materializes (one
+        SpGEMM that every later query amortizes).
         Answers are bit-identical either way; only the cost differs.
         """
         self._sync()
@@ -355,16 +357,14 @@ class MetaPathEngine:
         return chosen
 
     @_reader
-    def commuting_matrix(self, path, *, plan: str | None = None) -> sp.csr_matrix:
+    def commuting_matrix(self, path) -> sp.csr_matrix:
         """The commuting matrix ``M_P``, materialized once and cached.
 
         Symmetric paths are built as ``W W^T`` from the cached half
         product; asymmetric paths as the cached chain product in the
-        association order *plan* selects (``"auto"``/``"left"``,
-        default the engine's :attr:`plan_mode`).
+        association order the engine's :attr:`plan_mode` selects.
         """
         self._sync()
-        mode = self._plan_mode(plan)
         mp = self.path(path)
         steps = tuple(mp.steps())
         key = ("product", mp.canonical_key())
@@ -372,10 +372,10 @@ class MetaPathEngine:
         if cached is not None:
             return cached
         if mp.is_symmetric():
-            w = self._product_for(steps[: len(steps) // 2], mode)
+            w = self._product_for(steps[: len(steps) // 2])
             m = _canonical(w.dot(w.T).tocsr())
         else:
-            m = self._product_for(steps, mode)
+            m = self._product_for(steps)
         self._cache.put(key, m)
         return m
 
@@ -390,7 +390,7 @@ class MetaPathEngine:
         """
         return self.hin.matrix_between(source, target)
 
-    def _pathsim_parts(self, path, plan: str | None = None):
+    def _pathsim_parts(self, path):
         """``(W, diag)`` for a symmetric path: the half product and the
         commuting matrix's diagonal (row-wise squared norms of ``W``) —
         all a PathSim query needs.
@@ -400,28 +400,27 @@ class MetaPathEngine:
         *reversed* spellings: a cached ``A-P-V`` product answers the
         ``V-P-A`` half as its transpose instead of recomputing."""
         self._sync()
-        mode = self._plan_mode(plan)
         mp = self.symmetric_path(path)
         key = ("pathsim", mp.canonical_key())
 
         def compute():
             """Materialize the half product and its row-norm diagonal."""
             steps = tuple(mp.steps())
-            w = self._product_for(steps[: len(steps) // 2], mode).tocsr()
+            w = self._product_for(steps[: len(steps) // 2]).tocsr()
             diag = np.asarray(w.multiply(w).sum(axis=1)).ravel()
             return w, diag
 
         return self._cache.get_or_compute(key, compute)
 
     @_reader
-    def prewarm(self, paths: Sequence, *, plan: str | None = None) -> "MetaPathEngine":
+    def prewarm(self, paths: Sequence) -> "MetaPathEngine":
         """Materialize *paths* up front (symmetric ones as PathSim parts)."""
         for spec in paths:
             mp = self.path(spec)
             if mp.is_symmetric():
-                self._pathsim_parts(mp, plan)
+                self._pathsim_parts(mp)
             else:
-                self.commuting_matrix(mp, plan=plan)
+                self.commuting_matrix(mp)
         return self
 
     # ------------------------------------------------------------------
@@ -438,21 +437,19 @@ class MetaPathEngine:
         return float(kernels.pathsim_scores(m_ij, diag[i] + diag[j]))
 
     @_reader
-    def pathsim_row(self, path, query, *, plan: str | None = None) -> np.ndarray:
+    def pathsim_row(self, path, query) -> np.ndarray:
         """Dense PathSim scores from *query* to every peer.
 
         Exploits symmetry: ``M[i, :] = W (W[i, :])^T``, one CSR
         matrix-vector product — the full n x n matrix is never formed.
         """
         mp = self.symmetric_path(path)
-        w, diag = self._pathsim_parts(mp, plan)
+        w, diag = self._pathsim_parts(mp)
         i = self._resolve(mp.source_type, query)
         return kernels.pathsim_solo(w, diag, kernels.dense_row(w, i), diag[i])
 
     @_reader
-    def pathsim_partial(
-        self, path, query, candidates, *, plan: str | None = None
-    ) -> np.ndarray:
+    def pathsim_partial(self, path, query, candidates) -> np.ndarray:
         """PathSim scores from *query* to just the *candidates* rows.
 
         Bit-identical to ``pathsim_row(path, query)[candidates]``: CSR
@@ -470,11 +467,9 @@ class MetaPathEngine:
             Query object — name or index of the path's source type.
         candidates:
             Row indices to score (need not be sorted or unique).
-        plan:
-            Association-order override for the materialization.
         """
         mp = self.symmetric_path(path)
-        w, diag = self._pathsim_parts(mp, plan)
+        w, diag = self._pathsim_parts(mp)
         i = self._resolve(mp.source_type, query)
         idx = np.asarray(candidates, dtype=np.int64)
         if idx.size == 0:
@@ -484,10 +479,7 @@ class MetaPathEngine:
         )
 
     @_reader
-    def pathsim_partial_block(
-        self, path, queries, candidates, *,
-        plan: str | None = None, mode: str | None = None,
-    ) -> np.ndarray:
+    def pathsim_partial_block(self, path, queries, candidates) -> np.ndarray:
         """Batched :meth:`pathsim_partial`: one ``(len(queries),
         len(candidates))`` score block.
 
@@ -499,18 +491,18 @@ class MetaPathEngine:
         update's touched candidates for every watch on the same path in
         a single sparse product.
 
-        ``mode`` picks the kernel like :meth:`pathsim_top_k` does;
-        ``"auto"`` keeps a cold path cold (threaded rows via
+        The kernel follows the engine's :attr:`topk_mode` like
+        :meth:`pathsim_top_k`; ``"auto"`` keeps a cold path cold
+        (threaded rows via
         :func:`~repro.engine.fused.fused_partial_block`) instead of
         forcing the half product into the cache for delta-sized work.
         """
-        pmode = self._plan_mode(plan)
         mp = self.symmetric_path(path)
-        kernel = self._topk_kernel(mode, mp, 0)
+        kernel = self._topk_kernel(mp, 0)
         if kernel == "fused":
             rows = [self._resolve(mp.source_type, q) for q in queries]
-            return fused_partial_block(self, mp, rows, candidates, pmode)
-        w, diag = self._pathsim_parts(mp, pmode)
+            return fused_partial_block(self, mp, rows, candidates)
+        w, diag = self._pathsim_parts(mp)
         rows = np.array(
             [self._resolve(mp.source_type, q) for q in queries],
             dtype=np.int64,
@@ -521,18 +513,18 @@ class MetaPathEngine:
         return kernels.pathsim_partial(w, diag, idx, w[rows], diag[rows])
 
     @_reader
-    def pathsim_rows(self, path, queries, *, plan: str | None = None) -> np.ndarray:
+    def pathsim_rows(self, path, queries) -> np.ndarray:
         """Batched :meth:`pathsim_row`: one ``(len(queries), n)`` score
         block from a single sparse-times-dense block product."""
         mp = self.symmetric_path(path)
-        w, diag = self._pathsim_parts(mp, plan)
+        w, diag = self._pathsim_parts(mp)
         idx = np.array(
             [self._resolve(mp.source_type, q) for q in queries], dtype=np.int64
         )
         return kernels.pathsim_block(w, diag, w[idx], diag[idx])
 
     @_reader
-    def pathsim_query_rows(self, path, queries, *, plan: str | None = None):
+    def pathsim_query_rows(self, path, queries):
         """Scatter payload for shard-distributed PathSim top-k.
 
         Returns ``(indices, rows, diag)``: the resolved query indices,
@@ -552,11 +544,9 @@ class MetaPathEngine:
             A symmetric meta-path (any spelling).
         queries:
             Query objects — names or indices of the path's source type.
-        plan:
-            Association-order override for the materialization.
         """
         mp = self.symmetric_path(path)
-        w, diag = self._pathsim_parts(mp, plan)
+        w, diag = self._pathsim_parts(mp)
         idx = np.array(
             [self._resolve(mp.source_type, q) for q in queries],
             dtype=np.int64,
@@ -575,7 +565,7 @@ class MetaPathEngine:
     @_reader
     def pathsim_top_k(
         self, path, query, k: int, *, exclude_query: bool = True,
-        plan: str | None = None, mode: str | None = None,
+        mode: str | None = None,
     ) -> TopKResult:
         """Top-*k* peers of *query* under *path*: a
         :class:`~repro.query.results.TopKResult` of ``(name, score)``
@@ -583,55 +573,60 @@ class MetaPathEngine:
 
         Results (including tie-breaking) are identical to ranking the full
         dense PathSim row with a stable sort; only the work differs.
-        ``plan`` picks the association order for the materialization
-        (the answer is the same either way; see :attr:`plan_mode`).
-        ``mode`` picks the kernel: ``"materialize"`` serves from the
-        cached symmetric decomposition, ``"fused"`` threads the query
-        row through the relation chain without materializing it
-        (:mod:`repro.engine.fused`), ``"auto"``/``None`` dispatches on
-        cache state (see :meth:`_topk_kernel`).  The kernel that ran is
+        The kernel follows the engine's :attr:`topk_mode`:
+        ``"materialize"`` serves from the cached symmetric
+        decomposition, ``"fused"`` threads the query row through the
+        relation chain without materializing it
+        (:mod:`repro.engine.fused`), ``"auto"`` dispatches on cache
+        state (see :meth:`_topk_kernel`).  The kernel that ran is
         reported as ``result.mode``; answers are bit-identical.
+
+        ``mode`` overrides :attr:`topk_mode` for this call.  It is the
+        one per-call "how" left in the library and exists for a single
+        caller, ``benchmarks/perf/layers.py`` (``engine.first_touch``
+        forces ``"fused"`` on a shared engine), which a non-benchmark
+        change may not edit; it goes the next time the benchmark
+        contract is opened.  Everything else constructs the engine
+        with the kernel it wants.
         """
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        pmode = self._plan_mode(plan)
         mp = self.symmetric_path(path)
         i = self._resolve(mp.source_type, query)
-        kernel = self._topk_kernel(mode, mp, 1)
+        kernel = self._topk_kernel(mp, 1, mode)
         if kernel == "fused":
             # The kernel prunes to exactly what _select consumes: the
             # top `need` positions (k plus the self-exclusion slot).
             scores = fused_row_scores(
-                self, mp, i, pmode, need=k + 1 if exclude_query else k
+                self, mp, i, need=k + 1 if exclude_query else k
             )
         else:
-            scores = self.pathsim_row(mp, i, plan=pmode)
+            scores = self.pathsim_row(mp, i)
         return self._select(
             scores, mp, mp.source_type, i, k, exclude_query, "pathsim",
-            plan=pmode, mode=kernel,
+            mode=kernel,
         )
 
     @_reader
     def pathsim_top_k_batch(
-        self, path, queries, k: int, *, exclude_query: bool = True,
-        plan: str | None = None, mode: str | None = None,
+        self, path, queries, k: int, *, exclude_query: bool = True
     ) -> list[TopKResult]:
         """:meth:`pathsim_top_k` for many queries with one block product
-        (``mode="fused"`` runs the blocked fused kernel instead)."""
+        (the blocked fused kernel when the engine's :attr:`topk_mode`
+        picks fused)."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        pmode = self._plan_mode(plan)
         mp = self.symmetric_path(path)
         idx = [self._resolve(mp.source_type, q) for q in queries]
-        kernel = self._topk_kernel(mode, mp, len(idx))
+        kernel = self._topk_kernel(mp, len(idx))
         if kernel == "fused":
-            block = fused_block_scores(self, mp, idx, pmode)
+            block = fused_block_scores(self, mp, idx)
         else:
-            block = self.pathsim_rows(mp, idx, plan=pmode)
+            block = self.pathsim_rows(mp, idx)
         return [
             self._select(
                 block[row], mp, mp.source_type, i, k, exclude_query, "pathsim",
-                plan=pmode, mode=kernel,
+                mode=kernel,
             )
             for row, i in enumerate(idx)
         ]
@@ -645,7 +640,6 @@ class MetaPathEngine:
         k: int,
         exclude: bool,
         measure: str,
-        plan: str | None = None,
         mode: str | None = None,
     ) -> TopKResult:
         need = k + 1 if exclude else k
@@ -660,7 +654,6 @@ class MetaPathEngine:
             path=str(mp),
             measure=measure,
             network_version=getattr(self.hin, "version", None),
-            plan=plan,
             mode=mode,
         )
 
@@ -668,7 +661,7 @@ class MetaPathEngine:
     # Connectivity (path count) serving — works for asymmetric paths too
     # ------------------------------------------------------------------
     @_reader
-    def connectivity_row(self, path, query, *, plan: str | None = None) -> np.ndarray:
+    def connectivity_row(self, path, query) -> np.ndarray:
         """Path-instance counts from *query* to every target-type object.
 
         Slices the cached commuting matrix when available; otherwise
@@ -679,7 +672,6 @@ class MetaPathEngine:
         or reversed spelling) at each position instead of raw steps.
         """
         self._sync()
-        mode = self._plan_mode(plan)
         mp = self.path(path)
         i = self._resolve(mp.source_type, query)
         key = mp.canonical_key()
@@ -693,7 +685,7 @@ class MetaPathEngine:
             # A PathSim-warmed symmetric path: M[i, :] = W (W[i, :])^T.
             w, _ = pathsim
             return w.dot(kernels.dense_row(w, i))
-        if mode == "auto":
+        if self.plan_mode == "auto":
             mats = self._planner.row_chain(tuple(mp.steps()))
         else:
             mats = self.hin.step_matrices(mp)
@@ -704,8 +696,7 @@ class MetaPathEngine:
 
     @_reader
     def top_k_connectivity(
-        self, path, query, k: int, *, exclude_query: bool = False,
-        plan: str | None = None,
+        self, path, query, k: int, *, exclude_query: bool = False
     ) -> TopKResult:
         """Top-*k* target objects by path-instance count from *query*.
 
@@ -714,7 +705,6 @@ class MetaPathEngine:
         """
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        mode = self._plan_mode(plan)
         mp = self.path(path)
         i = self._resolve(mp.source_type, query)
         if exclude_query and mp.source_type != mp.target_type:
@@ -722,10 +712,9 @@ class MetaPathEngine:
                 f"exclude_query needs a round-trip path, got "
                 f"{mp.source_type!r} -> {mp.target_type!r}"
             )
-        scores = self.connectivity_row(mp, i, plan=mode)
+        scores = self.connectivity_row(mp, i)
         return self._select(
-            scores, mp, mp.target_type, i, k, exclude_query, "connectivity",
-            plan=mode,
+            scores, mp, mp.target_type, i, k, exclude_query, "connectivity"
         )
 
     # ------------------------------------------------------------------
@@ -1181,7 +1170,7 @@ class MetaPathEngine:
         return self._cache.info()
 
     @_reader
-    def explain(self, path, *, plan: str | None = None) -> PlanReport:
+    def explain(self, path) -> PlanReport:
         """The association plan a materialization of *path* would use.
 
         Returns a :class:`~repro.engine.planner.PlanReport` — the chosen
@@ -1196,14 +1185,13 @@ class MetaPathEngine:
         the full chain.
         """
         self._sync()
-        mode = self._plan_mode(plan)
         mp = self.path(path)
         steps = tuple(mp.steps())
         symmetric = mp.is_symmetric()
         if symmetric:
             steps = steps[: len(steps) // 2]
         report = self._planner.report(
-            steps, mode=mode, path=str(mp), symmetric=symmetric
+            steps, mode=self.plan_mode, path=str(mp), symmetric=symmetric
         )
         if symmetric:
             # Which top-k kernel auto-dispatch would run right now

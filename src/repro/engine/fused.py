@@ -13,8 +13,8 @@ source object — before it can answer even one query.  For a *cold* path
 This module computes both by *threading rows through the relation
 chain*: the query row enters the first step matrix as a CSR row slice
 and each subsequent step is a thin sparse product, so cost is
-proportional to the rows' reach, never the network.  Under
-``plan="auto"`` the chains come from
+proportional to the rows' reach, never the network.  On a
+``plan="auto"`` engine the chains come from
 :meth:`~repro.engine.planner.ChainPlanner.row_chain`, which collapses
 the longest cached spans (forward or inverse spelling) into single
 matrices — the fused kernel reuses whatever the planner already
@@ -57,16 +57,16 @@ __all__ = [
 ]
 
 
-def _half_chains(engine, mp, plan: str):
+def _half_chains(engine, mp):
     """``(first, second)`` matrix chains for *mp*'s two symmetric halves.
 
     ``first`` multiplies out to the half product ``W`` (values), and
     ``second`` to ``Wᵀ``; threading a row through ``first + second``
-    yields the commuting-matrix row.  Under ``plan="auto"`` each half
-    goes through the planner's cached-span collapse."""
+    yields the commuting-matrix row.  On a ``plan="auto"`` engine each
+    half goes through the planner's cached-span collapse."""
     steps = tuple(mp.steps())
     half = len(steps) // 2
-    if plan == "auto":
+    if engine.plan_mode == "auto":
         return (
             engine._planner.row_chain(steps[:half]),
             engine._planner.row_chain(steps[half:]),
@@ -107,10 +107,10 @@ def _row_norms(block) -> np.ndarray:
     return out
 
 
-def fused_block_scores(engine, mp, idx, plan: str) -> np.ndarray:
+def fused_block_scores(engine, mp, idx) -> np.ndarray:
     """Dense ``(len(idx), n)`` PathSim score block, fused.
 
-    Bit-identical to ``engine.pathsim_rows(mp, idx, plan=plan)`` without
+    Bit-identical to ``engine.pathsim_rows(mp, idx)`` without
     materializing ``W`` or ``M``: the blocked generalization of the
     single-source kernel (the seed is a multi-row slice instead of one
     row).
@@ -119,7 +119,7 @@ def fused_block_scores(engine, mp, idx, plan: str) -> np.ndarray:
     n = engine.hin.node_count(mp.source_type)
     if idx.size == 0:
         return np.zeros((0, n))
-    first, second = _half_chains(engine, mp, plan)
+    first, second = _half_chains(engine, mp)
     w_rows = _thread_rows(first, idx)  # the queries' rows of W
     diag_q = _row_norms(w_rows)
     num = w_rows
@@ -158,15 +158,12 @@ def _suffix_bound(v: float, diag_i: float) -> float:
     return (2.0 * v * diag_i) / (diag_i * diag_i + v * v) * (1.0 + 1e-9)
 
 
-def fused_row_scores(
-    engine, mp, i: int, plan: str, need: int | None = None
-) -> np.ndarray:
+def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     """Dense length-*n* PathSim scores from source *i*, fused.
 
-    With ``need=None``, bit-identical to
-    ``engine.pathsim_row(mp, i, plan=plan)`` at every position (``M[i,
-    i]`` — the query's own diagonal — falls out of the half-way
-    threading state).
+    With ``need=None``, bit-identical to ``engine.pathsim_row(mp, i)``
+    at every position (``M[i, i]`` — the query's own diagonal — falls
+    out of the half-way threading state).
 
     With ``need`` set, only enough candidates to determine the top
     *need* selection exactly are scored: candidates are visited in
@@ -179,7 +176,7 @@ def fused_row_scores(
     answers.
     """
     idx = np.array([i], dtype=np.int64)
-    first, second = _half_chains(engine, mp, plan)
+    first, second = _half_chains(engine, mp)
     w_q = _thread_rows(first, idx)
     diag_i = float(_row_norms(w_q)[0])
     num = w_q
@@ -232,7 +229,7 @@ def fused_row_scores(
     return scores
 
 
-def fused_partial_block(engine, mp, rows, candidates, plan: str) -> np.ndarray:
+def fused_partial_block(engine, mp, rows, candidates) -> np.ndarray:
     """Fused ``(len(rows), len(candidates))`` partial score block.
 
     Bit-identical to ``engine.pathsim_partial_block`` — the same
@@ -248,7 +245,7 @@ def fused_partial_block(engine, mp, rows, candidates, plan: str) -> np.ndarray:
     idx = np.asarray(candidates, dtype=np.int64)
     if rows.size == 0 or idx.size == 0:
         return np.zeros((rows.size, idx.size))
-    first, _ = _half_chains(engine, mp, plan)
+    first, _ = _half_chains(engine, mp)
     w_rows = _thread_rows(first, rows)
     w_cand = _thread_rows(first, idx)
     cached = engine._cache.get(("pathsim", mp.canonical_key()))

@@ -81,19 +81,13 @@ class TopKResult(QueryResult, list):
         The network's update epoch (``hin.version``) this answer was
         computed against — how a serving layer tells a pre-update answer
         from a post-update one (``None`` when unknown).
-    plan:
-        Association-order policy the engine used to materialize the
-        answer (``"auto"``/``"left"``; ``None`` when the producing
-        measure has no planned materialization).  Purely informational:
-        plans never change scores, only evaluation cost — see
-        ``engine.explain()`` for the full plan.
     mode:
         Top-k kernel that produced the answer: ``"fused"`` (the query
         rows were threaded through the relation chain, nothing
         materialized) or ``"materialize"`` (served from the cached
         symmetric decomposition); ``None`` when the producing measure
-        has no kernel choice.  Like ``plan``, purely informational —
-        the kernels are bit-identical.
+        has no kernel choice.  Purely informational — the kernels are
+        bit-identical.
     """
 
     def __init__(
@@ -105,7 +99,6 @@ class TopKResult(QueryResult, list):
         path: str | None = None,
         measure: str | None = None,
         network_version: int | None = None,
-        plan: str | None = None,
         mode: str | None = None,
     ):
         list.__init__(self, pairs)
@@ -114,7 +107,6 @@ class TopKResult(QueryResult, list):
         self.path = path
         self.measure = measure
         self.network_version = network_version
-        self.plan = plan
         self.mode = mode
 
     def top(self, n: int) -> list[tuple]:
@@ -144,8 +136,6 @@ class TopKResult(QueryResult, list):
                 for label, score in self
             ],
         }
-        if self.plan is not None:
-            out["plan"] = self.plan
         if self.mode is not None:
             out["mode"] = self.mode
         return out

@@ -92,7 +92,7 @@ class QuerySession:
         """Hit/miss/eviction counters of the shared materialization cache."""
         return self._engine.cache_info()
 
-    def explain(self, path, *, plan: str | None = None):
+    def explain(self, path):
         """Association plan a materialization of *path* would use.
 
         A :class:`~repro.engine.planner.PlanReport`: the chosen
@@ -101,7 +101,7 @@ class QuerySession:
         is materialized.  See ``docs/ARCHITECTURE.md`` → "Query
         planning".
         """
-        return self._engine.explain(self.path(path), plan=plan)
+        return self._engine.explain(self.path(path))
 
     # ------------------------------------------------------------------
     # Similarity queries
@@ -114,8 +114,6 @@ class QuerySession:
         *,
         measure: str = "pathsim",
         exclude_self: bool = True,
-        plan: str | None = None,
-        mode: str | None = None,
     ) -> TopKResult:
         """Top-*k* peers of *obj* under *path*.
 
@@ -123,17 +121,13 @@ class QuerySession:
         symmetric decomposition; ``measure="simrank"`` projects the
         round-trip path to a homogeneous graph, fits one SimRank index
         per path (default parameters, memoized in a small session LRU),
-        and answers from its matrix.  ``plan`` overrides the engine's
-        association-order policy for this call (``"auto"``/``"left"``;
-        pathsim only — scores are identical either way).  ``mode``
-        picks the pathsim top-k kernel (``"fused"``/``"materialize"``/
-        ``"auto"``; also score-identical — see
-        :meth:`~repro.engine.MetaPathEngine.pathsim_top_k`).
+        and answers from its matrix.  How a pathsim answer is computed
+        (association order, top-k kernel) is the engine's policy, chosen
+        at its construction; the kernel that ran is ``result.mode``.
         """
         if measure == "pathsim":
             return self._engine.pathsim_top_k(
-                self.path(path), obj, k, exclude_query=exclude_self,
-                plan=plan, mode=mode,
+                self.path(path), obj, k, exclude_query=exclude_self
             )
         if measure == "simrank":
             return self._simrank_top_k(obj, path, k, exclude_self=exclude_self)
@@ -142,13 +136,11 @@ class QuerySession:
         )
 
     def similar_batch(
-        self, objs, path, k: int = 10, *, exclude_self: bool = True,
-        plan: str | None = None, mode: str | None = None,
+        self, objs, path, k: int = 10, *, exclude_self: bool = True
     ) -> list[TopKResult]:
         """:meth:`similar` for many queries via one block product."""
         return self._engine.pathsim_top_k_batch(
-            self.path(path), objs, k, exclude_query=exclude_self,
-            plan=plan, mode=mode,
+            self.path(path), objs, k, exclude_query=exclude_self
         )
 
     def similarity(self, x, y, path) -> float:
@@ -160,13 +152,12 @@ class QuerySession:
         return self._engine.pathsim_matrix(self.path(path))
 
     def connected(
-        self, obj, path, k: int = 10, *, exclude_self: bool = False,
-        plan: str | None = None,
+        self, obj, path, k: int = 10, *, exclude_self: bool = False
     ) -> TopKResult:
         """Top-*k* target objects by path-instance count from *obj*
         (works for asymmetric paths; the raw-connectivity query)."""
         return self._engine.top_k_connectivity(
-            self.path(path), obj, k, exclude_query=exclude_self, plan=plan
+            self.path(path), obj, k, exclude_query=exclude_self
         )
 
     def watch(
@@ -177,7 +168,6 @@ class QuerySession:
         *,
         measure: str = "pathsim",
         exclude_self: bool | None = None,
-        plan: str | None = None,
     ):
         """Register a standing query: :meth:`similar` (or
         :meth:`connected`) kept perpetually answered under updates.
@@ -197,7 +187,6 @@ class QuerySession:
             k=k,
             measure=measure,
             exclude_self=exclude_self,
-            plan=plan,
         )
 
     def _simrank_top_k(

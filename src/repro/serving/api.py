@@ -16,15 +16,20 @@ A request has exactly one form, wherever it runs: ``(shape, obj)``.
 is not the query object — and *obj* is the query object (the ranking
 target, for ``rank``):
 
-======================================================  ===============
-shape                                                   built by
-======================================================  ===============
-``("pathsim", path, k, exclude, plan, mode)``           ``similar`` (PathSim)
-``("similar", path, k, measure, exclude, plan)``        ``similar`` (other measures)
-``("connected", path, k, exclude, plan)``               ``connected``
-``("rank", kwargs)``                                    ``rank``
-``("watch", path, k, measure, exclude, plan)``          ``watch``
-======================================================  ===============
+================================================  ===============
+shape                                             built by
+================================================  ===============
+``("pathsim", path, k, exclude)``                 ``similar`` (PathSim)
+``("similar", path, k, measure, exclude)``        ``similar`` (other measures)
+``("connected", path, k, exclude)``               ``connected``
+``("rank", kwargs)``                              ``rank``
+``("watch", path, k, measure, exclude)``          ``watch``
+================================================  ===============
+
+A shape says *what* was asked, never *how* to compute it: association
+order and top-k kernel are the serving engine's policy
+(``MetaPathEngine(hin, plan=..., mode=...)``), so two requests for the
+same answer are always the same request.
 
 The verbs below are the only builders of shapes and
 :func:`_execute_spec` their only interpreter, so this module is the one
@@ -52,7 +57,7 @@ __all__ = ["ServingAPI"]
 
 
 def _pathsim_fields(shape: tuple) -> tuple | None:
-    """``(path, k, exclude, plan, mode)`` of a PathSim top-k shape —
+    """``(path, k, exclude)`` of a PathSim top-k shape —
     the one op a single block product (or a scatter) answers for many
     query objects at once — else ``None``."""
     return shape[1:] if shape[0] == "pathsim" else None
@@ -71,27 +76,27 @@ def _execute_spec(state, shape: tuple, obj):
     itself, so the answer is computed at one epoch."""
     op, *args = shape
     if op == "pathsim":
-        path, k, exclude, plan, mode = args
+        path, k, exclude = args
         return state.engine.pathsim_top_k(
-            path, obj, k, exclude_query=exclude, plan=plan, mode=mode
+            path, obj, k, exclude_query=exclude
         )
     if op == "similar":
-        path, k, measure, exclude, plan = args
+        path, k, measure, exclude = args
         return state.hin.query().similar(
-            obj, path, k, measure=measure, exclude_self=exclude, plan=plan
+            obj, path, k, measure=measure, exclude_self=exclude
         )
     if op == "connected":
-        path, k, exclude, plan = args
+        path, k, exclude = args
         return state.engine.top_k_connectivity(
-            path, obj, k, exclude_query=exclude, plan=plan
+            path, obj, k, exclude_query=exclude
         )
     if op == "rank":
         (kwargs,) = args
         return state.hin.query().rank(obj, **dict(kwargs))
     if op == "watch":
-        path, k, measure, exclude, plan = args
+        path, k, measure, exclude = args
         return state.hin.watches().watch(
-            path, obj, k=k, measure=measure, exclude_self=exclude, plan=plan
+            path, obj, k=k, measure=measure, exclude_self=exclude
         )
     raise ValueError(f"unknown request shape {op!r}")
 
@@ -108,10 +113,10 @@ def _execute_job(state, shape: tuple, objs) -> list[tuple]:
     """
     fields = _pathsim_fields(shape)
     if fields is not None and len(objs) > 1:
-        path, k, exclude, plan, mode = fields
+        path, k, exclude = fields
         try:
             results = state.engine.pathsim_top_k_batch(
-                path, objs, k, exclude_query=exclude, plan=plan, mode=mode
+                path, objs, k, exclude_query=exclude
             )
             return [("ok", result) for result in results]
         except Exception:
@@ -164,13 +169,11 @@ class ServingAPI:
         *,
         measure: str = "pathsim",
         exclude_self: bool = True,
-        plan: str | None = None,
-        mode: str | None = None,
     ) -> Future:
         """Enqueue a top-*k* similarity query; returns a future.
 
         ``measure="pathsim"`` requests are batchable: queued requests
-        over the same ``(path, k, exclude_self, plan, mode)`` shape are
+        over the same ``(path, k, exclude_self)`` shape are
         answered by one block product (scattered across shards on a
         :class:`~repro.serving.ShardedClusterService`).  Other measures
         execute singly through the session.
@@ -190,18 +193,6 @@ class ServingAPI:
             ``QuerySession.similar`` accepts.
         exclude_self:
             Drop the query object from its own answer.
-        plan:
-            Association-order override (``"auto"``/``"left"``, default
-            the engine's policy).  Part of the coalescing and batching
-            identity — answers are plan-independent, but work sharing
-            never silently overrides an explicit request.
-        mode:
-            Top-k kernel override (``"fused"``/``"materialize"``/
-            ``"auto"``, default the engine's policy; pathsim only).
-            Also part of the coalescing/batching identity, and also
-            answer-independent — ``"fused"`` threads query rows through
-            the relation chain without materializing the path, which
-            ``"auto"`` picks by itself for cold paths.
 
         Raises
         ------
@@ -213,10 +204,10 @@ class ServingAPI:
         """
         if measure == "pathsim":
             return self._path_request(
-                "pathsim", obj, path, k, bool(exclude_self), plan, mode
+                "pathsim", obj, path, k, bool(exclude_self)
             )
         return self._path_request(
-            "similar", obj, path, k, measure, bool(exclude_self), plan
+            "similar", obj, path, k, measure, bool(exclude_self)
         )
 
     def connected(
@@ -226,7 +217,6 @@ class ServingAPI:
         k: int = 10,
         *,
         exclude_self: bool = False,
-        plan: str | None = None,
     ) -> Future:
         """Enqueue a top-*k* connectivity (path-count) query; returns a
         future.
@@ -243,9 +233,6 @@ class ServingAPI:
         exclude_self:
             Drop the query object (round-trip paths only; enforced when
             the request executes, with the error on the future).
-        plan:
-            Association-order override (``"auto"``/``"left"``, default
-            the engine's policy).
 
         Raises
         ------
@@ -254,7 +241,7 @@ class ServingAPI:
             arrive through the future.
         """
         return self._path_request(
-            "connected", obj, path, k, bool(exclude_self), plan
+            "connected", obj, path, k, bool(exclude_self)
         )
 
     def rank(self, target, **kwargs) -> Future:
@@ -287,7 +274,6 @@ class ServingAPI:
         *,
         measure: str = "pathsim",
         exclude_self: bool | None = None,
-        plan: str | None = None,
     ) -> Future:
         """Enqueue a standing-query registration; the future resolves
         with a :class:`~repro.watch.Subscription`.
@@ -315,9 +301,7 @@ class ServingAPI:
         exclude_self:
             Defaults to the measure's convention (``True`` for pathsim,
             ``False`` for connectivity).
-        plan:
-            Association-order override for the watch's recomputations.
         """
         return self._path_request(
-            "watch", obj, path, k, measure, exclude_self, plan
+            "watch", obj, path, k, measure, exclude_self
         )

@@ -51,11 +51,10 @@ touched shards**: a localized batch moves one shard's generation while
 the others keep serving their still-bit-valid slices.  Node growth
 recomputes the :class:`ShardPlan` and republishes everything.
 
-Standing queries route the same way: the service installs a partial
-scorer on the network's :class:`~repro.watch.WatchManager`, so
-incremental watch maintenance scores each touched candidate on the
-shard owning its rows and stitches the columns back — or falls back to
-the in-process engine whenever the distributed path declines.
+Standing queries are maintained in the parent, on the engine that
+holds the full half products anyway (the scatter extracts its query
+rows from them): the :class:`~repro.watch.WatchManager`'s commit hook
+re-scores touched candidates in process, independent of the workers.
 
 Benchmark E21 asserts the bit-identity and epoch consistency under a
 live writer, the ≤1/2 per-worker memory ratio against the replicated
@@ -73,6 +72,7 @@ import scipy.sparse as sp
 
 from repro.engine import kernels
 from repro.engine.topk import finalize_top_k, merge_top_k, shard_top_k
+from repro.exceptions import ReproError
 from repro.networks.stats import balanced_ranges, type_row_weights
 from repro.query.results import TopKResult
 from repro.serving.api import _pathsim_fields
@@ -88,6 +88,12 @@ from repro.watch.analysis import touched_chain_rows
 
 __all__ = ["ShardPlan", "ShardedClusterService", "publish_shard_generation"]
 
+# What makes the scatter step aside for the parent-side job, which then
+# reports the engine's own error per request: a typed library error
+# (asymmetric path, unknown object) or an unhashable/unorderable query
+# object.  Anything else is a bug and surfaces through the futures.
+_DECLINED = (ReproError, TypeError)
+
 
 # ----------------------------------------------------------------------
 # Shard assignment
@@ -102,9 +108,9 @@ class ShardPlan:
     through :func:`~repro.networks.stats.balanced_ranges`) — a row's
     serving cost is proportional to its nnz, not its existence.  Ranges
     are contiguous and ascending by construction, which is what makes
-    the scatter/merge order and the watch-block stitching exact.  A
-    type with fewer rows than shards simply yields empty trailing
-    ranges, which every consumer (packing, scoring, merging) tolerates.
+    the scatter/merge order exact.  A type with fewer rows than shards
+    simply yields empty trailing ranges, which every consumer (packing,
+    scoring, merging) tolerates.
     """
 
     shards: int
@@ -231,31 +237,26 @@ def _unpack_queries(packed) -> tuple[sp.csr_matrix, np.ndarray]:
 def _execute_shard_job(state, kind, payload):
     """One shard job -> aligned ``("ok", value) | ("err", error)`` statuses.
 
-    Both kinds are the engine's own kernels
-    (:mod:`repro.engine.kernels`) applied to the attached slice
-    ``w[lo:hi], diag[lo:hi]``.  ``block`` answers a scattered top-k:
-    one status per query, each carrying the shard's partial ``(global
-    indices, scores)`` list — one query takes the mat-vec kernel,
-    several the block kernel, the same split the engine makes between
-    ``pathsim_top_k`` and ``pathsim_top_k_batch``.  ``partial`` answers
-    a watch-maintenance re-score: the shard's columns of the partial
-    PathSim block over the slice-local candidate rows.
+    The one job kind, ``block``, answers a scattered top-k with the
+    engine's own kernels (:mod:`repro.engine.kernels`) applied to the
+    attached slice ``w[lo:hi], diag[lo:hi]``: one status per query,
+    each carrying the shard's partial ``(global indices, scores)`` list
+    — one query takes the mat-vec kernel, several the block kernel, the
+    same split the engine makes between ``pathsim_top_k`` and
+    ``pathsim_top_k_batch``.
     """
-    token, arg, packed = payload
+    if kind != "block":
+        raise ValueError(f"unknown shard job kind {kind!r}")
+    token, need, packed = payload
     w_s, diag_s, lo = state.slices[token]
     q_rows, q_diag = _unpack_queries(packed)
-    if kind == "block":
-        if q_rows.shape[0] == 1:
-            scores = kernels.pathsim_solo(
-                w_s, diag_s, kernels.dense_row(q_rows), q_diag[0]
-            )[None, :]
-        else:
-            scores = kernels.pathsim_block(w_s, diag_s, q_rows, q_diag)
-        return [("ok", shard_top_k(row, arg, offset=lo)) for row in scores]
-    if kind == "partial":
-        local = np.asarray(arg, dtype=np.int64)
-        return [("ok", kernels.pathsim_partial(w_s, diag_s, local, q_rows, q_diag))]
-    raise ValueError(f"unknown shard job kind {kind!r}")
+    if q_rows.shape[0] == 1:
+        scores = kernels.pathsim_solo(
+            w_s, diag_s, kernels.dense_row(q_rows), q_diag[0]
+        )[None, :]
+    else:
+        scores = kernels.pathsim_block(w_s, diag_s, q_rows, q_diag)
+    return [("ok", shard_top_k(row, need, offset=lo)) for row in scores]
 
 
 # ----------------------------------------------------------------------
@@ -316,20 +317,17 @@ class ShardedClusterService(_ProcessTier):
             spath = _ServedPath(engine.symmetric_path(p))
             self._served.setdefault(spath.token, spath)
         # One mutex for anything that uses the shard channels (scatter,
-        # watch partial scoring, worker_memory) — channels carry one
-        # outstanding job each; one for republication bookkeeping.
+        # worker_memory) — channels carry one outstanding job each; one
+        # for republication bookkeeping.
         self._scatter_mutex = threading.Lock()
         self._publish_mutex = threading.Lock()
         self._stats_mutex = threading.Lock()
         self._scatters = 0
         self._fallbacks = 0
-        self._partial_jobs = 0
-        self._scorer = None
         self._start(hin, shards, max_batch, directory)
 
     def _prepare(self, shards: int) -> None:
-        """Plan the row ranges, publish every shard's generation 0, and
-        route watch re-scores here."""
+        """Plan the row ranges and publish every shard's generation 0."""
         self._plan = self._replan(shards)
         self._shard_gens = [0] * shards
         self._shard_epochs = [0] * shards
@@ -337,8 +335,6 @@ class ShardedClusterService(_ProcessTier):
         self._published_epoch = self.epoch
         for s in range(shards):
             self._publish_shard(s)
-        self._scorer = self._partial_scorer
-        self.hin.watches().set_partial_scorer(self._scorer)
 
     def _replan(self, shards: int) -> ShardPlan:
         """A fresh :class:`ShardPlan` over the served paths' source types."""
@@ -481,7 +477,7 @@ class ShardedClusterService(_ProcessTier):
         """The :class:`_ServedPath` answering *path*, or ``None``."""
         try:
             mp = self.hin.engine().symmetric_path(path)
-        except Exception:
+        except _DECLINED:
             return None
         return self._served.get(mp.canonical_key())
 
@@ -495,26 +491,20 @@ class ShardedClusterService(_ProcessTier):
         engine under its read lock: same epoch guarantees, no worker
         round trip — so the full verb surface works before any path was
         shard-served.
-
-        An explicit ``mode="fused"`` also falls through to the parent
-        engine: scattering is materialized by construction (workers
-        hold slices of the half product), so forcing the fused kernel
-        means answering from the parent's threaded rows instead.
-        Answers are bit-identical either way.
         """
         fields = _pathsim_fields(shape)
         if fields is not None:
-            path, k, exclude, plan, mode = fields
-            spath = None if mode == "fused" else self._served_for(path)
+            path, k, exclude = fields
+            spath = self._served_for(path)
             if spath is not None:
-                statuses = self._scatter_top_k(spath, objs, k, exclude, plan)
+                statuses = self._scatter_top_k(spath, objs, k, exclude)
                 if statuses is not None:
                     return statuses
         with self._stats_mutex:
             self._fallbacks += 1
         return self._service.run_group(shape, objs)
 
-    def _scatter_top_k(self, spath, objs, k, exclude, plan) -> list[tuple] | None:
+    def _scatter_top_k(self, spath, objs, k, exclude) -> list[tuple] | None:
         """Scatter one top-k group; merge exact per-query results.
 
         Runs under the scatter mutex (exclusive use of the shard
@@ -526,11 +516,11 @@ class ShardedClusterService(_ProcessTier):
         ``None`` for a negative ``k`` or when the query rows cannot be
         extracted (unknown object): the caller's parent-side job then
         gives each request its own answer or the engine's own error.
+        Any other failure is not a decline and surfaces as itself.
         """
         if k < 0:
             return None
         engine = self.hin.engine()
-        mode = engine._plan_mode(plan)
         need = k + 1 if exclude else k
         with self._scatter_mutex:
             with engine.lock.read():
@@ -538,9 +528,9 @@ class ShardedClusterService(_ProcessTier):
                 epoch = self.epoch
                 try:
                     idx, q_rows, q_diag = engine.pathsim_query_rows(
-                        spath.mp, objs, plan=mode
+                        spath.mp, objs
                     )
-                except Exception:
+                except _DECLINED:
                     return None
                 with self._stats_mutex:
                     self._scatters += 1
@@ -554,11 +544,11 @@ class ShardedClusterService(_ProcessTier):
                     except BaseException as exc:  # noqa: BLE001
                         per_shard.append([("err", exc)] * len(objs))
                 return self._merge_results(
-                    spath, idx, per_shard, k, need, exclude, mode, epoch
+                    spath, idx, per_shard, k, need, exclude, epoch
                 )
 
     def _merge_results(
-        self, spath, idx, per_shard, k, need, exclude, mode, epoch
+        self, spath, idx, per_shard, k, need, exclude, epoch
     ) -> list[tuple]:
         """Exact k-way merge of per-shard partials into TopKResults.
 
@@ -601,73 +591,11 @@ class ShardedClusterService(_ProcessTier):
                         path=str(spath.mp),
                         measure="pathsim",
                         network_version=epoch,
-                        plan=mode,
                         mode="materialize",
                     ),
                 )
             )
         return statuses
-
-    # ------------------------------------------------------------------
-    # Watch routing (partial re-scores on the owning shard)
-    # ------------------------------------------------------------------
-    def _partial_scorer(self, mp, queries, touched, plan):
-        """Score a watch group's touched candidates on the owning shards.
-
-        Installed on the network's :class:`~repro.watch.WatchManager`;
-        the maintainer calls it from inside the commit hook.  Returns
-        the ``(len(queries), len(touched))`` block — columns stitched
-        from per-shard ``partial`` jobs in shard order, which *is*
-        candidate order because *touched* is sorted and shard ranges
-        are contiguous ascending — or ``None`` to decline (path not
-        shard-served, or this epoch's republication hasn't run yet:
-        commit hooks run in registration order, and a manager hook
-        registered before this service would call in with the shards
-        still one epoch behind).  Declines and errors both land on the
-        maintainer's in-process fallback, so watch exactness never
-        depends on the shard workers.
-        """
-        spath = self._served.get(mp.canonical_key())
-        if spath is None or not queries:
-            return None
-        epoch = self.epoch
-        if self._published_epoch != epoch:
-            return None
-        touched = np.asarray(touched, dtype=np.int64)
-        if touched.size == 0:
-            return None
-        engine = self.hin.engine()
-        mode = engine._plan_mode(plan)
-        with self._scatter_mutex:
-            if self._published_epoch != self.epoch:
-                return None
-            _, q_rows, q_diag = engine.pathsim_query_rows(
-                spath.mp, list(queries), plan=mode
-            )
-            packed = _pack_queries(q_rows, q_diag)
-            posted = []
-            for s, (lo, hi) in enumerate(self._plan.ranges[spath.source_type]):
-                a = int(np.searchsorted(touched, lo, side="left"))
-                b = int(np.searchsorted(touched, hi, side="left"))
-                if b > a:
-                    self._channels[s].post(
-                        "partial",
-                        (spath.token, touched[a:b] - lo, packed),
-                        1,
-                        self._fence(s),
-                    )
-                    posted.append(s)
-            blocks = []
-            for s in posted:
-                status, value = self._channels[s].collect()[0]
-                if status != "ok":
-                    raise value  # the maintainer treats a raise as a decline
-                blocks.append(value)
-            with self._stats_mutex:
-                self._partial_jobs += len(posted)
-        if not blocks:
-            return None
-        return np.concatenate(blocks, axis=1)
 
     # ------------------------------------------------------------------
     # Observability / lifecycle
@@ -684,16 +612,15 @@ class ShardedClusterService(_ProcessTier):
 
     def stats(self) -> dict:
         """The embedded service's counters plus sharding ones:
-        ``shards``, ``scatters``, ``fallbacks``, ``partial_jobs``,
-        per-shard ``republications``/``shard_epochs``, and the
-        current ``plan`` ranges."""
+        ``shards``, ``scatters``, ``fallbacks``, per-shard
+        ``republications``/``shard_epochs``, and the current ``plan``
+        ranges."""
         out = self._service.stats()
         with self._stats_mutex:
             out.update(
                 shards=len(self._channels),
                 scatters=self._scatters,
                 fallbacks=self._fallbacks,
-                partial_jobs=self._partial_jobs,
             )
         with self._publish_mutex:
             out.update(
@@ -702,16 +629,6 @@ class ShardedClusterService(_ProcessTier):
                 plan={t: list(r) for t, r in self._plan.ranges.items()},
             )
         return out
-
-    def close(self) -> None:
-        """Drain, stop the workers, retire every shard generation."""
-        if self._scorer is not None:
-            # Peek, never create: closing must not instantiate a
-            # watch manager on a network that never watched.
-            manager = getattr(self.hin, "_watch_manager", None)
-            if manager is not None:
-                manager.clear_partial_scorer(self._scorer)
-        super().close()
 
     def __repr__(self) -> str:
         return (

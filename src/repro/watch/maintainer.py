@@ -12,7 +12,7 @@ the new epoch by the cheapest exact route, in escalation order:
    stamped forward; zero scores computed.
 2. **Incremental** — only the touched candidate rows are re-scored
    and merged into the stored ranking.  The re-scoring batches into
-   one sparse block product per (path, plan) group
+   one sparse block product per path group
    (:meth:`~repro.engine.MetaPathEngine.pathsim_partial_block`), so a
    hundred watches on one path pay scipy once per commit.  The merge
    is exact iff the new k-th rank key stays within the old k-th bound
@@ -95,7 +95,7 @@ class ResultMaintainer:
         # Watches over the same path share their per-commit analysis:
         # the touched-row set depends only on (steps, update), and the
         # partial re-scoring batches into one sparse block product per
-        # (path, plan) group — per-watch cost is the merge, not scipy.
+        # path group — per-watch cost is the merge, not scipy.
         touched_cache: dict = {}
         scoring_groups: dict = {}
         outcomes = []
@@ -183,14 +183,13 @@ class ResultMaintainer:
         return _NEEDS_SCORES
 
     def _merge_group(self, watches, update, touched_cache):
-        """Batch-score one (path, plan) group's touched candidates and
+        """Batch-score one path group's touched candidates and
         merge each watch: one sparse block product serves every watch
         on the path."""
         mp = watches[0].mp
         touched, members = self._touched(watches[0], update, touched_cache)
-        block = self._score_block(
-            mp, [watch.index for watch in watches], touched,
-            watches[0].spec.plan,
+        block = self.hin.engine().pathsim_partial_block(
+            mp, [watch.index for watch in watches], touched
         )
         counters = self._manager._counters
         # Group-wide screen: a watch whose re-scored candidates all sit
@@ -215,31 +214,6 @@ class ResultMaintainer:
                     (watch, self._merge_pathsim(watch, update, touched, row))
                 )
         return outcomes
-
-    def _score_block(self, mp, queries, touched, plan):
-        """The group's partial PathSim block, through the registry's
-        installed scorer when one is set.
-
-        A :class:`~repro.serving.shards.ShardedClusterService` installs
-        a scorer that computes each touched candidate's column on the
-        shard owning its rows; it must return a block bit-identical to
-        ``engine.pathsim_partial_block`` (the sharded kernels are — see
-        shards.py), or decline with ``None``/an exception, in which
-        case maintenance proceeds on the in-process engine.  Exactness
-        of the maintained results therefore never depends on the
-        distributed path being healthy.
-        """
-        scorer = self._manager.partial_scorer()
-        if scorer is not None:
-            try:
-                block = scorer(mp, list(queries), touched, plan)
-            except Exception:
-                block = None
-            if block is not None:
-                return np.asarray(block, dtype=np.float64)
-        return self.hin.engine().pathsim_partial_block(
-            mp, list(queries), touched, plan=plan
-        )
 
     def _merge_pathsim(self, watch, update, touched, touched_scores):
         """Merge re-scored candidates into one watch's stored ranking;
@@ -318,14 +292,12 @@ class ResultMaintainer:
                 watch.index,
                 spec.k,
                 exclude_query=spec.exclude_self,
-                plan=spec.plan,
             )
         return engine.top_k_connectivity(
             watch.mp,
             watch.index,
             spec.k,
             exclude_query=spec.exclude_self,
-            plan=spec.plan,
         )
 
     def _install(self, watch, update, result: TopKResult):
@@ -346,8 +318,8 @@ class ResultMaintainer:
 
         Rebuilds the public result exactly as the engine's selection
         would: names through ``hin.name_of``, scores as the already
-        bit-exact merged floats, plan resolved to the engine mode.
-        An unchanged ranking skips the rebuild entirely.
+        bit-exact merged floats.  An unchanged ranking skips the
+        rebuild entirely.
         """
         indices = np.array([j for j, _ in top], dtype=np.int64)
         scores = np.array([score for _, score in top], dtype=np.float64)
@@ -357,7 +329,6 @@ class ResultMaintainer:
             watch.epoch = update.epoch
             self._manager._counters["unchanged"] += 1
             return None
-        engine = self.hin.engine()
         source_type = watch.mp.source_type
         pairs = [
             (self.hin.name_of(source_type, int(j)), float(score))
@@ -370,7 +341,6 @@ class ResultMaintainer:
             path=str(watch.mp),
             measure="pathsim",
             network_version=update.epoch,
-            plan=engine._plan_mode(watch.spec.plan),
         )
         watch.adopt(update.epoch, result, indices, scores)
         return result

@@ -21,6 +21,7 @@ The :class:`WatchManager` (one per network, obtained through
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import asdict, dataclass
 
@@ -54,9 +55,6 @@ class WatchSpec:
         Result size.
     exclude_self:
         Whether the query object is dropped from its own answer.
-    plan:
-        Association-order override (``"auto"``/``"left"``/``None`` for
-        the engine default); never changes answers, only their cost.
     """
 
     measure: str
@@ -64,7 +62,6 @@ class WatchSpec:
     query: object
     k: int
     exclude_self: bool
-    plan: str | None = None
 
     def to_dict(self) -> dict:
         """Manifest form (plain JSON types)."""
@@ -72,14 +69,15 @@ class WatchSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WatchSpec":
-        """Rebuild from :meth:`to_dict` output (unknown keys ignored)."""
+        """Rebuild from :meth:`to_dict` output.  Unknown keys are
+        ignored — manifests written before the per-watch ``plan`` field
+        was removed carry one, and restore unchanged."""
         return cls(
             measure=data["measure"],
             path=data["path"],
             query=data["query"],
             k=int(data["k"]),
             exclude_self=bool(data["exclude_self"]),
-            plan=data.get("plan"),
         )
 
 
@@ -123,8 +121,8 @@ class Watch:
         self.relations = frozenset(
             rel.name for rel, _ in self.maintained_steps
         )
-        # Batched partial scoring groups watches sharing parts + plan.
-        self.group_key = (mp.canonical_key(), spec.plan)
+        # Batched partial scoring groups watches sharing a path.
+        self.group_key = mp.canonical_key()
 
     def adopt(self, epoch: int, result, indices, scores) -> None:
         """Install a maintained ``(epoch, result)`` plus its rank arrays."""
@@ -165,7 +163,6 @@ class WatchManager:
         self._watches: dict[tuple, Watch] = {}
         self._maintainer = ResultMaintainer(self)
         self._hook = None
-        self._partial_scorer = None
         self._counters = {
             "commits": 0,
             "untouched": 0,
@@ -187,7 +184,6 @@ class WatchManager:
         k: int = 10,
         measure: str = "pathsim",
         exclude_self: bool | None = None,
-        plan: str | None = None,
     ) -> Subscription:
         """Register a standing query; returns a new subscription to it.
 
@@ -198,7 +194,8 @@ class WatchManager:
         query:
             Query object — name, or index into the path's source type.
         k:
-            Result size to maintain.
+            Result size to maintain — an ``int`` or numpy integer
+            (anything else is a ``TypeError``, as on every query verb).
         measure:
             ``"pathsim"`` (alias ``"similarity"``) or ``"connectivity"``
             (alias ``"connected"``).
@@ -206,9 +203,6 @@ class WatchManager:
             Drop the query from its own answer; defaults to the
             measure's convention (``True`` for pathsim, ``False`` for
             connectivity).
-        plan:
-            Association-order override for every (re)computation this
-            watch performs.
 
         The initial result is computed immediately (at the current
         epoch, under the engine read lock); identical registrations —
@@ -220,10 +214,9 @@ class WatchManager:
             raise ValueError(
                 f"measure must be one of {_MEASURES}, got {measure!r}"
             )
+        k = operator.index(k)
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if plan is not None and plan not in ("auto", "left"):
-            raise ValueError(f"plan must be 'auto' or 'left', got {plan!r}")
         engine = self.hin.engine()
         mp = (
             engine.symmetric_path(path)
@@ -233,7 +226,7 @@ class WatchManager:
         if exclude_self is None:
             exclude_self = measure == "pathsim"
         index = engine._resolve(mp.source_type, query)
-        key = (measure, mp.canonical_key(), index, int(k), bool(exclude_self))
+        key = (measure, mp.canonical_key(), index, k, bool(exclude_self))
         with self._mutex:
             watch = self._watches.get(key)
             if watch is None:
@@ -241,9 +234,8 @@ class WatchManager:
                     measure=measure,
                     path=str(mp),
                     query=self.hin.name_of(mp.source_type, index),
-                    k=int(k),
+                    k=k,
                     exclude_self=bool(exclude_self),
-                    plan=plan,
                 )
                 watch = Watch(spec, mp, index)
                 watch.key = key
@@ -278,7 +270,6 @@ class WatchManager:
                     k=spec.k,
                     measure=spec.measure,
                     exclude_self=spec.exclude_self,
-                    plan=spec.plan,
                 )
             )
         return out
@@ -326,48 +317,6 @@ class WatchManager:
     def __len__(self) -> int:
         with self._mutex:
             return len(self._watches)
-
-    # ------------------------------------------------------------------
-    # Partial-scorer plug-in (sharded serving)
-    # ------------------------------------------------------------------
-    def set_partial_scorer(self, scorer) -> None:
-        """Route the maintainer's partial re-scoring through *scorer*.
-
-        *scorer* is ``(mp, queries, touched, plan) -> block | None``:
-        given the watch group's meta-path, its query row indices, and
-        the sorted touched candidate rows, return the dense
-        ``(len(queries), len(touched))`` PathSim block — bit-identical
-        to ``engine.pathsim_partial_block`` — or ``None`` to decline,
-        in which case the maintainer computes the block itself.  A
-        scorer that *raises* is also treated as declining: standing
-        results must keep being maintained even when the distributed
-        path hiccups.
-
-        :class:`~repro.serving.shards.ShardedClusterService` installs
-        one so that incremental watch maintenance scores each touched
-        candidate on the shard that owns its rows instead of in the
-        parent.  One scorer at a time; installing replaces, and
-        :meth:`clear_partial_scorer` (called from the service's
-        ``close()``) restores the in-process default.
-        """
-        with self._mutex:
-            self._partial_scorer = scorer
-
-    def clear_partial_scorer(self, scorer=None) -> None:
-        """Remove the installed partial scorer.
-
-        Pass the scorer being retired to make the call safe against
-        replacement races: the registry only clears when it still holds
-        *that* scorer (or when called with ``None``, unconditionally).
-        """
-        with self._mutex:
-            if scorer is None or self._partial_scorer is scorer:
-                self._partial_scorer = None
-
-    def partial_scorer(self):
-        """The installed partial scorer, or ``None``."""
-        with self._mutex:
-            return self._partial_scorer
 
     # ------------------------------------------------------------------
     # Internals

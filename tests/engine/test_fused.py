@@ -124,11 +124,11 @@ class TestEdgeCaseMatrix:
         mp = engine.symmetric_path(APVPA)
         row = engine.pathsim_row(mp, 1)
         cold = MetaPathEngine(small_bib)
-        got = fused_row_scores(cold, mp, 1, "auto")
+        got = fused_row_scores(cold, mp, 1)
         assert np.array_equal(got, row)
-        block = fused_block_scores(cold, mp, [0, 1], "auto")
+        block = fused_block_scores(cold, mp, [0, 1])
         assert np.array_equal(block, engine.pathsim_rows(mp, [0, 1]))
-        part = fused_partial_block(cold, mp, [0], [1, 2], "auto")
+        part = fused_partial_block(cold, mp, [0], [1, 2])
         assert np.array_equal(
             part, engine.pathsim_partial_block(mp, [0], [1, 2])
         )
@@ -138,9 +138,9 @@ class TestEdgeCaseMatrix:
         # but the selected top-k must be exactly the unpruned answer.
         engine = MetaPathEngine(small_bib)
         mp = engine.symmetric_path(APVPA)
-        full = fused_row_scores(engine, mp, 0, "auto")
+        full = fused_row_scores(engine, mp, 0)
         for need in (1, 2, 3):
-            pruned = fused_row_scores(engine, mp, 0, "auto", need=need)
+            pruned = fused_row_scores(engine, mp, 0, need=need)
             order_full = np.lexsort((np.arange(full.size), -full))[:need]
             order_pruned = np.lexsort((np.arange(pruned.size), -pruned))[:need]
             assert np.array_equal(order_full, order_pruned)
@@ -174,11 +174,12 @@ class TestEdgeCaseMatrix:
     def test_empty_batch_and_left_plan(self, small_bib):
         engine = MetaPathEngine(small_bib, mode="fused")
         assert engine.pathsim_top_k_batch(APVPA, [], 3) == []
-        # plan="left" threads the raw step matrices (no planner chains);
-        # the answer is association-independent either way.
+        # A plan="left" engine threads the raw step matrices (no planner
+        # chains); the answer is association-independent either way.
+        left = MetaPathEngine(small_bib, plan="left", mode="fused")
         mat = MetaPathEngine(small_bib, mode="materialize")
         for q in range(small_bib.node_count("author")):
-            assert list(engine.pathsim_top_k(APVPA, q, 3, plan="left")) == list(
+            assert list(left.pathsim_top_k(APVPA, q, 3)) == list(
                 mat.pathsim_top_k(APVPA, q, 3)
             )
 

@@ -131,22 +131,19 @@ class TestParity:
             )
 
     def test_per_call_override_matches_engine_mode(self, small_bib):
+        """The override is an engine constructed with the other policy:
+        no query method takes ``plan=`` (an unknown keyword, like any
+        other), and the two policies agree bit for bit."""
         auto = MetaPathEngine(small_bib, plan="auto")
         left = MetaPathEngine(small_bib, plan="left")
-        _same(
-            auto.commuting_matrix(APV, plan="left"),
-            left.commuting_matrix(APV),
-        )
-        _same(
-            left.commuting_matrix(VPA, plan="auto"),
-            auto.commuting_matrix(VPA),
-        )
+        with pytest.raises(TypeError, match="plan"):
+            auto.commuting_matrix(APV, plan="left")
+        _same(auto.commuting_matrix(APV), left.commuting_matrix(APV))
+        _same(left.commuting_matrix(VPA), auto.commuting_matrix(VPA))
 
     def test_invalid_plan_rejected(self, small_bib):
         with pytest.raises(ValueError, match="plan"):
             MetaPathEngine(small_bib, plan="right")
-        with pytest.raises(ValueError, match="plan"):
-            small_bib.engine().commuting_matrix(APV, plan="dp")
 
 
 class TestSeeds:
@@ -257,7 +254,7 @@ class TestExplain:
         assert "W * W^T" in str(report)
 
     def test_left_mode_association_is_left_nested(self, dblp):
-        report = dblp.hin.engine().explain(LONG, plan="left")
+        report = dblp.hin.engine(plan="left").explain(LONG)
         assert report.mode == "left"
         assert report.association.startswith("((((")
         assert report.est_flops == report.left_flops
@@ -284,20 +281,15 @@ class TestExplain:
 
 
 class TestResultPlanSurfacing:
-    def test_topk_results_carry_plan(self, small_bib):
-        engine = MetaPathEngine(small_bib)
-        r = engine.pathsim_top_k(APVPA, 0, 2)
-        assert r.plan == "auto"
-        assert r.to_dict()["plan"] == "auto"
-        r = engine.top_k_connectivity(APV, 0, 2, plan="left")
-        assert r.plan == "left"
-
-    def test_planless_results_omit_the_key(self):
-        from repro.query.results import TopKResult
-
-        r = TopKResult([("x", 1.0)])
-        assert r.plan is None
-        assert "plan" not in r.to_dict()
+    def test_planless_results_omit_the_key(self, small_bib):
+        """Results say what was answered and which kernel ran; the
+        association policy is ``engine.plan_mode``, not a result field."""
+        for r in (
+            MetaPathEngine(small_bib).pathsim_top_k(APVPA, 0, 2),
+            MetaPathEngine(small_bib, plan="left").top_k_connectivity(APV, 0, 2),
+        ):
+            assert not hasattr(r, "plan")
+            assert "plan" not in r.to_dict()
 
 
 class TestMaintenanceWithPlannerEntries:

@@ -128,6 +128,8 @@ class TestBehaviour:
         got = any_service.similar("a0", APA, k).result(timeout=60)
         assert list(got) == list(expected)
         assert len(any_service.connected("a0", APA, k).result(timeout=60)) == 2
+        watched = any_service.watch("a0", APA, k).result(timeout=60).spec.k
+        assert type(watched) is int and watched == 2
 
     @pytest.mark.parametrize("k", [2.7, "2", None])
     def test_non_integer_k_fails_through_the_future_everywhere(

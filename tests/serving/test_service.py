@@ -173,9 +173,10 @@ class TestLifecycle:
 
     def test_repr_and_cache_info(self, small_bib):
         with QueryService(small_bib) as svc:
-            # mode="materialize": a cold fused query would (by design)
-            # leave the matrix cache empty, and this test watches it fill.
-            svc.similar("a0", APA, k=2, mode="materialize").result(timeout=10)
+            # Prewarmed: a cold query is served fused and (by design)
+            # leaves the matrix cache empty; this test watches it fill.
+            svc.prewarm(APA)
+            svc.similar("a0", APA, k=2).result(timeout=10)
             assert "QueryService" in repr(svc)
             assert svc.cache_info().currsize >= 1
             assert svc.epoch == small_bib.version

@@ -1,5 +1,5 @@
 """Sharded cluster serving: bit-identity, shard plans, localized
-republication, watch routing, lifecycle.
+republication, parent-side watch maintenance, lifecycle.
 
 Like the replicated-cluster tests, every test forks real worker
 processes, so the shard count stays at two and the network tiny; the
@@ -119,6 +119,26 @@ class TestAnswers:
         with pytest.raises(NodeNotFoundError):
             bad.result(timeout=60)
 
+    def test_unexpected_scatter_failures_surface_as_themselves(
+        self, small_bib, sharded, monkeypatch
+    ):
+        """Only typed library errors (and ``TypeError`` for an
+        unhashable object) make the scatter step aside for the
+        parent-side job; anything else reaches the caller as itself
+        instead of becoming a silent fallback."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected: query-row extraction failed")
+
+        before = sharded.stats()["fallbacks"]
+        with pytest.raises(TypeError):  # unhashable object: declined, typed
+            sharded.similar(["a0"], APA, 3).result(timeout=60)
+        assert sharded.stats()["fallbacks"] == before + 1
+        monkeypatch.setattr(small_bib.engine(), "pathsim_query_rows", broken)
+        with pytest.raises(RuntimeError, match="injected"):
+            sharded.similar("a0", APA, 3).result(timeout=60)
+        assert sharded.stats()["fallbacks"] == before + 1
+
     def test_empty_shard_node_type(self, bib_schema):
         # one author: the second shard's range is empty yet still serves
         hin = HIN.from_edges(
@@ -178,17 +198,49 @@ class TestUpdates:
         engine = small_bib.engine()
         handle = sharded.watch("a0", APA, k=3).result(timeout=60)
         # touches author 3 only — not the watched query's row, so the
-        # maintainer re-scores incrementally through the shard workers
+        # maintainer re-scores incrementally (in the parent: the shard
+        # workers take no part in watch maintenance)
         small_bib.apply(UpdateBatch().add_edges("writes", [(3, 1)]))
         stats = sharded.stats()
-        assert stats["partial_jobs"] >= 1
+        assert "partial_jobs" not in stats
         assert stats["watches"]["incremental"] >= 1
         _epoch, current = handle.current()
         assert list(current) == list(engine.pathsim_top_k(APA, "a0", 3))
 
-    def test_watch_survives_worker_decline(self, small_bib, sharded):
-        # query-row updates make the maintainer fall back in-process;
-        # the watch must stay exact either way
+    def test_every_watch_push_matches_cold_replay(self, small_bib, sharded):
+        """Watch maintenance on a sharded service runs in the parent:
+        over a stream of commits every maintained result — and every
+        push — equals a cold engine's answer at that epoch."""
+        from repro.engine import MetaPathEngine
+
+        handles = [
+            sharded.watch(a, path, k=3).result(timeout=60)
+            for a in ("a0", "a2")
+            for path in (APA, APVPA)
+        ]
+        stream = [
+            UpdateBatch().add_edges("writes", [(3, 1)]),
+            UpdateBatch().add_edges("writes", [(0, 3)]),
+            UpdateBatch().remove_edges("writes", [(1, 2)]),
+            UpdateBatch().add_nodes("author", ["a4"]).add_edges("writes", [(4, 0)]),
+        ]
+        for epoch, batch in enumerate(stream, start=1):
+            small_bib.apply(batch)
+            cold = MetaPathEngine(small_bib, plan="left", mode="materialize")
+            for handle in handles:
+                at, current = handle.current()
+                spec = handle.spec
+                assert at == epoch
+                assert current == cold.pathsim_top_k(spec.path, spec.query, spec.k)
+                for pushed_at, pushed in handle.drain():
+                    assert pushed_at == epoch and pushed == current
+        stats = sharded.stats()["watches"]
+        assert stats["commits"] == len(stream)
+        assert stats["incremental"] >= 1 and stats["fallback"] >= 1
+
+    def test_watch_survives_query_row_update(self, small_bib, sharded):
+        # query-row updates make the maintainer fall back to a full
+        # recompute; the watch must stay exact either way
         handle = sharded.watch("a0", APA, k=3).result(timeout=60)
         small_bib.apply(UpdateBatch().add_edges("writes", [(0, 3)]))
         _epoch, current = handle.current()

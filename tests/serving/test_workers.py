@@ -66,9 +66,8 @@ def _residue():
 
 
 class TestFailedAttach:
-    @pytest.mark.parametrize("mode", [None, "auto"])
     def test_every_request_gets_the_typed_error_and_the_worker_lives(
-        self, small_bib, tier, mode, monkeypatch
+        self, small_bib, tier, monkeypatch
     ):
         """A batch sent to a worker that cannot attach its generation
         (unparseable descriptor) answers each request with the
@@ -86,9 +85,7 @@ class TestFailedAttach:
             before = [report["generation"] for report in service.worker_memory()]
             monkeypatch.setattr(module, name, publish_garbage)
             tier.republish(service)
-            statuses = service.run_group(
-                ("pathsim", APA, 2, True, None, mode), [0, 1, 2]
-            )
+            statuses = service.run_group(("pathsim", APA, 2, True), [0, 1, 2])
             assert [status for status, _ in statuses] == ["err"] * 3
             assert all(isinstance(error, SnapshotError) for _, error in statuses)
             with pytest.raises(SnapshotError):

@@ -4,6 +4,7 @@ every subpackage's ``__all__`` is truthful."""
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import pytest
 
@@ -120,3 +121,84 @@ def test_estimators_implement_protocol():
 
     for cls in (RankClus, NetClus, PathSim, SimRank, GNetMine, CrossClus, LinkClus):
         assert issubclass(cls, Estimator), cls.__name__
+
+
+# ----------------------------------------------------------------------
+# Requests say what, the engine decides how
+# ----------------------------------------------------------------------
+def _public_methods(cls):
+    return {
+        name: inspect.signature(member)
+        for name, member in inspect.getmembers(cls, callable)
+        if not name.startswith("_") or name == "__init__"
+    }
+
+
+def test_only_the_engine_constructor_chooses_how():
+    """An association policy (``plan``) is accepted by
+    ``MetaPathEngine.__init__`` alone; a kernel (``mode``) by the
+    constructor and — for ``benchmarks/perf/layers.py`` — by
+    ``engine.pathsim_top_k``.  Nothing above the engine takes either."""
+    from repro.engine import MetaPathEngine
+    from repro.query import QuerySession
+    from repro.serving.api import ServingAPI
+    from repro.watch import WatchManager
+
+    for cls in (QuerySession, ServingAPI, WatchManager):
+        for name, signature in _public_methods(cls).items():
+            assert not {"plan", "mode"} & set(signature.parameters), (
+                f"{cls.__name__}.{name}"
+            )
+    takes = {"plan": set(), "mode": set()}
+    for name, signature in _public_methods(MetaPathEngine).items():
+        for knob in takes:
+            if knob in signature.parameters:
+                takes[knob].add(name)
+    assert takes == {"plan": {"__init__"}, "mode": {"__init__", "pathsim_top_k"}}
+
+
+def test_watch_spec_and_result_carry_what_not_how():
+    import dataclasses
+
+    from repro.query.results import TopKResult
+    from repro.watch import WatchSpec
+
+    assert [f.name for f in dataclasses.fields(WatchSpec)] == [
+        "measure", "path", "query", "k", "exclude_self",
+    ]
+    assert not hasattr(TopKResult([("x", 1.0)]), "plan")
+    with pytest.raises(TypeError):
+        TopKResult([], plan="auto")
+
+
+def test_request_shapes_match_the_api_table():
+    """The shapes the four verbs enqueue have exactly the arities of the
+    table in ``repro.serving.api``'s module docstring."""
+    from repro.serving.api import ServingAPI
+
+    class Core(ServingAPI):
+        def __init__(self):
+            self.submitted = []
+
+        def _serving_core(self):
+            return self
+
+        def _spell(self, path):
+            return path
+
+        def _submit(self, shape, obj):
+            self.submitted.append((shape, obj))
+
+    core = Core()
+    core.similar("a0", "A-P-A", 3)
+    core.similar("a0", "A-P-A", 3, measure="simrank")
+    core.connected("a0", "A-P-V", 3)
+    core.watch("a0", "A-P-A", 3)
+    core.rank("venue", by="author")
+    assert core.submitted == [
+        (("pathsim", "A-P-A", 3, True), "a0"),
+        (("similar", "A-P-A", 3, "simrank", True), "a0"),
+        (("connected", "A-P-V", 3, False), "a0"),
+        (("watch", "A-P-A", 3, "pathsim", None), "a0"),
+        (("rank", (("by", "author"),)), "venue"),
+    ]

@@ -1,0 +1,40 @@
+"""The repository's own tooling (``tools/``)."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path, capsys):
+    code_lines = _load("code_lines")
+    source = (
+        '"""Module docstring,\ntwo lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # trailing comments do not hide code\n"
+        "\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        '    text = """a string that is\n'
+        '    not a docstring"""\n'
+        "    return (\n"
+        "        x,\n"
+        "        text,\n"
+        "    )\n"
+    )
+    assert code_lines.code_lines(source) == 8
+    (tmp_path / "m.py").write_text(source, encoding="utf-8")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == [
+        "8", "total", str(tmp_path),
+    ]

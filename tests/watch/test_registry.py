@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.networks import UpdateBatch
@@ -59,8 +60,23 @@ class TestRegistration:
             manager.watch("A-P-A", "ada", measure="simrank")
         with pytest.raises(ValueError, match="k must be"):
             manager.watch("A-P-A", "ada", k=-1)
-        with pytest.raises(ValueError, match="plan"):
-            manager.watch("A-P-A", "ada", plan="bogus")
+
+    @pytest.mark.parametrize("k", [2.5, "3", None])
+    def test_non_integer_k_is_a_type_error(self, watch_hin, k):
+        """One ``k`` rule (``operator.index``) on every entry point —
+        ``k=2.5`` used to register a silent ``k=2`` watch."""
+        with pytest.raises(TypeError):
+            watch_hin.watches().watch("A-P-A", "ada", k=k)
+        with pytest.raises(TypeError):
+            watch_hin.query().watch("ada", "A-P-A", k=k)
+        assert len(watch_hin.watches()) == 0
+
+    def test_numpy_integer_k_registers_a_plain_int(self, watch_hin):
+        a = watch_hin.watches().watch("A-P-A", "ada", k=np.int64(2))
+        b = watch_hin.query().watch("ada", "A-P-A", k=2)
+        assert type(a.spec.k) is int and a.spec.k == 2
+        assert len(watch_hin.watches()) == 1  # same watch as b's
+        assert b.spec == a.spec
 
     def test_query_facade_delegates(self, watch_hin):
         sub = watch_hin.query().watch("ada", "A-P-A", k=2)
@@ -76,11 +92,12 @@ class TestSpecRoundTrip:
             query="ada",
             k=5,
             exclude_self=True,
-            plan="auto",
         )
         assert WatchSpec.from_dict(spec.to_dict()) == spec
 
-    def test_plan_defaults_to_none(self):
+    def test_legacy_plan_key_is_ignored(self):
+        """Manifests written before the per-watch ``plan`` field was
+        removed carry the key; it neither fails nor splits identity."""
         data = {
             "measure": "connectivity",
             "path": "author-paper-venue",
@@ -88,7 +105,9 @@ class TestSpecRoundTrip:
             "k": 3,
             "exclude_self": False,
         }
-        assert WatchSpec.from_dict(data).plan is None
+        spec = WatchSpec.from_dict({**data, "plan": "left"})
+        assert spec == WatchSpec.from_dict(data)
+        assert set(spec.to_dict()) == set(data)
 
     def test_spec_dicts_are_sorted_and_json_plain(self, watch_hin):
         import json
@@ -109,6 +128,18 @@ class TestRestore:
         # Restoring onto the same registry: nothing duplicated.
         assert manager.restore(specs) == []
         assert len(manager) == 1
+
+    def test_restore_is_idempotent_across_legacy_plan_spellings(self, watch_hin):
+        """Regression: a spec's ``plan`` took part in equality but not in
+        the registry key, so restoring ``plan="left"`` onto the same
+        watch registered with ``plan=None`` appended one retained
+        subscription per call (1 -> 3 after two restores)."""
+        manager = watch_hin.watches()
+        manager.watch("A-P-A", "ada", k=2)
+        legacy = [{**d, "plan": "left"} for d in manager.spec_dicts()]
+        for _ in range(2):
+            assert manager.restore(legacy) == []
+            assert manager.stats()["subscriptions"] == 1
 
     def test_restore_onto_fresh_network(self, watch_hin):
         manager = watch_hin.watches()

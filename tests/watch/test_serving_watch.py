@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 from repro.engine import MetaPathEngine
@@ -69,26 +70,22 @@ class TestServiceWatch:
 
 
 class TestPlanThreading:
+    """The association policy belongs to the engine: a service answers
+    under its engine's policy, bit-identically to a reference engine
+    constructed with ``plan="left"``."""
+
     def test_plan_override_answers_identically(self, small_bib):
+        left = MetaPathEngine(small_bib, plan="left")
         with QueryService(small_bib) as svc:
-            auto = svc.similar("a0", APVPA, k=3, plan="auto").result(timeout=10)
-            left = svc.similar("a0", APVPA, k=3, plan="left").result(timeout=10)
-            assert list(auto) == list(left)
-            assert auto.plan == "auto" and left.plan == "left"
+            auto = svc.similar("a0", APVPA, k=3).result(timeout=10)
+            assert list(auto) == list(left.pathsim_top_k(APVPA, "a0", 3))
 
     def test_connected_takes_plan(self, small_bib):
+        left = MetaPathEngine(small_bib, plan="left")
         with QueryService(small_bib) as svc:
-            got = svc.connected("a0", "author-paper-venue", k=2, plan="left")
-            expected = small_bib.engine().top_k_connectivity(
-                "author-paper-venue", "a0", 2, plan="left"
-            )
+            got = svc.connected("a0", "author-paper-venue", k=2)
+            expected = left.top_k_connectivity("author-paper-venue", "a0", 2)
             assert list(got.result(timeout=10)) == list(expected)
-
-    def test_watch_takes_plan(self, small_bib):
-        with QueryService(small_bib) as svc:
-            sub = svc.watch("a0", APA, k=3, plan="left").result(timeout=10)
-            assert sub.spec.plan == "left"
-            assert sub.current()[1].plan == "left"
 
     def test_stats_report_planner_and_watch_sections(self, small_bib):
         with QueryService(small_bib) as svc:
@@ -139,16 +136,12 @@ class TestClusterWatch:
     def test_plan_threads_through_worker_specs(self, small_bib):
         small_bib.engine().prewarm([APVPA])
         with ClusterService(small_bib, processes=_PROCESSES) as service:
-            futures = [
-                service.similar(a, APVPA, 3, plan="left") for a in range(4)
-            ]
+            left = MetaPathEngine(small_bib, plan="left")
+            futures = [service.similar(a, APVPA, 3) for a in range(4)]
             for a, future in enumerate(futures):
-                expected = small_bib.engine().pathsim_top_k(
-                    APVPA, a, 3, plan="left"
-                )
+                expected = left.pathsim_top_k(APVPA, a, 3)
                 got = future.result(timeout=60)
                 assert list(got) == list(expected)
-                assert got.plan == "left"
 
 
 class TestSnapshotPersistence:
@@ -177,7 +170,16 @@ class TestSnapshotPersistence:
         small_bib.watches().watch(APA, "a0", k=3)
         save_snapshot(small_bib, tmp_path / "snap")
 
+        # A manifest in the previous layout: every watch dict carries
+        # a ``plan`` key.  Same format_version; the key is ignored.
+        manifest_path = tmp_path / "snap" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for spec in manifest["watches"]:
+            spec["plan"] = "left"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
         loaded = load_snapshot(tmp_path / "snap")
+        warm_from_snapshot(loaded, tmp_path / "snap")
         [sub] = loaded.watches().subscriptions()
         epoch, result = sub.current()
         assert epoch == 1
@@ -207,6 +209,10 @@ class TestSnapshotPersistence:
         installed = warm_from_snapshot(twin, tmp_path / "snap")
         assert installed >= 1
         assert len(twin.watches()) == 1
+        # Warming again (the load_snapshot + warm_from_snapshot restart
+        # sequence) re-registers nothing, whatever the manifest's age.
+        assert warm_from_snapshot(twin, tmp_path / "snap") == installed
+        assert twin.watches().stats()["subscriptions"] == 1
         [sub] = twin.watches().subscriptions()
         assert sub.current()[0] == 0
         twin.apply(UpdateBatch().add_edges("writes", [(2, 0)]))
