@@ -204,7 +204,7 @@ def test_e05_engine_topk_speedup(benchmark):
         and np.allclose([s for _, s in a], [s for _, s in b])
         for a, b in zip(naive, served)
     )
-    # Machine-readable result for the perf-regression CI job (written
+    # Machine-readable result, uploaded by CI's benchmark job (written
     # before the asserts so a red run still uploads its evidence).
     (Path(__file__).resolve().parent.parent / "BENCH_e05.json").write_text(
         json.dumps(

@@ -79,16 +79,15 @@ def test_e15_scalability(benchmark):
     sim_growth = r4[6] / max(r1[6], 1e-9)
     node_growth = r4[5] / r1[5]
 
-    # Machine-readable result for the perf-regression CI job (schema in
-    # docs/BENCHMARKS.md).  E15 has no answer-identity notion, and the
-    # CI gate hard-fails on identical=false, so "identical" stays True
-    # by construction here (the file existing proves the benchmark ran
-    # to completion).  There is likewise no "speedup" to report — the
-    # headline number is the growth-rate gap between SimRank and
-    # RankClus costs, under its own name so schema-aware consumers never
-    # mistake a slope ratio for a measured speedup; the scaling shape
-    # lands in the advisory "shape_held" field and is enforced locally
-    # by the asserts below.
+    # Machine-readable result, uploaded by CI's benchmark job (fields in
+    # docs/BENCHMARKS.md).  E15 has no answer-identity notion, so
+    # "identical" stays True by construction here (the file existing
+    # proves the benchmark ran to completion).  There is likewise no
+    # "speedup" to report — the headline number is the growth-rate gap
+    # between SimRank and RankClus costs, under its own name so nobody
+    # mistakes a slope ratio for a measured speedup; the scaling shape
+    # lands in the "shape_held" field and is enforced by the asserts
+    # below.
     (Path(__file__).resolve().parent.parent / "BENCH_e15.json").write_text(
         json.dumps(
             {

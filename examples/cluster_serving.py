@@ -8,10 +8,10 @@ the parent keeps the only mutable copy and streams update batches
 through ``hin.apply()``.  Every committed epoch publishes a new
 immutable shared-memory generation; workers swap atomically between
 jobs, so each answer is consistent with exactly one epoch.  At the end,
-the warm cache is snapshotted to disk and a *fresh* cluster cold-starts
-from the snapshot alone — every worker memory-maps the payload files
-(one page-in through the shared OS page cache) instead of
-deserializing its own copy.
+the warm cache is snapshotted to disk and a *fresh* cluster restarts
+from the snapshot alone — ``load_snapshot(dir, mmap=True)`` maps the
+payload files instead of deserializing them, and the cluster publishes
+that network to its workers like any other.
 
 Run:  python examples/cluster_serving.py
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.datasets import make_dblp_four_area
 from repro.networks import UpdateBatch
-from repro.serving import ClusterService, save_snapshot
+from repro.serving import ClusterService, load_snapshot, save_snapshot
 
 VPAPV = "venue-paper-author-paper-venue"
 APVPA = "author-paper-venue-paper-author"
@@ -116,13 +116,15 @@ def main() -> None:
           f"{len(manifest['entries'])} cached materializations")
 
     start = time.perf_counter()
-    with ClusterService(warm_snapshot=snapshot_dir, processes=N_PROCESSES) as restarted:
+    with ClusterService(
+        load_snapshot(snapshot_dir, mmap=True), processes=N_PROCESSES
+    ) as restarted:
         restarted_answer = restarted.similar("SIGMOD", VPAPV, k=3).result(timeout=60)
         startup_ms = (time.perf_counter() - start) * 1000
         assert list(restarted_answer) == list(sigmod), "restart changed answers"
         print(f"restarted cluster serves identical answers {startup_ms:.0f} ms "
-              f"after cold start — every worker memory-maps the snapshot "
-              f"payloads zero-copy")
+              f"after cold start — the parent memory-maps the snapshot "
+              f"payloads instead of deserializing them")
 
 
 if __name__ == "__main__":

@@ -20,8 +20,9 @@ the traffic generator to stress it:
   DBLP-shaped fixtures from the synthetic four-area generator, closing
   the generator → XML → ingest differential loop.
 
-See ``docs/GUIDE.md`` → "Real data" for the walkthrough and benchmark
-E23 for the scale/identity acceptance gates.
+See ``docs/GUIDE.md`` → "Real data" for the walkthrough; ``tests/ingest/``
+pins the identity guarantees and the benchmark's ``bulk_ingest``
+workload (``benchmarks/perf/README.md``) measures the throughput.
 """
 
 from repro.ingest.dblp_xml import (

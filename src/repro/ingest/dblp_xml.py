@@ -10,8 +10,9 @@ chunks, yields one :class:`PubRecord` per publication element, and
 **clears every record element (and its slot under the root) as soon as
 it is yielded** — the classic ``iterparse``-and-``clear()`` discipline —
 so peak memory is bounded by the largest single record, not by the file.
-``benchmarks/bench_e23_real_scale_ingest.py`` measures exactly this:
-parsing a 3x longer stream may not move the allocation peak.
+``tests/ingest/test_dblp_xml.py`` measures exactly this with
+``tracemalloc``: parsing a 3x longer stream may not move the allocation
+peak.
 
 Error taxonomy (all under :class:`repro.exceptions.IngestError`):
 

@@ -11,7 +11,7 @@ file must reproduce the generator's network **bit-for-bit in canonical
 form**.  That round trip (generator → XML → parser → chunked
 ``hin.apply()`` → :func:`~repro.ingest.stream.canonical_state`) is the
 strongest differential oracle the ingest tests have, and the same
-writer scaled up is benchmark E23's deterministic subsampled slice.
+writer scaled up feeds the benchmark's ``bulk_ingest`` workload.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ def make_fixture_xml(
     """Generate a deterministic dataset and write its XML in one step.
 
     Returns ``(dataset, record_count)``.  The default size (300 papers)
-    keeps test fixtures fast; benchmark E23 passes a larger
-    ``papers_per_area`` for its subsampled CI slice.
+    keeps test fixtures fast; pass a larger ``papers_per_area`` for a
+    bigger deterministic slice.
     """
     dataset = make_dblp_four_area(papers_per_area=papers_per_area, seed=seed)
     count = write_dblp_xml(dataset, path, shuffle_seed=shuffle_seed)

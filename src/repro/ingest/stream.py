@@ -13,7 +13,8 @@ generation republication — therefore exercises for free during a bulk
 load, and the loaded network is bit-for-bit the network an equivalent
 update stream would have produced.
 
-Guarantees (pinned by ``tests/ingest/`` and benchmark E23):
+Guarantees (pinned by ``tests/ingest/test_stream.py`` and
+``tests/property/test_ingest_properties.py``):
 
 * **chunk-count invariance** — the same record stream committed in 1
   chunk or N chunks yields bit-identical relation matrices (indices are

@@ -28,7 +28,8 @@ writer keeps them identical *while the network grows* — so the same
 workload replayed against :class:`~repro.serving.QueryService`,
 :class:`~repro.serving.ClusterService` and
 :class:`~repro.serving.ShardedClusterService` must return bit-identical
-answers, which is exactly how benchmark E23 uses it.
+answers, which is exactly how
+``tests/ingest/test_workload.py::TestReplayParity`` uses it.
 """
 
 from __future__ import annotations

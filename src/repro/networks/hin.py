@@ -564,8 +564,9 @@ class HIN:
                 first = errors[0]
                 for extra in errors[1:]:
                     note = f"additional commit hook failure: {extra!r}"
-                    if hasattr(first, "add_note"):
-                        first.add_note(note)
+                    # Set directly: BaseException.add_note is 3.11+, and
+                    # on 3.10 the later failures must not vanish.
+                    first.__notes__ = [*getattr(first, "__notes__", ()), note]
                 raise first
             return applied
 

@@ -35,8 +35,9 @@ unchanged against the others; only construction differs.  Five pieces:
 
 See ``docs/GUIDE.md`` for the task-oriented walkthrough (§8 covers
 replicated → sharded migration), ``docs/ARCHITECTURE.md`` → "Serving &
-concurrency" and "Sharded serving" for the design, and benchmarks
-E17/E18/E21 for the measured throughput and memory.
+concurrency" and "Sharded serving" for the design, and
+``benchmarks/perf/README.md`` for the measured throughput and memory of
+each tier.
 """
 
 from repro.serving.api import ServingAPI

@@ -33,17 +33,16 @@ Architecture
   batching keep working unchanged (one block product per batch, now on
   a core of its own).
 
-Warm starts attach straight off a snapshot:
-``ClusterService(warm_snapshot=path)`` publishes a generation whose
-payloads are the snapshot's npz files, memory-mapped by every worker
-through the shared OS page cache — one page-in instead of N
-deserializations.
+Warm starts go through the one start-up route every tier shares:
+``ClusterService(load_snapshot(path, mmap=True))`` maps the snapshot's
+payloads into the parent and publishes them as generation 0.
 
-Benchmark E18 measures the throughput against single-process
-``QueryService`` serving and asserts bit-identical answers; see
-``docs/GUIDE.md`` → "Cluster serving" for usage and
-``docs/BENCHMARKS.md`` → "Deployment sizing" for how to size the
-process count.
+``tests/serving/test_cluster.py`` and ``tests/serving/test_api.py`` pin
+the answers bit-identical to a cold engine, and the benchmark's
+``cluster.capacity_qps`` / ``service.capacity_qps`` rungs
+(``benchmarks/perf/README.md``) measure the throughput against
+single-process ``QueryService`` serving; see ``docs/GUIDE.md`` →
+"Cluster serving" for usage.
 """
 
 from __future__ import annotations
@@ -52,13 +51,8 @@ import contextlib
 import queue as _queue
 import threading
 
-from repro.exceptions import SnapshotError
 from repro.serving.api import _execute_job
-from repro.serving.shm import (
-    attach_generation,
-    generation_from_snapshot,
-    publish_generation,
-)
+from repro.serving.shm import publish_generation
 from repro.serving.workers import _ProcessTier
 
 __all__ = ["ClusterService"]
@@ -72,8 +66,8 @@ class ClusterService(_ProcessTier):
     hin:
         The network to serve.  The parent keeps the only mutable copy;
         updates go through ``hin.apply()`` as usual and re-publish
-        automatically.  Omit it (``None``) together with
-        *warm_snapshot* to cold-start the parent from a snapshot too.
+        automatically.  To restart from a snapshot pass
+        ``load_snapshot(path, mmap=True)``.
     processes:
         Worker-process count — size it to cores, not clients (the
         parent coalesces and batches, so a handful of processes absorbs
@@ -81,13 +75,6 @@ class ClusterService(_ProcessTier):
     max_batch:
         Per-job bound on same-shape top-k batching, as in
         :class:`~repro.serving.QueryService`.
-    warm_snapshot:
-        Optional snapshot directory (from
-        :func:`repro.serving.save_snapshot`).  Generation 0 then points
-        at the snapshot's npz payloads and every worker memory-maps
-        them zero-copy instead of deserializing — the cluster warm
-        start.  Requires the snapshot to describe *hin*'s current
-        epoch when *hin* is given.
     directory:
         Where generation descriptors live (a private temp directory by
         default).
@@ -99,11 +86,7 @@ class ClusterService(_ProcessTier):
     Raises
     ------
     ValueError
-        On a non-positive process count, or when neither *hin* nor
-        *warm_snapshot* is given.
-    repro.exceptions.SnapshotError
-        When *warm_snapshot* is unreadable or describes a different
-        epoch than the live *hin*.
+        On a non-positive process count.
 
     Use as a context manager, or call :meth:`close` explicitly.  The
     futures surface is the shared :class:`~repro.serving.api.ServingAPI`
@@ -118,22 +101,17 @@ class ClusterService(_ProcessTier):
 
     def __init__(
         self,
-        hin=None,
+        hin,
         *,
         processes: int | None = None,
         max_batch: int = 64,
-        warm_snapshot=None,
         directory=None,
     ):
-        if hin is None and warm_snapshot is None:
-            raise ValueError("ClusterService needs a hin, a warm_snapshot, or both")
-        self._warm_snapshot = warm_snapshot
         self._gen_counter = 0
         self._gen_value = None
         self._publish_mutex = threading.Lock()
         self._jobs_dispatched = 0
         self._generations_published = 0
-        self._parent_state = None
         # A channel is checked out of this free-list for the duration
         # of one job.
         self._free: _queue.Queue = _queue.Queue()
@@ -142,26 +120,9 @@ class ClusterService(_ProcessTier):
             self._free.put(channel)
 
     def _prepare(self, _count) -> None:
-        """Generation 0: the live network, or the warm snapshot's files."""
+        """Generation 0: the live network as it stands."""
         self._gen_value = self._ctx.Value("L", 0)
-        if self._warm_snapshot is None:
-            self._export(0)
-            return
-        first = generation_from_snapshot(
-            self._warm_snapshot, directory=self._directory, generation=0
-        )
-        self._retain(0, first)
-        if self.hin is None:
-            # Cold parent: attach the same mmap-backed generation the
-            # workers will use — one page-in warms everyone.
-            self._parent_state = attach_generation(first.path)
-            self.hin = self._parent_state.hin
-        elif self.epoch != first.epoch:
-            raise SnapshotError(
-                f"warm_snapshot is at epoch {first.epoch} but the live "
-                f"network is at epoch {self.epoch}; re-run save_snapshot() "
-                f"after updates"
-            )
+        self._export(0)
 
     def _export(self, generation: int) -> None:
         """Publish the parent's current state as *generation*."""
@@ -265,15 +226,6 @@ class ClusterService(_ProcessTier):
             generation=self._gen_counter,
         )
         return out
-
-    def close(self) -> None:
-        """Drain queued work, stop the workers, retire every generation."""
-        super().close()
-        if self._parent_state is not None:
-            # Keep serving the caller's hin object (it may outlive the
-            # cluster) — only the attachment bookkeeping is dropped; the
-            # mmap pages release with the matrices' last reference.
-            self._parent_state._resources = []
 
     def __repr__(self) -> str:
         return (

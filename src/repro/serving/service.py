@@ -32,8 +32,10 @@ serving layer:
   execution with no added latency.
 
 Batched answers are *bit-identical* to per-query answers (the block
-product runs the same summation per row), which benchmark E17 asserts
-while measuring the throughput gain.
+product runs the same summation per row), which
+``tests/serving/test_service.py::TestAnswers`` asserts; the benchmark's
+``hot_read`` workload records what the sharing is worth
+(``service.coalesce_ratio``, ``service.mean_batch``).
 
 Example
 -------

@@ -56,9 +56,11 @@ holds the full half products anyway (the scatter extracts its query
 rows from them): the :class:`~repro.watch.WatchManager`'s commit hook
 re-scores touched candidates in process, independent of the workers.
 
-Benchmark E21 asserts the bit-identity and epoch consistency under a
-live writer, the ≤1/2 per-worker memory ratio against the replicated
-cluster, and the touched-shards-only republication.
+``tests/serving/test_shards.py`` asserts the bit-identity, the ≤1/2
+per-worker payload against a replicated generation and the
+touched-shards-only republication; ``tests/serving/test_api.py::TestEpochRule``
+the epoch consistency under a live writer; the benchmark's
+``scaleout_read`` workload measures the tier.
 """
 
 from __future__ import annotations
@@ -384,7 +386,7 @@ class ShardedClusterService(_ProcessTier):
     @property
     def republications(self) -> list[int]:
         """Per-shard republication counters (initial publish excluded) —
-        the observable E21 asserts touched-shards-only maintenance on."""
+        the observable touched-shards-only maintenance is asserted on."""
         return list(self._republications)
 
     def _publish_shard(self, shard: int) -> None:
@@ -604,7 +606,7 @@ class ShardedClusterService(_ProcessTier):
         """One memory report per shard worker (see
         :meth:`ClusterService.worker_memory`; adds ``shard``).  The
         ``payload_bytes`` side is ~1/N of each served path's index —
-        the sharded memory claim E21 measures."""
+        the sharded memory claim."""
         reports = super().worker_memory()
         for shard, report in enumerate(reports):
             report["shard"] = shard

@@ -12,18 +12,16 @@ This module is the sharing substrate.  A **generation** is one
 published, immutable snapshot of a network's serveable state — schema,
 node counts and names, canonical-CSR relation matrices, the engine's
 warm cache entries, and the update epoch they all describe — whose
-array payloads live in buffers any process can map:
+array payloads live in a ``multiprocessing.shared_memory`` segment any
+process can map (:func:`publish_generation`): the parent packs every
+array into one segment; workers attach by name and wrap the buffer in
+numpy views without copying a byte.
 
-* ``multiprocessing.shared_memory`` segments
-  (:func:`publish_generation`): the parent packs every array into one
-  segment; workers attach by name and wrap the buffer in numpy views
-  without copying a byte.
-* mmap-backed snapshot payloads (:func:`mmap_npz` /
-  :func:`generation_from_snapshot`): the npz files a warm-cache
-  snapshot already wrote are uncompressed zip members, so each array
-  can be ``np.memmap``-ed in place — a cluster warm start costs one
-  page-in of the file (shared through the OS page cache by every
-  worker) instead of N full deserializations.
+The same zero-copy idea serves restarts: the npz files a warm-cache
+snapshot wrote are uncompressed zip members, so :func:`mmap_npz` can
+``np.memmap`` each array in place — ``load_snapshot(path, mmap=True)``
+costs one page-in of the file instead of a full deserialization, and
+the network it returns is what a restarted tier publishes from.
 
 A generation is described by a JSON-able **descriptor** naming the
 buffers and the structure over them; :func:`attach_generation` turns a
@@ -62,18 +60,13 @@ import scipy.sparse as sp
 from repro.exceptions import SnapshotError
 from repro.networks.hin import HIN
 from repro.networks.schema import NetworkSchema
-from repro.serving.snapshot import (
-    _build_entry_index,
-    _read_manifest,
-    _restore_entries,
-)
+from repro.serving.snapshot import _build_entry_index, _restore_entries
 
 __all__ = [
     "mmap_npz",
     "export_arrays",
     "attach_arrays",
     "publish_generation",
-    "generation_from_snapshot",
     "attach_generation",
     "PublishedGeneration",
     "AttachedGeneration",
@@ -255,9 +248,8 @@ def export_arrays(arrays: dict) -> tuple[shared_memory.SharedMemory, dict]:
 def attach_arrays(descriptor: dict):
     """Open one source descriptor's arrays without copying.
 
-    ``kind == "shm"`` attaches the named segment and wraps each array
-    spec in a read-only ``np.ndarray`` view over the shared buffer;
-    ``kind == "npz"`` memory-maps the named file via :func:`mmap_npz`.
+    Attaches the named segment and wraps each array spec in a read-only
+    ``np.ndarray`` view over the shared buffer.
 
     Python <= 3.12 registers a segment with the ``multiprocessing``
     resource tracker on EVERY open, not just on create (bpo-39959).
@@ -274,9 +266,8 @@ def attach_arrays(descriptor: dict):
 
     Returns
     -------
-    ``(resource, arrays)`` — *resource* is the object keeping the
-    mapping alive (a ``SharedMemory`` handle, or ``None`` for mmaps,
-    which numpy keeps open itself), *arrays* the ``{key: view}`` dict.
+    ``(resource, arrays)`` — *resource* is the ``SharedMemory`` handle
+    keeping the mapping alive, *arrays* the ``{key: view}`` dict.
 
     Raises
     ------
@@ -284,8 +275,6 @@ def attach_arrays(descriptor: dict):
         When a shared-memory segment has already been unlinked — the
         publisher retired this generation; attach the newer one.
     """
-    if descriptor["kind"] == "npz":
-        return None, mmap_npz(descriptor["file"])
     try:
         # Python >= 3.13: attaching never registers with the resource
         # tracker — only the creator owns the segment's lifetime.
@@ -358,8 +347,6 @@ def _release(resources) -> None:
     is left to die with their last reference instead of being
     invalidated out from under them."""
     for resource in resources:
-        if resource is None:
-            continue
         try:
             resource.close()
         except BufferError:
@@ -369,8 +356,8 @@ def _release(resources) -> None:
 class PublishedGeneration:
     """The publisher's handle on one generation it exported.
 
-    Holds the shared-memory segment (when the payload is shm-backed)
-    and the descriptor-file path, so the generation can be retired —
+    Holds the shared-memory segment and the descriptor-file path, so
+    the generation can be retired —
     segment unlinked, descriptor removed — once every worker has moved
     to a newer one (see ``docs/ARCHITECTURE.md`` → "Generations, the
     worker loop and fences").
@@ -424,12 +411,11 @@ class AttachedGeneration:
         the matching diagonal slice, and the global index of the
         slice's first row.  Empty for a network generation.
     payload_bytes:
-        Total size of the attached buffers (segment sizes plus
-        mmap-backed payload files).  These bytes are *shared* — mapped,
-        not copied, by every attaching process — so they are the term
-        the memory-ratio benchmarks (E18/E21) compare across serving
-        topologies; per-process private memory is the RSS side of the
-        report.
+        Total size of the attached segments.  These bytes are *shared*
+        — mapped, not copied, by every attaching process — so they are
+        the term the benchmark's ``cluster.payload_mb`` /
+        ``shards.payload_mb`` compare across serving topologies;
+        per-process private memory is the RSS side of the report.
     """
 
     def __init__(
@@ -491,7 +477,7 @@ def descriptor_path(directory, stem: str, generation: int) -> Path:
 
 
 def _write_descriptor(
-    directory, stem, generation, epoch, entries, sources, *, network=None, segment=None
+    directory, stem, generation, epoch, entries, sources, *, segment, network=None
 ) -> PublishedGeneration:
     """Atomically write one generation's descriptor; return its handle.
 
@@ -563,67 +549,12 @@ def publish_generation(hin, engine, *, directory, generation: int) -> PublishedG
     for rel in structure["relations"]:
         name = rel["name"]
         rel.update(_csr_to_arrays(f"rel/{name}", captured[name], arrays))
-    # One shared entry schema with snapshots (snapshot.py defines it):
-    # generation_from_snapshot feeds a manifest's entry index straight
-    # into attach_generation, so the two serializers must never drift.
+    # One shared entry schema with snapshots (snapshot.py defines it).
     entry_index = _build_entry_index(entries, arrays, _csr_to_arrays)
     segment, source = export_arrays(arrays)
     return _write_descriptor(
         directory, "gen", generation, epoch, entry_index, [source],
         network=structure, segment=segment,
-    )
-
-
-def generation_from_snapshot(path, *, directory, generation: int) -> PublishedGeneration:
-    """Publish a generation whose payloads are a snapshot's npz files.
-
-    The warm-start path: instead of deserializing the snapshot and
-    re-exporting its bytes into a segment, the descriptor points
-    straight at the snapshot's ``network-*.npz`` / ``cache-*.npz``
-    payloads; every attaching process memory-maps them
-    (:func:`mmap_npz`), so N workers warm up for the cost of paging the
-    files in **once** through the shared OS page cache.
-
-    Parameters
-    ----------
-    path:
-        A snapshot directory written by
-        :func:`repro.serving.save_snapshot`.
-    directory / generation:
-        As in :func:`publish_generation`.
-
-    Raises
-    ------
-    repro.exceptions.SnapshotError
-        When the manifest is missing or not a snapshot of the supported
-        format.  Content hashes are *not* re-verified here — that would
-        read every byte, defeating the zero-copy start; run
-        :func:`repro.serving.load_snapshot` first when the files are
-        untrusted.
-    """
-    snap = Path(path).resolve()
-    manifest = _read_manifest(snap)
-    network = {
-        "node_types": manifest["node_types"],
-        "node_counts": manifest["node_counts"],
-        "relations": [
-            {
-                "name": r["name"],
-                "source": r["source"],
-                "target": r["target"],
-                "shape": r["shape"],
-            }
-            for r in manifest["relations"]
-        ],
-        "names": manifest["names"],
-    }
-    sources = [
-        {"kind": "npz", "file": str(snap / manifest["files"]["network"])},
-        {"kind": "npz", "file": str(snap / manifest["files"]["cache"])},
-    ]
-    return _write_descriptor(
-        directory, "gen", generation, manifest["epoch"], manifest["entries"],
-        sources, network=network,
     )
 
 
@@ -713,13 +644,7 @@ def attach_generation(path_or_descriptor) -> AttachedGeneration:
             resource, chunk = attach_arrays(source)
             resources.append(resource)
             arrays.update(chunk)
-            if source["kind"] == "npz":
-                try:
-                    payload_bytes += os.path.getsize(source["file"])
-                except OSError:
-                    pass
-            else:
-                payload_bytes += int(resource.size)
+            payload_bytes += int(resource.size)
         entries = _restore_entries(descriptor["entries"], arrays, _csr_from_arrays)
         hin = None
         if "relations" in descriptor:

@@ -212,23 +212,32 @@ def _build_entry_index(entries, arrays: dict, csr_writer) -> list[dict]:
     ``(prefix, matrix, arrays) -> descriptor`` recorder (snapshots
     preserve dtypes; generations normalize index dtypes for zero-copy
     attach).
+
+    Each distinct matrix is written once: a PathSim entry's ``W`` *is*
+    the cached half product, so the second key to reach an object names
+    the arrays the first one wrote (``"csr"``) instead of copying them.
     """
     index = []
+    written: dict[int, tuple[str, dict]] = {}  # id(matrix) -> (csr prefix, desc)
     for i, (key, value) in enumerate(entries):
         kind, steps = key
         prefix = f"entry{i}"
         if kind == "pathsim":
-            w, diag = value
-            desc = csr_writer(f"{prefix}/w", w, arrays)
+            matrix, diag = value
+            own = f"{prefix}/w"
             arrays[f"{prefix}/diag"] = np.asarray(diag, dtype=np.float64)
         else:
-            desc = csr_writer(prefix, value, arrays)
+            matrix, own = value, prefix
+        if id(matrix) not in written:
+            written[id(matrix)] = own, csr_writer(own, matrix, arrays)
+        csr, desc = written[id(matrix)]
         index.append(
             {
                 "kind": kind,
                 "steps": [[name, bool(fwd)] for name, fwd in steps],
                 "prefix": prefix,
                 **desc,
+                **({"csr": csr} if csr != own else {}),
             }
         )
     return index
@@ -236,21 +245,26 @@ def _build_entry_index(entries, arrays: dict, csr_writer) -> list[dict]:
 
 def _restore_entries(entry_index, arrays, csr_reader) -> list[tuple]:
     """The inverse of :func:`_build_entry_index`: engine ``(key, value)``
-    pairs from a serialized entry index over *arrays*."""
+    pairs from a serialized entry index over *arrays*.  Entries naming
+    the same ``"csr"`` arrays get the same matrix object back; an index
+    without the field (written before matrices were shared) reads every
+    entry from its own arrays."""
     entries: list[tuple] = []
+    matrices: dict[str, sp.csr_matrix] = {}
     for desc in entry_index:
         key = (
             desc["kind"],
             tuple((name, bool(fwd)) for name, fwd in desc["steps"]),
         )
-        if desc["kind"] == "pathsim":
-            w = csr_reader(f"{desc['prefix']}/w", arrays, desc["shape"])
+        pathsim = desc["kind"] == "pathsim"
+        csr = desc.get("csr", f"{desc['prefix']}/w" if pathsim else desc["prefix"])
+        if csr not in matrices:
+            matrices[csr] = csr_reader(csr, arrays, desc["shape"])
+        if pathsim:
             diag = np.asarray(arrays[f"{desc['prefix']}/diag"])
-            entries.append((key, (w, diag)))
+            entries.append((key, (matrices[csr], diag)))
         else:
-            entries.append(
-                (key, csr_reader(desc["prefix"], arrays, desc["shape"]))
-            )
+            entries.append((key, matrices[csr]))
     return entries
 
 

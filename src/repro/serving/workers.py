@@ -316,7 +316,7 @@ class _ProcessTier(ServingAPI):
 
     def _start(self, hin, count: int | None, max_batch: int, directory) -> None:
         """Acquire everything, in the one order that is sound; a failure
-        part-way (stale snapshot, fork error) releases what was already
+        part-way (failed publish, fork error) releases what was already
         acquired instead of leaking segments, processes and temp
         directories until interpreter exit."""
         if count is None:

@@ -34,8 +34,7 @@ class CacheInfo:
     maxsize: int
     #: Versioned-cache generation: starts at 0 and advances every time the
     #: owner declares the cached world changed (see
-    #: :meth:`LRUCache.bump_generation`); entries remember the generation
-    #: they were written under.
+    #: :meth:`LRUCache.bump_generation`).
     generation: int = 0
 
     @property
@@ -62,7 +61,6 @@ class LRUCache:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
         self._data: OrderedDict = OrderedDict()
-        self._written_at: dict = {}
         self._mutex = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -112,11 +110,9 @@ class LRUCache:
         """Insert or refresh *key*, evicting the LRU entry when full."""
         with self._mutex:
             self._data[key] = value
-            self._written_at[key] = self.generation
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 evicted, _ = self._data.popitem(last=False)
-                self._written_at.pop(evicted, None)
                 self.evictions += 1
 
     def keys(self) -> list:
@@ -140,7 +136,6 @@ class LRUCache:
         with self._mutex:
             if key not in self._data:
                 return default
-            self._written_at.pop(key, None)
             self.evictions += 1
             return self._data.pop(key)
 
@@ -149,14 +144,12 @@ class LRUCache:
 
         Unlike :meth:`put`, recency is preserved and no hit/miss counter
         moves — this is maintenance (the engine rewriting a materialized
-        matrix after an incremental update), not cache traffic.  The
-        entry's generation stamp does advance to the current generation.
+        matrix after an incremental update), not cache traffic.
         """
         with self._mutex:
             if key not in self._data:
                 raise KeyError(key)
             self._data[key] = value
-            self._written_at[key] = self.generation
 
     def resize(self, maxsize: int) -> None:
         """Change the entry bound, evicting LRU entries when shrinking."""
@@ -166,7 +159,6 @@ class LRUCache:
             self.maxsize = int(maxsize)
             while len(self._data) > self.maxsize:
                 evicted, _ = self._data.popitem(last=False)
-                self._written_at.pop(evicted, None)
                 self.evictions += 1
 
     def bump_generation(self) -> int:
@@ -174,16 +166,11 @@ class LRUCache:
 
         Owners call this when the data the cache derives from changes —
         one bump per network update epoch — so observers can tell which
-        entries were written under which version of the world.
+        version of the world the cache describes.
         """
         with self._mutex:
             self.generation += 1
             return self.generation
-
-    def generation_of(self, key: Hashable) -> int | None:
-        """Generation *key* was last written under (``None`` when absent)."""
-        with self._mutex:
-            return self._written_at.get(key)
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], object]):
         """Cached value for *key*, calling *compute* (and storing) on a miss.
@@ -204,7 +191,6 @@ class LRUCache:
         """Drop every entry (counters are kept — they describe the lifetime)."""
         with self._mutex:
             self._data.clear()
-            self._written_at.clear()
 
     def info(self) -> CacheInfo:
         """Current :class:`CacheInfo` snapshot."""

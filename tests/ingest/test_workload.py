@@ -129,7 +129,7 @@ class TestValidation:
 
 class TestReplayParity:
     """Same seed + same network evolution = bit-identical answers
-    everywhere — the E23 identity gate in miniature."""
+    everywhere: the cross-tier replay oracle under node growth."""
 
     def _run_against(self, make_target, fixture_xml, writer_xml):
         hin = _fresh_base(fixture_xml)

@@ -287,8 +287,7 @@ class TestCommitHooks:
         bib.add_commit_hook(second)
         with pytest.raises(RuntimeError, match="first failure") as excinfo:
             bib.apply(UpdateBatch().add_edges("writes", [(1, 0)]))
-        notes = getattr(excinfo.value, "__notes__", [])
-        assert any("second failure" in note for note in notes)
+        assert any("second failure" in note for note in excinfo.value.__notes__)
 
     def test_hook_can_query_without_deadlock(self, bib):
         # The hook runs outside the engine write lock, so read-locked

@@ -1,4 +1,4 @@
-"""Property-based invariants of streaming ingest (satellite of E23).
+"""Property-based invariants of streaming ingest.
 
 The central claim: the committed network is a pure function of the
 *record stream content* — chunk boundaries never change it bit-for-bit,

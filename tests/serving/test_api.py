@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -233,6 +234,75 @@ class TestEpochRule:
         second = any_service.similar(0, APA, 3).result(timeout=60)
         assert first.network_version == 0
         assert second.network_version == 1
+
+    def test_every_answer_beside_a_live_writer_equals_a_cold_replay_at_its_epoch(
+        self, small_bib, any_service
+    ):
+        """Clients stream ``similar`` while the writer commits; afterwards
+        the batches are replayed on a fresh network and every collected
+        answer — not just the final-epoch ones — must equal a cold
+        engine's at the epoch the answer is stamped with."""
+        from repro.engine import MetaPathEngine
+
+        types = small_bib.schema.node_types
+        replay = HIN(
+            small_bib.schema,
+            {t: small_bib.node_count(t) for t in types},
+            {
+                rel.name: small_bib.relation_matrix(rel.name).copy()
+                for rel in small_bib.schema.relations
+            },
+            node_names={t: small_bib.names(t) for t in types},
+        )
+        stream = [
+            UpdateBatch().add_edges("writes", [(3, 1)]),
+            UpdateBatch().add_edges("writes", [(0, 3)]),
+            UpdateBatch().remove_edges("writes", [(1, 2)]),
+            UpdateBatch().add_edges("writes", [(0, 4), (1, 4)]),
+            UpdateBatch().add_edges("writes", [(2, 0)]),
+        ]
+        authors = ("a0", "a1", "a2")
+        answers, errors = [], []
+        stop = threading.Event()
+
+        def client(author):
+            try:
+                while not stop.is_set():
+                    answer = any_service.similar(author, APA, 3).result(timeout=60)
+                    answers.append((author, answer))
+            except Exception as exc:  # asserted empty below
+                errors.append(exc)
+
+        def let_clients_run():
+            served, deadline = len(answers), time.monotonic() + 60
+            while len(answers) < served + len(authors) and time.monotonic() < deadline:
+                time.sleep(0.002)
+
+        clients = [threading.Thread(target=client, args=(a,)) for a in authors]
+        for thread in clients:
+            thread.start()
+        try:
+            for batch in stream:
+                let_clients_run()
+                small_bib.apply(batch)
+            let_clients_run()
+        finally:
+            stop.set()
+            for thread in clients:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in clients)
+        assert errors == []
+
+        reference = {}
+        for epoch in range(len(stream) + 1):
+            if epoch:
+                replay.apply(stream[epoch - 1])
+            cold = MetaPathEngine(replay, plan="left", mode="materialize")
+            for author in authors:
+                reference[epoch, author] = list(cold.pathsim_top_k(APA, author, 3))
+        for author, answer in answers:
+            assert list(answer) == reference[answer.network_version, author]
+        assert len({answer.network_version for _, answer in answers}) > 1
 
     def test_a_queued_request_is_not_joined_after_a_commit(self, small_bib):
         """The interleaving retire-inside-the-read-lock used to cover:

@@ -2,9 +2,9 @@
 
 The cluster forks real worker processes, so every test keeps the
 process count at two and the network tiny — the heavy-load story lives
-in benchmark E18.  On single-CPU runners two workers time-slice one
-core and the 60s futures flake, so there — mirroring E18's
-``parallel_gate`` — the suite downsizes to one process.
+in the benchmark's cluster rungs (``benchmarks/perf/layers.py``).  On
+single-CPU runners two workers time-slice one core and the 60s futures
+flake, so there the suite downsizes to one process.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import os
 
 import pytest
 
-from repro.exceptions import NodeNotFoundError, SnapshotError
+from repro.exceptions import NodeNotFoundError
 from repro.networks import UpdateBatch
-from repro.serving import ClusterService, save_snapshot
+from repro.serving import ClusterService, load_snapshot, save_snapshot
 
 APA = "author-paper-author"
 APVPA = "author-paper-venue-paper-author"
@@ -103,36 +103,18 @@ class TestWarmStart:
         expected = engine.pathsim_top_k(APVPA, 0, 3)
         save_snapshot(small_bib, tmp_path / "snap")
         with ClusterService(
-            warm_snapshot=tmp_path / "snap", processes=_PROCESSES
+            load_snapshot(tmp_path / "snap", mmap=True), processes=_PROCESSES
         ) as service:
             got = service.similar(0, APVPA, 3).result(timeout=60)
             assert list(got) == list(expected)
-            # the mmap-attached parent still accepts updates
+            # the mmap-loaded parent still accepts updates
             service.hin.apply(UpdateBatch().add_edges("writes", [(0, 4)]))
             assert service.similar(0, APVPA, 3).result(
                 timeout=60
             ).network_version == 1
 
-    def test_snapshot_plus_matching_live_hin(self, small_bib, tmp_path):
-        small_bib.engine().prewarm([APA])
-        save_snapshot(small_bib, tmp_path / "snap")
-        with ClusterService(
-            small_bib, warm_snapshot=tmp_path / "snap", processes=_PROCESSES
-        ) as service:
-            assert service.similar(0, APA, 3).result(timeout=60).network_version == 0
-
-    def test_stale_snapshot_for_live_hin_rejected(self, small_bib, tmp_path):
-        save_snapshot(small_bib, tmp_path / "snap")
-        small_bib.apply(UpdateBatch().add_edges("writes", [(0, 4)]))
-        with pytest.raises(SnapshotError, match="epoch"):
-            ClusterService(small_bib, warm_snapshot=tmp_path / "snap", processes=1)
-
 
 class TestLifecycle:
-    def test_requires_hin_or_snapshot(self):
-        with pytest.raises(ValueError):
-            ClusterService()
-
     def test_rejects_bad_process_count(self, small_bib):
         with pytest.raises(ValueError):
             ClusterService(small_bib, processes=0)
@@ -160,17 +142,21 @@ class TestLifecycle:
         with pytest.raises(TypeError, match="picklable"):
             cluster.rank("venue", by="author", method=lambda: None).result(timeout=60)
 
-    def test_failed_construction_cleans_up(self, small_bib, tmp_path):
-        # A stale warm_snapshot aborts __init__ — the generation
-        # directory and descriptor must not leak.
+    def test_failed_construction_cleans_up(self, small_bib, monkeypatch):
+        # A failing first publish aborts __init__ — the private
+        # generation directory must not leak.
         import pathlib
         import tempfile
 
-        save_snapshot(small_bib, tmp_path / "snap")
-        small_bib.apply(UpdateBatch().add_edges("writes", [(0, 4)]))
+        from repro.serving import cluster as cluster_module
+
+        def cannot_publish(*args, **kwargs):
+            raise OSError("no space left in /dev/shm")
+
+        monkeypatch.setattr(cluster_module, "publish_generation", cannot_publish)
         before = set(pathlib.Path(tempfile.gettempdir()).glob("repro-cluster-*"))
-        with pytest.raises(SnapshotError):
-            ClusterService(small_bib, warm_snapshot=tmp_path / "snap", processes=1)
+        with pytest.raises(OSError, match="no space"):
+            ClusterService(small_bib, processes=1)
         after = set(pathlib.Path(tempfile.gettempdir()).glob("repro-cluster-*"))
         assert after == before
 

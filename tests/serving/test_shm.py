@@ -9,12 +9,10 @@ import pytest
 
 from repro.exceptions import SnapshotError
 from repro.networks import UpdateBatch
-from repro.serving import save_snapshot
 from repro.serving.shm import (
     attach_arrays,
     attach_generation,
     export_arrays,
-    generation_from_snapshot,
     mmap_npz,
     publish_generation,
 )
@@ -194,36 +192,3 @@ class TestGenerations:
                 attach_generation(bad)
         finally:
             published.dispose()
-
-
-class TestSnapshotGenerations:
-    def test_mmap_generation_serves_snapshot_answers(self, small_bib, tmp_path):
-        engine = small_bib.engine()
-        engine.prewarm([APA, APVPA])
-        save_snapshot(small_bib, tmp_path / "snap")
-        published = generation_from_snapshot(
-            tmp_path / "snap", directory=tmp_path / "gens", generation=0
-        )
-        attached = attach_generation(published.path)
-        try:
-            for author in range(small_bib.node_count("author")):
-                assert list(attached.engine.pathsim_top_k(APVPA, author, 3)) == list(
-                    engine.pathsim_top_k(APVPA, author, 3)
-                )
-            # Zero-copy: the relation data is a view over the mmapped
-            # file (walk the base chain — scipy may wrap the view).
-            data = attached.hin.relation_matrix("writes").data
-            base = data
-            while base is not None and not isinstance(base, np.memmap):
-                base = base.base
-            assert isinstance(base, np.memmap)
-            assert not data.flags.writeable
-        finally:
-            attached.close()
-            published.dispose()
-
-    def test_requires_a_real_snapshot(self, tmp_path):
-        with pytest.raises(SnapshotError):
-            generation_from_snapshot(
-                tmp_path / "empty", directory=tmp_path / "gens", generation=0
-            )

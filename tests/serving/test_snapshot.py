@@ -219,6 +219,91 @@ class TestMmapLoad:
         assert len(loaded.engine().pathsim_top_k(APA, 0, 2)) > 0
 
 
+def _matrix(key, value):
+    return value[0] if key[0] == "pathsim" else value
+
+
+def _csr_bytes(m):
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+def _payload_bytes(path, manifest):
+    with np.load(path / manifest["files"]["cache"]) as npz:
+        return sum(npz[name].nbytes for name in npz.files)
+
+
+class TestSharedMatrices:
+    """A PathSim entry's ``W`` *is* the cached half product — one object
+    under two keys — and a snapshot holds it once."""
+
+    @staticmethod
+    def _keys(engine):
+        """``APVPA``'s PathSim key and the key of its half product."""
+        return (
+            ("pathsim", engine.path(APVPA).canonical_key()),
+            ("product", engine.path("author-paper-venue").canonical_key()),
+        )
+
+    def test_a_matrix_under_two_keys_is_written_once(self, small_bib, tmp_path):
+        engine = _warm(small_bib)
+        entries = engine.snapshot_entries()
+        distinct = {id(_matrix(k, v)): _matrix(k, v) for k, v in entries}
+        assert len(distinct) < len(entries)
+        expected = [list(engine.pathsim_top_k(APVPA, a, 3)) for a in range(4)]
+
+        manifest = save_snapshot(small_bib, tmp_path / "snap")
+        assert manifest["format_version"] == 1
+        diag_bytes = sum(8 * len(v[1]) for k, v in entries if k[0] == "pathsim")
+        assert _payload_bytes(tmp_path / "snap", manifest) == diag_bytes + sum(
+            _csr_bytes(m) for m in distinct.values()
+        )
+
+        for mmap in (False, True):
+            warm = load_snapshot(tmp_path / "snap", mmap=mmap).engine()
+            restored = dict(warm.snapshot_entries())
+            assert len(restored) == len(entries)
+            pathsim, half = self._keys(warm)
+            assert restored[pathsim][0] is restored[half]
+            misses = warm.cache_info().misses
+            assert [list(warm.pathsim_top_k(APVPA, a, 3)) for a in range(4)] == expected
+            assert warm.cache_info().misses == misses
+
+    def test_a_snapshot_with_duplicate_arrays_still_loads(
+        self, small_bib, tmp_path, monkeypatch
+    ):
+        """The layout written before matrices were shared: every entry
+        owns its arrays and no descriptor names another's."""
+        engine = _warm(small_bib)
+        expected = [list(engine.pathsim_top_k(APVPA, a, 3)) for a in range(4)]
+        shared = save_snapshot(small_bib, tmp_path / "shared")
+        entries = engine.snapshot_entries()
+        unshared = [
+            (k, (v[0].copy(), v[1]) if k[0] == "pathsim" else v) for k, v in entries
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "snapshot_entries", lambda: unshared)
+            old = save_snapshot(small_bib, tmp_path / "old")
+        assert not any("csr" in desc for desc in old["entries"])
+        assert any("csr" in desc for desc in shared["entries"])
+        half = dict(entries)[self._keys(engine)[1]]
+        assert _payload_bytes(tmp_path / "old", old) == _payload_bytes(
+            tmp_path / "shared", shared
+        ) + _csr_bytes(half)
+
+        cold = load_snapshot(tmp_path / "old")
+        cold.engine().clear_cache()
+        assert warm_from_snapshot(cold, tmp_path / "old") == len(entries)
+        for hin in (
+            cold,
+            load_snapshot(tmp_path / "old"),
+            load_snapshot(tmp_path / "old", mmap=True),
+        ):
+            warm = hin.engine()
+            misses = warm.cache_info().misses
+            assert [list(warm.pathsim_top_k(APVPA, a, 3)) for a in range(4)] == expected
+            assert warm.cache_info().misses == misses
+
+
 class TestVerification:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SnapshotError, match="manifest"):
