@@ -1047,12 +1047,17 @@ class MetaPathEngine:
     # Warm-cache snapshots
     # ------------------------------------------------------------------
     @_reader
-    def snapshot_entries(self) -> list[tuple]:
-        """Stable ``(key, value)`` pairs of every cached materialization.
+    def export_state(self) -> tuple[int, list[tuple]]:
+        """One consistent ``(epoch, entries)`` read of the warm cache.
 
-        Read under the engine's read lock so the list describes one
-        epoch; values are peeked (recency and hit counters untouched).
-        The serving layer's snapshot writer consumes this.
+        Everything a snapshot or a peer process needs to serve this
+        engine's answers — the update epoch plus stable ``(key, value)``
+        pairs of every cached materialization — captured under a single
+        read-lock hold, so the pair can never describe two different
+        epochs.  Values are peeked (recency and hit counters untouched)
+        and are the engine's *own* matrix objects (immutable by library
+        convention); callers serialize or copy them into shared buffers
+        after the lock releases.
 
         The read lock excludes *writers*, not other readers: a
         concurrent query may still materialize (and thereby LRU-evict)
@@ -1066,46 +1071,30 @@ class MetaPathEngine:
             value = self._cache.peek(key, sentinel)
             if value is not sentinel:
                 entries.append((key, value))
-        return entries
-
-    @_reader
-    def export_state(self) -> tuple[int, list[tuple]]:
-        """One consistent ``(epoch, entries)`` read of the warm cache.
-
-        The multi-process publish path: everything a peer process needs
-        to serve this engine's answers — the update epoch plus every
-        cached materialization — captured under a single read-lock hold,
-        so the pair can never describe two different epochs.  The values
-        are the engine's *own* matrix objects (immutable by library
-        convention); callers serialize or copy them into shared buffers
-        after the lock releases.
-
-        Returns
-        -------
-        ``(epoch, entries)`` where *entries* is the
-        :meth:`snapshot_entries` list.
-        """
-        self._sync()
-        return self._epoch, self.snapshot_entries()
+        return self._epoch, entries
 
     @_writer
     def attach_state(self, epoch: int, entries) -> int:
-        """Adopt pre-materialized *entries* as this engine's cache at *epoch*.
+        """Adopt pre-materialized *entries* into this engine's cache at *epoch*.
 
-        The inverse of :meth:`export_state`, used by a worker process
-        attaching a published shared-memory generation: values typically
-        wrap buffers the process does not own (read-only shared-memory
-        or mmap views), which is safe because the engine never mutates
-        cached matrices in place — maintenance *replaces* entries.
+        The inverse of :meth:`export_state`, used when warming from a
+        snapshot or attaching a published shared-memory generation:
+        values may wrap buffers the process does not own (read-only
+        shared-memory or mmap views), which is safe because the engine
+        never mutates cached matrices in place — maintenance *replaces*
+        entries.  The LRU bound grows if needed so that every installed
+        entry survives (state from a larger-cached engine must not be
+        silently half-evicted).
 
         Parameters
         ----------
         epoch:
             The update epoch *entries* describe.  The network this
-            engine serves must already be at that epoch (the attach path
-            constructs the HIN at the published version); a mismatch
-            raises ``ValueError`` rather than installing a cache that
-            every later answer would silently mistrust.
+            engine serves must be at that epoch; a mismatch raises
+            ``ValueError`` rather than installing a cache that would
+            corrupt every later answer.  That the entries describe this
+            network's *content* at that epoch is the caller's to check
+            (:func:`repro.serving.warm_from_snapshot` does).
         entries:
             ``(key, value)`` pairs as produced by :meth:`export_state`.
 
@@ -1119,37 +1108,13 @@ class MetaPathEngine:
                 f"attach_state() epoch {epoch} does not match the "
                 f"network's version {version}"
             )
-        self._epoch = int(epoch)
-        return self._install_entries(entries)
-
-    @_writer
-    def warm_entries(self, entries) -> int:
-        """Install pre-materialized ``(key, value)`` pairs into the cache.
-
-        The inverse of :meth:`snapshot_entries`, used when warming from
-        a snapshot.  The caller (:func:`repro.serving.warm_from_snapshot`)
-        is responsible for checking that the entries describe this
-        network at its *current* epoch; installing entries from another
-        epoch corrupts every later answer.  The LRU bound grows if
-        needed so that every installed entry survives (a snapshot from
-        a larger-cached engine must not be silently half-evicted).
-        Returns the number installed.
-        """
         self._sync()
-        return self._install_entries(entries)
-
-    def _install_entries(self, entries) -> int:
-        """Install ``(key, value)`` pairs, growing the LRU bound so none
-        of them is evicted by the install itself (caller holds the write
-        lock)."""
         entries = list(entries)
         if len(entries) > self._cache.maxsize:
             self._cache.resize(len(entries))
-        count = 0
         for key, value in entries:
             self._cache.put(key, value)
-            count += 1
-        return count
+        return len(entries)
 
     def save_snapshot(self, path) -> dict:
         """Persist the network and this engine's warm cache to *path*.

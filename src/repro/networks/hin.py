@@ -75,8 +75,8 @@ class HIN:
         Mapping from relation name to a ``(n_source, n_target)`` matrix.
     validate:
         When ``True`` (the default) every matrix is converted to
-        canonical float64 CSR (zeros eliminated, indices sorted,
-        negative weights rejected) — which copies or mutates the input
+        canonical float64 CSR (duplicates summed, zeros eliminated,
+        indices sorted, negative weights rejected) — which copies or mutates the input
         arrays.  ``validate=False`` is the *attach* path for matrices
         that are already canonical CSR and must be adopted **zero-copy**
         (shared-memory segments, read-only snapshot mmaps): the arrays
@@ -148,6 +148,7 @@ class HIN:
                 # These normalizations write the CSR arrays in place —
                 # exactly what the validate=False attach path must never
                 # do to a shared or read-only buffer.
+                m.sum_duplicates()
                 m.eliminate_zeros()
                 m.sort_indices()
             self._matrices[name] = m

@@ -51,6 +51,14 @@ touched shards**: a localized batch moves one shard's generation while
 the others keep serving their still-bit-valid slices.  Node growth
 recomputes the :class:`ShardPlan` and republishes everything.
 
+**Who owns what.**  This module owns the row partition
+(:class:`ShardPlan`), which rows of which half products a shard packs,
+and the scatter/merge.  How those entries become flat arrays and a
+descriptor is not decided here: a shard generation is packed by the
+state codec (:mod:`repro.serving.snapshot`) and published and attached
+by the generation container (:mod:`repro.serving.shm`), the same
+functions a replicated generation goes through.
+
 Standing queries are maintained in the parent, on the engine that
 holds the full half products anyway (the scatter extracts its query
 rows from them): the :class:`~repro.watch.WatchManager`'s commit hook
@@ -78,13 +86,7 @@ from repro.exceptions import ReproError
 from repro.networks.stats import balanced_ranges, type_row_weights
 from repro.query.results import TopKResult
 from repro.serving.api import _pathsim_fields
-from repro.serving.shm import (
-    PublishedGeneration,
-    _build_entry_index,
-    _csr_to_arrays,
-    _write_descriptor,
-    export_arrays,
-)
+from repro.serving.shm import PublishedGeneration, _publish
 from repro.serving.workers import _JOB_TIMEOUT_S, _ProcessTier
 from repro.watch.analysis import touched_chain_rows
 
@@ -211,15 +213,8 @@ def publish_shard_generation(
             lo, hi = plan.range_of(spath.source_type, shard)
             entries.append((("pathsim", spath.token), (w[lo:hi], diag[lo:hi])))
             ranges.append({"lo": int(lo), "hi": int(hi)})
-    arrays: dict[str, np.ndarray] = {}
-    index = _build_entry_index(entries, arrays, _csr_to_arrays)
-    for desc, rows in zip(index, ranges):
-        desc.update(rows)
-    segment, source = export_arrays(arrays)
-    return _write_descriptor(
-        directory, f"shard{int(shard)}-gen", generation, epoch, index, [source],
-        segment=segment,
-    )
+    stem = f"shard{int(shard)}-gen"
+    return _publish(directory, stem, generation, {"epoch": int(epoch)}, [], entries, ranges)
 
 
 def _pack_queries(q_rows: sp.csr_matrix, q_diag: np.ndarray) -> tuple:

@@ -23,22 +23,26 @@ snapshot wrote are uncompressed zip members, so :func:`mmap_npz` can
 costs one page-in of the file instead of a full deserialization, and
 the network it returns is what a restarted tier publishes from.
 
-A generation is described by a JSON-able **descriptor** naming the
-buffers and the structure over them; :func:`attach_generation` turns a
-descriptor back into a live :class:`~repro.networks.hin.HIN` plus a
-warm :class:`~repro.engine.MetaPathEngine`, still zero-copy: matrices
-are constructed directly over the mapped buffers
+A generation is described by a JSON **descriptor** naming the segment
+and the structure over it; :func:`attach_generation` turns a descriptor
+back into a live :class:`~repro.networks.hin.HIN` plus a warm
+:class:`~repro.engine.MetaPathEngine`, still zero-copy: matrices are
+constructed directly over the mapped buffers
 (``HIN(..., validate=False)`` skips the normalizations that would write
 them).  Generations are immutable once published — a new epoch means a
 *new* generation, never an edit — so a worker can never observe a torn
 matrix: it either still serves the old generation or has atomically
 swapped to the complete new one.
 
-There is one container.  A *shard* generation
+This module owns the **container** — segment packing, the descriptor
+file, publication and retirement.  What goes *into* it is the state
+codec of :mod:`repro.serving.snapshot` (network section, entry index,
+CSR arrays), the same functions a snapshot is written and read with.
+There is one container: a *shard* generation
 (:func:`repro.serving.shards.publish_shard_generation`) is the same
 descriptor without the network section, whose PathSim entries carry the
 ``lo``/``hi`` row range they were sliced to; it goes through the same
-writer, reader and :func:`attach_generation`.
+publish tail and :func:`attach_generation`.
 
 The service classes drive the lifecycle (:mod:`repro.serving.workers`):
 publish on start, re-publish from the ``hin.apply()`` commit hook,
@@ -55,12 +59,17 @@ from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import SnapshotError
-from repro.networks.hin import HIN
-from repro.networks.schema import NetworkSchema
-from repro.serving.snapshot import _build_entry_index, _restore_entries
+from repro.serving.snapshot import (
+    _FORMAT_VERSION,
+    _build_entry_index,
+    _capture_state,
+    _read_envelope,
+    _restore_entries,
+    _restore_network,
+    _write_csr,
+)
 
 __all__ = [
     "mmap_npz",
@@ -73,7 +82,6 @@ __all__ = [
 ]
 
 _FORMAT = "repro-shm-generation"
-_FORMAT_VERSION = 1
 _ALIGN = 64  # cache-line align every array inside a segment
 
 
@@ -241,12 +249,11 @@ def export_arrays(arrays: dict) -> tuple[shared_memory.SharedMemory, dict]:
         )
         view[...] = value
         del view  # drop the buffer export before anyone can close()
-    descriptor = {"kind": "shm", "segment": segment.name, "arrays": specs}
-    return segment, descriptor
+    return segment, {"segment": segment.name, "arrays": specs}
 
 
 def attach_arrays(descriptor: dict):
-    """Open one source descriptor's arrays without copying.
+    """Open one segment descriptor's arrays without copying.
 
     Attaches the named segment and wraps each array spec in a read-only
     ``np.ndarray`` view over the shared buffer.
@@ -262,7 +269,8 @@ def attach_arrays(descriptor: dict):
     Parameters
     ----------
     descriptor:
-        One entry of a generation descriptor's ``sources`` list.
+        What :func:`export_arrays` returned — a generation
+        descriptor's ``source``.
 
     Returns
     -------
@@ -295,62 +303,17 @@ def attach_arrays(descriptor: dict):
 
 
 # ----------------------------------------------------------------------
-# CSR <-> flat arrays
-# ----------------------------------------------------------------------
-def _csr_to_arrays(prefix: str, matrix: sp.csr_matrix, arrays: dict) -> dict:
-    """Record *matrix*'s CSR arrays under *prefix*; return its descriptor.
-
-    Index arrays are normalized to the smallest dtype scipy would pick
-    for them (int32 when the matrix fits), so the attach-side
-    constructor adopts the shared buffers instead of silently casting —
-    a cast is a per-process copy, exactly what this module exists to
-    avoid.
-    """
-    matrix = matrix.tocsr()
-    idx_dtype = (
-        np.int32
-        if matrix.nnz < 2**31 and max(matrix.shape) < 2**31
-        else np.int64
-    )
-    arrays[f"{prefix}/data"] = np.asarray(matrix.data, dtype=np.float64)
-    arrays[f"{prefix}/indices"] = matrix.indices.astype(idx_dtype, copy=False)
-    arrays[f"{prefix}/indptr"] = matrix.indptr.astype(idx_dtype, copy=False)
-    return {"shape": list(matrix.shape)}
-
-
-def _csr_from_arrays(prefix: str, arrays: dict, shape) -> sp.csr_matrix:
-    """A CSR matrix adopting the (possibly read-only) arrays at *prefix*.
-
-    The matrices were canonical when exported, so the canonical-format
-    flag is asserted rather than recomputed — attaching must stay O(1)
-    in the matrix size.
-    """
-    matrix = sp.csr_matrix(
-        (
-            arrays[f"{prefix}/data"],
-            arrays[f"{prefix}/indices"],
-            arrays[f"{prefix}/indptr"],
-        ),
-        shape=tuple(shape),
-        copy=False,
-    )
-    matrix.has_canonical_format = True
-    return matrix
-
-
-# ----------------------------------------------------------------------
 # Generations
 # ----------------------------------------------------------------------
-def _release(resources) -> None:
-    """Close attached mappings.  One whose buffers are still exported —
-    numpy views alive somewhere, e.g. in an answer the caller holds —
+def _release(resource) -> None:
+    """Close an attached mapping.  One whose buffers are still exported
+    — numpy views alive somewhere, e.g. in an answer the caller holds —
     is left to die with their last reference instead of being
     invalidated out from under them."""
-    for resource in resources:
-        try:
-            resource.close()
-        except BufferError:
-            pass
+    try:
+        resource.close()
+    except BufferError:
+        pass
 
 
 class PublishedGeneration:
@@ -411,31 +374,28 @@ class AttachedGeneration:
         the matching diagonal slice, and the global index of the
         slice's first row.  Empty for a network generation.
     payload_bytes:
-        Total size of the attached segments.  These bytes are *shared*
+        Size of the attached segment.  These bytes are *shared*
         — mapped, not copied, by every attaching process — so they are
         the term the benchmark's ``cluster.payload_mb`` /
         ``shards.payload_mb`` compare across serving topologies;
         per-process private memory is the RSS side of the report.
     """
 
-    def __init__(
-        self, generation: int, epoch: int, resources, payload_bytes: int = 0,
-        *, hin=None, slices=None,
-    ):
+    def __init__(self, generation: int, epoch: int, resource, *, hin=None, slices=None):
         self.generation = int(generation)
         self.epoch = int(epoch)
         self.hin = hin
         self.engine = hin.engine() if hin is not None else None
         self.slices = slices or {}
-        self.payload_bytes = int(payload_bytes)
-        self._resources = resources
+        self.payload_bytes = int(resource.size)
+        self._resource = resource
 
     def close(self) -> None:
         """Release the attachment (idempotent).
 
         Drops every reference holding numpy views over the buffers —
         collecting the ``hin`` <-> ``engine`` reference cycle right
-        away, so the mappings can actually unmap — then closes them
+        away, so the mapping can actually unmap — then closes it
         (:func:`_release`).
         """
         had_network = self.hin is not None
@@ -443,8 +403,7 @@ class AttachedGeneration:
         self.slices = {}
         if had_network:
             gc.collect()
-        resources, self._resources = self._resources, []
-        _release(resources)
+        _release(self._resource)
 
     def __repr__(self) -> str:
         return (
@@ -453,53 +412,48 @@ class AttachedGeneration:
         )
 
 
-def _network_structure(hin) -> dict:
-    """The JSON-able network section of a generation descriptor."""
-    return {
-        "node_types": list(hin.schema.node_types),
-        "node_counts": {t: hin.node_count(t) for t in hin.schema.node_types},
-        "relations": [
-            {"name": r.name, "source": r.source, "target": r.target}
-            for r in hin.schema.relations
-        ],
-        "names": {
-            t: hin.names(t)
-            for t in hin.schema.node_types
-            if hin.names(t) is not None
-        },
-    }
-
-
 def descriptor_path(directory, stem: str, generation: int) -> Path:
     """Where generation *generation* of the *stem* series is described:
     ``<directory>/<stem>-<generation>.json``."""
     return Path(directory) / f"{stem}-{int(generation)}.json"
 
 
-def _write_descriptor(
-    directory, stem, generation, epoch, entries, sources, *, segment, network=None
+def _publish(
+    directory, stem, generation, section, matrices, entries, ranges=()
 ) -> PublishedGeneration:
-    """Atomically write one generation's descriptor; return its handle.
+    """The publish tail of every generation: pack the captured state
+    into one segment and atomically write its descriptor.
 
-    The single descriptor format: a header (``generation``, ``epoch``),
-    the optional *network* section (:func:`_network_structure` — absent
-    from shard generations), the ``entries`` index over the arrays
-    (the snapshot entry schema; shard entries add their ``lo``/``hi``
-    row range) and the ``sources`` holding those arrays.  Workers must
-    never read a torn descriptor: the rename is the publication point.
-    A failed write retires *segment* instead of leaking it.
+    The single descriptor format: a header (``generation``), the
+    *section* — ``epoch`` plus, for a network generation, the network
+    section whose relation *matrices* are packed here
+    (:func:`repro.serving.snapshot._capture_state`) — the ``entries``
+    index over the arrays (the snapshot entry schema; shard entries add
+    their ``lo``/``hi`` row *ranges*) and the ``source`` segment holding
+    those arrays.  Workers must never read a torn descriptor: the
+    rename is the publication point.  A failed write retires the
+    segment instead of leaking it.
     """
+    arrays: dict[str, np.ndarray] = {}
+    for name, matrix in matrices:
+        _write_csr(f"rel/{name}", matrix, arrays)
+    index = _build_entry_index(entries, arrays)
+    for desc, rows in zip(index, ranges):
+        desc.update(rows)
+    segment, source = export_arrays(arrays)
     published = PublishedGeneration(
-        generation, epoch, descriptor_path(directory, stem, generation), segment
+        generation,
+        section["epoch"],
+        descriptor_path(directory, stem, generation),
+        segment,
     )
     descriptor = {
         "format": _FORMAT,
         "format_version": _FORMAT_VERSION,
         "generation": published.generation,
-        "epoch": published.epoch,
-        **(network or {}),
-        "entries": entries,
-        "sources": sources,
+        **section,
+        "entries": index,
+        "source": source,
     }
     try:
         published.path.parent.mkdir(parents=True, exist_ok=True)
@@ -515,12 +469,12 @@ def _write_descriptor(
 def publish_generation(hin, engine, *, directory, generation: int) -> PublishedGeneration:
     """Export *hin* + *engine* state as shared-memory generation *generation*.
 
-    Captures ``(epoch, entries)`` and the relation matrices under one
-    engine read-lock hold (immutable values — the O(bytes) copy into
-    the segment happens after release), packs every array into one
-    segment, and atomically writes ``gen-<generation>.json`` into
-    *directory*.  Workers polling the generation counter attach the
-    complete state or nothing.
+    Captures the epoch, the cache entries and the relation matrices
+    under one engine read-lock hold (immutable values — the O(bytes)
+    copy into the segment happens after release), packs every array
+    into one segment, and atomically writes ``gen-<generation>.json``
+    into *directory*.  Workers polling the generation counter attach
+    the complete state or nothing.
 
     Parameters
     ----------
@@ -538,82 +492,16 @@ def publish_generation(hin, engine, *, directory, generation: int) -> PublishedG
     -------
     A :class:`PublishedGeneration` owning the segment.
     """
-    with engine.lock.read():
-        epoch, entries = engine.export_state()
-        structure = _network_structure(hin)
-        captured = {
-            rel["name"]: hin.relation_matrix(rel["name"])
-            for rel in structure["relations"]
-        }
-    arrays: dict[str, np.ndarray] = {}
-    for rel in structure["relations"]:
-        name = rel["name"]
-        rel.update(_csr_to_arrays(f"rel/{name}", captured[name], arrays))
-    # One shared entry schema with snapshots (snapshot.py defines it).
-    entry_index = _build_entry_index(entries, arrays, _csr_to_arrays)
-    segment, source = export_arrays(arrays)
-    return _write_descriptor(
-        directory, "gen", generation, epoch, entry_index, [source],
-        network=structure, segment=segment,
-    )
+    return _publish(directory, "gen", generation, *_capture_state(hin, engine))
 
 
-def _read_generation(path_or_descriptor) -> dict:
-    """The validated descriptor dict behind a path (or passed as is)."""
-    if isinstance(path_or_descriptor, dict):
-        descriptor = path_or_descriptor
-    else:
-        try:
-            descriptor = json.loads(
-                Path(path_or_descriptor).read_text(encoding="utf-8")
-            )
-        except ValueError as exc:
-            raise SnapshotError(
-                f"unreadable generation descriptor: {exc}"
-            ) from None
-    if descriptor.get("format") != _FORMAT:
-        raise SnapshotError(
-            f"not a {_FORMAT} descriptor: format={descriptor.get('format')!r}"
-        )
-    if descriptor.get("format_version") != _FORMAT_VERSION:
-        raise SnapshotError(
-            f"generation format version {descriptor.get('format_version')!r} "
-            f"not supported (expected {_FORMAT_VERSION})"
-        )
-    return descriptor
-
-
-def _attach_network(descriptor: dict, arrays: dict, entries) -> HIN:
-    """The descriptor's network section as a live HIN over *arrays*,
-    its shared engine warmed with *entries*."""
-    schema = NetworkSchema(
-        descriptor["node_types"],
-        [(r["name"], r["source"], r["target"]) for r in descriptor["relations"]],
-    )
-    matrices = {
-        r["name"]: _csr_from_arrays(f"rel/{r['name']}", arrays, r["shape"])
-        for r in descriptor["relations"]
-    }
-    hin = HIN(
-        schema,
-        descriptor["node_counts"],
-        matrices,
-        node_names=descriptor["names"] or None,
-        validate=False,
-    )
-    hin._version = int(descriptor["epoch"])
-    hin.engine().attach_state(int(descriptor["epoch"]), entries)
-    return hin
-
-
-def attach_generation(path_or_descriptor) -> AttachedGeneration:
+def attach_generation(path) -> AttachedGeneration:
     """Attach one published generation, zero-copy.
 
     Parameters
     ----------
-    path_or_descriptor:
-        A descriptor path (:func:`descriptor_path`) or an
-        already-parsed descriptor dict.
+    path:
+        A descriptor path (:func:`descriptor_path`).
 
     Returns
     -------
@@ -635,33 +523,26 @@ def attach_generation(path_or_descriptor) -> AttachedGeneration:
     repro.exceptions.SnapshotError
         When the descriptor is unreadable or of an unsupported format.
     """
-    descriptor = _read_generation(path_or_descriptor)
-    resources = []
-    arrays: dict[str, np.ndarray] = {}
-    payload_bytes = 0
+    descriptor = _read_envelope(Path(path), _FORMAT, "generation descriptor")
+    resource, arrays = attach_arrays(descriptor["source"])
     try:
-        for source in descriptor["sources"]:
-            resource, chunk = attach_arrays(source)
-            resources.append(resource)
-            arrays.update(chunk)
-            payload_bytes += int(resource.size)
-        entries = _restore_entries(descriptor["entries"], arrays, _csr_from_arrays)
+        entries = _restore_entries(descriptor["entries"], arrays, trusted=True)
         hin = None
         if "relations" in descriptor:
-            hin = _attach_network(descriptor, arrays, entries)
+            hin = _restore_network(descriptor, arrays, trusted=True)
+            hin.engine().attach_state(descriptor["epoch"], entries)
         slices = {
             key[1]: (*value, int(desc["lo"]))
             for desc, (key, value) in zip(descriptor["entries"], entries)
             if "lo" in desc
         }
     except BaseException:
-        _release(resources)
+        _release(resource)
         raise
     return AttachedGeneration(
         descriptor["generation"],
         descriptor["epoch"],
-        resources,
-        payload_bytes,
+        resource,
         hin=hin,
         slices=slices,
     )

@@ -42,6 +42,15 @@ replaced atomically, so overwriting a snapshot in place is crash-safe:
 a save that dies mid-way leaves the previous snapshot loadable.
 Snapshots are portable across processes and machines (plain numpy
 arrays, no pickling) but tied to one library format version.
+
+This module also owns the **state codec** — how a network and its
+engine cache at one epoch become a JSON network section, an entry index
+and flat arrays, and back (``_capture_state`` / ``_write_csr`` /
+``_build_entry_index`` one way, ``_read_envelope`` / ``_read_csr`` /
+``_restore_network`` / ``_restore_entries`` the other).  A snapshot
+stores that in npz files here; a shared-memory generation
+(:mod:`repro.serving.shm`) stores the same thing in a segment, through
+the same functions.
 """
 
 from __future__ import annotations
@@ -143,10 +152,18 @@ def network_fingerprint(hin: HIN) -> str:
     )
 
 
+def _index_dtype(m: sp.csr_matrix):
+    """The index width the codec writes *m* at — int32 when it fits, the
+    width scipy's constructor narrows to on the way back in."""
+    return np.int32 if m.nnz < 2**31 and max(m.shape) < 2**31 else np.int64
+
+
 def _content_fingerprint(counts: list, matrices: list) -> str:
     """The :func:`network_fingerprint` hash from captured ``(name, value)``
     lists — lets a caller capture references under a lock and pay for the
-    hashing after releasing it (matrices are replaced, never mutated)."""
+    hashing after releasing it (matrices are replaced, never mutated).
+    Index arrays hash at the width :func:`_write_csr` writes, so one
+    matrix fingerprints the same however wide its live indices are."""
     digest = hashlib.sha256()
     for t, count in counts:
         digest.update(f"{t}={count};".encode())
@@ -158,9 +175,10 @@ def _content_fingerprint(counts: list, matrices: list) -> str:
             # place, racing concurrent readers of the same matrix).
             m = m.copy()
             m.sum_duplicates()
+        idx = _index_dtype(m)
         digest.update(name.encode())
-        digest.update(np.ascontiguousarray(m.indptr).tobytes())
-        digest.update(np.ascontiguousarray(m.indices).tobytes())
+        digest.update(np.ascontiguousarray(m.indptr, dtype=idx).tobytes())
+        digest.update(np.ascontiguousarray(m.indices, dtype=idx).tobytes())
         digest.update(np.ascontiguousarray(m.data, dtype=np.float64).tobytes())
     return digest.hexdigest()
 
@@ -182,43 +200,131 @@ def _arrays_fingerprint(arrays) -> str:
     return digest.hexdigest()
 
 
-def _csr_arrays(prefix: str, m: sp.csr_matrix, arrays: dict) -> dict:
-    """Record *m*'s CSR arrays under *prefix* and return its descriptor."""
-    m = m.tocsr()
-    arrays[f"{prefix}/data"] = m.data
-    arrays[f"{prefix}/indices"] = m.indices
-    arrays[f"{prefix}/indptr"] = m.indptr
-    return {"shape": list(m.shape)}
+# ----------------------------------------------------------------------
+# The state codec: network + engine cache at one epoch <-> a JSON
+# section, an entry index and flat arrays.  Snapshots (npz files) and
+# generations (repro.serving.shm segments) are two containers for it.
+# ----------------------------------------------------------------------
+def _write_csr(prefix: str, matrix: sp.csr_matrix, arrays: dict) -> None:
+    """Record *matrix*'s CSR arrays under *prefix*.
+
+    Index arrays are written at :func:`_index_dtype`, the width scipy
+    would pick for them, so :func:`_read_csr` adopts the buffers instead
+    of silently casting — a cast is a per-process copy of a shared
+    segment, and a width the content hash would not survive.
+    """
+    matrix = matrix.tocsr()
+    idx = _index_dtype(matrix)
+    arrays[f"{prefix}/data"] = np.asarray(matrix.data, dtype=np.float64)
+    arrays[f"{prefix}/indices"] = matrix.indices.astype(idx, copy=False)
+    arrays[f"{prefix}/indptr"] = matrix.indptr.astype(idx, copy=False)
 
 
-def _csr_from(prefix: str, arrays, shape) -> sp.csr_matrix:
-    return sp.csr_matrix(
+def _read_csr(prefix: str, arrays, shape, trusted: bool) -> sp.csr_matrix:
+    """A CSR matrix adopting the (possibly read-only) arrays at *prefix*.
+
+    On the *trusted* zero-copy routes (an attached segment, a mapped
+    npz) the matrices were canonical when written, so the flag is
+    asserted rather than recomputed — attaching stays O(1) in the
+    matrix size.  The eager route leaves it for scipy to find out.
+    """
+    matrix = sp.csr_matrix(
         (
             arrays[f"{prefix}/data"],
             arrays[f"{prefix}/indices"],
             arrays[f"{prefix}/indptr"],
         ),
         shape=tuple(shape),
+        copy=False,
     )
+    if trusted:
+        matrix.has_canonical_format = True
+    return matrix
 
 
-def _build_entry_index(entries, arrays: dict, csr_writer) -> list[dict]:
+def _capture_state(hin, engine) -> tuple[dict, list, list]:
+    """One epoch of *hin* + *engine*, by reference: ``(section, matrices,
+    entries)``.
+
+    *section* is the JSON network section (epoch, types, counts,
+    relations with shapes, names), *matrices* the ``(relation name,
+    matrix)`` list it describes and *entries* the engine's cache.  All
+    three are read under one engine read-lock hold, so they describe
+    exactly one update epoch even while writers are active; for a
+    *detached* engine (constructed with kwargs) the network's shared
+    engine's lock is held as well — that is the lock ``hin.apply()``
+    commits under.  Nothing is copied or hashed here: matrices are
+    replaced, never mutated, so the O(bytes) work happens after release.
+    """
+    with ExitStack() as stack:
+        stack.enter_context(engine.lock.read())
+        shared = hin.engine() if isinstance(hin, HIN) else None
+        if shared is not None and shared is not engine:
+            stack.enter_context(shared.lock.read())
+        epoch, entries = engine.export_state()
+        matrices = [
+            (rel.name, hin.relation_matrix(rel.name)) for rel in hin.schema.relations
+        ]
+        section = {
+            "epoch": int(epoch),
+            "node_types": list(hin.schema.node_types),
+            "node_counts": {t: hin.node_count(t) for t in hin.schema.node_types},
+            "relations": [
+                {
+                    "name": rel.name,
+                    "source": rel.source,
+                    "target": rel.target,
+                    "shape": list(matrix.shape),
+                }
+                for rel, (_, matrix) in zip(hin.schema.relations, matrices)
+            ],
+            "names": {
+                t: names
+                for t in hin.schema.node_types
+                if (names := hin.names(t)) is not None
+            },
+        }
+    return section, matrices, entries
+
+
+def _restore_network(section: dict, arrays, trusted: bool) -> HIN:
+    """The HIN a network *section* describes over *arrays*, at its epoch.
+
+    *trusted* (an attached segment, a mapped npz) adopts the read-only
+    buffers as they are; otherwise ``HIN(validate=True)`` normalises
+    what it is given.
+    """
+    schema = NetworkSchema(
+        section["node_types"],
+        [(r["name"], r["source"], r["target"]) for r in section["relations"]],
+    )
+    matrices = {
+        r["name"]: _read_csr(f"rel/{r['name']}", arrays, r["shape"], trusted)
+        for r in section["relations"]
+    }
+    hin = HIN(
+        schema,
+        section["node_counts"],
+        matrices,
+        node_names=section["names"] or None,
+        validate=not trusted,
+    )
+    hin._version = int(section["epoch"])
+    return hin
+
+
+def _build_entry_index(entries, arrays: dict) -> list[dict]:
     """Flatten engine cache *entries* into *arrays*; return their index.
 
-    The single definition of the on-disk/in-segment entry schema
-    (``kind``/``steps``/``prefix`` plus the writer's descriptor) —
-    snapshots and shared-memory generations both serialize through it,
-    so the two formats cannot drift apart.  *csr_writer* is the
-    ``(prefix, matrix, arrays) -> descriptor`` recorder (snapshots
-    preserve dtypes; generations normalize index dtypes for zero-copy
-    attach).
+    The single definition of the entry schema (``kind`` / ``steps`` /
+    ``prefix`` / ``shape``) in a manifest or a descriptor.
 
     Each distinct matrix is written once: a PathSim entry's ``W`` *is*
     the cached half product, so the second key to reach an object names
     the arrays the first one wrote (``"csr"``) instead of copying them.
     """
     index = []
-    written: dict[int, tuple[str, dict]] = {}  # id(matrix) -> (csr prefix, desc)
+    written: dict[int, str] = {}  # id(matrix) -> csr prefix
     for i, (key, value) in enumerate(entries):
         kind, steps = key
         prefix = f"entry{i}"
@@ -229,21 +335,22 @@ def _build_entry_index(entries, arrays: dict, csr_writer) -> list[dict]:
         else:
             matrix, own = value, prefix
         if id(matrix) not in written:
-            written[id(matrix)] = own, csr_writer(own, matrix, arrays)
-        csr, desc = written[id(matrix)]
+            written[id(matrix)] = own
+            _write_csr(own, matrix, arrays)
+        csr = written[id(matrix)]
         index.append(
             {
                 "kind": kind,
                 "steps": [[name, bool(fwd)] for name, fwd in steps],
                 "prefix": prefix,
-                **desc,
+                "shape": list(matrix.shape),
                 **({"csr": csr} if csr != own else {}),
             }
         )
     return index
 
 
-def _restore_entries(entry_index, arrays, csr_reader) -> list[tuple]:
+def _restore_entries(entry_index, arrays, trusted: bool) -> list[tuple]:
     """The inverse of :func:`_build_entry_index`: engine ``(key, value)``
     pairs from a serialized entry index over *arrays*.  Entries naming
     the same ``"csr"`` arrays get the same matrix object back; an index
@@ -259,7 +366,7 @@ def _restore_entries(entry_index, arrays, csr_reader) -> list[tuple]:
         pathsim = desc["kind"] == "pathsim"
         csr = desc.get("csr", f"{desc['prefix']}/w" if pathsim else desc["prefix"])
         if csr not in matrices:
-            matrices[csr] = csr_reader(csr, arrays, desc["shape"])
+            matrices[csr] = _read_csr(csr, arrays, desc["shape"], trusted)
         if pathsim:
             diag = np.asarray(arrays[f"{desc['prefix']}/diag"])
             entries.append((key, (matrices[csr], diag)))
@@ -268,12 +375,32 @@ def _restore_entries(entry_index, arrays, csr_reader) -> list[tuple]:
     return entries
 
 
+def _read_envelope(path: Path, fmt: str, what: str) -> dict:
+    """The JSON object at *path*, checked to be a *fmt* document of the
+    supported version (*what* names it in errors).  A missing file is
+    the caller's ``FileNotFoundError``."""
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SnapshotError(f"unreadable {what}: {exc}") from None
+    if document.get("format") != fmt:
+        raise SnapshotError(
+            f"not a {fmt} {what}: format={document.get('format')!r}"
+        )
+    if document.get("format_version") != _FORMAT_VERSION:
+        raise SnapshotError(
+            f"{what} format version {document.get('format_version')!r} "
+            f"not supported (expected {_FORMAT_VERSION})"
+        )
+    return document
+
+
 def _resolve_engine(target):
     """Accept a HIN or an engine; return ``(hin, engine)``."""
     if isinstance(target, HIN):
         return target, target.engine()
     hin = getattr(target, "hin", None)
-    if hin is None or not hasattr(target, "snapshot_entries"):
+    if hin is None or not hasattr(target, "export_state"):
         raise TypeError(
             f"save_snapshot() takes a HIN or a MetaPathEngine, "
             f"got {type(target).__name__}"
@@ -293,12 +420,10 @@ def save_snapshot(target, path) -> dict:
         Directory to create/overwrite.  Files written: ``manifest.json``
         plus uniquely-named payload npz files referenced by it.
 
-    The engine's read lock is held while the network and cache are
-    extracted, so the snapshot describes exactly one update epoch even
-    while writers are active.  For a *detached* engine (constructed with
-    kwargs), the network's shared engine's lock is held as well — that
-    is the lock ``hin.apply()`` commits under, so the single-epoch
-    guarantee covers detached caches too.
+    The network and cache are captured under the engine's read lock
+    (:func:`_capture_state`), so the snapshot describes exactly one
+    update epoch even while writers are active — a detached engine's
+    cache included.
 
     Overwriting an existing snapshot is crash-safe: payload files carry
     content-addressed names and the manifest is swapped in atomically
@@ -311,39 +436,12 @@ def save_snapshot(target, path) -> dict:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
 
-    with ExitStack() as stack:
-        stack.enter_context(engine.lock.read())
-        shared = hin.engine() if isinstance(hin, HIN) else None
-        if shared is not None and shared is not engine:
-            stack.enter_context(shared.lock.read())
-        epoch = getattr(hin, "version", 0)
-        entries = engine.snapshot_entries()
-
-        net_arrays: dict[str, np.ndarray] = {}
-        relations = []
-        captured_matrices = []
-        for rel in hin.schema.relations:
-            matrix = hin.relation_matrix(rel.name)
-            captured_matrices.append((rel.name, matrix))
-            desc = _csr_arrays(f"rel/{rel.name}", matrix, net_arrays)
-            relations.append(
-                {
-                    "name": rel.name,
-                    "source": rel.source,
-                    "target": rel.target,
-                    **desc,
-                }
-            )
-        node_counts = {t: hin.node_count(t) for t in hin.schema.node_types}
-
-        names = {}
-        for t in hin.schema.node_types:
-            type_names = hin.names(t)
-            if type_names is not None:
-                names[t] = type_names
-
-        cache_arrays: dict[str, np.ndarray] = {}
-        entry_index = _build_entry_index(entries, cache_arrays, _csr_arrays)
+    section, matrices, entries = _capture_state(hin, engine)
+    net_arrays: dict[str, np.ndarray] = {}
+    for name, matrix in matrices:
+        _write_csr(f"rel/{name}", matrix, net_arrays)
+    cache_arrays: dict[str, np.ndarray] = {}
+    entry_index = _build_entry_index(entries, cache_arrays)
 
     # The standing-query registry is captured OUTSIDE the read-lock
     # window: spec_dicts() takes the registry mutex, and the canonical
@@ -359,24 +457,20 @@ def save_snapshot(target, path) -> dict:
     # array references stay valid (updates replace matrices, never
     # mutate them), and the O(total-bytes) SHA-256 work must not extend
     # the window during which a queued writer stalls new queries.
-    content_hash = _content_fingerprint(list(node_counts.items()), captured_matrices)
+    content_hash = _content_fingerprint(list(section["node_counts"].items()), matrices)
     cache_hash = _arrays_fingerprint(cache_arrays)
     files = {
-        "network": f"network-{int(epoch)}-{content_hash[:12]}.npz",
-        "cache": f"cache-{int(epoch)}-{cache_hash[:12]}.npz",
+        "network": f"network-{section['epoch']}-{content_hash[:12]}.npz",
+        "cache": f"cache-{section['epoch']}-{cache_hash[:12]}.npz",
     }
     manifest = {
         "format": _FORMAT,
         "format_version": _FORMAT_VERSION,
-        "epoch": int(epoch),
         "schema_hash": schema_fingerprint(hin.schema),
         "content_hash": content_hash,
         "cache_hash": cache_hash,
         "files": files,
-        "node_types": list(hin.schema.node_types),
-        "node_counts": node_counts,
-        "relations": relations,
-        "names": names,
+        **section,
         "entries": entry_index,
         "watches": watch_specs,
     }
@@ -423,24 +517,10 @@ def _write_files(
 
 
 def _read_manifest(path) -> dict:
-    snap = Path(path)
-    manifest_path = snap / "manifest.json"
+    manifest_path = Path(path) / "manifest.json"
     if not manifest_path.exists():
         raise SnapshotError(f"no snapshot manifest at {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise SnapshotError(f"unreadable snapshot manifest: {exc}") from None
-    if manifest.get("format") != _FORMAT:
-        raise SnapshotError(
-            f"not a {_FORMAT} snapshot: format={manifest.get('format')!r}"
-        )
-    if manifest.get("format_version") != _FORMAT_VERSION:
-        raise SnapshotError(
-            f"snapshot format version {manifest.get('format_version')!r} "
-            f"not supported (expected {_FORMAT_VERSION})"
-        )
-    return manifest
+    return _read_envelope(manifest_path, _FORMAT, "snapshot manifest")
 
 
 def _load_entries(manifest: dict, path, *, mmap: bool = False) -> list[tuple]:
@@ -456,7 +536,7 @@ def _load_entries(manifest: dict, path, *, mmap: bool = False) -> list[tuple]:
             f"snapshot at {path} failed cache verification "
             f"(cached products do not match the manifest hash)"
         )
-    return _restore_entries(manifest["entries"], arrays, _csr_from)
+    return _restore_entries(manifest["entries"], arrays, trusted=mmap)
 
 
 def load_snapshot(path, *, mmap: bool = False) -> HIN:
@@ -494,32 +574,18 @@ def load_snapshot(path, *, mmap: bool = False) -> HIN:
         path) payload bytes that fail hash verification.
     """
     manifest = _read_manifest(path)
-    schema = NetworkSchema(
-        manifest["node_types"],
-        [(r["name"], r["source"], r["target"]) for r in manifest["relations"]],
-    )
     arrays = _load_npz(Path(path) / manifest["files"]["network"], mmap=mmap)
-    matrices = {
-        r["name"]: _csr_from(f"rel/{r['name']}", arrays, r["shape"])
-        for r in manifest["relations"]
-    }
-    hin = HIN(
-        schema,
-        manifest["node_counts"],
-        matrices,
-        node_names=manifest["names"] or None,
-        # Snapshots hold canonical CSR; the mmap views are read-only and
-        # must not be re-normalized in place.
-        validate=not mmap,
-    )
+    # Snapshots hold canonical CSR; the mmap views are read-only and
+    # must not be re-normalized in place.
+    hin = _restore_network(manifest, arrays, trusted=mmap)
     if not mmap and network_fingerprint(hin) != manifest["content_hash"]:
         raise SnapshotError(
             f"snapshot at {path} failed content verification "
             f"(relation matrices do not match the manifest hash)"
         )
-    hin._version = int(manifest["epoch"])
-    engine = hin.engine()
-    engine.warm_entries(_load_entries(manifest, path, mmap=mmap))
+    hin.engine().attach_state(
+        manifest["epoch"], _load_entries(manifest, path, mmap=mmap)
+    )
     # Resume persisted standing queries at the restored epoch: each
     # spec re-registers (initial result from the warmed cache) and its
     # subscription stays reachable via hin.watches().subscriptions().
@@ -594,7 +660,7 @@ def warm_from_snapshot(hin: HIN, path) -> int:
                 f"stale snapshot: relation content differs from the network "
                 f"(content hash mismatch at shared epoch {epoch})"
             )
-        installed = engine.warm_entries(entries)
+        installed = engine.attach_state(epoch, entries)
     # Watches resume AFTER the write lock releases — registration
     # computes initial results under the engine read lock, which must
     # not nest inside the write hold.  restore() skips specs already

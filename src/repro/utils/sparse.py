@@ -25,13 +25,18 @@ __all__ = [
 
 
 def to_csr(matrix, dtype=np.float64) -> sp.csr_matrix:
-    """Coerce *matrix* (dense array, sparse matrix, or nested lists) to CSR.
+    """Coerce *matrix* (dense array, sparse matrix or array, or nested
+    lists) to a ``csr_matrix``.
 
     A defensive copy is **not** made when the input is already CSR with the
     requested dtype; callers that mutate should copy explicitly.
     """
     if sp.issparse(matrix):
         out = matrix.tocsr()
+        if not sp.isspmatrix(out):
+            # A sparse *array* stays one through tocsr(); the kernels
+            # rely on the matrix API (getrow, ``*`` as a product).
+            out = sp.csr_matrix(out)
         if out.dtype != dtype:
             out = out.astype(dtype)
         return out

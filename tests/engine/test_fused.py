@@ -311,7 +311,7 @@ class TestAutoDispatch:
             elif op[0] == "restore":
                 epoch, entries = engine.export_state()
                 engine = MetaPathEngine(small_bib)
-                engine.warm_entries(entries)
+                engine.attach_state(epoch, entries)
             else:
                 _, path, q, k = op
                 res = engine.pathsim_top_k(path, q, k)

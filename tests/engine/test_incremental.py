@@ -239,7 +239,7 @@ def _assert_same_arrays(got, want, what):
 
 
 def _assert_everything_matches_cold_rebuild(hin, engine):
-    entries = dict(engine.snapshot_entries())
+    entries = dict(engine.export_state()[1])
     assert entries
     for (kind, steps), value in entries.items():
         if kind == "product":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.exceptions import (
     EdgeError,
@@ -68,6 +69,59 @@ class TestConstruction:
             edges={"writes": [(0, 0), (0, 0, 2.0)]},
         )
         assert hin.relation_matrix("writes")[0, 0] == 3.0
+
+
+class TestCanonicalDoor:
+    """``HIN(validate=True)`` hands the kernels what they assume: a
+    canonical ``csr_matrix`` — duplicates summed, never a sparse array."""
+
+    COUNTS = {"author": 3, "paper": 2, "venue": 1, "term": 1}
+    APA = "author-paper-author"
+
+    @staticmethod
+    def _inputs():
+        # Row 0 stores paper 0 twice (weights 1 and 2).
+        duplicated = sp.csr_matrix(
+            (np.array([1.0, 2.0, 1.0, 1.0, 1.0]), [0, 0, 0, 0, 1], [0, 2, 3, 5]),
+            shape=(3, 2),
+        )
+        assert duplicated.nnz == 5
+        rows, cols = np.array([0, 1, 2, 2]), np.array([0, 0, 0, 1])
+        array = sp.csr_array((np.array([3.0, 1.0, 1.0, 1.0]), (rows, cols)), shape=(3, 2))
+        return {"duplicated": duplicated, "csr_array": array}
+
+    @pytest.mark.parametrize("spelling", ["duplicated", "csr_array"])
+    @pytest.mark.parametrize(
+        "policy",
+        [{"mode": "materialize"}, {"mode": "fused"}, {"plan": "left"}],
+        ids=["materialize", "fused", "left"],
+    )
+    def test_answers_equal_a_dense_recomputation(self, bib_schema, spelling, policy):
+        from repro.engine import MetaPathEngine
+
+        hin = HIN(bib_schema, self.COUNTS, {"writes": self._inputs()[spelling]})
+        stored = hin.relation_matrix("writes")
+        assert isinstance(stored, sp.csr_matrix) and stored.has_canonical_format
+        dense = np.array([[3.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        assert np.array_equal(stored.toarray(), dense)
+
+        m = dense @ dense.T
+        scores = 2 * m / (np.diag(m)[:, None] + np.diag(m)[None, :])
+        engine = MetaPathEngine(hin, **policy)
+        for query in range(3):
+            others = [j for j in range(3) if j != query]
+            want = sorted(others, key=lambda j: (-scores[query, j], j))
+            got = list(engine.pathsim_top_k(self.APA, query, 2))
+            assert [j for j, _ in got] == want
+            assert [s for _, s in got] == [scores[query, j] for j in want]
+            assert engine.pathsim(self.APA, query, others[0]) == scores[query, others[0]]
+            top = list(engine.top_k_connectivity(self.APA, query, 3))
+            assert sorted(top) == sorted((j, m[query, j]) for j in range(3))
+
+    def test_trusted_construction_is_untouched(self, bib_schema):
+        duplicated = self._inputs()["duplicated"]
+        hin = HIN(bib_schema, self.COUNTS, {"writes": duplicated}, validate=False)
+        assert hin.relation_matrix("writes") is duplicated and duplicated.nnz == 5
 
 
 class TestNames:

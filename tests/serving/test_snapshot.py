@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.exceptions import SnapshotError
 from repro.networks import HIN
@@ -16,6 +17,7 @@ from repro.serving import (
     schema_fingerprint,
     warm_from_snapshot,
 )
+from tests.serving.test_codec import _widened
 
 APA = "author-paper-author"
 APVPA = "author-paper-venue-paper-author"
@@ -109,7 +111,7 @@ class TestRoundTrip:
         engine = small_bib.engine()
         long_path = "author-paper-venue-paper-author-paper-term"
         expected = engine.commuting_matrix(long_path)
-        entries = engine.snapshot_entries()
+        entries = engine.export_state()[1]
         assert len(entries) >= 2  # root product + at least one subchain
         engine.save_snapshot(tmp_path / "snap")
         loaded = load_snapshot(tmp_path / "snap")
@@ -246,7 +248,7 @@ class TestSharedMatrices:
 
     def test_a_matrix_under_two_keys_is_written_once(self, small_bib, tmp_path):
         engine = _warm(small_bib)
-        entries = engine.snapshot_entries()
+        entries = engine.export_state()[1]
         distinct = {id(_matrix(k, v)): _matrix(k, v) for k, v in entries}
         assert len(distinct) < len(entries)
         expected = [list(engine.pathsim_top_k(APVPA, a, 3)) for a in range(4)]
@@ -260,7 +262,7 @@ class TestSharedMatrices:
 
         for mmap in (False, True):
             warm = load_snapshot(tmp_path / "snap", mmap=mmap).engine()
-            restored = dict(warm.snapshot_entries())
+            restored = dict(warm.export_state()[1])
             assert len(restored) == len(entries)
             pathsim, half = self._keys(warm)
             assert restored[pathsim][0] is restored[half]
@@ -276,12 +278,12 @@ class TestSharedMatrices:
         engine = _warm(small_bib)
         expected = [list(engine.pathsim_top_k(APVPA, a, 3)) for a in range(4)]
         shared = save_snapshot(small_bib, tmp_path / "shared")
-        entries = engine.snapshot_entries()
+        entries = engine.export_state()[1]
         unshared = [
             (k, (v[0].copy(), v[1]) if k[0] == "pathsim" else v) for k, v in entries
         ]
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "snapshot_entries", lambda: unshared)
+            patch.setattr(engine, "export_state", lambda: (engine.epoch, unshared))
             old = save_snapshot(small_bib, tmp_path / "old")
         assert not any("csr" in desc for desc in old["entries"])
         assert any("csr" in desc for desc in shared["entries"])
@@ -410,16 +412,16 @@ class TestVerification:
         assert bystander.read_bytes() == b"not a snapshot payload"
         assert load_snapshot(tmp_path / "snap").version == 1
 
-    def test_warm_entries_grow_a_smaller_cache(self, small_bib):
+    def test_attach_state_grows_a_smaller_cache(self, small_bib):
         # A snapshot from a larger-cached engine must not be silently
         # half-evicted when installed into a smaller-bounded cache.
         donor = small_bib.engine(max_cached_matrices=16)
         donor.prewarm([APA, APVPA])
         donor.commuting_matrix("author-paper-venue")
-        entries = donor.snapshot_entries()
+        epoch, entries = donor.export_state()
         assert len(entries) >= 3
         small = small_bib.engine(max_cached_matrices=2)
-        assert small.warm_entries(entries) == len(entries)
+        assert small.attach_state(epoch, entries) == len(entries)
         assert small.cache_info().currsize == len(entries)
 
     def test_fingerprints_are_deterministic(self, small_bib):
@@ -431,15 +433,15 @@ class TestVerification:
     def test_fingerprint_does_not_mutate_the_network(self, bib_schema):
         # A matrix with duplicate (uncanonical) entries must hash like
         # its canonical form WITHOUT being compacted in place.
-        import scipy.sparse as sp
-
         dup = sp.csr_matrix(
             (np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2, 2])),
             shape=(2, 2),
         )
         counts = {"author": 2, "paper": 2, "venue": 1, "term": 1}
-        hin = HIN(bib_schema, counts, {"writes": dup})
+        # validate=False: the default door would sum the duplicates itself.
+        hin = HIN(bib_schema, counts, {"writes": dup}, validate=False)
         nnz_before = hin.relation_matrix("writes").nnz
+        assert nnz_before == 2
         fp = network_fingerprint(hin)
         assert hin.relation_matrix("writes").nnz == nnz_before  # untouched
         merged = sp.csr_matrix(
@@ -447,3 +449,46 @@ class TestVerification:
         )
         canonical = HIN(bib_schema, counts, {"writes": merged})
         assert fp == network_fingerprint(canonical)
+
+
+class TestIndexWidth:
+    """The content hash is taken at the width the codec writes (int32
+    when it fits), not at whatever width the live matrix happens to
+    carry — scipy narrows the arrays on the way back in."""
+
+    @staticmethod
+    def _round_trips(hin, path):
+        assert hin.relation_matrix("writes").indices.dtype == np.int64
+        hin.engine().prewarm([APA])
+        expected = list(hin.engine().pathsim_top_k(APA, 0, 2))
+        save_snapshot(hin, path)
+        for loaded in (
+            load_snapshot(path),  # verifies both hashes
+            load_snapshot(path, mmap=True),
+        ):
+            assert loaded.relation_matrix("writes").indices.dtype == np.int32
+            assert network_fingerprint(loaded) == network_fingerprint(hin)
+            assert list(loaded.engine().pathsim_top_k(APA, 0, 2)) == expected
+        assert warm_from_snapshot(hin, path) >= 1
+
+    def test_a_csr_array_network_round_trips_eagerly(self, bib_schema, tmp_path):
+        rows, cols = np.array([0, 0, 1, 2, 2]), np.array([0, 1, 0, 0, 1])
+        writes = sp.csr_array((np.ones(5), (rows, cols)), shape=(3, 2))
+        counts = {"author": 3, "paper": 2, "venue": 1, "term": 1}
+        self._round_trips(HIN(bib_schema, counts, {"writes": writes}), tmp_path / "snap")
+
+    def test_a_hand_widened_network_round_trips_eagerly(self, small_bib, tmp_path):
+        types = small_bib.schema.node_types
+        wide = HIN(
+            small_bib.schema,
+            {t: small_bib.node_count(t) for t in types},
+            {
+                rel.name: _widened(small_bib.relation_matrix(rel.name))
+                for rel in small_bib.schema.relations
+            },
+            node_names={t: small_bib.names(t) for t in types},
+        )
+        self._round_trips(wide, tmp_path / "snap")
+        # one matrix, two index widths, one fingerprint
+        assert small_bib.relation_matrix("writes").indices.dtype == np.int32
+        assert network_fingerprint(wide) == network_fingerprint(small_bib)

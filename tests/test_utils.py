@@ -87,6 +87,13 @@ class TestToCsr:
         m = to_csr(sp.csr_matrix(np.eye(2, dtype=np.int32)))
         assert m.dtype == np.float64
 
+    def test_sparse_arrays_become_matrices(self):
+        for array in (sp.csr_array(np.eye(2)), sp.coo_array(np.eye(2))):
+            m = to_csr(array)
+            assert isinstance(m, sp.csr_matrix) and np.array_equal(m.toarray(), np.eye(2))
+        already = sp.csr_matrix(np.eye(2))
+        assert to_csr(already) is already  # still no defensive copy
+
     def test_rejects_1d(self):
         with pytest.raises(ValueError, match="2-D"):
             to_csr([1, 2, 3])
