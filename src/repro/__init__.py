@@ -36,7 +36,7 @@ from repro import (
     serving,
     similarity,
 )
-from repro.ingest import OpenWorldWorkload, StreamIngestor
+from repro.ingest import StreamIngestor
 from repro.engine import MetaPathEngine
 from repro.exceptions import ReproError
 from repro.networks import (
@@ -92,7 +92,6 @@ __all__ = [
     "ClusteringResult",
     "ClassificationResult",
     "StreamIngestor",
-    "OpenWorldWorkload",
     "networks",
     "engine",
     "ingest",

@@ -647,13 +647,26 @@ class MetaPathEngine:
         pairs = finalize_top_k(
             ((j, scores[j]) for j in order), k, query if exclude else None
         )
+        return self._top_k_result(
+            mp, node_type, query, pairs, measure,
+            getattr(self.hin, "version", None), mode,
+        )
+
+    def _top_k_result(
+        self, mp: MetaPath, node_type: str, query: int, pairs, measure: str,
+        epoch, mode: str | None,
+    ) -> TopKResult:
+        """Ranked ``(index, score)`` *pairs* as the public result: names
+        through ``hin.name_of`` plus the stamps.  Every top-k answer —
+        selected here, merged across shards, or patched by a watch — is
+        built by this one function."""
         return TopKResult(
             [(self.hin.name_of(node_type, j), score) for j, score in pairs],
             node_type=node_type,
             query=self.hin.name_of(mp.source_type, query),
             path=str(mp),
             measure=measure,
-            network_version=getattr(self.hin, "version", None),
+            network_version=epoch,
             mode=mode,
         )
 

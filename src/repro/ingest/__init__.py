@@ -1,7 +1,6 @@
-"""Streaming real-data ingest and open-world workload generation.
+"""Streaming real-data ingest.
 
-The bridge from raw DBLP-shaped XML to a served, updatable HIN — and
-the traffic generator to stress it:
+The bridge from raw DBLP-shaped XML to a served, updatable HIN:
 
 * :func:`~repro.ingest.dblp_xml.iter_dblp_records` — constant-memory
   pull parsing of arbitrarily large DBLP XML (element-clearing
@@ -12,10 +11,6 @@ the traffic generator to stress it:
   committed through the normal ``hin.apply()`` path, so ingest *is* an
   update-stream scenario (engine maintenance, planner stats, watches
   and cluster republication all run underneath a bulk load);
-* :class:`~repro.ingest.workload.OpenWorldWorkload` — seed-
-  deterministic Zipf-skewed query streams (similar / connected / rank /
-  olap mix, optional live writer) replayable against any
-  :class:`~repro.serving.api.ServingAPI` service;
 * :func:`~repro.ingest.fixture.write_dblp_xml` — deterministic
   DBLP-shaped fixtures from the synthetic four-area generator, closing
   the generator → XML → ingest differential loop.
@@ -45,12 +40,6 @@ from repro.ingest.stream import (
     state_digest,
     tokenize_title,
 )
-from repro.ingest.workload import (
-    OpenWorldWorkload,
-    QueryOp,
-    WorkloadMix,
-    WorkloadRun,
-)
 
 __all__ = [
     "iter_dblp_records",
@@ -63,10 +52,6 @@ __all__ = [
     "canonical_state",
     "state_digest",
     "tokenize_title",
-    "OpenWorldWorkload",
-    "WorkloadMix",
-    "WorkloadRun",
-    "QueryOp",
     "write_dblp_xml",
     "make_fixture_xml",
     "record_xml",

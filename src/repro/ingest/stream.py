@@ -304,8 +304,6 @@ class StreamIngestor:
         if not authors:
             self._skip("no_author", record)
             return None
-        # Reserve the paper key immediately so a duplicate later in the
-        # *same* chunk is caught; rolled back if the chunk never commits.
         return (record.key, record.venue, tuple(authors), tuple(terms), record.year)
 
     # ------------------------------------------------------------------

@@ -596,7 +596,8 @@ class HIN:
                         f"type {t!r} is anonymous; add_nodes() takes a count, "
                         f"not names"
                     )
-                clash = set(spec) & set(self._name_index[t])
+                index = self._name_index[t]
+                clash = {name for name in spec if name in index}
                 if clash:
                     raise UpdateError(
                         f"new {t!r} names already exist: {sorted(clash)!r}"

@@ -84,7 +84,6 @@ from repro.engine import kernels
 from repro.engine.topk import finalize_top_k, merge_top_k, shard_top_k
 from repro.exceptions import ReproError
 from repro.networks.stats import balanced_ranges, type_row_weights
-from repro.query.results import TopKResult
 from repro.serving.api import _pathsim_fields
 from repro.serving.shm import PublishedGeneration, _publish
 from repro.serving.workers import _JOB_TIMEOUT_S, _ProcessTier
@@ -552,10 +551,11 @@ class ShardedClusterService(_ProcessTier):
         The engine's ``_select``, distributed: the merged order is
         ``(-score, global index)`` (:func:`merge_top_k` over partials
         that each surfaced their own top ``need``), the query row is
-        filtered under self-exclusion, names resolve through the same
-        ``hin.name_of``, and the result carries the scatter's epoch.
+        filtered under self-exclusion, and the engine's own result
+        builder stamps the scatter's epoch.
         """
         node_type = spath.source_type
+        engine = self.hin.engine()
         statuses = []
         for q_pos, q_index in enumerate(idx):
             error = None
@@ -578,17 +578,9 @@ class ShardedClusterService(_ProcessTier):
             statuses.append(
                 (
                     "ok",
-                    TopKResult(
-                        [
-                            (self.hin.name_of(node_type, j), score)
-                            for j, score in pairs
-                        ],
-                        node_type=node_type,
-                        query=self.hin.name_of(node_type, q_index),
-                        path=str(spath.mp),
-                        measure="pathsim",
-                        network_version=epoch,
-                        mode="materialize",
+                    engine._top_k_result(
+                        spath.mp, node_type, q_index, pairs, "pathsim",
+                        epoch, "materialize",
                     ),
                 )
             )

@@ -316,10 +316,10 @@ class ResultMaintainer:
     def _install_pairs(self, watch, update, top: list):
         """Adopt a merged ``(index, score)`` ranking; push if changed.
 
-        Rebuilds the public result exactly as the engine's selection
-        would: names through ``hin.name_of``, scores as the already
-        bit-exact merged floats.  An unchanged ranking skips the
-        rebuild entirely.
+        The engine's own result builder rebuilds the public result
+        from the already bit-exact merged floats, stamped with the
+        kernel of the ranking the merge patched.  An unchanged ranking
+        skips the rebuild entirely.
         """
         indices = np.array([j for j, _ in top], dtype=np.int64)
         scores = np.array([score for _, score in top], dtype=np.float64)
@@ -329,18 +329,9 @@ class ResultMaintainer:
             watch.epoch = update.epoch
             self._manager._counters["unchanged"] += 1
             return None
-        source_type = watch.mp.source_type
-        pairs = [
-            (self.hin.name_of(source_type, int(j)), float(score))
-            for j, score in top
-        ]
-        result = TopKResult(
-            pairs,
-            node_type=source_type,
-            query=self.hin.name_of(source_type, watch.index),
-            path=str(watch.mp),
-            measure="pathsim",
-            network_version=update.epoch,
+        result = self.hin.engine()._top_k_result(
+            watch.mp, watch.mp.source_type, watch.index, top, "pathsim",
+            update.epoch, watch.result.mode,
         )
         watch.adopt(update.epoch, result, indices, scores)
         return result

@@ -238,11 +238,15 @@ class TestEpochRule:
     def test_every_answer_beside_a_live_writer_equals_a_cold_replay_at_its_epoch(
         self, small_bib, any_service
     ):
-        """Clients stream ``similar`` while the writer commits; afterwards
-        the batches are replayed on a fresh network and every collected
-        answer — not just the final-epoch ones — must equal a cold
-        engine's at the epoch the answer is stamped with."""
+        """Clients stream every verb while the writer commits edge deltas
+        and **node growth** (new authors and papers, edges onto the new
+        rows: the shard plan replans, a replicated generation republishes
+        at new shapes); afterwards the batches are replayed on a fresh
+        network and every collected answer — not just the final-epoch
+        ones — must equal a cold session's at the epoch the answer is
+        stamped with."""
         from repro.engine import MetaPathEngine
+        from repro.query import QuerySession
 
         types = small_bib.schema.node_types
         replay = HIN(
@@ -257,28 +261,59 @@ class TestEpochRule:
         stream = [
             UpdateBatch().add_edges("writes", [(3, 1)]),
             UpdateBatch().add_edges("writes", [(0, 3)]),
+            UpdateBatch()
+            .add_nodes("author", ["a4"])
+            .add_nodes("paper", ["p5"])
+            .add_edges("writes", [(4, 5), (4, 0), (0, 5)])
+            .add_edges("published_in", [(5, 0)]),
             UpdateBatch().remove_edges("writes", [(1, 2)]),
+            UpdateBatch().add_nodes("author", ["a5"]).add_edges(
+                "writes", [(5, 5), (5, 3)]
+            ),
             UpdateBatch().add_edges("writes", [(0, 4), (1, 4)]),
+            UpdateBatch()
+            .add_nodes("paper", ["p6"])
+            .add_edges("writes", [(2, 6), (4, 6)])
+            .add_edges("published_in", [(6, 1)]),
             UpdateBatch().add_edges("writes", [(2, 0)]),
         ]
-        authors = ("a0", "a1", "a2")
+        first_growth = next(
+            epoch for epoch, batch in enumerate(stream, 1) if batch.node_additions
+        )
+        requests = [
+            ("similar", ("a0", "A-P-A", 3)),
+            ("connected", ("a1", "A-P-V", 3)),
+            ("rank", ("author",)),
+            ("similar", ("a2", "A-P-V-P-A", 3)),
+            ("rank", ("A-P-V",)),
+        ]
         answers, errors = [], []
+        rounds = [0, 0, 0]
         stop = threading.Event()
 
-        def client(author):
+        def client(number):
             try:
                 while not stop.is_set():
-                    answer = any_service.similar(author, APA, 3).result(timeout=60)
-                    answers.append((author, answer))
+                    for verb, args in requests[number:] + requests[:number]:
+                        answer = getattr(any_service, verb)(*args).result(timeout=60)
+                        answers.append((verb, args, answer))
+                    rounds[number] += 1
             except Exception as exc:  # asserted empty below
                 errors.append(exc)
 
         def let_clients_run():
-            served, deadline = len(answers), time.monotonic() + 60
-            while len(answers) < served + len(authors) and time.monotonic() < deadline:
+            target = [done + 1 for done in rounds]
+            deadline = time.monotonic() + 60
+            while (
+                any(done < want for done, want in zip(rounds, target))
+                and not errors
+                and time.monotonic() < deadline
+            ):
                 time.sleep(0.002)
 
-        clients = [threading.Thread(target=client, args=(a,)) for a in authors]
+        clients = [
+            threading.Thread(target=client, args=(n,)) for n in range(len(rounds))
+        ]
         for thread in clients:
             thread.start()
         try:
@@ -297,12 +332,20 @@ class TestEpochRule:
         for epoch in range(len(stream) + 1):
             if epoch:
                 replay.apply(stream[epoch - 1])
-            cold = MetaPathEngine(replay, plan="left", mode="materialize")
-            for author in authors:
-                reference[epoch, author] = list(cold.pathsim_top_k(APA, author, 3))
-        for author, answer in answers:
-            assert list(answer) == reference[answer.network_version, author]
-        assert len({answer.network_version for _, answer in answers}) > 1
+            cold = QuerySession(
+                replay,
+                engine=MetaPathEngine(replay, plan="left", mode="materialize"),
+            )
+            for verb, args in requests:
+                reference[epoch, verb, args] = list(getattr(cold, verb)(*args))
+        for verb, args, answer in answers:
+            assert list(answer) == reference[answer.network_version, verb, args]
+        assert len({answer.network_version for _, _, answer in answers}) > 1
+        assert {
+            verb
+            for verb, _, answer in answers
+            if answer.network_version >= first_growth
+        } == {"similar", "connected", "rank"}
 
     def test_a_queued_request_is_not_joined_after_a_commit(self, small_bib):
         """The interleaving retire-inside-the-read-lock used to cover:

@@ -78,3 +78,14 @@ def test_every_benchmark_is_documented():
         if bench.name not in doc
     ]
     assert not missing, f"benchmarks missing from docs/BENCHMARKS.md: {missing}"
+
+
+def test_every_package_has_a_module_map_row():
+    """README's module map names every package under src/repro/."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [
+        package.parent.name
+        for package in sorted((REPO_ROOT / "src" / "repro").glob("*/__init__.py"))
+        if f"\n| `{package.parent.name}/` |" not in readme
+    ]
+    assert not missing, f"packages missing from README's module map: {missing}"

@@ -24,6 +24,9 @@ SUBPACKAGES = [
     "repro.olap",
     "repro.datasets",
     "repro.utils",
+    "repro.ingest",
+    "repro.serving",
+    "repro.watch",
 ]
 
 
@@ -33,6 +36,29 @@ def test_all_names_resolve(name):
     assert hasattr(module, "__all__"), f"{name} must declare __all__"
     for symbol in module.__all__:
         assert hasattr(module, symbol), f"{name}.{symbol} missing"
+
+
+def test_ingest_exports_parsing_ingest_and_fixtures_only():
+    """Pinned exactly: a traffic generator (or any other test harness)
+    cannot grow back into the library unnoticed."""
+    import repro.ingest
+
+    assert sorted(repro.ingest.__all__) == [
+        "IngestReport",
+        "KNOWN_RECORD_TAGS",
+        "PUBLICATION_TAGS",
+        "ParseStats",
+        "PubRecord",
+        "StreamIngestor",
+        "canonical_state",
+        "dataset_records",
+        "iter_dblp_records",
+        "make_fixture_xml",
+        "record_xml",
+        "state_digest",
+        "tokenize_title",
+        "write_dblp_xml",
+    ]
 
 
 def test_version():

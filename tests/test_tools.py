@@ -38,3 +38,14 @@ def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].split() == [
         "8", "total", str(tmp_path),
     ]
+
+
+def test_code_lines_prints_usage_for_a_path_that_does_not_exist(tmp_path, capsys):
+    code_lines = _load("code_lines")
+    typo = str(tmp_path / "typo.py")
+    for argv, named in ([], ""), (["--help"], "--help"), ([str(tmp_path), typo], typo):
+        assert code_lines.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert named in err
+        assert "python tools/code_lines.py <dir-or-file>..." in err

@@ -51,6 +51,7 @@ class TestUntouched:
 class TestIncremental:
     def test_merged_result_matches_cold_engine(self, watch_hin):
         sub = watch_hin.watches().watch("A-P-A", "ada", k=3)
+        _, patched = sub.current()
         watch_hin.apply(UpdateBatch().add_edges("writes", [(2, 0)]))
         stats = watch_hin.watches().stats()
         assert stats["incremental"] == 1 and stats["fallback"] == 0
@@ -59,6 +60,8 @@ class TestIncremental:
         assert epoch == 1
         assert result == expected
         assert result.network_version == expected.network_version == 1
+        # Same builder as an engine-computed answer: every stamp is set.
+        assert result.mode == patched.mode in ("fused", "materialize")
 
     def test_sequence_of_merges_stays_exact(self, watch_hin):
         sub = watch_hin.watches().watch("A-P-A", "ada", k=3)

@@ -3,8 +3,8 @@
     python tools/code_lines.py <dir-or-file>...
 
 Prints one count per ``.py`` file and a total per argument.  This is
-the counter behind the ROADMAP's line budgets (``src/repro/serving``
-<= 1585) and the ceiling CI's ``lint`` job enforces.
+the counter behind the ROADMAP's line budgets and the ``src/repro`` and
+``src/repro/serving`` ceilings CI's ``lint`` job enforces.
 """
 
 import ast
@@ -41,7 +41,10 @@ def code_lines(source: str) -> int:
 
 def main(argv) -> int:
     """Print per-file counts and one total line per path in *argv*."""
-    if not argv:
+    missing = [arg for arg in argv if not Path(arg).exists()]
+    if not argv or missing:
+        for arg in missing:
+            print(f"no such file or directory: {arg}", file=sys.stderr)
         print(__doc__.strip(), file=sys.stderr)
         return 2
     for arg in argv:
