@@ -1133,8 +1133,8 @@ class MetaPathEngine:
         """Persist the network and this engine's warm cache to *path*.
 
         Delegates to :func:`repro.serving.save_snapshot`; see that
-        function for the on-disk format (npz arrays + JSON manifest with
-        the update epoch and schema hash).  Returns the manifest dict.
+        function for the on-disk format (flat array files + JSON manifest
+        with the update epoch and schema hash).  Returns the manifest dict.
         """
         from repro.serving.snapshot import save_snapshot
 

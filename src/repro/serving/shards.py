@@ -55,9 +55,9 @@ recomputes the :class:`ShardPlan` and republishes everything.
 (:class:`ShardPlan`), which rows of which half products a shard packs,
 and the scatter/merge.  How those entries become flat arrays and a
 descriptor is not decided here: a shard generation is packed by the
-state codec (:mod:`repro.serving.snapshot`) and published and attached
-by the generation container (:mod:`repro.serving.shm`), the same
-functions a replicated generation goes through.
+state codec and published and attached by the generation container
+(both :mod:`repro.serving.shm`), the same functions a replicated
+generation goes through.
 
 Standing queries are maintained in the parent, on the engine that
 holds the full half products anyway (the scatter extracts its query

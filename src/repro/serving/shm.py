@@ -1,4 +1,4 @@
-"""Shared-memory generations: zero-copy network state across processes.
+"""Generations: one immutable image of network state, in a segment or a file.
 
 One Python process caps the dense-product hot paths at roughly one core
 — the GIL serializes scipy's CSR kernels no matter how many threads the
@@ -17,11 +17,32 @@ process can map (:func:`publish_generation`): the parent packs every
 array into one segment; workers attach by name and wrap the buffer in
 numpy views without copying a byte.
 
-The same zero-copy idea serves restarts: the npz files a warm-cache
-snapshot wrote are uncompressed zip members, so :func:`mmap_npz` can
-``np.memmap`` each array in place — ``load_snapshot(path, mmap=True)``
-costs one page-in of the file instead of a full deserialization, and
-the network it returns is what a restarted tier publishes from.
+**The container.**  A ``{name: array}`` dict is stored as one *image*:
+the arrays laid end to end, flat and C-contiguous, each at a
+64-byte-aligned offset, described by ``{name: {offset, dtype, shape}}``
+*specs* kept in the JSON document beside it (:func:`_layout` one way,
+:func:`_unpack` the other).  Three things can back an image:
+
+* a new shared-memory segment — what a generation publishes, each array
+  copied into it once, and what workers attach as read-only views;
+* a file, written to a temporary name and renamed — a warm-cache
+  snapshot's payload (:mod:`repro.serving.snapshot`);
+* that file read back: mapped (``load_snapshot(path, mmap=True)`` —
+  read-only views over one ``np.memmap``, nothing deserialized, one
+  copy in the OS page cache for every process mapping it) or read into
+  arrays the caller owns (``mmap=False``).
+
+Both JSON documents — a snapshot's manifest and a generation's
+descriptor — carry ``_FORMAT_VERSION``, which changes with the image
+layout; documents of another version are refused.
+
+**The state codec.**  What goes into an image is decided here too: how
+a network and its engine cache at one epoch become a JSON network
+section, an entry index and flat arrays, and back (``_capture_state`` /
+``_write_csr`` / ``_build_entry_index`` one way, ``_read_envelope`` /
+``_read_csr`` / ``_restore_network`` / ``_restore_entries`` the other,
+under :func:`_restoring`).  Snapshots, replicated generations and shard
+generations all go through these functions.
 
 A generation is described by a JSON **descriptor** naming the segment
 and the structure over it; :func:`attach_generation` turns a descriptor
@@ -32,13 +53,7 @@ constructed directly over the mapped buffers
 them).  Generations are immutable once published — a new epoch means a
 *new* generation, never an edit — so a worker can never observe a torn
 matrix: it either still serves the old generation or has atomically
-swapped to the complete new one.
-
-This module owns the **container** — segment packing, the descriptor
-file, publication and retirement.  What goes *into* it is the state
-codec of :mod:`repro.serving.snapshot` (network section, entry index,
-CSR arrays), the same functions a snapshot is written and read with.
-There is one container: a *shard* generation
+swapped to the complete new one.  A *shard* generation
 (:func:`repro.serving.shards.publish_shard_generation`) is the same
 descriptor without the network section, whose PathSim entries carry the
 ``lo``/``hi`` row range they were sliced to; it goes through the same
@@ -53,28 +68,20 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
-import zipfile
+from contextlib import ExitStack, contextmanager
 from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.exceptions import SnapshotError
-from repro.serving.snapshot import (
-    _FORMAT_VERSION,
-    _build_entry_index,
-    _capture_state,
-    _read_envelope,
-    _restore_entries,
-    _restore_network,
-    _write_csr,
-)
+from repro.networks.hin import HIN
+from repro.networks.schema import NetworkSchema
 
 __all__ = [
-    "mmap_npz",
-    "export_arrays",
-    "attach_arrays",
     "publish_generation",
     "attach_generation",
     "PublishedGeneration",
@@ -82,52 +89,94 @@ __all__ = [
 ]
 
 _FORMAT = "repro-shm-generation"
-_ALIGN = 64  # cache-line align every array inside a segment
+_FORMAT_VERSION = 2  # of the image layout; manifests and descriptors both carry it
+_ALIGN = 64  # cache-line align every array inside an image
 
 
 # ----------------------------------------------------------------------
-# mmap-backed npz loading
+# The container: one image of flat arrays, in a segment or in a file
 # ----------------------------------------------------------------------
-def _read_member_header(f, info):
-    """Data offset of one zip member, from its local file header."""
-    f.seek(info.header_offset)
-    header = f.read(30)
-    if len(header) != 30 or header[:4] != b"PK\x03\x04":
-        return None
-    name_len = int.from_bytes(header[26:28], "little")
-    extra_len = int.from_bytes(header[28:30], "little")
-    return info.header_offset + 30 + name_len + extra_len
+def _layout(arrays: dict) -> tuple[dict, int]:
+    """Where each of *arrays* goes in one image: ``(specs, size)``.
+
+    Arrays follow one another in dict order, flat and C-contiguous, each
+    at a 64-byte-aligned offset; *specs* records every array's
+    ``{offset, dtype, shape}`` and *size* is the image's length in bytes.
+    """
+    specs: dict[str, dict] = {}
+    size = 0
+    for key, value in arrays.items():
+        offset = (size + _ALIGN - 1) // _ALIGN * _ALIGN
+        specs[key] = {
+            "offset": offset,
+            "dtype": value.dtype.str,
+            "shape": list(value.shape),
+        }
+        size = offset + value.nbytes
+    return specs, size
 
 
-def mmap_npz(path) -> dict[str, np.ndarray]:
-    """Read-only, zero-copy views of an uncompressed npz's arrays.
+def _unpack(specs: dict, size: int, source, read) -> dict:
+    """The arrays *specs* describe in the *size*-byte image *source*,
+    each one fetched by ``read(shape, dtype, offset)``.
 
-    ``np.savez`` stores members uncompressed (``ZIP_STORED``), so each
-    ``.npy`` member sits contiguously in the file: this walks the zip
-    directory, parses each member's npy header in place, and returns
-    ``np.memmap`` views at the member's data offset — no bytes are
-    deserialized, and every process mapping the same file shares one
-    copy through the OS page cache.
+    On the file routes the specs come from a manifest — outside input —
+    so all of them are checked before anything is built over the image:
+    an array must lie inside it (which is what catches a truncated
+    payload, in O(1)) and may not have an object dtype (those hold
+    pointers, not data).
+    """
+    checked = []
+    for key, spec in specs.items():
+        shape, dtype = tuple(spec["shape"]), np.dtype(spec["dtype"])
+        offset, nbytes = spec["offset"], math.prod(shape) * dtype.itemsize
+        if dtype.hasobject or min((offset, *shape)) < 0 or offset + nbytes > size:
+            raise SnapshotError(
+                f"snapshot payload unreadable: {source} (truncated or corrupted: "
+                f"{dtype} array {key!r} at bytes {offset}..{offset + nbytes} of {size})"
+            )
+        checked.append((key, shape, dtype, offset))
+    return {key: read(*where) for key, *where in checked}
 
-    Parameters
-    ----------
-    path:
-        An npz file written by ``np.savez`` (the snapshot payload
-        format).  Members that cannot be mapped — compressed entries,
-        unusual npy versions — fall back to a normal in-memory load of
-        that member, so the result is complete for every numeric
-        payload.  Object-dtype (pickled) members are refused: snapshot
-        payloads never contain them, and unpickling would execute
-        arbitrary bytes.
+
+def _views(buffer, writeable: bool = False):
+    """The ``read`` with which :func:`_unpack` builds zero-copy views
+    over a mapped *buffer*."""
+
+    def read(shape, dtype, offset):
+        view = np.ndarray(shape, dtype, buffer, offset)
+        view.flags.writeable = writeable
+        return view
+
+    return read
+
+
+def _write_file(path: Path, arrays: dict, specs: dict, size: int) -> None:
+    """Write *arrays* as the image :func:`_layout` gave (*specs*, *size*)
+    at *path*, via a temp file + atomic rename.  Each array goes from
+    its own memory to the file; no whole image is assembled first."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as f:
+        for key, value in arrays.items():
+            f.seek(specs[key]["offset"])
+            value.tofile(f)
+        f.truncate(size)
+    os.replace(tmp, path)
+
+
+def _read_file(path: Path, specs: dict, *, mmap: bool) -> dict:
+    """The arrays of the image file at *path*.
+
+    ``mmap=True`` returns read-only views over one mapping of the file
+    — nothing is deserialized, and every process mapping the same file
+    shares one copy through the OS page cache.  ``mmap=False`` reads
+    each array into memory the caller owns.
 
     Raises
     ------
     repro.exceptions.SnapshotError
-        When *path* is missing, truncated, not a zip at all, or holds
-        members only loadable via pickle (matching the eager loader's
-        contract).
+        When *path* is missing, or shorter than *specs* say.
     """
-    path = Path(path)
     try:
         f = open(path, "rb")
     except FileNotFoundError:
@@ -135,125 +184,50 @@ def mmap_npz(path) -> dict[str, np.ndarray]:
             f"snapshot payload missing: {path} (partial copy or "
             f"interrupted save)"
         ) from None
-    out: dict[str, np.ndarray] = {}
-    fallback: list[str] = []
-    try:
-        return _mmap_members(path, f, out, fallback)
-    except (zipfile.BadZipFile, EOFError) as exc:
-        raise SnapshotError(
-            f"snapshot payload unreadable: {path} (truncated or "
-            f"corrupted: {exc})"
-        ) from None
-    finally:
-        f.close()
+    with f:
+        size = os.fstat(f.fileno()).st_size
+        if mmap and size:  # an empty file cannot be mapped, and holds nothing
+            return _unpack(specs, size, path, _views(np.memmap(f, np.uint8, "r")))
 
-
-def _mmap_members(path, f, out, fallback):
-    """Map every member of the open npz *f* into *out* (helper of
-    :func:`mmap_npz`; members that cannot be mapped collect in
-    *fallback* and load eagerly)."""
-    with zipfile.ZipFile(f) as zf:
-        for info in zf.infolist():
-            name = info.filename.removesuffix(".npy")
-            offset = (
-                _read_member_header(f, info)
-                if info.compress_type == zipfile.ZIP_STORED
-                else None
-            )
-            if offset is None:
-                fallback.append(name)
-                continue
+        def read(shape, dtype, offset):
             f.seek(offset)
-            try:
-                version = np.lib.format.read_magic(f)
-                if version == (1, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
-                elif version == (2, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(f)
-                else:
-                    fallback.append(name)
-                    continue
-            except ValueError:
-                fallback.append(name)
-                continue
-            if dtype.hasobject:
-                fallback.append(name)
-                continue
-            out[name] = np.memmap(
-                path,
-                dtype=dtype,
-                mode="r",
-                offset=f.tell(),
-                shape=shape,
-                order="F" if fortran else "C",
-            )
-    if fallback:
-        try:
-            with np.load(path, allow_pickle=False) as npz:
-                for name in fallback:
-                    out[name] = npz[name]
-        except ValueError as exc:
-            # Object-dtype members need allow_pickle — refuse rather
-            # than execute pickle bytes from a payload file.
-            raise SnapshotError(
-                f"snapshot payload {path} has members that cannot be "
-                f"loaded safely: {exc}"
-            ) from None
-    return out
+            return np.fromfile(f, dtype, math.prod(shape)).reshape(shape)
+
+        return _unpack(specs, size, path, read)
 
 
-# ----------------------------------------------------------------------
-# Shared-memory array packing
-# ----------------------------------------------------------------------
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def export_arrays(arrays: dict) -> tuple[shared_memory.SharedMemory, dict]:
-    """Pack *arrays* into one new shared-memory segment.
-
-    Every array is copied once into the segment at a 64-byte-aligned
-    offset; the returned descriptor records the segment name plus each
-    array's ``(offset, dtype, shape)`` so :func:`attach_arrays` in any
-    process can rebuild zero-copy views.
-
-    Parameters
-    ----------
-    arrays:
-        ``{key: ndarray}``; arrays are flattened C-contiguous.
+def _write_segment(arrays: dict) -> tuple[shared_memory.SharedMemory, dict]:
+    """Pack *arrays* into one new shared-memory segment, each array
+    copied once, to the offset :func:`_layout` gave it.
 
     Returns
     -------
-    ``(segment, descriptor)`` — the caller owns the segment and must
+    ``(segment, source)`` — the caller owns the segment and must
     eventually ``close()`` and ``unlink()`` it (see
-    :class:`PublishedGeneration`).
+    :class:`PublishedGeneration`); *source* names it and carries the
+    specs, for :func:`_attach_segment` in any process.
     """
-    packed = {key: np.ascontiguousarray(value) for key, value in arrays.items()}
-    specs: dict[str, dict] = {}
-    offset = 0
-    for key, value in packed.items():
-        offset = _aligned(offset)
-        specs[key] = {
-            "offset": offset,
-            "dtype": value.dtype.str,
-            "shape": list(value.shape),
-        }
-        offset += value.nbytes
-    segment = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    for key, value in packed.items():
-        view = np.ndarray(
-            value.shape,
-            dtype=value.dtype,
-            buffer=segment.buf,
-            offset=specs[key]["offset"],
-        )
-        view[...] = value
-        del view  # drop the buffer export before anyone can close()
+    specs, size = _layout(arrays)
+    segment = shared_memory.SharedMemory(create=True, size=max(size, 1))
+    fill = _views(segment.buf, writeable=True)
+    for key, view in _unpack(specs, segment.size, segment.name, fill).items():
+        view[...] = arrays[key]
     return segment, {"segment": segment.name, "arrays": specs}
 
 
-def attach_arrays(descriptor: dict):
-    """Open one segment descriptor's arrays without copying.
+def _release(resource) -> None:
+    """Close an attached mapping.  One whose buffers are still exported
+    — numpy views alive somewhere, e.g. in an answer the caller holds —
+    is left to die with their last reference instead of being
+    invalidated out from under them."""
+    try:
+        resource.close()
+    except BufferError:
+        pass
+
+
+def _attach_segment(source: dict):
+    """Open one segment's arrays without copying.
 
     Attaches the named segment and wraps each array spec in a read-only
     ``np.ndarray`` view over the shared buffer.
@@ -268,8 +242,8 @@ def attach_arrays(descriptor: dict):
 
     Parameters
     ----------
-    descriptor:
-        What :func:`export_arrays` returned — a generation
+    source:
+        What :func:`_write_segment` returned — a generation
         descriptor's ``source``.
 
     Returns
@@ -286,36 +260,240 @@ def attach_arrays(descriptor: dict):
     try:
         # Python >= 3.13: attaching never registers with the resource
         # tracker — only the creator owns the segment's lifetime.
-        segment = shared_memory.SharedMemory(name=descriptor["segment"], track=False)
+        segment = shared_memory.SharedMemory(name=source["segment"], track=False)
     except TypeError:
-        segment = shared_memory.SharedMemory(name=descriptor["segment"])
-    arrays = {}
-    for key, spec in descriptor["arrays"].items():
-        view = np.ndarray(
-            tuple(spec["shape"]),
-            dtype=np.dtype(spec["dtype"]),
-            buffer=segment.buf,
-            offset=spec["offset"],
+        segment = shared_memory.SharedMemory(name=source["segment"])
+    try:
+        return segment, _unpack(
+            source["arrays"], segment.size, segment.name, _views(segment.buf)
         )
-        view.flags.writeable = False
-        arrays[key] = view
-    return segment, arrays
+    except BaseException:
+        _release(segment)
+        raise
+
+
+# ----------------------------------------------------------------------
+# The state codec: network + engine cache at one epoch <-> a JSON
+# section, an entry index and flat arrays
+# ----------------------------------------------------------------------
+def _index_dtype(m: sp.csr_matrix):
+    """The index width the codec writes *m* at — int32 when it fits, the
+    width scipy's constructor narrows to on the way back in."""
+    return np.int32 if m.nnz < 2**31 and max(m.shape) < 2**31 else np.int64
+
+
+def _write_csr(prefix: str, matrix: sp.csr_matrix, arrays: dict) -> None:
+    """Record *matrix*'s CSR arrays under *prefix*.
+
+    Index arrays are written at :func:`_index_dtype`, the width scipy
+    would pick for them, so :func:`_read_csr` adopts the buffers instead
+    of silently casting — a cast is a per-process copy of a shared
+    segment, and a width the content hash would not survive.
+    """
+    matrix = matrix.tocsr()
+    idx = _index_dtype(matrix)
+    arrays[f"{prefix}/data"] = np.asarray(matrix.data, dtype=np.float64)
+    arrays[f"{prefix}/indices"] = matrix.indices.astype(idx, copy=False)
+    arrays[f"{prefix}/indptr"] = matrix.indptr.astype(idx, copy=False)
+
+
+def _read_csr(prefix: str, arrays, shape, trusted: bool) -> sp.csr_matrix:
+    """A CSR matrix adopting the (possibly read-only) arrays at *prefix*.
+
+    On the *trusted* zero-copy routes (an attached segment, a mapped
+    file) the matrices were canonical when written, so the flag is
+    asserted rather than recomputed — attaching stays O(1) in the
+    matrix size.  The eager route leaves it for scipy to find out.
+    """
+    matrix = sp.csr_matrix(
+        (
+            arrays[f"{prefix}/data"],
+            arrays[f"{prefix}/indices"],
+            arrays[f"{prefix}/indptr"],
+        ),
+        shape=tuple(shape),
+        copy=False,
+    )
+    if trusted:
+        matrix.has_canonical_format = True
+    return matrix
+
+
+def _capture_state(hin, engine) -> tuple[dict, list, list]:
+    """One epoch of *hin* + *engine*, by reference: ``(section, matrices,
+    entries)``.
+
+    *section* is the JSON network section (epoch, types, counts,
+    relations with shapes, names), *matrices* the ``(relation name,
+    matrix)`` list it describes and *entries* the engine's cache.  All
+    three are read under one engine read-lock hold, so they describe
+    exactly one update epoch even while writers are active; for a
+    *detached* engine (constructed with kwargs) the network's shared
+    engine's lock is held as well — that is the lock ``hin.apply()``
+    commits under.  Nothing is copied or hashed here: matrices are
+    replaced, never mutated, so the O(bytes) work happens after release.
+    """
+    with ExitStack() as stack:
+        stack.enter_context(engine.lock.read())
+        shared = hin.engine() if isinstance(hin, HIN) else None
+        if shared is not None and shared is not engine:
+            stack.enter_context(shared.lock.read())
+        epoch, entries = engine.export_state()
+        matrices = [
+            (rel.name, hin.relation_matrix(rel.name)) for rel in hin.schema.relations
+        ]
+        section = {
+            "epoch": int(epoch),
+            "node_types": list(hin.schema.node_types),
+            "node_counts": {t: hin.node_count(t) for t in hin.schema.node_types},
+            "relations": [
+                {
+                    "name": rel.name,
+                    "source": rel.source,
+                    "target": rel.target,
+                    "shape": list(matrix.shape),
+                }
+                for rel, (_, matrix) in zip(hin.schema.relations, matrices)
+            ],
+            "names": {
+                t: names
+                for t in hin.schema.node_types
+                if (names := hin.names(t)) is not None
+            },
+        }
+    return section, matrices, entries
+
+
+def _restore_network(section: dict, arrays, trusted: bool) -> HIN:
+    """The HIN a network *section* describes over *arrays*, at its epoch.
+
+    *trusted* (an attached segment, a mapped file) adopts the read-only
+    buffers as they are; otherwise ``HIN(validate=True)`` normalises
+    what it is given.
+    """
+    schema = NetworkSchema(
+        section["node_types"],
+        [(r["name"], r["source"], r["target"]) for r in section["relations"]],
+    )
+    matrices = {
+        r["name"]: _read_csr(f"rel/{r['name']}", arrays, r["shape"], trusted)
+        for r in section["relations"]
+    }
+    hin = HIN(
+        schema,
+        section["node_counts"],
+        matrices,
+        node_names=section["names"] or None,
+        validate=not trusted,
+    )
+    hin._version = int(section["epoch"])
+    return hin
+
+
+def _build_entry_index(entries, arrays: dict) -> list[dict]:
+    """Flatten engine cache *entries* into *arrays*; return their index.
+
+    The single definition of the entry schema (``kind`` / ``steps`` /
+    ``prefix`` / ``shape``) in a manifest or a descriptor.
+
+    Each distinct matrix is written once: a PathSim entry's ``W`` *is*
+    the cached half product, so the second key to reach an object names
+    the arrays the first one wrote (``"csr"``) instead of copying them.
+    """
+    index = []
+    written: dict[int, str] = {}  # id(matrix) -> csr prefix
+    for i, (key, value) in enumerate(entries):
+        kind, steps = key
+        prefix = f"entry{i}"
+        if kind == "pathsim":
+            matrix, diag = value
+            own = f"{prefix}/w"
+            arrays[f"{prefix}/diag"] = np.asarray(diag, dtype=np.float64)
+        else:
+            matrix, own = value, prefix
+        if id(matrix) not in written:
+            written[id(matrix)] = own
+            _write_csr(own, matrix, arrays)
+        csr = written[id(matrix)]
+        index.append(
+            {
+                "kind": kind,
+                "steps": [[name, bool(fwd)] for name, fwd in steps],
+                "prefix": prefix,
+                "shape": list(matrix.shape),
+                **({"csr": csr} if csr != own else {}),
+            }
+        )
+    return index
+
+
+def _restore_entries(entry_index, arrays, trusted: bool) -> list[tuple]:
+    """The inverse of :func:`_build_entry_index`: engine ``(key, value)``
+    pairs from a serialized entry index over *arrays*.  Entries naming
+    the same ``"csr"`` arrays get the same matrix object back; an index
+    without the field (written before matrices were shared) reads every
+    entry from its own arrays."""
+    entries: list[tuple] = []
+    matrices: dict[str, sp.csr_matrix] = {}
+    for desc in entry_index:
+        key = (
+            desc["kind"],
+            tuple((name, bool(fwd)) for name, fwd in desc["steps"]),
+        )
+        pathsim = desc["kind"] == "pathsim"
+        csr = desc.get("csr", f"{desc['prefix']}/w" if pathsim else desc["prefix"])
+        if csr not in matrices:
+            matrices[csr] = _read_csr(csr, arrays, desc["shape"], trusted)
+        if pathsim:
+            diag = np.asarray(arrays[f"{desc['prefix']}/diag"])
+            entries.append((key, (matrices[csr], diag)))
+        else:
+            entries.append((key, matrices[csr]))
+    return entries
+
+
+def _read_envelope(path: Path, fmt: str, what: str) -> dict:
+    """The JSON object at *path*, checked to be a *fmt* document of the
+    supported version (*what* names it in errors).  A missing file is
+    the caller's ``FileNotFoundError``."""
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SnapshotError(f"unreadable {what}: {exc}") from None
+    if not isinstance(document, dict):
+        raise SnapshotError(f"not a {fmt} {what}: not a JSON object")
+    if document.get("format") != fmt:
+        raise SnapshotError(
+            f"not a {fmt} {what}: format={document.get('format')!r}"
+        )
+    if document.get("format_version") != _FORMAT_VERSION:
+        raise SnapshotError(
+            f"{what} format version {document.get('format_version')!r} "
+            f"not supported (expected {_FORMAT_VERSION})"
+        )
+    return document
+
+
+@contextmanager
+def _restoring(path, what: str):
+    """The one place a document becomes state: the body reads a *what*
+    (from *path*) and builds what it describes.  What a hand-edited
+    document makes that raise — a missing key, a value of the wrong
+    type, a shape its arrays do not have — leaves as the
+    :class:`~repro.exceptions.SnapshotError` naming it.  A retired
+    segment's ``FileNotFoundError`` passes through: the worker fence
+    depends on it."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(
+            f"malformed {what} at {path}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # ----------------------------------------------------------------------
 # Generations
 # ----------------------------------------------------------------------
-def _release(resource) -> None:
-    """Close an attached mapping.  One whose buffers are still exported
-    — numpy views alive somewhere, e.g. in an answer the caller holds —
-    is left to die with their last reference instead of being
-    invalidated out from under them."""
-    try:
-        resource.close()
-    except BufferError:
-        pass
-
-
 class PublishedGeneration:
     """The publisher's handle on one generation it exported.
 
@@ -427,7 +605,7 @@ def _publish(
     The single descriptor format: a header (``generation``), the
     *section* — ``epoch`` plus, for a network generation, the network
     section whose relation *matrices* are packed here
-    (:func:`repro.serving.snapshot._capture_state`) — the ``entries``
+    (:func:`_capture_state`) — the ``entries``
     index over the arrays (the snapshot entry schema; shard entries add
     their ``lo``/``hi`` row *ranges*) and the ``source`` segment holding
     those arrays.  Workers must never read a torn descriptor: the
@@ -440,7 +618,7 @@ def _publish(
     index = _build_entry_index(entries, arrays)
     for desc, rows in zip(index, ranges):
         desc.update(rows)
-    segment, source = export_arrays(arrays)
+    segment, source = _write_segment(arrays)
     published = PublishedGeneration(
         generation,
         section["epoch"],
@@ -524,25 +702,26 @@ def attach_generation(path) -> AttachedGeneration:
         When the descriptor is unreadable or of an unsupported format.
     """
     descriptor = _read_envelope(Path(path), _FORMAT, "generation descriptor")
-    resource, arrays = attach_arrays(descriptor["source"])
-    try:
-        entries = _restore_entries(descriptor["entries"], arrays, trusted=True)
-        hin = None
-        if "relations" in descriptor:
-            hin = _restore_network(descriptor, arrays, trusted=True)
-            hin.engine().attach_state(descriptor["epoch"], entries)
-        slices = {
-            key[1]: (*value, int(desc["lo"]))
-            for desc, (key, value) in zip(descriptor["entries"], entries)
-            if "lo" in desc
-        }
-    except BaseException:
-        _release(resource)
-        raise
-    return AttachedGeneration(
-        descriptor["generation"],
-        descriptor["epoch"],
-        resource,
-        hin=hin,
-        slices=slices,
-    )
+    with _restoring(path, "generation descriptor"):
+        resource, arrays = _attach_segment(descriptor["source"])
+        try:
+            entries = _restore_entries(descriptor["entries"], arrays, trusted=True)
+            hin = None
+            if "relations" in descriptor:
+                hin = _restore_network(descriptor, arrays, trusted=True)
+                hin.engine().attach_state(descriptor["epoch"], entries)
+            slices = {
+                key[1]: (*value, int(desc["lo"]))
+                for desc, (key, value) in zip(descriptor["entries"], entries)
+                if "lo" in desc
+            }
+            return AttachedGeneration(
+                descriptor["generation"],
+                descriptor["epoch"],
+                resource,
+                hin=hin,
+                slices=slices,
+            )
+        except BaseException:
+            _release(resource)
+            raise

@@ -5,8 +5,8 @@ load the network and once to re-materialize every commuting matrix the
 workload needs.  A snapshot removes both costs.
 :func:`save_snapshot` serializes the network (schema, node names,
 relation matrices) *and* the engine's cached materializations — prefix
-products and PathSim ``(W, diag)`` pairs — as plain npz arrays next to
-a JSON manifest; :func:`load_snapshot` rebuilds the HIN and installs the
+products and PathSim ``(W, diag)`` pairs — as flat arrays next to a
+JSON manifest; :func:`load_snapshot` rebuilds the HIN and installs the
 cache entries, so the first query after startup is a cache hit.
 
 Staleness is a correctness issue, not a performance one: a cache entry
@@ -33,24 +33,25 @@ restored epoch, so subscriptions resume maintenance across a restart.
 On-disk layout (``path`` is a directory)::
 
     manifest.json             format, epoch, hashes, schema, entry index,
-                              watch specs
-    network-<epoch>-<h>.npz   relation matrices (CSR arrays)
-    cache-<epoch>-<h>.npz     cached products / PathSim parts
+                              each payload's array specs, watch specs
+    network-<epoch>-<h>.bin   relation matrices (CSR arrays)
+    cache-<epoch>-<h>.bin     cached products / PathSim parts
+
+A payload is a shared-memory generation's segment image in a file — the
+arrays flat at 64-byte-aligned offsets, their ``{offset, dtype, shape}``
+specs in the manifest — written, mapped and read by the container in
+:mod:`repro.serving.shm`, which also owns the state codec (what the
+arrays and the manifest's network section and entry index mean) and the
+format version.  This module adds what makes a *file* safe to trust:
+the hashes, the save ordering and the checks on the way back in.
 
 Payload files carry content-addressed names and the manifest is
 replaced atomically, so overwriting a snapshot in place is crash-safe:
 a save that dies mid-way leaves the previous snapshot loadable.
 Snapshots are portable across processes and machines (plain numpy
-arrays, no pickling) but tied to one library format version.
-
-This module also owns the **state codec** — how a network and its
-engine cache at one epoch become a JSON network section, an entry index
-and flat arrays, and back (``_capture_state`` / ``_write_csr`` /
-``_build_entry_index`` one way, ``_read_envelope`` / ``_read_csr`` /
-``_restore_network`` / ``_restore_entries`` the other).  A snapshot
-stores that in npz files here; a shared-memory generation
-(:mod:`repro.serving.shm`) stores the same thing in a segment, through
-the same functions.
+arrays, no pickling) but tied to one library format version: a
+directory written at another version (the npz payloads of version 1
+included) is refused and must be saved again.
 """
 
 from __future__ import annotations
@@ -59,16 +60,28 @@ import hashlib
 import json
 import os
 import threading
-import zipfile
-from contextlib import ExitStack
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import SnapshotError
 from repro.networks.hin import HIN
 from repro.networks.schema import NetworkSchema
+from repro.serving.shm import (
+    _FORMAT_VERSION,
+    _build_entry_index,
+    _capture_state,
+    _index_dtype,
+    _layout,
+    _read_envelope,
+    _read_file,
+    _restore_entries,
+    _restore_network,
+    _restoring,
+    _write_csr,
+    _write_file,
+)
 
 __all__ = [
     "save_snapshot",
@@ -79,7 +92,6 @@ __all__ = [
 ]
 
 _FORMAT = "repro-hin-snapshot"
-_FORMAT_VERSION = 1
 
 # One save at a time per target directory (within this process):
 # concurrent saves only hold the engine's shared READ lock, so without
@@ -95,34 +107,6 @@ def _save_lock_for(path: Path) -> threading.Lock:
         if lock is None:
             lock = _save_locks[key] = threading.Lock()
         return lock
-
-
-def _load_npz(path: Path, *, mmap: bool = False) -> dict:
-    """Load an npz payload, mapping a missing file to SnapshotError.
-
-    ``mmap=True`` returns zero-copy read-only views over the file
-    (:func:`repro.serving.shm.mmap_npz`) instead of deserializing —
-    the warm-start fast path.
-    """
-    if mmap:
-        from repro.serving.shm import mmap_npz
-
-        return mmap_npz(path)
-    try:
-        with np.load(path) as npz:
-            return {name: npz[name] for name in npz.files}
-    except FileNotFoundError:
-        raise SnapshotError(
-            f"snapshot payload missing: {path} (partial copy or "
-            f"interrupted save)"
-        ) from None
-    except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
-        # A payload truncated mid-write (partial copy, full disk) fails
-        # the zip/npy framing before it could fail the content hash.
-        raise SnapshotError(
-            f"snapshot payload unreadable: {path} (truncated or "
-            f"corrupted: {exc})"
-        ) from None
 
 
 def schema_fingerprint(schema: NetworkSchema) -> str:
@@ -152,12 +136,6 @@ def network_fingerprint(hin: HIN) -> str:
     )
 
 
-def _index_dtype(m: sp.csr_matrix):
-    """The index width the codec writes *m* at — int32 when it fits, the
-    width scipy's constructor narrows to on the way back in."""
-    return np.int32 if m.nnz < 2**31 and max(m.shape) < 2**31 else np.int64
-
-
 def _content_fingerprint(counts: list, matrices: list) -> str:
     """The :func:`network_fingerprint` hash from captured ``(name, value)``
     lists — lets a caller capture references under a lock and pay for the
@@ -183,14 +161,6 @@ def _content_fingerprint(counts: list, matrices: list) -> str:
     return digest.hexdigest()
 
 
-def _write_npz(path: Path, arrays: dict) -> None:
-    """Write *arrays* as npz via a temp file + atomic rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        np.savez(f, **arrays)
-    os.replace(tmp, path)
-
-
 def _arrays_fingerprint(arrays) -> str:
     """SHA-256 over a name→array mapping (sorted names, raw bytes)."""
     digest = hashlib.sha256()
@@ -198,201 +168,6 @@ def _arrays_fingerprint(arrays) -> str:
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(arrays[name]).tobytes())
     return digest.hexdigest()
-
-
-# ----------------------------------------------------------------------
-# The state codec: network + engine cache at one epoch <-> a JSON
-# section, an entry index and flat arrays.  Snapshots (npz files) and
-# generations (repro.serving.shm segments) are two containers for it.
-# ----------------------------------------------------------------------
-def _write_csr(prefix: str, matrix: sp.csr_matrix, arrays: dict) -> None:
-    """Record *matrix*'s CSR arrays under *prefix*.
-
-    Index arrays are written at :func:`_index_dtype`, the width scipy
-    would pick for them, so :func:`_read_csr` adopts the buffers instead
-    of silently casting — a cast is a per-process copy of a shared
-    segment, and a width the content hash would not survive.
-    """
-    matrix = matrix.tocsr()
-    idx = _index_dtype(matrix)
-    arrays[f"{prefix}/data"] = np.asarray(matrix.data, dtype=np.float64)
-    arrays[f"{prefix}/indices"] = matrix.indices.astype(idx, copy=False)
-    arrays[f"{prefix}/indptr"] = matrix.indptr.astype(idx, copy=False)
-
-
-def _read_csr(prefix: str, arrays, shape, trusted: bool) -> sp.csr_matrix:
-    """A CSR matrix adopting the (possibly read-only) arrays at *prefix*.
-
-    On the *trusted* zero-copy routes (an attached segment, a mapped
-    npz) the matrices were canonical when written, so the flag is
-    asserted rather than recomputed — attaching stays O(1) in the
-    matrix size.  The eager route leaves it for scipy to find out.
-    """
-    matrix = sp.csr_matrix(
-        (
-            arrays[f"{prefix}/data"],
-            arrays[f"{prefix}/indices"],
-            arrays[f"{prefix}/indptr"],
-        ),
-        shape=tuple(shape),
-        copy=False,
-    )
-    if trusted:
-        matrix.has_canonical_format = True
-    return matrix
-
-
-def _capture_state(hin, engine) -> tuple[dict, list, list]:
-    """One epoch of *hin* + *engine*, by reference: ``(section, matrices,
-    entries)``.
-
-    *section* is the JSON network section (epoch, types, counts,
-    relations with shapes, names), *matrices* the ``(relation name,
-    matrix)`` list it describes and *entries* the engine's cache.  All
-    three are read under one engine read-lock hold, so they describe
-    exactly one update epoch even while writers are active; for a
-    *detached* engine (constructed with kwargs) the network's shared
-    engine's lock is held as well — that is the lock ``hin.apply()``
-    commits under.  Nothing is copied or hashed here: matrices are
-    replaced, never mutated, so the O(bytes) work happens after release.
-    """
-    with ExitStack() as stack:
-        stack.enter_context(engine.lock.read())
-        shared = hin.engine() if isinstance(hin, HIN) else None
-        if shared is not None and shared is not engine:
-            stack.enter_context(shared.lock.read())
-        epoch, entries = engine.export_state()
-        matrices = [
-            (rel.name, hin.relation_matrix(rel.name)) for rel in hin.schema.relations
-        ]
-        section = {
-            "epoch": int(epoch),
-            "node_types": list(hin.schema.node_types),
-            "node_counts": {t: hin.node_count(t) for t in hin.schema.node_types},
-            "relations": [
-                {
-                    "name": rel.name,
-                    "source": rel.source,
-                    "target": rel.target,
-                    "shape": list(matrix.shape),
-                }
-                for rel, (_, matrix) in zip(hin.schema.relations, matrices)
-            ],
-            "names": {
-                t: names
-                for t in hin.schema.node_types
-                if (names := hin.names(t)) is not None
-            },
-        }
-    return section, matrices, entries
-
-
-def _restore_network(section: dict, arrays, trusted: bool) -> HIN:
-    """The HIN a network *section* describes over *arrays*, at its epoch.
-
-    *trusted* (an attached segment, a mapped npz) adopts the read-only
-    buffers as they are; otherwise ``HIN(validate=True)`` normalises
-    what it is given.
-    """
-    schema = NetworkSchema(
-        section["node_types"],
-        [(r["name"], r["source"], r["target"]) for r in section["relations"]],
-    )
-    matrices = {
-        r["name"]: _read_csr(f"rel/{r['name']}", arrays, r["shape"], trusted)
-        for r in section["relations"]
-    }
-    hin = HIN(
-        schema,
-        section["node_counts"],
-        matrices,
-        node_names=section["names"] or None,
-        validate=not trusted,
-    )
-    hin._version = int(section["epoch"])
-    return hin
-
-
-def _build_entry_index(entries, arrays: dict) -> list[dict]:
-    """Flatten engine cache *entries* into *arrays*; return their index.
-
-    The single definition of the entry schema (``kind`` / ``steps`` /
-    ``prefix`` / ``shape``) in a manifest or a descriptor.
-
-    Each distinct matrix is written once: a PathSim entry's ``W`` *is*
-    the cached half product, so the second key to reach an object names
-    the arrays the first one wrote (``"csr"``) instead of copying them.
-    """
-    index = []
-    written: dict[int, str] = {}  # id(matrix) -> csr prefix
-    for i, (key, value) in enumerate(entries):
-        kind, steps = key
-        prefix = f"entry{i}"
-        if kind == "pathsim":
-            matrix, diag = value
-            own = f"{prefix}/w"
-            arrays[f"{prefix}/diag"] = np.asarray(diag, dtype=np.float64)
-        else:
-            matrix, own = value, prefix
-        if id(matrix) not in written:
-            written[id(matrix)] = own
-            _write_csr(own, matrix, arrays)
-        csr = written[id(matrix)]
-        index.append(
-            {
-                "kind": kind,
-                "steps": [[name, bool(fwd)] for name, fwd in steps],
-                "prefix": prefix,
-                "shape": list(matrix.shape),
-                **({"csr": csr} if csr != own else {}),
-            }
-        )
-    return index
-
-
-def _restore_entries(entry_index, arrays, trusted: bool) -> list[tuple]:
-    """The inverse of :func:`_build_entry_index`: engine ``(key, value)``
-    pairs from a serialized entry index over *arrays*.  Entries naming
-    the same ``"csr"`` arrays get the same matrix object back; an index
-    without the field (written before matrices were shared) reads every
-    entry from its own arrays."""
-    entries: list[tuple] = []
-    matrices: dict[str, sp.csr_matrix] = {}
-    for desc in entry_index:
-        key = (
-            desc["kind"],
-            tuple((name, bool(fwd)) for name, fwd in desc["steps"]),
-        )
-        pathsim = desc["kind"] == "pathsim"
-        csr = desc.get("csr", f"{desc['prefix']}/w" if pathsim else desc["prefix"])
-        if csr not in matrices:
-            matrices[csr] = _read_csr(csr, arrays, desc["shape"], trusted)
-        if pathsim:
-            diag = np.asarray(arrays[f"{desc['prefix']}/diag"])
-            entries.append((key, (matrices[csr], diag)))
-        else:
-            entries.append((key, matrices[csr]))
-    return entries
-
-
-def _read_envelope(path: Path, fmt: str, what: str) -> dict:
-    """The JSON object at *path*, checked to be a *fmt* document of the
-    supported version (*what* names it in errors).  A missing file is
-    the caller's ``FileNotFoundError``."""
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise SnapshotError(f"unreadable {what}: {exc}") from None
-    if document.get("format") != fmt:
-        raise SnapshotError(
-            f"not a {fmt} {what}: format={document.get('format')!r}"
-        )
-    if document.get("format_version") != _FORMAT_VERSION:
-        raise SnapshotError(
-            f"{what} format version {document.get('format_version')!r} "
-            f"not supported (expected {_FORMAT_VERSION})"
-        )
-    return document
 
 
 def _resolve_engine(target):
@@ -418,7 +193,7 @@ def save_snapshot(target, path) -> dict:
         captured) or a :class:`~repro.engine.MetaPathEngine`.
     path:
         Directory to create/overwrite.  Files written: ``manifest.json``
-        plus uniquely-named payload npz files referenced by it.
+        plus uniquely-named payload files referenced by it.
 
     The network and cache are captured under the engine's read lock
     (:func:`_capture_state`), so the snapshot describes exactly one
@@ -437,11 +212,11 @@ def save_snapshot(target, path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     section, matrices, entries = _capture_state(hin, engine)
-    net_arrays: dict[str, np.ndarray] = {}
+    payloads: dict[str, dict[str, np.ndarray]] = {"network": {}, "cache": {}}
     for name, matrix in matrices:
-        _write_csr(f"rel/{name}", matrix, net_arrays)
-    cache_arrays: dict[str, np.ndarray] = {}
-    entry_index = _build_entry_index(entries, cache_arrays)
+        _write_csr(f"rel/{name}", matrix, payloads["network"])
+    entry_index = _build_entry_index(entries, payloads["cache"])
+    layouts = {kind: _layout(arrays) for kind, arrays in payloads.items()}
 
     # The standing-query registry is captured OUTSIDE the read-lock
     # window: spec_dicts() takes the registry mutex, and the canonical
@@ -458,10 +233,10 @@ def save_snapshot(target, path) -> dict:
     # mutate them), and the O(total-bytes) SHA-256 work must not extend
     # the window during which a queued writer stalls new queries.
     content_hash = _content_fingerprint(list(section["node_counts"].items()), matrices)
-    cache_hash = _arrays_fingerprint(cache_arrays)
+    cache_hash = _arrays_fingerprint(payloads["cache"])
     files = {
-        "network": f"network-{section['epoch']}-{content_hash[:12]}.npz",
-        "cache": f"cache-{section['epoch']}-{cache_hash[:12]}.npz",
+        "network": f"network-{section['epoch']}-{content_hash[:12]}.bin",
+        "cache": f"cache-{section['epoch']}-{cache_hash[:12]}.bin",
     }
     manifest = {
         "format": _FORMAT,
@@ -470,6 +245,7 @@ def save_snapshot(target, path) -> dict:
         "content_hash": content_hash,
         "cache_hash": cache_hash,
         "files": files,
+        "arrays": {kind: specs for kind, (specs, _) in layouts.items()},
         **section,
         "entries": entry_index,
         "watches": watch_specs,
@@ -487,16 +263,16 @@ def save_snapshot(target, path) -> dict:
     # previous or crashed saves removed.  Serialized per directory so
     # concurrent saves cannot delete each other's payloads.
     with _save_lock_for(out):
-        _write_files(out, files, net_arrays, cache_arrays, manifest_text)
+        _write_files(out, files, payloads, layouts, manifest_text)
     return manifest
 
 
 def _write_files(
-    out: Path, files: dict, net_arrays: dict, cache_arrays: dict, manifest_text: str
+    out: Path, files: dict, payloads: dict, layouts: dict, manifest_text: str
 ) -> None:
     """Write one snapshot's payloads + manifest and clean prior strays."""
-    _write_npz(out / files["network"], net_arrays)
-    _write_npz(out / files["cache"], cache_arrays)
+    for kind, arrays in payloads.items():
+        _write_file(out / files[kind], arrays, *layouts[kind])
     tmp_manifest = out / "manifest.json.tmp"
     tmp_manifest.write_text(manifest_text, encoding="utf-8")
     os.replace(tmp_manifest, out / "manifest.json")
@@ -504,10 +280,10 @@ def _write_files(
     # target directory may contain unrelated user files.
     keep = set(files.values())
     stray_patterns = (
-        "network-*.npz",
-        "cache-*.npz",
-        "network-*.npz.tmp",
-        "cache-*.npz.tmp",
+        "network-*.bin",
+        "cache-*.bin",
+        "network-*.bin.tmp",
+        "cache-*.bin.tmp",
         "manifest.json.tmp",
     )
     for pattern in stray_patterns:
@@ -516,19 +292,31 @@ def _write_files(
                 stray.unlink(missing_ok=True)
 
 
-def _read_manifest(path) -> dict:
+@contextmanager
+def _manifest(path):
+    """The manifest of the snapshot directory *path*, for the body that
+    restores from it (:func:`repro.serving.shm._restoring`)."""
     manifest_path = Path(path) / "manifest.json"
-    if not manifest_path.exists():
-        raise SnapshotError(f"no snapshot manifest at {manifest_path}")
-    return _read_envelope(manifest_path, _FORMAT, "snapshot manifest")
+    try:
+        manifest = _read_envelope(manifest_path, _FORMAT, "snapshot manifest")
+    except FileNotFoundError:
+        raise SnapshotError(f"no snapshot manifest at {manifest_path}") from None
+    with _restoring(manifest_path, "snapshot manifest"):
+        yield manifest
+
+
+def _read_payload(manifest: dict, path, kind: str, *, mmap: bool) -> dict:
+    """The arrays of *manifest*'s *kind* payload file under *path*."""
+    return _read_file(
+        Path(path) / manifest["files"][kind], manifest["arrays"][kind], mmap=mmap
+    )
 
 
 def _load_entries(manifest: dict, path, *, mmap: bool = False) -> list[tuple]:
     """Rebuild (and hash-verify) the engine cache entries of *manifest*."""
-    entries: list[tuple] = []
     if not manifest["entries"]:
-        return entries
-    arrays = _load_npz(Path(path) / manifest["files"]["cache"], mmap=mmap)
+        return []
+    arrays = _read_payload(manifest, path, "cache", mmap=mmap)
     # Hash verification reads every byte — the exact cost the mmap path
     # exists to skip (its contract is "trusted snapshot").
     if not mmap and _arrays_fingerprint(arrays) != manifest["cache_hash"]:
@@ -573,26 +361,26 @@ def load_snapshot(path, *, mmap: bool = False) -> HIN:
         On a missing/corrupt manifest, missing payloads, or (eager
         path) payload bytes that fail hash verification.
     """
-    manifest = _read_manifest(path)
-    arrays = _load_npz(Path(path) / manifest["files"]["network"], mmap=mmap)
-    # Snapshots hold canonical CSR; the mmap views are read-only and
-    # must not be re-normalized in place.
-    hin = _restore_network(manifest, arrays, trusted=mmap)
-    if not mmap and network_fingerprint(hin) != manifest["content_hash"]:
-        raise SnapshotError(
-            f"snapshot at {path} failed content verification "
-            f"(relation matrices do not match the manifest hash)"
+    with _manifest(path) as manifest:
+        arrays = _read_payload(manifest, path, "network", mmap=mmap)
+        # Snapshots hold canonical CSR; the mmap views are read-only and
+        # must not be re-normalized in place.
+        hin = _restore_network(manifest, arrays, trusted=mmap)
+        if not mmap and network_fingerprint(hin) != manifest["content_hash"]:
+            raise SnapshotError(
+                f"snapshot at {path} failed content verification "
+                f"(relation matrices do not match the manifest hash)"
+            )
+        hin.engine().attach_state(
+            manifest["epoch"], _load_entries(manifest, path, mmap=mmap)
         )
-    hin.engine().attach_state(
-        manifest["epoch"], _load_entries(manifest, path, mmap=mmap)
-    )
-    # Resume persisted standing queries at the restored epoch: each
-    # spec re-registers (initial result from the warmed cache) and its
-    # subscription stays reachable via hin.watches().subscriptions().
-    # `.get`: pre-watch snapshots simply carry no registry.
-    watch_specs = manifest.get("watches") or []
-    if watch_specs:
-        hin.watches().restore(watch_specs)
+        # Resume persisted standing queries at the restored epoch: each
+        # spec re-registers (initial result from the warmed cache) and its
+        # subscription stays reachable via hin.watches().subscriptions().
+        # `.get`: pre-watch snapshots simply carry no registry.
+        watch_specs = manifest.get("watches") or []
+        if watch_specs:
+            hin.watches().restore(watch_specs)
     return hin
 
 
@@ -626,47 +414,47 @@ def warm_from_snapshot(hin: HIN, path) -> int:
         included), truncated payloads, or any schema/epoch/content
         mismatch with the live network.
     """
-    manifest = _read_manifest(path)
-    if manifest["schema_hash"] != schema_fingerprint(hin.schema):
-        raise SnapshotError(
-            f"snapshot at {path} was taken on a different schema "
-            f"(schema hash mismatch)"
-        )
-    def check_epoch() -> int:
-        """Raise SnapshotError unless the manifest's epoch matches."""
-        epoch = getattr(hin, "version", 0)
-        if manifest["epoch"] != epoch:
+    with _manifest(path) as manifest:
+        if manifest["schema_hash"] != schema_fingerprint(hin.schema):
             raise SnapshotError(
-                f"stale snapshot: network is at epoch {epoch}, snapshot was "
-                f"taken at epoch {manifest['epoch']}; re-run save_snapshot() "
-                f"after updates"
+                f"snapshot at {path} was taken on a different schema "
+                f"(schema hash mismatch)"
             )
-        return epoch
+        def check_epoch() -> int:
+            """Raise SnapshotError unless the manifest's epoch matches."""
+            epoch = getattr(hin, "version", 0)
+            if manifest["epoch"] != epoch:
+                raise SnapshotError(
+                    f"stale snapshot: network is at epoch {epoch}, snapshot was "
+                    f"taken at epoch {manifest['epoch']}; re-run save_snapshot() "
+                    f"after updates"
+                )
+            return epoch
 
-    # Optimistic pre-check before the expensive cache load: the common
-    # stale case (a restart after updates landed) fails on a one-integer
-    # comparison instead of reading and hashing the whole cache payload.
-    # The full (content-hashed) validation runs once, under the lock.
-    check_epoch()
-    entries = _load_entries(manifest, path)
-    engine = hin.engine()
-    with engine.lock.write():
-        # Re-validate under the lock: an update may have landed between
-        # the pre-check and here, and nothing may slip between this
-        # check and the install.
-        epoch = check_epoch()
-        if manifest["content_hash"] != network_fingerprint(hin):
-            raise SnapshotError(
-                f"stale snapshot: relation content differs from the network "
-                f"(content hash mismatch at shared epoch {epoch})"
-            )
-        installed = engine.attach_state(epoch, entries)
-    # Watches resume AFTER the write lock releases — registration
-    # computes initial results under the engine read lock, which must
-    # not nest inside the write hold.  restore() skips specs already
-    # registered, so warming a network that kept its live registry
-    # never duplicates maintenance.
-    watch_specs = manifest.get("watches") or []
-    if watch_specs:
-        hin.watches().restore(watch_specs)
-    return installed
+        # Optimistic pre-check before the expensive cache load: the common
+        # stale case (a restart after updates landed) fails on a one-integer
+        # comparison instead of reading and hashing the whole cache payload.
+        # The full (content-hashed) validation runs once, under the lock.
+        check_epoch()
+        entries = _load_entries(manifest, path)
+        engine = hin.engine()
+        with engine.lock.write():
+            # Re-validate under the lock: an update may have landed between
+            # the pre-check and here, and nothing may slip between this
+            # check and the install.
+            epoch = check_epoch()
+            if manifest["content_hash"] != network_fingerprint(hin):
+                raise SnapshotError(
+                    f"stale snapshot: relation content differs from the network "
+                    f"(content hash mismatch at shared epoch {epoch})"
+                )
+            installed = engine.attach_state(epoch, entries)
+        # Watches resume AFTER the write lock releases — registration
+        # computes initial results under the engine read lock, which must
+        # not nest inside the write hold.  restore() skips specs already
+        # registered, so warming a network that kept its live registry
+        # never duplicates maintenance.
+        watch_specs = manifest.get("watches") or []
+        if watch_specs:
+            hin.watches().restore(watch_specs)
+        return installed

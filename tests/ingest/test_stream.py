@@ -22,6 +22,7 @@ from repro.ingest import (
     write_dblp_xml,
 )
 from repro.networks import HIN, NetworkSchema
+from repro.serving import load_snapshot, save_snapshot
 
 
 def _assert_bitwise_equal(a: HIN, b: HIN) -> None:
@@ -197,6 +198,38 @@ class TestResume:
         resumed = StreamIngestor(first.hin, chunk_size=30)
         resumed.ingest(records[half:])
         _assert_bitwise_equal(whole.hin, resumed.hin)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_resume_from_a_snapshot_taken_mid_ingest(self, dataset, tmp_path, mmap):
+        """Ingest stops part-way, the network goes through a snapshot,
+        and a fresh ingestor finishes the stream on what was loaded —
+        on the mapped route that is node-growth commits landing on
+        read-only matrices — ending where an uninterrupted ingest does."""
+        path = "author-paper-venue-paper-author"
+        records = dataset_records(dataset)
+        stop = 3 * 30  # three whole chunks in, the rest to come
+        whole = StreamIngestor(chunk_size=30)
+        whole.ingest(records)
+
+        first = StreamIngestor(chunk_size=30)
+        first.ingest(records[:stop])
+        first.hin.engine().prewarm([path])
+        save_snapshot(first.hin, tmp_path / "snap")
+        loaded = load_snapshot(tmp_path / "snap", mmap=mmap)
+        assert loaded.version == 3
+        assert loaded.relation_matrix("writes").data.flags.writeable != mmap
+
+        resumed = StreamIngestor(loaded, chunk_size=30)
+        report = resumed.ingest(records[stop:])
+        assert report.ingested == len(records) - stop and not report.skipped
+        assert resumed.hin is loaded
+        assert loaded.version == whole.hin.version
+        assert state_digest(loaded) == state_digest(whole.hin)
+        _assert_bitwise_equal(whole.hin, loaded)
+        for author in whole.hin.names("author")[::7]:
+            assert list(loaded.engine().pathsim_top_k(path, author, 5)) == list(
+                whole.hin.engine().pathsim_top_k(path, author, 5)
+            )
 
     def test_resume_skips_already_loaded_keys(self, dataset):
         records = dataset_records(dataset)

@@ -1,5 +1,6 @@
-"""The state codec: one set of functions under snapshots, replicated
-generations and shard generations (``repro.serving.snapshot``)."""
+"""The state codec and its container: one set of functions under
+snapshots, replicated generations and shard generations
+(``repro.serving.shm``)."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,13 +23,16 @@ from repro.networks import UpdateBatch
 from repro.serving import load_snapshot, network_fingerprint, save_snapshot
 from repro.serving.shards import ShardPlan, _ServedPath, publish_shard_generation
 from repro.serving.shm import (
-    attach_arrays,
+    _attach_segment,
+    _layout,
+    _read_csr,
+    _read_file,
+    _write_csr,
+    _write_file,
+    _write_segment,
     attach_generation,
-    export_arrays,
-    mmap_npz,
     publish_generation,
 )
-from repro.serving.snapshot import _read_csr, _write_csr
 
 APA = "author-paper-author"
 PAP = "paper-author-paper"
@@ -126,6 +131,48 @@ def _parts(matrix):
     return matrix.data, matrix.indices, matrix.indptr
 
 
+def _through_every_backing(arrays):
+    """*arrays* packed and read back through each backing of the one
+    container — a segment, a file read eagerly, a file mapped — as
+    ``(loaded, trusted)`` pairs."""
+    segment, source = _write_segment(arrays)
+    try:
+        resource, views = _attach_segment(source)
+        try:
+            yield views, True
+        finally:
+            del views
+            resource.close()
+    finally:
+        segment.close()
+        segment.unlink()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.bin"
+        specs, size = _layout(arrays)
+        assert specs == source["arrays"]  # one layout, whatever backs it
+        _write_file(path, arrays, specs, size)
+        assert path.stat().st_size == size
+        yield _read_file(path, specs, mmap=False), False
+        yield _read_file(path, specs, mmap=True), True
+
+
+# The shapes every backing must agree on: nothing at all (a cold
+# engine's cache payload), zero-length arrays first, last and alone, a
+# 2-D array, and each dtype the codec writes.
+_EDGE_PAYLOADS = [
+    {},
+    {"empty": np.array([], dtype=np.float64)},
+    {
+        "lead": np.array([], dtype=np.int32),
+        "grid": np.arange(12, dtype=np.float64).reshape(3, 4),
+        "i32": np.arange(5, dtype=np.int32),
+        "i64": np.arange(3, dtype=np.int64) + 2**40,
+        "f64": np.linspace(0.0, 1.0, 7),
+        "trail": np.zeros((0, 4), dtype=np.int64),
+    },
+]
+
+
 class TestCsrRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(canonical_matrices())
@@ -150,27 +197,24 @@ class TestCsrRoundTrip:
             assert out.has_canonical_format
 
         check(arrays, trusted=False)
-        segment, source = export_arrays(arrays)
-        try:
-            resource, views = attach_arrays(source)
-            try:
-                check(views, trusted=True)
-            finally:
-                del views
-                resource.close()
-        finally:
-            segment.close()
-            segment.unlink()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.npz"
-            np.savez(path, **arrays)
-            with np.load(path) as npz:
-                check({name: npz[name] for name in npz.files}, trusted=False)
-            check(mmap_npz(path), trusted=True)
+        for loaded, trusted in _through_every_backing(arrays):
+            assert set(loaded) == set(arrays)
+            check(loaded, trusted)
 
         # nothing was written to the input, whatever its width
         for part, (want, dtype) in zip(_parts(matrix), before):
             assert part.dtype == dtype and np.array_equal(part, want)
+
+    @pytest.mark.parametrize("arrays", _EDGE_PAYLOADS, ids=["nothing", "empty", "mixed"])
+    def test_every_backing_agrees_on_the_edge_shapes(self, arrays):
+        for loaded, trusted in _through_every_backing(arrays):
+            assert list(loaded) == list(arrays)
+            for name, value in arrays.items():
+                assert loaded[name].dtype == value.dtype
+                assert loaded[name].shape == value.shape
+                assert np.array_equal(loaded[name], value)
+                if value.size:  # mapped and attached bytes cannot be written
+                    assert loaded[name].flags.writeable == (not trusted)
 
     def test_the_canonical_flag_is_asserted_only_when_trusted(self):
         unsorted = {

@@ -10,10 +10,12 @@ import pytest
 from repro.exceptions import SnapshotError
 from repro.networks import UpdateBatch
 from repro.serving.shm import (
-    attach_arrays,
+    _attach_segment,
+    _layout,
+    _read_file,
+    _write_file,
+    _write_segment,
     attach_generation,
-    export_arrays,
-    mmap_npz,
     publish_generation,
 )
 
@@ -28,9 +30,9 @@ class TestArrayPacking:
             "b": np.arange(6, dtype=np.int32).reshape(2, 3),
             "c": np.array([], dtype=np.int64),
         }
-        segment, descriptor = export_arrays(arrays)
+        segment, descriptor = _write_segment(arrays)
         try:
-            resource, attached = attach_arrays(descriptor)
+            resource, attached = _attach_segment(descriptor)
             try:
                 for name, value in arrays.items():
                     assert attached[name].dtype == value.dtype
@@ -43,16 +45,16 @@ class TestArrayPacking:
             segment.unlink()
 
     def test_attached_views_are_read_only_and_zero_copy(self):
-        segment, descriptor = export_arrays({"x": np.arange(4, dtype=np.float64)})
+        segment, descriptor = _write_segment({"x": np.arange(4, dtype=np.float64)})
         try:
-            resource, attached = attach_arrays(descriptor)
+            resource, attached = _attach_segment(descriptor)
             try:
                 view = attached["x"]
                 assert not view.flags.writeable
                 with pytest.raises(ValueError):
                     view[0] = 99.0
                 # A second attachment observes the same buffer, not a copy.
-                resource2, attached2 = attach_arrays(descriptor)
+                resource2, attached2 = _attach_segment(descriptor)
                 try:
                     np.testing.assert_array_equal(attached2["x"], view)
                 finally:
@@ -67,60 +69,84 @@ class TestArrayPacking:
             segment.unlink()
 
     def test_attach_after_unlink_raises(self):
-        segment, descriptor = export_arrays({"x": np.zeros(2)})
+        segment, descriptor = _write_segment({"x": np.zeros(2)})
         segment.close()
         segment.unlink()
         with pytest.raises(FileNotFoundError):
-            attach_arrays(descriptor)
+            _attach_segment(descriptor)
+
+
+def _written(path, arrays):
+    """*arrays* as an image file at *path*; the specs a manifest would carry."""
+    specs, size = _layout(arrays)
+    _write_file(path, arrays, specs, size)
+    return specs
 
 
 class TestMmapNpz:
+    """The file backing of the container, by both of its readers."""
+
     def test_matches_eager_load(self, tmp_path):
-        path = tmp_path / "payload.npz"
+        path = tmp_path / "payload.bin"
         arrays = {
             "rel/w/data": np.linspace(0, 1, 9),
             "rel/w/indices": np.arange(9, dtype=np.int32),
             "grid": np.arange(12.0).reshape(3, 4),
         }
-        np.savez(path, **arrays)
-        mapped = mmap_npz(path)
-        with np.load(path) as eager:
-            assert set(mapped) == set(eager.files)
-            for name in eager.files:
-                np.testing.assert_array_equal(mapped[name], eager[name])
+        specs = _written(path, arrays)
+        mapped = _read_file(path, specs, mmap=True)
+        eager = _read_file(path, specs, mmap=False)
+        assert set(mapped) == set(eager) == set(arrays)
+        for name, value in arrays.items():
+            assert mapped[name].dtype == eager[name].dtype == value.dtype
+            np.testing.assert_array_equal(mapped[name], value)
+            np.testing.assert_array_equal(eager[name], value)
 
     def test_views_are_read_only(self, tmp_path):
-        path = tmp_path / "payload.npz"
-        np.savez(path, a=np.arange(5.0))
-        mapped = mmap_npz(path)
+        path = tmp_path / "payload.bin"
+        specs = _written(path, {"a": np.arange(5.0)})
+        mapped = _read_file(path, specs, mmap=True)
         with pytest.raises(ValueError):
             mapped["a"][0] = 1.0
+        owned = _read_file(path, specs, mmap=False)
+        owned["a"][0] = 1.0  # the eager reader hands out its own memory
+        assert mapped["a"][0] == 0.0
 
     def test_missing_file_is_snapshot_error(self, tmp_path):
-        with pytest.raises(SnapshotError, match="missing"):
-            mmap_npz(tmp_path / "nope.npz")
-
-    def test_compressed_members_fall_back_to_eager(self, tmp_path):
-        path = tmp_path / "compressed.npz"
-        np.savez_compressed(path, a=np.arange(8.0))
-        mapped = mmap_npz(path)
-        np.testing.assert_array_equal(mapped["a"], np.arange(8.0))
+        for mmap in (False, True):
+            with pytest.raises(SnapshotError, match="missing"):
+                _read_file(tmp_path / "nope.bin", {}, mmap=mmap)
 
     def test_object_members_refused_as_snapshot_error(self, tmp_path):
-        # Never unpickle payload bytes; the refusal uses the loader's
-        # uniform error contract.
-        path = tmp_path / "obj.npz"
-        np.savez(path, a=np.array([{"x": 1}], dtype=object), b=np.arange(3.0))
-        with pytest.raises(SnapshotError, match="safely"):
-            mmap_npz(path)
+        # An object array's bytes are pointers: a spec naming one is
+        # refused before anything is built over the file.
+        path = tmp_path / "obj.bin"
+        specs = _written(path, {"a": np.arange(3.0), "b": np.arange(3.0)})
+        specs["a"]["dtype"] = np.dtype(object).str
+        for mmap in (False, True):
+            with pytest.raises(SnapshotError, match="corrupted"):
+                _read_file(path, specs, mmap=mmap)
 
     def test_truncated_file_is_snapshot_error(self, tmp_path):
-        path = tmp_path / "trunc.npz"
-        np.savez(path, a=np.arange(64.0))
+        path = tmp_path / "trunc.bin"
+        specs = _written(path, {"a": np.arange(64.0)})
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
+        for keep in (len(data) // 2, 0):
+            path.write_bytes(data[:keep])
+            for mmap in (False, True):
+                with pytest.raises(SnapshotError, match="truncated|corrupted"):
+                    _read_file(path, specs, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize(
+        "edit", [{"offset": -8}, {"shape": [-1]}, {"shape": [2, -4]}, {"shape": [10**6]}]
+    )
+    def test_a_spec_outside_the_file_is_snapshot_error(self, tmp_path, mmap, edit):
+        path = tmp_path / "payload.bin"
+        specs = _written(path, {"a": np.arange(8.0), "b": np.arange(8.0)})
+        specs["b"].update(edit)
         with pytest.raises(SnapshotError, match="truncated|corrupted"):
-            mmap_npz(path)
+            _read_file(path, specs, mmap=mmap)
 
 
 class TestGenerations:
@@ -189,6 +215,34 @@ class TestGenerations:
             bad = tmp_path / "gen-bad.json"
             bad.write_text(json.dumps(descriptor))
             with pytest.raises(SnapshotError, match="format"):
+                attach_generation(bad)
+        finally:
+            published.dispose()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: [d],
+            lambda d: {k: v for k, v in d.items() if k != "source"},
+            lambda d: {k: v for k, v in d.items() if k != "entries"},
+            lambda d: {**d, "source": {**d["source"], "arrays": {"x": {"offset": 0}}}},
+            lambda d: {**d, "relations": [{**r, "shape": [1, 1]} for r in d["relations"]]},
+        ],
+        ids=["a list", "no source", "no entries", "half a spec", "relation shape"],
+    )
+    def test_a_malformed_descriptor_is_a_snapshot_error(self, small_bib, tmp_path, edit):
+        _, published = self._publish(small_bib, tmp_path)
+        try:
+            bad = tmp_path / "gen-bad.json"
+            bad.write_text(json.dumps(edit(json.loads(published.path.read_text()))))
+            with pytest.raises(SnapshotError, match="descriptor"):
+                attach_generation(bad)
+            # ... while a descriptor whose segment is gone stays the
+            # FileNotFoundError the worker fence waits on.
+            gone = json.loads(published.path.read_text())
+            gone["source"]["segment"] = "psm_retired_long_ago"
+            bad.write_text(json.dumps(gone))
+            with pytest.raises(FileNotFoundError):
                 attach_generation(bad)
         finally:
             published.dispose()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -229,9 +231,35 @@ def _csr_bytes(m):
     return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
 
+def _payload(path, manifest, kind):
+    """The arrays of *manifest*'s *kind* payload, read straight off the
+    file at the offsets the manifest's specs give."""
+    file = path / manifest["files"][kind]
+    return {
+        name: np.fromfile(
+            file, spec["dtype"], math.prod(spec["shape"]), offset=spec["offset"]
+        ).reshape(spec["shape"])
+        for name, spec in manifest["arrays"][kind].items()
+    }
+
+
+def _overwrite(path, manifest, kind, name, array):
+    """Put *array*'s bytes where the payload file holds array *name*."""
+    spec = manifest["arrays"][kind][name]
+    assert array.nbytes == math.prod(spec["shape"]) * np.dtype(spec["dtype"]).itemsize
+    with open(path / manifest["files"][kind], "r+b") as f:
+        f.seek(spec["offset"])
+        f.write(array.tobytes())
+
+
 def _payload_bytes(path, manifest):
-    with np.load(path / manifest["files"]["cache"]) as npz:
-        return sum(npz[name].nbytes for name in npz.files)
+    return sum(array.nbytes for array in _payload(path, manifest, "cache").values())
+
+
+def _edit_manifest(path, edit):
+    """Rewrite the snapshot's manifest as *edit* returns it."""
+    manifest = json.loads((path / "manifest.json").read_text())
+    (path / "manifest.json").write_text(json.dumps(edit(manifest)))
 
 
 class TestSharedMatrices:
@@ -254,7 +282,7 @@ class TestSharedMatrices:
         expected = [list(engine.pathsim_top_k(APVPA, a, 3)) for a in range(4)]
 
         manifest = save_snapshot(small_bib, tmp_path / "snap")
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 2
         diag_bytes = sum(8 * len(v[1]) for k, v in entries if k[0] == "pathsim")
         assert _payload_bytes(tmp_path / "snap", manifest) == diag_bytes + sum(
             _csr_bytes(m) for m in distinct.values()
@@ -306,6 +334,40 @@ class TestSharedMatrices:
             assert warm.cache_info().misses == misses
 
 
+def _without(key):
+    return lambda m: {k: v for k, v in m.items() if k != key}
+
+
+def _every_spec(**changed):
+    return lambda m: {
+        **m,
+        "arrays": {
+            kind: {name: {**spec, **changed} for name, spec in specs.items()}
+            for kind, specs in m["arrays"].items()
+        },
+    }
+
+
+# Hand edits that leave manifest.json parseable but no longer the
+# document save_snapshot writes.
+_MALFORMED = {
+    "a list": lambda m: [m],
+    "no files": _without("files"),
+    "no arrays": _without("arrays"),
+    "no epoch": _without("epoch"),
+    "no cache file": lambda m: {**m, "files": {"network": m["files"]["network"]}},
+    "entries a number": lambda m: {**m, "entries": 7},
+    "spec dtype": _every_spec(dtype="no-such-dtype"),
+    "spec shape": _every_spec(shape="wide"),
+    "spec offset": _every_spec(offset=None),
+    "network: counts null": lambda m: {**m, "node_counts": None},
+    "network: relation shape": lambda m: {
+        **m,
+        "relations": [{**r, "shape": [r["shape"][0] + 1, 3]} for r in m["relations"]],
+    },
+}
+
+
 class TestVerification:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SnapshotError, match="manifest"):
@@ -313,44 +375,54 @@ class TestVerification:
 
     def test_wrong_format_marker(self, small_bib, tmp_path):
         save_snapshot(small_bib, tmp_path / "snap")
-        manifest = json.loads((tmp_path / "snap" / "manifest.json").read_text())
-        manifest["format"] = "something-else"
-        (tmp_path / "snap" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotError, match="format"):
-            load_snapshot(tmp_path / "snap")
+        _edit_manifest(tmp_path / "snap", lambda m: {**m, "format": "something-else"})
+        for mmap in (False, True):
+            with pytest.raises(SnapshotError, match="format"):
+                load_snapshot(tmp_path / "snap", mmap=mmap)
 
     def test_unsupported_format_version(self, small_bib, tmp_path):
         save_snapshot(small_bib, tmp_path / "snap")
-        manifest = json.loads((tmp_path / "snap" / "manifest.json").read_text())
-        manifest["format_version"] = 999
-        (tmp_path / "snap" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotError, match="version"):
-            load_snapshot(tmp_path / "snap")
+        for version in (999, 1):  # 1: the npz-payload format; re-save, not convert
+            _edit_manifest(tmp_path / "snap", lambda m: {**m, "format_version": version})
+            for mmap in (False, True):
+                with pytest.raises(SnapshotError, match="format version .* not supported"):
+                    load_snapshot(tmp_path / "snap", mmap=mmap)
+            with pytest.raises(SnapshotError, match="format version"):
+                warm_from_snapshot(small_bib, tmp_path / "snap")
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("edit", _MALFORMED, ids=list(_MALFORMED))
+    def test_a_malformed_manifest_is_a_snapshot_error(self, small_bib, tmp_path, edit, mmap):
+        # Parseable JSON that is not the document save_snapshot writes:
+        # the typed error, not whatever the reader tripped over.
+        _warm(small_bib)
+        save_snapshot(small_bib, tmp_path / "snap")
+        _edit_manifest(tmp_path / "snap", _MALFORMED[edit])
+        with pytest.raises(SnapshotError, match="manifest"):
+            load_snapshot(tmp_path / "snap", mmap=mmap)
+        if not edit.startswith("network:"):  # the part warming never reads
+            with pytest.raises(SnapshotError, match="manifest"):
+                warm_from_snapshot(small_bib, tmp_path / "snap")
 
     def test_corrupted_network_payload_detected(self, small_bib, tmp_path):
         manifest = save_snapshot(small_bib, tmp_path / "snap")
-        payload = tmp_path / "snap" / manifest["files"]["network"]
-        with np.load(payload) as npz:
-            arrays = {name: npz[name].copy() for name in npz.files}
         key = "rel/writes/data"
-        arrays[key] = arrays[key] + 1.0  # silently different weights
-        with open(payload, "wb") as f:
-            np.savez(f, **arrays)
+        weights = _payload(tmp_path / "snap", manifest, "network")[key]
+        # silently different weights
+        _overwrite(tmp_path / "snap", manifest, "network", key, weights + 1.0)
         with pytest.raises(SnapshotError, match="content"):
             load_snapshot(tmp_path / "snap")
 
     def test_corrupted_cache_payload_detected(self, small_bib, tmp_path):
         _warm(small_bib)
         manifest = save_snapshot(small_bib, tmp_path / "snap")
-        payload = tmp_path / "snap" / manifest["files"]["cache"]
-        with np.load(payload) as npz:
-            arrays = {name: npz[name].copy() for name in npz.files}
+        arrays = _payload(tmp_path / "snap", manifest, "cache")
         name = next(n for n in arrays if n.endswith("/data"))
-        arrays[name] = arrays[name] * 2.0
-        with open(payload, "wb") as f:
-            np.savez(f, **arrays)
+        _overwrite(tmp_path / "snap", manifest, "cache", name, arrays[name] * 2.0)
         with pytest.raises(SnapshotError, match="cache"):
             load_snapshot(tmp_path / "snap")
+        with pytest.raises(SnapshotError, match="cache"):
+            warm_from_snapshot(small_bib, tmp_path / "snap")
 
     def test_truncated_network_payload_detected(self, small_bib, tmp_path):
         # A payload cut off mid-write (partial copy, full disk) must
@@ -360,8 +432,9 @@ class TestVerification:
         payload = tmp_path / "snap" / manifest["files"]["network"]
         data = payload.read_bytes()
         payload.write_bytes(data[: len(data) // 2])
-        with pytest.raises(SnapshotError, match="truncated|corrupted|content"):
-            load_snapshot(tmp_path / "snap")
+        for mmap in (False, True):
+            with pytest.raises(SnapshotError, match="truncated|corrupted"):
+                load_snapshot(tmp_path / "snap", mmap=mmap)
 
     def test_truncated_cache_payload_detected(self, small_bib, tmp_path):
         _warm(small_bib)
@@ -369,15 +442,19 @@ class TestVerification:
         payload = tmp_path / "snap" / manifest["files"]["cache"]
         data = payload.read_bytes()
         payload.write_bytes(data[: len(data) // 3])
-        with pytest.raises(SnapshotError, match="truncated|corrupted|cache"):
-            load_snapshot(tmp_path / "snap")
+        for mmap in (False, True):
+            with pytest.raises(SnapshotError, match="truncated|corrupted"):
+                load_snapshot(tmp_path / "snap", mmap=mmap)
+        with pytest.raises(SnapshotError, match="truncated|corrupted"):
+            warm_from_snapshot(small_bib, tmp_path / "snap")
 
     def test_payload_deleted_between_save_and_load(self, small_bib, tmp_path):
         _warm(small_bib)
         manifest = save_snapshot(small_bib, tmp_path / "snap")
         (tmp_path / "snap" / manifest["files"]["cache"]).unlink()
-        with pytest.raises(SnapshotError, match="missing"):
-            load_snapshot(tmp_path / "snap")
+        for mmap in (False, True):
+            with pytest.raises(SnapshotError, match="missing"):
+                load_snapshot(tmp_path / "snap", mmap=mmap)
 
     def test_warm_from_snapshot_on_empty_directory(self, small_bib, tmp_path):
         # A directory that exists but was never written to — the classic
@@ -399,7 +476,7 @@ class TestVerification:
         # loadable snapshot and no orphaned payload files — while
         # unrelated user files in the directory survive untouched.
         (tmp_path / "snap").mkdir()
-        bystander = tmp_path / "snap" / "my_dataset.npz"
+        bystander = tmp_path / "snap" / "my_dataset.bin"
         bystander.write_bytes(b"not a snapshot payload")
         _warm(small_bib)
         first = save_snapshot(small_bib, tmp_path / "snap")
@@ -407,9 +484,43 @@ class TestVerification:
             m.add_edges("writes", [(0, 3)])
         second = save_snapshot(small_bib, tmp_path / "snap")
         assert second["files"] != first["files"]
-        on_disk = {p.name for p in (tmp_path / "snap").glob("*.npz")}
+        on_disk = {p.name for p in (tmp_path / "snap").glob("*.bin")}
         assert on_disk == set(second["files"].values()) | {bystander.name}
         assert bystander.read_bytes() == b"not a snapshot payload"
+        assert load_snapshot(tmp_path / "snap").version == 1
+
+    def test_a_save_that_dies_before_the_manifest_swap_changes_nothing(
+        self, small_bib, tmp_path, monkeypatch
+    ):
+        # Payloads land under new names first and the manifest is
+        # renamed in last: a save that dies anywhere before that leaves
+        # the previous snapshot as it was — and the next save cleans up.
+        _warm(small_bib)
+        first = save_snapshot(small_bib, tmp_path / "snap")
+        expected = list(small_bib.engine().pathsim_top_k(APVPA, 0, 3))
+        with small_bib.mutate() as m:
+            m.add_edges("writes", [(0, 3)])
+
+        real_replace = os.replace
+
+        def dying_replace(src, dst):
+            if str(dst).endswith("manifest.json"):
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", dying_replace)
+            with pytest.raises(OSError, match="no space"):
+                save_snapshot(small_bib, tmp_path / "snap")
+        for mmap in (False, True):
+            loaded = load_snapshot(tmp_path / "snap", mmap=mmap)
+            assert loaded.version == first["epoch"] == 0
+            assert list(loaded.engine().pathsim_top_k(APVPA, 0, 3)) == expected
+
+        second = save_snapshot(small_bib, tmp_path / "snap")
+        assert {p.name for p in (tmp_path / "snap").iterdir()} == {
+            "manifest.json", *second["files"].values()
+        }
         assert load_snapshot(tmp_path / "snap").version == 1
 
     def test_attach_state_grows_a_smaller_cache(self, small_bib):

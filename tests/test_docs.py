@@ -4,6 +4,7 @@ as a doctest, and every intra-repo markdown link must resolve."""
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 
 import pytest
@@ -89,3 +90,15 @@ def test_every_package_has_a_module_map_row():
         if f"\n| `{package.parent.name}/` |" not in readme
     ]
     assert not missing, f"packages missing from README's module map: {missing}"
+
+
+def test_backticked_container_names_resolve():
+    """Every `shm.<name>` / `snapshot.<name>` the docs mention exists on
+    that module — a deleted function cannot live on in the prose."""
+    missing = []
+    for path in DOC_FILES:
+        text = path.read_text(encoding="utf-8")
+        for module, name in re.findall(r"`(shm|snapshot)\.(\w+)[`(]", text):
+            if not hasattr(importlib.import_module(f"repro.serving.{module}"), name):
+                missing.append(f"{path.name}: {module}.{name}")
+    assert not missing, f"docs name functions that do not exist: {missing}"

@@ -61,6 +61,19 @@ def test_ingest_exports_parsing_ingest_and_fixtures_only():
     ]
 
 
+def test_the_generation_container_exports_publish_and_attach_only():
+    """Pinned exactly: a second container (another writer, reader or
+    file format beside the segment image) cannot grow back unnoticed."""
+    import repro.serving.shm
+
+    assert sorted(repro.serving.shm.__all__) == [
+        "AttachedGeneration",
+        "PublishedGeneration",
+        "attach_generation",
+        "publish_generation",
+    ]
+
+
 def test_version():
     import repro
 
