@@ -16,16 +16,14 @@ being swamped by the dominant edge type of a homogeneous projection.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import ConvergenceWarning, NotFittedError, TypeNotFoundError
+from repro.exceptions import NotFittedError, TypeNotFoundError
 from repro.networks.hin import HIN
 from repro.query.estimator import Estimator
 from repro.query.results import ClassificationResult
-from repro.utils.convergence import ConvergenceInfo
+from repro.utils.convergence import ConvergenceInfo, fixed_point
 from repro.utils.sparse import symmetric_normalize
 from repro.utils.validation import check_probability
 
@@ -136,10 +134,7 @@ class GNetMine(Estimator):
             degree_weight[rel.source] += lam
             degree_weight[rel.target] += lam
 
-        f = {t: y[t].copy() for t in types}
-        history: list[float] = []
-        converged = False
-        for iteration in range(self.max_iter):
+        def step(f):
             residual = 0.0
             new_f: dict[str, np.ndarray] = {}
             for t in types:
@@ -150,19 +145,11 @@ class GNetMine(Estimator):
                 denom = degree_weight[t] if degree_weight[t] > 0 else 1.0
                 new_f[t] = self.alpha * (agg / denom) + (1 - self.alpha) * y[t]
                 residual = max(residual, float(np.abs(new_f[t] - f[t]).max()))
-            f = new_f
-            history.append(residual)
-            if residual <= self.tol:
-                converged = True
-                break
-        if not converged:
-            warnings.warn(
-                f"GNetMine did not converge in {self.max_iter} iterations",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-        self.convergence_ = ConvergenceInfo(
-            converged, iteration + 1, history[-1], self.tol, history
+            return new_f, residual
+
+        start = {t: y[t].copy() for t in types}
+        f, self.convergence_ = fixed_point(
+            step, start, max_iter=self.max_iter, tol=self.tol, name="GNetMine"
         )
 
         self.classes_ = classes

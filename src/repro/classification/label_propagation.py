@@ -12,13 +12,10 @@ exactly this method run on a homogeneous projection of the HIN.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.exceptions import ConvergenceWarning
 from repro.networks.graph import Graph
-from repro.utils.convergence import ConvergenceInfo
+from repro.utils.convergence import ConvergenceInfo, fixed_point
 from repro.utils.sparse import symmetric_normalize
 from repro.utils.validation import check_probability
 
@@ -73,24 +70,12 @@ def label_propagation(
         y[i, class_index[labels[i]]] = 1.0
 
     s = symmetric_normalize(graph.to_undirected().adjacency)
-    f = y.copy()
-    history: list[float] = []
-    converged = False
-    for iteration in range(max_iter):
+
+    def step(f):
         f_new = alpha * s.dot(f) + (1 - alpha) * y
-        residual = float(np.abs(f_new - f).max())
-        history.append(residual)
-        f = f_new
-        if residual <= tol:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            f"label propagation did not converge in {max_iter} iterations",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    info = ConvergenceInfo(converged, iteration + 1, history[-1], tol, history)
+        return f_new, np.abs(f_new - f).max()
+
+    f, info = fixed_point(step, y.copy(), max_iter=max_iter, tol=tol, name="label propagation")
 
     predicted_idx = f.argmax(axis=1)
     # nodes with all-zero rows (unreachable from any seed): majority class

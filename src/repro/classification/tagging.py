@@ -14,13 +14,11 @@ graph; a handful of objects are labeled.  Two classifiers:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import ConvergenceWarning, NotFittedError
-from repro.utils.convergence import ConvergenceInfo
+from repro.exceptions import NotFittedError
+from repro.utils.convergence import ConvergenceInfo, fixed_point
 from repro.utils.sparse import symmetric_normalize, to_csr
 from repro.utils.validation import check_positive, check_probability
 
@@ -103,32 +101,19 @@ class TagGraphClassifier:
                 )
             s_oo = symmetric_normalize(oo)
 
-        f_obj = y.copy()
-        f_tag = np.zeros((n_tag, k))
-        history: list[float] = []
-        converged = False
-        for iteration in range(self.max_iter):
+        def step(state):
+            f_obj, f_tag = state
             new_tag = s_to.dot(f_obj)
             via_tags = s_ot.dot(new_tag)
             if s_oo is not None:
                 via_tags = 0.5 * via_tags + 0.5 * s_oo.dot(f_obj)
             new_obj = self.alpha * via_tags + (1 - self.alpha) * y
-            residual = float(
-                max(np.abs(new_obj - f_obj).max(), np.abs(new_tag - f_tag).max())
-            )
-            history.append(residual)
-            f_obj, f_tag = new_obj, new_tag
-            if residual <= self.tol:
-                converged = True
-                break
-        if not converged:
-            warnings.warn(
-                f"tag-graph propagation did not converge in {self.max_iter} iterations",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-        self.convergence_ = ConvergenceInfo(
-            converged, iteration + 1, history[-1], self.tol, history
+            residual = max(np.abs(new_obj - f_obj).max(), np.abs(new_tag - f_tag).max())
+            return (new_obj, new_tag), residual
+
+        start = (y.copy(), np.zeros((n_tag, k)))
+        (f_obj, f_tag), self.convergence_ = fixed_point(
+            step, start, max_iter=self.max_iter, tol=self.tol, name="tag-graph propagation"
         )
         self.classes_ = classes
         self.object_scores_ = f_obj

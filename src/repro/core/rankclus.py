@@ -25,7 +25,12 @@ import scipy.sparse as sp
 from repro.networks.hin import HIN
 from repro.query.estimator import Estimator
 from repro.query.results import ClusteringResult
-from repro.ranking.authority import BiTypeRanking, authority_ranking, simple_ranking
+from repro.ranking.authority import (
+    BiTypeRanking,
+    _link_matrices,
+    authority_ranking,
+    simple_ranking,
+)
 from repro.utils.sparse import to_csr
 from repro.utils.validation import check_positive, check_probability
 
@@ -151,29 +156,13 @@ class RankClus(Estimator):
                 )
             self._hin = hin
             self._target_type = target_type
-            # Route matrix construction through the network's shared
-            # engine: refitting (other K, other paths over shared
-            # prefixes) reuses materialized products instead of
-            # rebuilding them.
-            engine = hin.engine()
-            if target_attribute_path is None:
-                w_xy = engine.matrix_between(target_type, attribute_type)
-            else:
-                mp = engine.path(target_attribute_path)
-                if (mp.source_type, mp.target_type) != (target_type, attribute_type):
-                    raise ValueError(
-                        f"target_attribute_path {mp} does not go "
-                        f"{target_type!r} -> {attribute_type!r}"
-                    )
-                w_xy = engine.commuting_matrix(mp)
-            if attribute_attribute_path is not None:
-                mp = engine.path(attribute_attribute_path)
-                if (mp.source_type, mp.target_type) != (attribute_type, attribute_type):
-                    raise ValueError(
-                        f"attribute_attribute_path {mp} does not go "
-                        f"{attribute_type!r} -> {attribute_type!r}"
-                    )
-                w_yy = engine.commuting_matrix(mp)
+            # The matrices come from the network's shared engine:
+            # refitting (other K, other paths over shared prefixes) reuses
+            # materialized products instead of rebuilding them.
+            w_xy, path_yy = _link_matrices(
+                hin, target_type, attribute_type, target_attribute_path, attribute_attribute_path
+            )
+            w_yy = w_yy if path_yy is None else path_yy
         if w_xy is None:
             raise ValueError("fit() needs a HIN or a link matrix, got None")
         w = to_csr(w_xy)

@@ -449,47 +449,27 @@ class MetaPathEngine:
         return kernels.pathsim_solo(w, diag, kernels.dense_row(w, i), diag[i])
 
     @_reader
-    def pathsim_partial(self, path, query, candidates) -> np.ndarray:
-        """PathSim scores from *query* to just the *candidates* rows.
+    def pathsim_partial_block(self, path, queries, candidates) -> np.ndarray:
+        """PathSim scores from each of *queries* to just the *candidates*
+        rows: one ``(len(queries), len(candidates))`` block.
 
-        Bit-identical to ``pathsim_row(path, query)[candidates]``: CSR
-        row slicing preserves each row's entries and their order, so the
-        sliced mat-vec runs the same per-row summation as the full one.
-        The standing-query maintainer (:mod:`repro.watch`) uses this to
-        re-score only the candidates an update's delta can touch —
-        cost proportional to the touched rows' nnz, not the network.
+        Bit-identical to ``pathsim_rows(path, queries)[:, candidates]``:
+        CSR row slicing preserves each row's entries and their order, and
+        the matrix-times-dense-block kernel accumulates every output
+        column in the same stored-entry order as the full product.  The
+        standing-query maintainer (:mod:`repro.watch`) uses this to
+        re-score only the candidates an update's delta can touch, for
+        every watch on the same path in a single sparse product — cost
+        proportional to the touched rows' nnz, not the network.
 
         Parameters
         ----------
         path:
             A symmetric meta-path (any spelling).
-        query:
-            Query object — name or index of the path's source type.
+        queries:
+            Query objects — names or indices of the path's source type.
         candidates:
             Row indices to score (need not be sorted or unique).
-        """
-        mp = self.symmetric_path(path)
-        w, diag = self._pathsim_parts(mp)
-        i = self._resolve(mp.source_type, query)
-        idx = np.asarray(candidates, dtype=np.int64)
-        if idx.size == 0:
-            return np.zeros(0)
-        return kernels.pathsim_solo(
-            w[idx], diag[idx], kernels.dense_row(w, i), diag[i]
-        )
-
-    @_reader
-    def pathsim_partial_block(self, path, queries, candidates) -> np.ndarray:
-        """Batched :meth:`pathsim_partial`: one ``(len(queries),
-        len(candidates))`` score block.
-
-        Each row is bit-identical to the corresponding
-        ``pathsim_partial(path, query, candidates)`` call: the CSR
-        matrix-times-dense-block kernel accumulates every output column
-        in the same stored-entry order as the single-vector product.
-        The standing-query maintainer uses this to re-score one
-        update's touched candidates for every watch on the same path in
-        a single sparse product.
 
         The kernel follows the engine's :attr:`topk_mode` like
         :meth:`pathsim_top_k`; ``"auto"`` keeps a cold path cold

@@ -16,13 +16,12 @@ reinforcement from diverging — both straight from the paper.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from repro.exceptions import ConvergenceWarning, NotFittedError
-from repro.utils.convergence import ConvergenceInfo
+from repro.exceptions import NotFittedError
+from repro.utils.convergence import ConvergenceInfo, fixed_point
 from repro.utils.validation import check_in_range, check_positive, check_probability
 
 __all__ = ["TruthFinder", "majority_vote"]
@@ -106,7 +105,6 @@ class TruthFinder:
         check_probability(rho, "rho")
         check_positive(gamma, "gamma")
         check_in_range(base_trust, "base_trust", 0.0, 1.0, inclusive=False)
-        check_positive(max_iter, "max_iter")
         self.rho = float(rho)
         self.gamma = float(gamma)
         self.base_trust = float(base_trust)
@@ -163,11 +161,8 @@ class TruthFinder:
                     )
                     influence[f].append((f2, 2.0 * sim - 1.0))
 
-        trust = np.full(n_s, self.base_trust)
-        confidence = np.zeros(n_f)
-        history: list[float] = []
-        converged = False
-        for iteration in range(self.max_iter):
+        def step(state):
+            trust, _ = state
             tau = -np.log(np.maximum(1.0 - trust, 1e-12))
             sigma = np.zeros(n_f)
             for f in range(n_f):
@@ -185,20 +180,11 @@ class TruthFinder:
                     for fs in source_facts
                 ]
             )
-            delta = float(np.abs(new_trust - trust).max())
-            history.append(delta)
-            trust = new_trust
-            if delta <= self.tol:
-                converged = True
-                break
-        if not converged:
-            warnings.warn(
-                f"TruthFinder did not converge in {self.max_iter} iterations",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-        self.convergence_ = ConvergenceInfo(
-            converged, iteration + 1, history[-1], self.tol, history
+            return (new_trust, confidence), np.abs(new_trust - trust).max()
+
+        start = (np.full(n_s, self.base_trust), np.zeros(n_f))
+        (trust, confidence), self.convergence_ = fixed_point(
+            step, start, max_iter=self.max_iter, tol=self.tol, name="TruthFinder"
         )
 
         inv_sources = {idx: name for name, idx in sources.items()}

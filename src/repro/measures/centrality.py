@@ -7,13 +7,13 @@ iteration on the adjacency matrix.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 
 import numpy as np
 
-from repro.exceptions import ConvergenceWarning, GraphError
+from repro.exceptions import GraphError
 from repro.networks.graph import Graph
+from repro.utils.convergence import fixed_point
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -131,7 +131,8 @@ def eigenvector_centrality(
     x = rng.random(n) + 1.0
     x /= np.linalg.norm(x)
     matvec = adj.T if graph.directed else adj  # incoming links confer status
-    for _ in range(max_iter):
+
+    def step(x):
         # The +x shift (power iteration on A + I) preserves eigenvectors but
         # breaks the +/-lambda oscillation on bipartite graphs.
         x_new = matvec.dot(x) + x
@@ -139,12 +140,7 @@ def eigenvector_centrality(
         if norm == 0:
             raise GraphError("power iteration collapsed to zero vector")
         x_new /= norm
-        if np.abs(x_new - x).max() < tol:
-            return np.abs(x_new)
-        x = x_new
-    warnings.warn(
-        f"eigenvector centrality did not converge in {max_iter} iterations",
-        ConvergenceWarning,
-        stacklevel=2,
-    )
+        return x_new, np.abs(x_new - x).max()
+
+    x, _ = fixed_point(step, x, max_iter=max_iter, tol=tol, name="eigenvector centrality")
     return np.abs(x)

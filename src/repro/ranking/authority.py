@@ -17,15 +17,12 @@ RankClus's mixture model consumes as component parameters.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import ConvergenceWarning
 from repro.networks.hin import HIN
-from repro.networks.schema import as_metapath
-from repro.utils.convergence import ConvergenceInfo
+from repro.utils.convergence import ConvergenceInfo, fixed_point
 from repro.utils.sparse import to_csr
 from repro.utils.validation import check_probability
 
@@ -129,32 +126,50 @@ def authority_ranking(
             f"w_yy has shape {yy.shape}, expected ({w.shape[1]}, {w.shape[1]})"
         )
 
-    n_x, n_y = w.shape
-    r_x = np.full(n_x, 1.0 / max(n_x, 1))
-    r_y = np.full(n_y, 1.0 / max(n_y, 1))
-    history: list[float] = []
-    for iteration in range(max_iter):
+    def step(state):
+        r_x, r_y = state
         r_y_new = _normalize(wt.dot(r_x))
         if yy is not None and alpha < 1.0:
             r_y_new = _normalize(alpha * r_y_new + (1 - alpha) * yy.dot(r_y_new))
         r_x_new = _normalize(w.dot(r_y_new))
-        residual = float(
-            np.abs(r_x_new - r_x).sum() + np.abs(r_y_new - r_y).sum()
-        )
-        history.append(residual)
-        r_x, r_y = r_x_new, r_y_new
-        if residual <= tol:
-            return BiTypeRanking(
-                r_x, r_y, ConvergenceInfo(True, iteration + 1, residual, tol, history)
-            )
-    warnings.warn(
-        f"authority ranking did not converge in {max_iter} iterations",
-        ConvergenceWarning,
-        stacklevel=2,
+        residual = np.abs(r_x_new - r_x).sum() + np.abs(r_y_new - r_y).sum()
+        return (r_x_new, r_y_new), residual
+
+    n_x, n_y = w.shape
+    start = (np.full(n_x, 1.0 / max(n_x, 1)), np.full(n_y, 1.0 / max(n_y, 1)))
+    (r_x, r_y), info = fixed_point(
+        step, start, max_iter=max_iter, tol=tol, name="authority ranking"
     )
-    return BiTypeRanking(
-        r_x, r_y, ConvergenceInfo(False, max_iter, history[-1], tol, history)
-    )
+    return BiTypeRanking(r_x, r_y, info)
+
+
+def _link_matrices(
+    hin: HIN,
+    target_type: str,
+    attribute_type: str,
+    target_attribute_path=None,
+    attribute_attribute_path=None,
+):
+    """``(w_xy, w_yy)`` of a target/attribute type pair, from the shared
+    engine: ``w_xy`` is the direct relation between the two types or the
+    commuting matrix of *target_attribute_path*; ``w_yy`` is that of
+    *attribute_attribute_path*, or ``None`` without one.  A path that does
+    not run between the named types is a ``ValueError``."""
+    engine = hin.engine()
+
+    def commuting(path, source: str, target: str):
+        mp = engine.path(path)
+        if (mp.source_type, mp.target_type) != (source, target):
+            raise ValueError(f"path {mp} does not go {source!r} -> {target!r}")
+        return engine.commuting_matrix(mp)
+
+    if target_attribute_path is None:
+        w_xy = engine.matrix_between(target_type, attribute_type)
+    else:
+        w_xy = commuting(target_attribute_path, target_type, attribute_type)
+    if attribute_attribute_path is None:
+        return w_xy, None
+    return w_xy, commuting(attribute_attribute_path, attribute_type, attribute_type)
 
 
 def _rank_bi_type(
@@ -170,28 +185,12 @@ def _rank_bi_type(
 ) -> BiTypeRanking:
     """Rank a target/attribute type pair of *hin* — the implementation
     behind ``QuerySession.rank(target, by=attribute)``, which documents
-    the parameters.  The link matrices come from the shared engine: the
-    direct relation between the two types, or the given meta-paths."""
-    engine = hin.engine()
-    if target_attribute_path is None:
-        w_xy = engine.matrix_between(target_type, attribute_type)
-    else:
-        mp = as_metapath(hin, target_attribute_path)
-        if (mp.source_type, mp.target_type) != (target_type, attribute_type):
-            raise ValueError(
-                f"path {mp} does not go {target_type!r} -> {attribute_type!r}"
-            )
-        w_xy = engine.commuting_matrix(mp)
+    the parameters."""
+    w_xy, w_yy = _link_matrices(
+        hin, target_type, attribute_type, target_attribute_path, attribute_attribute_path
+    )
     if method == "simple":
         return simple_ranking(w_xy)
     if method != "authority":
         raise ValueError(f"method must be 'simple' or 'authority', got {method!r}")
-    w_yy = None
-    if attribute_attribute_path is not None:
-        mp = as_metapath(hin, attribute_attribute_path)
-        if (mp.source_type, mp.target_type) != (attribute_type, attribute_type):
-            raise ValueError(
-                f"path {mp} does not go {attribute_type!r} -> {attribute_type!r}"
-            )
-        w_yy = engine.commuting_matrix(mp)
     return authority_ranking(w_xy, w_yy, alpha=alpha, **kwargs)

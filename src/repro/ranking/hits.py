@@ -7,13 +7,11 @@ graphs hubs and authorities coincide with eigenvector centrality.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.exceptions import ConvergenceWarning, GraphError
+from repro.exceptions import GraphError
 from repro.networks.graph import Graph
-from repro.utils.convergence import ConvergenceInfo
+from repro.utils.convergence import ConvergenceInfo, fixed_point
 
 __all__ = ["hits", "hits_scores"]
 
@@ -47,10 +45,8 @@ def hits(
     if adj.nnz == 0:
         raise GraphError("HITS undefined for a graph with no edges")
 
-    hubs = np.full(n, 1.0 / n)
-    history: list[float] = []
-    authorities = np.zeros(n)
-    for iteration in range(max_iter):
+    def step(state):
+        hubs, authorities = state
         new_auth = adj.T.dot(hubs)
         auth_sum = new_auth.sum()
         if auth_sum > 0:
@@ -59,21 +55,12 @@ def hits(
         hub_sum = new_hubs.sum()
         if hub_sum > 0:
             new_hubs /= hub_sum
-        residual = float(
-            np.abs(new_hubs - hubs).sum() + np.abs(new_auth - authorities).sum()
-        )
-        history.append(residual)
-        hubs, authorities = new_hubs, new_auth
-        if residual <= tol:
-            return hubs, authorities, ConvergenceInfo(
-                True, iteration + 1, residual, tol, history
-            )
-    warnings.warn(
-        f"HITS did not converge in {max_iter} iterations",
-        ConvergenceWarning,
-        stacklevel=2,
-    )
-    return hubs, authorities, ConvergenceInfo(False, max_iter, history[-1], tol, history)
+        residual = np.abs(new_hubs - hubs).sum() + np.abs(new_auth - authorities).sum()
+        return (new_hubs, new_auth), residual
+
+    start = (np.full(n, 1.0 / n), np.zeros(n))
+    (hubs, authorities), info = fixed_point(step, start, max_iter=max_iter, tol=tol, name="HITS")
+    return hubs, authorities, info
 
 
 def hits_scores(graph: Graph, **kwargs) -> tuple[np.ndarray, np.ndarray]:

@@ -7,13 +7,10 @@ PageRank (:mod:`repro.ranking.ppr`) via the ``personalization`` vector.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.exceptions import ConvergenceWarning
 from repro.networks.graph import Graph
-from repro.utils.convergence import ConvergenceInfo
+from repro.utils.convergence import ConvergenceInfo, fixed_point
 from repro.utils.sparse import row_normalize
 from repro.utils.validation import check_probability
 
@@ -72,23 +69,12 @@ def pagerank(
     out_deg = np.asarray(graph.adjacency.sum(axis=1)).ravel()
     dangling = out_deg == 0
 
-    x = v.copy()
-    history: list[float] = []
-    for iteration in range(max_iter):
+    def step(x):
         dangling_mass = x[dangling].sum()
         x_new = damping * (transition.T.dot(x) + dangling_mass * v) + (1 - damping) * v
-        residual = float(np.abs(x_new - x).sum())
-        history.append(residual)
-        x = x_new
-        if residual <= tol:
-            return x, ConvergenceInfo(True, iteration + 1, residual, tol, history)
-    warnings.warn(
-        f"pagerank did not converge in {max_iter} iterations "
-        f"(residual {history[-1]:.3g})",
-        ConvergenceWarning,
-        stacklevel=2,
-    )
-    return x, ConvergenceInfo(False, max_iter, history[-1], tol, history)
+        return x_new, np.abs(x_new - x).sum()
+
+    return fixed_point(step, v.copy(), max_iter=max_iter, tol=tol, name="pagerank")
 
 
 def pagerank_scores(graph: Graph, **kwargs) -> np.ndarray:

@@ -13,15 +13,12 @@ update across the two sides of a relation matrix.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.exceptions import ConvergenceWarning
 from repro.networks.graph import Graph
 from repro.query.estimator import Estimator
 from repro.query.results import TopKResult
-from repro.utils.convergence import ConvergenceInfo
+from repro.utils.convergence import ConvergenceInfo, fixed_point
 from repro.utils.sparse import column_normalize, row_normalize, to_csr
 from repro.utils.validation import check_probability
 
@@ -67,22 +64,13 @@ def simrank(
     if n == 0:
         return np.zeros((0, 0)), ConvergenceInfo(True, 0, 0.0, tol)
     p = column_normalize(graph.adjacency)  # P[i, j]: weight of i in I(j)
-    s = np.eye(n)
-    history: list[float] = []
-    for iteration in range(max_iter):
+
+    def step(s):
         s_new = c * (p.T.dot(p.T.dot(s).T))
         np.fill_diagonal(s_new, 1.0)
-        residual = float(np.abs(s_new - s).max())
-        history.append(residual)
-        s = s_new
-        if residual <= tol:
-            return s, ConvergenceInfo(True, iteration + 1, residual, tol, history)
-    warnings.warn(
-        f"simrank did not converge in {max_iter} iterations",
-        ConvergenceWarning,
-        stacklevel=2,
-    )
-    return s, ConvergenceInfo(False, max_iter, history[-1], tol, history)
+        return s_new, np.abs(s_new - s).max()
+
+    return fixed_point(step, np.eye(n), max_iter=max_iter, tol=tol, name="simrank")
 
 
 def simrank_bipartite(
@@ -124,29 +112,21 @@ def simrank_bipartite(
     # S_A = C * Q_A S_B Q_Aᵀ and symmetrically for S_B.
     q_a = row_normalize(w)                # (n_a, n_b)
     q_b = row_normalize(w.T.tocsr())      # (n_b, n_a)
-    s_a = np.eye(n_a)
-    s_b = np.eye(n_b)
-    history: list[float] = []
-    for iteration in range(max_iter):
+
+    def step(state):
+        s_a, s_b = state
         s_a_new = c * q_a.dot(q_a.dot(s_b.T).T)
         np.fill_diagonal(s_a_new, 1.0)
         s_b_new = c * q_b.dot(q_b.dot(s_a_new.T).T)
         np.fill_diagonal(s_b_new, 1.0)
-        residual = float(
-            max(np.abs(s_a_new - s_a).max(), np.abs(s_b_new - s_b).max())
-        )
-        history.append(residual)
-        s_a, s_b = s_a_new, s_b_new
-        if residual <= tol:
-            return s_a, s_b, ConvergenceInfo(
-                True, iteration + 1, residual, tol, history
-            )
-    warnings.warn(
-        f"bipartite simrank did not converge in {max_iter} iterations",
-        ConvergenceWarning,
-        stacklevel=2,
+        residual = max(np.abs(s_a_new - s_a).max(), np.abs(s_b_new - s_b).max())
+        return (s_a_new, s_b_new), residual
+
+    start = (np.eye(n_a), np.eye(n_b))
+    (s_a, s_b), info = fixed_point(
+        step, start, max_iter=max_iter, tol=tol, name="bipartite simrank"
     )
-    return s_a, s_b, ConvergenceInfo(False, max_iter, history[-1], tol, history)
+    return s_a, s_b, info
 
 
 class SimRank(Estimator):

@@ -6,7 +6,7 @@ public names are re-exported here.
 """
 
 from repro.utils.cache import CacheInfo, LRUCache
-from repro.utils.convergence import ConvergenceInfo, IterativeSolverMixin
+from repro.utils.convergence import ConvergenceInfo, fixed_point
 from repro.utils.locks import RWLock
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.sparse import (
@@ -29,7 +29,7 @@ __all__ = [
     "LRUCache",
     "RWLock",
     "ConvergenceInfo",
-    "IterativeSolverMixin",
+    "fixed_point",
     "ensure_rng",
     "spawn_rngs",
     "to_csr",

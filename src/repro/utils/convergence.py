@@ -1,21 +1,28 @@
-"""Convergence bookkeeping for iterative solvers.
+"""The one stop rule for iterative solvers.
 
-Every fixed-point iteration in the library (PageRank, HITS, SimRank,
-TruthFinder, RankClus/NetClus EM, label propagation, ...) reports how it
-stopped through a :class:`ConvergenceInfo` record, and warns with
-:class:`repro.exceptions.ConvergenceWarning` when it ran out of iterations.
-Keeping this in one place means callers can always ask "did it converge, in
-how many steps, at what residual" the same way.
+Every residual-driven fixed-point iteration in the library — PageRank,
+HITS, authority ranking, both SimRanks, label propagation, GNetMine,
+tag-graph propagation, TruthFinder and eigenvector centrality — is a
+``step`` closure run by :func:`fixed_point`, which alone decides when to
+stop: it rejects ``max_iter <= 0``, records the residual after each step,
+stops on ``residual <= tol``, warns once with
+:class:`repro.exceptions.ConvergenceWarning` when ``max_iter`` runs out,
+and builds the :class:`ConvergenceInfo` the solver reports.  Loops that
+stop on something other than a residual (the RankClus / NetClus / k-means
+outer loops: partition stability or centre shift, no warning) are not
+fixed-point solvers in this sense and do not come through here.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConvergenceWarning
+from repro.utils.validation import check_positive
 
-__all__ = ["ConvergenceInfo", "IterativeSolverMixin"]
+__all__ = ["ConvergenceInfo", "fixed_point"]
 
 
 @dataclass
@@ -47,50 +54,53 @@ class ConvergenceInfo:
         return self.converged
 
 
-class IterativeSolverMixin:
-    """Mixin implementing the shared stop-or-warn loop contract.
+def fixed_point(
+    step: Callable[[object], tuple[object, float]],
+    state,
+    *,
+    max_iter: int,
+    tol: float,
+    name: str,
+) -> tuple[object, ConvergenceInfo]:
+    """Iterate ``state, residual = step(state)`` until ``residual <= tol``.
 
-    Subclasses call :meth:`_check_stop` once per iteration with the current
-    residual; it returns ``True`` when iteration should stop and records a
-    :class:`ConvergenceInfo` on ``self.convergence_``.
+    Parameters
+    ----------
+    step:
+        One iteration: takes the current state (any value — a vector, a
+        tuple of matrices, a dict) and returns the next state and the
+        residual of the move, a solver-specific norm of the update.
+    state:
+        The starting state.
+    max_iter:
+        Iteration budget; ``ValueError`` unless positive.
+    tol:
+        The iteration stops after the first step whose residual is at most
+        *tol*.
+    name:
+        The solver's name in the warning text.
+
+    Returns
+    -------
+    (state, info):
+        The last state reached and how the iteration stopped.  When
+        *max_iter* steps ran without meeting *tol*, one
+        :class:`~repro.exceptions.ConvergenceWarning` is emitted, attributed
+        to the caller of the solver that called this function.
     """
-
-    tol: float
-    max_iter: int
-
-    def _start_iteration(self) -> None:
-        self._history: list[float] = []
-
-    def _check_stop(self, residual: float, iteration: int, *, context: str = "") -> bool:
-        """Record *residual*; return True when iteration should stop.
-
-        Emits :class:`ConvergenceWarning` when ``max_iter`` is exhausted
-        without meeting ``tol``.
-        """
-        self._history.append(float(residual))
-        if residual <= self.tol:
-            self.convergence_ = ConvergenceInfo(
-                converged=True,
-                n_iter=iteration + 1,
-                residual=float(residual),
-                tol=self.tol,
-                history=list(self._history),
-            )
-            return True
-        if iteration + 1 >= self.max_iter:
-            self.convergence_ = ConvergenceInfo(
-                converged=False,
-                n_iter=iteration + 1,
-                residual=float(residual),
-                tol=self.tol,
-                history=list(self._history),
-            )
-            name = context or type(self).__name__
-            warnings.warn(
-                f"{name} did not converge in {self.max_iter} iterations "
-                f"(final residual {residual:.3g} > tol {self.tol:.3g})",
-                ConvergenceWarning,
-                stacklevel=3,
-            )
-            return True
-        return False
+    check_positive(max_iter, "max_iter")
+    history: list[float] = []
+    for _ in range(max_iter):
+        state, residual = step(state)
+        history.append(float(residual))
+        if history[-1] <= tol:
+            break
+    else:
+        warnings.warn(
+            f"{name} did not converge in {max_iter} iterations "
+            f"(final residual {history[-1]:.3g} > tol {tol:.3g})",
+            ConvergenceWarning,
+            stacklevel=3,
+        )
+    info = ConvergenceInfo(history[-1] <= tol, len(history), history[-1], tol, history)
+    return state, info

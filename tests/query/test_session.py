@@ -245,6 +245,14 @@ class TestClassifyQueries:
         top = r.top(3, "venue")
         assert len(top) == 3 and all(len(t) == 3 for t in top)
 
+    def test_non_positive_max_iter_is_a_value_error(self, small_bib):
+        # The solvers' one stop rule rejects it, whichever verb forwards it.
+        seeds = {"venue": (np.array([0, 1]), np.array([True, True]))}
+        with pytest.raises(ValueError, match="max_iter must be > 0"):
+            small_bib.query().classify(seeds, max_iter=0)
+        with pytest.raises(ValueError, match="max_iter must be > 0"):
+            small_bib.query().rank("venue", by="author", max_iter=0)
+
 
 class TestOlapQueries:
     def test_cube_from_mapping(self, dblp):

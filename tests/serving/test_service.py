@@ -53,6 +53,12 @@ class TestAnswers:
             with pytest.raises(NodeNotFoundError):
                 future.result(timeout=10)
 
+    def test_non_positive_max_iter_is_a_value_error_through_the_future(self, small_bib):
+        with QueryService(small_bib) as svc:
+            future = svc.rank("venue", by="author", max_iter=0)
+            with pytest.raises(ValueError, match="max_iter must be > 0"):
+                future.result(timeout=10)
+
     def test_bad_paths_also_fail_through_the_future(self, small_bib):
         # Uniform error contract: submit never raises on the caller
         # thread, whatever the failure.

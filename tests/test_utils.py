@@ -9,9 +9,9 @@ import scipy.sparse as sp
 from repro.exceptions import ConvergenceWarning
 from repro.utils import (
     ConvergenceInfo,
-    IterativeSolverMixin,
     column_normalize,
     ensure_rng,
+    fixed_point,
     is_binary,
     row_normalize,
     safe_divide,
@@ -162,35 +162,28 @@ class TestDegreeVector:
         assert np.allclose(degree_vector(m, axis=0), [1.0, 5.0])
 
 
-class _ToySolver(IterativeSolverMixin):
-    def __init__(self, residuals, tol=1e-3, max_iter=10):
-        self._residuals = residuals
-        self.tol = tol
-        self.max_iter = max_iter
-
-    def run(self):
-        self._start_iteration()
-        for i, r in enumerate(self._residuals):
-            if self._check_stop(r, i):
-                return
+def _replay(residuals, *, tol=1e-3, max_iter=10):
+    """Run ``fixed_point`` over a scripted residual sequence."""
+    feed = iter(residuals)
+    _, info = fixed_point(
+        lambda n: (n + 1, next(feed)), 0, max_iter=max_iter, tol=tol, name="toy"
+    )
+    return info
 
 
 class TestConvergence:
     def test_converges(self):
-        solver = _ToySolver([1.0, 0.1, 1e-4])
-        solver.run()
-        info = solver.convergence_
+        info = _replay([1.0, 0.1, 1e-4])
         assert info.converged and bool(info)
         assert info.n_iter == 3
         assert info.residual == pytest.approx(1e-4)
         assert info.history == [1.0, 0.1, 1e-4]
 
     def test_max_iter_warns(self):
-        solver = _ToySolver([1.0] * 3, max_iter=3)
         with pytest.warns(ConvergenceWarning):
-            solver.run()
-        assert not solver.convergence_.converged
-        assert solver.convergence_.n_iter == 3
+            info = _replay([1.0] * 3, max_iter=3)
+        assert not info.converged
+        assert info.n_iter == 3
 
     def test_info_is_falsy_when_not_converged(self):
         info = ConvergenceInfo(False, 5, 1.0, 1e-6)
