@@ -77,6 +77,12 @@ from repro.engine.topk import finalize_top_k, top_k_indices
 
 __all__ = ["MetaPathEngine"]
 
+#: Incremental maintenance pays off while an update's per-relation delta
+#: is much sparser than the relation itself.  When ``delta.nnz / new.nnz``
+#: exceeds this fraction for a relation, the cached products that
+#: traverse it are evicted (they rebuild lazily) instead of computing a
+#: delta denser than a rebuild.
+_DELTA_REBUILD_THRESHOLD = 0.25
 
 def _reader(method):
     """Run *method* under the engine's read lock.
@@ -133,12 +139,6 @@ class MetaPathEngine:
     max_cached_matrices:
         LRU bound on the number of cached materializations (prefix
         products, symmetric decompositions, type-pair matrices).
-    delta_rebuild_threshold:
-        Incremental maintenance pays off while the update's per-relation
-        delta is much sparser than the relation itself.  When
-        ``delta.nnz / new.nnz`` exceeds this fraction for a relation, the
-        engine evicts the cached products that traverse it (they rebuild
-        lazily) instead of computing a delta denser than a rebuild.
     plan:
         Association-order policy for every chain product this engine
         evaluates (:attr:`plan_mode`): ``"auto"`` routes
@@ -167,14 +167,12 @@ class MetaPathEngine:
         hin,
         *,
         max_cached_matrices: int = 64,
-        delta_rebuild_threshold: float = 0.25,
         plan: str = "auto",
         mode: str = "auto",
     ):
         self.hin = hin
         self._cache = LRUCache(max_cached_matrices)
         self._rwlock = RWLock()
-        self.delta_rebuild_threshold = float(delta_rebuild_threshold)
         if plan not in ("auto", "left"):
             raise ValueError(f"plan must be 'auto' or 'left', got {plan!r}")
         self.plan_mode = plan
@@ -750,7 +748,7 @@ class MetaPathEngine:
         transposing a relation.  Entries are replaced, never written
         to, so readers, snapshots and exports see whole values.
         Relations whose delta is denser than
-        :attr:`delta_rebuild_threshold` of the relation get their
+        ``_DELTA_REBUILD_THRESHOLD`` (25%) of the relation get their
         dependent entries evicted instead (rebuild lazily beats a dense
         delta); untouched entries are kept, padded with zero rows/columns
         when an endpoint type grew.
@@ -779,7 +777,7 @@ class MetaPathEngine:
         dense_rels = {
             name
             for name, d in update.deltas.items()
-            if d.density_vs_rebuild > self.delta_rebuild_threshold
+            if d.density_vs_rebuild > _DELTA_REBUILD_THRESHOLD
         }
         # Per-call scratch shared across entries: oriented transposes of
         # the receipt's matrices, one delta and one patched matrix per
@@ -808,7 +806,7 @@ class MetaPathEngine:
                 continue
             grown_src = self._step_from_type(steps[0]) in update.node_growth
             grown_dst = self._step_to_type(steps[-1]) in update.node_growth
-            if not (rels & update.changed_relations):
+            if not (rels & update.deltas.keys()):
                 if grown_src or grown_dst:
                     self._pad_entry(key, kind, steps)
                     report["padded"] += 1

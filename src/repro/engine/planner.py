@@ -11,8 +11,8 @@ the tiny venue type (``(A·V) · (V·T)``) keeps every intermediate no
 wider than the venue count.
 
 :class:`ChainPlanner` picks that order with the classic matrix-chain
-DP, costed from the per-relation statistics the network maintains
-incrementally (:meth:`repro.networks.hin.HIN.relation_stats`):
+DP, costed from each relation matrix's shape and nnz (read off the
+stored matrix when a plan is made; nothing is maintained for it):
 
 * ``flops(A·B) ≈ nnz(A) · nnz(B) / rows(B)`` — each stored entry of
   ``A`` meets the average row of ``B``;
@@ -228,9 +228,13 @@ class ChainPlanner:
     # Planning
     # ------------------------------------------------------------------
     def _leaf_stats(self, step) -> tuple:
+        """``(rows, cols, nnz)`` of one oriented step, read off the stored
+        matrix in O(1) — a backward step swaps the shape rather than
+        building the transpose."""
         rel, forward = step
-        s = self._engine.hin.relation_stats().oriented(rel.name, forward)
-        return (s.rows, s.cols, s.nnz)
+        m = self._engine.hin.relation_matrix(rel)
+        rows, cols = m.shape if forward else m.shape[::-1]
+        return (rows, cols, m.nnz)
 
     def _probe_seeds(self, names: tuple) -> dict:
         """Counter-free scan of the cache for every subchain of length

@@ -8,10 +8,11 @@ generator builds from, so ``"A-P-V-P-A"`` means the same thing on real
 and planted data) by emitting one :class:`~repro.networks.UpdateBatch`
 per *chunk* of accepted records and committing it through the normal
 ``hin.apply()`` path.  Everything that rides the commit path — engine
-cache maintenance, planner statistics, standing-query watches, cluster
-generation republication — therefore exercises for free during a bulk
-load, and the loaded network is bit-for-bit the network an equivalent
-update stream would have produced.
+cache maintenance, standing-query watches, cluster generation
+republication — therefore exercises for free during a bulk load, and
+the loaded network is bit-for-bit the network an equivalent update
+stream would have produced.  (The planner's costs are not among them:
+it reads shape and nnz off the matrices when it plans.)
 
 Guarantees (pinned by ``tests/ingest/test_stream.py`` and
 ``tests/property/test_ingest_properties.py``):

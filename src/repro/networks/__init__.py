@@ -13,7 +13,6 @@ from repro.networks.graph import Graph
 from repro.networks.hin import HIN
 from repro.networks.io import read_edge_list, read_hin, write_edge_list, write_hin
 from repro.networks.schema import MetaPath, NetworkSchema, Relation, as_metapath
-from repro.networks.stats import NetworkStats, RelationStats
 from repro.networks.updates import AppliedUpdate, Mutation, RelationDelta, UpdateBatch
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "Relation",
     "MetaPath",
     "as_metapath",
-    "NetworkStats",
-    "RelationStats",
     "UpdateBatch",
     "Mutation",
     "AppliedUpdate",

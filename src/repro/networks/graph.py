@@ -47,16 +47,16 @@ class Graph:
     Notes
     -----
     Self-loops are allowed (SCAN and SimRank ignore them internally).
-    Negative edge weights are rejected: every algorithm in this library
-    interprets weights as link strengths/counts.
+    Negative, NaN and infinite edge weights are rejected: every algorithm
+    in this library interprets weights as link strengths/counts.
     """
 
     def __init__(self, adjacency, *, directed: bool = False, node_names=None):
         adj = to_csr(adjacency)
         if adj.shape[0] != adj.shape[1]:
             raise GraphError(f"adjacency must be square, got shape {adj.shape}")
-        if adj.nnz and adj.data.min() < 0:
-            raise EdgeError("edge weights must be non-negative")
+        if adj.nnz and not 0 <= adj.data.min() <= adj.data.max() < np.inf:
+            raise EdgeError("edge weights must be finite and non-negative")
         if not directed:
             asym = (adj != adj.T).nnz
             if asym:

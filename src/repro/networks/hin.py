@@ -76,12 +76,13 @@ class HIN:
     validate:
         When ``True`` (the default) every matrix is converted to
         canonical float64 CSR (duplicates summed, zeros eliminated,
-        indices sorted, negative weights rejected) — which copies or mutates the input
-        arrays.  ``validate=False`` is the *attach* path for matrices
-        that are already canonical CSR and must be adopted **zero-copy**
-        (shared-memory segments, read-only snapshot mmaps): the arrays
-        are stored as handed in and never written to.  Shapes are still
-        checked; content is trusted.
+        indices sorted, negative, NaN and infinite weights rejected) —
+        which copies or mutates the input arrays.  ``validate=False``
+        is the *attach* path for matrices that are already canonical
+        CSR and must be adopted **zero-copy** (shared-memory segments,
+        read-only snapshot mmaps): the arrays are stored as handed in
+        and never written to.  Shapes are still checked; content is
+        trusted.
 
     Notes
     -----
@@ -143,8 +144,10 @@ class HIN:
                     f"expected {expected} for {rel.source!r}x{rel.target!r}"
                 )
             if validate:
-                if m.nnz and m.data.min() < 0:
-                    raise EdgeError(f"relation {name!r} has negative weights")
+                if m.nnz and not 0 <= m.data.min() <= m.data.max() < np.inf:
+                    raise EdgeError(
+                        f"relation {name!r} has negative, NaN or infinite weights"
+                    )
                 # These normalizations write the CSR arrays in place —
                 # exactly what the validate=False attach path must never
                 # do to a shared or read-only buffer.
@@ -161,7 +164,6 @@ class HIN:
         self._engine = None
         self._query_session = None
         self._watch_manager = None
-        self._stats = None
         self._version = 0
         # Guards lazy creation of the shared engine/session only; the
         # engine's own read-write lock covers queries vs. updates.
@@ -323,24 +325,6 @@ class HIN:
             cached = m.T.tocsr()
             self._transposes[name] = cached
         return cached
-
-    def relation_stats(self):
-        """Per-relation :class:`~repro.networks.stats.NetworkStats`.
-
-        Built lazily on first use and then maintained incrementally:
-        every committed update batch refreshes exactly the relations it
-        touched (see :meth:`repro.networks.stats.NetworkStats.apply_update`).
-        The engine's chain planner reads these to cost association
-        orders; an epoch mismatch (stats created before a snapshot
-        restore replaced matrices wholesale) falls back to a full scan.
-        """
-        from repro.networks.stats import NetworkStats
-
-        stats = self._stats
-        if stats is None or stats.epoch != self._version:
-            stats = NetworkStats.from_hin(self)
-            self._stats = stats
-        return stats
 
     def matrix_between(self, source: str, target: str) -> sp.csr_matrix:
         """Matrix of the unique relation joining *source* and *target*,
@@ -639,8 +623,7 @@ class HIN:
             if old_t is not None:
                 transposes[rel_name] = add_delta(old_t, delta.T.tocsr())
             deltas[rel_name] = RelationDelta(
-                rel_name, old, add_delta(old, delta), delta,
-                source=rel.source, target=rel.target, old_transposed=old_t,
+                rel_name, old, add_delta(old, delta), delta, old_transposed=old_t
             )
         return new_counts, appended_names, growth, resized, deltas, transposes
 
@@ -684,8 +667,6 @@ class HIN:
             node_growth=growth,
             resized=resized,
         )
-        if self._stats is not None:
-            self._stats.apply_update(applied, self)
         if self._engine is not None:
             self._engine.apply_update(applied)
         return applied

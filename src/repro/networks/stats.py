@@ -1,28 +1,27 @@
-"""Per-relation statistics for cost-based query planning.
+"""Row reachability and shard row weights over relation matrices.
 
-The engine's chain planner (:mod:`repro.engine.planner`) chooses an
-association order for commuting-matrix products by estimating the cost
-of every candidate split.  Those estimates only need coarse per-relation
-numbers — nnz, shape, degree sketches — which this module computes once
-per relation and maintains *incrementally* under ``hin.apply()``: a
-committed update refreshes only the touched relations (cost proportional
-to their nnz), never the whole network.
+Two questions asked of the relation matrices themselves, answered at a
+cost proportional to the rows visited:
 
-The statistics live on the networks layer, not the engine, because they
-describe the relation matrices themselves: any number of engines (the
-shared one plus detached kwargs-constructed ones) read the same
-:class:`NetworkStats` through :meth:`repro.networks.hin.HIN.relation_stats`.
+* **Which rows can a delta reach?**  :func:`row_support` expands a set
+  of rows one hop; :func:`reach_sources` walks a meta-path's steps
+  backwards from a changed step to the source rows whose product row
+  can differ — the standing-query maintainer's candidate set
+  (:mod:`repro.watch.analysis`).
+* **How should rows be split across shards?**  :func:`type_row_weights`
+  weighs each node of a type by the links it carries and
+  :func:`balanced_ranges` cuts the weights into contiguous ranges of
+  near-equal total (:class:`repro.serving.shards.ShardPlan`).
+
+Nothing here is stored or maintained: every function reads the
+network's current matrices when called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 __all__ = [
-    "RelationStats",
-    "NetworkStats",
     "row_support",
     "reach_sources",
     "type_row_weights",
@@ -155,118 +154,3 @@ def balanced_ranges(weights, parts: int) -> list[tuple[int, int]]:
     for i in range(1, len(bounds)):
         bounds[i] = max(bounds[i], bounds[i - 1])
     return [(bounds[i], bounds[i + 1]) for i in range(parts)]
-
-
-@dataclass(frozen=True)
-class RelationStats:
-    """Planner-facing summary of one relation matrix.
-
-    ``rows``/``cols`` follow the matrix's stored orientation
-    (``source x target``); :meth:`oriented` swaps everything for a
-    backward traversal so the planner never special-cases direction.
-    """
-
-    rows: int
-    cols: int
-    nnz: int
-    #: Degree sketch: how many rows/columns carry at least one link, and
-    #: the heaviest of each.  ``used_*`` bounds the support of products
-    #: through this relation; ``max_*`` bounds worst-case row fan-out.
-    used_rows: int
-    used_cols: int
-    max_row_degree: int
-    max_col_degree: int
-
-    @classmethod
-    def from_matrix(cls, m) -> "RelationStats":
-        """Compute stats from a canonical CSR matrix (O(nnz))."""
-        rows, cols = (int(s) for s in m.shape)
-        if m.nnz == 0:
-            return cls(rows, cols, 0, 0, 0, 0, 0)
-        row_deg = np.diff(m.indptr)
-        col_deg = np.bincount(m.indices, minlength=cols)
-        return cls(
-            rows=rows,
-            cols=cols,
-            nnz=int(m.nnz),
-            used_rows=int(np.count_nonzero(row_deg)),
-            used_cols=int(np.count_nonzero(col_deg)),
-            max_row_degree=int(row_deg.max()),
-            max_col_degree=int(col_deg.max()),
-        )
-
-    @property
-    def density(self) -> float:
-        """Fraction of cells occupied (0 for degenerate shapes)."""
-        cells = self.rows * self.cols
-        return self.nnz / cells if cells else 0.0
-
-    def oriented(self, forward: bool = True) -> "RelationStats":
-        """These stats along the traversal direction (transposed view)."""
-        if forward:
-            return self
-        return RelationStats(
-            rows=self.cols,
-            cols=self.rows,
-            nnz=self.nnz,
-            used_rows=self.used_cols,
-            used_cols=self.used_rows,
-            max_row_degree=self.max_col_degree,
-            max_col_degree=self.max_row_degree,
-        )
-
-    def padded(self, rows: int, cols: int) -> "RelationStats":
-        """Stats after growing the shape with all-zero rows/columns
-        (node additions that touch no edges — every count is unchanged)."""
-        return replace(self, rows=int(rows), cols=int(cols))
-
-
-class NetworkStats:
-    """All relation stats of one HIN at one update epoch.
-
-    Obtained through :meth:`repro.networks.hin.HIN.relation_stats`,
-    which builds the container lazily and keeps it in lock-step with
-    the network: each committed batch calls :meth:`apply_update` with
-    the receipt, refreshing exactly the relations the batch touched.
-    """
-
-    def __init__(self, stats: dict, epoch: int):
-        self._stats = dict(stats)
-        self.epoch = int(epoch)
-
-    @classmethod
-    def from_hin(cls, hin) -> "NetworkStats":
-        """Full scan of every relation matrix (construction path)."""
-        stats = {
-            rel.name: RelationStats.from_matrix(hin.relation_matrix(rel.name))
-            for rel in hin.schema.relations
-        }
-        return cls(stats, getattr(hin, "version", 0))
-
-    def relation(self, name: str) -> RelationStats:
-        """Stats of relation *name* in stored orientation."""
-        return self._stats[name]
-
-    def oriented(self, name: str, forward: bool = True) -> RelationStats:
-        """Stats of relation *name* along a traversal direction."""
-        return self._stats[name].oriented(forward)
-
-    def apply_update(self, update, hin) -> None:
-        """Refresh stats for the relations *update* touched.
-
-        Relations with an actual delta are recomputed from their new
-        matrix (O(nnz) each); relations that merely grew zero rows or
-        columns keep their counts and only restamp the shape.
-        """
-        for rel in hin.schema.relations:
-            if rel.name in update.deltas:
-                self._stats[rel.name] = RelationStats.from_matrix(
-                    hin.relation_matrix(rel.name)
-                )
-            elif rel.name in update.resized:
-                m = hin.relation_matrix(rel.name)
-                self._stats[rel.name] = self._stats[rel.name].padded(*m.shape)
-        self.epoch = update.epoch
-
-    def __repr__(self) -> str:
-        return f"NetworkStats(relations={len(self._stats)}, epoch={self.epoch})"

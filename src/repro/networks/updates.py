@@ -44,6 +44,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -119,11 +120,6 @@ class RelationDelta:
     delta:
         ``new - old`` as a sparse matrix; its support is exactly the set
         of cells the batch touched with a net effect.
-    source:
-        Node type of the matrix rows (empty for receipts built outside
-        :meth:`HIN.apply`, e.g. in old pickles).
-    target:
-        Node type of the matrix columns.
     old_transposed:
         ``old.T`` as CSR when the network had the transpose cached at
         commit time and the relation kept its shape (the engine's
@@ -136,8 +132,6 @@ class RelationDelta:
     old: sp.csr_matrix
     new: sp.csr_matrix
     delta: sp.csr_matrix
-    source: str = ""
-    target: str = ""
     old_transposed: sp.csr_matrix | None = None
 
     @property
@@ -180,39 +174,9 @@ class AppliedUpdate:
     resized: frozenset = frozenset()
 
     @property
-    def changed_relations(self) -> frozenset:
-        return frozenset(self.deltas)
-
-    @property
     def n_changed_links(self) -> int:
         """Total touched cells across all relation deltas."""
         return int(sum(d.delta.nnz for d in self.deltas.values()))
-
-    def touched_rows(self, node_type: str) -> np.ndarray:
-        """Sorted unique indices of *node_type* rows any delta touches.
-
-        The union over every relation delta of the row indices on the
-        side typed *node_type*: delta rows where the relation's source is
-        *node_type*, delta columns where its target is.  Node additions
-        do not count as touches (a grown-but-unlinked node has no delta
-        support).
-
-        Parameters
-        ----------
-        node_type:
-            The node type whose touched indices to collect.  Unknown
-            types (or receipts whose deltas predate type stamping)
-            yield an empty array rather than raising.
-        """
-        parts = []
-        for d in self.deltas.values():
-            if d.source == node_type:
-                parts.append(d.touched_sources)
-            if d.target == node_type:
-                parts.append(d.touched_targets)
-        if not parts:
-            return np.array([], dtype=np.int64)
-        return np.unique(np.concatenate(parts))
 
     def __repr__(self) -> str:
         return (
@@ -289,8 +253,8 @@ class UpdateBatch:
         Raises
         ------
         repro.exceptions.EdgeError
-            On a malformed tuple or a negative weight (index bounds are
-            checked at apply time).
+            On a malformed tuple or a negative, NaN or infinite weight
+            (index bounds are checked at apply time).
         """
         ops = self._ops.setdefault(relation, [])
         for edge in edges:
@@ -302,8 +266,8 @@ class UpdateBatch:
             else:
                 raise EdgeError(f"edges must be (u, v[, w]), got {edge!r}")
             w = float(w)
-            if w < 0:
-                raise EdgeError(f"edge weight must be >= 0, got {w}")
+            if not 0 <= w < math.inf:
+                raise EdgeError(f"edge weight must be finite and >= 0, got {w}")
             ops.append((_INSERT, int(u), int(v), w))
         return self
 
@@ -339,14 +303,14 @@ class UpdateBatch:
         Raises
         ------
         repro.exceptions.EdgeError
-            On a negative weight.
+            On a negative, NaN or infinite weight.
         """
         ops = self._ops.setdefault(relation, [])
         for entry in entries:
             u, v, w = entry
             w = float(w)
-            if w < 0:
-                raise EdgeError(f"weight must be >= 0, got {w}")
+            if not 0 <= w < math.inf:
+                raise EdgeError(f"weight must be finite and >= 0, got {w}")
             ops.append((_UPSERT, int(u), int(v), w))
         return self
 

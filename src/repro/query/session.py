@@ -35,6 +35,9 @@ from repro.query.results import (
 
 __all__ = ["QuerySession", "connect"]
 
+#: Fitted SimRank indexes a session keeps (one dense n x n matrix each).
+_MAX_CACHED_SIMRANK = 4
+
 
 class QuerySession:
     """Declarative query surface over one HIN and its shared engine.
@@ -50,7 +53,7 @@ class QuerySession:
         shares one materialization cache.
     """
 
-    def __init__(self, hin, *, engine=None, max_cached_simrank: int = 4):
+    def __init__(self, hin, *, engine=None):
         from repro.utils.cache import LRUCache
 
         self.hin = hin
@@ -59,7 +62,7 @@ class QuerySession:
         # one fitted SimRank index (a dense n x n matrix) per projection
         # path.  LRU-bounded — the session lives as long as the network,
         # and dense matrices must not accumulate without limit.
-        self._simrank = LRUCache(max_cached_simrank)
+        self._simrank = LRUCache(_MAX_CACHED_SIMRANK)
 
     # ------------------------------------------------------------------
     # Plumbing

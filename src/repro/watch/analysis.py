@@ -26,12 +26,7 @@ import numpy as np
 
 from repro.networks.stats import reach_sources
 
-__all__ = ["step_relations", "touched_chain_rows"]
-
-
-def step_relations(steps) -> frozenset:
-    """The relation names a step sequence traverses."""
-    return frozenset(rel.name for rel, _ in steps)
+__all__ = ["touched_chain_rows"]
 
 
 def _oriented_seed(delta, forward: bool) -> np.ndarray:

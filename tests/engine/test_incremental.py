@@ -113,12 +113,19 @@ class TestProductMaintenance:
 
 class TestFallbacks:
     def test_dense_delta_evicts_instead_of_updating(self, bib):
-        engine = bib.engine(delta_rebuild_threshold=0.01)
+        from repro.engine.engine import _DELTA_REBUILD_THRESHOLD
+
+        engine = MetaPathEngine(bib)
         engine.prewarm([APA])
-        applied = bib.apply(UpdateBatch().add_edges("writes", [(2, 0), (2, 1)]))
+        applied = bib.apply(
+            UpdateBatch().add_edges("writes", [(2, 0), (2, 1), (0, 2)])
+        )
+        # 3 new links on the 5-link writes: 3/8 of the relation is more
+        # delta than incremental maintenance is worth.
+        assert applied.deltas["writes"].density_vs_rebuild > _DELTA_REBUILD_THRESHOLD
         report = engine.apply_update(applied)
-        # already notified via hin.apply?  engine() with kwargs is detached,
-        # so this engine sees the receipt exactly once — here.
+        # already notified via hin.apply?  A constructed engine is
+        # detached, so it sees the receipt exactly once — here.
         assert report["evicted"] >= 1 and report["updated"] == 0
         assert_engine_matches_rebuild(engine, bib, [APA])
 

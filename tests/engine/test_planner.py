@@ -17,7 +17,6 @@ import pytest
 from repro.datasets import make_dblp_four_area
 from repro.engine import MetaPathEngine, PlanReport
 from repro.engine.planner import _combine, _flops, _inverse_steps
-from repro.networks.stats import NetworkStats, RelationStats
 
 APV = "author-paper-venue"
 VPA = "venue-paper-author"
@@ -56,53 +55,6 @@ class TestCostModel:
     def test_inverse_steps_round_trips(self):
         names = (("writes", True), ("published_in", True), ("writes", False))
         assert _inverse_steps(_inverse_steps(names)) == names
-
-
-class TestRelationStats:
-    def test_from_matrix_counts(self, small_bib):
-        m = small_bib.relation_matrix("writes")
-        s = RelationStats.from_matrix(m)
-        assert (s.rows, s.cols) == m.shape
-        assert s.nnz == m.nnz
-        assert s.used_rows == int(np.count_nonzero(np.diff(m.indptr)))
-        assert s.used_cols == len(np.unique(m.indices))
-        assert s.max_row_degree == int(np.diff(m.indptr).max())
-
-    def test_oriented_swaps_everything(self, small_bib):
-        s = RelationStats.from_matrix(small_bib.relation_matrix("writes"))
-        t = s.oriented(False)
-        assert (t.rows, t.cols) == (s.cols, s.rows)
-        assert (t.used_rows, t.used_cols) == (s.used_cols, s.used_rows)
-        assert t.oriented(False) == s.oriented(True) == s
-
-    def test_network_stats_lazy_and_memoized(self, small_bib):
-        stats = small_bib.relation_stats()
-        assert stats is small_bib.relation_stats()
-        assert stats.epoch == small_bib.version
-
-    def test_stats_refresh_incrementally_on_apply(self, small_bib):
-        from repro.networks import UpdateBatch
-
-        stats = small_bib.relation_stats()
-        before = stats.relation("writes")
-        small_bib.apply(UpdateBatch().add_edges("writes", [(0, 4), (3, 0)]))
-        # same container, refreshed in place by the commit hook
-        assert small_bib.relation_stats() is stats
-        assert stats.epoch == small_bib.version
-        fresh = NetworkStats.from_hin(small_bib)
-        for rel in small_bib.schema.relations:
-            assert stats.relation(rel.name) == fresh.relation(rel.name)
-        assert stats.relation("writes") != before
-
-    def test_node_growth_pads_without_rescan(self, small_bib):
-        from repro.networks import UpdateBatch
-
-        stats = small_bib.relation_stats()
-        nnz = stats.relation("published_in").nnz
-        small_bib.apply(UpdateBatch().add_nodes("venue", ["vldb"]))
-        s = stats.relation("published_in")
-        assert s.cols == small_bib.node_count("venue")
-        assert s.nnz == nnz
 
 
 class TestParity:
@@ -260,10 +212,52 @@ class TestExplain:
         assert report.est_flops == report.left_flops
         assert report.seeds == ()
 
+    # Association and flop estimates of fresh engines on the dblp
+    # fixture, recorded when the planner still read a maintained
+    # per-relation statistics container: reading (rows, cols, nnz) off
+    # each matrix must plan exactly the same.
+    PINNED = {
+        VPA: ("(venue-paper * paper-author)", 601.0, 601.0),
+        APVPA: ("(author-paper * paper-venue)", 601.0, 601.0),
+        VPAPV: ("(venue-paper * paper-author)", 601.0, 601.0),
+        LONG: (
+            "((author-paper * paper-venue) * "
+            "(((venue-paper * paper-author) * author-paper) * paper-term))",
+            64107.27804250688,
+            205924.81229867818,
+        ),
+        "term-paper-venue-paper-author": (
+            "((term-paper * paper-venue) * (venue-paper * paper-author))",
+            28660.493748028548,
+            36533.897278288845,
+        ),
+    }
+
+    @pytest.mark.parametrize("path", list(PINNED))
+    def test_plans_are_pinned(self, dblp, path):
+        report = MetaPathEngine(dblp.hin).explain(path)
+        assert (report.association, report.est_flops, report.left_flops) == (
+            self.PINNED[path]
+        )
+
+    def test_seeded_plan_is_pinned(self, dblp):
+        engine = MetaPathEngine(dblp.hin)
+        engine.commuting_matrix(VPA)
+        report = engine.explain("term-paper-venue-paper-author")
+        assert (report.association, report.est_flops, report.left_flops) == (
+            "((term-paper * paper-venue) * [venue-paper-author])",
+            17320.33475399649,
+            36533.897278288845,
+        )
+
     def test_explain_does_not_materialize(self, small_bib):
         engine = MetaPathEngine(small_bib)
+        transposes = set(small_bib._transposes)
         engine.explain(LONG)
         assert engine.cache_info().currsize == 0
+        # Backward steps are costed from the stored matrix's shape, not
+        # from a transpose built at plan time.
+        assert set(small_bib._transposes) == transposes
 
     def test_session_explain_delegates(self, small_bib):
         report = small_bib.query().explain(APV)

@@ -4,19 +4,16 @@ Association order is algebraically irrelevant, so the planner must be
 *invisible* in every answer: for any meta path — including ones drawn as
 random walks over the schema's type graph — and any sequence of random
 update batches, planned evaluation must match strict left-to-right
-evaluation bit for bit, and the incremental relation statistics that
-feed the cost model must match a from-scratch recount.
+evaluation bit for bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import MetaPathEngine
 from repro.networks import HIN, NetworkSchema, UpdateBatch
-from repro.networks.stats import NetworkStats
 
 
 def _schema():
@@ -115,8 +112,8 @@ class TestPlannerParity:
     @settings(max_examples=40, deadline=None)
     def test_parity_survives_update_streams(self, paths, batches):
         """Warm the planner, mutate the network, then demand parity:
-        maintained planner entries and maintained stats must still agree
-        with a cold left-to-right engine on the final state."""
+        maintained planner entries must still agree with a cold
+        left-to-right engine on the final state."""
         hin = _base_hin()
         auto = hin.engine()  # attached: caches are delta-maintained
         for path in paths:
@@ -126,32 +123,3 @@ class TestPlannerParity:
         left = MetaPathEngine(hin, plan="left")
         for path in paths:
             _same(auto.commuting_matrix(path), left.commuting_matrix(path), path)
-
-
-class TestStatsStayInSync:
-    @given(update_batches())
-    @settings(max_examples=40, deadline=None)
-    def test_incremental_stats_match_recount(self, batches):
-        hin = _base_hin()
-        stats = hin.relation_stats()  # force incremental maintenance on
-        for batch in batches:
-            hin.apply(batch)
-        assert hin.relation_stats() is stats
-        assert stats.epoch == hin.version
-        fresh = NetworkStats.from_hin(hin)
-        for rel in hin.schema.relations:
-            assert stats.relation(rel.name) == fresh.relation(rel.name), rel.name
-
-    @given(update_batches())
-    @settings(max_examples=20, deadline=None)
-    def test_stats_agree_with_matrices(self, batches):
-        hin = _base_hin()
-        stats = hin.relation_stats()
-        for batch in batches:
-            hin.apply(batch)
-        for rel in hin.schema.relations:
-            m = hin.relation_matrix(rel.name)
-            s = stats.relation(rel.name)
-            assert (s.rows, s.cols) == m.shape
-            assert s.nnz == m.nnz
-            assert s.used_rows == int(np.count_nonzero(np.diff(m.indptr)))

@@ -196,6 +196,24 @@ def test_only_the_engine_constructor_chooses_how():
     assert takes == {"plan": {"__init__"}, "mode": {"__init__", "pathsim_top_k"}}
 
 
+def test_engine_and_session_constructors_are_pinned():
+    """Nothing outside the tests ever set the rebuild threshold or the
+    SimRank cache size; both are constants, and no knob grows back
+    unnoticed."""
+    from repro.engine import MetaPathEngine
+    from repro.query import QuerySession
+
+    def unannotated(fn):
+        sig = inspect.signature(fn)
+        params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+        return str(sig.replace(parameters=params))
+
+    assert unannotated(MetaPathEngine.__init__) == (
+        "(self, hin, *, max_cached_matrices=64, plan='auto', mode='auto')"
+    )
+    assert unannotated(QuerySession.__init__) == "(self, hin, *, engine=None)"
+
+
 def test_watch_spec_and_result_carry_what_not_how():
     import dataclasses
 

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from repro.networks import UpdateBatch
 from repro.networks.stats import reach_sources, row_support
-from repro.watch.analysis import step_relations, touched_chain_rows
+from repro.watch.analysis import touched_chain_rows
 
 
 class TestRowSupport:
@@ -63,14 +63,6 @@ class TestReachSources:
         steps = tuple(mp.steps())
         orphan = watch_hin.node_count("paper") - 1
         assert reach_sources(watch_hin, steps, 1, np.array([orphan])).size == 0
-
-
-class TestStepRelations:
-    def test_collects_relation_names(self, watch_hin):
-        mp = watch_hin.engine().path("A-P-V-P-A")
-        assert step_relations(tuple(mp.steps())) == {
-            "writes", "published_in"
-        }
 
 
 class TestTouchedChainRows:
