@@ -453,8 +453,9 @@ class MetaPathEngine:
 
         Bit-identical to ``pathsim_rows(path, queries)[:, candidates]``:
         CSR row slicing preserves each row's entries and their order, and
-        the matrix-times-dense-block kernel accumulates every output
-        column in the same stored-entry order as the full product.  The
+        the sparse partial kernel (:func:`~repro.engine.kernels.pathsim_partial`)
+        accumulates every output cell in the same stored-entry order as
+        the full product.  The
         standing-query maintainer (:mod:`repro.watch`) uses this to
         re-score only the candidates an update's delta can touch, for
         every watch on the same path in a single sparse product — cost

@@ -233,7 +233,7 @@ def fused_partial_block(engine, mp, rows, candidates) -> np.ndarray:
     """Fused ``(len(rows), len(candidates))`` partial score block.
 
     Bit-identical to ``engine.pathsim_partial_block`` — the same
-    :func:`repro.engine.kernels.pathsim_block` call over the same
+    :func:`repro.engine.kernels.pathsim_partial` call over the same
     operand values — but both operand blocks are *threaded* (rows of
     ``W`` via the chain) instead of sliced from a materialized half
     product.  This is what keeps
@@ -253,4 +253,4 @@ def fused_partial_block(engine, mp, rows, candidates) -> np.ndarray:
         diag_r, diag_c = cached[1][rows], cached[1][idx]
     else:
         diag_r, diag_c = _row_norms(w_rows), _row_norms(w_cand)
-    return kernels.pathsim_block(w_cand, diag_c, w_rows, diag_r)
+    return kernels.pathsim_partial(w_cand, diag_c, slice(None), w_rows, diag_r)

@@ -86,5 +86,15 @@ def pathsim_block(w, diag, q_rows, q_diag: np.ndarray) -> np.ndarray:
 def pathsim_partial(w, diag, candidates, q_rows, q_diag: np.ndarray) -> np.ndarray:
     """:func:`pathsim_block` restricted to the *candidates* rows of *w*
     — bitwise ``pathsim_block(w, diag, q_rows, q_diag)[:, candidates]``
-    at the cost of the candidates' nnz, not the whole matrix."""
-    return pathsim_block(w[candidates], diag[candidates], q_rows, q_diag)
+    at the cost of the candidates' nnz, not the whole matrix.
+
+    The queries stay sparse: one sparse × sparse product yields the
+    ``(candidates, queries)`` dots without densifying *q_rows* over the
+    inner dimension.  It stays bitwise equal because scipy's product
+    adds each output cell's terms in the candidate row's stored-entry
+    order, as the CSR × dense product does; it only skips the terms
+    whose query entry is zero, and adding ``0.0`` to a sum of
+    non-negative finite terms leaves it unchanged.
+    """
+    dots = (w[candidates] @ q_rows.T).toarray()  # (candidates, queries)
+    return pathsim_scores(dots, diag[candidates][:, None] + q_diag[None, :]).T

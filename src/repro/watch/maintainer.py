@@ -11,27 +11,35 @@ the new epoch by the cheapest exact route, in escalation order:
    :func:`~repro.watch.analysis.touched_chain_rows`).  The watch is
    stamped forward; zero scores computed.
 2. **Incremental** — only the touched candidate rows are re-scored
-   and merged into the stored ranking.  The re-scoring batches into
-   one sparse block product per path group
-   (:meth:`~repro.engine.MetaPathEngine.pathsim_partial_block`), so a
-   hundred watches on one path pay scipy once per commit.  The merge
-   is exact iff the new k-th rank key stays within the old k-th bound
-   — untouched rows outside the pool kept their scores, so none can
+   and merged into the stored ranking.  Per path group that is one
+   sparse partial product
+   (:meth:`~repro.engine.MetaPathEngine.pathsim_partial_block`, priced
+   by the touched rows' nnz, not the inner dimension), then one mask
+   over the whole group that settles every watch whose re-scored
+   candidates all rank below its cut and miss its stored top-k; only
+   the remaining watches reach the Python merge.  The merge is exact
+   iff the new k-th rank key stays within the old k-th bound —
+   untouched rows outside the pool kept their scores, so none can
    cross a non-increasing cut.
 3. **Fallback / recompute** — the bound moved the wrong way, the
-   query's own row changed, the candidate universe grew, or the watch
-   missed an epoch: recompute from the engine's normal entry points.
+   query's own row changed, or the candidate universe grew: the path
+   group's fallbacks are recomputed together by one
+   :meth:`~repro.engine.MetaPathEngine.pathsim_top_k_batch`.  A watch
+   that missed an epoch (or a touched connectivity row) is recomputed
+   on its own.
 
-Exactness is bit-level by construction: partial scoring slices the same
-CSR rows the full row product reduces, untouched rows are bit-unchanged
-(see :mod:`repro.watch.analysis`), and ranking uses the engine's
-``(-score, index)`` stable order — so every maintained result equals a
-cold engine's answer at that epoch, tie-breaks included.
+Exactness is bit-level by construction: partial scoring sums the same
+stored entries in the same order as the full row product, untouched
+rows are bit-unchanged (see :mod:`repro.watch.analysis`), and ranking
+uses the engine's ``(-score, index)`` stable order — so every
+maintained result equals a cold engine's answer at that epoch,
+tie-breaks included.
 
 Pushes run synchronously on the writer's thread (inside the commit
-hook, after the registry mutex is released); a raising subscriber
-surfaces through ``hin.apply()``'s hook-isolation contract without
-starving other hooks or watches.
+hook, after the registry mutex is released).  A ``next()`` future's
+raising done-callback is contained and logged by
+:mod:`concurrent.futures`; it neither fails ``hin.apply()`` nor starves
+other watches.
 """
 
 from __future__ import annotations
@@ -43,9 +51,11 @@ from repro.watch.analysis import touched_chain_rows
 
 __all__ = ["ResultMaintainer"]
 
-# Classification verdict: the watch survives every cheap check and
-# needs its touched candidates re-scored (batched per path group).
+# Classification verdicts, both batched per path group: the watch
+# survives every cheap check and needs its touched candidates re-scored,
+# or it needs a full recompute.
 _NEEDS_SCORES = object()
+_FALLBACK = object()
 
 
 class ResultMaintainer:
@@ -93,11 +103,11 @@ class ResultMaintainer:
         manager = self._manager
         pushes = []
         # Watches over the same path share their per-commit analysis:
-        # the touched-row set depends only on (steps, update), and the
-        # partial re-scoring batches into one sparse block product per
-        # path group — per-watch cost is the merge, not scipy.
+        # the touched-row set depends only on (steps, update), and both
+        # the partial re-scoring and the fallback recompute batch per
+        # path group — per-watch cost is a mask entry, not scipy.
         touched_cache: dict = {}
-        scoring_groups: dict = {}
+        groups: dict = {}
         outcomes = []
         with manager._mutex:
             manager._counters["commits"] += 1
@@ -107,32 +117,22 @@ class ResultMaintainer:
                 if watch.epoch != update.epoch - 1:
                     # Missed epochs (shouldn't happen under the update
                     # mutex, but a restored registry might): resync.
-                    outcomes.append(
-                        (watch, self._recompute(watch, update, "recomputed"))
-                    )
+                    verdict = self._recompute(watch, update, "recomputed")
                 elif watch.spec.measure == "pathsim":
-                    verdict = self._classify_pathsim(
-                        watch, update, touched_cache
-                    )
-                    if verdict is _NEEDS_SCORES:
-                        scoring_groups.setdefault(
-                            watch.group_key, []
-                        ).append(watch)
-                    else:
-                        outcomes.append((watch, verdict))
+                    verdict = self._classify_pathsim(watch, update, touched_cache)
                 else:
-                    outcomes.append(
-                        (
-                            watch,
-                            self._maintain_connectivity(
-                                watch, update, touched_cache
-                            ),
-                        )
+                    verdict = self._maintain_connectivity(watch, update, touched_cache)
+                if verdict is _NEEDS_SCORES or verdict is _FALLBACK:
+                    scoring, fallbacks = groups.setdefault(watch.group_key, ([], []))
+                    (scoring if verdict is _NEEDS_SCORES else fallbacks).append(watch)
+                else:
+                    outcomes.append((watch, verdict))
+            for scoring, fallbacks in groups.values():
+                if scoring:
+                    fallbacks += self._merge_group(
+                        scoring, update, touched_cache, outcomes
                     )
-            for watches in scoring_groups.values():
-                outcomes.extend(
-                    self._merge_group(watches, update, touched_cache)
-                )
+                outcomes.extend(self._recompute_group(fallbacks, update))
             for watch, result in outcomes:
                 if result is not None:
                     subscribers = list(watch.subscribers)
@@ -162,12 +162,13 @@ class ResultMaintainer:
         return cache[key]
 
     def _classify_pathsim(self, watch, update, touched_cache):
-        """Cheap checks of a PathSim watch: stamp, fall back, or
-        declare it ``_NEEDS_SCORES`` for the batched partial pass."""
+        """Cheap checks of a PathSim watch: stamp it, or declare it
+        ``_FALLBACK`` (batched recompute) or ``_NEEDS_SCORES`` (batched
+        partial pass)."""
         # New source-type nodes enlarge the candidate universe beyond
         # the stored pool — the merge bound says nothing about them.
         if watch.mp.source_type in update.node_growth:
-            return self._recompute(watch, update, "fallback")
+            return _FALLBACK
         # watch.relations names every relation of the symmetric path.
         if not (watch.relations & update.deltas.keys()):
             return self._stamp(watch, update)
@@ -177,65 +178,60 @@ class ResultMaintainer:
         if watch.index in members:
             # The query's own half-product row (hence its diagonal,
             # hence every denominator) may have changed.
-            return self._recompute(watch, update, "fallback")
+            return _FALLBACK
         if watch.spec.k == 0:
             return self._stamp(watch, update)
         return _NEEDS_SCORES
 
-    def _merge_group(self, watches, update, touched_cache):
-        """Batch-score one path group's touched candidates and
-        merge each watch: one sparse block product serves every watch
-        on the path."""
-        mp = watches[0].mp
-        touched, members = self._touched(watches[0], update, touched_cache)
+    def _merge_group(self, watches, update, touched_cache, outcomes):
+        """Re-score one path group's touched candidates and settle each
+        watch; returns the watches whose bound was invalidated.
+
+        One sparse partial product scores every watch on the path, and
+        one mask settles the common case: every re-scored candidate
+        ranks strictly below the watch's stored cut —
+        ``(-s, j) > (-kth, kth_j)`` — and none sits inside its stored
+        top-k, so the result is provably unchanged.  Only the rest
+        reach the Python merge; their outcomes go to *outcomes*.
+        """
+        touched, _ = self._touched(watches[0], update, touched_cache)
         block = self.hin.engine().pathsim_partial_block(
-            mp, [watch.index for watch in watches], touched
+            watches[0].mp, [watch.index for watch in watches], touched
         )
-        counters = self._manager._counters
-        # Group-wide screen: a watch whose re-scored candidates all sit
-        # strictly below its cut, none of them inside the stored top-k,
-        # is provably unchanged — the common case, settled with one
-        # row-max per group and a handful of set lookups per watch.
-        row_max = block.max(axis=1)
-        outcomes = []
-        for watch, row, highest in zip(watches, block, row_max):
-            if (
-                watch.spec.k > 0
-                and watch.indices.size >= watch.spec.k
-                and highest < float(watch.scores[-1])
-                and not any(int(j) in members for j in watch.indices)
-            ):
+        # A watch holding fewer than k entries enumerated its whole
+        # candidate universe: no cut to screen against (-inf fails it).
+        kth = np.array([
+            (watch.scores[-1], watch.indices[-1])
+            if watch.indices.size >= watch.spec.k else (-np.inf, -1)
+            for watch in watches
+        ])
+        kth_score, kth_index = kth[:, :1], kth[:, 1:]
+        below = (block < kth_score) | (
+            (block == kth_score) & (touched[None, :] > kth_index)
+        )
+        stored = [watch.indices for watch in watches]
+        owner = np.repeat(np.arange(len(watches)), [s.size for s in stored])
+        hit = np.zeros(len(watches), dtype=bool)
+        hit[owner[np.isin(np.concatenate(stored), touched)]] = True
+        settled = below.all(axis=1) & ~hit
+        for name in ("incremental", "unchanged"):
+            self._manager._counters[name] += int(settled.sum())
+        fallbacks = []
+        for watch, row, done in zip(watches, block, settled.tolist()):
+            if done:
                 watch.epoch = update.epoch
-                counters["incremental"] += 1
-                counters["unchanged"] += 1
-                outcomes.append((watch, None))
+                continue
+            merged = self._merge_pathsim(watch, update, touched, row)
+            if merged is _FALLBACK:
+                fallbacks.append(watch)
             else:
-                outcomes.append(
-                    (watch, self._merge_pathsim(watch, update, touched, row))
-                )
-        return outcomes
+                outcomes.append((watch, merged))
+        return fallbacks
 
     def _merge_pathsim(self, watch, update, touched, touched_scores):
         """Merge re-scored candidates into one watch's stored ranking;
-        fall back to a full recompute when the bound is invalidated."""
+        ``_FALLBACK`` when the bound is invalidated."""
         spec = watch.spec
-        if spec.k > 0 and watch.indices.size >= spec.k:
-            # Vectorized common case: every re-scored candidate ranks
-            # strictly below the stored cut — (-s, j) > (-kth, kth_j) —
-            # and none sits inside the stored top-k, so the result is
-            # provably unchanged and the python merge can be skipped.
-            kth_score = float(watch.scores[-1])
-            kth_index = int(watch.indices[-1])
-            below = (touched_scores < kth_score) | (
-                (touched_scores == kth_score) & (touched > kth_index)
-            )
-            if bool(below.all()) and not bool(
-                np.isin(touched, watch.indices).any()
-            ):
-                watch.epoch = update.epoch
-                self._manager._counters["incremental"] += 1
-                self._manager._counters["unchanged"] += 1
-                return None
         pool = dict(zip(watch.indices.tolist(), watch.scores.tolist()))
         for j, score in zip(touched.tolist(), touched_scores.tolist()):
             pool[int(j)] = float(score)
@@ -248,11 +244,29 @@ class ResultMaintainer:
             old_bound = (-float(watch.scores[-1]), int(watch.indices[-1]))
             new_kth = (-top[-1][1], top[-1][0])
             if new_kth > old_bound:
-                return self._recompute(watch, update, "fallback")
+                return _FALLBACK
         # else: the old result enumerated the entire candidate
         # universe (engine returned fewer than k), so the pool is it.
         self._manager._counters["incremental"] += 1
         return self._install_pairs(watch, update, top)
+
+    def _recompute_group(self, watches, update):
+        """Recompute one path group's fallbacks with one
+        :meth:`~repro.engine.MetaPathEngine.pathsim_top_k_batch` —
+        answer for answer (``mode`` included) what
+        :meth:`~repro.engine.MetaPathEngine.pathsim_top_k` returns."""
+        if not watches:
+            return []
+        spec = watches[0].spec
+        results = self.hin.engine().pathsim_top_k_batch(
+            watches[0].mp, [watch.index for watch in watches], spec.k,
+            exclude_query=spec.exclude_self,
+        )
+        self._manager._counters["fallback"] += len(watches)
+        return [
+            (watch, self._install(watch, update, result))
+            for watch, result in zip(watches, results)
+        ]
 
     def _maintain_connectivity(self, watch, update, touched_cache):
         """Connectivity watch: all-or-nothing — the row product has no

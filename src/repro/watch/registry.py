@@ -121,8 +121,9 @@ class Watch:
         self.relations = frozenset(
             rel.name for rel, _ in self.maintained_steps
         )
-        # Batched partial scoring groups watches sharing a path.
-        self.group_key = mp.canonical_key()
+        # Batched partial scoring and recompute group the watches that
+        # share a path and a query shape (one k, one self-exclusion).
+        self.group_key = (mp.canonical_key(), spec.k, spec.exclude_self)
 
     def adopt(self, epoch: int, result, indices, scores) -> None:
         """Install a maintained ``(epoch, result)`` plus its rank arrays."""

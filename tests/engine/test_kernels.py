@@ -10,6 +10,8 @@ block.  ``np.array_equal`` throughout — never a tolerance.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings
@@ -23,15 +25,22 @@ from tests.property.test_fused_properties import (
 )
 
 
+#: Non-integral link weights: sums of products round, so only the order
+#: of the terms decides the bits.
+FLOAT_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.floats(1e-3, 7.0, allow_nan=False, allow_infinity=False),
+)
+
+
 @st.composite
-def half_products(draw):
-    """A random integer-weight ``W`` (zero rows — hence zero diagonal
-    entries — included) with its PathSim diagonal."""
+def half_products(draw, weights=st.integers(0, 3)):
+    """A random ``W`` (integer weights unless *weights* says otherwise;
+    zero rows — hence zero diagonal entries — included) with its
+    PathSim diagonal."""
     n = draw(st.integers(1, 9))
     dim = draw(st.integers(1, 6))
-    cells = draw(
-        st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim)
-    )
+    cells = draw(st.lists(weights, min_size=n * dim, max_size=n * dim))
     dense = np.array(cells, dtype=np.float64).reshape(n, dim)
     for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         dense[row] = 0.0
@@ -50,8 +59,8 @@ def partitions(draw, n):
 
 
 @st.composite
-def kernel_cases(draw):
-    w, diag = draw(half_products())
+def kernel_cases(draw, weights=st.integers(0, 3)):
+    w, diag = draw(half_products(weights))
     n = w.shape[0]
     queries = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
     candidates = draw(st.lists(st.integers(0, n - 1), max_size=6))
@@ -94,6 +103,38 @@ class TestKernelIdentities:
         whole = kernels.pathsim_block(w, diag, q_rows, q_diag)
         partial = kernels.pathsim_partial(w, diag, candidates, q_rows, q_diag)
         assert partial.shape == (queries.size, candidates.size)
+        assert np.array_equal(partial, whole[:, candidates])
+
+    @given(kernel_cases(FLOAT_WEIGHTS))
+    @settings(max_examples=150, deadline=None)
+    def test_partial_equals_indexing_the_block_under_float_weights(self, case):
+        """The partial kernel's sparse product skips the zero query
+        entries the block's dense operand multiplies in; with fractional
+        weights every remaining term must still add in the same order."""
+        w, diag, queries, candidates, _ranges = case
+        q_rows, q_diag = w[queries], diag[queries]
+        whole = kernels.pathsim_block(w, diag, q_rows, q_diag)
+        partial = kernels.pathsim_partial(w, diag, candidates, q_rows, q_diag)
+        assert np.array_equal(partial, whole[:, candidates])
+
+    def test_partial_never_densifies_the_queries(self):
+        """A wide inner dimension costs the partial kernel the sparse
+        operands' size, not ``queries x dim`` dense floats."""
+        rng = np.random.default_rng(7)
+        n, dim = 64, 200_000
+        w = sp.random(n, dim, density=5e-4, format="csr", random_state=rng)
+        w.data = rng.uniform(0.1, 3.0, w.nnz)
+        diag = np.asarray(w.multiply(w).sum(axis=1)).ravel()
+        queries, candidates = np.arange(n), np.array([3, 9, 17, 40, 63])
+        q_rows, q_diag = w[queries], diag[queries]
+        tracemalloc.start()
+        try:
+            partial = kernels.pathsim_partial(w, diag, candidates, q_rows, q_diag)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < queries.size * dim * 8 / 20
+        whole = kernels.pathsim_block(w, diag, q_rows, q_diag)
         assert np.array_equal(partial, whole[:, candidates])
 
     def test_zero_diagonals_score_exactly_zero(self):

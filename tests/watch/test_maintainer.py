@@ -7,10 +7,13 @@ engine's own incremental cache being right.
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.engine import MetaPathEngine
-from repro.networks import UpdateBatch
+from repro.networks import HIN, NetworkSchema, UpdateBatch
+from repro.watch.maintainer import ResultMaintainer
 
 
 def cold(hin):
@@ -84,6 +87,58 @@ class TestIncremental:
         assert result == cold(watch_hin).pathsim_top_k("A-P-A", "ada", 3)
 
 
+def grouped_hin(n_authors: int) -> HIN:
+    """Authors in closed groups of five: each writes a paper of their
+    own and their group's shared paper, so an author's A-P-A peers are
+    exactly its four group mates (PathSim 0.5 each)."""
+    schema = NetworkSchema(
+        ["author", "paper"], [("writes", "author", "paper")]
+    )
+    groups = -(-n_authors // 5)
+    writes = [(i, i) for i in range(n_authors)]
+    writes += [(i, n_authors + i // 5) for i in range(n_authors)]
+    return HIN.from_edges(
+        schema,
+        nodes={
+            "author": [f"a{i}" for i in range(n_authors)],
+            "paper": [f"p{i}" for i in range(n_authors + groups)],
+        },
+        edges={"writes": writes},
+    )
+
+
+class TestGroupScreen:
+    @pytest.mark.parametrize("n_watches", [50, 200])
+    def test_merge_visits_follow_the_touched_rows_not_the_watch_count(
+        self, n_watches, monkeypatch
+    ):
+        """Author 0 writes author 1's own paper: only row 0 is touched,
+        and it sits in the stored top-k of its four group mates alone.
+        Every other watch is settled by the group-wide mask, so the
+        Python merge sees the same four watches at any registry size."""
+        hin = grouped_hin(n_watches)
+        subs = [hin.watches().watch("A-P-A", i, k=3) for i in range(n_watches)]
+        merged = []
+        original = ResultMaintainer._merge_pathsim
+
+        def spy(self, watch, *args):
+            merged.append(watch.index)
+            return original(self, watch, *args)
+
+        monkeypatch.setattr(ResultMaintainer, "_merge_pathsim", spy)
+        hin.apply(UpdateBatch().add_edges("writes", [(0, 1)]))
+        assert sorted(merged) == [1, 2, 3, 4]
+        stats = hin.watches().stats()
+        # Author 0's own row moved; for authors 2-4 its score fell below
+        # their cut, which the stored pool cannot vouch for.
+        assert stats["fallback"] == 4
+        assert stats["incremental"] == n_watches - 4
+        engine = cold(hin)
+        for i in (0, 1, 4, 5, n_watches - 1):
+            expected = engine.pathsim_top_k("A-P-A", i, 3)
+            assert subs[i].current() == (1, expected)
+
+
 class TestFallback:
     def test_bound_invalidation_falls_back(self, watch_hin):
         """A deletion inside the top-k lowers the cut: the merge bound
@@ -125,6 +180,42 @@ class TestFallback:
         stats = manager.stats()
         assert stats["recomputed"] == 1 and stats["untouched"] == 0
         assert sub.current()[0] == 1
+
+
+    def test_fallbacks_recompute_in_one_batch_per_path_group(
+        self, watch_hin, monkeypatch
+    ):
+        manager = watch_hin.watches()
+        watched = [("A-P-A", q) for q in ("ada", "bob", "cam", "dee")]
+        watched += [("A-P-V-P-A", q) for q in ("ada", "bob", "cam")]
+        subs = {spec: manager.watch(*spec, k=2) for spec in watched}
+        calls = []
+        original = MetaPathEngine.pathsim_top_k_batch
+
+        def spy(self, path, queries, k, **kwargs):
+            calls.append(self.symmetric_path(path).canonical_key())
+            return original(self, path, queries, k, **kwargs)
+
+        monkeypatch.setattr(MetaPathEngine, "pathsim_top_k_batch", spy)
+        # ada, bob and cam each write a new paper: their own rows (and
+        # every denominator of their answers) move on both paths.
+        watch_hin.apply(
+            UpdateBatch().add_edges("writes", [(0, 3), (1, 4), (2, 5)])
+        )
+        assert len(calls) == len(set(calls)) == 2  # once per path
+        assert manager.stats()["fallback"] >= 6
+        engine = cold(watch_hin)
+        for (path, query), sub in subs.items():
+            expected = engine.pathsim_top_k(path, query, 2)
+            epoch, result = sub.current()
+            assert epoch == 1 and result == expected
+            assert sub.drain() in ([], [(1, expected)])
+            if query != "dee":
+                # Recomputed: stamped like a solo answer at this epoch,
+                # down to the kernel that ran.
+                solo = watch_hin.engine().pathsim_top_k(path, query, 2)
+                assert result.network_version == solo.network_version == 1
+                assert result.mode == solo.mode
 
 
 class TestConnectivity:
@@ -176,3 +267,36 @@ class TestHookInteraction:
         [(epoch, result)] = sub.drain()
         assert epoch == 1
         assert result == cold(watch_hin).pathsim_top_k("A-P-A", "ada", 3)
+
+    def test_raising_done_callback_is_contained_by_futures(
+        self, watch_hin, caplog
+    ):
+        manager = watch_hin.watches()
+        first = manager.watch("A-P-A", "ada", k=3)
+        sibling = manager.watch("A-P-A", "ada", k=3)  # same watch
+        other = manager.watch("A-P-A", "bob", k=3)
+        future = first.next()
+
+        def broken(_):
+            raise RuntimeError("consumer broke")
+
+        future.add_done_callback(broken)
+        with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
+            watch_hin.apply(UpdateBatch().add_edges("writes", [(2, 0)]))
+        assert any(
+            record.exc_info and "consumer broke" in str(record.exc_info[1])
+            for record in caplog.records
+        )
+        expected = cold(watch_hin).pathsim_top_k("A-P-A", "ada", 3)
+        assert future.result() == (1, expected)
+        assert sibling.drain() == [(1, expected)]
+        assert other.current() == (
+            1, cold(watch_hin).pathsim_top_k("A-P-A", "bob", 3)
+        )
+        # The hook survived: the next commit is maintained exactly.
+        watch_hin.apply(UpdateBatch().add_edges("writes", [(3, 0)]))
+        engine = cold(watch_hin)
+        for sub, query in ((first, "ada"), (sibling, "ada"), (other, "bob")):
+            epoch, result = sub.current()
+            assert epoch == 2
+            assert result == engine.pathsim_top_k("A-P-A", query, 3)
