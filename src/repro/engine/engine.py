@@ -754,9 +754,8 @@ class MetaPathEngine:
         delta); untouched entries are kept, padded with zero rows/columns
         when an endpoint type grew.
 
-        For integer-weighted networks (link counts — the common case) the
-        maintained matrices are bit-for-bit identical to rebuilt ones;
-        with fractional weights they agree to floating-point roundoff.
+        How maintained matrices compare with rebuilt ones is the "Link
+        weights" contract in ``docs/ARCHITECTURE.md``.
 
         Returns a maintenance report: counts of ``updated`` / ``padded`` /
         ``evicted`` / ``kept`` entries, plus ``rows_touched`` (rows the

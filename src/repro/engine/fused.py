@@ -24,14 +24,10 @@ recomputing candidate norms.
 
 Exactness
 ---------
-Answers are **bit-identical** to the materialized path, not
-epsilon-close, for the same reason the planner's association freedom
-is: link weights are integers, and sums/products of integers in float64
-are exact below 2^53 regardless of summation or association order.
-Numerator entries, diagonal entries, and therefore every IEEE division
-``2·M[i,j] / (diag[i] + diag[j])`` see identical operands on both
-paths.  (Fractional weights would only agree to roundoff — the same
-caveat the planner documents.)
+The fused route threads rows in another summation order than the
+materialized one, so it falls under the "Link weights" contract in
+``docs/ARCHITECTURE.md``: bit-identical answers under integer weights,
+agreement to roundoff under fractional ones.
 
 Objects the numerator never reaches score ``+0.0`` on both paths: the
 materialized kernel computes ``2·0/denom`` (or masks a zero

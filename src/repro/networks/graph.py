@@ -18,6 +18,7 @@ Example
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +27,82 @@ from repro.exceptions import EdgeError, GraphError, NodeNotFoundError
 from repro.utils.sparse import degree_vector, to_csr
 
 __all__ = ["Graph"]
+
+_FORMS = {(2, 3): "(u, v[, w])", (2,): "(u, v)", (3,): "(u, v, w)"}
+
+
+def _check_weights(weights: np.ndarray, where: str = "the graph") -> None:
+    """The one weight rule: every link weight is finite and ``>= 0``.
+
+    Checked once over a whole array — a parsed weight column, or the
+    ``data`` of a matrix handed to ``HIN(validate=True)`` / ``Graph``.
+    What fractional weights mean downstream is the "Link weights"
+    contract in ``docs/ARCHITECTURE.md``.
+    """
+    if weights.size and not 0 <= weights.min() <= weights.max() < np.inf:
+        bad = weights[~((weights >= 0) & (weights < np.inf))][0]
+        raise EdgeError(f"{where}: edge weights must be finite and >= 0, got {bad}")
+
+
+def _check_bounds(rows: np.ndarray, cols: np.ndarray, shape, where: str) -> None:
+    """Every ``(rows[i], cols[i])`` lies inside *shape*, or the first one
+    that does not is :class:`EdgeError`."""
+    n_src, n_dst = shape
+    bad = (rows < 0) | (rows >= n_src) | (cols < 0) | (cols >= n_dst)
+    if bad.any():
+        i = int(bad.argmax())
+        raise EdgeError(
+            f"edge ({rows[i]}, {cols[i]}) out of range for {where} ({n_src}x{n_dst})"
+        )
+
+
+def _is_index(kind: type) -> bool:
+    """Whether ``operator.index`` accepts instances of *kind* — bool
+    excepted: ``(True, 0)`` is no edge."""
+    return hasattr(kind, "__index__") and not issubclass(kind, bool)
+
+
+def _parse_edges(edges: Iterable[tuple], arities=(2, 3), *, shape=None, where="the graph"):
+    """The one door every link enters by: edge tuples to
+    ``(rows, cols, weights)`` arrays (int64, int64, float64).
+
+    Each item must be a tuple of one of *arities* — ``(u, v)``,
+    ``(u, v, w)`` or either.  ``u`` and ``v`` must be integers
+    (``operator.index``: a float, string or bool is refused, never
+    rounded), ``w`` a real number, 1.0 when absent.  The weight column
+    then passes :func:`_check_weights`, and the indices
+    :func:`_check_bounds` when *shape* is given.  Anything else is
+    :class:`EdgeError` naming *where*.
+
+    Each check runs over a whole column (``map`` / ``set`` / ``zip``
+    loop in C); only a failing check scans for the item to name.
+    """
+    items = list(edges)
+    tuples = all(issubclass(kind, tuple) for kind in set(map(type, items)))
+    lengths = set(map(len, items)) if tuples else {0}
+    if not lengths <= set(arities):
+        bad = next(i for i in items if not isinstance(i, tuple) or len(i) not in arities)
+        raise EdgeError(f"{where}: edges must be {_FORMS[arities]}, got {bad!r}")
+    if len(lengths) > 1:  # (u, v) beside (u, v, w): the weight defaults
+        items = [i if len(i) == 3 else (*i, 1.0) for i in items]
+    us, vs, *ws = zip(*items) if items else ((), ())
+    ends = us + vs
+    if not all(_is_index(kind) for kind in set(map(type, ends))):
+        bad = next(x for x in ends if not _is_index(type(x)))
+        raise EdgeError(f"{where}: edge index {bad!r} is not an integer")
+    if ws and not all(issubclass(kind, Real) for kind in set(map(type, ws[0]))):
+        bad = next(w for w in ws[0] if not isinstance(w, Real))
+        raise EdgeError(f"{where}: edge weight {bad!r} is not a real number")
+    try:
+        ends = np.array(ends, dtype=np.int64)
+        weights = np.array(ws[0], dtype=np.float64) if ws else np.ones(len(us))
+    except OverflowError:
+        raise EdgeError(f"{where}: an edge index or weight is out of range") from None
+    rows, cols = ends[: len(us)], ends[len(us) :]
+    _check_weights(weights, where)
+    if shape is not None:
+        _check_bounds(rows, cols, shape, where)
+    return rows, cols, weights
 
 
 class Graph:
@@ -55,8 +132,7 @@ class Graph:
         adj = to_csr(adjacency)
         if adj.shape[0] != adj.shape[1]:
             raise GraphError(f"adjacency must be square, got shape {adj.shape}")
-        if adj.nnz and not 0 <= adj.data.min() <= adj.data.max() < np.inf:
-            raise EdgeError("edge weights must be finite and non-negative")
+        _check_weights(adj.data)
         if not directed:
             asym = (adj != adj.T).nnz
             if asym:
@@ -93,44 +169,31 @@ class Graph:
         *,
         directed: bool = False,
         node_names=None,
-        dtype=np.float64,
     ) -> "Graph":
         """Build a graph from an iterable of ``(u, v)`` or ``(u, v, w)`` tuples.
 
         Duplicate edges accumulate their weights, matching how repeated
         co-occurrences (e.g. co-authorships) are counted in the DBLP case
         study.
+
+        Raises
+        ------
+        repro.exceptions.EdgeError
+            On any edge the edge door refuses: indices must be integers
+            inside ``range(n_nodes)``, weights finite non-negative reals.
         """
         if n_nodes < 0:
             raise GraphError(f"n_nodes must be >= 0, got {n_nodes}")
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                w = 1.0
-            elif len(edge) == 3:
-                u, v, w = edge
-            else:
-                raise EdgeError(f"edges must be (u, v) or (u, v, w), got {edge!r}")
-            u, v = int(u), int(v)
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise EdgeError(
-                    f"edge ({u}, {v}) out of range for {n_nodes} nodes"
-                )
-            if w < 0:
-                raise EdgeError(f"edge ({u}, {v}) has negative weight {w}")
-            rows.append(u)
-            cols.append(v)
-            vals.append(float(w))
-            if not directed and u != v:
-                rows.append(v)
-                cols.append(u)
-                vals.append(float(w))
-        adj = sp.coo_matrix(
-            (vals, (rows, cols)), shape=(n_nodes, n_nodes), dtype=dtype
-        ).tocsr()
+        shape = (n_nodes, n_nodes)
+        rows, cols, weights = _parse_edges(edges, shape=shape)
+        if not directed:
+            # Each edge followed by its mirror (none for a self-loop), so
+            # duplicates sum in the same order in both triangle halves.
+            keep = np.column_stack([np.ones(rows.size, dtype=bool), rows != cols])
+            rows, cols = np.column_stack([rows, cols]), np.column_stack([cols, rows])
+            rows, cols = rows[keep], cols[keep]
+            weights = np.repeat(weights, 2)[keep.ravel()]
+        adj = sp.coo_matrix((weights, (rows, cols)), shape=shape).tocsr()
         adj.sum_duplicates()
         return cls(adj, directed=directed, node_names=node_names)
 
@@ -250,10 +313,9 @@ class Graph:
     def edges(self) -> Iterable[tuple[int, int, float]]:
         """Iterate ``(u, v, weight)``; undirected edges are yielded once (u <= v)."""
         coo = self._adj.tocoo()
-        for u, v, w in zip(coo.row, coo.col, coo.data):
-            if not self.directed and u > v:
-                continue
-            yield int(u), int(v), float(w)
+        for u, v, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+            if self.directed or u <= v:
+                yield u, v, w
 
     # ------------------------------------------------------------------
     # Derived graphs

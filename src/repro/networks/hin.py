@@ -37,7 +37,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import (
-    EdgeError,
     GraphError,
     NodeNotFoundError,
     RelationNotFoundError,
@@ -45,7 +44,7 @@ from repro.exceptions import (
     TypeNotFoundError,
     UpdateError,
 )
-from repro.networks.graph import Graph
+from repro.networks.graph import Graph, _check_weights, _parse_edges
 from repro.networks.schema import MetaPath, NetworkSchema, Relation
 from repro.networks.updates import (
     AppliedUpdate,
@@ -144,10 +143,7 @@ class HIN:
                     f"expected {expected} for {rel.source!r}x{rel.target!r}"
                 )
             if validate:
-                if m.nnz and not 0 <= m.data.min() <= m.data.max() < np.inf:
-                    raise EdgeError(
-                        f"relation {name!r} has negative, NaN or infinite weights"
-                    )
+                _check_weights(m.data, f"relation {name!r}")
                 # These normalizations write the CSR arrays in place —
                 # exactly what the validate=False attach path must never
                 # do to a shared or read-only buffer.
@@ -197,6 +193,13 @@ class HIN:
         ``nodes[t]`` is either an integer count or a sequence of names.
         ``edges[rel]`` yields ``(src, dst)`` or ``(src, dst, weight)``
         tuples of integer indices; duplicates accumulate.
+
+        Raises
+        ------
+        repro.exceptions.EdgeError
+            On any edge the edge door refuses: indices must be integers
+            inside the relation's shape, weights finite non-negative
+            reals.
         """
         counts: dict[str, int] = {}
         names: dict[str, Sequence] = {}
@@ -216,25 +219,11 @@ class HIN:
                 raise TypeNotFoundError(
                     f"edges for {rel_name!r} reference types missing from nodes"
                 )
-            rows, cols, vals = [], [], []
-            for edge in edge_iter:
-                if len(edge) == 2:
-                    u, v = edge
-                    w = 1.0
-                elif len(edge) == 3:
-                    u, v, w = edge
-                else:
-                    raise EdgeError(f"edges must be (u, v[, w]), got {edge!r}")
-                u, v = int(u), int(v)
-                if not (0 <= u < n_src and 0 <= v < n_dst):
-                    raise EdgeError(
-                        f"edge ({u}, {v}) out of range for relation {rel_name!r} "
-                        f"({n_src}x{n_dst})"
-                    )
-                rows.append(u)
-                cols.append(v)
-                vals.append(float(w))
-            m = sp.coo_matrix((vals, (rows, cols)), shape=(n_src, n_dst)).tocsr()
+            shape = (n_src, n_dst)
+            rows, cols, weights = _parse_edges(
+                edge_iter, shape=shape, where=f"relation {rel_name!r}"
+            )
+            m = sp.coo_matrix((weights, (rows, cols)), shape=shape).tocsr()
             m.sum_duplicates()
             matrices[rel_name] = m
         return cls(schema, counts, matrices, node_names=names or None)

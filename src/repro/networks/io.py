@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.exceptions import GraphError, SchemaError
+from repro.exceptions import GraphError, ReproError, SchemaError
 from repro.networks.graph import Graph
 from repro.networks.hin import HIN
 from repro.networks.schema import NetworkSchema, Relation
@@ -27,6 +27,22 @@ def _open_for(path_or_file, mode: str):
     return path_or_file, False
 
 
+def _edge_tuple(line: str, line_no: int, error: type[ReproError]) -> tuple:
+    """One ``u v [w]`` line as the edge tuple both readers hand to the
+    edge door; a wrong token count, a non-integer index or a non-numeric
+    weight is *error* naming the line."""
+    tokens = line.split()
+    try:
+        if not 2 <= len(tokens) <= 3:
+            raise ValueError
+        return (*map(int, tokens[:2]), *map(float, tokens[2:]))
+    except ValueError:
+        raise error(
+            f"line {line_no}: expected 'u v [w]' with integer u, v and a "
+            f"numeric w, got {line!r}"
+        ) from None
+
+
 def write_edge_list(graph: Graph, path_or_file) -> None:
     """Write *graph* as ``u v weight`` lines with a header comment."""
     f, owned = _open_for(path_or_file, "w")
@@ -36,7 +52,7 @@ def write_edge_list(graph: Graph, path_or_file) -> None:
             if w == 1.0:
                 f.write(f"{u} {v}\n")
             else:
-                f.write(f"{u} {v} {float(w)!r}\n")
+                f.write(f"{u} {v} {w!r}\n")
     finally:
         if owned:
             f.close()
@@ -52,7 +68,7 @@ def read_edge_list(
     """
     f, owned = _open_for(path_or_file, "r")
     try:
-        edges: list[tuple[int, int, float]] = []
+        edges: list[tuple] = []
         header_n, header_directed = None, None
         for line_no, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -65,15 +81,10 @@ def read_edge_list(
                     elif token.startswith("n_nodes="):
                         header_n = int(token.split("=", 1)[1])
                 continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphError(f"line {line_no}: expected 'u v [w]', got {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-            edges.append((u, v, w))
+            edges.append(_edge_tuple(line, line_no, GraphError))
         n = n_nodes if n_nodes is not None else header_n
         if n is None:
-            n = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
+            n = 1 + max((max(edge[:2]) for edge in edges), default=-1)
         d = directed if directed is not None else header_directed
         if d is None:
             d = False
@@ -99,11 +110,11 @@ def write_hin(hin: HIN, path_or_file) -> None:
         for rel in hin.schema.relations:
             f.write(f"*relation {rel.name}\n")
             m = hin.relation_matrix(rel.name).tocoo()
-            for u, v, w in zip(m.row, m.col, m.data):
+            for u, v, w in zip(m.row.tolist(), m.col.tolist(), m.data.tolist()):
                 if w == 1.0:
                     f.write(f"{u} {v}\n")
                 else:
-                    f.write(f"{u} {v} {float(w)!r}\n")
+                    f.write(f"{u} {v} {w!r}\n")
     finally:
         if owned:
             f.close()
@@ -121,7 +132,7 @@ def read_hin(path_or_file) -> HIN:
     relations: list[Relation] = []
     node_counts: dict[str, int] = {}
     node_names: dict[str, list[str]] = {}
-    edges: dict[str, list[tuple[int, int, float]]] = {}
+    edges: dict[str, list[tuple]] = {}
 
     section = None  # ("schema",) | ("nodes", type, remaining) | ("relation", name)
     for line_no, line in enumerate(lines, start=1):
@@ -157,12 +168,7 @@ def read_hin(path_or_file) -> HIN:
         elif section[0] == "nodes":
             node_names.setdefault(section[1], []).append(stripped)
         else:
-            parts = stripped.split()
-            if len(parts) not in (2, 3):
-                raise SchemaError(f"line {line_no}: expected 'u v [w]'")
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-            edges[section[1]].append((u, v, w))
+            edges[section[1]].append(_edge_tuple(stripped, line_no, SchemaError))
 
     types = list(node_counts)
     schema = NetworkSchema(types, relations)

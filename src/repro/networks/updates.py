@@ -44,14 +44,15 @@ Example
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import EdgeError, GraphError, UpdateError
+from repro.exceptions import GraphError, UpdateError
+from repro.networks.graph import _check_bounds, _parse_edges
 from repro.utils.sparse import nonempty_rows
 
 __all__ = [
@@ -253,23 +254,11 @@ class UpdateBatch:
         Raises
         ------
         repro.exceptions.EdgeError
-            On a malformed tuple or a negative, NaN or infinite weight
-            (index bounds are checked at apply time).
+            On any tuple the edge door refuses: indices must be integers,
+            weights finite non-negative reals (index bounds are checked
+            at apply time).  A refused call records nothing.
         """
-        ops = self._ops.setdefault(relation, [])
-        for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                w = 1.0
-            elif len(edge) == 3:
-                u, v, w = edge
-            else:
-                raise EdgeError(f"edges must be (u, v[, w]), got {edge!r}")
-            w = float(w)
-            if not 0 <= w < math.inf:
-                raise EdgeError(f"edge weight must be finite and >= 0, got {w}")
-            ops.append((_INSERT, int(u), int(v), w))
-        return self
+        return self._record(_INSERT, relation, edges, (2, 3))
 
     def remove_edges(self, relation: str, pairs: Iterable[tuple]) -> "UpdateBatch":
         """Delete cells from *relation* (chainable).
@@ -281,12 +270,14 @@ class UpdateBatch:
         pairs:
             ``(src, dst)`` index pairs whose weight is zeroed; deleting
             an absent cell is a no-op, like SQL ``DELETE``.
+
+        Raises
+        ------
+        repro.exceptions.EdgeError
+            On anything but a pair of integer indices (bounds are checked
+            at apply time).  A refused call records nothing.
         """
-        ops = self._ops.setdefault(relation, [])
-        for pair in pairs:
-            u, v = pair
-            ops.append((_DELETE, int(u), int(v), 0.0))
-        return self
+        return self._record(_DELETE, relation, pairs, (2,))
 
     def set_weights(self, relation: str, entries: Iterable[tuple]) -> "UpdateBatch":
         """Upsert cell weights in *relation* (chainable).
@@ -303,15 +294,19 @@ class UpdateBatch:
         Raises
         ------
         repro.exceptions.EdgeError
-            On a negative, NaN or infinite weight.
+            On any triple the edge door refuses: indices must be
+            integers, weights finite non-negative reals (bounds are
+            checked at apply time).  A refused call records nothing.
         """
-        ops = self._ops.setdefault(relation, [])
-        for entry in entries:
-            u, v, w = entry
-            w = float(w)
-            if not 0 <= w < math.inf:
-                raise EdgeError(f"weight must be finite and >= 0, got {w}")
-            ops.append((_UPSERT, int(u), int(v), w))
+        return self._record(_UPSERT, relation, entries, (3,))
+
+    def _record(self, kind: str, relation: str, edges, arities) -> "UpdateBatch":
+        """Parse *edges* through the edge door, then append them to
+        *relation*'s op list as ``(kind, u, v, w)``."""
+        rows, cols, weights = _parse_edges(edges, arities, where=f"relation {relation!r}")
+        self._ops.setdefault(relation, []).extend(
+            zip(repeat(kind), rows.tolist(), cols.tolist(), weights.tolist())
+        )
         return self
 
     # ------------------------------------------------------------------
@@ -347,23 +342,13 @@ class UpdateBatch:
         """Replay *relation*'s ops over *old* (already padded): the touched
         cells as ``(rows, cols, current_values, final_values)`` arrays."""
         ops = self._ops.get(relation, ())
-        coords: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        n_src, n_dst = old.shape
-        for _, u, v, _ in ops:
-            if not (0 <= u < n_src and 0 <= v < n_dst):
-                raise EdgeError(
-                    f"edge ({u}, {v}) out of range for relation {relation!r} "
-                    f"({n_src}x{n_dst})"
-                )
-            if (u, v) not in seen:
-                seen.add((u, v))
-                coords.append((u, v))
+        coords = list(dict.fromkeys((u, v) for _, u, v, _ in ops))
         if not coords:
             empty = np.array([], dtype=np.int64)
             return empty, empty, np.array([]), np.array([])
         rows = np.array([c[0] for c in coords], dtype=np.int64)
         cols = np.array([c[1] for c in coords], dtype=np.int64)
+        _check_bounds(rows, cols, old.shape, f"relation {relation!r}")
         current = np.asarray(old[rows, cols]).ravel().astype(np.float64)
         pending = {c: current[i] for i, c in enumerate(coords)}
         for kind, u, v, w in ops:

@@ -5,19 +5,25 @@ in :mod:`repro.engine.kernels`; what remains to show is that the
 kernels agree *with each other* bitwise: a block row equals the solo
 mat-vec, the kernel on a row slice equals the matching columns of the
 kernel on the whole, and the partial kernel equals fancy-indexing the
-block.  ``np.array_equal`` throughout — never a tolerance.
+block.  ``np.array_equal`` throughout — never a tolerance — except
+for the fractional-weight contract's reordered routes, which agree to
+the ``rtol`` the contract states.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import kernels
+from repro.engine import MetaPathEngine, kernels
+from repro.engine.topk import merge_top_k, top_k_indices
+from repro.networks import HIN, NetworkSchema, UpdateBatch
+from repro.serving.shards import _execute_shard_job, _pack_queries
 from tests.property.test_fused_properties import (
     _base_hin,
     symmetric_paths,
@@ -143,6 +149,62 @@ class TestKernelIdentities:
         block = kernels.pathsim_block(w, diag, w, diag)
         assert np.array_equal(block, np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert kernels.pathsim_block(w, diag, w[[]], diag[[]]).shape == (0, 2)
+
+
+def test_fractional_weights_keep_the_link_weight_contract():
+    """``docs/ARCHITECTURE.md`` → "Link weights": under fractional weights
+    the routes that read one materialized ``W`` through these kernels
+    (materialize, the partial block, the sharded scatter) stay bitwise
+    equal, and the routes that sum or associate in another order (fused
+    row threading, ``plan="left"``, maintained vs rebuilt) agree to
+    ``rtol=1e-12``."""
+    rng = np.random.default_rng(5)
+    counts = {"a": 60, "p": 150, "v": 6}
+
+    def links(src, dst, n):
+        return list(
+            zip(
+                rng.integers(0, counts[src], n).tolist(),
+                rng.integers(0, counts[dst], n).tolist(),
+                rng.uniform(0.01, 4.0, n).tolist(),
+            )
+        )
+
+    schema = NetworkSchema(["a", "p", "v"], [("w", "a", "p"), ("pv", "p", "v")])
+    hin = HIN.from_edges(
+        schema, nodes=counts, edges={"w": links("a", "p", 400), "pv": links("p", "v", 150)}
+    )
+    path, queries, k = "a-p-v-p-a-p-v-p-a", np.arange(0, 60, 7), 10
+    mat = MetaPathEngine(hin, mode="materialize")
+    rows = mat.pathsim_rows(path, queries)
+    assert np.array_equal(mat.pathsim_partial_block(path, queries, np.arange(60)), rows)
+
+    w, diag = mat._pathsim_parts(path)
+    _, q_rows, q_diag = mat.pathsim_query_rows(path, queries)
+    state = SimpleNamespace(slices={0: (w[:25], diag[:25], 0), 1: (w[25:], diag[25:], 25)})
+    shards = [
+        _execute_shard_job(state, "block", (token, k, _pack_queries(q_rows, q_diag)))
+        for token in (0, 1)
+    ]
+    for row, statuses in zip(rows, zip(*shards)):
+        top, scores = merge_top_k([value for _, value in statuses], k)
+        assert np.array_equal(top, top_k_indices(row, k))
+        assert np.array_equal(scores, row[top])
+
+    fused = MetaPathEngine(hin, mode="fused")
+    for row, q in zip(rows, queries.tolist()):
+        result = fused.pathsim_top_k(path, q, k)
+        np.testing.assert_allclose(result.scores, row[result.labels], rtol=1e-12)
+    left = MetaPathEngine(hin, plan="left", mode="materialize")
+    np.testing.assert_allclose(left.pathsim_rows(path, queries), rows, rtol=1e-12)
+
+    live = hin.engine().prewarm([path])
+    hin.apply(UpdateBatch().add_edges("w", links("a", "p", 5)).set_weights("w", [(0, 0, 0.37)]))
+    np.testing.assert_allclose(
+        live.pathsim_rows(path, queries),
+        MetaPathEngine(hin).pathsim_rows(path, queries),
+        rtol=1e-12,
+    )
 
 
 class TestEngineIsTheKernel:

@@ -54,6 +54,13 @@ class TestEdgeListIO:
         with pytest.raises(GraphError, match="line 1"):
             read_edge_list(io.StringIO("0 1 2 3\n"))
 
+    def test_bad_token_names_the_line(self):
+        """A fractional index or a non-numeric weight is the reader's
+        typed error naming the line, not a bare ``int()`` ValueError."""
+        for text in ("0 1\n0 1.5\n", "0 1\n0 1 x\n"):
+            with pytest.raises(GraphError, match="line 2"):
+                read_edge_list(io.StringIO(text))
+
     def test_comments_and_blanks_skipped(self):
         g = read_edge_list(io.StringIO("\n# comment\n0 1\n\n"))
         assert g.n_edges == 1
@@ -103,6 +110,12 @@ class TestHinIO:
     def test_malformed_section(self):
         with pytest.raises(SchemaError):
             read_hin(io.StringIO("*nodes author\n"))
+
+    def test_bad_token_names_the_line(self):
+        head = "*schema\nw a p\n*nodes a 2\n*nodes p 2\n*relation w\n"
+        for link in ("0.5 1\n", "0 1 x\n"):
+            with pytest.raises(SchemaError, match="line 6"):
+                read_hin(io.StringIO(head + link))
 
     def test_content_before_header(self):
         with pytest.raises(SchemaError, match="before any section"):

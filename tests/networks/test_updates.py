@@ -68,14 +68,24 @@ class TestUpdateBatchBuilder:
         with pytest.raises(EdgeError, match=">= 0"):
             UpdateBatch().set_weights("writes", [(0, 0, -2.0)])
 
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     @pytest.mark.parametrize(
-        "site", ["add_edges", "set_weights", "HIN(validate=True)", "Graph"]
+        "site, weight",
+        [
+            *[
+                (site, weight)
+                for site in ("add_edges", "set_weights", "HIN(validate=True)", "Graph")
+                for weight in (float("nan"), float("inf"))
+            ],
+            *[
+                (site, "x")
+                for site in ("add_edges", "set_weights", "HIN(validate=True)", "Graph.from_edges")
+            ],
+        ],
     )
     def test_non_finite_weight_rejected(self, bib, site, weight):
-        """A NaN or infinite weight would serve NaN scores; every place
-        that rejects a negative weight rejects these too, and a rejected
-        batch commits nothing."""
+        """A NaN or infinite weight would serve NaN scores, and a string
+        weight is no number at all; every door rejects them like a
+        negative weight, and a rejected batch commits nothing."""
         build = {
             "add_edges": lambda: bib.apply(
                 UpdateBatch().add_edges("writes", [(0, 2, weight)])
@@ -89,14 +99,49 @@ class TestUpdateBatchBuilder:
                 edges={"writes": [(0, 0, weight)]},
             ),
             "Graph": lambda: Graph(np.array([[0.0, weight], [0.0, 0.0]]), directed=True),
+            "Graph.from_edges": lambda: Graph.from_edges(2, [(0, 1, weight)]),
         }[site]
-        with pytest.raises(EdgeError, match="finite"):
+        with pytest.raises(EdgeError, match="finite|real"):
             build()
         assert bib.version == 0
 
-    def test_malformed_edge_rejected(self):
-        with pytest.raises(EdgeError, match="u, v"):
-            UpdateBatch().add_edges("writes", [(0,)])
+    @pytest.mark.parametrize(
+        "site, edges",
+        [
+            pytest.param("add_edges", [(0,)], id="add_edges-short"),
+            pytest.param("add_edges", [5], id="add_edges-bare-int"),
+            pytest.param("add_edges", [(1.9, 0)], id="add_edges-float-index"),
+            pytest.param("add_edges", [("1", 0)], id="add_edges-str-index"),
+            pytest.param("add_edges", [(True, 0)], id="add_edges-bool-index"),
+            pytest.param("remove_edges", [(1, 0, 2)], id="remove_edges-triple"),
+            pytest.param("remove_edges", [(1.5, 0)], id="remove_edges-float-index"),
+            pytest.param("set_weights", [(1, 0)], id="set_weights-pair"),
+            pytest.param("set_weights", [("1", 0, 2.0)], id="set_weights-str-index"),
+            pytest.param("HIN.from_edges", [(1.7, 0)], id="HIN.from_edges-float-index"),
+            pytest.param("HIN.from_edges", [5], id="HIN.from_edges-bare-int"),
+            pytest.param("Graph.from_edges", [(0.9, 2)], id="Graph.from_edges-float-index"),
+            pytest.param("Graph.from_edges", [(1, True)], id="Graph.from_edges-bool-index"),
+        ],
+    )
+    def test_malformed_edge_rejected(self, bib, site, edges):
+        """An item that is not a tuple of the door's arity, or whose
+        indices are not integers, is EdgeError at every door — never
+        rounded, coerced from a string, or left to a bare unpacking
+        error — and a rejected batch commits nothing."""
+        build = {
+            "add_edges": lambda: bib.apply(UpdateBatch().add_edges("writes", edges)),
+            "remove_edges": lambda: bib.apply(UpdateBatch().remove_edges("writes", edges)),
+            "set_weights": lambda: bib.apply(UpdateBatch().set_weights("writes", edges)),
+            "HIN.from_edges": lambda: HIN.from_edges(
+                bib.schema,
+                nodes={"author": 3, "paper": 3, "venue": 1},
+                edges={"writes": edges},
+            ),
+            "Graph.from_edges": lambda: Graph.from_edges(3, edges),
+        }[site]
+        with pytest.raises(EdgeError):
+            build()
+        assert bib.version == 0
 
     def test_duplicate_node_adds_rejected(self):
         batch = UpdateBatch().add_nodes("paper", 1)

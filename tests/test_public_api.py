@@ -214,6 +214,20 @@ def test_engine_and_session_constructors_are_pinned():
     assert unannotated(QuerySession.__init__) == "(self, hin, *, engine=None)"
 
 
+def test_graph_from_edges_has_no_dtype_knob():
+    """``Graph`` stores float64 whatever it is handed; a ``dtype=`` on the
+    edge-list constructor could only truncate weights on the way in."""
+    from repro.networks import Graph
+
+    params = inspect.signature(Graph.from_edges).parameters.values()
+    assert [(p.name, p.kind.name, p.default) for p in params] == [
+        ("n_nodes", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("edges", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("directed", "KEYWORD_ONLY", False),
+        ("node_names", "KEYWORD_ONLY", None),
+    ]
+
+
 def test_watch_spec_and_result_carry_what_not_how():
     import dataclasses
 
