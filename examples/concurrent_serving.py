@@ -21,7 +21,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro import load_snapshot
+from repro import load_snapshot, save_snapshot
 from repro.datasets import make_dblp_four_area
 from repro.networks import UpdateBatch
 from repro.serving import QueryService
@@ -106,7 +106,7 @@ def main() -> None:
 
     # -- warm restart from a snapshot ---------------------------------
     snapshot_dir = tempfile.mkdtemp(prefix="repro-snapshot-")
-    manifest = engine.save_snapshot(snapshot_dir)
+    manifest = save_snapshot(hin, snapshot_dir)
     print(f"snapshot: epoch {manifest['epoch']}, "
           f"{len(manifest['entries'])} cached materializations")
 

@@ -70,8 +70,8 @@ def main() -> None:
     print(f"SIGMOD peers (epoch {answer.network_version}):", answer.labels)
     info = q.cache_info()
     print(
-        f"engine cache: {info.currsize} entries, generation {info.generation}, "
-        f"{info.evictions} evictions — maintained, not rebuilt"
+        f"engine cache: {info.currsize} entries, {info.evictions} evictions "
+        f"— maintained, not rebuilt"
     )
 
     # -- proof: identical to a cold engine on the final network -------

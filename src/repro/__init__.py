@@ -63,7 +63,6 @@ from repro.serving import (
     QueryService,
     load_snapshot,
     save_snapshot,
-    warm_from_snapshot,
 )
 
 __version__ = "1.0.0"
@@ -84,7 +83,6 @@ __all__ = [
     "ClusterService",
     "save_snapshot",
     "load_snapshot",
-    "warm_from_snapshot",
     "as_metapath",
     "Estimator",
     "RankingResult",

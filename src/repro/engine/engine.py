@@ -231,12 +231,11 @@ class MetaPathEngine:
         an engine constructed with kwargs (detached cache) or a network
         mutated more than once between its queries lands here instead:
         on epoch mismatch the whole cache is dropped (correct, just not
-        incremental) and the generation counter advances.
+        incremental).
         """
         version = getattr(self.hin, "version", 0)
         if version != self._epoch:
             self._cache.clear()
-            self._cache.bump_generation()
             self._epoch = version
 
     # ------------------------------------------------------------------
@@ -819,7 +818,6 @@ class MetaPathEngine:
             report["rows_total"] += self._entry_shape(steps)[0]
             report["updated"] += 1
         self._epoch = update.epoch
-        self._cache.bump_generation()
         return report
 
     def _step_from_type(self, step: tuple) -> str:
@@ -1068,7 +1066,7 @@ class MetaPathEngine:
     def attach_state(self, epoch: int, entries) -> int:
         """Adopt pre-materialized *entries* into this engine's cache at *epoch*.
 
-        The inverse of :meth:`export_state`, used when warming from a
+        The inverse of :meth:`export_state`, used when loading a
         snapshot or attaching a published shared-memory generation:
         values may wrap buffers the process does not own (read-only
         shared-memory or mmap views), which is safe because the engine
@@ -1085,7 +1083,8 @@ class MetaPathEngine:
             ``ValueError`` rather than installing a cache that would
             corrupt every later answer.  That the entries describe this
             network's *content* at that epoch is the caller's to check
-            (:func:`repro.serving.warm_from_snapshot` does).
+            (:func:`repro.serving.load_snapshot` restores both from one
+            snapshot, and its eager path hash-verifies them).
         entries:
             ``(key, value)`` pairs as produced by :meth:`export_state`.
 
@@ -1106,17 +1105,6 @@ class MetaPathEngine:
         for key, value in entries:
             self._cache.put(key, value)
         return len(entries)
-
-    def save_snapshot(self, path) -> dict:
-        """Persist the network and this engine's warm cache to *path*.
-
-        Delegates to :func:`repro.serving.save_snapshot`; see that
-        function for the on-disk format (flat array files + JSON manifest
-        with the update epoch and schema hash).  Returns the manifest dict.
-        """
-        from repro.serving.snapshot import save_snapshot
-
-        return save_snapshot(self, path)
 
     # ------------------------------------------------------------------
     # Observability
@@ -1168,10 +1156,9 @@ class MetaPathEngine:
 
     @_writer
     def clear_cache(self) -> None:
-        """Drop every materialized matrix and start a new cache generation
-        (the blunt alternative to :meth:`apply_update`)."""
+        """Drop every materialized matrix (the blunt alternative to
+        :meth:`apply_update`)."""
         self._cache.clear()
-        self._cache.bump_generation()
         self._epoch = getattr(self.hin, "version", 0)
 
     def __repr__(self) -> str:

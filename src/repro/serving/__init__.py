@@ -27,11 +27,11 @@ unchanged against the others; only construction differs.  Five pieces:
   touch (both process tiers share one generation container, worker
   loop and service scaffold: :mod:`repro.serving.shm`,
   :mod:`repro.serving.workers`);
-* snapshots — :func:`save_snapshot` / :func:`load_snapshot` /
-  :func:`warm_from_snapshot` persist the network plus its materialized
-  commuting matrices so a new process starts warm (optionally
-  memory-mapped, zero-copy), with epoch and schema/content hashes
-  guarding against stale caches.
+* snapshots — :func:`save_snapshot` / :func:`load_snapshot` persist the
+  network plus its materialized commuting matrices so a new process
+  starts warm (optionally memory-mapped, zero-copy).  They are the one
+  way to disk and the one way back: a snapshot returns as the network
+  it was taken from, with content hashes guarding the files.
 
 See ``docs/GUIDE.md`` for the task-oriented walkthrough (§8 covers
 replicated → sharded migration), ``docs/ARCHITECTURE.md`` → "Serving &
@@ -44,13 +44,7 @@ from repro.serving.api import ServingAPI
 from repro.serving.cluster import ClusterService
 from repro.serving.service import QueryService
 from repro.serving.shards import ShardedClusterService, ShardPlan
-from repro.serving.snapshot import (
-    load_snapshot,
-    network_fingerprint,
-    save_snapshot,
-    schema_fingerprint,
-    warm_from_snapshot,
-)
+from repro.serving.snapshot import load_snapshot, network_fingerprint, save_snapshot
 
 __all__ = [
     "ServingAPI",
@@ -60,7 +54,5 @@ __all__ = [
     "ShardPlan",
     "save_snapshot",
     "load_snapshot",
-    "warm_from_snapshot",
-    "schema_fingerprint",
     "network_fingerprint",
 ]

@@ -49,7 +49,10 @@ per shard — backward reachability over each served path's half steps
 intersected with the shard's row range — and republishes **only the
 touched shards**: a localized batch moves one shard's generation while
 the others keep serving their still-bit-valid slices.  Node growth
-recomputes the :class:`ShardPlan` and republishes everything.
+recomputes the :class:`ShardPlan` and republishes everything.  A shard
+whose publish raises keeps its last published generation and is
+*stale*: later commits retry it, and until one succeeds top-k groups
+run parent-side rather than scatter.
 
 **Who owns what.**  This module owns the row partition
 (:class:`ShardPlan`), which rows of which half products a shard packs,
@@ -327,10 +330,12 @@ class ShardedClusterService(_ProcessTier):
         self._plan = self._replan(shards)
         self._shard_gens = [0] * shards
         self._shard_epochs = [0] * shards
-        self._republications = [0] * shards
+        # Shards whose last publish failed: every later commit retries
+        # them, and no top-k group scatters while one is left.
+        self._stale: set[int] = set()
         self._published_epoch = self.epoch
         for s in range(shards):
-            self._publish_shard(s)
+            self._publish_shard(s, 0)
 
     def _replan(self, shards: int) -> ShardPlan:
         """A fresh :class:`ShardPlan` over the served paths' source types."""
@@ -370,8 +375,7 @@ class ShardedClusterService(_ProcessTier):
                 self._served.setdefault(spath.token, spath)
             if {s.source_type for s in new} - set(self._plan.ranges):
                 self._plan = self._replan(self._plan.shards)
-            for s in range(len(self._channels)):
-                self._republish_shard(s)
+            self._republish(range(len(self._channels)))
         return self
 
     # ------------------------------------------------------------------
@@ -380,29 +384,48 @@ class ShardedClusterService(_ProcessTier):
     @property
     def republications(self) -> list[int]:
         """Per-shard republication counters (initial publish excluded) —
-        the observable touched-shards-only maintenance is asserted on."""
-        return list(self._republications)
+        the observable touched-shards-only maintenance is asserted on.
+        They are the shards' generation numbers: a generation advances
+        only when its publish succeeds."""
+        return list(self._shard_gens)
 
-    def _publish_shard(self, shard: int) -> None:
-        """Export *shard*'s current slice as generation
-        ``_shard_gens[shard]``; jobs pin it from their next fence on."""
-        generation = publish_shard_generation(
+    def _publish_shard(self, shard: int, generation: int) -> None:
+        """Export *shard*'s current slice as *generation*.  Jobs pin it
+        from their next fence on — only once the publish has returned,
+        so a fence never names a generation that was not published."""
+        published = publish_shard_generation(
             self.hin,
             self.hin.engine(),
             list(self._served.values()),
             self._plan,
             shard,
             directory=self._directory,
-            generation=self._shard_gens[shard],
+            generation=generation,
         )
-        self._retain(shard, generation)
-        self._shard_epochs[shard] = generation.epoch
+        self._retain(shard, published)
+        self._shard_gens[shard] = generation
+        self._shard_epochs[shard] = published.epoch
 
-    def _republish_shard(self, shard: int) -> None:
-        """Export *shard*'s current slice as its next generation."""
-        self._shard_gens[shard] += 1
-        self._publish_shard(shard)
-        self._republications[shard] += 1
+    def _republish(self, shards) -> None:
+        """Export each of *shards*, and every stale shard, as its next
+        generation.
+
+        A shard is stale from before its publish until the publish
+        returns, so one that raises keeps its last published generation
+        (which workers can still attach) but takes no scatter until a
+        later call republishes it.  Every shard is attempted; the first
+        failure is re-raised afterwards, and ``hin.apply()`` reports it.
+        """
+        failed = None
+        for shard in sorted({*shards, *self._stale}):
+            self._stale.add(shard)
+            try:
+                self._publish_shard(shard, self._shard_gens[shard] + 1)
+                self._stale.discard(shard)
+            except Exception as exc:
+                failed = failed or exc
+        if failed is not None:
+            raise failed
 
     def _classify(self, update) -> set[int] | None:
         """Which shards *update* can touch; ``None`` means replan + all.
@@ -440,12 +463,15 @@ class ShardedClusterService(_ProcessTier):
             if touched is None:
                 self._plan = self._replan(self._plan.shards)
                 touched = set(range(len(self._channels)))
-            for shard in sorted(touched):
-                self._republish_shard(shard)
-            # Scatters await this stamp: untouched shards' generations
-            # are bit-valid at the new epoch (see _classify), so the
-            # epoch is fully served the moment the touched ones land.
-            self._published_epoch = update.epoch
+            try:
+                self._republish(touched)
+            finally:
+                # Scatters await this stamp: untouched shards' generations
+                # are bit-valid at the new epoch (see _classify), so the
+                # epoch is fully served the moment the touched ones land;
+                # a shard whose publish failed is stale by now, and the
+                # scatter that passes the stamp sees it and steps aside.
+                self._published_epoch = update.epoch
 
     def _await_publish(self) -> None:
         """Block until shard generations cover the current epoch.
@@ -509,8 +535,9 @@ class ShardedClusterService(_ProcessTier):
         the last collected partial, neither ``hin.version`` nor any
         shard generation can move — every worker provably answers from
         the same epoch the query rows were extracted at.  Returns
-        ``None`` for a negative ``k`` or when the query rows cannot be
-        extracted (unknown object): the caller's parent-side job then
+        ``None`` for a negative ``k``, while a shard is stale (its last
+        publish failed), or when the query rows cannot be extracted
+        (unknown object): the caller's parent-side job then
         gives each request its own answer or the engine's own error.
         Any other failure is not a decline and surfaces as itself.
         """
@@ -521,6 +548,10 @@ class ShardedClusterService(_ProcessTier):
         with self._scatter_mutex:
             with engine.lock.read():
                 self._await_publish()
+                # After the stamp, so a failed publish cannot slip in
+                # between: a stale shard holds an older epoch's slice.
+                if self._stale:
+                    return None
                 epoch = self.epoch
                 try:
                     idx, q_rows, q_diag = engine.pathsim_query_rows(
@@ -613,7 +644,7 @@ class ShardedClusterService(_ProcessTier):
             )
         with self._publish_mutex:
             out.update(
-                republications=list(self._republications),
+                republications=list(self._shard_gens),
                 shard_epochs=list(self._shard_epochs),
                 plan={t: list(r) for t, r in self._plan.ranges.items()},
             )

@@ -4,31 +4,26 @@ A fresh serving process pays twice before its first fast answer: once to
 load the network and once to re-materialize every commuting matrix the
 workload needs.  A snapshot removes both costs.
 :func:`save_snapshot` serializes the network (schema, node names,
-relation matrices) *and* the engine's cached materializations — prefix
-products and PathSim ``(W, diag)`` pairs — as flat arrays next to a
-JSON manifest; :func:`load_snapshot` rebuilds the HIN and installs the
-cache entries, so the first query after startup is a cache hit.
+relation matrices) *and* its shared engine's cached materializations —
+prefix products and PathSim ``(W, diag)`` pairs — as flat arrays next
+to a JSON manifest; :func:`load_snapshot` rebuilds the HIN and installs
+the cache entries, so the first query is a cache hit.
 
-Staleness is a correctness issue, not a performance one: a cache entry
-from epoch *j* silently served against a network at epoch *k* ≠ *j*
-returns wrong answers.  The manifest therefore records
-
-* the **update epoch** (``hin.version``) the snapshot describes,
-* a **schema hash** (node types + relations), and
-* a **content hash** over every relation matrix's bytes,
-
-and :func:`warm_from_snapshot` — the entry point that installs cached
-products into an *existing* network's engine — refuses with
-:class:`~repro.exceptions.SnapshotError` unless all three match the live
-network.  :func:`load_snapshot` rebuilds the network from the same files
-the hashes describe, re-verifying the content hash on the way in, so a
-truncated or hand-edited snapshot fails loudly instead of serving
-garbage.
+Those two are the only way state goes to disk and the only way it comes
+back.  A snapshot is one network and its cache at one update epoch
+(``hin.version``, recorded in the manifest), and it always comes back
+*as that network*: the cache is never attached to a network built some
+other way, so it cannot be stale against the matrices beside it.  What
+is left to check is the files.  The manifest records a **content hash**
+over every relation matrix's bytes and a **cache hash** over the cached
+arrays; the eager :func:`load_snapshot` re-verifies both, so a truncated
+or hand-edited snapshot fails loudly instead of serving garbage.
+``mmap=True`` skips that byte-reading check (trusted snapshots only).
 
 The manifest also carries the network's standing-query registry
-(:mod:`repro.watch`) as declarative specs: :func:`load_snapshot` and
-:func:`warm_from_snapshot` re-register every persisted watch at the
-restored epoch, so subscriptions resume maintenance across a restart.
+(:mod:`repro.watch`) as declarative specs: :func:`load_snapshot`
+re-registers every persisted watch at the restored epoch, so
+subscriptions resume maintenance across a restart.
 
 On-disk layout (``path`` is a directory)::
 
@@ -60,14 +55,12 @@ import hashlib
 import json
 import os
 import threading
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.exceptions import SnapshotError
 from repro.networks.hin import HIN
-from repro.networks.schema import NetworkSchema
 from repro.serving.shm import (
     _FORMAT_VERSION,
     _build_entry_index,
@@ -83,13 +76,7 @@ from repro.serving.shm import (
     _write_file,
 )
 
-__all__ = [
-    "save_snapshot",
-    "load_snapshot",
-    "warm_from_snapshot",
-    "schema_fingerprint",
-    "network_fingerprint",
-]
+__all__ = ["save_snapshot", "load_snapshot", "network_fingerprint"]
 
 _FORMAT = "repro-hin-snapshot"
 
@@ -109,26 +96,12 @@ def _save_lock_for(path: Path) -> threading.Lock:
         return lock
 
 
-def schema_fingerprint(schema: NetworkSchema) -> str:
-    """SHA-256 over the schema's types and relations (order included)."""
-    payload = json.dumps(
-        {
-            "node_types": list(schema.node_types),
-            "relations": [
-                [r.name, r.source, r.target] for r in schema.relations
-            ],
-        },
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def network_fingerprint(hin: HIN) -> str:
     """SHA-256 over node counts and every relation matrix's exact content.
 
     Two networks fingerprint equal iff they have the same counts and
-    bit-identical CSR arrays — the property :func:`warm_from_snapshot`
-    needs to decide that cached products are still valid.
+    bit-identical CSR arrays — what the eager :func:`load_snapshot`
+    checks the restored network against.
     """
     return _content_fingerprint(
         [(t, hin.node_count(t)) for t in hin.schema.node_types],
@@ -170,35 +143,21 @@ def _arrays_fingerprint(arrays) -> str:
     return digest.hexdigest()
 
 
-def _resolve_engine(target):
-    """Accept a HIN or an engine; return ``(hin, engine)``."""
-    if isinstance(target, HIN):
-        return target, target.engine()
-    hin = getattr(target, "hin", None)
-    if hin is None or not hasattr(target, "export_state"):
-        raise TypeError(
-            f"save_snapshot() takes a HIN or a MetaPathEngine, "
-            f"got {type(target).__name__}"
-        )
-    return hin, target
-
-
-def save_snapshot(target, path) -> dict:
-    """Write a warm-cache snapshot of *target* (HIN or engine) to *path*.
+def save_snapshot(hin: HIN, path) -> dict:
+    """Write a warm-cache snapshot of *hin* to *path*.
 
     Parameters
     ----------
-    target:
-        A :class:`~repro.networks.hin.HIN` (its shared engine's cache is
-        captured) or a :class:`~repro.engine.MetaPathEngine`.
+    hin:
+        The :class:`~repro.networks.hin.HIN` to persist; its shared
+        engine's (``hin.engine()``) cache is captured with it.
     path:
         Directory to create/overwrite.  Files written: ``manifest.json``
         plus uniquely-named payload files referenced by it.
 
     The network and cache are captured under the engine's read lock
     (:func:`_capture_state`), so the snapshot describes exactly one
-    update epoch even while writers are active — a detached engine's
-    cache included.
+    update epoch even while writers are active.
 
     Overwriting an existing snapshot is crash-safe: payload files carry
     content-addressed names and the manifest is swapped in atomically
@@ -206,12 +165,22 @@ def save_snapshot(target, path) -> dict:
     that dies mid-way leaves the previous snapshot loadable; files the
     new manifest no longer references are removed last.  Returns the
     manifest dict.
+
+    Raises
+    ------
+    TypeError
+        When *hin* is not a HIN — an engine included: call
+        ``save_snapshot(engine.hin, path)``.
     """
-    hin, engine = _resolve_engine(target)
+    if not isinstance(hin, HIN):
+        raise TypeError(
+            f"save_snapshot() takes a HIN, got {type(hin).__name__}; "
+            f"for an engine call save_snapshot(engine.hin, path)"
+        )
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
 
-    section, matrices, entries = _capture_state(hin, engine)
+    section, matrices, entries = _capture_state(hin, hin.engine())
     payloads: dict[str, dict[str, np.ndarray]] = {"network": {}, "cache": {}}
     for name, matrix in matrices:
         _write_csr(f"rel/{name}", matrix, payloads["network"])
@@ -225,7 +194,7 @@ def save_snapshot(target, path) -> dict:
     # other order here could deadlock against a queued writer.  Specs
     # are declarative — a registration racing the save lands in this
     # snapshot or the next, both valid.
-    manager = getattr(hin, "_watch_manager", None) if isinstance(hin, HIN) else None
+    manager = hin._watch_manager
     watch_specs = manager.spec_dicts() if manager is not None else []
 
     # Hashing happens AFTER the locks release: the captured matrix and
@@ -241,7 +210,6 @@ def save_snapshot(target, path) -> dict:
     manifest = {
         "format": _FORMAT,
         "format_version": _FORMAT_VERSION,
-        "schema_hash": schema_fingerprint(hin.schema),
         "content_hash": content_hash,
         "cache_hash": cache_hash,
         "files": files,
@@ -292,19 +260,6 @@ def _write_files(
                 stray.unlink(missing_ok=True)
 
 
-@contextmanager
-def _manifest(path):
-    """The manifest of the snapshot directory *path*, for the body that
-    restores from it (:func:`repro.serving.shm._restoring`)."""
-    manifest_path = Path(path) / "manifest.json"
-    try:
-        manifest = _read_envelope(manifest_path, _FORMAT, "snapshot manifest")
-    except FileNotFoundError:
-        raise SnapshotError(f"no snapshot manifest at {manifest_path}") from None
-    with _restoring(manifest_path, "snapshot manifest"):
-        yield manifest
-
-
 def _read_payload(manifest: dict, path, kind: str, *, mmap: bool) -> dict:
     """The arrays of *manifest*'s *kind* payload file under *path*."""
     return _read_file(
@@ -312,7 +267,7 @@ def _read_payload(manifest: dict, path, kind: str, *, mmap: bool) -> dict:
     )
 
 
-def _load_entries(manifest: dict, path, *, mmap: bool = False) -> list[tuple]:
+def _load_entries(manifest: dict, path, *, mmap: bool) -> list[tuple]:
     """Rebuild (and hash-verify) the engine cache entries of *manifest*."""
     if not manifest["entries"]:
         return []
@@ -358,10 +313,18 @@ def load_snapshot(path, *, mmap: bool = False) -> HIN:
     Raises
     ------
     repro.exceptions.SnapshotError
-        On a missing/corrupt manifest, missing payloads, or (eager
-        path) payload bytes that fail hash verification.
+        On a missing/corrupt manifest (an existing but empty directory
+        included), missing payloads, or (eager path) payload bytes that
+        fail hash verification.
     """
-    with _manifest(path) as manifest:
+    manifest_path = Path(path) / "manifest.json"
+    try:
+        manifest = _read_envelope(manifest_path, _FORMAT, "snapshot manifest")
+    except FileNotFoundError:
+        raise SnapshotError(f"no snapshot manifest at {manifest_path}") from None
+    # A manifest that parses but is not the document save_snapshot wrote
+    # fails inside this block as SnapshotError (repro.serving.shm).
+    with _restoring(manifest_path, "snapshot manifest"):
         arrays = _read_payload(manifest, path, "network", mmap=mmap)
         # Snapshots hold canonical CSR; the mmap views are read-only and
         # must not be re-normalized in place.
@@ -382,79 +345,3 @@ def load_snapshot(path, *, mmap: bool = False) -> HIN:
         if watch_specs:
             hin.watches().restore(watch_specs)
     return hin
-
-
-def warm_from_snapshot(hin: HIN, path) -> int:
-    """Install a snapshot's cached products into *hin*'s shared engine.
-
-    Parameters
-    ----------
-    hin:
-        The live network whose engine cache to warm.
-    path:
-        A snapshot directory written by :func:`save_snapshot`.
-
-    The snapshot must describe **this** network at its **current**
-    state: the schema hash, the update epoch, and the relation content
-    hash must all match — a snapshot taken before the latest
-    ``hin.apply()`` is *stale* and will not be installed.  The checks
-    and the install run atomically under the engine's write lock, so an
-    update landing concurrently cannot slip between validation and
-    installation.
-
-    Returns
-    -------
-    The number of cache entries installed (0 for a cold snapshot —
-    valid, not an error).
-
-    Raises
-    ------
-    repro.exceptions.SnapshotError
-        On a missing/unreadable manifest (an empty cache directory
-        included), truncated payloads, or any schema/epoch/content
-        mismatch with the live network.
-    """
-    with _manifest(path) as manifest:
-        if manifest["schema_hash"] != schema_fingerprint(hin.schema):
-            raise SnapshotError(
-                f"snapshot at {path} was taken on a different schema "
-                f"(schema hash mismatch)"
-            )
-        def check_epoch() -> int:
-            """Raise SnapshotError unless the manifest's epoch matches."""
-            epoch = getattr(hin, "version", 0)
-            if manifest["epoch"] != epoch:
-                raise SnapshotError(
-                    f"stale snapshot: network is at epoch {epoch}, snapshot was "
-                    f"taken at epoch {manifest['epoch']}; re-run save_snapshot() "
-                    f"after updates"
-                )
-            return epoch
-
-        # Optimistic pre-check before the expensive cache load: the common
-        # stale case (a restart after updates landed) fails on a one-integer
-        # comparison instead of reading and hashing the whole cache payload.
-        # The full (content-hashed) validation runs once, under the lock.
-        check_epoch()
-        entries = _load_entries(manifest, path)
-        engine = hin.engine()
-        with engine.lock.write():
-            # Re-validate under the lock: an update may have landed between
-            # the pre-check and here, and nothing may slip between this
-            # check and the install.
-            epoch = check_epoch()
-            if manifest["content_hash"] != network_fingerprint(hin):
-                raise SnapshotError(
-                    f"stale snapshot: relation content differs from the network "
-                    f"(content hash mismatch at shared epoch {epoch})"
-                )
-            installed = engine.attach_state(epoch, entries)
-        # Watches resume AFTER the write lock releases — registration
-        # computes initial results under the engine read lock, which must
-        # not nest inside the write hold.  restore() skips specs already
-        # registered, so warming a network that kept its live registry
-        # never duplicates maintenance.
-        watch_specs = manifest.get("watches") or []
-        if watch_specs:
-            hin.watches().restore(watch_specs)
-        return installed

@@ -32,10 +32,6 @@ class CacheInfo:
     evictions: int
     currsize: int
     maxsize: int
-    #: Versioned-cache generation: starts at 0 and advances every time the
-    #: owner declares the cached world changed (see
-    #: :meth:`LRUCache.bump_generation`).
-    generation: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -65,7 +61,6 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.generation = 0
 
     def __len__(self) -> int:
         with self._mutex:
@@ -161,17 +156,6 @@ class LRUCache:
                 evicted, _ = self._data.popitem(last=False)
                 self.evictions += 1
 
-    def bump_generation(self) -> int:
-        """Advance (and return) the cache generation.
-
-        Owners call this when the data the cache derives from changes —
-        one bump per network update epoch — so observers can tell which
-        version of the world the cache describes.
-        """
-        with self._mutex:
-            self.generation += 1
-            return self.generation
-
     def get_or_compute(self, key: Hashable, compute: Callable[[], object]):
         """Cached value for *key*, calling *compute* (and storing) on a miss.
 
@@ -201,7 +185,6 @@ class LRUCache:
                 evictions=self.evictions,
                 currsize=len(self._data),
                 maxsize=self.maxsize,
-                generation=self.generation,
             )
 
     def __repr__(self) -> str:

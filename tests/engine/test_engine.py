@@ -108,15 +108,6 @@ class TestLRUCache:
         with pytest.raises(KeyError):
             c.replace("missing", 0)
 
-    def test_generation_counter_stamps_entries(self):
-        c = LRUCache(maxsize=4)
-        c.put("a", 1)
-        assert c.info().generation == 0
-        assert c.bump_generation() == 1
-        c.put("b", 2)
-        c.replace("a", 10)
-        assert c.info().generation == 1
-
 
 class TestTopKIndices:
     def test_matches_stable_argsort(self):

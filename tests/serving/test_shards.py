@@ -297,3 +297,52 @@ class TestLifecycle:
     def test_needs_at_least_one_path(self, small_bib):
         with pytest.raises(ValueError, match="meta-path"):
             ShardedClusterService(small_bib, [])
+
+
+class TestRepublishFailure:
+    def test_a_failed_shard_publish_wedges_no_read(self, small_bib, sharded, monkeypatch):
+        """A commit hook whose shard publish raises: the commit lands and
+        ``hin.apply()`` re-raises; every later read resolves and equals a
+        cold engine at its stamped epoch — parent-side while the shard is
+        stale — and the next commit republishes it, so scatters resume."""
+        import repro.serving.shards as shards_module
+        from repro.engine import MetaPathEngine
+
+        (lo0, hi0), (_, hi1) = sharded.stats()["plan"]["author"]
+        assert lo0 == 0 < hi0 <= 3 < hi1  # author 0 in shard 0, author 3 in shard 1
+        publish = shards_module.publish_shard_generation
+
+        def failing(hin, engine, served, plan, shard, **kwargs):
+            if shard == 1:
+                raise OSError("injected: shard 1 cannot publish")
+            return publish(hin, engine, served, plan, shard, **kwargs)
+
+        def reads_equal_a_cold_engine():
+            cold = MetaPathEngine(small_bib, mode="materialize")
+            futures = [
+                (author, path, sharded.similar(author, path, 3))
+                for author in range(small_bib.node_count("author"))
+                for path in (APA, APVPA)
+            ]
+            for author, path, future in futures:
+                got = future.result(timeout=10)
+                assert got.network_version == small_bib.version
+                assert list(got) == list(cold.pathsim_top_k(path, author, 3))
+
+        before = sharded.republications
+        with monkeypatch.context() as patch:
+            patch.setattr(shards_module, "publish_shard_generation", failing)
+            with pytest.raises(OSError, match="injected"):
+                small_bib.apply(UpdateBatch().add_edges("writes", [(3, 0)]))
+            scatters = sharded.stats()["scatters"]
+            reads_equal_a_cold_engine()
+            # A commit that touches only shard 0 retries the stale shard.
+            with pytest.raises(OSError, match="injected"):
+                small_bib.apply(UpdateBatch().add_edges("writes", [(0, 3)]))
+            assert sharded.republications == [before[0] + 1, before[1]]
+            reads_equal_a_cold_engine()
+            assert sharded.stats()["scatters"] == scatters  # all parent-side
+        small_bib.apply(UpdateBatch().add_edges("writes", [(0, 2)]))
+        assert sharded.republications == [before[0] + 2, before[1] + 1]
+        reads_equal_a_cold_engine()
+        assert sharded.stats()["scatters"] > scatters

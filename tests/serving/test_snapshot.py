@@ -1,4 +1,4 @@
-"""Warm-cache snapshots: round trips, warm starts, stale rejection."""
+"""Warm-cache snapshots: round trips, mmap loads, verification."""
 
 from __future__ import annotations
 
@@ -12,13 +12,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import SnapshotError
 from repro.networks import HIN
-from repro.serving import (
-    load_snapshot,
-    network_fingerprint,
-    save_snapshot,
-    schema_fingerprint,
-    warm_from_snapshot,
-)
+from repro.serving import load_snapshot, network_fingerprint, save_snapshot
 from tests.serving.test_codec import _widened
 
 APA = "author-paper-author"
@@ -49,7 +43,7 @@ class TestRoundTrip:
     def test_served_answers_identical_after_reload(self, small_bib, tmp_path):
         engine = _warm(small_bib)
         expected = [engine.pathsim_top_k(APVPA, a, 3) for a in range(4)]
-        engine.save_snapshot(tmp_path / "snap")
+        save_snapshot(small_bib, tmp_path / "snap")
         loaded = load_snapshot(tmp_path / "snap")
         got = [loaded.engine().pathsim_top_k(APVPA, a, 3) for a in range(4)]
         for e, g in zip(expected, got):
@@ -115,7 +109,7 @@ class TestRoundTrip:
         expected = engine.commuting_matrix(long_path)
         entries = engine.export_state()[1]
         assert len(entries) >= 2  # root product + at least one subchain
-        engine.save_snapshot(tmp_path / "snap")
+        save_snapshot(small_bib, tmp_path / "snap")
         loaded = load_snapshot(tmp_path / "snap")
         warm = loaded.engine()
         assert warm.cache_info().currsize == len(entries)
@@ -129,64 +123,19 @@ class TestRoundTrip:
         # snapshot warmed with A-P-V serves V-P-A by transpose.
         engine = small_bib.engine()
         apv = engine.commuting_matrix("author-paper-venue")
-        engine.save_snapshot(tmp_path / "snap")
+        save_snapshot(small_bib, tmp_path / "snap")
         warm = load_snapshot(tmp_path / "snap").engine()
         vpa = warm.commuting_matrix("venue-paper-author")
         assert (vpa != apv.T.tocsr()).nnz == 0
         assert warm.planner_info()["inverse_seeds"] == 1
 
-    def test_save_accepts_engine_or_hin_only(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_snapshot(object(), tmp_path / "snap")
-
-
-class TestWarmFromSnapshot:
-    def test_installs_entries_into_live_engine(self, small_bib, tmp_path):
-        _warm(small_bib)
-        save_snapshot(small_bib, tmp_path / "snap")
-        # a second identical network starts cold, then warms from disk
-        fresh = load_snapshot(tmp_path / "snap")
-        fresh.engine().clear_cache()
-        installed = warm_from_snapshot(fresh, tmp_path / "snap")
-        assert installed >= 3
-        info = fresh.engine().cache_info()
-        fresh.engine().pathsim_top_k(APVPA, 0, 3)
-        assert fresh.engine().cache_info().misses == info.misses
-
-    def test_rejects_snapshot_after_update(self, small_bib, tmp_path):
-        _warm(small_bib)
-        save_snapshot(small_bib, tmp_path / "snap")
-        with small_bib.mutate() as m:
-            m.add_edges("writes", [(0, 3)])
-        with pytest.raises(SnapshotError, match="stale"):
-            warm_from_snapshot(small_bib, tmp_path / "snap")
-
-    def test_rejects_different_schema(self, small_bib, tmp_path):
-        _warm(small_bib)
-        save_snapshot(small_bib, tmp_path / "snap")
-        other = small_bib.subschema(["author", "paper"])
-        with pytest.raises(SnapshotError, match="schema"):
-            warm_from_snapshot(other, tmp_path / "snap")
-
-    def test_rejects_same_epoch_different_content(self, bib_schema, tmp_path):
-        # Two networks both at epoch 0, different edges: the epoch check
-        # alone cannot tell them apart — the content hash must.
-        def build(extra):
-            return HIN.from_edges(
-                bib_schema,
-                nodes={"author": 2, "paper": 2, "venue": 1, "term": 1},
-                edges={
-                    "writes": [(0, 0)] + extra,
-                    "published_in": [(0, 0)],
-                    "mentions": [],
-                },
-            )
-
-        a, b = build([]), build([(1, 1)])
-        _warm(a)
-        save_snapshot(a, tmp_path / "snap")
-        with pytest.raises(SnapshotError, match="content"):
-            warm_from_snapshot(b, tmp_path / "snap")
+    def test_save_takes_a_hin_only(self, small_bib, tmp_path):
+        # One way to disk: an engine is not a second target — its
+        # network is.
+        for target in (object(), small_bib.engine()):
+            with pytest.raises(TypeError, match=r"save_snapshot\(engine\.hin, path\)"):
+                save_snapshot(target, tmp_path / "snap")
+        assert not (tmp_path / "snap").exists()
 
 
 class TestMmapLoad:
@@ -320,15 +269,9 @@ class TestSharedMatrices:
             tmp_path / "shared", shared
         ) + _csr_bytes(half)
 
-        cold = load_snapshot(tmp_path / "old")
-        cold.engine().clear_cache()
-        assert warm_from_snapshot(cold, tmp_path / "old") == len(entries)
-        for hin in (
-            cold,
-            load_snapshot(tmp_path / "old"),
-            load_snapshot(tmp_path / "old", mmap=True),
-        ):
-            warm = hin.engine()
+        for mmap in (False, True):
+            warm = load_snapshot(tmp_path / "old", mmap=mmap).engine()
+            assert warm.cache_info().currsize == len(entries)
             misses = warm.cache_info().misses
             assert [list(warm.pathsim_top_k(APVPA, a, 3)) for a in range(4)] == expected
             assert warm.cache_info().misses == misses
@@ -387,8 +330,6 @@ class TestVerification:
             for mmap in (False, True):
                 with pytest.raises(SnapshotError, match="format version .* not supported"):
                     load_snapshot(tmp_path / "snap", mmap=mmap)
-            with pytest.raises(SnapshotError, match="format version"):
-                warm_from_snapshot(small_bib, tmp_path / "snap")
 
     @pytest.mark.parametrize("mmap", [False, True])
     @pytest.mark.parametrize("edit", _MALFORMED, ids=list(_MALFORMED))
@@ -400,9 +341,6 @@ class TestVerification:
         _edit_manifest(tmp_path / "snap", _MALFORMED[edit])
         with pytest.raises(SnapshotError, match="manifest"):
             load_snapshot(tmp_path / "snap", mmap=mmap)
-        if not edit.startswith("network:"):  # the part warming never reads
-            with pytest.raises(SnapshotError, match="manifest"):
-                warm_from_snapshot(small_bib, tmp_path / "snap")
 
     def test_corrupted_network_payload_detected(self, small_bib, tmp_path):
         manifest = save_snapshot(small_bib, tmp_path / "snap")
@@ -421,8 +359,6 @@ class TestVerification:
         _overwrite(tmp_path / "snap", manifest, "cache", name, arrays[name] * 2.0)
         with pytest.raises(SnapshotError, match="cache"):
             load_snapshot(tmp_path / "snap")
-        with pytest.raises(SnapshotError, match="cache"):
-            warm_from_snapshot(small_bib, tmp_path / "snap")
 
     def test_truncated_network_payload_detected(self, small_bib, tmp_path):
         # A payload cut off mid-write (partial copy, full disk) must
@@ -445,8 +381,6 @@ class TestVerification:
         for mmap in (False, True):
             with pytest.raises(SnapshotError, match="truncated|corrupted"):
                 load_snapshot(tmp_path / "snap", mmap=mmap)
-        with pytest.raises(SnapshotError, match="truncated|corrupted"):
-            warm_from_snapshot(small_bib, tmp_path / "snap")
 
     def test_payload_deleted_between_save_and_load(self, small_bib, tmp_path):
         _warm(small_bib)
@@ -456,20 +390,14 @@ class TestVerification:
             with pytest.raises(SnapshotError, match="missing"):
                 load_snapshot(tmp_path / "snap", mmap=mmap)
 
-    def test_warm_from_snapshot_on_empty_directory(self, small_bib, tmp_path):
+    def test_an_empty_directory_is_a_snapshot_error(self, tmp_path):
         # A directory that exists but was never written to — the classic
         # cold-start misconfiguration — must be a clean SnapshotError,
         # not a stack trace from a missing key.
         (tmp_path / "empty").mkdir()
-        with pytest.raises(SnapshotError, match="manifest"):
-            warm_from_snapshot(small_bib, tmp_path / "empty")
-
-    def test_warm_from_snapshot_with_empty_cache_payload(self, small_bib, tmp_path):
-        # A snapshot of a cold engine installs zero entries — valid, not
-        # an error — and the live engine keeps serving.
-        save_snapshot(small_bib, tmp_path / "snap")
-        assert warm_from_snapshot(small_bib, tmp_path / "snap") == 0
-        assert len(small_bib.engine().pathsim_top_k(APA, 0, 2)) > 0
+        for mmap in (False, True):
+            with pytest.raises(SnapshotError, match="manifest"):
+                load_snapshot(tmp_path / "empty", mmap=mmap)
 
     def test_resave_in_place_is_cleaned_and_loadable(self, small_bib, tmp_path):
         # Overwriting a snapshot after updates leaves exactly one
@@ -536,9 +464,6 @@ class TestVerification:
         assert small.cache_info().currsize == len(entries)
 
     def test_fingerprints_are_deterministic(self, small_bib):
-        assert schema_fingerprint(small_bib.schema) == schema_fingerprint(
-            small_bib.schema
-        )
         assert network_fingerprint(small_bib) == network_fingerprint(small_bib)
 
     def test_fingerprint_does_not_mutate_the_network(self, bib_schema):
@@ -580,7 +505,6 @@ class TestIndexWidth:
             assert loaded.relation_matrix("writes").indices.dtype == np.int32
             assert network_fingerprint(loaded) == network_fingerprint(hin)
             assert list(loaded.engine().pathsim_top_k(APA, 0, 2)) == expected
-        assert warm_from_snapshot(hin, path) >= 1
 
     def test_a_csr_array_network_round_trips_eagerly(self, bib_schema, tmp_path):
         rows, cols = np.array([0, 0, 1, 2, 2]), np.array([0, 1, 0, 0, 1])

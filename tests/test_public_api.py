@@ -74,6 +74,97 @@ def test_the_generation_container_exports_publish_and_attach_only():
     ]
 
 
+def test_root_and_serving_exports_are_pinned():
+    """Pinned exactly: one way to disk (``save_snapshot``) and one way
+    back (``load_snapshot``) — a second restore route cannot grow back
+    unnoticed."""
+    import repro
+    import repro.serving
+
+    assert sorted(repro.serving.__all__) == [
+        "ClusterService",
+        "QueryService",
+        "ServingAPI",
+        "ShardPlan",
+        "ShardedClusterService",
+        "load_snapshot",
+        "network_fingerprint",
+        "save_snapshot",
+    ]
+    assert sorted(repro.__all__) == sorted(
+        [
+            "Graph",
+            "HIN",
+            "NetworkSchema",
+            "Relation",
+            "MetaPath",
+            "MetaPathEngine",
+            "UpdateBatch",
+            "AppliedUpdate",
+            "ReproError",
+            "QuerySession",
+            "connect",
+            "QueryService",
+            "ClusterService",
+            "save_snapshot",
+            "load_snapshot",
+            "as_metapath",
+            "Estimator",
+            "RankingResult",
+            "TopKResult",
+            "ClusteringResult",
+            "ClassificationResult",
+            "StreamIngestor",
+            "networks",
+            "engine",
+            "ingest",
+            "query",
+            "serving",
+            "relational",
+            "measures",
+            "ranking",
+            "similarity",
+            "clustering",
+            "core",
+            "integration",
+            "classification",
+            "olap",
+            "datasets",
+            "__version__",
+        ]
+    )
+
+
+def test_save_snapshot_takes_a_network_and_a_path():
+    """``save_snapshot(hin, path)`` is the one way to disk: no engine
+    method beside it, no target that may be either."""
+    from repro.engine import MetaPathEngine
+    from repro.serving import save_snapshot
+
+    params = inspect.signature(save_snapshot).parameters.values()
+    assert [(p.name, p.kind.name, p.default) for p in params] == [
+        ("hin", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("path", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+    ]
+    assert not hasattr(MetaPathEngine, "save_snapshot")
+
+
+def test_cache_info_carries_counters_only():
+    """``engine.epoch`` says which epoch a cache describes; ``CacheInfo``
+    carries no second version counter."""
+    import dataclasses
+
+    from repro.utils.cache import CacheInfo
+
+    assert [f.name for f in dataclasses.fields(CacheInfo)] == [
+        "hits",
+        "misses",
+        "evictions",
+        "currsize",
+        "maxsize",
+    ]
+
+
 def test_version():
     import repro
 

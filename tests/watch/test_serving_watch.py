@@ -6,14 +6,8 @@ import json
 import os
 
 from repro.engine import MetaPathEngine
-from repro.networks import HIN, UpdateBatch
-from repro.serving import (
-    ClusterService,
-    QueryService,
-    load_snapshot,
-    save_snapshot,
-    warm_from_snapshot,
-)
+from repro.networks import UpdateBatch
+from repro.serving import ClusterService, QueryService, load_snapshot, save_snapshot
 from repro.watch import Subscription
 
 APA = "author-paper-author"
@@ -179,7 +173,6 @@ class TestSnapshotPersistence:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
         loaded = load_snapshot(tmp_path / "snap")
-        warm_from_snapshot(loaded, tmp_path / "snap")
         [sub] = loaded.watches().subscriptions()
         epoch, result = sub.current()
         assert epoch == 1
@@ -189,33 +182,3 @@ class TestSnapshotPersistence:
         [(epoch, result)] = sub.drain()
         assert epoch == 2
         assert result == MetaPathEngine(loaded).pathsim_top_k(APA, "a0", 3)
-
-    def test_warm_from_snapshot_restores_watches(self, small_bib, tmp_path):
-        small_bib.engine().prewarm([APA])
-        small_bib.watches().watch(APA, "a0", k=3)
-        save_snapshot(small_bib, tmp_path / "snap")
-
-        twin = HIN(
-            small_bib.schema,
-            {t: small_bib.node_count(t) for t in small_bib.schema.node_types},
-            {
-                rel.name: small_bib.relation_matrix(rel.name).copy()
-                for rel in small_bib.schema.relations
-            },
-            node_names={
-                t: small_bib.names(t) for t in small_bib.schema.node_types
-            },
-        )
-        installed = warm_from_snapshot(twin, tmp_path / "snap")
-        assert installed >= 1
-        assert len(twin.watches()) == 1
-        # Warming again (the load_snapshot + warm_from_snapshot restart
-        # sequence) re-registers nothing, whatever the manifest's age.
-        assert warm_from_snapshot(twin, tmp_path / "snap") == installed
-        assert twin.watches().stats()["subscriptions"] == 1
-        [sub] = twin.watches().subscriptions()
-        assert sub.current()[0] == 0
-        twin.apply(UpdateBatch().add_edges("writes", [(2, 0)]))
-        [(epoch, result)] = sub.drain()
-        assert epoch == 1
-        assert result == MetaPathEngine(twin).pathsim_top_k(APA, "a0", 3)
