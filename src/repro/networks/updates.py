@@ -46,13 +46,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphError, UpdateError
-from repro.networks.graph import _check_bounds, _parse_edges
+from repro.networks.graph import _check_bounds, _is_index, _parse_edges
 from repro.utils.sparse import nonempty_rows
 
 __all__ = [
@@ -62,10 +61,6 @@ __all__ = [
     "AppliedUpdate",
     "pad_csr",
 ]
-
-#: Op kinds a batch records per relation, applied in issue order.
-_INSERT, _DELETE, _UPSERT = "insert", "delete", "upsert"
-
 
 def pad_csr(matrix: sp.csr_matrix, shape: tuple[int, int]) -> sp.csr_matrix:
     """*matrix* grown with zero rows/columns to *shape* (data shared, no copy).
@@ -201,7 +196,11 @@ class UpdateBatch:
 
     def __init__(self):
         self._node_adds: dict[str, list | int] = {}
-        self._ops: dict[str, list[tuple[str, int, int, float]]] = {}
+        # Per relation, one ``(sets, rows, cols, weights)`` chunk of
+        # columns per builder call, as the edge door returned them:
+        # ``sets`` marks a delete/upsert (the cell becomes the weight, 0
+        # for a delete), otherwise an insert (the weight adds).
+        self._ops: dict[str, list[tuple[np.ndarray, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Builder surface
@@ -222,12 +221,18 @@ class UpdateBatch:
         Raises
         ------
         repro.exceptions.UpdateError
-            On a negative count, duplicate names, or a second
-            ``add_nodes`` for the same type within this batch.
+            On a negative count, duplicate names, a second ``add_nodes``
+            for the same type within this batch, or *nodes* that is
+            neither an integer count nor an iterable of names — a
+            ``str``/``bytes`` is one name, not its characters, and a
+            ``bool`` or ``float`` is no count.
         """
         if node_type in self._node_adds:
             raise UpdateError(f"batch already adds nodes to {node_type!r}")
-        if isinstance(nodes, (int, np.integer)):
+        is_count = _is_index(type(nodes))
+        if isinstance(nodes, (str, bytes)) or not (is_count or isinstance(nodes, Iterable)):
+            raise UpdateError(f"add_nodes takes a count or names, not {type(nodes).__name__}")
+        if is_count:
             count = int(nodes)
             if count < 0:
                 raise UpdateError(f"node count must be >= 0, got {count}")
@@ -258,7 +263,7 @@ class UpdateBatch:
             weights finite non-negative reals (index bounds are checked
             at apply time).  A refused call records nothing.
         """
-        return self._record(_INSERT, relation, edges, (2, 3))
+        return self._record(False, relation, edges, (2, 3))
 
     def remove_edges(self, relation: str, pairs: Iterable[tuple]) -> "UpdateBatch":
         """Delete cells from *relation* (chainable).
@@ -277,7 +282,7 @@ class UpdateBatch:
             On anything but a pair of integer indices (bounds are checked
             at apply time).  A refused call records nothing.
         """
-        return self._record(_DELETE, relation, pairs, (2,))
+        return self._record(True, relation, pairs, (2,))
 
     def set_weights(self, relation: str, entries: Iterable[tuple]) -> "UpdateBatch":
         """Upsert cell weights in *relation* (chainable).
@@ -298,15 +303,16 @@ class UpdateBatch:
             integers, weights finite non-negative reals (bounds are
             checked at apply time).  A refused call records nothing.
         """
-        return self._record(_UPSERT, relation, entries, (3,))
+        return self._record(True, relation, entries, (3,))
 
-    def _record(self, kind: str, relation: str, edges, arities) -> "UpdateBatch":
-        """Parse *edges* through the edge door, then append them to
-        *relation*'s op list as ``(kind, u, v, w)``."""
+    def _record(self, sets: bool, relation: str, edges, arities) -> "UpdateBatch":
+        """Parse *edges* through the edge door, then append the columns to
+        *relation*'s ops as one chunk (a delete's pairs set weight 0)."""
         rows, cols, weights = _parse_edges(edges, arities, where=f"relation {relation!r}")
-        self._ops.setdefault(relation, []).extend(
-            zip(repeat(kind), rows.tolist(), cols.tolist(), weights.tolist())
-        )
+        if arities == (2,):  # a delete sets the cell to 0
+            weights = np.zeros(len(rows))
+        chunk = (np.full(len(rows), sets), rows, cols, weights)
+        self._ops.setdefault(relation, []).append(chunk)
         return self
 
     # ------------------------------------------------------------------
@@ -324,13 +330,10 @@ class UpdateBatch:
 
     def __len__(self) -> int:
         """Number of pending operations (node additions count as one each)."""
-        return len(self._node_adds) + sum(len(v) for v in self._ops.values())
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self._node_adds) + sum(len(c[1]) for cs in self._ops.values() for c in cs)
 
     def __repr__(self) -> str:
-        ops = {r: len(v) for r, v in self._ops.items()}
+        ops = {r: sum(len(c[1]) for c in chunks) for r, chunks in self._ops.items()}
         return f"UpdateBatch(node_adds={self._node_adds!r}, edge_ops={ops!r})"
 
     # ------------------------------------------------------------------
@@ -340,25 +343,32 @@ class UpdateBatch:
         self, relation: str, old: sp.csr_matrix
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Replay *relation*'s ops over *old* (already padded): the touched
-        cells as ``(rows, cols, current_values, final_values)`` arrays."""
-        ops = self._ops.get(relation, ())
-        coords = list(dict.fromkeys((u, v) for _, u, v, _ in ops))
-        if not coords:
-            empty = np.array([], dtype=np.int64)
-            return empty, empty, np.array([]), np.array([])
-        rows = np.array([c[0] for c in coords], dtype=np.int64)
-        cols = np.array([c[1] for c in coords], dtype=np.int64)
-        _check_bounds(rows, cols, old.shape, f"relation {relation!r}")
+        cells, in first-touch order, as ``(rows, cols, current_values,
+        final_values)`` arrays.
+
+        The last delete or upsert of a cell sets it; the inserts issued
+        after that (all of them, for a cell never set) add to it in issue
+        order — ``np.add.at`` is unbuffered and sequential, so a float
+        sum is bit-equal to adding one edge at a time.
+        """
+        chunks = self._ops[relation]
+        sets, u, v, w = (np.concatenate([c[i] for c in chunks]) for i in range(4))
+        if not len(u):
+            return u, v, w, w
+        _check_bounds(u, v, old.shape, f"relation {relation!r}")
+        # Cells numbered in first-touch order: unique keys re-ranked by
+        # the position of their first op.
+        _, first, inverse = np.unique(u * old.shape[1] + v, return_index=True, return_inverse=True)
+        touch = np.argsort(first)
+        cell = np.argsort(touch)[inverse]
+        rows, cols = u[first[touch]], v[first[touch]]
         current = np.asarray(old[rows, cols]).ravel().astype(np.float64)
-        pending = {c: current[i] for i, c in enumerate(coords)}
-        for kind, u, v, w in ops:
-            if kind == _INSERT:
-                pending[(u, v)] += w
-            elif kind == _DELETE:
-                pending[(u, v)] = 0.0
-            else:  # upsert
-                pending[(u, v)] = w
-        final = np.array([pending[c] for c in coords], dtype=np.float64)
+        final = current.copy()
+        last_set = np.full(len(rows), -1)
+        np.maximum.at(last_set, cell[sets], np.flatnonzero(sets))
+        final[last_set >= 0] = w[last_set[last_set >= 0]]
+        adds = ~sets & (np.arange(len(u)) > last_set[cell])
+        np.add.at(final, cell[adds], w[adds])
         return rows, cols, current, final
 
 

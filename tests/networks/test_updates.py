@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -151,6 +154,57 @@ class TestUpdateBatchBuilder:
     def test_duplicate_new_names_rejected(self):
         with pytest.raises(UpdateError, match="unique"):
             UpdateBatch().add_nodes("author", ["x", "x"])
+
+    @pytest.mark.parametrize(
+        "nodes, kind",
+        [
+            ("alice", "str"),
+            (b"alice", "bytes"),
+            (True, "bool"),
+            (np.bool_(False), "bool"),
+            (2.5, "float"),
+            (2.0, "float"),
+            (None, "NoneType"),
+        ],
+    )
+    def test_node_door_refuses_what_is_neither_count_nor_names(self, bib, nodes, kind):
+        """A string is one name, not five one-letter authors; a bool or a
+        float is no count.  Each is UpdateError naming the type, and the
+        refused call records nothing."""
+        batch = UpdateBatch()
+        with pytest.raises(UpdateError, match=rf"not {kind}$"):
+            batch.add_nodes("author", nodes)
+        assert batch.node_additions == {} and not batch
+        bib.apply(batch.add_nodes("author", ["alice"]).add_nodes("paper", np.int64(2)))
+        assert bib.node_count("author") == 3 and bib.node_count("paper") == 5
+
+
+class TestBatchStorage:
+    def test_retained_blocks_grow_per_call_not_per_edge(self):
+        """A builder call keeps the edge door's column arrays, not one
+        Python tuple per edge."""
+        edges = [(i % 997, i, 1.5) for i in range(50_000)]
+        batch = UpdateBatch().add_edges("writes", edges[:10])
+        grown = []
+        for call in (batch.add_edges, batch.set_weights, batch.add_edges):
+            gc.collect()
+            before = sys.getallocatedblocks()
+            call("writes", edges)
+            gc.collect()
+            grown.append(sys.getallocatedblocks() - before)
+        assert max(grown) < 100, grown
+        assert len(batch) == 150_010
+
+    def test_len_and_repr_count_edges_across_calls(self):
+        batch = (
+            UpdateBatch()
+            .add_edges("writes", [(0, 0), (0, 0, 2.0)])
+            .remove_edges("writes", [(0, 0)])
+            .add_edges("published_in", [])
+        )
+        assert len(batch) == 3
+        assert batch.touched_relations == ["writes", "published_in"]
+        assert "edge_ops={'writes': 3, 'published_in': 0}" in repr(batch)
 
 
 class TestApply:
