@@ -64,7 +64,7 @@ def main() -> None:
         except BaseException as exc:  # surface failures instead of dying silently
             client_errors.append(exc)
 
-    with ClusterService(hin, processes=N_PROCESSES, max_batch=128) as cluster:
+    with ClusterService(hin, processes=N_PROCESSES) as cluster:
         clients = [
             threading.Thread(target=client, args=(seed,))
             for seed in range(N_CLIENTS)

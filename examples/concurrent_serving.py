@@ -62,7 +62,7 @@ def main() -> None:
         except BaseException as exc:  # surface failures instead of dying silently
             client_errors.append(exc)
 
-    with QueryService(hin, workers=2, max_batch=128) as service:
+    with QueryService(hin, workers=2) as service:
         clients = [
             threading.Thread(target=client, args=(seed,))
             for seed in range(N_CLIENTS)

@@ -25,7 +25,8 @@ The engine fixes this with four ideas:
    matrix: one sparse row of ``W`` is pushed through ``W^T`` (or threaded
    through the step matrices for asymmetric paths), normalized, and the
    top-k selected with a partition (:func:`repro.engine.topk.top_k_indices`)
-   instead of a full sort.  Batched queries slice a block of rows at once.
+   instead of a full sort.  A batch is the same route over several
+   queries: one block product, or that one mat-vec for a batch of one.
 4. **Cost-based association planning.**  Chain products are evaluated
    in the association order a matrix-chain DP picks from per-relation
    statistics (:mod:`repro.engine.planner`), seeded from cached
@@ -60,11 +61,7 @@ import scipy.sparse as sp
 from dataclasses import replace as _dc_replace
 
 from repro.engine import kernels
-from repro.engine.fused import (
-    fused_block_scores,
-    fused_partial_block,
-    fused_row_scores,
-)
+from repro.engine.fused import fused_partial_block, fused_row_scores
 from repro.engine.planner import ChainPlanner, PlanReport
 from repro.exceptions import MetaPathError, NodeNotFoundError
 from repro.networks.schema import MetaPath
@@ -73,6 +70,7 @@ from repro.query.results import TopKResult
 from repro.utils.cache import CacheInfo, LRUCache
 from repro.utils.locks import RWLock
 from repro.utils.sparse import add_delta, nonempty_rows
+from repro.utils.validation import check_k
 from repro.engine.topk import finalize_top_k, top_k_indices
 
 __all__ = ["MetaPathEngine"]
@@ -277,7 +275,9 @@ class MetaPathEngine:
         return mp
 
     def _resolve(self, node_type: str, obj) -> int:
-        if isinstance(obj, (int, np.integer)):
+        """Index of *obj* — an index or a name — within *node_type*.  A
+        bool is a name (and so not found), never index 0 or 1."""
+        if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
             idx = int(obj)
             n = self.hin.node_count(node_type)
             if not 0 <= idx < n:
@@ -435,15 +435,11 @@ class MetaPathEngine:
 
     @_reader
     def pathsim_row(self, path, query) -> np.ndarray:
-        """Dense PathSim scores from *query* to every peer.
-
-        Exploits symmetry: ``M[i, :] = W (W[i, :])^T``, one CSR
-        matrix-vector product — the full n x n matrix is never formed.
-        """
-        mp = self.symmetric_path(path)
-        w, diag = self._pathsim_parts(mp)
-        i = self._resolve(mp.source_type, query)
-        return kernels.pathsim_solo(w, diag, kernels.dense_row(w, i), diag[i])
+        """Dense PathSim scores from *query* to every peer:
+        ``pathsim_rows(path, [query])[0]``, one CSR mat-vec
+        ``M[i, :] = W (W[i, :])^T`` — the full n x n matrix is never
+        formed."""
+        return self.pathsim_rows(path, [query])[0]
 
     @_reader
     def pathsim_partial_block(self, path, queries, candidates) -> np.ndarray:
@@ -493,13 +489,11 @@ class MetaPathEngine:
     @_reader
     def pathsim_rows(self, path, queries) -> np.ndarray:
         """Batched :meth:`pathsim_row`: one ``(len(queries), n)`` score
-        block from a single sparse-times-dense block product."""
+        block (:func:`~repro.engine.kernels.pathsim_rows`)."""
         mp = self.symmetric_path(path)
         w, diag = self._pathsim_parts(mp)
-        idx = np.array(
-            [self._resolve(mp.source_type, q) for q in queries], dtype=np.int64
-        )
-        return kernels.pathsim_block(w, diag, w[idx], diag[idx])
+        idx = [self._resolve(mp.source_type, q) for q in queries]
+        return kernels.pathsim_rows(w, diag, idx)
 
     @_reader
     def pathsim_query_rows(self, path, queries):
@@ -557,7 +551,9 @@ class MetaPathEngine:
         relation chain without materializing it
         (:mod:`repro.engine.fused`), ``"auto"`` dispatches on cache
         state (see :meth:`_topk_kernel`).  The kernel that ran is
-        reported as ``result.mode``; answers are bit-identical.
+        reported as ``result.mode``; answers are bit-identical.  A
+        query of one is :meth:`pathsim_top_k_batch` over ``[query]``:
+        both are one route.
 
         ``mode`` overrides :attr:`topk_mode` for this call.  It is the
         one per-call "how" left in the library and exists for a single
@@ -567,46 +563,41 @@ class MetaPathEngine:
         contract is opened.  Everything else constructs the engine
         with the kernel it wants.
         """
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        mp = self.symmetric_path(path)
-        i = self._resolve(mp.source_type, query)
-        kernel = self._topk_kernel(mp, 1, mode)
-        if kernel == "fused":
-            # The kernel prunes to exactly what _select consumes: the
-            # top `need` positions (k plus the self-exclusion slot).
-            scores = fused_row_scores(
-                self, mp, i, need=k + 1 if exclude_query else k
-            )
-        else:
-            scores = self.pathsim_row(mp, i)
-        return self._select(
-            scores, mp, mp.source_type, i, k, exclude_query, "pathsim",
-            mode=kernel,
-        )
+        (result,) = self._pathsim_top_k(path, [query], k, exclude_query, mode)
+        return result
 
     @_reader
     def pathsim_top_k_batch(
         self, path, queries, k: int, *, exclude_query: bool = True
     ) -> list[TopKResult]:
-        """:meth:`pathsim_top_k` for many queries with one block product
-        (the blocked fused kernel when the engine's :attr:`topk_mode`
-        picks fused)."""
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
+        """:meth:`pathsim_top_k` for many queries, one answer each, in
+        order: one block product on the materialized kernel, one pruned
+        fused row per query on the fused one."""
+        return self._pathsim_top_k(path, queries, k, exclude_query)
+
+    def _pathsim_top_k(
+        self, path, queries, k, exclude: bool, mode: str | None = None
+    ) -> list[TopKResult]:
+        """The one PathSim top-k route: resolve the queries, pick one
+        kernel for all of them, score, select each row."""
+        k = check_k(k)
         mp = self.symmetric_path(path)
         idx = [self._resolve(mp.source_type, q) for q in queries]
-        kernel = self._topk_kernel(mp, len(idx))
+        kernel = self._topk_kernel(mp, len(idx), mode)
         if kernel == "fused":
-            block = fused_block_scores(self, mp, idx)
+            # Each row is pruned to exactly what _select consumes: the
+            # top `need` positions (k plus the self-exclusion slot).
+            need = k + 1 if exclude else k
+            block = [fused_row_scores(self, mp, i, need=need) for i in idx]
         else:
-            block = self.pathsim_rows(mp, idx)
+            w, diag = self._pathsim_parts(mp)
+            block = kernels.pathsim_rows(w, diag, idx)
         return [
             self._select(
-                block[row], mp, mp.source_type, i, k, exclude_query, "pathsim",
+                scores, mp, mp.source_type, i, k, exclude, "pathsim",
                 mode=kernel,
             )
-            for row, i in enumerate(idx)
+            for scores, i in zip(block, idx)
         ]
 
     def _select(
@@ -694,8 +685,7 @@ class MetaPathEngine:
         ``exclude_query`` only makes sense for round-trip paths (source
         and target type coincide); it drops the query object itself.
         """
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
+        k = check_k(k)
         mp = self.path(path)
         i = self._resolve(mp.source_type, query)
         if exclude_query and mp.source_type != mp.target_type:

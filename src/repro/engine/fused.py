@@ -22,6 +22,13 @@ materialized.  When the path's PathSim entry *is* cached, its
 incrementally-maintained diagonal is read directly instead of
 recomputing candidate norms.
 
+A batch is that same query several times: the engine's one PathSim
+top-k route calls :func:`fused_row_scores`, pruned to the top-k it
+selects, once per query, so there is no blocked fused kernel to keep
+in step with it.  :func:`fused_partial_block` is the one block here:
+it prices standing-query maintenance by the delta on paths nobody
+materialized.
+
 Exactness
 ---------
 The fused route threads rows in another summation order than the
@@ -48,7 +55,6 @@ from repro.engine import kernels
 
 __all__ = [
     "fused_row_scores",
-    "fused_block_scores",
     "fused_partial_block",
 ]
 
@@ -101,39 +107,6 @@ def _row_norms(block) -> np.ndarray:
     # no entries in between, so segment sums are exactly the row sums.
     out[nonempty] = np.add.reduceat(sq, indptr[nonempty])
     return out
-
-
-def fused_block_scores(engine, mp, idx) -> np.ndarray:
-    """Dense ``(len(idx), n)`` PathSim score block, fused.
-
-    Bit-identical to ``engine.pathsim_rows(mp, idx)`` without
-    materializing ``W`` or ``M``: the blocked generalization of the
-    single-source kernel (the seed is a multi-row slice instead of one
-    row).
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    n = engine.hin.node_count(mp.source_type)
-    if idx.size == 0:
-        return np.zeros((0, n))
-    first, second = _half_chains(engine, mp)
-    w_rows = _thread_rows(first, idx)  # the queries' rows of W
-    diag_q = _row_norms(w_rows)
-    num = w_rows
-    for m in second:
-        num = num.dot(m)
-    num = num.tocsr()  # the queries' rows of M = W Wᵀ
-    # Denominators only exist where numerators do: non-candidates score
-    # +0.0 under any diagonal value (see module docstring), so a
-    # zero-filled vector is exact outside the candidate set.
-    diag = np.zeros(n)
-    cand = np.unique(num.indices)
-    if cand.size:
-        cached = engine._cache.get(("pathsim", mp.canonical_key()))
-        if cached is not None:
-            diag[cand] = cached[1][cand]
-        else:
-            diag[cand] = _row_norms(_thread_rows(first, cand))
-    return kernels.pathsim_scores(num.toarray(), diag_q[:, None] + diag[None, :])
 
 
 def _suffix_bound(v: float, diag_i: float) -> float:

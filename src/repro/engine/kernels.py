@@ -4,8 +4,8 @@ PathSim over a symmetric meta-path is one formula,
 
     s(i, j) = 2·M[i, j] / (M[i, i] + M[j, j]),    M = W·Wᵀ,
 
-and every serving path in the library — the engine's materialized entry
-points, the fused row-threading kernels (:mod:`repro.engine.fused`) and
+and every serving path in the library — the engine's one PathSim top-k
+route, the fused row-threading kernels (:mod:`repro.engine.fused`) and
 the shard workers (:mod:`repro.serving.shards`) — evaluates it by
 calling the pure functions below over ``(w, diag, q_rows, q_diag)``:
 
@@ -19,6 +19,13 @@ calling the pure functions below over ``(w, diag, q_rows, q_diag)``:
 ``q_rows`` / ``q_diag``
     The queries' rows of ``W`` (one CSR block) and their diagonal
     entries.
+
+**One row is one mat-vec.**  A block of one query is scored by
+:func:`pathsim_solo` — one CSR mat-vec over the query's dense row, read
+straight off the CSR arrays (:func:`dense_row`) — never by a block
+product, and :func:`pathsim_rows` never slices ``w[idx]`` for it.
+Both rules live here and nowhere else, so a query of one and a batch
+of one cost the same wherever they come from.
 
 Answers are bit-identical across callers because there is nothing to
 keep in step: one division, one operand layout per kernel.
@@ -38,6 +45,7 @@ __all__ = [
     "pathsim_scores",
     "pathsim_solo",
     "pathsim_block",
+    "pathsim_rows",
     "pathsim_partial",
 ]
 
@@ -68,19 +76,37 @@ def pathsim_solo(w, diag, q_row: np.ndarray, q_diag: float) -> np.ndarray:
 
 
 def pathsim_block(w, diag, q_rows, q_diag: np.ndarray) -> np.ndarray:
-    """Several queries against every row of *w*: one CSR × dense block
-    product, returned as ``(len(q_diag), len(diag))`` scores.
+    """Queries against every row of *w*, returned as
+    ``(len(q_diag), len(diag))`` scores: one CSR × dense block product,
+    or :func:`pathsim_solo` for a block of one row.
 
     The F-ordered densification transposes into a C-contiguous
     ``(dim, queries)`` operand with no second copy; the product
     accumulates each output column in the same stored-entry order as
     :func:`pathsim_solo`'s mat-vec, so row *r* equals the solo kernel
-    on query *r*.
+    on query *r* — which is what lets one row take the cheaper mat-vec.
     """
+    if q_rows.shape[0] == 1:
+        return pathsim_solo(w, diag, dense_row(q_rows), q_diag[0])[None, :]
     if q_rows.shape[0] == 0:
         return np.zeros((0, w.shape[0]))
     dots = w.dot(q_rows.toarray(order="F").T)  # (len(diag), queries)
     return pathsim_scores(dots, diag[:, None] + q_diag[None, :]).T
+
+
+def pathsim_rows(w, diag, idx) -> np.ndarray:
+    """:func:`pathsim_block` for *w*'s own rows *idx*: the
+    ``(len(idx), len(diag))`` PathSim score rows of those objects.
+
+    One index reads its row with :func:`dense_row` and scores it with
+    :func:`pathsim_solo`; fancy-indexing ``w[idx]`` (or slicing
+    ``w[i:i + 1]``) would add up to a third of that mat-vec's cost.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size == 1:
+        i = int(idx[0])
+        return pathsim_solo(w, diag, dense_row(w, i), diag[i])[None, :]
+    return pathsim_block(w, diag, w[idx], diag[idx])
 
 
 def pathsim_partial(w, diag, candidates, q_rows, q_diag: np.ndarray) -> np.ndarray:

@@ -118,6 +118,10 @@ class IngestReport:
 class StreamIngestor:
     """Fold a DBLP record stream into a live HIN, one chunk per epoch.
 
+    A paper's terms are its title's :func:`tokenize_title` tokens at
+    the default length floor (two characters); a title with none is
+    skipped as ``no_title``.
+
     Parameters
     ----------
     hin:
@@ -134,8 +138,6 @@ class StreamIngestor:
         reason; ``"raise"`` raises a typed
         :class:`~repro.exceptions.MalformedRecordError` on the first one
         (the pending chunk is discarded, committed epochs stay).
-    min_term_len:
-        Shortest title token kept as a term.
 
     Raises
     ------
@@ -151,7 +153,6 @@ class StreamIngestor:
         *,
         chunk_size: int = 1000,
         on_error: str = "skip",
-        min_term_len: int = 2,
     ):
         if on_error not in ("skip", "raise"):
             raise IngestError(
@@ -170,7 +171,6 @@ class StreamIngestor:
             )
         self._chunk_size = int(chunk_size)
         self._strict = on_error == "raise"
-        self._min_term_len = int(min_term_len)
         self._index: dict[str, dict[str, int]] = {}
         for t in self.hin.schema.node_types:
             names = self.hin.names(t)
@@ -283,7 +283,7 @@ class StreamIngestor:
         if record.key in self._index["paper"]:
             self._skip("duplicate_key", record)
             return None
-        terms = tokenize_title(record.title, min_len=self._min_term_len)
+        terms = tokenize_title(record.title)
         if not terms:
             self._skip("no_title", record)
             return None

@@ -32,6 +32,7 @@ from repro.query.results import (
     RankingResult,
     TopKResult,
 )
+from repro.utils.validation import check_k
 
 __all__ = ["QuerySession", "connect"]
 
@@ -128,6 +129,7 @@ class QuerySession:
         (association order, top-k kernel) is the engine's policy, chosen
         at its construction; the kernel that ran is ``result.mode``.
         """
+        k = check_k(k)
         if measure == "pathsim":
             return self._engine.pathsim_top_k(
                 self.path(path), obj, k, exclude_query=exclude_self

@@ -34,11 +34,12 @@ same answer are always the same request.
 The verbs below are the only builders of shapes and
 :func:`_execute_spec` their only interpreter, so this module is the one
 place that knows the layouts.  The queue's batching identity *is* the
-shape, its coalescing identity is ``(epoch, shape, obj)``, and a job is
-``(shape, objs)`` run by :func:`_execute_job` — in a worker process
-against an attached generation, or in the parent against the live
-``(hin, engine)`` pair.  *path* is always the resolved path's
-schema-disambiguated DSL spelling and *k* always a plain ``int``, so
+shape, its coalescing identity is ``(epoch, shape, type(obj), obj)``,
+and a job is ``(shape, objs)`` run by :func:`_execute_job` — in a
+worker process against an attached generation, or in the parent
+against the live ``(hin, engine)`` pair.  *path* is always the resolved
+path's schema-disambiguated DSL spelling and *k* always a plain
+non-negative ``int`` (:func:`~repro.utils.validation.check_k`), so
 every spelling of a request shares work and every tier sees the same
 arguments.
 
@@ -50,8 +51,9 @@ submit time.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import Future
+
+from repro.utils.validation import check_k
 
 __all__ = ["ServingAPI"]
 
@@ -106,10 +108,11 @@ def _execute_job(state, shape: tuple, objs) -> list[tuple]:
 
     *state* is an attached generation in a worker process, or the live
     ``(hin, engine)`` pair in the parent.  Several PathSim objects are
-    answered with one block product (``pathsim_top_k_batch`` — the same
-    per-row summation as the solo kernel, so answers stay
-    bit-identical); when that raises, each object is retried alone, so
-    one bad request cannot poison its co-batched neighbours.
+    answered with one ``pathsim_top_k_batch`` call (the engine's one
+    top-k route, so answers are bit-identical to one query each); when
+    that raises, each object is retried alone, so one bad request
+    cannot poison its co-batched neighbours — and a single object is
+    never computed twice.
     """
     fields = _pathsim_fields(shape)
     if fields is not None and len(objs) > 1:
@@ -151,7 +154,7 @@ class ServingAPI:
         delivered through the future (the uniform error contract)."""
         core = self._serving_core()
         try:
-            shape = (op, core._spell(path), operator.index(k), *rest)
+            shape = (op, core._spell(path), check_k(k), *rest)
         except Exception as exc:
             future = Future()
             future.set_exception(exc)

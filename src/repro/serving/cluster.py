@@ -72,9 +72,6 @@ class ClusterService(_ProcessTier):
         Worker-process count — size it to cores, not clients (the
         parent coalesces and batches, so a handful of processes absorbs
         many clients).  Defaults to the usable CPU count capped at 4.
-    max_batch:
-        Per-job bound on same-shape top-k batching, as in
-        :class:`~repro.serving.QueryService`.
     directory:
         Where generation descriptors live (a private temp directory by
         default).
@@ -104,7 +101,6 @@ class ClusterService(_ProcessTier):
         hin,
         *,
         processes: int | None = None,
-        max_batch: int = 64,
         directory=None,
     ):
         self._gen_counter = 0
@@ -115,7 +111,7 @@ class ClusterService(_ProcessTier):
         # A channel is checked out of this free-list for the duration
         # of one job.
         self._free: _queue.Queue = _queue.Queue()
-        self._start(hin, processes, max_batch, directory)
+        self._start(hin, processes, directory)
         for channel in self._channels:
             self._free.put(channel)
 

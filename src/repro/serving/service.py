@@ -24,8 +24,8 @@ serving layer:
   ``similar("SIGMOD", "V-P-A-P-V", k=10)`` costs one row slice.
 * **Opportunistic batching.**  When a worker picks up a PathSim top-k
   request, it drains every queued request with the same shape —
-  everything but the query object — (up to ``max_batch``) and answers
-  them with one call to
+  everything but the query object — (up to :data:`_MAX_BATCH`) and
+  answers them with one call to
   :meth:`~repro.engine.MetaPathEngine.pathsim_top_k_batch` — one sparse
   × dense block product instead of one mat-vec per query.  Under load
   the batch assembles itself; an idle service degenerates to per-query
@@ -56,6 +56,9 @@ from types import SimpleNamespace
 from .api import ServingAPI, _execute_job, _is_registration, _pathsim_fields
 
 __all__ = ["QueryService"]
+
+#: Most same-shape top-k requests one worker groups into a single job.
+_MAX_BATCH = 64
 
 
 @dataclass
@@ -99,9 +102,6 @@ class QueryService(ServingAPI):
     workers:
         Worker-thread count.  Batching does most of the work; a small
         pool (2–4) is usually right even for many clients.
-    max_batch:
-        Upper bound on how many same-shape top-k requests one worker
-        groups into a single block product.
     executor:
         Optional execution backend: an object with
         ``run_group(shape, objs) -> [("ok", value) | ("err", error)]``,
@@ -121,13 +121,10 @@ class QueryService(ServingAPI):
         hin,
         *,
         workers: int = 2,
-        max_batch: int = 64,
         executor=None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.hin = hin
         self._executor = self if executor is None else executor
         # Always the shared session and engine: hin.apply() commits
@@ -137,7 +134,6 @@ class QueryService(ServingAPI):
         self._engine = self._session.engine
         self._live = SimpleNamespace(hin=hin, engine=self._engine)
         self._spelled: dict[tuple, str] = {}
-        self._max_batch = int(max_batch)
         self._cond = threading.Condition()
         self._work: deque[_Request] = deque()
         self._inflight: dict[tuple, _Request] = {}
@@ -193,11 +189,13 @@ class QueryService(ServingAPI):
         *e* executes at *e* or later, and a submitter who starts after
         ``hin.apply()`` returned reads the new epoch and can only join
         requests keyed at it — a post-update submitter never receives a
-        pre-update answer, wherever the request runs.
+        pre-update answer, wherever the request runs.  The object's type
+        is part of the identity: ``True`` and ``1.0`` equal ``1`` but
+        name no author, so they must not share author 1's answer.
         """
         key = None
         if not _is_registration(shape):
-            key = (self.epoch, shape, obj)
+            key = (self.epoch, shape, type(obj), obj)
             try:
                 hash(key)
             except TypeError:  # an unhashable argument: answer it alone
@@ -240,11 +238,11 @@ class QueryService(ServingAPI):
                     # deque under this lock for every batchable request
                     # (O(n²) on deep mixed-shape queues).  Requests past
                     # the window simply batch on a later pass.
-                    scan_limit = max(self._max_batch * 4, 256)
+                    scan_limit = max(_MAX_BATCH * 4, 256)
                     skipped: deque[_Request] = deque()
                     while (
                         self._work
-                        and len(group) < self._max_batch
+                        and len(group) < _MAX_BATCH
                         and len(skipped) + len(group) <= scan_limit
                     ):
                         other = self._work.popleft()

@@ -237,24 +237,17 @@ def _execute_shard_job(state, kind, payload):
     """One shard job -> aligned ``("ok", value) | ("err", error)`` statuses.
 
     The one job kind, ``block``, answers a scattered top-k with the
-    engine's own kernels (:mod:`repro.engine.kernels`) applied to the
+    engine's own block kernel (:func:`repro.engine.kernels.pathsim_block`,
+    which scores a block of one query by its mat-vec) applied to the
     attached slice ``w[lo:hi], diag[lo:hi]``: one status per query,
-    each carrying the shard's partial ``(global indices, scores)`` list
-    — one query takes the mat-vec kernel, several the block kernel, the
-    same split the engine makes between ``pathsim_top_k`` and
-    ``pathsim_top_k_batch``.
+    each carrying the shard's partial ``(global indices, scores)`` list.
     """
     if kind != "block":
         raise ValueError(f"unknown shard job kind {kind!r}")
     token, need, packed = payload
     w_s, diag_s, lo = state.slices[token]
     q_rows, q_diag = _unpack_queries(packed)
-    if q_rows.shape[0] == 1:
-        scores = kernels.pathsim_solo(
-            w_s, diag_s, kernels.dense_row(q_rows), q_diag[0]
-        )[None, :]
-    else:
-        scores = kernels.pathsim_block(w_s, diag_s, q_rows, q_diag)
+    scores = kernels.pathsim_block(w_s, diag_s, q_rows, q_diag)
     return [("ok", shard_top_k(row, need, offset=lo)) for row in scores]
 
 
@@ -279,9 +272,6 @@ class ShardedClusterService(_ProcessTier):
     shards:
         Worker-process count = partition count.  Defaults to the
         usable CPU count capped at 4.
-    max_batch:
-        Per-job bound on same-shape top-k batching, as in
-        :class:`~repro.serving.QueryService`.
     directory:
         Where shard generation descriptors live (a private temp
         directory by default).
@@ -300,7 +290,6 @@ class ShardedClusterService(_ProcessTier):
         paths,
         *,
         shards: int | None = None,
-        max_batch: int = 64,
         directory=None,
     ):
         if hin is None:
@@ -323,7 +312,7 @@ class ShardedClusterService(_ProcessTier):
         self._stats_mutex = threading.Lock()
         self._scatters = 0
         self._fallbacks = 0
-        self._start(hin, shards, max_batch, directory)
+        self._start(hin, shards, directory)
 
     def _prepare(self, shards: int) -> None:
         """Plan the row ranges and publish every shard's generation 0."""
@@ -534,15 +523,14 @@ class ShardedClusterService(_ProcessTier):
         pin: commits queue behind it, so between `_await_publish` and
         the last collected partial, neither ``hin.version`` nor any
         shard generation can move — every worker provably answers from
-        the same epoch the query rows were extracted at.  Returns
-        ``None`` for a negative ``k``, while a shard is stale (its last
-        publish failed), or when the query rows cannot be extracted
+        the same epoch the query rows were extracted at.  (``k`` is
+        already a non-negative ``int``: the verbs check it.)  Returns
+        ``None`` while a shard is stale (its last publish failed), or
+        when the query rows cannot be extracted
         (unknown object): the caller's parent-side job then
         gives each request its own answer or the engine's own error.
         Any other failure is not a decline and surfaces as itself.
         """
-        if k < 0:
-            return None
         engine = self.hin.engine()
         need = k + 1 if exclude else k
         with self._scatter_mutex:

@@ -314,7 +314,7 @@ class _ProcessTier(ServingAPI):
 
     _label = "cluster"  # names the private descriptor directory
 
-    def _start(self, hin, count: int | None, max_batch: int, directory) -> None:
+    def _start(self, hin, count: int | None, directory) -> None:
         """Acquire everything, in the one order that is sound; a failure
         part-way (failed publish, fork error) releases what was already
         acquired instead of leaking segments, processes and temp
@@ -364,7 +364,7 @@ class _ProcessTier(ServingAPI):
                 )
             self._hook = self.hin.add_commit_hook(self._on_commit)
             self._service = QueryService(
-                self.hin, workers=count, max_batch=max_batch, executor=self
+                self.hin, workers=count, executor=self
             )
         except BaseException:
             self.close()

@@ -23,7 +23,7 @@ gives the exact shape the serving layer needs:
 Reentrancy rules (both directions the engine actually exercises):
 
 * a thread holding the read lock may re-acquire it (query entry points
-  nest: ``pathsim_top_k`` → ``pathsim_row`` → ``_pathsim_parts``);
+  nest: ``pathsim_row`` → ``pathsim_rows`` → ``_pathsim_parts``);
 * a thread holding the write lock may re-acquire it
   (``hin.apply()`` holds the write lock while calling
   ``engine.apply_update()``), and may also acquire the read lock;

@@ -7,16 +7,38 @@ so user mistakes fail at the call site rather than deep inside a solver.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "check_k",
     "check_positive",
     "check_probability",
     "check_in_range",
     "check_square",
     "check_nonnegative_matrix",
 ]
+
+
+def check_k(k) -> int:
+    """*k* of a top-k request as a plain ``int >= 0``.
+
+    An integer (``operator.index``) is accepted; a bool is refused
+    (``True`` is not a result size) and so is a float, even an
+    integral one — never rounded, the rule the edge door applies to
+    indices.
+    """
+    if isinstance(k, (bool, np.bool_)):
+        raise TypeError(f"k must be an integer, got {k!r}")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {k!r}") from None
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return k
 
 
 def check_positive(value, name: str, *, strict: bool = True) -> None:

@@ -21,12 +21,12 @@ The :class:`WatchManager` (one per network, obtained through
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.utils.validation import check_k
 from repro.watch.maintainer import ResultMaintainer
 from repro.watch.subscription import Subscription
 
@@ -215,9 +215,7 @@ class WatchManager:
             raise ValueError(
                 f"measure must be one of {_MEASURES}, got {measure!r}"
             )
-        k = operator.index(k)
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
+        k = check_k(k)
         engine = self.hin.engine()
         mp = (
             engine.symmetric_path(path)

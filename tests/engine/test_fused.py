@@ -15,7 +15,6 @@ import pytest
 from repro.engine import (
     MetaPathEngine,
     finalize_top_k,
-    fused_block_scores,
     fused_partial_block,
     fused_row_scores,
 )
@@ -126,7 +125,7 @@ class TestEdgeCaseMatrix:
         cold = MetaPathEngine(small_bib)
         got = fused_row_scores(cold, mp, 1)
         assert np.array_equal(got, row)
-        block = fused_block_scores(cold, mp, [0, 1])
+        block = np.array([fused_row_scores(cold, mp, i) for i in (0, 1)])
         assert np.array_equal(block, engine.pathsim_rows(mp, [0, 1]))
         part = fused_partial_block(cold, mp, [0], [1, 2])
         assert np.array_equal(

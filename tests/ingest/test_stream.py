@@ -130,13 +130,13 @@ class TestScreening:
         assert ing.hin.names("paper") == ["g"]
 
     def test_short_tokens_dropped_from_terms(self):
-        rec = PubRecord("k", "article", "A Graph of IT", 2001, "V", ("X",))
-        ing, _ = self._ingest([rec], min_term_len=3)
+        rec = PubRecord("k", "article", "A Graph", 2001, "V", ("X",))
+        ing, _ = self._ingest([rec])
         assert ing.hin.names("term") == ["graph"]
 
     def test_title_with_only_short_tokens_is_no_title(self):
         rec = PubRecord("k", "article", "a b c", 2001, "V", ("X",))
-        _, report = self._ingest([rec], min_term_len=2)
+        _, report = self._ingest([rec])
         assert report.skipped == {"no_title": 1}
 
 

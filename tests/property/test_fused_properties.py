@@ -158,3 +158,77 @@ class TestFusedOracle:
             path, rows, candidates
         )
         assert np.array_equal(fused, mat)
+
+
+@st.composite
+def weighted_hins(draw):
+    """The property schema with random links: integer weights, or
+    fractional ones (the "Link weights" contract's other half)."""
+    fractional = draw(st.booleans())
+    weight = (
+        st.floats(0.05, 4.0, allow_nan=False, allow_infinity=False)
+        if fractional
+        else st.integers(1, 3)
+    )
+    counts = {"a": 4, "b": 3, "c": 2}
+
+    def links(src, dst):
+        cells = st.tuples(
+            st.integers(0, counts[src] - 1), st.integers(0, counts[dst] - 1), weight
+        )
+        return draw(st.lists(cells, min_size=1, max_size=8))
+
+    return HIN.from_edges(
+        _schema(),
+        nodes=counts,
+        edges={"r_ab": links("a", "b"), "r_bc": links("b", "c")},
+    )
+
+
+class TestOneRoute:
+    @given(
+        weighted_hins(),
+        symmetric_paths(),
+        st.sampled_from(["auto", "fused", "materialize"]),
+        st.booleans(),
+        st.lists(st.integers(0, 8), min_size=1, max_size=4),
+        st.data(),
+        st.integers(0, 6),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_query_of_one_is_a_batch_of_one(
+        self, hin, path, mode, warm, picks, data, k, exclude
+    ):
+        """``pathsim_top_k(q)``, ``pathsim_top_k_batch([q])[0]`` and row
+        *i* of ``pathsim_top_k_batch(qs)`` are one answer — pairs,
+        ``network_version`` and ``mode`` — under every kernel policy,
+        and each call counts exactly one kernel dispatch.  Each call
+        gets its own engine in the same cache state, so ``auto`` meets
+        each request as the first one on the path."""
+        n = hin.node_count(path.split("-")[0])
+        qs = [p % n for p in picks]
+        i = data.draw(st.integers(0, len(qs) - 1))
+
+        def call(method, arg):
+            engine = MetaPathEngine(hin, mode=mode)
+            if warm:
+                engine.prewarm([path])
+            before = dict(engine.planner_info()["kernels"])
+            out = getattr(engine, method)(path, arg, k, exclude_query=exclude)
+            after = engine.planner_info()["kernels"]
+            grown = {name: after[name] - before[name] for name in after}
+            ran = out.mode if method == "pathsim_top_k" else out[0].mode
+            assert grown == {name: int(name == ran) for name in after}
+            return out
+
+        answers = [
+            call("pathsim_top_k", qs[i]),
+            call("pathsim_top_k_batch", [qs[i]])[0],
+            call("pathsim_top_k_batch", qs)[i],
+        ]
+        first = answers[0]
+        for other in answers[1:]:
+            assert list(other) == list(first)
+            assert other.network_version == first.network_version
+            assert other.mode == first.mode

@@ -9,6 +9,7 @@ import pytest
 from repro.exceptions import NodeNotFoundError
 from repro.query.results import RankingResult, TopKResult
 from repro.serving import QueryService
+from repro.serving import service as service_module
 
 APA = "author-paper-author"
 APVPA = "author-paper-venue-paper-author"
@@ -119,8 +120,9 @@ class TestSharing:
             assert len(a.result(timeout=10)) == 2
             assert len(b.result(timeout=10)) == 3
 
-    def test_max_batch_bounds_grouping(self, small_bib):
-        with QueryService(small_bib, workers=1, max_batch=2) as svc:
+    def test_max_batch_bounds_grouping(self, small_bib, monkeypatch):
+        monkeypatch.setattr(service_module, "_MAX_BATCH", 2)
+        with QueryService(small_bib, workers=1) as svc:
             futures = [svc.similar(a, APA, k=2) for a in range(4)]
             [f.result(timeout=10) for f in futures]
             assert svc.stats()["largest_batch"] <= 2
@@ -174,8 +176,6 @@ class TestLifecycle:
     def test_validates_construction_args(self, small_bib):
         with pytest.raises(ValueError):
             QueryService(small_bib, workers=0)
-        with pytest.raises(ValueError):
-            QueryService(small_bib, max_batch=0)
 
     def test_repr_and_cache_info(self, small_bib):
         with QueryService(small_bib) as svc:

@@ -305,6 +305,52 @@ def test_engine_and_session_constructors_are_pinned():
     assert unannotated(QuerySession.__init__) == "(self, hin, *, engine=None)"
 
 
+def _params(fn):
+    return [
+        (p.name, p.kind.name, p.default)
+        for p in inspect.signature(fn).parameters.values()
+    ]
+
+
+def test_one_pathsim_top_k_route_is_pinned():
+    """A query of one is a batch of one: no blocked fused kernel beside
+    the row kernel, and the batch entry point names no kernel."""
+    import repro.engine
+    from repro.engine import MetaPathEngine
+
+    assert sorted(repro.engine.__all__) == [
+        "ChainPlan",
+        "ChainPlanner",
+        "MetaPathEngine",
+        "PlanReport",
+        "finalize_top_k",
+        "fused_partial_block",
+        "fused_row_scores",
+        "top_k_indices",
+    ]
+    assert _params(MetaPathEngine.pathsim_top_k_batch) == [
+        ("self", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("path", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("queries", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("k", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("exclude_query", "KEYWORD_ONLY", True),
+    ]
+
+
+def test_batch_bound_and_term_floor_are_constants():
+    """No caller ever set a service's ``max_batch`` or the ingestor's
+    ``min_term_len``: the batch bound is ``serving.service._MAX_BATCH``
+    and the term floor ``tokenize_title``'s default."""
+    from repro.ingest import StreamIngestor
+    from repro.serving import ClusterService, QueryService, ShardedClusterService
+
+    for cls in (QueryService, ClusterService, ShardedClusterService):
+        assert "max_batch" not in inspect.signature(cls.__init__).parameters
+    assert [name for name, _, _ in _params(StreamIngestor.__init__)] == [
+        "self", "hin", "chunk_size", "on_error",
+    ]
+
+
 def test_graph_from_edges_has_no_dtype_knob():
     """``Graph`` stores float64 whatever it is handed; a ``dtype=`` on the
     edge-list constructor could only truncate weights on the way in."""

@@ -49,3 +49,28 @@ def test_code_lines_prints_usage_for_a_path_that_does_not_exist(tmp_path, capsys
         assert out == ""
         assert named in err
         assert "python tools/code_lines.py <dir-or-file>..." in err
+
+
+
+def _listing(*dirs):
+    return [
+        sorted(p.name for p in d.iterdir() if p.name != "__pycache__") for d in dirs
+    ]
+
+
+def test_route_census_smoke_counts_the_top_k_route(capsys):
+    """One ``--smoke`` workload run: per-function call counts under
+    ``src/repro``, most-called first, with nothing left in the checkout."""
+    route_census = _load("route_census")
+    watched = (TOOLS.parent, TOOLS.parent / "benchmarks" / "perf")
+    before = _listing(*watched)
+    assert route_census.main(["hot_read", "--smoke", "--seed", "3"]) == 0
+    header, columns, *rows = capsys.readouterr().out.splitlines()
+    assert header.startswith("# hot_read seed=3 seconds=0.15 smoke:")
+    assert header.endswith("failed=0") and columns.split() == ["calls", "function"]
+    rows = [row.split() for row in rows]
+    counts = [int(n) for n, _, _ in rows]
+    assert counts == sorted(counts, reverse=True) and counts[-1] > 0
+    route = [w for _, w, name in rows if name.split(".")[-1] == "_pathsim_top_k"]
+    assert len(route) == 1 and route[0].startswith("repro/engine/engine.py:")
+    assert _listing(*watched) == before
