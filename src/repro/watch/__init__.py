@@ -13,7 +13,8 @@ The subsystem splits four ways:
   :class:`WatchSpec`: registration, deduplication, persistence.
 * :mod:`~repro.watch.maintainer` — :class:`ResultMaintainer`: the
   commit hook that brings every watch to the new epoch by the cheapest
-  exact route (stamp / partial re-rank / full recompute).
+  exact route, decided once per path group (stamp / one vectorized
+  partial re-rank / full recompute).
 * :mod:`~repro.watch.analysis` — delta-to-candidate reasoning: which
   rows can an update's sparse deltas possibly touch along a path.
 * :mod:`~repro.watch.subscription` — the consumer handle.

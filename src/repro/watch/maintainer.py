@@ -2,31 +2,40 @@
 
 The :class:`ResultMaintainer` is the commit hook the
 :class:`~repro.watch.WatchManager` installs on its network: after every
-``hin.apply()`` commit it walks the registry and brings each watch to
-the new epoch by the cheapest exact route, in escalation order:
+``hin.apply()`` commit it brings each watch to the new epoch by the
+cheapest exact route.  The unit of that decision is the *path group* —
+the watches that share measure, canonical path, ``k`` and self-exclusion
+— so every check except "was my query row touched" is made once per
+group, in escalation order:
 
-1. **Untouched** — the batch's deltas provably cannot reach the
-   watched result (no shared relation, or backward reachability over
-   the path's steps misses every changed row —
-   :func:`~repro.watch.analysis.touched_chain_rows`).  The watch is
+1. **Fallback** — the candidate universe grew (new nodes of the path's
+   target type, which is PathSim's source type too): the stored pools
+   say nothing about the new rows, so the group is recomputed.
+2. **Untouched** — ``k == 0``, or the batch's deltas provably cannot
+   reach the watched results (no shared relation, or backward
+   reachability over the path's steps misses every changed row —
+   :func:`~repro.watch.analysis.touched_chain_rows`).  The group is
    stamped forward; zero scores computed.
-2. **Incremental** — only the touched candidate rows are re-scored
-   and merged into the stored ranking.  Per path group that is one
-   sparse partial product
+3. **Touched rows** — one ``np.isin`` splits the group on its query
+   rows.  A touched query row moved its diagonal (every PathSim
+   denominator) or its whole connectivity row: those watches are
+   recomputed.  The other connectivity watches are stamped.  The other
+   PathSim watches are **incremental**: one sparse partial product
    (:meth:`~repro.engine.MetaPathEngine.pathsim_partial_block`, priced
-   by the touched rows' nnz, not the inner dimension), then one mask
-   over the whole group that settles every watch whose re-scored
-   candidates all rank below its cut and miss its stored top-k; only
-   the remaining watches reach the Python merge.  The merge is exact
-   iff the new k-th rank key stays within the old k-th bound —
-   untouched rows outside the pool kept their scores, so none can
-   cross a non-increasing cut.
-3. **Fallback / recompute** — the bound moved the wrong way, the
-   query's own row changed, or the candidate universe grew: the path
-   group's fallbacks are recomputed together by one
-   :meth:`~repro.engine.MetaPathEngine.pathsim_top_k_batch`.  A watch
-   that missed an epoch (or a touched connectivity row) is recomputed
-   on its own.
+   by the touched rows' nnz, not the inner dimension) re-scores the
+   touched candidates for all of them, and one vectorized merge
+   re-ranks the stacked stored top-k.  The merge is exact iff a row's
+   new k-th rank key stays within its old k-th bound — untouched rows
+   outside the pool kept their scores, so none can cross a
+   non-increasing cut; a row whose bound moved the wrong way is
+   recomputed (**fallback**).  Only rows whose ranking changed reach
+   Python.
+
+Recomputes run per group: one
+:meth:`~repro.engine.MetaPathEngine.pathsim_top_k_batch` for PathSim,
+one :meth:`~repro.engine.MetaPathEngine.top_k_connectivity` per
+connectivity watch.  A watch that missed an epoch is recomputed the
+same way.
 
 Exactness is bit-level by construction: partial scoring sums the same
 stored entries in the same order as the full row product, untouched
@@ -51,11 +60,9 @@ from repro.watch.analysis import touched_chain_rows
 
 __all__ = ["ResultMaintainer"]
 
-# Classification verdicts, both batched per path group: the watch
-# survives every cheap check and needs its touched candidates re-scored,
-# or it needs a full recompute.
-_NEEDS_SCORES = object()
-_FALLBACK = object()
+# Index of an empty slot in a stacked ranking: paired with a -inf score
+# it ranks after every real entry under the (-score, index) order.
+_EMPTY = np.iinfo(np.int64).max
 
 
 class ResultMaintainer:
@@ -85,7 +92,7 @@ class ResultMaintainer:
         the engine lock that computed it — so a commit racing the
         registration can never mark a stale result as fresh.
         """
-        result = self._compute(watch)
+        (result,) = self._answers([watch])
         indices, scores = self._rank_arrays(result)
         watch.adopt(result.network_version, result, indices, scores)
 
@@ -101,43 +108,24 @@ class ResultMaintainer:
         ``N`` always completes before epoch ``N+1`` begins).
         """
         manager = self._manager
-        pushes = []
-        # Watches over the same path share their per-commit analysis:
-        # the touched-row set depends only on (steps, update), and both
-        # the partial re-scoring and the fallback recompute batch per
-        # path group — per-watch cost is a mask entry, not scipy.
-        touched_cache: dict = {}
         groups: dict = {}
-        outcomes = []
+        gaps: dict = {}
+        changed = []
         with manager._mutex:
             manager._counters["commits"] += 1
-            for watch in list(manager._watches.values()):
+            for watch in manager._watches.values():
                 if watch.epoch >= update.epoch:
                     continue  # registered at/past this epoch already
-                if watch.epoch != update.epoch - 1:
-                    # Missed epochs (shouldn't happen under the update
-                    # mutex, but a restored registry might): resync.
-                    verdict = self._recompute(watch, update, "recomputed")
-                elif watch.spec.measure == "pathsim":
-                    verdict = self._classify_pathsim(watch, update, touched_cache)
-                else:
-                    verdict = self._maintain_connectivity(watch, update, touched_cache)
-                if verdict is _NEEDS_SCORES or verdict is _FALLBACK:
-                    scoring, fallbacks = groups.setdefault(watch.group_key, ([], []))
-                    (scoring if verdict is _NEEDS_SCORES else fallbacks).append(watch)
-                else:
-                    outcomes.append((watch, verdict))
-            for scoring, fallbacks in groups.values():
-                if scoring:
-                    fallbacks += self._merge_group(
-                        scoring, update, touched_cache, outcomes
-                    )
-                outcomes.extend(self._recompute_group(fallbacks, update))
-            for watch, result in outcomes:
-                if result is not None:
-                    subscribers = list(watch.subscribers)
-                    manager._counters["pushes"] += len(subscribers)
-                    pushes.append((subscribers, result))
+                # Missed epochs (shouldn't happen under the update
+                # mutex, but a restored registry might) are resynced.
+                due = groups if watch.epoch == update.epoch - 1 else gaps
+                due.setdefault(watch.group_key, []).append(watch)
+            for watches in groups.values():
+                changed += self._decide(watches, update)
+            for watches in gaps.values():
+                changed += self._recompute_group(watches, update, "recomputed")
+            pushes = [(list(watch.subscribers), result) for watch, result in changed]
+            manager._counters["pushes"] += sum(len(subs) for subs, _ in pushes)
         # Deliver outside the registry mutex: a push callback may
         # inspect the manager (stats, current()) without deadlocking.
         for subscribers, result in pushes:
@@ -145,217 +133,154 @@ class ResultMaintainer:
                 subscription._push(update.epoch, result)
 
     # ------------------------------------------------------------------
-    # Per-measure maintenance
+    # One decision per path group (all under the manager mutex)
     # ------------------------------------------------------------------
-    def _touched(self, watch, update, cache):
-        """Memoized per-commit reachability: ``(rows, membership set)``
-        of :func:`touched_chain_rows` over the watch's maintained
-        steps.  Watches on the same path share one entry."""
-        key = tuple(
-            (rel.name, forward) for rel, forward in watch.maintained_steps
-        )
-        if key not in cache:
-            rows = touched_chain_rows(
-                self.hin, watch.maintained_steps, update
-            )
-            cache[key] = (rows, frozenset(rows.tolist()))
-        return cache[key]
-
-    def _classify_pathsim(self, watch, update, touched_cache):
-        """Cheap checks of a PathSim watch: stamp it, or declare it
-        ``_FALLBACK`` (batched recompute) or ``_NEEDS_SCORES`` (batched
-        partial pass)."""
-        # New source-type nodes enlarge the candidate universe beyond
-        # the stored pool — the merge bound says nothing about them.
-        if watch.mp.source_type in update.node_growth:
-            return _FALLBACK
-        # watch.relations names every relation of the symmetric path.
-        if not (watch.relations & update.deltas.keys()):
-            return self._stamp(watch, update)
-        touched, members = self._touched(watch, update, touched_cache)
+    def _decide(self, watches, update) -> list:
+        """Bring one path group to ``update.epoch`` (module docstring's
+        escalation order); returns the changed ``(watch, result)`` pairs."""
+        first = watches[0]
+        # A symmetric PathSim path ends on its source type, so the
+        # target type is every measure's candidate universe.
+        if first.mp.target_type in update.node_growth:
+            return self._recompute_group(watches, update, "fallback")
+        touched = np.empty(0, dtype=np.int64)
+        if first.spec.k and first.relations & update.deltas.keys():
+            touched = touched_chain_rows(self.hin, first.maintained_steps, update)
         if touched.size == 0:
-            return self._stamp(watch, update)
-        if watch.index in members:
-            # The query's own half-product row (hence its diagonal,
-            # hence every denominator) may have changed.
-            return _FALLBACK
-        if watch.spec.k == 0:
-            return self._stamp(watch, update)
-        return _NEEDS_SCORES
+            return self._stamp(watches, update)
+        hit = np.isin([watch.index for watch in watches], touched).tolist()
+        hits = [watch for watch, h in zip(watches, hit) if h]
+        rest = [watch for watch, h in zip(watches, hit) if not h]
+        if first.spec.measure == "connectivity":
+            # The row product has no stored decomposition to merge into.
+            self._stamp(rest, update)
+            return self._recompute_group(hits, update, "recomputed")
+        changed, fallbacks = self._merge(rest, update, touched)
+        return changed + self._recompute_group(hits + fallbacks, update, "fallback")
 
-    def _merge_group(self, watches, update, touched_cache, outcomes):
-        """Re-score one path group's touched candidates and settle each
-        watch; returns the watches whose bound was invalidated.
+    def _merge(self, watches, update, touched) -> tuple[list, list]:
+        """Re-score the touched candidates of PathSim watches whose own
+        rows are untouched and merge them into the stored rankings, all
+        rows at once; returns ``(changed pairs, fallback watches)``.
 
-        One sparse partial product scores every watch on the path, and
-        one mask settles the common case: every re-scored candidate
-        ranks strictly below the watch's stored cut —
-        ``(-s, j) > (-kth, kth_j)`` — and none sits inside its stored
-        top-k, so the result is provably unchanged.  Only the rest
-        reach the Python merge; their outcomes go to *outcomes*.
+        The stored top-k are stacked into one padded array whose last
+        column is each row's cut — a row holding fewer than ``k``
+        entries enumerated its whole universe and pads it with an empty
+        slot, which every candidate ranks above and no merge falls
+        below.  Stored entries on touched rows are replaced by their
+        re-scored candidates; candidates strictly below every row's cut
+        are dropped, as none can enter an exact merge.
         """
-        touched, _ = self._touched(watches[0], update, touched_cache)
+        if not watches:
+            return [], []
+        first = watches[0]
         block = self.hin.engine().pathsim_partial_block(
-            watches[0].mp, [watch.index for watch in watches], touched
+            first.mp, [watch.index for watch in watches], touched
         )
-        # A watch holding fewer than k entries enumerated its whole
-        # candidate universe: no cut to screen against (-inf fails it).
-        kth = np.array([
-            (watch.scores[-1], watch.indices[-1])
-            if watch.indices.size >= watch.spec.k else (-np.inf, -1)
-            for watch in watches
-        ])
-        kth_score, kth_index = kth[:, :1], kth[:, 1:]
-        below = (block < kth_score) | (
-            (block == kth_score) & (touched[None, :] > kth_index)
+        sizes = np.array([watch.indices.size for watch in watches])
+        width = min(first.spec.k, int(sizes.max()) + 1)
+        filled = np.arange(width) < sizes[:, None]
+        old_idx = np.full(filled.shape, _EMPTY)
+        old_idx[filled] = np.concatenate([watch.indices for watch in watches])
+        old_sc = np.full(filled.shape, -np.inf)
+        old_sc[filled] = np.concatenate([watch.scores for watch in watches])
+        kth_sc, kth_idx = old_sc[:, -1:], old_idx[:, -1:]
+        above = (block > kth_sc) | ((block == kth_sc) & (touched <= kth_idx))
+        keep = above.any(axis=0)
+        stale = np.isin(old_idx, touched)
+        n = len(watches)
+        pool_idx = np.hstack([np.where(stale, _EMPTY, old_idx), np.tile(touched[keep], (n, 1))])
+        pool_sc = np.hstack([np.where(stale, -np.inf, old_sc), block[:, keep]])
+        order = np.lexsort((pool_idx, -pool_sc))[:, :width]
+        new_idx = np.take_along_axis(pool_idx, order, axis=1)
+        new_sc = np.take_along_axis(pool_sc, order, axis=1)
+        new_kth_sc, new_kth_idx = new_sc[:, -1:], new_idx[:, -1:]
+        fallback = (new_kth_sc < kth_sc) | ((new_kth_sc == kth_sc) & (new_kth_idx > kth_idx))
+        fallback = fallback.ravel()
+        moved = ~fallback & (
+            (new_idx != old_idx).any(axis=1) | (new_sc != old_sc).any(axis=1)
         )
-        stored = [watch.indices for watch in watches]
-        owner = np.repeat(np.arange(len(watches)), [s.size for s in stored])
-        hit = np.zeros(len(watches), dtype=bool)
-        hit[owner[np.isin(np.concatenate(stored), touched)]] = True
-        settled = below.all(axis=1) & ~hit
-        for name in ("incremental", "unchanged"):
-            self._manager._counters[name] += int(settled.sum())
-        fallbacks = []
-        for watch, row, done in zip(watches, block, settled.tolist()):
-            if done:
+        counters = self._manager._counters
+        counters["incremental"] += int((~fallback).sum())
+        counters["unchanged"] += int((~fallback & ~moved).sum())
+        engine = self.hin.engine()
+        changed, fallbacks = [], []
+        for r, watch in enumerate(watches):
+            if fallback[r]:
+                fallbacks.append(watch)
+                continue
+            if not moved[r]:
                 watch.epoch = update.epoch
                 continue
-            merged = self._merge_pathsim(watch, update, touched, row)
-            if merged is _FALLBACK:
-                fallbacks.append(watch)
-            else:
-                outcomes.append((watch, merged))
-        return fallbacks
+            indices, scores = new_idx[r, : sizes[r]], new_sc[r, : sizes[r]]
+            # The engine's own result builder, from the bit-exact merged
+            # floats, stamped with the kernel of the ranking it patched.
+            result = engine._top_k_result(
+                watch.mp, watch.mp.source_type, watch.index,
+                zip(indices.tolist(), scores.tolist()), "pathsim",
+                update.epoch, watch.result.mode,
+            )
+            watch.adopt(update.epoch, result, indices, scores)
+            changed.append((watch, result))
+        return changed, fallbacks
 
-    def _merge_pathsim(self, watch, update, touched, touched_scores):
-        """Merge re-scored candidates into one watch's stored ranking;
-        ``_FALLBACK`` when the bound is invalidated."""
-        spec = watch.spec
-        pool = dict(zip(watch.indices.tolist(), watch.scores.tolist()))
-        for j, score in zip(touched.tolist(), touched_scores.tolist()):
-            pool[int(j)] = float(score)
-        ranked = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))
-        top = ranked[: spec.k]
-        if watch.indices.size >= spec.k:
-            # Rows outside the pool kept their scores and ranked
-            # strictly below the old k-th key; the merge is exact iff
-            # the cut did not rise past that bound.
-            old_bound = (-float(watch.scores[-1]), int(watch.indices[-1]))
-            new_kth = (-top[-1][1], top[-1][0])
-            if new_kth > old_bound:
-                return _FALLBACK
-        # else: the old result enumerated the entire candidate
-        # universe (engine returned fewer than k), so the pool is it.
-        self._manager._counters["incremental"] += 1
-        return self._install_pairs(watch, update, top)
-
-    def _recompute_group(self, watches, update):
-        """Recompute one path group's fallbacks with one
-        :meth:`~repro.engine.MetaPathEngine.pathsim_top_k_batch` —
-        answer for answer (``mode`` included) what
-        :meth:`~repro.engine.MetaPathEngine.pathsim_top_k` returns."""
+    def _recompute_group(self, watches, update, counter: str) -> list:
+        """Recompute watches of one path group through the engine's
+        normal entry points; returns the changed ``(watch, result)``
+        pairs (an identical answer is adopted but not pushed)."""
         if not watches:
             return []
-        spec = watches[0].spec
-        results = self.hin.engine().pathsim_top_k_batch(
-            watches[0].mp, [watch.index for watch in watches], spec.k,
-            exclude_query=spec.exclude_self,
-        )
-        self._manager._counters["fallback"] += len(watches)
+        counters = self._manager._counters
+        counters[counter] += len(watches)
+        changed = []
+        for watch, result in zip(watches, self._answers(watches)):
+            indices, scores = self._rank_arrays(result)
+            if np.array_equal(indices, watch.indices) and np.array_equal(
+                scores, watch.scores
+            ):
+                counters["unchanged"] += 1
+            else:
+                changed.append((watch, result))
+            watch.adopt(update.epoch, result, indices, scores)
+        return changed
+
+    def _stamp(self, watches, update) -> list:
+        """Epoch-stamp untouched watches; nothing to push."""
+        for watch in watches:
+            watch.epoch = update.epoch
+        self._manager._counters["untouched"] += len(watches)
+        return []
+
+    def _answers(self, watches) -> list[TopKResult]:
+        """One path group's queries answered cold by the engine: one
+        batch for PathSim (answer for answer, ``mode`` included, what
+        :meth:`~repro.engine.MetaPathEngine.pathsim_top_k` returns),
+        one row each for connectivity."""
+        first = watches[0]
+        spec = first.spec
+        engine = self.hin.engine()
+        queries = [watch.index for watch in watches]
+        if spec.measure == "pathsim":
+            return engine.pathsim_top_k_batch(
+                first.mp, queries, spec.k, exclude_query=spec.exclude_self
+            )
         return [
-            (watch, self._install(watch, update, result))
-            for watch, result in zip(watches, results)
+            engine.top_k_connectivity(
+                first.mp, query, spec.k, exclude_query=spec.exclude_self
+            )
+            for query in queries
         ]
 
-    def _maintain_connectivity(self, watch, update, touched_cache):
-        """Connectivity watch: all-or-nothing — the row product has no
-        stored decomposition to merge into, so a touched query row is
-        recomputed outright and an untouched one is stamped forward."""
-        if watch.mp.target_type in update.node_growth:
-            return self._recompute(watch, update, "fallback")
-        if not (watch.relations & update.deltas.keys()):
-            return self._stamp(watch, update)
-        _, members = self._touched(watch, update, touched_cache)
-        if watch.index not in members:
-            return self._stamp(watch, update)
-        return self._recompute(watch, update, "recomputed")
-
-    # ------------------------------------------------------------------
-    # State transitions (all under the manager mutex)
-    # ------------------------------------------------------------------
-    def _stamp(self, watch, update):
-        """Epoch-stamp an untouched watch; nothing to push."""
-        watch.epoch = update.epoch
-        self._manager._counters["untouched"] += 1
-        return None
-
-    def _recompute(self, watch, update, counter: str):
-        """Full recompute through the engine's normal entry points."""
-        result = self._compute(watch)
-        self._manager._counters[counter] += 1
-        return self._install(watch, update, result)
-
-    def _compute(self, watch) -> TopKResult:
-        """The watch's query, answered cold by the engine."""
-        engine = self.hin.engine()
-        spec = watch.spec
-        if spec.measure == "pathsim":
-            return engine.pathsim_top_k(
-                watch.mp,
-                watch.index,
-                spec.k,
-                exclude_query=spec.exclude_self,
-            )
-        return engine.top_k_connectivity(
-            watch.mp,
-            watch.index,
-            spec.k,
-            exclude_query=spec.exclude_self,
-        )
-
-    def _install(self, watch, update, result: TopKResult):
-        """Adopt an engine-computed result; push only if it changed."""
-        indices, scores = self._rank_arrays(result)
-        changed = not (
-            np.array_equal(indices, watch.indices)
-            and np.array_equal(scores, watch.scores)
-        )
-        watch.adopt(update.epoch, result, indices, scores)
-        if not changed:
-            self._manager._counters["unchanged"] += 1
-            return None
-        return result
-
-    def _install_pairs(self, watch, update, top: list):
-        """Adopt a merged ``(index, score)`` ranking; push if changed.
-
-        The engine's own result builder rebuilds the public result
-        from the already bit-exact merged floats, stamped with the
-        kernel of the ranking the merge patched.  An unchanged ranking
-        skips the rebuild entirely.
-        """
-        indices = np.array([j for j, _ in top], dtype=np.int64)
-        scores = np.array([score for _, score in top], dtype=np.float64)
-        if np.array_equal(indices, watch.indices) and np.array_equal(
-            scores, watch.scores
-        ):
-            watch.epoch = update.epoch
-            self._manager._counters["unchanged"] += 1
-            return None
-        result = self.hin.engine()._top_k_result(
-            watch.mp, watch.mp.source_type, watch.index, top, "pathsim",
-            update.epoch, watch.result.mode,
-        )
-        watch.adopt(update.epoch, result, indices, scores)
-        return result
-
     def _rank_arrays(self, result: TopKResult):
-        """``(indices, scores)`` arrays of an engine result's ranking."""
-        engine = self.hin.engine()
-        node_type = result.node_type
+        """``(indices, scores)`` arrays of an engine result's ranking.
+
+        Labels are names on a named type — an integer name is a name,
+        not an index — and indices on an anonymous one.
+        """
+        names = self.hin._name_index.get(result.node_type)
+        labels = [label for label, _ in result]
         indices = np.array(
-            [engine._resolve(node_type, label) for label, _ in result],
+            labels if names is None else [names[label] for label in labels],
             dtype=np.int64,
         )
         scores = np.array([score for _, score in result], dtype=np.float64)

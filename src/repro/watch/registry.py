@@ -94,7 +94,7 @@ class Watch:
     __slots__ = (
         "spec", "mp", "index", "key", "epoch",
         "result", "indices", "scores", "subscribers",
-        "steps", "maintained_steps", "relations", "group_key",
+        "maintained_steps", "relations", "group_key",
     )
 
     def __init__(self, spec: WatchSpec, mp, index: int):
@@ -107,23 +107,22 @@ class Watch:
         self.indices = np.array([], dtype=np.int64)
         self.scores = np.array([], dtype=np.float64)
         self.subscribers: list[Subscription] = []
-        # Per-commit classification runs once per watch per update;
-        # everything derivable from the path alone is staged here.
-        # PathSim maintenance analyzes the half product's steps (they
-        # name every relation of a symmetric path); connectivity
-        # analyzes the full chain.
-        self.steps = tuple(mp.steps())
+        # Everything the per-commit group decision derives from the
+        # path alone is staged here.  PathSim maintenance analyzes the
+        # half product's steps (they name every relation of a symmetric
+        # path); connectivity analyzes the full chain.
+        steps = tuple(mp.steps())
         self.maintained_steps = (
-            self.steps[: len(self.steps) // 2]
-            if spec.measure == "pathsim"
-            else self.steps
+            steps[: len(steps) // 2] if spec.measure == "pathsim" else steps
         )
         self.relations = frozenset(
             rel.name for rel, _ in self.maintained_steps
         )
-        # Batched partial scoring and recompute group the watches that
-        # share a path and a query shape (one k, one self-exclusion).
-        self.group_key = (mp.canonical_key(), spec.k, spec.exclude_self)
+        # The path group: watches maintained by one decision per commit
+        # share measure, path and query shape (one k, one self-exclusion).
+        self.group_key = (
+            spec.measure, mp.canonical_key(), spec.k, spec.exclude_self
+        )
 
     def adopt(self, epoch: int, result, indices, scores) -> None:
         """Install a maintained ``(epoch, result)`` plus its rank arrays."""
@@ -253,7 +252,9 @@ class WatchManager:
         and handed a subscription, which is both returned and retained
         (see :meth:`subscriptions`), so restored watches stay alive
         until explicitly cancelled.  Specs already registered are
-        skipped: restoring twice never duplicates maintenance.
+        skipped: restoring twice never duplicates maintenance.  A
+        persisted query on a named type is a name (an integer name
+        included) and is resolved as one.
         """
         out = []
         for data in spec_dicts:
@@ -262,10 +263,14 @@ class WatchManager:
                 known = {w.spec for w in self._watches.values()}
             if spec in known:
                 continue
+            query = spec.query
+            source = self.hin.engine().path(spec.path).source_type
+            if source in self.hin._name_index:
+                query = self.hin.index_of(source, query)
             out.append(
                 self.watch(
                     spec.path,
-                    spec.query,
+                    query,
                     k=spec.k,
                     measure=spec.measure,
                     exclude_self=spec.exclude_self,
@@ -298,8 +303,8 @@ class WatchManager:
 
         ``commits`` counts maintained update batches; per-watch
         outcomes split into ``untouched`` (delta provably cannot reach
-        the result — no work), ``incremental`` (touched candidates
-        re-ranked against the stored bound), ``fallback`` (bound
+        the result, or ``k == 0`` — no work), ``incremental`` (touched
+        candidates re-ranked against the stored bound), ``fallback`` (bound
         invalidated — full recompute), and ``recomputed`` (forced full
         recompute: epoch gaps, connectivity rows).  ``unchanged``
         counts maintained results that came out identical (no push);

@@ -6,7 +6,10 @@ push it delivers) is bit-identical to a cold engine recomputing the
 query on the network state at that epoch.  Hypothesis hunts for the
 delta/path interleaving that breaks a merge bound or a reachability
 superset (deletions inside the top-k, growth of the source type,
-same-cell delete-then-insert, ...).
+same-cell delete-then-insert, ...).  One strategy packs a single path
+group with every outcome — both measures on the same path, several
+queries sharing one ``k`` below the source type's size, and batches
+that grow the source type.
 """
 
 from __future__ import annotations
@@ -38,6 +41,21 @@ def _base_hin():
     )
 
 
+GROUP_COUNTS = {"a": 6, "b": 4, "c": 2}
+
+
+def _group_hin():
+    """A source type larger than any drawn ``k``, so the cut applies."""
+    return HIN.from_edges(
+        _schema(),
+        nodes=GROUP_COUNTS,
+        edges={
+            "r_ab": [(0, 0), (1, 0), (1, 1), (2, 1), (3, 2), (4, 2), (4, 3), (5, 3), (0, 3)],
+            "r_bc": [(0, 0), (1, 1), (2, 0), (3, 1)],
+        },
+    )
+
+
 @st.composite
 def watch_specs(draw):
     """2-4 watch registrations over the base network's source nodes."""
@@ -61,15 +79,34 @@ def watch_specs(draw):
 
 
 @st.composite
-def update_batches(draw):
-    """Batches whose edge ops stay in range given earlier node growth."""
-    counts = {"a": 3, "b": 3, "c": 2}
+def shared_group(draw):
+    """Watches of one path group on the larger network: PathSim and
+    connectivity on the same path, one ``k`` and one self-exclusion."""
+    k = draw(st.integers(1, GROUP_COUNTS["a"] - 2))
+    exclude = draw(st.booleans())
+    queries = st.lists(st.integers(0, GROUP_COUNTS["a"] - 1), min_size=1, max_size=4, unique=True)
+    return [
+        dict(measure=measure, path="a-b-a", query=q, k=k, exclude_self=exclude)
+        for measure in ("pathsim", "connectivity")
+        for q in draw(queries)
+    ]
+
+
+@st.composite
+def update_batches(draw, base=None, grow=None):
+    """Batches whose edge ops stay in range given earlier node growth;
+    the *grow* type, if given, grows in at least one batch."""
+    counts = dict(base or {"a": 3, "b": 3, "c": 2})
     relations = {"r_ab": ("a", "b"), "r_bc": ("b", "c")}
     batches = []
-    for _ in range(draw(st.integers(1, 4))):
+    n_batches = draw(st.integers(1, 4))
+    grow_at = draw(st.integers(0, n_batches - 1)) if grow else -1
+    for b in range(n_batches):
         batch = UpdateBatch()
         for t in ("a", "b", "c"):
-            if draw(st.booleans()) and draw(st.integers(0, 2)):
+            if (t == grow and b == grow_at) or (
+                draw(st.booleans()) and draw(st.integers(0, 2))
+            ):
                 added = draw(st.integers(1, 2))
                 batch.add_nodes(t, added)
                 counts[t] += added
@@ -113,30 +150,52 @@ def _cold_answer(hin, spec):
     )
 
 
+def _replay_against_cold(hin, specs, batches):
+    """Register *specs*, apply *batches*, and check every held result
+    and every push against a cold engine at its epoch."""
+    subs = [
+        hin.watches().watch(
+            s["path"], s["query"], k=s["k"], measure=s["measure"],
+            exclude_self=s.get("exclude_self"),
+        )
+        for s in specs
+    ]
+    for expected_epoch, batch in enumerate(batches, start=1):
+        hin.apply(batch)
+        for sub in subs:
+            epoch, result = sub.current()
+            assert epoch == expected_epoch
+            assert result == _cold_answer(hin, sub.spec)
+            for push_epoch, pushed in sub.drain():
+                # One batch since the last drain: any push is ours.
+                assert push_epoch == expected_epoch
+                assert pushed.network_version == expected_epoch
+                assert pushed == result
+
+
 class TestMaintainedEqualsCold:
     @given(watch_specs(), update_batches())
     @settings(max_examples=25, deadline=None)
     def test_every_push_matches_cold_recompute_at_its_epoch(
         self, specs, batches
     ):
-        hin = _base_hin()
-        subs = [
-            hin.watches().watch(
-                s["path"], s["query"], k=s["k"], measure=s["measure"]
-            )
-            for s in specs
-        ]
-        for expected_epoch, batch in enumerate(batches, start=1):
-            hin.apply(batch)
-            for sub in subs:
-                epoch, result = sub.current()
-                assert epoch == expected_epoch
-                assert result == _cold_answer(hin, sub.spec)
-                for push_epoch, pushed in sub.drain():
-                    # One batch since the last drain: any push is ours.
-                    assert push_epoch == expected_epoch
-                    assert pushed.network_version == expected_epoch
-                    assert pushed == result
+        _replay_against_cold(_base_hin(), specs, batches)
+
+    @given(shared_group(), update_batches(base=GROUP_COUNTS, grow="a"))
+    @settings(max_examples=25, deadline=None)
+    def test_one_path_group_of_both_measures_matches_cold(
+        self, specs, batches
+    ):
+        hin = _group_hin()
+        _replay_against_cold(hin, specs, batches)
+        stats = hin.watches().stats()
+        dispositions = (
+            stats["untouched"]
+            + stats["incremental"]
+            + stats["fallback"]
+            + stats["recomputed"]
+        )
+        assert dispositions == len(batches) * len(hin.watches())
 
     @given(watch_specs(), update_batches())
     @settings(max_examples=15, deadline=None)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.engine import MetaPathEngine
 from repro.networks import HIN, NetworkSchema, UpdateBatch
-from repro.watch.maintainer import ResultMaintainer
+from repro.watch import Watch
 
 
 def cold(hin):
@@ -108,26 +108,27 @@ def grouped_hin(n_authors: int) -> HIN:
 
 
 class TestGroupScreen:
-    @pytest.mark.parametrize("n_watches", [50, 200])
-    def test_merge_visits_follow_the_touched_rows_not_the_watch_count(
+    @pytest.mark.parametrize("n_watches", [200, 2000])
+    def test_rewrites_follow_the_changed_results_not_the_watch_count(
         self, n_watches, monkeypatch
     ):
         """Author 0 writes author 1's own paper: only row 0 is touched,
         and it sits in the stored top-k of its four group mates alone.
-        Every other watch is settled by the group-wide mask, so the
-        Python merge sees the same four watches at any registry size."""
+        Every other watch is settled by the group-wide merge, so Python
+        rewrites a stored ranking (``Watch.adopt``) for the same five
+        watches at any registry size."""
         hin = grouped_hin(n_watches)
         subs = [hin.watches().watch("A-P-A", i, k=3) for i in range(n_watches)]
-        merged = []
-        original = ResultMaintainer._merge_pathsim
+        adopted = []
+        original = Watch.adopt
 
-        def spy(self, watch, *args):
-            merged.append(watch.index)
-            return original(self, watch, *args)
+        def spy(self, *args):
+            adopted.append(self.index)
+            return original(self, *args)
 
-        monkeypatch.setattr(ResultMaintainer, "_merge_pathsim", spy)
+        monkeypatch.setattr(Watch, "adopt", spy)
         hin.apply(UpdateBatch().add_edges("writes", [(0, 1)]))
-        assert sorted(merged) == [1, 2, 3, 4]
+        assert sorted(adopted) == [0, 1, 2, 3, 4]
         stats = hin.watches().stats()
         # Author 0's own row moved; for authors 2-4 its score fell below
         # their cut, which the stored pool cannot vouch for.

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.networks import UpdateBatch
+from repro.engine import MetaPathEngine
+from repro.networks import HIN, NetworkSchema, UpdateBatch
+from repro.serving import load_snapshot, save_snapshot
 from repro.watch import Subscription, WatchManager, WatchSpec
 
 
@@ -167,6 +169,52 @@ class TestRestore:
         # Restored watches are live: a touching update maintains them.
         fresh.apply(UpdateBatch().add_edges("writes", [(1, 1)]))
         assert fresh.watches().stats()["commits"] == 1
+
+
+def int_named_hin(author_names) -> HIN:
+    """Three authors with integer names: author 0 shares a paper with
+    author 1 and none with author 2, who writes alone."""
+    schema = NetworkSchema(
+        ["author", "paper"], [("writes", "author", "paper")]
+    )
+    return HIN.from_edges(
+        schema,
+        nodes={"author": list(author_names), "paper": ["p0", "p1", "p2"]},
+        edges={"writes": [(0, 0), (0, 1), (1, 1), (2, 2)]},
+    )
+
+
+class TestIntegerNames:
+    """An integer name is a name: a query index resolves once, at
+    registration, and every label after that goes through the name
+    index."""
+
+    def test_registration_on_integer_names(self):
+        hin = int_named_hin([30, 10, 20])
+        sub = hin.watches().watch("A-P-A", 0, k=2)
+        assert sub.spec.query == 30
+        assert sub.current() == (0, MetaPathEngine(hin).pathsim_top_k("A-P-A", 0, 2))
+
+    def test_maintained_answer_matches_cold_engine(self):
+        hin = int_named_hin([1, 2, 0])
+        sub = hin.watches().watch("A-P-A", 0, k=2)
+        hin.apply(UpdateBatch().add_edges("writes", [(2, 0)]))
+        expected = MetaPathEngine(hin).pathsim_top_k("A-P-A", 0, 2)
+        assert expected == [(2, pytest.approx(2 / 3)), (0, 0.5)]
+        assert sub.current() == (1, expected)
+
+    def test_snapshot_restores_the_named_query(self, tmp_path):
+        hin = int_named_hin([1, 2, 0])
+        hin.watches().watch("A-P-A", 0, k=2)
+        save_snapshot(hin, tmp_path / "snap")
+        loaded = load_snapshot(tmp_path / "snap")
+        [sub] = loaded.watches().subscriptions()
+        assert sub.spec.query == 1
+        expected = MetaPathEngine(loaded).pathsim_top_k("A-P-A", 0, 2)
+        assert sub.current() == (0, expected)
+        loaded.apply(UpdateBatch().add_edges("writes", [(2, 0)]))
+        expected = MetaPathEngine(loaded).pathsim_top_k("A-P-A", 0, 2)
+        assert sub.current() == (1, expected)
 
 
 class TestLifecycle:
