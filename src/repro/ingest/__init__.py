@@ -3,8 +3,8 @@
 The bridge from raw DBLP-shaped XML to a served, updatable HIN:
 
 * :func:`~repro.ingest.dblp_xml.iter_dblp_records` — constant-memory
-  pull parsing of arbitrarily large DBLP XML (element-clearing
-  ``iterparse`` discipline, typed
+  streaming of arbitrarily large DBLP XML (an expat field reader fed
+  bounded slices, no element tree; typed
   :class:`~repro.exceptions.IngestError` taxonomy);
 * :class:`~repro.ingest.stream.StreamIngestor` — folds the record
   stream into bounded :class:`~repro.networks.UpdateBatch` chunks

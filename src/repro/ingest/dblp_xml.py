@@ -4,15 +4,23 @@ The real ``dblp.xml`` is multiple gigabytes — three orders of magnitude
 past what :func:`xml.etree.ElementTree.parse` can hold — but its
 structure is trivially streamable: one ``<dblp>`` root whose children
 are independent publication records (``<article>``, ``<inproceedings>``,
-...).  :func:`iter_dblp_records` walks that stream with an
-:class:`~xml.etree.ElementTree.XMLPullParser` fed in bounded byte
-chunks, yields one :class:`PubRecord` per publication element, and
-**clears every record element (and its slot under the root) as soon as
-it is yielded** — the classic ``iterparse``-and-``clear()`` discipline —
-so peak memory is bounded by the largest single record, not by the file.
-``tests/ingest/test_dblp_xml.py`` measures exactly this with
-``tracemalloc``: parsing a 3x longer stream may not move the allocation
-peak.
+...).  :func:`iter_dblp_records` feeds the stream to a stdlib
+:mod:`xml.parsers.expat` reader in bounded byte slices and builds no
+element tree: the handlers keep only a record's ``key`` and the text of
+its ``author`` / ``title`` / ``year`` / ``journal`` / ``booktitle``
+fields (all character data inside the field, nested markup included,
+like ``itertext()``), fold each closed record into one
+:class:`PubRecord`, and yield the records a slice completed before the
+next slice is fed — so peak memory is bounded by a slice's records, not
+by the file.  ``tests/ingest/test_dblp_xml.py`` measures exactly this
+with ``tracemalloc``: parsing a 3x longer stream may not move the
+allocation peak.
+
+``dblp.xml`` declares Latin-1 named entities (``&uuml;``) in its
+external ``dblp.dtd``, which is not read; a document that declares an
+external DTD has such references resolved from
+:data:`html.entities.name2codepoint`.  An unknown name, or any named
+entity in a document without a DOCTYPE, is not well-formed.
 
 Error taxonomy (all under :class:`repro.exceptions.IngestError`):
 
@@ -21,17 +29,19 @@ Error taxonomy (all under :class:`repro.exceptions.IngestError`):
 * bytes invalid in the declared encoding ->
   :class:`repro.exceptions.IngestEncodingError`.
 
-Records already yielded before the failure point are good — a caller
-that commits incrementally (:class:`repro.ingest.StreamIngestor`) keeps
-everything up to the last complete chunk and loses only the tail.
+Records completed before the failure point are yielded before the error
+is raised — a caller that commits incrementally
+(:class:`repro.ingest.StreamIngestor`) keeps everything up to the last
+complete chunk and loses only the tail.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from collections.abc import Iterator
 from dataclasses import dataclass
+from html.entities import name2codepoint
 from pathlib import Path
+from xml.parsers.expat import ExpatError, ParserCreate
 
 from repro.exceptions import (
     IngestEncodingError,
@@ -87,7 +97,12 @@ _FIELD_TAGS = frozenset(
     }
 )
 
+#: The fields a :class:`PubRecord` is folded from.
+_KEPT_FIELDS = frozenset({"author", "title", "year", "journal", "booktitle"})
+
 _CHUNK_BYTES = 1 << 16
+#: Bytes per ``Parse`` call; records are yielded after each slice.
+_SLICE_BYTES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -137,7 +152,7 @@ class ParseStats:
         Child elements inside publication records that the mapping does
         not know (counted, content ignored).
     bytes_fed:
-        Raw bytes pushed through the pull parser.
+        Raw bytes pushed through the parser.
     """
 
     records: int = 0
@@ -156,8 +171,8 @@ class ParseStats:
         }
 
 
-def _classify_parse_error(exc: ET.ParseError, chunk: bytes) -> Exception:
-    """Map a low-level ParseError onto the typed ingest hierarchy."""
+def _classify_parse_error(exc: ExpatError, chunk: bytes) -> Exception:
+    """Map a low-level expat error onto the typed ingest hierarchy."""
     try:
         chunk.decode("utf-8")
     except UnicodeDecodeError as bad:
@@ -171,42 +186,25 @@ def _classify_parse_error(exc: ET.ParseError, chunk: bytes) -> Exception:
     return XmlSyntaxError(f"XML stream is not well-formed: {exc}")
 
 
-def _record_of(elem, stats: ParseStats) -> PubRecord:
-    """Fold one complete publication element into a :class:`PubRecord`."""
-    title_parts: list[str] = []
-    authors: list[str] = []
-    year: int | None = None
-    journal: str | None = None
-    booktitle: str | None = None
-    for child in elem:
-        text = "".join(child.itertext()).strip()
-        if child.tag == "author":
-            if text:
-                authors.append(text)
-        elif child.tag == "title":
-            if text:
-                title_parts.append(text)
-        elif child.tag == "year":
-            try:
-                year = int(text)
-            except ValueError:
-                year = None
-        elif child.tag == "journal":
-            journal = text or None
-        elif child.tag == "booktitle":
-            booktitle = text or None
-        elif child.tag not in _FIELD_TAGS:
-            stats.unknown_fields += 1
-    venue = journal if elem.tag == "article" else booktitle
-    if venue is None:
-        venue = journal or booktitle
+def _fold(record: dict) -> PubRecord:
+    """One closed publication record's kept fields -> a :class:`PubRecord`.
+
+    Repeated ``author`` / ``title`` fields accumulate (blank ones
+    dropped); for the others the last occurrence wins.
+    """
+    try:
+        year = int(record.get("year", ""))
+    except ValueError:
+        year = None
+    journal, booktitle = record.get("journal") or None, record.get("booktitle") or None
+    venue = journal if record["kind"] == "article" else booktitle
     return PubRecord(
-        key=elem.get("key", ""),
-        kind=elem.tag,
-        title=" ".join(title_parts),
+        key=record["key"],
+        kind=record["kind"],
+        title=" ".join(record["title"]),
         year=year,
-        venue=venue,
-        authors=tuple(authors),
+        venue=venue or journal or booktitle,
+        authors=tuple(record["author"]),
     )
 
 
@@ -228,7 +226,8 @@ def iter_dblp_records(
         Optional :class:`ParseStats` to accumulate into (the ingestor
         passes its own so skip counters surface in ``ingest_stats()``).
     chunk_bytes:
-        Read size per feed; the memory bound knob (default 64 KiB).
+        Read size per ``read`` call (default 64 KiB); each read is fed
+        to the parser in slices of at most 4 KiB.
 
     Yields
     ------
@@ -237,7 +236,8 @@ def iter_dblp_records(
     Raises
     ------
     repro.exceptions.XmlSyntaxError
-        On not-well-formed XML (wraps the expat error).
+        On not-well-formed XML (wraps the expat error), an unknown
+        named entity among them.
     repro.exceptions.TruncatedXmlError
         When the stream ends before the document closes.
     repro.exceptions.IngestEncodingError
@@ -251,64 +251,83 @@ def iter_dblp_records(
         if own:
             stream.close()
         raise ValueError("iter_dblp_records needs a binary stream or a path")
-    parser = ET.XMLPullParser(events=("start", "end"))
-    root = None
-    depth = 0
+    # Depth 1 is the root, 2 a record, 3 a record's field.  Character
+    # data reaches `text` only while a kept field of a publication
+    # record is open: the handler is `text.append` then, None otherwise.
+    parser = ParserCreate(namespace_separator="}")
+    parser.buffer_text = True
+    depth, record, field = 0, None, None
+    text: list[str] = []
+    done: list[PubRecord] = []
+
+    def start(tag, attrs):
+        nonlocal depth, record, field
+        depth += 1
+        if depth == 2 and tag in PUBLICATION_TAGS:
+            record = {"kind": tag, "key": attrs.get("key", ""), "author": [], "title": []}
+        elif depth == 3 and record is not None:
+            if tag in _KEPT_FIELDS:
+                field = tag
+                text.clear()
+                parser.CharacterDataHandler = text.append
+            elif tag not in _FIELD_TAGS:
+                stats.unknown_fields += 1
+
+    def end(tag):
+        nonlocal depth, record, field
+        depth -= 1
+        if depth == 2 and field is not None:
+            parser.CharacterDataHandler = None
+            value = "".join(text).strip()
+            if field == "author" or field == "title":
+                if value:
+                    record[field].append(value)
+            else:
+                record[field] = value
+            field = None
+        elif depth == 1:
+            if record is not None:
+                stats.records += 1
+                done.append(_fold(record))
+                record = None
+            elif tag in KNOWN_RECORD_TAGS:
+                stats.skipped_kind += 1
+            else:
+                stats.unknown_kind += 1
+
+    def skipped(name, is_parameter_entity):
+        if name not in name2codepoint:
+            raise ExpatError(
+                f"undefined entity &{name};: line {parser.CurrentLineNumber}, "
+                f"column {parser.CurrentColumnNumber}"
+            )
+        if field is not None:
+            text.append(chr(name2codepoint[name]))
+
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.SkippedEntityHandler = skipped
     try:
-        while True:
-            chunk = stream.read(chunk_bytes)
-            if not chunk:
-                break
+        while chunk := stream.read(chunk_bytes):
             if isinstance(chunk, str):
                 raise ValueError(
                     "iter_dblp_records needs bytes; open the file in 'rb' mode"
                 )
             stats.bytes_fed += len(chunk)
-            parser.feed(chunk)
-            # XMLPullParser defers feed()-time expat errors into the
-            # event queue: events before the failure point come out
-            # first, then the ParseError is raised.  Iterate manually so
-            # complete records ahead of the bad bytes still get yielded.
-            events = parser.read_events()
-            while True:
+            view = memoryview(chunk)
+            for at in range(0, len(chunk), _SLICE_BYTES):
                 try:
-                    event, elem = next(events)
-                except StopIteration:
-                    break
-                except ET.ParseError as exc:
+                    parser.Parse(view[at : at + _SLICE_BYTES], False)
+                except ExpatError as exc:
+                    yield from done  # the records ahead of the bad bytes
                     raise _classify_parse_error(exc, chunk) from exc
-                if event == "start":
-                    if root is None:
-                        root = elem
-                    depth += 1
-                    continue
-                depth -= 1
-                if depth != 1 or elem is root:
-                    continue
-                # A complete record element just closed directly under
-                # the root: yield it, then drop both its subtree and its
-                # slot in the root's child list — the constant-memory
-                # discipline.
-                try:
-                    if elem.tag in PUBLICATION_TAGS:
-                        stats.records += 1
-                        yield _record_of(elem, stats)
-                    elif elem.tag in KNOWN_RECORD_TAGS:
-                        stats.skipped_kind += 1
-                    else:
-                        stats.unknown_kind += 1
-                finally:
-                    elem.clear()
-                    if root is not None and len(root):
-                        del root[:]
+                yield from done
+                done.clear()
         try:
-            parser.close()
-        except ET.ParseError as exc:
+            parser.Parse(b"", True)
+        except ExpatError as exc:
             raise TruncatedXmlError(
                 f"XML stream ended mid-document: {exc}"
             ) from exc
-        if root is None:
-            raise TruncatedXmlError("XML stream is empty (no document element)")
     finally:
         if own:
             stream.close()

@@ -40,6 +40,7 @@ import re
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, repeat
 
 import numpy as np
 
@@ -74,13 +75,19 @@ def tokenize_title(title: str, *, min_len: int = 2) -> list[str]:
     Lowercased ``[a-z0-9_]+`` runs of at least *min_len* characters;
     repeated words count once (the mentions relation is set-valued).
     """
-    seen: set[str] = set()
-    out: list[str] = []
-    for token in _TOKEN_RE.findall(title.lower()):
-        if len(token) >= min_len and token not in seen:
-            seen.add(token)
-            out.append(token)
-    return out
+    return [t for t in dict.fromkeys(_TOKEN_RE.findall(title.lower())) if len(t) >= min_len]
+
+
+def _resolve(index: dict, names: list, base: int) -> tuple[np.ndarray, dict]:
+    """Ids of *names* under *index*, in one pass: ``(ids, new)``, where
+    the names *index* lacks take ids from *base* on in first-appearance
+    order and *new* maps them to those ids."""
+    ids = np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
+    miss = ids < 0
+    missing = list(compress(names, miss))
+    new = dict(zip(dict.fromkeys(missing), count(base)))
+    ids[miss] = list(map(new.__getitem__, missing))
+    return ids, new
 
 
 @dataclass(frozen=True)
@@ -109,10 +116,6 @@ class IngestReport:
     skipped: dict = field(default_factory=dict)
     deduped_authors: int = 0
     seconds: float = 0.0
-
-    @property
-    def records_per_second(self) -> float:
-        return self.records / self.seconds if self.seconds > 0 else float("inf")
 
 
 class StreamIngestor:
@@ -313,61 +316,40 @@ class StreamIngestor:
     def _commit(self, rows: list[tuple]) -> None:
         """Build one UpdateBatch from *rows* and commit it atomically.
 
-        Indices resolve against the committed maps plus per-chunk
-        planned additions in first-appearance order; the ingestor's own
-        maps only advance after ``hin.apply()`` succeeds, so a failed
-        commit leaves no phantom ids behind.
+        The chunk is planned as columns: each node type's names resolve
+        in one pass against the committed map, new names taking ids in
+        first-appearance order, and each relation goes to the edge door
+        as one ``(m x 2)`` index array.  The ingestor's own maps only
+        advance after ``hin.apply()`` succeeds, so a failed commit
+        leaves no phantom ids behind.
         """
-        planned: dict[str, dict[str, int]] = {
-            t: {} for t in self.hin.schema.node_types
-        }
-        counts = {t: self.hin.node_count(t) for t in self.hin.schema.node_types}
-
-        def resolve(node_type: str, name: str) -> int:
-            existing = self._index[node_type].get(name)
-            if existing is not None:
-                return existing
-            new = planned[node_type]
-            idx = new.get(name)
-            if idx is None:
-                idx = counts[node_type] + len(new)
-                new[name] = idx
-            return idx
-
-        writes: list[tuple[int, int]] = []
-        published_in: list[tuple[int, int]] = []
-        mentions: list[tuple[int, int]] = []
-        years: list[int | None] = []
         # Duplicate keys within one chunk were screened against the
         # committed map only; screen again against the chunk itself.
-        kept: list[tuple] = []
+        kept: dict[str, tuple] = {}
         for row in rows:
-            key = row[0]
-            if key in planned["paper"]:
-                self._skip("duplicate_key", PubRecord(key, "", "", None, None, ()))
-                continue
-            planned["paper"][key] = counts["paper"] + len(planned["paper"])
-            kept.append(row)
-        for key, venue, authors, terms, year in kept:
-            p = planned["paper"][key]
-            v = resolve("venue", venue)
-            published_in.append((p, v))
-            years.append(year)
-            for author in authors:
-                writes.append((resolve("author", author), p))
-            for term in terms:
-                mentions.append((p, resolve("term", term)))
-
+            if row[0] in kept:
+                self._skip("duplicate_key", PubRecord(row[0], "", "", None, None, ()))
+            else:
+                kept[row[0]] = row
+        keys, venues, authors, terms, years = zip(*kept.values())
+        names = {
+            "paper": keys,
+            "venue": venues,
+            "author": list(chain.from_iterable(authors)),
+            "term": list(chain.from_iterable(terms)),
+        }
         batch = UpdateBatch()
-        for node_type, new in planned.items():
-            if new:
-                batch.add_nodes(node_type, list(new))
-        if writes:
-            batch.add_edges("writes", writes)
-        if published_in:
-            batch.add_edges("published_in", published_in)
-        if mentions:
-            batch.add_edges("mentions", mentions)
+        ids, planned = {}, {}
+        for t in self.hin.schema.node_types:
+            ids[t], planned[t] = _resolve(self._index[t], names[t], self.hin.node_count(t))
+            if planned[t]:
+                batch.add_nodes(t, list(planned[t]))
+        paper = ids["paper"]
+        by_author = np.repeat(paper, list(map(len, authors)))
+        by_term = np.repeat(paper, list(map(len, terms)))
+        batch.add_edges("writes", np.column_stack([ids["author"], by_author]))
+        batch.add_edges("published_in", np.column_stack([paper, ids["venue"]]))
+        batch.add_edges("mentions", np.column_stack([by_term, ids["term"]]))
         self.hin.apply(batch)
         # Commit succeeded: adopt the planned ids and the per-paper years.
         for node_type, new in planned.items():

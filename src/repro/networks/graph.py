@@ -62,21 +62,34 @@ def _is_index(kind: type) -> bool:
     return hasattr(kind, "__index__") and not issubclass(kind, bool)
 
 
-def _parse_edges(edges: Iterable[tuple], arities=(2, 3), *, shape=None, where="the graph"):
-    """The one door every link enters by: edge tuples to
-    ``(rows, cols, weights)`` arrays (int64, int64, float64).
+def _parse_edges(edges, arities=(2, 3), *, shape=None, where="the graph"):
+    """The one door every link enters by: edge tuples, or an integer
+    ``(m x 2)`` array of ``(u, v)`` rows, to ``(rows, cols, weights)``
+    arrays (int64, int64, float64).
 
-    Each item must be a tuple of one of *arities* — ``(u, v)``,
-    ``(u, v, w)`` or either.  ``u`` and ``v`` must be integers
-    (``operator.index``: a float, string or bool is refused, never
-    rounded), ``w`` a real number, 1.0 when absent.  The weight column
-    then passes :func:`_check_weights`, and the indices
-    :func:`_check_bounds` when *shape* is given.  Anything else is
-    :class:`EdgeError` naming *where*.
+    Each tuple must be one of *arities* — ``(u, v)``, ``(u, v, w)`` or
+    either.  ``u`` and ``v`` must be integers (``operator.index``: a
+    float, string or bool is refused, never rounded), ``w`` a real
+    number, 1.0 when absent.  The weight column then passes
+    :func:`_check_weights`, and the indices :func:`_check_bounds` when
+    *shape* is given.  An array is the column form of ``(u, v)`` pairs:
+    its dtype must be an integer one (not float, bool or object) and
+    its shape ``(m, 2)``.  Anything else is :class:`EdgeError` naming
+    *where*.
 
     Each check runs over a whole column (``map`` / ``set`` / ``zip``
     loop in C); only a failing check scans for the item to name.
     """
+    if isinstance(edges, np.ndarray):
+        if edges.dtype.kind not in "iu" or edges.shape[1:] != (2,) or 2 not in arities:
+            raise EdgeError(
+                f"{where}: an edge array must be (m x 2) integers, "
+                f"got {edges.dtype} {edges.shape}"
+            )
+        rows, cols = np.array(edges.T, dtype=np.int64)
+        if shape is not None:
+            _check_bounds(rows, cols, shape, where)
+        return rows, cols, np.ones(len(rows))
     items = list(edges)
     tuples = all(issubclass(kind, tuple) for kind in set(map(type, items)))
     lengths = set(map(len, items)) if tuples else {0}
@@ -262,14 +275,6 @@ class Graph:
         row = self._adj.indices[self._adj.indptr[node] : self._adj.indptr[node + 1]]
         return row.copy()
 
-    def in_neighbors(self, node: int) -> np.ndarray:
-        """In-neighbour indices of *node*."""
-        self._check_node(node)
-        if not self.directed:
-            return self.neighbors(node)
-        csc = self._adj.tocsc()
-        return csc.indices[csc.indptr[node] : csc.indptr[node + 1]].copy()
-
     def degree(self, node: int | None = None, *, weighted: bool = False):
         """Out-degree of *node*, or the full degree vector when ``None``.
 
@@ -280,19 +285,6 @@ class Graph:
             degs = degree_vector(self._adj, axis=1)
         else:
             degs = np.diff(self._adj.indptr).astype(np.float64)
-        if node is None:
-            return degs
-        self._check_node(node)
-        return float(degs[node])
-
-    def in_degree(self, node: int | None = None, *, weighted: bool = False):
-        """In-degree of *node*, or the full in-degree vector when ``None``."""
-        if weighted:
-            degs = degree_vector(self._adj, axis=0)
-        else:
-            degs = degree_vector((self._adj != 0).astype(np.int64), axis=0).astype(
-                np.float64
-            )
         if node is None:
             return degs
         self._check_node(node)

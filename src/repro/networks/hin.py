@@ -192,7 +192,8 @@ class HIN:
 
         ``nodes[t]`` is either an integer count or a sequence of names.
         ``edges[rel]`` yields ``(src, dst)`` or ``(src, dst, weight)``
-        tuples of integer indices; duplicates accumulate.
+        tuples of integer indices, or is one integer ``(m x 2)`` array of
+        ``(src, dst)`` rows; duplicates accumulate.
 
         Raises
         ------

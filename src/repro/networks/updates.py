@@ -253,15 +253,16 @@ class UpdateBatch:
             Relation name (validated against the schema at apply time).
         edges:
             ``(src, dst)`` or ``(src, dst, weight)`` tuples of integer
-            indices; weight defaults to 1.0, and inserting onto an
+            indices, or one integer ``(m x 2)`` array of ``(src, dst)``
+            rows; weight defaults to 1.0, and inserting onto an
             existing cell accumulates, like construction.
 
         Raises
         ------
         repro.exceptions.EdgeError
-            On any tuple the edge door refuses: indices must be integers,
-            weights finite non-negative reals (index bounds are checked
-            at apply time).  A refused call records nothing.
+            On any tuple or array the edge door refuses: indices must be
+            integers, weights finite non-negative reals (index bounds are
+            checked at apply time).  A refused call records nothing.
         """
         return self._record(False, relation, edges, (2, 3))
 

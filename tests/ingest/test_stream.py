@@ -304,7 +304,6 @@ class TestIntrospection:
         report = ing.ingest(fixture_xml)
         assert report.records == report.ingested > 0
         assert report.seconds > 0
-        assert report.records_per_second > 0
         assert "epochs=1" in repr(ing)
 
     def test_ingest_iter_yields_per_chunk(self, dataset, fixture_xml):

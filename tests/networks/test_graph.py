@@ -109,9 +109,8 @@ class TestQueries:
         assert sorted(path_graph.neighbors(1)) == [0, 2]
         assert sorted(path_graph.neighbors(0)) == [1]
 
-    def test_in_neighbors_directed(self, directed_cycle):
+    def test_neighbors_directed(self, directed_cycle):
         assert list(directed_cycle.neighbors(0)) == [1]
-        assert list(directed_cycle.in_neighbors(0)) == [3]
 
     def test_degree_vector(self, path_graph):
         assert np.allclose(path_graph.degree(), [1, 2, 2, 2, 1])
@@ -120,10 +119,6 @@ class TestQueries:
         g = Graph.from_edges(2, [(0, 1, 3.0)])
         assert g.degree(0, weighted=True) == 3.0
         assert g.degree(0) == 1.0
-
-    def test_in_degree_directed(self, directed_cycle):
-        assert directed_cycle.in_degree(2) == 1.0
-        assert np.allclose(directed_cycle.in_degree(), np.ones(4))
 
     def test_out_of_range_raises(self, triangle):
         with pytest.raises(NodeNotFoundError):

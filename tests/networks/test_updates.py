@@ -207,6 +207,64 @@ class TestBatchStorage:
         assert "edge_ops={'writes': 3, 'published_in': 0}" in repr(batch)
 
 
+class TestColumnDoor:
+    """An integer ``(m x 2)`` array is the column form of ``(u, v)`` pairs."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    def test_integer_pair_array_accepted(self, bib, dtype):
+        edges = np.array([[1, 0], [1, 1], [1, 0]], dtype=dtype)
+        bib.apply(UpdateBatch().add_edges("writes", edges))
+        m = bib.relation_matrix("writes")
+        assert (m[1, 0], m[1, 1], bib.version) == (2.0, 1.0, 1)
+
+    def test_the_batch_keeps_its_own_copy(self, bib):
+        edges = np.array([[1, 0]])
+        batch = UpdateBatch().add_edges("writes", edges)
+        edges[0, 0] = 99
+        bib.apply(batch)
+        assert bib.relation_matrix("writes")[1, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            pytest.param(np.array([[1.0, 0.0]]), id="float"),
+            pytest.param(np.array([[True, False]]), id="bool"),
+            pytest.param(np.array([1, 0]), id="1-D"),
+            pytest.param(np.array([[1, 0, 2]]), id="m-by-3"),
+            pytest.param(np.array([[1, 0]], dtype=object), id="object"),
+        ],
+    )
+    def test_other_arrays_refused_naming_the_relation(self, bib, edges):
+        with pytest.raises(EdgeError, match="relation 'writes'.*edge array"):
+            UpdateBatch().add_edges("writes", edges)
+
+    def test_set_weights_takes_no_pair_array(self):
+        with pytest.raises(EdgeError, match="edge array"):
+            UpdateBatch().set_weights("writes", np.array([[0, 0]]))
+
+    def test_out_of_range_fails_at_apply_as_the_tuple_form_does(self, bib):
+        messages = []
+        for edges in ([(0, 2), (0, 99)], np.array([[0, 2], [0, 99]])):
+            batch = UpdateBatch().add_edges("writes", edges)
+            with pytest.raises(EdgeError, match="out of range") as err:
+                bib.apply(batch)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert bib.version == 0
+
+    def test_construction_checks_bounds_alike(self, bib):
+        messages = []
+        for edges in ([(0, 5)], np.array([[0, 5]])):
+            with pytest.raises(EdgeError) as err:
+                HIN.from_edges(
+                    bib.schema,
+                    nodes={"author": 1, "paper": 3, "venue": 1},
+                    edges={"writes": edges},
+                )
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
 class TestApply:
     def test_insert_accumulates_and_bumps_version(self, bib):
         assert bib.version == 0

@@ -8,7 +8,9 @@ it (insert-after-delete on one cell, growth mid-sequence, dense deltas
 that trip the eviction fallback, ...).
 
 A batch replays its ops as arrays; :class:`TestArrayReplay` holds that
-replay to the one-edge-at-a-time dict loop it replaced, bit for bit.
+replay to the one-edge-at-a-time dict loop it replaced, bit for bit, and
+:class:`TestColumnDoor` holds the edge door's ``(m x 2)`` array form to
+its tuple form.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.engine import MetaPathEngine
 from repro.exceptions import EdgeError
+from repro.ingest import state_digest
 from repro.networks import HIN, NetworkSchema, UpdateBatch
 from repro.networks.graph import _check_bounds
 
@@ -247,3 +250,37 @@ class TestArrayReplay:
         assert rows.size == cols.size == current.size == final.size == 0
         with pytest.raises(EdgeError, match=r"edge \(2, 0\) out of range"):
             batch.add_edges("r", [(2, 0)])._final_values("r", sp.csr_matrix((2, 2)))
+
+
+def _matrix_bytes(m):
+    return (m.shape, m.dtype.str, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes())
+
+
+class TestColumnDoor:
+    @given(
+        grow=st.integers(0, 2),
+        pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), max_size=12),
+        dtype=st.sampled_from([np.int64, np.int32, np.uint8]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_array_and_tuple_forms_commit_bit_identically(self, grow, pairs, dtype):
+        pairs = [(u, v) for u, v in pairs if u < 3 + grow]
+        commits = []
+        for edges in (pairs, np.array(pairs, dtype=dtype).reshape(-1, 2)):
+            hin = _base_hin()
+            batch = UpdateBatch().add_nodes("a", grow).add_edges("r_ab", edges)
+            receipt = hin.apply(batch)
+            commits.append(
+                (
+                    [_matrix_bytes(hin.relation_matrix(r.name)) for r in hin.schema.relations],
+                    receipt.epoch,
+                    dict(receipt.node_growth),
+                    receipt.resized,
+                    {
+                        name: [_matrix_bytes(getattr(d, part)) for part in ("old", "new", "delta")]
+                        for name, d in receipt.deltas.items()
+                    },
+                    state_digest(hin),
+                )
+            )
+        assert commits[0] == commits[1]
