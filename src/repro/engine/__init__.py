@@ -8,7 +8,7 @@ See :mod:`repro.engine.engine` for the design and
 """
 
 from repro.engine.engine import MetaPathEngine
-from repro.engine.fused import fused_partial_block, fused_row_scores
+from repro.engine.fused import fused_row_scores
 from repro.engine.planner import ChainPlan, ChainPlanner, PlanReport
 from repro.engine.topk import finalize_top_k, top_k_indices
 
@@ -20,5 +20,4 @@ __all__ = [
     "top_k_indices",
     "finalize_top_k",
     "fused_row_scores",
-    "fused_partial_block",
 ]

@@ -7,7 +7,7 @@ meta-path (*commuting matrices*).  Recomputing those products per query
 is the dominant cost of a query-heavy workload, and it is pure waste:
 the network changes far more slowly than the paths repeat.
 
-The engine fixes this with four ideas:
+The engine fixes this with five ideas:
 
 1. **Canonical-path caching.**  Commuting matrices are materialized once
    into an LRU-bounded cache (:class:`repro.utils.cache.LRUCache`) keyed
@@ -31,11 +31,7 @@ The engine fixes this with four ideas:
    in the association order a matrix-chain DP picks from per-relation
    statistics (:mod:`repro.engine.planner`), seeded from cached
    prefixes, suffixes, infixes and reversed-path (transpose) entries —
-   association never changes the answer, only the cost.  The policy is
-   a property of the engine, fixed at construction:
-   ``MetaPathEngine(hin, plan="auto")`` (default) or ``plan="left"``
-   (strict left-to-right order — the reference the planner is tested
-   against).
+   association never changes the answer, only the cost.
 5. **Incremental maintenance.**  When the network mutates
    (``hin.apply()``/``hin.mutate()``), the update receipt reaches
    :meth:`MetaPathEngine.apply_update`, which patches every cached
@@ -61,7 +57,7 @@ import scipy.sparse as sp
 from dataclasses import replace as _dc_replace
 
 from repro.engine import kernels
-from repro.engine.fused import fused_partial_block, fused_row_scores
+from repro.engine.fused import fused_row_scores
 from repro.engine.planner import ChainPlanner, PlanReport
 from repro.exceptions import MetaPathError, NodeNotFoundError
 from repro.networks.schema import MetaPath
@@ -69,7 +65,7 @@ from repro.networks.updates import AppliedUpdate, pad_csr
 from repro.query.results import TopKResult
 from repro.utils.cache import CacheInfo, LRUCache
 from repro.utils.locks import RWLock
-from repro.utils.sparse import add_delta, nonempty_rows
+from repro.utils.sparse import _canonical, add_delta, nonempty_rows
 from repro.utils.validation import check_k
 from repro.engine.topk import finalize_top_k, top_k_indices
 
@@ -81,6 +77,11 @@ __all__ = ["MetaPathEngine"]
 #: traverse it are evicted (they rebuild lazily) instead of computing a
 #: delta denser than a rebuild.
 _DELTA_REBUILD_THRESHOLD = 0.25
+
+#: Auto-dispatch warms a path after this many fused answers: the first
+#: few cold single-source queries thread rows (cheap), a hot path then
+#: materializes once and serves from the cache.
+_FUSED_AUTO_THRESHOLD = 4
 
 def _reader(method):
     """Run *method* under the engine's read lock.
@@ -111,17 +112,6 @@ def _writer(method):
     return wrapper
 
 
-def _canonical(m: sp.csr_matrix) -> sp.csr_matrix:
-    """Ensure canonical CSR form (sorted, duplicate-free) in place.
-
-    Sparse products come back with unsorted column indices; every later
-    binary op (the adds of incremental maintenance above all) silently
-    re-canonicalizes per call unless it is done once here.
-    """
-    m.sum_duplicates()
-    return m
-
-
 class MetaPathEngine:
     """Caching query engine for meta-path primitives over one HIN.
 
@@ -137,15 +127,6 @@ class MetaPathEngine:
     max_cached_matrices:
         LRU bound on the number of cached materializations (prefix
         products, symmetric decompositions, type-pair matrices).
-    plan:
-        Association-order policy for every chain product this engine
-        evaluates (:attr:`plan_mode`): ``"auto"`` routes
-        materializations through the cost-based planner
-        (:mod:`repro.engine.planner`); ``"left"`` is strict
-        left-to-right order, the reference implementation the planner
-        is tested against.  Chosen here and nowhere else — no query
-        method takes it.  Answers are identical either way; only the
-        evaluation cost differs.
     mode:
         PathSim top-k kernel policy (:attr:`topk_mode`): ``"auto"``
         dispatches per request on cache state, ``"fused"`` /
@@ -165,24 +146,16 @@ class MetaPathEngine:
         hin,
         *,
         max_cached_matrices: int = 64,
-        plan: str = "auto",
         mode: str = "auto",
     ):
         self.hin = hin
         self._cache = LRUCache(max_cached_matrices)
         self._rwlock = RWLock()
-        if plan not in ("auto", "left"):
-            raise ValueError(f"plan must be 'auto' or 'left', got {plan!r}")
-        self.plan_mode = plan
         if mode not in ("auto", "fused", "materialize"):
             raise ValueError(
                 f"mode must be 'auto', 'fused' or 'materialize', got {mode!r}"
             )
         self.topk_mode = mode
-        # Auto-dispatch warms a path after this many fused answers: the
-        # first few cold single-source queries thread rows (cheap), a
-        # hot path then materializes once and serves from the cache.
-        self.fused_auto_threshold = 4
         self._fused_uses: dict[tuple, int] = {}
         # Fused-vs-materialized dispatch counters (see planner_info()).
         self.kernel_counters = {"fused": 0, "materialize": 0}
@@ -290,39 +263,13 @@ class MetaPathEngine:
     # ------------------------------------------------------------------
     # Materialization (cached)
     # ------------------------------------------------------------------
-    def _product(self, steps: tuple) -> sp.csr_matrix:
-        """Cached left-to-right product of ``(relation, forward)`` steps.
-
-        Recursing on the all-but-last prefix caches every prefix product,
-        which is what lets ``A-P-A`` and ``A-P-V-P-A`` share their ``A-P``
-        work automatically.
-        """
-        if len(steps) == 1:
-            rel, forward = steps[0]
-            return self.hin.oriented_matrix(rel, forward)
-        key = ("product", tuple((rel.name, fwd) for rel, fwd in steps))
-        cached = self._cache.get(key)
-        if cached is None:
-            rel, forward = steps[-1]
-            last = self.hin.oriented_matrix(rel, forward)
-            cached = _canonical(self._product(steps[:-1]).dot(last).tocsr())
-            self._cache.put(key, cached)
-        return cached
-
-    def _product_for(self, steps: tuple) -> sp.csr_matrix:
-        """Cached chain product over *steps*, in the association order
-        the engine's :attr:`plan_mode` selects."""
-        if self.plan_mode == "left":
-            return self._product(steps)
-        return self._planner.materialize(steps)
-
     def _auto_choice(self, key: tuple, nq: int) -> tuple[str, bool]:
         """``(kernel, counted)`` auto-dispatch would pick for *nq* more
         queries on *key* right now — counter-free peeks only, so
         :meth:`explain` can call it without skewing the LRU."""
         if self._cache.peek(("pathsim", key)) is not None:
             return "materialize", False
-        if self._fused_uses.get(key, 0) + nq > self.fused_auto_threshold:
+        if self._fused_uses.get(key, 0) + nq > _FUSED_AUTO_THRESHOLD:
             return "materialize", False
         return "fused", True
 
@@ -333,7 +280,7 @@ class MetaPathEngine:
         ``"fused"`` and ``"materialize"`` are forced; ``"auto"`` picks
         materialized when the path's PathSim entry is already cached,
         fused while the path is cold — until
-        :attr:`fused_auto_threshold` answers have gone through fused,
+        ``_FUSED_AUTO_THRESHOLD`` answers have gone through fused,
         after which the path is deemed hot and auto materializes (one
         SpGEMM that every later query amortizes).
         Answers are bit-identical either way; only the cost differs.
@@ -359,7 +306,7 @@ class MetaPathEngine:
 
         Symmetric paths are built as ``W W^T`` from the cached half
         product; asymmetric paths as the cached chain product in the
-        association order the engine's :attr:`plan_mode` selects.
+        association order the planner picks.
         """
         self._sync()
         mp = self.path(path)
@@ -369,10 +316,10 @@ class MetaPathEngine:
         if cached is not None:
             return cached
         if mp.is_symmetric():
-            w = self._product_for(steps[: len(steps) // 2])
+            w = self._planner.materialize(steps[: len(steps) // 2])
             m = _canonical(w.dot(w.T).tocsr())
         else:
-            m = self._product_for(steps)
+            m = self._planner.materialize(steps)
         self._cache.put(key, m)
         return m
 
@@ -392,10 +339,9 @@ class MetaPathEngine:
         commuting matrix's diagonal (row-wise squared norms of ``W``) —
         all a PathSim query needs.
 
-        Under ``plan="auto"`` the half product goes through the chain
-        planner, which also fixes the historical silent miss for
-        *reversed* spellings: a cached ``A-P-V`` product answers the
-        ``V-P-A`` half as its transpose instead of recomputing."""
+        The half product goes through the chain planner, so a reversed
+        spelling is a cache hit too: a cached ``A-P-V`` product answers
+        the ``V-P-A`` half as its transpose instead of recomputing."""
         self._sync()
         mp = self.symmetric_path(path)
         key = ("pathsim", mp.canonical_key())
@@ -403,7 +349,7 @@ class MetaPathEngine:
         def compute():
             """Materialize the half product and its row-norm diagonal."""
             steps = tuple(mp.steps())
-            w = self._product_for(steps[: len(steps) // 2]).tocsr()
+            w = self._planner.materialize(steps[: len(steps) // 2]).tocsr()
             diag = np.asarray(w.multiply(w).sum(axis=1)).ravel()
             return w, diag
 
@@ -454,7 +400,10 @@ class MetaPathEngine:
         standing-query maintainer (:mod:`repro.watch`) uses this to
         re-score only the candidates an update's delta can touch, for
         every watch on the same path in a single sparse product — cost
-        proportional to the touched rows' nnz, not the network.
+        proportional to the touched rows' nnz, not the network.  It
+        always scores the materialized ``(W, diag)``, whatever the
+        engine's :attr:`topk_mode`, and does not count as a top-k
+        dispatch in :attr:`kernel_counters`.
 
         Parameters
         ----------
@@ -464,18 +413,8 @@ class MetaPathEngine:
             Query objects — names or indices of the path's source type.
         candidates:
             Row indices to score (need not be sorted or unique).
-
-        The kernel follows the engine's :attr:`topk_mode` like
-        :meth:`pathsim_top_k`; ``"auto"`` keeps a cold path cold
-        (threaded rows via
-        :func:`~repro.engine.fused.fused_partial_block`) instead of
-        forcing the half product into the cache for delta-sized work.
         """
         mp = self.symmetric_path(path)
-        kernel = self._topk_kernel(mp, 0)
-        if kernel == "fused":
-            rows = [self._resolve(mp.source_type, q) for q in queries]
-            return fused_partial_block(self, mp, rows, candidates)
         w, diag = self._pathsim_parts(mp)
         rows = np.array(
             [self._resolve(mp.source_type, q) for q in queries],
@@ -649,9 +588,9 @@ class MetaPathEngine:
         Slices the cached commuting matrix when available; otherwise
         threads one sparse row through the step matrices — the top-k
         cut pushed into the product: only the query's candidate row is
-        ever computed, never the full ``M_P``.  Under ``plan="auto"``
-        the threading chain reuses the longest cached subchain (forward
-        or reversed spelling) at each position instead of raw steps.
+        ever computed, never the full ``M_P``.  The threading chain
+        reuses the longest cached subchain (forward or reversed
+        spelling) at each position instead of raw steps.
         """
         self._sync()
         mp = self.path(path)
@@ -667,12 +606,8 @@ class MetaPathEngine:
             # A PathSim-warmed symmetric path: M[i, :] = W (W[i, :])^T.
             w, _ = pathsim
             return w.dot(kernels.dense_row(w, i))
-        if self.plan_mode == "auto":
-            mats = self._planner.row_chain(tuple(mp.steps()))
-        else:
-            mats = self.hin.step_matrices(mp)
         row = None
-        for m in mats:
+        for m in self._planner.row_chain(tuple(mp.steps())):
             row = m.getrow(i) if row is None else row.dot(m)
         return np.asarray(row.todense()).ravel()
 
@@ -797,7 +732,7 @@ class MetaPathEngine:
             grown_dst = self._step_to_type(steps[-1]) in update.node_growth
             if not (rels & update.deltas.keys()):
                 if grown_src or grown_dst:
-                    self._pad_entry(key, kind, steps)
+                    self._cache.replace(key, self._padded(key, kind, steps))
                     report["padded"] += 1
                 else:
                     report["kept"] += 1
@@ -827,17 +762,16 @@ class MetaPathEngine:
             self.hin.node_count(self._step_to_type(steps[-1])),
         )
 
-    def _pad_entry(self, key: tuple, kind: str, steps: tuple) -> None:
-        """Grow a value-unchanged entry to the post-update shape."""
+    def _padded(self, key: tuple, kind: str, steps: tuple):
+        """The cached value under *key*, grown to the post-update shape:
+        zero rows/columns on the product, zeros on a pathsim diagonal."""
         shape = self._entry_shape(steps)
-        if kind == "pathsim":
-            w, diag = self._cache.peek(key)
-            w = pad_csr(w, shape)
-            if shape[0] > diag.shape[0]:
-                diag = np.concatenate([diag, np.zeros(shape[0] - diag.shape[0])])
-            self._cache.replace(key, (w, diag))
-        else:
-            self._cache.replace(key, pad_csr(self._cache.peek(key), shape))
+        if kind != "pathsim":
+            return pad_csr(self._cache.peek(key), shape)
+        w, diag = self._cache.peek(key)
+        if shape[0] > diag.shape[0]:
+            diag = np.concatenate([diag, np.zeros(shape[0] - diag.shape[0])])
+        return pad_csr(w, shape), diag
 
     def _maintain_entry(
         self,
@@ -849,14 +783,11 @@ class MetaPathEngine:
     ) -> int:
         """Replace one cached entry with ``pad(old) + delta``; returns the
         number of rows the delta touches."""
-        shape = self._entry_shape(steps)
         delta = self._memo_delta(steps, update, scratch)
         rows = np.array([], dtype=np.int64) if delta is None else nonempty_rows(delta)
+        value = self._padded(key, kind, steps)
         if kind == "pathsim":
-            w, diag = self._cache.peek(key)
-            w = pad_csr(w, shape)
-            if shape[0] > diag.shape[0]:
-                diag = np.concatenate([diag, np.zeros(shape[0] - diag.shape[0])])
+            w, diag = value
             if rows.size:
                 # diag maintained incrementally on the delta's support:
                 # ||w'_i||² = ||w_i||² + Σ_j (2 w_ij Δ_ij + Δ_ij²), with
@@ -871,9 +802,7 @@ class MetaPathEngine:
                 )
             value = (self._patched_product(steps, w, delta, scratch), diag)
         else:
-            value = self._patched_product(
-                steps, pad_csr(self._cache.peek(key), shape), delta, scratch
-            )
+            value = self._patched_product(steps, value, delta, scratch)
         self._cache.replace(key, value)
         return rows.size
 
@@ -1124,9 +1053,7 @@ class MetaPathEngine:
         symmetric = mp.is_symmetric()
         if symmetric:
             steps = steps[: len(steps) // 2]
-        report = self._planner.report(
-            steps, mode=self.plan_mode, path=str(mp), symmetric=symmetric
-        )
+        report = self._planner.report(steps, path=str(mp), symmetric=symmetric)
         if symmetric:
             # Which top-k kernel auto-dispatch would run right now
             # (peeks only; the report stays side-effect-free).
@@ -1137,10 +1064,9 @@ class MetaPathEngine:
     def planner_info(self) -> dict:
         """Planner counters: plans built, products planned, and seed
         reuse broken down by kind (prefix/suffix/infix/full, inverse),
-        plus the engine's default :attr:`plan_mode` and the
-        fused-vs-materialized top-k dispatch counters (``kernels``)."""
+        plus the fused-vs-materialized top-k dispatch counters
+        (``kernels``)."""
         info = dict(self._planner.counters)
-        info["mode"] = self.plan_mode
         info["kernels"] = dict(self.kernel_counters)
         return info
 

@@ -13,9 +13,8 @@ source object — before it can answer even one query.  For a *cold* path
 This module computes both by *threading rows through the relation
 chain*: the query row enters the first step matrix as a CSR row slice
 and each subsequent step is a thin sparse product, so cost is
-proportional to the rows' reach, never the network.  On a
-``plan="auto"`` engine the chains come from
-:meth:`~repro.engine.planner.ChainPlanner.row_chain`, which collapses
+proportional to the rows' reach, never the network.  The chains come
+from :meth:`~repro.engine.planner.ChainPlanner.row_chain`, which collapses
 the longest cached spans (forward or inverse spelling) into single
 matrices — the fused kernel reuses whatever the planner already
 materialized.  When the path's PathSim entry *is* cached, its
@@ -25,9 +24,9 @@ recomputing candidate norms.
 A batch is that same query several times: the engine's one PathSim
 top-k route calls :func:`fused_row_scores`, pruned to the top-k it
 selects, once per query, so there is no blocked fused kernel to keep
-in step with it.  :func:`fused_partial_block` is the one block here:
-it prices standing-query maintenance by the delta on paths nobody
-materialized.
+in step with it.  Standing-query maintenance does not thread rows
+either: it scores the materialized ``(W, diag)``
+(:meth:`~repro.engine.engine.MetaPathEngine.pathsim_partial_block`).
 
 Exactness
 ---------
@@ -53,10 +52,7 @@ import numpy as np
 
 from repro.engine import kernels
 
-__all__ = [
-    "fused_row_scores",
-    "fused_partial_block",
-]
+__all__ = ["fused_row_scores"]
 
 
 def _half_chains(engine, mp):
@@ -64,17 +60,14 @@ def _half_chains(engine, mp):
 
     ``first`` multiplies out to the half product ``W`` (values), and
     ``second`` to ``Wᵀ``; threading a row through ``first + second``
-    yields the commuting-matrix row.  On a ``plan="auto"`` engine each
-    half goes through the planner's cached-span collapse."""
+    yields the commuting-matrix row.  Each half goes through the
+    planner's cached-span collapse."""
     steps = tuple(mp.steps())
     half = len(steps) // 2
-    if engine.plan_mode == "auto":
-        return (
-            engine._planner.row_chain(steps[:half]),
-            engine._planner.row_chain(steps[half:]),
-        )
-    mats = engine.hin.step_matrices(mp)
-    return list(mats[:half]), list(mats[half:])
+    return (
+        engine._planner.row_chain(steps[:half]),
+        engine._planner.row_chain(steps[half:]),
+    )
 
 
 def _thread_rows(mats, idx: np.ndarray):
@@ -196,30 +189,3 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
             break  # no unvisited candidate can strictly beat the cut
         chunk *= 2
     return scores
-
-
-def fused_partial_block(engine, mp, rows, candidates) -> np.ndarray:
-    """Fused ``(len(rows), len(candidates))`` partial score block.
-
-    Bit-identical to ``engine.pathsim_partial_block`` — the same
-    :func:`repro.engine.kernels.pathsim_partial` call over the same
-    operand values — but both operand blocks are *threaded* (rows of
-    ``W`` via the chain) instead of sliced from a materialized half
-    product.  This is what keeps
-    standing-query maintenance (:mod:`repro.watch`) delta-priced on
-    paths nobody ever materialized: per commit it costs the touched
-    rows' reach, not a full chain SpGEMM.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    idx = np.asarray(candidates, dtype=np.int64)
-    if rows.size == 0 or idx.size == 0:
-        return np.zeros((rows.size, idx.size))
-    first, _ = _half_chains(engine, mp)
-    w_rows = _thread_rows(first, rows)
-    w_cand = _thread_rows(first, idx)
-    cached = engine._cache.get(("pathsim", mp.canonical_key()))
-    if cached is not None:
-        diag_r, diag_c = cached[1][rows], cached[1][idx]
-    else:
-        diag_r, diag_c = _row_norms(w_rows), _row_norms(w_cand)
-    return kernels.pathsim_partial(w_cand, diag_c, slice(None), w_rows, diag_r)

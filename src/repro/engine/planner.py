@@ -1,14 +1,15 @@
 """Cost-based association planning for meta-path chain products.
 
-The engine's original evaluator multiplies a chain ``W_1 · W_2 · … · W_k``
-strictly left to right.  Association order does not change the answer
-(matrix multiplication is associative; for the integer link counts this
-library stores, even the float64 results are bit-identical) — but it
-dominates the *cost* of long asymmetric paths.  On a bibliographic
-network, ``A-P-V-P-A-P-T`` evaluated left to right materializes dense
-author x paper intermediates twice, while routing the product through
-the tiny venue type (``(A·V) · (V·T)``) keeps every intermediate no
-wider than the venue count.
+:meth:`~repro.networks.hin.HIN.commuting_matrix` multiplies a chain
+``W_1 · W_2 · … · W_k`` strictly left to right, uncached — the reference
+every engine product is tested against.  Association order does not
+change the answer (matrix multiplication is associative; for the
+integer link counts this library stores, even the float64 results are
+bit-identical) — but it dominates the *cost* of long asymmetric
+paths.  On a bibliographic network, ``A-P-V-P-A-P-T`` evaluated left
+to right materializes dense author x paper intermediates twice, while
+routing the product through the tiny venue type (``(A·V) · (V·T)``)
+keeps every intermediate no wider than the venue count.
 
 :class:`ChainPlanner` picks that order with the classic matrix-chain
 DP, costed from each relation matrix's shape and nnz (read off the
@@ -34,8 +35,8 @@ recomputed from the recorded split — a plan can go stale, never wrong.
 Execution caches every interval it materializes under the engine's
 normal ``("product", steps)`` keys, so planner-created entries are
 maintained by :meth:`~repro.engine.engine.MetaPathEngine.apply_update`,
-exported by ``export_state`` and serialized into snapshots exactly like
-left-to-right prefixes.
+exported by ``export_state`` and serialized into snapshots like any
+other cache entry.
 """
 
 from __future__ import annotations
@@ -43,14 +44,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.utils.sparse import _canonical
+
 __all__ = ["ChainPlanner", "ChainPlan", "PlanReport"]
-
-
-def _canonical(m):
-    """Canonical CSR (sorted, duplicate-free) in place — planner-local
-    twin of the engine's helper (importing it would be circular)."""
-    m.sum_duplicates()
-    return m
 
 
 def _inverse_steps(names: tuple) -> tuple:
@@ -98,7 +94,6 @@ class PlanReport:
     """
 
     path: str
-    mode: str
     symmetric: bool
     association: str
     est_flops: float
@@ -118,7 +113,6 @@ class PlanReport:
         """Plain-JSON view (benchmark artifacts, result metadata)."""
         return {
             "path": self.path,
-            "mode": self.mode,
             "symmetric": self.symmetric,
             "association": self.association,
             "est_flops": self.est_flops,
@@ -129,7 +123,7 @@ class PlanReport:
         }
 
     def __str__(self) -> str:
-        lines = [f"plan[{self.mode}] {self.path}"]
+        lines = [f"plan {self.path}"]
         if self.symmetric:
             lines.append("  symmetric: plan covers the half product W; M = W * W^T")
         lines.append(f"  association: {self.association}")
@@ -323,8 +317,8 @@ class ChainPlanner:
     # Execution
     # ------------------------------------------------------------------
     def materialize(self, steps):
-        """Planned, cached product over *steps* — the ``plan="auto"``
-        replacement for the engine's left-to-right ``_product``."""
+        """Planned, cached product over *steps*: the engine's one chain
+        evaluator."""
         steps = tuple(steps)
         if len(steps) == 1:
             rel, forward = steps[0]
@@ -431,7 +425,7 @@ class ChainPlanner:
             else:
                 self.counters["infix_seeds"] += 1
 
-    def report(self, steps, *, mode: str, path: str, symmetric: bool) -> PlanReport:
+    def report(self, steps, *, path: str, symmetric: bool) -> PlanReport:
         """:class:`PlanReport` for *steps* without executing anything."""
         steps = tuple(steps)
         if len(steps) == 1:
@@ -440,17 +434,9 @@ class ChainPlanner:
                 f"{self._engine._step_from_type((rel.name, forward))}-"
                 f"{self._engine._step_to_type((rel.name, forward))}"
             )
-            return PlanReport(path, mode, symmetric, label, 0.0, 0.0, ())
+            return PlanReport(path, symmetric, label, 0.0, 0.0, ())
         plan = self.plan(steps)
-        if mode == "left":
-            association = plan._label(0, 1)
-            for m in range(1, len(plan.names)):
-                association = f"({association} * {plan._label(m, m + 1)})"
-            return PlanReport(
-                path, mode, symmetric, association,
-                plan.left_cost, plan.left_cost, (),
-            )
         return PlanReport(
-            path, mode, symmetric, plan.association(),
+            path, symmetric, plan.association(),
             plan.cost, plan.left_cost, plan.seed_notes(),
         )

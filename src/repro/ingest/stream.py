@@ -174,15 +174,12 @@ class StreamIngestor:
             )
         self._chunk_size = int(chunk_size)
         self._strict = on_error == "raise"
-        self._index: dict[str, dict[str, int]] = {}
         for t in self.hin.schema.node_types:
-            names = self.hin.names(t)
-            if names is None:
+            if self.hin.names(t) is None:
                 raise IngestError(
                     f"type {t!r} is anonymous; streaming ingest keys "
                     f"identity on node names"
                 )
-            self._index[t] = {name: i for i, name in enumerate(names)}
         self.paper_years: list[int | None] = [None] * self.hin.node_count(
             "paper"
         )
@@ -283,7 +280,7 @@ class StreamIngestor:
         if not record.key:
             self._skip("no_key", record)
             return None
-        if record.key in self._index["paper"]:
+        if record.key in self.hin._name_index["paper"]:
             self._skip("duplicate_key", record)
             return None
         terms = tokenize_title(record.title)
@@ -317,11 +314,12 @@ class StreamIngestor:
         """Build one UpdateBatch from *rows* and commit it atomically.
 
         The chunk is planned as columns: each node type's names resolve
-        in one pass against the committed map, new names taking ids in
-        first-appearance order, and each relation goes to the edge door
-        as one ``(m x 2)`` index array.  The ingestor's own maps only
-        advance after ``hin.apply()`` succeeds, so a failed commit
-        leaves no phantom ids behind.
+        in one pass against the network's own name maps — so nodes added
+        by any other writer are found, not re-added — new names taking
+        ids in first-appearance order, and each relation goes to the
+        edge door as one ``(m x 2)`` index array.  Nothing is recorded
+        before ``hin.apply()`` succeeds, so a failed commit leaves no
+        phantom ids behind.
         """
         # Duplicate keys within one chunk were screened against the
         # committed map only; screen again against the chunk itself.
@@ -339,21 +337,21 @@ class StreamIngestor:
             "term": list(chain.from_iterable(terms)),
         }
         batch = UpdateBatch()
-        ids, planned = {}, {}
+        ids = {}
         for t in self.hin.schema.node_types:
-            ids[t], planned[t] = _resolve(self._index[t], names[t], self.hin.node_count(t))
-            if planned[t]:
-                batch.add_nodes(t, list(planned[t]))
+            ids[t], new = _resolve(self.hin._name_index[t], names[t], self.hin.node_count(t))
+            if new:
+                batch.add_nodes(t, list(new))
         paper = ids["paper"]
         by_author = np.repeat(paper, list(map(len, authors)))
         by_term = np.repeat(paper, list(map(len, terms)))
         batch.add_edges("writes", np.column_stack([ids["author"], by_author]))
         batch.add_edges("published_in", np.column_stack([paper, ids["venue"]]))
         batch.add_edges("mentions", np.column_stack([by_term, ids["term"]]))
+        papers = self.hin.node_count("paper")
         self.hin.apply(batch)
-        # Commit succeeded: adopt the planned ids and the per-paper years.
-        for node_type, new in planned.items():
-            self._index[node_type].update(new)
+        # Papers added by another writer have no year on record.
+        self.paper_years.extend([None] * (papers - len(self.paper_years)))
         self.paper_years.extend(years)
         self._ingested += len(kept)
         self._epochs += 1

@@ -27,8 +27,8 @@ shape                                             built by
 ================================================  ===============
 
 A shape says *what* was asked, never *how* to compute it: association
-order and top-k kernel are the serving engine's policy
-(``MetaPathEngine(hin, plan=..., mode=...)``), so two requests for the
+order is the engine's planner's, the top-k kernel the serving engine's
+policy (``MetaPathEngine(hin, mode=...)``), so two requests for the
 same answer are always the same request.
 
 The verbs below are the only builders of shapes and

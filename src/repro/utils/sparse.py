@@ -123,6 +123,18 @@ def is_binary(matrix) -> bool:
     return bool(np.all((data == 0) | (data == 1)))
 
 
+def _canonical(m: sp.csr_matrix) -> sp.csr_matrix:
+    """Ensure canonical CSR form (sorted, duplicate-free) in place.
+
+    Sparse products come back with unsorted column indices; every later
+    binary op (the adds of incremental maintenance above all) silently
+    re-canonicalizes per call unless it is done once, where the product
+    is made (the engine and its chain planner).
+    """
+    m.sum_duplicates()
+    return m
+
+
 def _canonical_csr(data, indices, indptr, shape) -> sp.csr_matrix:
     """Wrap arrays known to be sorted and duplicate-free (no copy, no scan)."""
     out = sp.csr_matrix((data, indices, indptr), shape=shape, copy=False)

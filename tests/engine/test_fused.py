@@ -15,9 +15,10 @@ import pytest
 from repro.engine import (
     MetaPathEngine,
     finalize_top_k,
-    fused_partial_block,
     fused_row_scores,
+    kernels,
 )
+from repro.engine.engine import _FUSED_AUTO_THRESHOLD
 from repro.networks import HIN, NetworkSchema
 
 APA = "author-paper-author"
@@ -107,18 +108,29 @@ class TestEdgeCaseMatrix:
                 assert res.mode == mode
 
     def test_partial_block_parity(self, small_bib):
+        # Both top-k modes score the partial block off the one
+        # materialized (W, diag); it equals the dense PathSim block of
+        # the left-to-right reference product bit for bit.
         rows = [0, 2]
         candidates = [1, 2, 3]
-        fused = MetaPathEngine(small_bib, mode="fused").pathsim_partial_block(
-            APVPA, rows, candidates
+        m = small_bib.commuting_matrix(APVPA).toarray()
+        diag = np.diag(m)
+        expected = kernels.pathsim_scores(
+            m[np.ix_(rows, candidates)], diag[rows, None] + diag[None, candidates]
         )
-        mat = MetaPathEngine(
-            small_bib, mode="materialize"
-        ).pathsim_partial_block(APVPA, rows, candidates)
-        assert np.array_equal(fused, mat)
+        for mode in ("fused", "materialize"):
+            got = MetaPathEngine(small_bib, mode=mode).pathsim_partial_block(
+                APVPA, rows, candidates
+            )
+            assert np.array_equal(got, expected)
+
+    def test_partial_block_is_no_top_k_dispatch(self, small_bib):
+        engine = MetaPathEngine(small_bib, mode="fused")
+        engine.pathsim_partial_block(APVPA, [0, 1], [2, 3])
+        assert engine.kernel_counters == {"fused": 0, "materialize": 0}
 
     def test_fused_helpers_reject_nothing_the_engine_allows(self, small_bib):
-        # Direct kernel entry points agree with the dense row / block.
+        # The direct kernel entry point agrees with the dense row / block.
         engine = MetaPathEngine(small_bib, mode="materialize")
         mp = engine.symmetric_path(APVPA)
         row = engine.pathsim_row(mp, 1)
@@ -127,10 +139,6 @@ class TestEdgeCaseMatrix:
         assert np.array_equal(got, row)
         block = np.array([fused_row_scores(cold, mp, i) for i in (0, 1)])
         assert np.array_equal(block, engine.pathsim_rows(mp, [0, 1]))
-        part = fused_partial_block(cold, mp, [0], [1, 2])
-        assert np.array_equal(
-            part, engine.pathsim_partial_block(mp, [0], [1, 2])
-        )
 
     def test_pruned_row_serves_exact_top_k(self, small_bib):
         # need= prunes the tail: positions past the top-`need` stay 0.0,
@@ -148,7 +156,7 @@ class TestEdgeCaseMatrix:
     def test_forced_fused_reads_cached_diag(self, small_bib):
         # A prewarmed engine holds the maintained (w, diag) pair; forced
         # fused must read that diagonal instead of re-threading candidate
-        # rows — and still agree bit for bit on every entry point.
+        # rows — and still agree bit for bit on every top-k entry point.
         warm = MetaPathEngine(small_bib, mode="fused")
         warm.prewarm([APVPA])
         mat = MetaPathEngine(small_bib, mode="materialize")
@@ -160,27 +168,15 @@ class TestEdgeCaseMatrix:
         assert [
             list(r) for r in warm.pathsim_top_k_batch(APVPA, queries, 2)
         ] == [list(r) for r in mat.pathsim_top_k_batch(APVPA, queries, 2)]
-        assert np.array_equal(
-            warm.pathsim_partial_block(APVPA, [0, 1], [2, 3]),
-            mat.pathsim_partial_block(APVPA, [0, 1], [2, 3]),
-        )
 
     def test_partial_block_empty_rows_or_candidates(self, small_bib):
         engine = MetaPathEngine(small_bib, mode="fused")
         assert engine.pathsim_partial_block(APVPA, [], [0, 1]).shape == (0, 2)
         assert engine.pathsim_partial_block(APVPA, [0], []).shape == (1, 0)
 
-    def test_empty_batch_and_left_plan(self, small_bib):
+    def test_empty_batch(self, small_bib):
         engine = MetaPathEngine(small_bib, mode="fused")
         assert engine.pathsim_top_k_batch(APVPA, [], 3) == []
-        # A plan="left" engine threads the raw step matrices (no planner
-        # chains); the answer is association-independent either way.
-        left = MetaPathEngine(small_bib, plan="left", mode="fused")
-        mat = MetaPathEngine(small_bib, mode="materialize")
-        for q in range(small_bib.node_count("author")):
-            assert list(left.pathsim_top_k(APVPA, q, 3)) == list(
-                mat.pathsim_top_k(APVPA, q, 3)
-            )
 
     def test_pruning_engages_on_wide_candidate_sets(self):
         # >64 candidates with small k: the pruned scan must stop early
@@ -244,11 +240,11 @@ class TestAutoDispatch:
         fused_ref, mat_ref = self._forced(small_bib, APVPA, 0, 3)
         assert fused_ref == mat_ref
         modes = []
-        for _ in range(engine.fused_auto_threshold + 2):
+        for _ in range(_FUSED_AUTO_THRESHOLD + 2):
             res = engine.pathsim_top_k(APVPA, 0, 3)
             modes.append(res.mode)
             assert list(res) == fused_ref
-        t = engine.fused_auto_threshold
+        t = _FUSED_AUTO_THRESHOLD
         assert modes[:t] == ["fused"] * t
         assert set(modes[t:]) == {"materialize"}
         assert engine.kernel_counters == {"fused": t, "materialize": 2}

@@ -156,8 +156,8 @@ def test_fractional_weights_keep_the_link_weight_contract():
     the routes that read one materialized ``W`` through these kernels
     (materialize, the partial block, the sharded scatter) stay bitwise
     equal, and the routes that sum or associate in another order (fused
-    row threading, ``plan="left"``, maintained vs rebuilt) agree to
-    ``rtol=1e-12``."""
+    row threading, the left-to-right ``hin.commuting_matrix`` against
+    the planned order, maintained vs rebuilt) agree to ``rtol=1e-12``."""
     rng = np.random.default_rng(5)
     counts = {"a": 60, "p": 150, "v": 6}
 
@@ -195,8 +195,10 @@ def test_fractional_weights_keep_the_link_weight_contract():
     for row, q in zip(rows, queries.tolist()):
         result = fused.pathsim_top_k(path, q, k)
         np.testing.assert_allclose(result.scores, row[result.labels], rtol=1e-12)
-    left = MetaPathEngine(hin, plan="left", mode="materialize")
-    np.testing.assert_allclose(left.pathsim_rows(path, queries), rows, rtol=1e-12)
+    m = hin.commuting_matrix(path).toarray()
+    diag_m = np.diag(m)
+    left = kernels.pathsim_scores(m[queries], diag_m[queries, None] + diag_m[None, :])
+    np.testing.assert_allclose(left, rows, rtol=1e-12)
 
     live = hin.engine().prewarm([path])
     hin.apply(UpdateBatch().add_edges("w", links("a", "p", 5)).set_weights("w", [(0, 0, 0.37)]))

@@ -1,10 +1,11 @@
 """Cost-based chain planner: parity, seeds, eviction safety, explain.
 
 Association order never changes an answer — every test here pins the
-planner's output bit-for-bit against strict left-to-right evaluation —
-so what's actually under test is the reuse machinery: prefix/suffix/
-infix seeds, reversed-path (transpose) seeds, eviction robustness, and
-the observability surface (``explain()``, ``planner_info()``).
+planner's output bit-for-bit against ``hin.commuting_matrix``, the
+uncached strict left-to-right reference — so what's actually under
+test is the reuse machinery: prefix/suffix/infix seeds, reversed-path
+(transpose) seeds, eviction robustness, and the observability surface
+(``explain()``, ``planner_info()``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ import pytest
 from repro.datasets import make_dblp_four_area
 from repro.engine import MetaPathEngine, PlanReport
 from repro.engine.planner import _combine, _flops, _inverse_steps
+from tests.property.test_planner_properties import (
+    reference_connectivity,
+    reference_top_k,
+)
 
 APV = "author-paper-venue"
 VPA = "venue-paper-author"
@@ -61,41 +66,39 @@ class TestParity:
     PATHS = [APV, VPA, APVPA, LONG, "term-paper-venue", "venue-paper-term"]
 
     def test_commuting_matrix_bit_identical(self, dblp):
-        auto = dblp.hin.engine(plan="auto")
-        left = dblp.hin.engine(plan="left")
+        engine = MetaPathEngine(dblp.hin)
         for path in self.PATHS:
-            _same(auto.commuting_matrix(path), left.commuting_matrix(path))
+            _same(engine.commuting_matrix(path), dblp.hin.commuting_matrix(path))
 
     def test_pathsim_top_k_identical(self, dblp):
-        auto = dblp.hin.engine(plan="auto")
-        left = dblp.hin.engine(plan="left")
+        engine = MetaPathEngine(dblp.hin)
         for a in range(0, 120, 17):
-            assert list(auto.pathsim_top_k(APVPA, a, 5)) == list(
-                left.pathsim_top_k(APVPA, a, 5)
+            assert list(engine.pathsim_top_k(APVPA, a, 5)) == reference_top_k(
+                dblp.hin, APVPA, a, 5
             )
 
     def test_connectivity_identical(self, dblp):
-        auto = dblp.hin.engine(plan="auto")
-        left = dblp.hin.engine(plan="left")
+        engine = MetaPathEngine(dblp.hin)
         for a in range(0, 120, 29):
-            assert list(auto.top_k_connectivity(LONG, a, 5)) == list(
-                left.top_k_connectivity(LONG, a, 5)
+            assert list(engine.top_k_connectivity(LONG, a, 5)) == (
+                reference_connectivity(dblp.hin, LONG, a, 5)
             )
 
-    def test_per_call_override_matches_engine_mode(self, small_bib):
-        """The override is an engine constructed with the other policy:
-        no query method takes ``plan=`` (an unknown keyword, like any
-        other), and the two policies agree bit for bit."""
-        auto = MetaPathEngine(small_bib, plan="auto")
-        left = MetaPathEngine(small_bib, plan="left")
+    def test_association_is_no_knob(self, small_bib):
+        """The planner is the engine's one chain evaluator: no query
+        method takes ``plan=`` (an unknown keyword, like any other)."""
+        engine = MetaPathEngine(small_bib)
         with pytest.raises(TypeError, match="plan"):
-            auto.commuting_matrix(APV, plan="left")
-        _same(auto.commuting_matrix(APV), left.commuting_matrix(APV))
-        _same(left.commuting_matrix(VPA), auto.commuting_matrix(VPA))
+            engine.commuting_matrix(APV, plan="left")
+        _same(engine.commuting_matrix(APV), small_bib.commuting_matrix(APV))
+        _same(engine.commuting_matrix(VPA), small_bib.commuting_matrix(VPA))
 
     def test_invalid_plan_rejected(self, small_bib):
-        with pytest.raises(ValueError, match="plan"):
-            MetaPathEngine(small_bib, plan="right")
+        # Every association policy value, the former default included,
+        # is an unknown keyword of the engine.
+        for plan in ("left", "auto", "right"):
+            with pytest.raises(TypeError, match="plan"):
+                MetaPathEngine(small_bib, plan=plan)
 
 
 class TestSeeds:
@@ -114,13 +117,12 @@ class TestSeeds:
     def test_suffix_seed_reused(self, dblp):
         # Warm venue-paper-author; the plan for T-P-V-P-A should consume
         # it as a suffix without recomputing the span.
-        engine = dblp.hin.engine(plan="auto")
+        engine = MetaPathEngine(dblp.hin)
         engine.commuting_matrix(VPA)
         report = engine.explain("term-paper-venue-paper-author")
         assert any("suffix" in s and VPA in s for s in report.seeds)
-        left = dblp.hin.engine(plan="left")
         path = "term-paper-venue-paper-author"
-        _same(engine.commuting_matrix(path), left.commuting_matrix(path))
+        _same(engine.commuting_matrix(path), dblp.hin.commuting_matrix(path))
         assert engine.planner_info()["suffix_seeds"] >= 1
 
     def test_connectivity_row_reuses_inverse_span(self, small_bib):
@@ -128,8 +130,9 @@ class TestSeeds:
         engine.commuting_matrix(APV)
         row_auto = engine.connectivity_row(VPA, 0)
         assert engine.planner_info()["inverse_seeds"] >= 1
-        fresh = MetaPathEngine(small_bib, plan="left")
-        np.testing.assert_array_equal(row_auto, fresh.connectivity_row(VPA, 0))
+        np.testing.assert_array_equal(
+            row_auto, small_bib.commuting_matrix(VPA).toarray()[0]
+        )
 
     def test_eviction_of_seed_does_not_corrupt_plan(self, small_bib):
         # Build a plan that believes in a cached seed, evict the seed,
@@ -144,7 +147,7 @@ class TestSeeds:
             engine._cache.pop(key)
         got = planner.execute(plan)
         assert planner.counters["evicted_seed_fallbacks"] >= 1
-        _same(got, MetaPathEngine(small_bib, plan="left").commuting_matrix(LONG))
+        _same(got, small_bib.commuting_matrix(LONG))
 
     def test_planner_entries_are_lru_bounded(self, small_bib):
         engine = MetaPathEngine(small_bib, max_cached_matrices=2)
@@ -153,10 +156,7 @@ class TestSeeds:
         assert info.currsize <= 2
         assert info.evictions > 0
         # and the bounded cache still answers correctly
-        _same(
-            engine.commuting_matrix(APVPA),
-            MetaPathEngine(small_bib, plan="left").commuting_matrix(APVPA),
-        )
+        _same(engine.commuting_matrix(APVPA), small_bib.commuting_matrix(APVPA))
 
 
 class TestPathsimReversedSpellingRegression:
@@ -172,45 +172,30 @@ class TestPathsimReversedSpellingRegression:
         after = engine.cache_info()
         assert after.hits == before.hits + 1  # the transpose seed
         assert engine.planner_info()["inverse_seeds"] == 1
-        fresh = MetaPathEngine(small_bib, plan="left")
-        assert list(got) == list(fresh.pathsim_top_k(VPAPV, 0, 2))
-
-    def test_left_mode_preserves_historical_behavior(self, small_bib):
-        engine = MetaPathEngine(small_bib, plan="left")
-        engine.prewarm([APVPA])
-        engine.pathsim_top_k(VPAPV, 0, 2)
-        assert engine.planner_info()["inverse_seeds"] == 0
+        assert list(got) == reference_top_k(small_bib, VPAPV, 0, 2)
 
 
 class TestExplain:
     def test_report_fields_and_str(self, dblp):
-        engine = dblp.hin.engine(plan="auto")
+        engine = MetaPathEngine(dblp.hin)
         report = engine.explain(LONG)
         assert isinstance(report, PlanReport)
-        assert report.mode == "auto"
         assert not report.symmetric
         assert report.est_flops <= report.left_flops
         assert report.estimated_speedup >= 1.0
         text = str(report)
-        assert text.startswith(f"plan[auto] {LONG}")
+        assert text.startswith(f"plan {LONG}")
         assert "association:" in text and "est flops:" in text
         json.dumps(report.to_dict())
 
     def test_long_asymmetric_plan_beats_left_on_estimates(self, dblp):
-        report = dblp.hin.engine(plan="auto").explain(LONG)
+        report = MetaPathEngine(dblp.hin).explain(LONG)
         assert report.estimated_speedup > 2.0
 
     def test_symmetric_path_reports_half_plan(self, small_bib):
         report = small_bib.engine().explain(APVPA)
         assert report.symmetric
         assert "W * W^T" in str(report)
-
-    def test_left_mode_association_is_left_nested(self, dblp):
-        report = dblp.hin.engine(plan="left").explain(LONG)
-        assert report.mode == "left"
-        assert report.association.startswith("((((")
-        assert report.est_flops == report.left_flops
-        assert report.seeds == ()
 
     # Association and flop estimates of fresh engines on the dblp
     # fixture, recorded when the planner still read a maintained
@@ -269,18 +254,19 @@ class TestExplain:
         for key in (
             "plans", "planned_products", "seeded_spans", "prefix_seeds",
             "suffix_seeds", "infix_seeds", "full_seeds", "inverse_seeds",
-            "evicted_seed_fallbacks", "mode",
+            "evicted_seed_fallbacks", "kernels",
         ):
             assert key in info
+        assert "mode" not in info
 
 
 class TestResultPlanSurfacing:
     def test_planless_results_omit_the_key(self, small_bib):
         """Results say what was answered and which kernel ran; the
-        association policy is ``engine.plan_mode``, not a result field."""
+        association order is the planner's, never a result field."""
         for r in (
             MetaPathEngine(small_bib).pathsim_top_k(APVPA, 0, 2),
-            MetaPathEngine(small_bib, plan="left").top_k_connectivity(APV, 0, 2),
+            MetaPathEngine(small_bib).top_k_connectivity(APV, 0, 2),
         ):
             assert not hasattr(r, "plan")
             assert "plan" not in r.to_dict()
@@ -294,7 +280,7 @@ class TestMaintenanceWithPlannerEntries:
             authors_per_area=20, papers_per_area=40, terms_per_area=10,
             shared_terms=5, seed=11,
         ).hin
-        engine = hin.engine()  # attached, plan="auto" default
+        engine = hin.engine()  # attached: caches are delta-maintained
         engine.commuting_matrix(LONG)
         engine.prewarm([APVPA])
         hin.apply(
@@ -302,8 +288,5 @@ class TestMaintenanceWithPlannerEntries:
             .add_edges("writes", [(0, 3), (5, 7, 2.0)])
             .remove_edges("published_in", [(0, 0)])
         )
-        fresh = MetaPathEngine(hin, plan="left")
-        _same(engine.commuting_matrix(LONG), fresh.commuting_matrix(LONG))
-        assert list(engine.pathsim_top_k(APVPA, 2, 4)) == list(
-            fresh.pathsim_top_k(APVPA, 2, 4)
-        )
+        _same(engine.commuting_matrix(LONG), hin.commuting_matrix(LONG))
+        assert list(engine.pathsim_top_k(APVPA, 2, 4)) == reference_top_k(hin, APVPA, 2, 4)

@@ -231,6 +231,25 @@ class TestResume:
                 whole.hin.engine().pathsim_top_k(path, author, 5)
             )
 
+    def test_nodes_added_by_another_writer_are_found_not_re_added(self):
+        """Regression: the ingestor resolved names against its own copy
+        of the network's name maps, taken at construction, so an
+        outside ``add_nodes`` made the next chunk re-add an existing
+        name (``UpdateError``, chunk lost) and shifted ``paper_years``
+        onto the outside paper's index."""
+        ing = StreamIngestor(chunk_size=10)
+        ing.ingest([PubRecord("p0", "article", "first title", 2001, "V", ("Ann",))])
+        ing.hin.mutate().add_nodes("author", ["Bob"]).add_nodes("paper", ["x"]).commit()
+        report = ing.ingest(
+            [PubRecord("p1", "article", "second title", 2002, "V", ("Bob", "Ann"))]
+        )
+        assert report.ingested == 1 and not report.skipped
+        assert ing.hin.names("author") == ["Ann", "Bob"]
+        assert ing.hin.names("paper") == ["p0", "x", "p1"]
+        assert ing.paper_years == [2001, None, 2002]
+        writes = ing.hin.relation_matrix("writes").toarray()
+        assert writes.tolist() == [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+
     def test_resume_skips_already_loaded_keys(self, dataset):
         records = dataset_records(dataset)
         ing = StreamIngestor(chunk_size=30)

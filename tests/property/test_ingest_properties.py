@@ -156,8 +156,9 @@ def _loop_commit(ing, rows):
     planned = {t: {} for t in counts}
 
     def resolve(t, name):
-        if name in ing._index[t]:
-            return ing._index[t][name]
+        index = ing.hin._name_index[t]
+        if name in index:
+            return index[name]
         return planned[t].setdefault(name, counts[t] + len(planned[t]))
 
     edges = {"writes": [], "published_in": [], "mentions": []}
@@ -176,8 +177,6 @@ def _loop_commit(ing, rows):
     for rel, pairs in edges.items():
         batch.add_edges(rel, pairs)
     ing.hin.apply(batch)
-    for t, new in planned.items():
-        ing._index[t].update(new)
 
 
 class TestColumnPlan:

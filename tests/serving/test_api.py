@@ -334,7 +334,7 @@ class TestEpochRule:
                 replay.apply(stream[epoch - 1])
             cold = QuerySession(
                 replay,
-                engine=MetaPathEngine(replay, plan="left", mode="materialize"),
+                engine=MetaPathEngine(replay, mode="materialize"),
             )
             for verb, args in requests:
                 reference[epoch, verb, args] = list(getattr(cold, verb)(*args))

@@ -288,7 +288,7 @@ class TestCaptureBesideAWriter:
         # Cold replay: per epoch, the fingerprint and the reference
         # engine's answers.
         replay = _network()
-        cold = MetaPathEngine(replay, plan="left", mode="materialize")
+        cold = MetaPathEngine(replay, mode="materialize")
         expected = [(network_fingerprint(replay), _top5(cold))]
         for batch in batches:
             replay.apply(batch)

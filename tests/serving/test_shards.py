@@ -227,7 +227,7 @@ class TestUpdates:
         ]
         for epoch, batch in enumerate(stream, start=1):
             small_bib.apply(batch)
-            cold = MetaPathEngine(small_bib, plan="left", mode="materialize")
+            cold = MetaPathEngine(small_bib, mode="materialize")
             for handle in handles:
                 at, current = handle.current()
                 spec = handle.spec

@@ -265,9 +265,9 @@ def _public_methods(cls):
 
 
 def test_only_the_engine_constructor_chooses_how():
-    """An association policy (``plan``) is accepted by
-    ``MetaPathEngine.__init__`` alone; a kernel (``mode``) by the
-    constructor and — for ``benchmarks/perf/layers.py`` — by
+    """No method takes an association policy (``plan``): the planner is
+    the one chain evaluator.  A kernel (``mode``) is accepted by the
+    engine's constructor and — for ``benchmarks/perf/layers.py`` — by
     ``engine.pathsim_top_k``.  Nothing above the engine takes either."""
     from repro.engine import MetaPathEngine
     from repro.query import QuerySession
@@ -284,13 +284,14 @@ def test_only_the_engine_constructor_chooses_how():
         for knob in takes:
             if knob in signature.parameters:
                 takes[knob].add(name)
-    assert takes == {"plan": {"__init__"}, "mode": {"__init__", "pathsim_top_k"}}
+    assert takes == {"plan": set(), "mode": {"__init__", "pathsim_top_k"}}
 
 
 def test_engine_and_session_constructors_are_pinned():
-    """Nothing outside the tests ever set the rebuild threshold or the
-    SimRank cache size; both are constants, and no knob grows back
-    unnoticed."""
+    """Nothing outside the tests ever set the rebuild threshold, the
+    fused auto-dispatch threshold, the association policy or the
+    SimRank cache size; they are constants or gone, and no knob grows
+    back unnoticed."""
     from repro.engine import MetaPathEngine
     from repro.query import QuerySession
 
@@ -300,7 +301,7 @@ def test_engine_and_session_constructors_are_pinned():
         return str(sig.replace(parameters=params))
 
     assert unannotated(MetaPathEngine.__init__) == (
-        "(self, hin, *, max_cached_matrices=64, plan='auto', mode='auto')"
+        "(self, hin, *, max_cached_matrices=64, mode='auto')"
     )
     assert unannotated(QuerySession.__init__) == "(self, hin, *, engine=None)"
 
@@ -313,8 +314,9 @@ def _params(fn):
 
 
 def test_one_pathsim_top_k_route_is_pinned():
-    """A query of one is a batch of one: no blocked fused kernel beside
-    the row kernel, and the batch entry point names no kernel."""
+    """A query of one is a batch of one: no blocked fused kernel and no
+    fused partial block beside the row kernel, and the batch entry point
+    names no kernel."""
     import repro.engine
     from repro.engine import MetaPathEngine
 
@@ -324,7 +326,6 @@ def test_one_pathsim_top_k_route_is_pinned():
         "MetaPathEngine",
         "PlanReport",
         "finalize_top_k",
-        "fused_partial_block",
         "fused_row_scores",
         "top_k_indices",
     ]

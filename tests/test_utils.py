@@ -19,7 +19,7 @@ from repro.utils import (
     symmetric_normalize,
     to_csr,
 )
-from repro.utils.sparse import degree_vector
+from repro.utils.sparse import _canonical, degree_vector
 from repro.utils.validation import (
     check_in_range,
     check_nonnegative_matrix,
@@ -160,6 +160,22 @@ class TestDegreeVector:
         m = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
         assert np.allclose(degree_vector(m, axis=1), [3.0, 3.0])
         assert np.allclose(degree_vector(m, axis=0), [1.0, 5.0])
+
+
+class TestCanonical:
+    def test_sorts_and_merges_in_place(self):
+        # Unsorted column indices with a duplicate entry, as a raw
+        # product or a hand-built CSR can come back.
+        m = sp.csr_matrix(
+            (np.array([1.0, 2.0, 3.0]), np.array([2, 0, 2]), np.array([0, 3, 3])),
+            shape=(2, 3),
+        )
+        dense = m.toarray()
+        out = _canonical(m)
+        assert out is m
+        assert m.has_canonical_format
+        assert m.indices.tolist() == [0, 2] and m.data.tolist() == [2.0, 4.0]
+        assert np.array_equal(m.toarray(), dense)
 
 
 def _replay(residuals, *, tol=1e-3, max_iter=10):

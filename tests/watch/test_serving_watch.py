@@ -63,24 +63,25 @@ class TestServiceWatch:
                 assert pushed.network_version == epoch
 
 
-class TestPlanThreading:
-    """The association policy belongs to the engine: a service answers
-    under its engine's policy, bit-identically to a reference engine
-    constructed with ``plan="left"``."""
+class TestServiceAnswers:
+    """A service answers through its engine, bit-identically to a cold
+    ``mode="materialize"`` reference engine."""
 
-    def test_plan_override_answers_identically(self, small_bib):
-        left = MetaPathEngine(small_bib, plan="left")
+    def test_similar_equals_a_cold_reference(self, small_bib):
+        cold = MetaPathEngine(small_bib, mode="materialize")
         with QueryService(small_bib) as svc:
-            auto = svc.similar("a0", APVPA, k=3).result(timeout=10)
-            assert list(auto) == list(left.pathsim_top_k(APVPA, "a0", 3))
+            got = svc.similar("a0", APVPA, k=3).result(timeout=10)
+            assert list(got) == list(cold.pathsim_top_k(APVPA, "a0", 3))
 
-    def test_connected_takes_plan(self, small_bib):
-        left = MetaPathEngine(small_bib, plan="left")
+    def test_connected_equals_a_cold_reference(self, small_bib):
+        cold = MetaPathEngine(small_bib, mode="materialize")
         with QueryService(small_bib) as svc:
             got = svc.connected("a0", "author-paper-venue", k=2)
-            expected = left.top_k_connectivity("author-paper-venue", "a0", 2)
+            expected = cold.top_k_connectivity("author-paper-venue", "a0", 2)
             assert list(got.result(timeout=10)) == list(expected)
 
+
+class TestServiceStats:
     def test_stats_report_planner_and_watch_sections(self, small_bib):
         with QueryService(small_bib) as svc:
             stats = svc.stats()
@@ -127,13 +128,13 @@ class TestClusterWatch:
                 assert epoch > registered_at
                 assert result.network_version == epoch
 
-    def test_plan_threads_through_worker_specs(self, small_bib):
+    def test_worker_answers_equal_a_cold_reference(self, small_bib):
         small_bib.engine().prewarm([APVPA])
         with ClusterService(small_bib, processes=_PROCESSES) as service:
-            left = MetaPathEngine(small_bib, plan="left")
+            cold = MetaPathEngine(small_bib, mode="materialize")
             futures = [service.similar(a, APVPA, 3) for a in range(4)]
             for a, future in enumerate(futures):
-                expected = left.pathsim_top_k(APVPA, a, 3)
+                expected = cold.pathsim_top_k(APVPA, a, 3)
                 got = future.result(timeout=60)
                 assert list(got) == list(expected)
 
