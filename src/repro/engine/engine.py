@@ -78,10 +78,27 @@ __all__ = ["MetaPathEngine"]
 #: delta denser than a rebuild.
 _DELTA_REBUILD_THRESHOLD = 0.25
 
-#: Auto-dispatch warms a path after this many fused answers: the first
-#: few cold single-source queries thread rows (cheap), a hot path then
-#: materializes once and serves from the cache.
+#: Auto-dispatch serves a cold path's first answers fused (threading rows
+#: is cheap) and weighs materializing it once this many have gone through.
 _FUSED_AUTO_THRESHOLD = 4
+
+#: Past the threshold a path materializes only while the estimated
+#: ``nnz(W)`` (what one materialized query scans) is at most this many
+#: times the entries a fused query threads.  An entry threaded costs
+#: 18–59 ns against 1.2–2.9 ns an entry scanned (``tools/kernel_costs.py``,
+#: dblp_6k).  The ratio read 0.7–8.2 on the deep paths where materializing
+#: wins and 12.6 or more on ``P-A-P-A-P``, where fused wins.
+_MATERIALIZE_COST_RATIO = 10
+
+
+def _check_mode(mode: str) -> str:
+    """*mode* if it names a top-k kernel policy, else ``ValueError``."""
+    if mode not in ("auto", "fused", "materialize"):
+        raise ValueError(
+            f"mode must be 'auto', 'fused' or 'materialize', got {mode!r}"
+        )
+    return mode
+
 
 def _reader(method):
     """Run *method* under the engine's read lock.
@@ -151,12 +168,9 @@ class MetaPathEngine:
         self.hin = hin
         self._cache = LRUCache(max_cached_matrices)
         self._rwlock = RWLock()
-        if mode not in ("auto", "fused", "materialize"):
-            raise ValueError(
-                f"mode must be 'auto', 'fused' or 'materialize', got {mode!r}"
-            )
-        self.topk_mode = mode
-        self._fused_uses: dict[tuple, int] = {}
+        self.topk_mode = _check_mode(mode)
+        # Per path: what the fused route threaded (see engine/fused.py).
+        self._fused_tally: dict[tuple, list[int]] = {}
         # Fused-vs-materialized dispatch counters (see planner_info()).
         self.kernel_counters = {"fused": 0, "materialize": 0}
         self._planner = ChainPlanner(self)
@@ -263,15 +277,27 @@ class MetaPathEngine:
     # ------------------------------------------------------------------
     # Materialization (cached)
     # ------------------------------------------------------------------
-    def _auto_choice(self, key: tuple, nq: int) -> tuple[str, bool]:
-        """``(kernel, counted)`` auto-dispatch would pick for *nq* more
-        queries on *key* right now — counter-free peeks only, so
-        :meth:`explain` can call it without skewing the LRU."""
+    def _auto_choice(self, mp: MetaPath, nq: int) -> str:
+        """The kernel auto-dispatch would pick for *nq* more queries on
+        *mp* right now — counter-free peeks only, so :meth:`explain` can
+        call it without skewing the LRU.
+
+        Past the threshold, a materialized query's cost is estimated as
+        ``nnz(W)``: the source count times the mean nnz of the ``W`` rows
+        the fused route threaded (the planner's estimate can be off by
+        5x).  A fused query's cost is the entries it threaded.  A cold
+        batch larger than the threshold has no fused sample yet: both
+        sides are 0, so it materializes and the batch shares one product."""
+        key = mp.canonical_key()
         if self._cache.peek(("pathsim", key)) is not None:
-            return "materialize", False
-        if self._fused_uses.get(key, 0) + nq > _FUSED_AUTO_THRESHOLD:
-            return "materialize", False
-        return "fused", True
+            return "materialize"
+        queries, work, rows, row_nnz = self._fused_tally.get(key, (0, 0, 0, 0))
+        if queries + nq <= _FUSED_AUTO_THRESHOLD:
+            return "fused"
+        w_nnz = self.hin.node_count(mp.source_type) * row_nnz / max(rows, 1)
+        if w_nnz * queries <= _MATERIALIZE_COST_RATIO * work:
+            return "materialize"
+        return "fused"
 
     def _topk_kernel(self, mp: MetaPath, nq: int, mode: str | None = None) -> str:
         """The kernel to run for *nq* more queries on *mp*: the engine's
@@ -279,24 +305,19 @@ class MetaPathEngine:
 
         ``"fused"`` and ``"materialize"`` are forced; ``"auto"`` picks
         materialized when the path's PathSim entry is already cached,
-        fused while the path is cold — until
-        ``_FUSED_AUTO_THRESHOLD`` answers have gone through fused,
-        after which the path is deemed hot and auto materializes (one
-        SpGEMM that every later query amortizes).
+        fused while the path is cold.  Once ``_FUSED_AUTO_THRESHOLD``
+        answers have gone through fused, auto materializes (one SpGEMM
+        that every later query amortizes) only if the ``nnz(W)`` a
+        materialized query scans is at most ``_MATERIALIZE_COST_RATIO``
+        times the entries a fused query threads (see
+        :meth:`_auto_choice`); a path whose ``W`` outweighs its fused
+        queries stays fused.
         Answers are bit-identical either way; only the cost differs.
         """
         self._sync()
-        chosen = self.topk_mode if mode is None else mode
-        if chosen not in ("auto", "fused", "materialize"):
-            raise ValueError(
-                f"mode must be 'auto', 'fused' or 'materialize', "
-                f"got {chosen!r}"
-            )
+        chosen = _check_mode(self.topk_mode if mode is None else mode)
         if chosen == "auto":
-            key = mp.canonical_key()
-            chosen, counted = self._auto_choice(key, nq)
-            if counted and nq:
-                self._fused_uses[key] = self._fused_uses.get(key, 0) + nq
+            chosen = self._auto_choice(mp, nq)
         self.kernel_counters[chosen] += 1
         return chosen
 
@@ -1055,9 +1076,9 @@ class MetaPathEngine:
             steps = steps[: len(steps) // 2]
         report = self._planner.report(steps, path=str(mp), symmetric=symmetric)
         if symmetric:
-            # Which top-k kernel auto-dispatch would run right now
-            # (peeks only; the report stays side-effect-free).
-            kernel, _ = self._auto_choice(mp.canonical_key(), 0)
+            # The top-k kernel the next query runs on: the forced one, or
+            # auto's pick (peeks only; the report stays side-effect-free).
+            kernel = self._auto_choice(mp, 1) if self.topk_mode == "auto" else self.topk_mode
             report = _dc_replace(report, kernel=kernel)
         return report
 

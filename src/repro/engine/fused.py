@@ -28,6 +28,11 @@ in step with it.  Standing-query maintenance does not thread rows
 either: it scores the materialized ``(W, diag)``
 (:meth:`~repro.engine.engine.MetaPathEngine.pathsim_partial_block`).
 
+Each query also counts what it threaded into the engine's per-path
+tally: the rows of ``W`` and their nnz, and every product's stored
+entries.  Auto-dispatch prices materializing the path from that tally
+(:meth:`~repro.engine.engine.MetaPathEngine._auto_choice`).
+
 Exactness
 ---------
 The fused route threads rows in another summation order than the
@@ -70,12 +75,15 @@ def _half_chains(engine, mp):
     )
 
 
-def _thread_rows(mats, idx: np.ndarray):
-    """Rows *idx* of the chain product over *mats*: one CSR row slice
-    followed by thin sparse products — cost bounded by the rows' reach."""
-    block = mats[0][idx]
-    for m in mats[1:]:
+def _thread(block, mats, tally: list):
+    """*block* times each matrix of *mats* in turn: thin sparse products,
+    cost bounded by the rows' reach.  The stored entries of *block* and
+    of every product are counted into ``tally[1]``, the path's fused
+    work."""
+    tally[1] += block.nnz
+    for m in mats:
         block = block.dot(m)
+        tally[1] += block.nnz
     return block.tocsr()
 
 
@@ -137,14 +145,25 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     scores; callers selecting ``k <= need`` entries see bit-identical
     answers.
     """
-    idx = np.array([i], dtype=np.int64)
     first, second = _half_chains(engine, mp)
-    w_q = _thread_rows(first, idx)
+    key = mp.canonical_key()
+    # The path's tally for auto-dispatch (MetaPathEngine._auto_choice):
+    # [queries, entries threaded, rows of W threaded, their total nnz].
+    # Concurrent readers may lose an increment: the tally only prices
+    # the choice of kernel, and both kernels give the same answer.
+    tally = engine._fused_tally.setdefault(key, [0, 0, 0, 0])
+    tally[0] += 1
+
+    def thread(rows: np.ndarray):
+        """Rows *rows* of ``W``: one CSR row slice, threaded on."""
+        block = _thread(first[0][rows], first[1:], tally)
+        tally[2] += rows.size
+        tally[3] += block.nnz
+        return block
+
+    w_q = thread(np.array([i], dtype=np.int64))
     diag_i = float(_row_norms(w_q)[0])
-    num = w_q
-    for m in second:
-        num = num.dot(m)
-    num = num.tocsr()
+    num = _thread(w_q, second, tally)
     n = num.shape[1]
     scores = np.zeros(n)
     if num.nnz == 0:
@@ -152,7 +171,7 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     cols = num.indices.astype(np.int64, copy=False)
     vals = np.asarray(num.data, dtype=np.float64)
 
-    cached = engine._cache.get(("pathsim", mp.canonical_key()))
+    cached = engine._cache.get(("pathsim", key))
     if cached is not None:
         scores[cols] = kernels.pathsim_scores(vals, diag_i + cached[1][cols])
         return scores
@@ -160,9 +179,7 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     def score_into(take: np.ndarray) -> np.ndarray:
         """Thread diagonals for candidate positions *take*, fill scores."""
         ccols, cvals = cols[take], vals[take]
-        block = kernels.pathsim_scores(
-            cvals, diag_i + _row_norms(_thread_rows(first, ccols))
-        )
+        block = kernels.pathsim_scores(cvals, diag_i + _row_norms(thread(ccols)))
         scores[ccols] = block
         return block
 

@@ -127,9 +127,6 @@ class NetworkSchema:
     def relations(self) -> list[Relation]:
         return list(self._relations)
 
-    def has_type(self, name: str) -> bool:
-        return name in self._types
-
     def resolve_type(self, token: str) -> str:
         """Resolve a (possibly abbreviated) node-type token.
 

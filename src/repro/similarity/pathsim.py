@@ -131,13 +131,6 @@ class PathSim(Estimator):
             self._mp, x, k, exclude_query=exclude_self
         )
 
-    def top_k_batch(self, xs, k: int, *, exclude_self: bool = True) -> list[TopKResult]:
-        """:meth:`top_k` for many queries via one sparse block product."""
-        self._check_fitted()
-        return self._engine.pathsim_top_k_batch(
-            self._mp, xs, k, exclude_query=exclude_self
-        )
-
     def matrix(self) -> np.ndarray:
         """Dense all-pairs PathSim matrix (see :func:`pathsim_matrix`)."""
         self._check_fitted()

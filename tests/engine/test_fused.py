@@ -249,6 +249,73 @@ class TestAutoDispatch:
         assert set(modes[t:]) == {"materialize"}
         assert engine.kernel_counters == {"fused": t, "materialize": 2}
 
+    def _serve_past_threshold(self, hin, path, queries):
+        """Serve *queries* one at a time on a cold auto engine, checking
+        each answer against a cold materialized engine and each reported
+        kernel against what ``explain`` named just before.  Returns the
+        engine and the kernels that ran."""
+        engine = MetaPathEngine(hin)
+        reference = MetaPathEngine(hin, mode="materialize")
+        modes = []
+        for q in queries:
+            predicted = engine.explain(path).kernel
+            res = engine.pathsim_top_k(path, q, 2)
+            assert res.mode == predicted
+            assert list(res) == list(reference.pathsim_top_k(path, q, 2))
+            modes.append(res.mode)
+        return engine, modes
+
+    def test_half_product_outweighing_its_queries_stays_fused(self):
+        # P-A-P over papers in groups of four that share the group's eight
+        # authors: W holds 8 entries for every one of 400 papers, but a
+        # query reaches only its own group, so a fused query threads 52
+        # entries against W's 3,200.
+        groups, size, authors = 100, 4, 8
+        writes = [
+            (g * authors + a, g * size + p)
+            for g in range(groups) for p in range(size) for a in range(authors)
+        ]
+        hin = HIN.from_edges(
+            NetworkSchema(["author", "paper"], [("writes", "author", "paper")]),
+            nodes={"author": groups * authors, "paper": groups * size},
+            edges={"writes": writes},
+        )
+        path = "paper-author-paper"
+        t = _FUSED_AUTO_THRESHOLD
+        engine, modes = self._serve_past_threshold(
+            hin, path, [7 * q for q in range(t + 6)]
+        )
+        assert modes == ["fused"] * (t + 6)
+        assert engine.kernel_counters == {"fused": t + 6, "materialize": 0}
+        key = engine.symmetric_path(path).canonical_key()
+        assert engine._cache.peek(("pathsim", key)) is None
+        assert engine.explain(path).kernel == "fused"
+
+    def test_fused_work_as_large_as_the_half_product_materializes(self):
+        # Every a links to the same three b's: each query reaches every
+        # source and threads all of W's rows, so a fused query threads 86
+        # entries against W's 60 and auto materializes exactly at the
+        # threshold.
+        hin = _ab_hin([(a, b) for a in range(20) for b in range(3)], n_a=20)
+        t = _FUSED_AUTO_THRESHOLD
+        engine, modes = self._serve_past_threshold(
+            hin, "a-b-a", list(range(t + 3))
+        )
+        assert modes == ["fused"] * t + ["materialize"] * 3
+        assert engine.kernel_counters == {"fused": t, "materialize": 3}
+        key = engine.symmetric_path("a-b-a").canonical_key()
+        assert engine._cache.peek(("pathsim", key)) is not None
+
+    def test_explain_names_a_forced_kernel(self, small_bib):
+        # A forced engine runs its kernel whatever the cache holds, and
+        # explain says so: warm for fused, cold for materialize.
+        for mode, warm in (("fused", True), ("materialize", False)):
+            engine = MetaPathEngine(small_bib, mode=mode)
+            if warm:
+                engine.prewarm([APVPA])
+            assert engine.explain(APVPA).kernel == mode
+            assert engine.pathsim_top_k(APVPA, 0, 2).mode == mode
+
     def test_prewarmed_prefix_dispatches_materialized(self, small_bib):
         engine = MetaPathEngine(small_bib)
         engine.prewarm([APVPA])

@@ -12,11 +12,15 @@ bug, not roundoff.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import MetaPathEngine, kernels
+from repro.engine import engine as engine_module
+from repro.engine.engine import _MATERIALIZE_COST_RATIO
 from repro.networks import HIN, NetworkSchema, UpdateBatch
 
 
@@ -142,6 +146,36 @@ class TestFusedOracle:
                 src = path.split("-")[0]
                 for query in range(hin.node_count(src)):
                     _identical(fused, mat, path, query, k, True)
+
+    @given(
+        symmetric_paths(),
+        st.lists(st.integers(0, 8), min_size=6, max_size=10),
+        st.integers(0, 10),
+        update_batches(),
+        st.sampled_from([0, _MATERIALIZE_COST_RATIO, 10**9]),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_auto_across_the_threshold_and_an_update(
+        self, path, picks, cut, batches, ratio, k
+    ):
+        """An ``auto`` engine's answers over a query sequence that crosses
+        the threshold, with ``apply()`` in between, equal a cold
+        materialized engine's at every epoch, whichever way the cost rule
+        decides (the drawn ratio forces either side, or leaves it to
+        the default)."""
+        hin = _base_hin()
+        engine = hin.engine()
+        src = path.split("-")[0]
+        with patch.object(engine_module, "_MATERIALIZE_COST_RATIO", ratio):
+            for step, pick in enumerate(picks):
+                if step == cut:
+                    for batch in batches:
+                        hin.apply(batch)
+                query = pick % hin.node_count(src)
+                got = engine.pathsim_top_k(path, query, k)
+                cold = MetaPathEngine(hin, mode="materialize")
+                assert list(got) == list(cold.pathsim_top_k(path, query, k))
 
     @given(symmetric_paths())
     @settings(max_examples=30, deadline=None)

@@ -74,3 +74,30 @@ def test_route_census_smoke_counts_the_top_k_route(capsys):
     route = [w for _, w, name in rows if name.split(".")[-1] == "_pathsim_top_k"]
     assert len(route) == 1 and route[0].startswith("repro/engine/engine.py:")
     assert _listing(*watched) == before
+
+
+def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
+    """``--smoke``: the cost table and one deep_path round's cache entries,
+    one row per deep path each, with nothing left in the checkout."""
+    kernel_costs = _load("kernel_costs")
+    deep_paths = kernel_costs._harness().DEEP_PATHS
+    watched = (TOOLS.parent, TOOLS.parent / "benchmarks" / "perf")
+    before = _listing(*watched)
+    assert kernel_costs.main(["--smoke", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    n = len(deep_paths)
+    assert lines[0].startswith("# kernel costs, smoke network, seed=3")
+    assert lines[1].split()[1:] == [
+        "first_mat_ms", "mat_ms/q", "fused_ms/q", "nnz(W)", "est_nnz(W)",
+        "entries/q", "auto",
+    ]
+    table = [row.split() for row in lines[2 : 2 + n]]
+    assert [row[0] for row in table] == deep_paths
+    assert all(row[-1] in ("fused", "materialize") for row in table)
+    assert all(int(row[4]) > 0 and float(row[6]) > 0 for row in table)
+    assert lines[2 + n].startswith("# one deep_path round:")
+    assert lines[2 + n].endswith("errors=0")
+    held = [row.split() for row in lines[3 + n :]]
+    assert [row[0] for row in held] == deep_paths
+    assert all(row[-1] in ("cached", "absent") for row in held)
+    assert _listing(*watched) == before
