@@ -3,10 +3,10 @@
 
 The scale-out shape of the library: a :class:`repro.serving.ClusterService`
 forks worker processes that attach the network's relation matrices and
-warm commuting-matrix cache **zero-copy** through shared memory, while
+warm commuting-matrix cache **zero-copy** from one mapped file, while
 the parent keeps the only mutable copy and streams update batches
 through ``hin.apply()``.  Every committed epoch publishes a new
-immutable shared-memory generation; workers swap atomically between
+immutable generation (an image file); workers swap atomically between
 jobs, so each answer is consistent with exactly one epoch.  At the end,
 the warm cache is snapshotted to disk and a *fresh* cluster restarts
 from the snapshot alone — ``load_snapshot(dir, mmap=True)`` maps the
@@ -73,7 +73,7 @@ def main() -> None:
             thread.start()
 
         # the writer: three update batches land mid-traffic; each commit
-        # publishes a new shared-memory generation for the workers
+        # publishes a new generation for the workers
         n_authors, n_papers = hin.node_count("author"), hin.node_count("paper")
         for _ in range(3):
             time.sleep(0.05)

@@ -1007,9 +1007,9 @@ class MetaPathEngine:
         """Adopt pre-materialized *entries* into this engine's cache at *epoch*.
 
         The inverse of :meth:`export_state`, used when loading a
-        snapshot or attaching a published shared-memory generation:
-        values may wrap buffers the process does not own (read-only
-        shared-memory or mmap views), which is safe because the engine
+        snapshot or attaching a published generation: values may wrap
+        buffers the process does not own (read-only mmap views), which
+        is safe because the engine
         never mutates cached matrices in place — maintenance *replaces*
         entries.  The LRU bound grows if needed so that every installed
         entry survives (state from a larger-cached engine must not be

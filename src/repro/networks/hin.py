@@ -78,8 +78,8 @@ class HIN:
         indices sorted, negative, NaN and infinite weights rejected) —
         which copies or mutates the input arrays.  ``validate=False``
         is the *attach* path for matrices that are already canonical
-        CSR and must be adopted **zero-copy** (shared-memory segments,
-        read-only snapshot mmaps): the arrays are stored as handed in
+        CSR and must be adopted **zero-copy** (read-only mappings of a
+        generation's or a snapshot's image): the arrays are stored as handed in
         and never written to.  Shapes are still checked; content is
         trusted.
 
@@ -428,7 +428,7 @@ class HIN:
         The serving layer's publish path: a multi-process cluster
         (:class:`~repro.serving.ClusterService`) registers a hook that
         exports the post-commit matrices and warm cache into a new
-        shared-memory generation, so worker processes can swap to the
+        generation, so worker processes can swap to the
         new epoch atomically.
 
         Parameters

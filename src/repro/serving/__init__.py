@@ -15,7 +15,7 @@ unchanged against the others; only construction differs.  Five pieces:
   same-meta-path top-k queries into single block products;
 * :class:`ClusterService` — the same surface over N worker *processes*,
   each attaching the **whole** network's canonical-CSR matrices and
-  warm cache zero-copy through shared memory
+  warm cache zero-copy by mapping one image file per generation
   (:mod:`repro.serving.shm`); updates commit centrally in the parent
   and publish immutable epoch-stamped generations that workers swap
   atomically — real multi-core throughput past the GIL;

@@ -1,4 +1,4 @@
-"""ClusterService — multi-process serving over shared-memory generations.
+"""ClusterService — multi-process serving over mapped generations.
 
 :class:`~repro.serving.QueryService` made serving concurrent, but its
 worker pool lives in one Python process: the phase-fair lock buys
@@ -14,11 +14,11 @@ Architecture
 * The **parent** owns the live, mutable network.  All updates keep
   flowing through the single-writer ``hin.apply()`` path; a commit hook
   (:meth:`repro.networks.hin.HIN.add_commit_hook`) exports every
-  committed epoch as a new immutable shared-memory **generation**
-  (:mod:`repro.serving.shm`) and bumps a shared generation counter.
+  committed epoch as a new immutable **generation** — one image file
+  (:mod:`repro.serving.shm`) — and bumps a shared generation counter.
 * Each of N **worker processes** attaches the current generation
   zero-copy — relation matrices and the warm commuting-matrix cache are
-  numpy views over the shared segment — and answers query jobs against
+  numpy views over the mapped image — and answers query jobs against
   it.  Before picking up each job a worker compares the shared counter
   with its attached generation and, when behind, attaches the new one
   and atomically swaps; generations are immutable, so a worker can
@@ -59,7 +59,7 @@ __all__ = ["ClusterService"]
 
 
 class ClusterService(_ProcessTier):
-    """Multi-process query serving with shared-memory state.
+    """Multi-process query serving over mapped, shared state.
 
     Parameters
     ----------
@@ -158,7 +158,7 @@ class ClusterService(_ProcessTier):
 
     def prewarm(self, *paths) -> "ClusterService":
         """Materialize *paths* in the parent cache and republish, so
-        every worker serves them warm from shared memory."""
+        every worker serves them warm from the mapped image."""
         self.hin.engine().prewarm(list(paths))
         self.publish()
         return self
@@ -168,7 +168,7 @@ class ClusterService(_ProcessTier):
     # ------------------------------------------------------------------
     @property
     def generation(self) -> int:
-        """The latest published shared-memory generation counter."""
+        """The latest published generation counter."""
         return self._gen_counter
 
     def publish(self) -> int:

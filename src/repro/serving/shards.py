@@ -6,8 +6,8 @@ N x network, which is exactly backwards for the "millions of users"
 regime the ROADMAP targets.  This module is the partitioned
 alternative: each served meta-path's half product ``W`` is split
 **row-wise** into contiguous node ranges (one per shard, balanced by
-incident nnz), each shard's slice is packed into its own shared-memory
-generation, and a top-k query executes as
+incident nnz), each shard's slice is packed into its own generation
+(one image file), and a top-k query executes as
 
 ::
 
@@ -189,7 +189,8 @@ def publish_shard_generation(
     one engine read-lock hold — the same planner-aware
     ``_pathsim_parts`` materialization the single-process entry points
     use, so the packed values are bitwise the ones a replicated worker
-    would compute — then copied once into a shared-memory segment.
+    would compute — then written once into the generation's image
+    file, beside its descriptor.
     The result is an ordinary generation
     (:mod:`repro.serving.shm`) whose PathSim entries carry their
     ``lo``/``hi`` row range and which has no network section: a shard

@@ -1,4 +1,4 @@
-"""Generations: one immutable image of network state, in a segment or a file.
+"""Generations: one immutable image of network state, in a file.
 
 One Python process caps the dense-product hot paths at roughly one core
 — the GIL serializes scipy's CSR kernels no matter how many threads the
@@ -12,25 +12,25 @@ This module is the sharing substrate.  A **generation** is one
 published, immutable snapshot of a network's serveable state — schema,
 node counts and names, canonical-CSR relation matrices, the engine's
 warm cache entries, and the update epoch they all describe — whose
-array payloads live in a ``multiprocessing.shared_memory`` segment any
-process can map (:func:`publish_generation`): the parent packs every
-array into one segment; workers attach by name and wrap the buffer in
-numpy views without copying a byte.
+array payloads live in one image file any process can map
+(:func:`publish_generation`): the parent writes every array into the
+file once; workers map it and wrap the mapping in numpy views without
+copying a byte.  Every process mapping the file shares one copy of its
+pages through the OS page cache.
 
 **The container.**  A ``{name: array}`` dict is stored as one *image*:
 the arrays laid end to end, flat and C-contiguous, each at a
 64-byte-aligned offset, described by ``{name: {offset, dtype, shape}}``
 *specs* kept in the JSON document beside it (:func:`_layout` one way,
-:func:`_unpack` the other).  Three things can back an image:
+:func:`_unpack` the other).  An image is always a file, written to a
+temporary name and renamed (:func:`_write_file`) — a generation's image
+and a warm-cache snapshot's payload (:mod:`repro.serving.snapshot`)
+alike.  Two things read it back (:func:`_read_file`):
 
-* a new shared-memory segment — what a generation publishes, each array
-  copied into it once, and what workers attach as read-only views;
-* a file, written to a temporary name and renamed — a warm-cache
-  snapshot's payload (:mod:`repro.serving.snapshot`);
-* that file read back: mapped (``load_snapshot(path, mmap=True)`` —
-  read-only views over one ``np.memmap``, nothing deserialized, one
-  copy in the OS page cache for every process mapping it) or read into
-  arrays the caller owns (``mmap=False``).
+* a mapping — what a worker attaches and what
+  ``load_snapshot(path, mmap=True)`` returns: read-only views over one
+  ``np.memmap``, nothing deserialized;
+* an eager read into arrays the caller owns (``mmap=False``).
 
 Both JSON documents — a snapshot's manifest and a generation's
 descriptor — carry ``_FORMAT_VERSION``, which changes with the image
@@ -44,11 +44,11 @@ section, an entry index and flat arrays, and back (``_capture_state`` /
 under :func:`_restoring`).  Snapshots, replicated generations and shard
 generations all go through these functions.
 
-A generation is described by a JSON **descriptor** naming the segment
-and the structure over it; :func:`attach_generation` turns a descriptor
-back into a live :class:`~repro.networks.hin.HIN` plus a warm
-:class:`~repro.engine.MetaPathEngine`, still zero-copy: matrices are
-constructed directly over the mapped buffers
+A generation is described by a JSON **descriptor** naming the image
+file beside it and the structure over it; :func:`attach_generation`
+turns a descriptor back into a live :class:`~repro.networks.hin.HIN`
+plus a warm :class:`~repro.engine.MetaPathEngine`, still zero-copy:
+matrices are constructed directly over the mapped buffers
 (``HIN(..., validate=False)`` skips the normalizations that would write
 them).  Generations are immutable once published — a new epoch means a
 *new* generation, never an edit — so a worker can never observe a torn
@@ -61,7 +61,10 @@ publish tail and :func:`attach_generation`.
 
 The service classes drive the lifecycle (:mod:`repro.serving.workers`):
 publish on start, re-publish from the ``hin.apply()`` commit hook,
-retire old generations once workers have moved on.
+retire old generations once workers have moved on.  Retiring a
+generation removes its two files; nothing else holds it.  So a parent
+killed before it retires them (SIGKILL, say) leaves its descriptors and
+images on disk, in the directory it published into.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ import json
 import math
 import os
 from contextlib import ExitStack, contextmanager
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +96,7 @@ _ALIGN = 64  # cache-line align every array inside an image
 
 
 # ----------------------------------------------------------------------
-# The container: one image of flat arrays, in a segment or in a file
+# The container: one image of flat arrays in a file
 # ----------------------------------------------------------------------
 def _layout(arrays: dict) -> tuple[dict, int]:
     """Where each of *arrays* goes in one image: ``(specs, size)``.
@@ -120,8 +122,8 @@ def _unpack(specs: dict, size: int, source, read) -> dict:
     """The arrays *specs* describe in the *size*-byte image *source*,
     each one fetched by ``read(shape, dtype, offset)``.
 
-    On the file routes the specs come from a manifest — outside input —
-    so all of them are checked before anything is built over the image:
+    The specs come from a manifest or a descriptor — outside input — so
+    all of them are checked before anything is built over the image:
     an array must lie inside it (which is what catches a truncated
     payload, in O(1)) and may not have an object dtype (those hold
     pointers, not data).
@@ -137,18 +139,6 @@ def _unpack(specs: dict, size: int, source, read) -> dict:
             )
         checked.append((key, shape, dtype, offset))
     return {key: read(*where) for key, *where in checked}
-
-
-def _views(buffer, writeable: bool = False):
-    """The ``read`` with which :func:`_unpack` builds zero-copy views
-    over a mapped *buffer*."""
-
-    def read(shape, dtype, offset):
-        view = np.ndarray(shape, dtype, buffer, offset)
-        view.flags.writeable = writeable
-        return view
-
-    return read
 
 
 def _write_file(path: Path, arrays: dict, specs: dict, size: int) -> None:
@@ -174,102 +164,27 @@ def _read_file(path: Path, specs: dict, *, mmap: bool) -> dict:
 
     Raises
     ------
+    FileNotFoundError
+        When *path* is missing — a retired generation's image, or a
+        snapshot payload that was never written (the caller names it).
     repro.exceptions.SnapshotError
-        When *path* is missing, or shorter than *specs* say.
+        When the file is shorter than *specs* say.
     """
-    try:
-        f = open(path, "rb")
-    except FileNotFoundError:
-        raise SnapshotError(
-            f"snapshot payload missing: {path} (partial copy or "
-            f"interrupted save)"
-        ) from None
-    with f:
+    with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if mmap and size:  # an empty file cannot be mapped, and holds nothing
-            return _unpack(specs, size, path, _views(np.memmap(f, np.uint8, "r")))
+            mapped = np.memmap(f, np.uint8, "r")
 
-        def read(shape, dtype, offset):
-            f.seek(offset)
-            return np.fromfile(f, dtype, math.prod(shape)).reshape(shape)
+            def read(shape, dtype, offset):  # a view of a read-only map is read-only
+                return np.ndarray(shape, dtype, mapped, offset)
+
+        else:
+
+            def read(shape, dtype, offset):
+                f.seek(offset)
+                return np.fromfile(f, dtype, math.prod(shape)).reshape(shape)
 
         return _unpack(specs, size, path, read)
-
-
-def _write_segment(arrays: dict) -> tuple[shared_memory.SharedMemory, dict]:
-    """Pack *arrays* into one new shared-memory segment, each array
-    copied once, to the offset :func:`_layout` gave it.
-
-    Returns
-    -------
-    ``(segment, source)`` — the caller owns the segment and must
-    eventually ``close()`` and ``unlink()`` it (see
-    :class:`PublishedGeneration`); *source* names it and carries the
-    specs, for :func:`_attach_segment` in any process.
-    """
-    specs, size = _layout(arrays)
-    segment = shared_memory.SharedMemory(create=True, size=max(size, 1))
-    fill = _views(segment.buf, writeable=True)
-    for key, view in _unpack(specs, segment.size, segment.name, fill).items():
-        view[...] = arrays[key]
-    return segment, {"segment": segment.name, "arrays": specs}
-
-
-def _release(resource) -> None:
-    """Close an attached mapping.  One whose buffers are still exported
-    — numpy views alive somewhere, e.g. in an answer the caller holds —
-    is left to die with their last reference instead of being
-    invalidated out from under them."""
-    try:
-        resource.close()
-    except BufferError:
-        pass
-
-
-def _attach_segment(source: dict):
-    """Open one segment's arrays without copying.
-
-    Attaches the named segment and wraps each array spec in a read-only
-    ``np.ndarray`` view over the shared buffer.
-
-    Python <= 3.12 registers a segment with the ``multiprocessing``
-    resource tracker on EVERY open, not just on create (bpo-39959).
-    That is harmless here because attachers share the publisher's
-    tracker — ``multiprocessing`` hands its children the tracker fd
-    under ``fork`` and ``spawn`` alike — so the publisher's create-time
-    registration stays the single authoritative one.  On Python >= 3.13
-    the attach is simply untracked.
-
-    Parameters
-    ----------
-    source:
-        What :func:`_write_segment` returned — a generation
-        descriptor's ``source``.
-
-    Returns
-    -------
-    ``(resource, arrays)`` — *resource* is the ``SharedMemory`` handle
-    keeping the mapping alive, *arrays* the ``{key: view}`` dict.
-
-    Raises
-    ------
-    FileNotFoundError
-        When a shared-memory segment has already been unlinked — the
-        publisher retired this generation; attach the newer one.
-    """
-    try:
-        # Python >= 3.13: attaching never registers with the resource
-        # tracker — only the creator owns the segment's lifetime.
-        segment = shared_memory.SharedMemory(name=source["segment"], track=False)
-    except TypeError:
-        segment = shared_memory.SharedMemory(name=source["segment"])
-    try:
-        return segment, _unpack(
-            source["arrays"], segment.size, segment.name, _views(segment.buf)
-        )
-    except BaseException:
-        _release(segment)
-        raise
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +203,7 @@ def _write_csr(prefix: str, matrix: sp.csr_matrix, arrays: dict) -> None:
     Index arrays are written at :func:`_index_dtype`, the width scipy
     would pick for them, so :func:`_read_csr` adopts the buffers instead
     of silently casting — a cast is a per-process copy of a shared
-    segment, and a width the content hash would not survive.
+    image, and a width the content hash would not survive.
     """
     matrix = matrix.tocsr()
     idx = _index_dtype(matrix)
@@ -300,8 +215,9 @@ def _write_csr(prefix: str, matrix: sp.csr_matrix, arrays: dict) -> None:
 def _read_csr(prefix: str, arrays, shape, trusted: bool) -> sp.csr_matrix:
     """A CSR matrix adopting the (possibly read-only) arrays at *prefix*.
 
-    On the *trusted* zero-copy routes (an attached segment, a mapped
-    file) the matrices were canonical when written, so the flag is
+    On the *trusted* zero-copy route (a mapped image: an attached
+    generation, an mmap-loaded snapshot) the matrices were canonical
+    when written, so the flag is
     asserted rather than recomputed — attaching stays O(1) in the
     matrix size.  The eager route leaves it for scipy to find out.
     """
@@ -367,7 +283,7 @@ def _capture_state(hin, engine) -> tuple[dict, list, list]:
 def _restore_network(section: dict, arrays, trusted: bool) -> HIN:
     """The HIN a network *section* describes over *arrays*, at its epoch.
 
-    *trusted* (an attached segment, a mapped file) adopts the read-only
+    *trusted* (a mapped image) adopts the read-only
     buffers as they are; otherwise ``HIN(validate=True)`` normalises
     what it is given.
     """
@@ -481,7 +397,7 @@ def _restoring(path, what: str):
     document makes that raise — a missing key, a value of the wrong
     type, a shape its arrays do not have — leaves as the
     :class:`~repro.exceptions.SnapshotError` naming it.  A retired
-    segment's ``FileNotFoundError`` passes through: the worker fence
+    image's ``FileNotFoundError`` passes through: the worker fence
     depends on it."""
     try:
         yield
@@ -497,34 +413,28 @@ def _restoring(path, what: str):
 class PublishedGeneration:
     """The publisher's handle on one generation it exported.
 
-    Holds the shared-memory segment and the descriptor-file path, so
-    the generation can be retired —
-    segment unlinked, descriptor removed — once every worker has moved
-    to a newer one (see ``docs/ARCHITECTURE.md`` → "Generations, the
-    worker loop and fences").
+    Holds the descriptor path and the image path beside it
+    (``<stem>-<n>.json`` and ``<stem>-<n>.bin``), so the generation can
+    be retired — both files removed — once every worker has moved to a
+    newer one (see ``docs/ARCHITECTURE.md`` → "Generations, the worker
+    loop and fences").
     """
 
-    def __init__(self, generation: int, epoch: int, path: Path, segment):
+    def __init__(self, generation: int, epoch: int, path: Path):
         self.generation = int(generation)
         self.epoch = int(epoch)
         self.path = Path(path)
-        self._segment = segment
+        self.image = self.path.with_suffix(".bin")
 
     def dispose(self) -> None:
-        """Unlink the segment and remove the descriptor file (idempotent).
+        """Remove the descriptor, then the image (idempotent).
 
-        Workers still *attached* keep their mappings — POSIX shared
-        memory lives until the last close — but no new attach can find
-        the name, which is exactly the retirement contract.
+        Workers still *attached* keep their mappings — an unlinked file
+        lives until its last mapping goes — but no new attach can find
+        it, which is exactly the retirement contract.
         """
-        segment, self._segment = self._segment, None
-        if segment is not None:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
         self.path.unlink(missing_ok=True)
+        self.image.unlink(missing_ok=True)
 
     def __repr__(self) -> str:
         return (
@@ -552,36 +462,35 @@ class AttachedGeneration:
         the matching diagonal slice, and the global index of the
         slice's first row.  Empty for a network generation.
     payload_bytes:
-        Size of the attached segment.  These bytes are *shared*
+        Size of the attached image file.  These bytes are *shared*
         — mapped, not copied, by every attaching process — so they are
         the term the benchmark's ``cluster.payload_mb`` /
         ``shards.payload_mb`` compare across serving topologies;
         per-process private memory is the RSS side of the report.
     """
 
-    def __init__(self, generation: int, epoch: int, resource, *, hin=None, slices=None):
+    def __init__(self, generation: int, epoch: int, payload_bytes: int, *, hin=None, slices=None):
         self.generation = int(generation)
         self.epoch = int(epoch)
         self.hin = hin
         self.engine = hin.engine() if hin is not None else None
         self.slices = slices or {}
-        self.payload_bytes = int(resource.size)
-        self._resource = resource
+        self.payload_bytes = int(payload_bytes)
 
     def close(self) -> None:
         """Release the attachment (idempotent).
 
-        Drops every reference holding numpy views over the buffers —
+        Drops every reference holding numpy views over the mapping —
         collecting the ``hin`` <-> ``engine`` reference cycle right
-        away, so the mapping can actually unmap — then closes it
-        (:func:`_release`).
+        away — and the mapping goes with the last view.  Views the
+        caller still holds (in an answer, say) keep it alive until they
+        go too.
         """
         had_network = self.hin is not None
         self.hin = self.engine = None
         self.slices = {}
         if had_network:
             gc.collect()
-        _release(self._resource)
 
     def __repr__(self) -> str:
         return (
@@ -599,18 +508,19 @@ def descriptor_path(directory, stem: str, generation: int) -> Path:
 def _publish(
     directory, stem, generation, section, matrices, entries, ranges=()
 ) -> PublishedGeneration:
-    """The publish tail of every generation: pack the captured state
-    into one segment and atomically write its descriptor.
+    """The publish tail of every generation: write the captured state
+    as one image file and atomically write its descriptor beside it.
 
     The single descriptor format: a header (``generation``), the
     *section* — ``epoch`` plus, for a network generation, the network
     section whose relation *matrices* are packed here
     (:func:`_capture_state`) — the ``entries``
     index over the arrays (the snapshot entry schema; shard entries add
-    their ``lo``/``hi`` row *ranges*) and the ``source`` segment holding
-    those arrays.  Workers must never read a torn descriptor: the
-    rename is the publication point.  A failed write retires the
-    segment instead of leaking it.
+    their ``lo``/``hi`` row *ranges*) and the ``source``: the image's
+    file name and the specs of the arrays in it.  Workers must never
+    read a torn descriptor: the image is complete before the
+    descriptor's rename, which is the publication point.  A failed
+    write removes whatever it already wrote instead of leaking it.
     """
     arrays: dict[str, np.ndarray] = {}
     for name, matrix in matrices:
@@ -618,12 +528,9 @@ def _publish(
     index = _build_entry_index(entries, arrays)
     for desc, rows in zip(index, ranges):
         desc.update(rows)
-    segment, source = _write_segment(arrays)
+    specs, size = _layout(arrays)
     published = PublishedGeneration(
-        generation,
-        section["epoch"],
-        descriptor_path(directory, stem, generation),
-        segment,
+        generation, section["epoch"], descriptor_path(directory, stem, generation)
     )
     descriptor = {
         "format": _FORMAT,
@@ -631,28 +538,31 @@ def _publish(
         "generation": published.generation,
         **section,
         "entries": index,
-        "source": source,
+        "source": {"file": published.image.name, "arrays": specs},
     }
+    tmp = published.path.with_name(published.path.name + ".tmp")
     try:
         published.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = published.path.with_name(published.path.name + ".tmp")
+        _write_file(published.image, arrays, specs, size)
         tmp.write_text(json.dumps(descriptor, indent=2), encoding="utf-8")
         os.replace(tmp, published.path)
     except BaseException:
         published.dispose()
+        tmp.unlink(missing_ok=True)
         raise
     return published
 
 
 def publish_generation(hin, engine, *, directory, generation: int) -> PublishedGeneration:
-    """Export *hin* + *engine* state as shared-memory generation *generation*.
+    """Export *hin* + *engine* state as generation *generation*.
 
     Captures the epoch, the cache entries and the relation matrices
     under one engine read-lock hold (immutable values — the O(bytes)
-    copy into the segment happens after release), packs every array
-    into one segment, and atomically writes ``gen-<generation>.json``
-    into *directory*.  Workers polling the generation counter attach
-    the complete state or nothing.
+    write of the image happens after release), writes every array into
+    the image ``gen-<generation>.bin`` and then atomically writes the
+    descriptor ``gen-<generation>.json`` beside it, in *directory*.
+    Workers polling the generation counter attach the complete state or
+    nothing.
 
     Parameters
     ----------
@@ -660,7 +570,8 @@ def publish_generation(hin, engine, *, directory, generation: int) -> PublishedG
         The network and its shared engine (the pair
         ``hin.apply()`` maintains).
     directory:
-        Where descriptor files live; one directory per cluster.
+        Where the descriptor and image files live; one directory per
+        cluster.
     generation:
         Monotonic counter chosen by the publisher (distinct from the
         update epoch: a cluster may also republish at an unchanged
@@ -668,7 +579,7 @@ def publish_generation(hin, engine, *, directory, generation: int) -> PublishedG
 
     Returns
     -------
-    A :class:`PublishedGeneration` owning the segment.
+    A :class:`PublishedGeneration` owning the two files.
     """
     return _publish(directory, "gen", generation, *_capture_state(hin, engine))
 
@@ -695,33 +606,29 @@ def attach_generation(path) -> AttachedGeneration:
     Raises
     ------
     FileNotFoundError
-        When the descriptor or its shared-memory segment is already
-        retired; the caller should re-read the latest generation
-        counter and attach that one instead.
+        When the descriptor or its image is already retired; the caller
+        should re-read the latest generation counter and attach that
+        one instead.
     repro.exceptions.SnapshotError
         When the descriptor is unreadable or of an unsupported format.
     """
-    descriptor = _read_envelope(Path(path), _FORMAT, "generation descriptor")
+    path = Path(path)
+    descriptor = _read_envelope(path, _FORMAT, "generation descriptor")
     with _restoring(path, "generation descriptor"):
-        resource, arrays = _attach_segment(descriptor["source"])
-        try:
-            entries = _restore_entries(descriptor["entries"], arrays, trusted=True)
-            hin = None
-            if "relations" in descriptor:
-                hin = _restore_network(descriptor, arrays, trusted=True)
-                hin.engine().attach_state(descriptor["epoch"], entries)
-            slices = {
-                key[1]: (*value, int(desc["lo"]))
-                for desc, (key, value) in zip(descriptor["entries"], entries)
-                if "lo" in desc
-            }
-            return AttachedGeneration(
-                descriptor["generation"],
-                descriptor["epoch"],
-                resource,
-                hin=hin,
-                slices=slices,
-            )
-        except BaseException:
-            _release(resource)
-            raise
+        source = descriptor["source"]
+        image = path.with_name(source["file"])
+        size = image.stat().st_size
+        arrays = _read_file(image, source["arrays"], mmap=True)
+        entries = _restore_entries(descriptor["entries"], arrays, trusted=True)
+        hin = None
+        if "relations" in descriptor:
+            hin = _restore_network(descriptor, arrays, trusted=True)
+            hin.engine().attach_state(descriptor["epoch"], entries)
+        slices = {
+            key[1]: (*value, int(desc["lo"]))
+            for desc, (key, value) in zip(descriptor["entries"], entries)
+            if "lo" in desc
+        }
+        return AttachedGeneration(
+            descriptor["generation"], descriptor["epoch"], size, hin=hin, slices=slices
+        )

@@ -32,7 +32,7 @@ On-disk layout (``path`` is a directory)::
     network-<epoch>-<h>.bin   relation matrices (CSR arrays)
     cache-<epoch>-<h>.bin     cached products / PathSim parts
 
-A payload is a shared-memory generation's segment image in a file — the
+A payload is the same image file a generation publishes — the
 arrays flat at 64-byte-aligned offsets, their ``{offset, dtype, shape}``
 specs in the manifest — written, mapped and read by the container in
 :mod:`repro.serving.shm`, which also owns the state codec (what the
@@ -261,10 +261,16 @@ def _write_files(
 
 
 def _read_payload(manifest: dict, path, kind: str, *, mmap: bool) -> dict:
-    """The arrays of *manifest*'s *kind* payload file under *path*."""
-    return _read_file(
-        Path(path) / manifest["files"][kind], manifest["arrays"][kind], mmap=mmap
-    )
+    """The arrays of *manifest*'s *kind* payload file under *path*; a
+    missing one is a :class:`~repro.exceptions.SnapshotError`."""
+    payload = Path(path) / manifest["files"][kind]
+    try:
+        return _read_file(payload, manifest["arrays"][kind], mmap=mmap)
+    except FileNotFoundError:
+        raise SnapshotError(
+            f"snapshot payload missing: {payload} (partial copy or "
+            f"interrupted save)"
+        ) from None
 
 
 def _load_entries(manifest: dict, path, *, mmap: bool) -> list[tuple]:

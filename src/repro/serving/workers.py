@@ -13,8 +13,8 @@ common remainder, written once:
 * :class:`_WorkerChannel` — one worker process plus its private queues
   and the post/collect protocol;
 * :class:`_ProcessTier` — the service scaffold: worker count default,
-  start method, resource tracker, descriptor directory, generation
-  retirement, ``worker_memory()``, ``close()``.
+  start method, generation directory, generation retirement,
+  ``worker_memory()``, ``close()``.
 
 See ``docs/ARCHITECTURE.md`` → "Generations, the worker loop and
 fences" for the design.
@@ -317,8 +317,13 @@ class _ProcessTier(ServingAPI):
     def _start(self, hin, count: int | None, directory) -> None:
         """Acquire everything, in the one order that is sound; a failure
         part-way (failed publish, fork error) releases what was already
-        acquired instead of leaking segments, processes and temp
-        directories until interpreter exit."""
+        acquired instead of leaking generation files, processes and
+        temp directories until interpreter exit.
+
+        Generations go into *directory* when the caller passes one, else
+        into a private temporary directory that :meth:`close` removes.
+        A parent killed before :meth:`close` (SIGKILL, say) leaves its
+        generation files behind there."""
         if count is None:
             try:
                 usable = len(os.sched_getaffinity(0))
@@ -328,16 +333,6 @@ class _ProcessTier(ServingAPI):
         if count < 1:
             raise ValueError(f"worker count must be >= 1, got {count}")
         self._ctx = multiprocessing.get_context(_default_start_method())
-        # Start the resource tracker BEFORE forking workers: forked
-        # children then share the parent's tracker instead of each
-        # lazily spawning their own (whose exit-time cleanup would warn
-        # about — or on some Pythons unlink — segments it never owned).
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
         self._directory = (
             Path(directory)
             if directory
@@ -371,8 +366,8 @@ class _ProcessTier(ServingAPI):
             raise
 
     def _retain(self, series: int, generation) -> None:
-        """Record *generation* as the newest of *series*; retire (unlink
-        segment, remove descriptor) whatever falls off the keep bound."""
+        """Record *generation* as the newest of *series*; retire (remove
+        descriptor and image) whatever falls off the keep bound."""
         held = self._published[series]
         held.append(generation)
         while len(held) > _KEEP_GENERATIONS:
@@ -393,9 +388,9 @@ class _ProcessTier(ServingAPI):
 
         Each report carries ``rss_bytes`` (the worker's resident set —
         includes its share of the interpreter and of faulted shared
-        pages), ``payload_bytes`` (the attached generation's
-        shared-memory/file payload — the part that is *shared*, not
-        copied, across processes), and the ``generation``/``epoch`` the
+        pages), ``payload_bytes`` (the size of the attached generation's
+        image file — the part that is *shared*, not copied, across
+        processes), and the ``generation``/``epoch`` the
         worker is serving.  Calls interleave safely with serving (they
         just wait their turn for the channels).
         """

@@ -23,13 +23,11 @@ from repro.networks import UpdateBatch
 from repro.serving import load_snapshot, network_fingerprint, save_snapshot
 from repro.serving.shards import ShardPlan, _ServedPath, publish_shard_generation
 from repro.serving.shm import (
-    _attach_segment,
     _layout,
     _read_csr,
     _read_file,
     _write_csr,
     _write_file,
-    _write_segment,
     attach_generation,
     publish_generation,
 )
@@ -132,24 +130,13 @@ def _parts(matrix):
 
 
 def _through_every_backing(arrays):
-    """*arrays* packed and read back through each backing of the one
-    container — a segment, a file read eagerly, a file mapped — as
-    ``(loaded, trusted)`` pairs."""
-    segment, source = _write_segment(arrays)
-    try:
-        resource, views = _attach_segment(source)
-        try:
-            yield views, True
-        finally:
-            del views
-            resource.close()
-    finally:
-        segment.close()
-        segment.unlink()
+    """*arrays* written as the one container's image file and read back
+    by each of its readers — eagerly, and mapped (what a generation's
+    attach and an mmap snapshot load use) — as ``(loaded, trusted)``
+    pairs."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.bin"
         specs, size = _layout(arrays)
-        assert specs == source["arrays"]  # one layout, whatever backs it
         _write_file(path, arrays, specs, size)
         assert path.stat().st_size == size
         yield _read_file(path, specs, mmap=False), False

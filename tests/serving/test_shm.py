@@ -1,7 +1,8 @@
-"""Shared-memory generations: zero-copy export/attach round trips."""
+"""Generations: zero-copy export/attach round trips over image files."""
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -10,70 +11,16 @@ import pytest
 from repro.exceptions import SnapshotError
 from repro.networks import UpdateBatch
 from repro.serving.shm import (
-    _attach_segment,
     _layout,
     _read_file,
     _write_file,
-    _write_segment,
     attach_generation,
     publish_generation,
 )
+from repro.serving.snapshot import _read_payload
 
 APA = "author-paper-author"
 APVPA = "author-paper-venue-paper-author"
-
-
-class TestArrayPacking:
-    def test_round_trip_preserves_values_and_dtypes(self):
-        arrays = {
-            "a": np.arange(7, dtype=np.float64),
-            "b": np.arange(6, dtype=np.int32).reshape(2, 3),
-            "c": np.array([], dtype=np.int64),
-        }
-        segment, descriptor = _write_segment(arrays)
-        try:
-            resource, attached = _attach_segment(descriptor)
-            try:
-                for name, value in arrays.items():
-                    assert attached[name].dtype == value.dtype
-                    np.testing.assert_array_equal(attached[name], value)
-            finally:
-                attached = None
-                resource.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_attached_views_are_read_only_and_zero_copy(self):
-        segment, descriptor = _write_segment({"x": np.arange(4, dtype=np.float64)})
-        try:
-            resource, attached = _attach_segment(descriptor)
-            try:
-                view = attached["x"]
-                assert not view.flags.writeable
-                with pytest.raises(ValueError):
-                    view[0] = 99.0
-                # A second attachment observes the same buffer, not a copy.
-                resource2, attached2 = _attach_segment(descriptor)
-                try:
-                    np.testing.assert_array_equal(attached2["x"], view)
-                finally:
-                    attached2 = None
-                    resource2.close()
-            finally:
-                attached = None
-                view = None
-                resource.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_attach_after_unlink_raises(self):
-        segment, descriptor = _write_segment({"x": np.zeros(2)})
-        segment.close()
-        segment.unlink()
-        with pytest.raises(FileNotFoundError):
-            _attach_segment(descriptor)
 
 
 def _written(path, arrays):
@@ -113,8 +60,13 @@ class TestMmapNpz:
         assert mapped["a"][0] == 0.0
 
     def test_missing_file_is_snapshot_error(self, tmp_path):
+        # The snapshot reader names a missing payload; the container
+        # itself leaves it a FileNotFoundError (the generation fence's).
+        manifest = {"files": {"network": "nope.bin"}, "arrays": {"network": {}}}
         for mmap in (False, True):
             with pytest.raises(SnapshotError, match="missing"):
+                _read_payload(manifest, tmp_path, "network", mmap=mmap)
+            with pytest.raises(FileNotFoundError):
                 _read_file(tmp_path / "nope.bin", {}, mmap=mmap)
 
     def test_object_members_refused_as_snapshot_error(self, tmp_path):
@@ -227,8 +179,18 @@ class TestGenerations:
             lambda d: {k: v for k, v in d.items() if k != "entries"},
             lambda d: {**d, "source": {**d["source"], "arrays": {"x": {"offset": 0}}}},
             lambda d: {**d, "relations": [{**r, "shape": [1, 1]} for r in d["relations"]]},
+            # The source of a generation written when images were
+            # shared-memory segments.
+            lambda d: {**d, "source": {"segment": "psm_0", "arrays": d["source"]["arrays"]}},
         ],
-        ids=["a list", "no source", "no entries", "half a spec", "relation shape"],
+        ids=[
+            "a list",
+            "no source",
+            "no entries",
+            "half a spec",
+            "relation shape",
+            "a segment source",
+        ],
     )
     def test_a_malformed_descriptor_is_a_snapshot_error(self, small_bib, tmp_path, edit):
         _, published = self._publish(small_bib, tmp_path)
@@ -237,12 +199,41 @@ class TestGenerations:
             bad.write_text(json.dumps(edit(json.loads(published.path.read_text()))))
             with pytest.raises(SnapshotError, match="descriptor"):
                 attach_generation(bad)
-            # ... while a descriptor whose segment is gone stays the
-            # FileNotFoundError the worker fence waits on.
-            gone = json.loads(published.path.read_text())
-            gone["source"]["segment"] = "psm_retired_long_ago"
-            bad.write_text(json.dumps(gone))
-            with pytest.raises(FileNotFoundError):
-                attach_generation(bad)
         finally:
             published.dispose()
+
+    def test_a_descriptor_over_an_unlinked_image_is_file_not_found(
+        self, small_bib, tmp_path
+    ):
+        """Retirement racing an attach — the descriptor read, then the
+        image gone — is the FileNotFoundError the worker fence retries
+        on, not a SnapshotError."""
+        _, published = self._publish(small_bib, tmp_path)
+        try:
+            assert published.image.parent == published.path.parent
+            published.image.unlink()
+            assert published.path.exists()
+            with pytest.raises(FileNotFoundError):
+                attach_generation(published.path)
+        finally:
+            published.dispose()
+
+    def test_an_attachment_answers_identically_after_dispose(self, small_bib, tmp_path):
+        """Retiring a generation removes its files, not its attachments:
+        a worker keeps serving the one it holds until it swaps."""
+        engine, published = self._publish(small_bib, tmp_path)
+        attached = attach_generation(published.path)
+        try:
+            authors = range(small_bib.node_count("author"))
+            before = [list(attached.engine.pathsim_top_k(APVPA, a, 3)) for a in authors]
+            size = attached.payload_bytes
+            assert size == published.image.stat().st_size
+            published.dispose()
+            assert not published.path.exists() and not published.image.exists()
+            gc.collect()
+            after = [list(attached.engine.pathsim_top_k(APVPA, a, 3)) for a in authors]
+            assert after == before
+            assert after == [list(engine.pathsim_top_k(APVPA, a, 3)) for a in authors]
+            assert attached.payload_bytes == size > 0
+        finally:
+            attached.close()

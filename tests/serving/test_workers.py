@@ -65,6 +65,20 @@ def _residue():
     return segments | set(Path(tempfile.gettempdir()).glob("repro-*-*"))
 
 
+def _fail_the_second_worker_start(monkeypatch):
+    """The first worker process starts; starting the next raises."""
+    real = workers._WorkerChannel
+    started = []
+
+    def flaky(*args, **kwargs):
+        if started:
+            raise OSError("cannot fork")
+        started.append(real(*args, **kwargs))
+        return started[0]
+
+    monkeypatch.setattr(workers, "_WorkerChannel", flaky)
+
+
 class TestFailedAttach:
     def test_every_request_gets_the_typed_error_and_the_worker_lives(
         self, small_bib, tier, monkeypatch
@@ -139,16 +153,7 @@ class TestNothingLeftBehind:
         """First generation published, worker processes half started,
         then the next start fails: everything acquired is released."""
         before = _residue()
-        real = workers._WorkerChannel
-        started = []
-
-        def flaky(*args, **kwargs):
-            if started:
-                raise OSError("cannot fork")
-            started.append(real(*args, **kwargs))
-            return started[0]
-
-        monkeypatch.setattr(workers, "_WorkerChannel", flaky)
+        _fail_the_second_worker_start(monkeypatch)
         with pytest.raises(OSError, match="cannot fork"):
             tier.build(small_bib)
         assert _residue() - before == set()
@@ -163,6 +168,50 @@ class TestNothingLeftBehind:
         with pytest.raises(OSError):
             tier.build(small_bib, directory=blocker / "generations")
         assert _residue() - before == set()
+
+    # With ``directory=`` the tier writes its generations where the
+    # caller says and does not remove the directory itself: each of its
+    # descriptors and images has to go.
+    def test_close_empties_a_caller_directory(self, small_bib, tier, tmp_path):
+        with tier.build(small_bib, directory=tmp_path) as service:
+            service.similar(0, APA, 2).result(timeout=60)
+            tier.republish(service)
+            names = {path.suffix for path in tmp_path.iterdir()}
+            assert names == {".json", ".bin"}  # a descriptor beside each image
+        assert list(tmp_path.iterdir()) == []
+
+    def test_construction_failing_half_way_empties_a_caller_directory(
+        self, small_bib, tier, monkeypatch, tmp_path
+    ):
+        _fail_the_second_worker_start(monkeypatch)
+        with pytest.raises(OSError, match="cannot fork"):
+            tier.build(small_bib, directory=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        assert _worker_processes() == []
+
+    def test_a_failed_descriptor_write_leaves_no_file_in_a_caller_directory(
+        self, small_bib, tier, monkeypatch, tmp_path
+    ):
+        """The image is written, then renaming the descriptor into place
+        fails: the publish removes both, and the service still serves
+        and closes clean."""
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".json"):
+                raise OSError("descriptor not written")
+            real_replace(src, dst)
+
+        with tier.build(small_bib, directory=tmp_path) as service:
+            held = sorted(path.name for path in tmp_path.iterdir())
+            monkeypatch.setattr(os, "replace", replace)
+            with pytest.raises(OSError, match="descriptor not written"):
+                tier.republish(service)
+            monkeypatch.undo()
+            assert sorted(path.name for path in tmp_path.iterdir()) == held
+            got = service.similar(0, APA, 2).result(timeout=60)
+            assert list(got) == list(small_bib.engine().pathsim_top_k(APA, 0, 2))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWorkerLoopInProcess:
