@@ -110,21 +110,22 @@ def main() -> None:
     print()
 
     # -- warm mmap restart of a whole cluster -------------------------
-    snapshot_dir = tempfile.mkdtemp(prefix="repro-cluster-snapshot-")
-    manifest = save_snapshot(hin, snapshot_dir)
-    print(f"snapshot: epoch {manifest['epoch']}, "
-          f"{len(manifest['entries'])} cached materializations")
+    # The cluster closes before the snapshot it maps is removed.
+    with tempfile.TemporaryDirectory(prefix="repro-cluster-snapshot-") as snapshot_dir:
+        manifest = save_snapshot(hin, snapshot_dir)
+        print(f"snapshot: epoch {manifest['epoch']}, "
+              f"{len(manifest['entries'])} cached materializations")
 
-    start = time.perf_counter()
-    with ClusterService(
-        load_snapshot(snapshot_dir, mmap=True), processes=N_PROCESSES
-    ) as restarted:
-        restarted_answer = restarted.similar("SIGMOD", VPAPV, k=3).result(timeout=60)
-        startup_ms = (time.perf_counter() - start) * 1000
-        assert list(restarted_answer) == list(sigmod), "restart changed answers"
-        print(f"restarted cluster serves identical answers {startup_ms:.0f} ms "
-              f"after cold start — the parent memory-maps the snapshot "
-              f"payloads instead of deserializing them")
+        start = time.perf_counter()
+        with ClusterService(
+            load_snapshot(snapshot_dir, mmap=True), processes=N_PROCESSES
+        ) as restarted:
+            restarted_answer = restarted.similar("SIGMOD", VPAPV, k=3).result(timeout=60)
+            startup_ms = (time.perf_counter() - start) * 1000
+            assert list(restarted_answer) == list(sigmod), "restart changed answers"
+            print(f"restarted cluster serves identical answers {startup_ms:.0f} ms "
+                  f"after cold start — the parent memory-maps the snapshot "
+                  f"payloads instead of deserializing them")
 
 
 if __name__ == "__main__":

@@ -105,12 +105,11 @@ def main() -> None:
     print()
 
     # -- warm restart from a snapshot ---------------------------------
-    snapshot_dir = tempfile.mkdtemp(prefix="repro-snapshot-")
-    manifest = save_snapshot(hin, snapshot_dir)
-    print(f"snapshot: epoch {manifest['epoch']}, "
-          f"{len(manifest['entries'])} cached materializations")
-
-    restarted = load_snapshot(snapshot_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-snapshot-") as snapshot_dir:
+        manifest = save_snapshot(hin, snapshot_dir)
+        print(f"snapshot: epoch {manifest['epoch']}, "
+              f"{len(manifest['entries'])} cached materializations")
+        restarted = load_snapshot(snapshot_dir)
     warm_engine = restarted.engine()
     misses_before = warm_engine.cache_info().misses
     restarted_answer = restarted.query().similar("SIGMOD", VPAPV, k=3)

@@ -1,17 +1,19 @@
 """Concurrent query serving: worker pools, process clusters, snapshots.
 
 The production-facing layer above the query facade.  Every deployment
-shape exposes the **same client surface** — the
-:class:`~repro.serving.api.ServingAPI` verbs ``similar`` / ``connected``
-/ ``rank`` / ``watch`` — so code written against one service class runs
-unchanged against the others; only construction differs.  Five pieces:
+shape *is* a :class:`QueryService` — the verbs ``similar`` /
+``connected`` / ``rank`` / ``watch``, the request queue and its
+coalescing and batching are one class's, and a process tier only
+overrides where a job runs (:meth:`QueryService.run_group`) — so code
+written against one service class runs unchanged against the others;
+only construction differs.  Five pieces:
 
 * thread-safe engine serving — the engine's read–write lock
   (:attr:`repro.engine.MetaPathEngine.lock`) lets any number of query
   threads share one cache while ``hin.apply()`` commits update batches
   atomically between them;
-* :class:`QueryService` — a worker pool that accepts the ServingAPI
-  verbs as futures, coalesces duplicate in-flight requests, and batches
+* :class:`QueryService` — a worker pool that accepts the verbs as
+  futures, coalesces duplicate in-flight requests, and batches
   same-meta-path top-k queries into single block products;
 * :class:`ClusterService` — the same surface over N worker *processes*,
   each attaching the **whole** network's canonical-CSR matrices and
@@ -25,7 +27,7 @@ unchanged against the others; only construction differs.  Five pieces:
   partial top-k → exact tie-stable merge, bit-identical to the
   single-process answer, and updates republish only the shards they
   touch (both process tiers share one generation container, worker
-  loop and service scaffold: :mod:`repro.serving.shm`,
+  loop and QueryService subclass: :mod:`repro.serving.shm`,
   :mod:`repro.serving.workers`);
 * snapshots — :func:`save_snapshot` / :func:`load_snapshot` persist the
   network plus its materialized commuting matrices so a new process
@@ -40,14 +42,12 @@ concurrency" and "Sharded serving" for the design, and
 each tier.
 """
 
-from repro.serving.api import ServingAPI
 from repro.serving.cluster import ClusterService
 from repro.serving.service import QueryService
 from repro.serving.shards import ShardedClusterService, ShardPlan
 from repro.serving.snapshot import load_snapshot, network_fingerprint, save_snapshot
 
 __all__ = [
-    "ServingAPI",
     "QueryService",
     "ClusterService",
     "ShardedClusterService",

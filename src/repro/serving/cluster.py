@@ -25,13 +25,13 @@ Architecture
   never serve a torn matrix: it answers entirely at one epoch or
   entirely at the next.
 * The parent-facing API is the **same futures surface** as
-  :class:`~repro.serving.QueryService` — in fact it *is* a
-  ``QueryService`` whose execution backend runs each ``(shape, objs)``
-  job in a worker process instead of against the live network: the job,
-  and the function that runs it (:func:`~repro.serving.api._execute_job`),
-  are the same on every tier, so request coalescing and same-shape
-  batching keep working unchanged (one block product per batch, now on
-  a core of its own).
+  :class:`~repro.serving.QueryService` — in fact the class *is* a
+  ``QueryService`` whose :meth:`~ClusterService.run_group` runs each
+  ``(shape, objs)`` job in a worker process instead of against the
+  live network: the job, and the function that runs it
+  (:func:`~repro.serving.service._execute_job`), are the same on every
+  tier, so request coalescing and same-shape batching keep working
+  unchanged (one block product per batch, now on a core of its own).
 
 Warm starts go through the one start-up route every tier shares:
 ``ClusterService(load_snapshot(path, mmap=True))`` maps the snapshot's
@@ -51,7 +51,7 @@ import contextlib
 import queue as _queue
 import threading
 
-from repro.serving.api import _execute_job
+from repro.serving.service import _execute_job
 from repro.serving.shm import publish_generation
 from repro.serving.workers import _ProcessTier
 
@@ -86,8 +86,8 @@ class ClusterService(_ProcessTier):
         On a non-positive process count.
 
     Use as a context manager, or call :meth:`close` explicitly.  The
-    futures surface is the shared :class:`~repro.serving.api.ServingAPI`
-    (``similar``, ``connected``, ``rank``, ``watch``) — one client's
+    futures surface is the inherited :class:`~repro.serving.QueryService`
+    one (``similar``, ``connected``, ``rank``, ``watch``) — one client's
     code does not change when serving moves from threads to processes.
     Watch registration and maintenance always run in the *parent* — the
     single-writer process where ``hin.apply()`` commits — never on a
@@ -135,7 +135,7 @@ class ClusterService(_ProcessTier):
     def _worker_spec(self, _worker: int) -> tuple:
         """Every worker follows the one ``gen-<n>.json`` series through
         the shared counter and runs the queue's ``(shape, objs)`` jobs
-        (:func:`~repro.serving.api._execute_job`) against the whole
+        (:func:`~repro.serving.service._execute_job`) against the whole
         network it attached."""
         return self._gen_value, "gen", _execute_job
 
@@ -191,15 +191,11 @@ class ClusterService(_ProcessTier):
         self.publish()
 
     # ------------------------------------------------------------------
-    # QueryService executor protocol
+    # The QueryService backend hook
     # ------------------------------------------------------------------
     def run_group(self, shape: tuple, objs) -> list[tuple]:
-        """Dispatch one ``(shape, objs)`` job to a free worker (blocking).
-
-        The executor half of the :class:`~repro.serving.QueryService`
-        contract: returns one ``("ok", value) | ("err", error)`` status
-        per object.
-        """
+        """Dispatch one ``(shape, objs)`` job to a free worker (blocking);
+        one ``("ok", value) | ("err", error)`` status per object."""
         channel = self._free.get()
         try:
             self._jobs_dispatched += 1
@@ -211,10 +207,10 @@ class ClusterService(_ProcessTier):
     # Observability / lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """The embedded service's counters plus cluster-level ones
-        (``processes``, ``jobs_dispatched``, ``generations_published``,
-        ``generation``)."""
-        out = self._service.stats()
+        """The queue's counters (:meth:`QueryService.stats`) plus
+        cluster-level ones (``processes``, ``jobs_dispatched``,
+        ``generations_published``, ``generation``)."""
+        out = super().stats()
         out.update(
             processes=len(self._channels),
             jobs_dispatched=self._jobs_dispatched,

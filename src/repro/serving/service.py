@@ -1,4 +1,4 @@
-"""QueryService — a concurrent, batching front end over one network.
+"""QueryService — the one client surface and the one request queue.
 
 The facade (:class:`~repro.query.session.QuerySession`) answers one
 query at a time on the calling thread.  A serving process has a
@@ -11,13 +11,13 @@ same-shape queries into single matrix operations — and this module
 implements exactly those two moves on top of the engine's thread-safe
 serving layer:
 
-* **Worker pool.**  The :class:`~repro.serving.api.ServingAPI` verbs
-  (``similar``, ``connected``, ``rank``, ``watch``) enqueue a request
-  and return a :class:`concurrent.futures.Future`; a small pool of
-  worker threads drains the queue.  Queries execute under the engine's read
-  lock, so they interleave freely with each other and serialize only
-  against update commits (``hin.apply()``), each answer computed
-  entirely at one update epoch.
+* **Worker pool.**  The verbs (``similar``, ``connected``, ``rank``,
+  ``watch``) enqueue a request and return a
+  :class:`concurrent.futures.Future`; a small pool of worker threads
+  drains the queue.  Queries execute under the engine's read lock, so
+  they interleave freely with each other and serialize only against
+  update commits (``hin.apply()``), each answer computed entirely at
+  one update epoch.
 * **Request coalescing.**  Identical requests in flight at the same
   update epoch (same operation, same arguments — any spelling of the
   same meta-path) share one computation — a thundering herd of
@@ -30,6 +30,49 @@ serving layer:
   × dense block product instead of one mat-vec per query.  Under load
   the batch assembles itself; an idle service degenerates to per-query
   execution with no added latency.
+
+The process tiers (:class:`~repro.serving.ClusterService`,
+:class:`~repro.serving.ShardedClusterService`) *are* query services:
+they inherit the verbs, the queue and the coalescing, and override
+:meth:`QueryService.run_group` — the one backend hook — to run each
+job in a worker process.  Code written against one service class runs
+unchanged against the others; only construction differs.
+
+A request has exactly one form, wherever it runs: ``(shape, obj)``.
+*shape* is a declarative, picklable tuple — the op plus everything that
+is not the query object — and *obj* is the query object (the ranking
+target, for ``rank``):
+
+================================================  ===============
+shape                                             built by
+================================================  ===============
+``("pathsim", path, k, exclude)``                 ``similar`` (PathSim)
+``("similar", path, k, measure, exclude)``        ``similar`` (other measures)
+``("connected", path, k, exclude)``               ``connected``
+``("rank", kwargs)``                              ``rank``
+``("watch", path, k, measure, exclude)``          ``watch``
+================================================  ===============
+
+A shape says *what* was asked, never *how* to compute it: association
+order is the engine's planner's, the top-k kernel the serving engine's
+policy (``MetaPathEngine(hin, mode=...)``), so two requests for the
+same answer are always the same request.
+
+The verbs are the only builders of shapes and :func:`_execute_spec`
+their only interpreter, so this module is the one place that knows the
+layouts.  The queue's batching identity *is* the shape, its coalescing
+identity is ``(epoch, shape, type(obj), obj)``, and a job is
+``(shape, objs)`` run by :func:`_execute_job` — in a worker process
+against an attached generation, or in the parent against the live
+``(hin, engine)`` pair.  *path* is always the resolved path's
+schema-disambiguated DSL spelling and *k* always a plain non-negative
+``int`` (:func:`~repro.utils.validation.check_k`), so every spelling of
+a request shares work and every tier sees the same arguments.
+
+Every verb returns a :class:`concurrent.futures.Future`.  Submission
+never raises for bad arguments: path, ``k`` or object errors are
+delivered through the future, and only a closed service raises at
+submit time.
 
 Batched answers are *bit-identical* to per-query answers (the block
 product runs the same summation per row), which
@@ -53,9 +96,85 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .api import ServingAPI, _execute_job, _is_registration, _pathsim_fields
+from repro.utils.validation import check_k
 
 __all__ = ["QueryService"]
+
+
+def _pathsim_fields(shape: tuple) -> tuple | None:
+    """``(path, k, exclude)`` of a PathSim top-k shape —
+    the one op a single block product (or a scatter) answers for many
+    query objects at once — else ``None``."""
+    return shape[1:] if shape[0] == "pathsim" else None
+
+
+def _is_registration(shape: tuple) -> bool:
+    """Whether *shape* registers a standing query: such requests never
+    coalesce (each caller gets its own subscription) and always run
+    against the live pair, where ``hin.apply()`` commits."""
+    return shape[0] == "watch"
+
+
+def _execute_spec(state, shape: tuple, obj):
+    """Run one request against *state* — anything with the network's
+    ``hin`` and ``engine``.  Every branch takes the engine read lock
+    itself, so the answer is computed at one epoch."""
+    op, *args = shape
+    if op == "pathsim":
+        path, k, exclude = args
+        return state.engine.pathsim_top_k(
+            path, obj, k, exclude_query=exclude
+        )
+    if op == "similar":
+        path, k, measure, exclude = args
+        return state.hin.query().similar(
+            obj, path, k, measure=measure, exclude_self=exclude
+        )
+    if op == "connected":
+        path, k, exclude = args
+        return state.engine.top_k_connectivity(
+            path, obj, k, exclude_query=exclude
+        )
+    if op == "rank":
+        (kwargs,) = args
+        return state.hin.query().rank(obj, **dict(kwargs))
+    if op == "watch":
+        path, k, measure, exclude = args
+        return state.hin.watches().watch(
+            path, obj, k=k, measure=measure, exclude_self=exclude
+        )
+    raise ValueError(f"unknown request shape {op!r}")
+
+
+def _execute_job(state, shape: tuple, objs) -> list[tuple]:
+    """One job -> aligned ``("ok", value) | ("err", error)`` statuses.
+
+    *state* is an attached generation in a worker process, or the live
+    ``(hin, engine)`` pair in the parent.  Several PathSim objects are
+    answered with one ``pathsim_top_k_batch`` call (the engine's one
+    top-k route, so answers are bit-identical to one query each); when
+    that raises, each object is retried alone, so one bad request
+    cannot poison its co-batched neighbours — and a single object is
+    never computed twice.
+    """
+    fields = _pathsim_fields(shape)
+    if fields is not None and len(objs) > 1:
+        path, k, exclude = fields
+        try:
+            results = state.engine.pathsim_top_k_batch(
+                path, objs, k, exclude_query=exclude
+            )
+            return [("ok", result) for result in results]
+        except Exception:
+            pass  # retried below, per object
+    statuses = []
+    for obj in objs:
+        try:
+            statuses.append(("ok", _execute_spec(state, shape, obj)))
+        except Exception as exc:
+            statuses.append(("err", exc))
+    return statuses
+
 
 #: Most same-shape top-k requests one worker groups into a single job.
 _MAX_BATCH = 64
@@ -70,7 +189,7 @@ class _Request:
     future never cancels another client's answer.
 
     ``(shape, obj)`` is the request itself, in the one declarative form
-    :mod:`repro.serving.api` defines: queued requests with equal shapes
+    this module defines: queued requests with equal shapes
     batch into one job, and the same ``(shape, objs)`` job runs in this
     process or in a worker process unchanged.
     """
@@ -81,14 +200,16 @@ class _Request:
     key: tuple | None  # coalescing identity (None: never coalesce)
 
 
-class QueryService(ServingAPI):
+class QueryService:
     """Thread-safe query serving over one HIN's shared engine.
 
     The client verbs (``similar``, ``connected``, ``rank``, ``watch``)
-    come from :class:`~repro.serving.api.ServingAPI` — this class is
-    the *core* behind them: the queue their ``(shape, obj)`` requests
-    coalesce and batch in, and the worker pool that runs the resulting
-    ``(shape, objs)`` jobs through an execution backend.
+    build ``(shape, obj)`` requests (see the module docstring); the
+    queue coalesces and batches them, and a pool of worker threads runs
+    the resulting ``(shape, objs)`` jobs through :meth:`run_group` —
+    here, against the live network; in a process tier, in a worker
+    process.  Coalescing and batching happen here either way, so a
+    thundering herd costs one job.
 
     Parameters
     ----------
@@ -102,31 +223,15 @@ class QueryService(ServingAPI):
     workers:
         Worker-thread count.  Batching does most of the work; a small
         pool (2–4) is usually right even for many clients.
-    executor:
-        Optional execution backend: an object with
-        ``run_group(shape, objs) -> [("ok", value) | ("err", error)]``,
-        one status per object — the process tiers pass themselves and
-        run the job in a worker process.  The default backend is this
-        service's own :meth:`run_group`: the same job against the live
-        network, under one engine read-lock hold.  Coalescing and
-        batching happen here either way, so a thundering herd costs
-        one job.
 
     Use as a context manager, or call :meth:`close` explicitly; both
     drain queued work before returning.
     """
 
-    def __init__(
-        self,
-        hin,
-        *,
-        workers: int = 2,
-        executor=None,
-    ):
+    def __init__(self, hin, *, workers: int = 2):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.hin = hin
-        self._executor = self if executor is None else executor
         # Always the shared session and engine: hin.apply() commits
         # under the shared engine's lock, so serving through any other
         # engine could observe torn mid-commit network state.
@@ -157,12 +262,166 @@ class QueryService(ServingAPI):
             t.start()
 
     # ------------------------------------------------------------------
-    # Submission core (behind the ServingAPI verbs)
+    # The verbs (one documented entry point each)
     # ------------------------------------------------------------------
-    def _serving_core(self) -> "QueryService":
-        """This service *is* the core — the verbs submit to it directly."""
-        return self
+    def _path_request(self, op: str, obj, path, k, *rest) -> Future:
+        """Submit ``(op, path, k, *rest)`` for *obj*: the one place a
+        path is resolved and ``k`` normalised, with any failure
+        delivered through the future (the uniform error contract)."""
+        try:
+            shape = (op, self._spell(path), check_k(k), *rest)
+        except Exception as exc:
+            future = Future()
+            future.set_exception(exc)
+            return future
+        return self._submit(shape, obj)
 
+    def similar(
+        self,
+        obj,
+        path,
+        k: int = 10,
+        *,
+        measure: str = "pathsim",
+        exclude_self: bool = True,
+    ) -> Future:
+        """Enqueue a top-*k* similarity query; returns a future.
+
+        ``measure="pathsim"`` requests are batchable: queued requests
+        over the same ``(path, k, exclude_self)`` shape are
+        answered by one block product (scattered across shards on a
+        :class:`~repro.serving.ShardedClusterService`).  Other measures
+        execute singly through the session.
+
+        Parameters
+        ----------
+        obj:
+            Query object — a name, or an index into the path's source
+            type.
+        path:
+            Any meta-path spelling (DSL string, type list,
+            ``MetaPath``); must be symmetric for ``pathsim``.
+        k:
+            How many peers to return — an ``int`` or numpy integer.
+        measure:
+            ``"pathsim"`` (engine-served, batchable) or any measure
+            ``QuerySession.similar`` accepts.
+        exclude_self:
+            Drop the query object from its own answer.
+
+        Raises
+        ------
+        RuntimeError
+            When the service is already closed (the only submit-time
+            raise).  Every other failure — bad path, non-integer *k*,
+            unknown object, engine error — is delivered through the
+            returned future, never raised on the submitting thread.
+        """
+        if measure == "pathsim":
+            return self._path_request(
+                "pathsim", obj, path, k, bool(exclude_self)
+            )
+        return self._path_request(
+            "similar", obj, path, k, measure, bool(exclude_self)
+        )
+
+    def connected(
+        self,
+        obj,
+        path,
+        k: int = 10,
+        *,
+        exclude_self: bool = False,
+    ) -> Future:
+        """Enqueue a top-*k* connectivity (path-count) query; returns a
+        future.
+
+        Parameters
+        ----------
+        obj:
+            Query object of the path's source type.
+        path:
+            Any meta-path spelling; asymmetric paths are fine
+            (connectivity counts path instances, it does not normalize).
+        k:
+            How many targets to return.
+        exclude_self:
+            Drop the query object (round-trip paths only; enforced when
+            the request executes, with the error on the future).
+
+        Raises
+        ------
+        RuntimeError
+            When the service is already closed; execution failures
+            arrive through the future.
+        """
+        return self._path_request(
+            "connected", obj, path, k, bool(exclude_self)
+        )
+
+    def rank(self, target, **kwargs) -> Future:
+        """Enqueue a ranking query; returns a future.
+
+        Parameters
+        ----------
+        target:
+            A node type or meta-path, exactly as
+            :meth:`repro.query.QuerySession.rank` takes it.
+        **kwargs:
+            Passed through to ``QuerySession.rank`` (``by=``, ``path=``,
+            ``method=``, ...).
+
+        Raises
+        ------
+        RuntimeError
+            When the service is already closed; execution failures
+            arrive through the future.
+        """
+        return self._submit(("rank", tuple(sorted(kwargs.items()))), target)
+
+    def watch(
+        self,
+        obj,
+        path,
+        k: int = 10,
+        *,
+        measure: str = "pathsim",
+        exclude_self: bool | None = None,
+    ) -> Future:
+        """Enqueue a standing-query registration; the future resolves
+        with a :class:`~repro.watch.Subscription`.
+
+        The subscription's ``(epoch, result)`` pushes then flow through
+        its own ``next()`` futures and ``drain()`` queue — the same
+        futures machinery the query surface uses, but long-lived.
+        Registrations never coalesce (each caller gets its own
+        subscription) and always execute with the single writer: on a
+        cluster, registration and maintenance run in the *parent* —
+        where ``hin.apply()`` commits — and pushes fan out from there,
+        while workers keep answering the one-shot query surface from
+        their attached generations, untouched.
+
+        Parameters
+        ----------
+        obj:
+            Query object of the path's source type.
+        path:
+            Any meta-path spelling (symmetric for ``pathsim``).
+        k:
+            Result size to maintain.
+        measure:
+            ``"pathsim"`` or ``"connectivity"``.
+        exclude_self:
+            Defaults to the measure's convention (``True`` for pathsim,
+            ``False`` for connectivity).
+        """
+        return self._path_request(
+            "watch", obj, path, k, measure, exclude_self
+        )
+
+    # ------------------------------------------------------------------
+    # Submission
+    # ------------------------------------------------------------------
     def prewarm(self, *paths) -> "QueryService":
         """Materialize *paths* into the shared cache before serving."""
         self._session.prewarm(*paths)
@@ -206,7 +465,7 @@ class QueryService(ServingAPI):
         future = Future()
         with self._cond:
             if self._closed:
-                raise RuntimeError("QueryService is closed")
+                raise RuntimeError(f"{type(self).__name__} is closed")
             existing = self._inflight.get(key)  # never holds a None key
             if existing is not None:
                 self._stats["coalesced"] += 1
@@ -293,7 +552,7 @@ class QueryService(ServingAPI):
                 # queued writer between the two would close the cycle.
                 statuses = _execute_job(self._live, shape, objs)
             else:
-                statuses = self._executor.run_group(shape, objs)
+                statuses = self.run_group(shape, objs)
         except BaseException as exc:  # noqa: BLE001 — futures carry failures
             statuses = [("err", exc)] * len(group)
         # Delivery happens outside every lock: a future's done-callbacks
@@ -304,9 +563,12 @@ class QueryService(ServingAPI):
                 self._resolve(future, status, value)
 
     def run_group(self, shape: tuple, objs) -> list[tuple]:
-        """The in-process backend: one job against the live network.
+        """Run one ``(shape, objs)`` job; one ``("ok", value) |
+        ("err", error)`` status per object.
 
-        The engine's entry points take the read lock themselves; holding
+        The backend hook: a process tier overrides it to run the job in
+        a worker process.  Here it runs against the live network.  The
+        engine's entry points take the read lock themselves; holding
         it across the whole job additionally covers facade operations
         that read network state outside the engine (degree rankings,
         projections) and keeps a batch's retries at the batch's epoch.

@@ -87,7 +87,7 @@ from repro.engine import kernels
 from repro.engine.topk import finalize_top_k, merge_top_k, shard_top_k
 from repro.exceptions import ReproError
 from repro.networks.stats import balanced_ranges, type_row_weights
-from repro.serving.api import _pathsim_fields
+from repro.serving.service import _pathsim_fields
 from repro.serving.shm import PublishedGeneration, _publish
 from repro.serving.workers import _JOB_TIMEOUT_S, _ProcessTier
 from repro.watch.analysis import touched_chain_rows
@@ -277,8 +277,8 @@ class ShardedClusterService(_ProcessTier):
         Where shard generation descriptors live (a private temp
         directory by default).
 
-    The client surface is the shared
-    :class:`~repro.serving.api.ServingAPI`; swapping a replicated
+    The client surface is the inherited
+    :class:`~repro.serving.QueryService` one; swapping a replicated
     ``ClusterService`` for this class changes construction only (see
     GUIDE §8).  Use as a context manager, or call :meth:`close`.
     """
@@ -483,7 +483,7 @@ class ShardedClusterService(_ProcessTier):
             time.sleep(0.001)
 
     # ------------------------------------------------------------------
-    # QueryService executor protocol
+    # The QueryService backend hook
     # ------------------------------------------------------------------
     def _served_for(self, path):
         """The :class:`_ServedPath` answering *path*, or ``None``."""
@@ -498,11 +498,10 @@ class ShardedClusterService(_ProcessTier):
         execute parent-side.
 
         Top-k PathSim over a served path scatters across every worker.
-        All other requests run through the embedded service's
-        in-process backend — the same job against the parent's live
-        engine under its read lock: same epoch guarantees, no worker
-        round trip — so the full verb surface works before any path was
-        shard-served.
+        All other requests run through :meth:`QueryService.run_group`
+        — the same job against the parent's live engine under its read
+        lock: same epoch guarantees, no worker round trip — so the full
+        verb surface works before any path was shard-served.
         """
         fields = _pathsim_fields(shape)
         if fields is not None:
@@ -514,7 +513,7 @@ class ShardedClusterService(_ProcessTier):
                     return statuses
         with self._stats_mutex:
             self._fallbacks += 1
-        return self._service.run_group(shape, objs)
+        return super().run_group(shape, objs)
 
     def _scatter_top_k(self, spath, objs, k, exclude) -> list[tuple] | None:
         """Scatter one top-k group; merge exact per-query results.
@@ -620,11 +619,11 @@ class ShardedClusterService(_ProcessTier):
         return reports
 
     def stats(self) -> dict:
-        """The embedded service's counters plus sharding ones:
-        ``shards``, ``scatters``, ``fallbacks``, per-shard
-        ``republications``/``shard_epochs``, and the current ``plan``
-        ranges."""
-        out = self._service.stats()
+        """The queue's counters (:meth:`QueryService.stats`) plus
+        sharding ones: ``shards``, ``scatters``, ``fallbacks``,
+        per-shard ``republications``/``shard_epochs``, and the current
+        ``plan`` ranges."""
+        out = super().stats()
         with self._stats_mutex:
             out.update(
                 shards=len(self._channels),

@@ -306,7 +306,7 @@ def _restore_network(section: dict, arrays, trusted: bool) -> HIN:
     return hin
 
 
-def _build_entry_index(entries, arrays: dict) -> list[dict]:
+def _build_entry_index(entries, arrays: dict, matrices=()) -> list[dict]:
     """Flatten engine cache *entries* into *arrays*; return their index.
 
     The single definition of the entry schema (``kind`` / ``steps`` /
@@ -315,9 +315,13 @@ def _build_entry_index(entries, arrays: dict) -> list[dict]:
     Each distinct matrix is written once: a PathSim entry's ``W`` *is*
     the cached half product, so the second key to reach an object names
     the arrays the first one wrote (``"csr"``) instead of copying them.
+    The relation *matrices* (``(name, matrix)``, already written under
+    ``rel/<name>``) count as written: a one-step half such as
+    ``A-P-A``'s ``W`` *is* a relation matrix.
     """
     index = []
-    written: dict[int, str] = {}  # id(matrix) -> csr prefix
+    # id(matrix) -> csr prefix
+    written = {id(matrix): f"rel/{name}" for name, matrix in matrices}
     for i, (key, value) in enumerate(entries):
         kind, steps = key
         prefix = f"entry{i}"
@@ -343,14 +347,18 @@ def _build_entry_index(entries, arrays: dict) -> list[dict]:
     return index
 
 
-def _restore_entries(entry_index, arrays, trusted: bool) -> list[tuple]:
+def _restore_entries(entry_index, arrays, trusted: bool, hin=None) -> list[tuple]:
     """The inverse of :func:`_build_entry_index`: engine ``(key, value)``
     pairs from a serialized entry index over *arrays*.  Entries naming
-    the same ``"csr"`` arrays get the same matrix object back; an index
-    without the field (written before matrices were shared) reads every
-    entry from its own arrays."""
+    the same ``"csr"`` arrays get the same matrix object back, and one
+    naming ``rel/<name>`` gets the restored network *hin*'s own relation
+    matrix; an index without the field (written before matrices were
+    shared) reads every entry from its own arrays."""
     entries: list[tuple] = []
     matrices: dict[str, sp.csr_matrix] = {}
+    if hin is not None:
+        for rel in hin.schema.relations:
+            matrices[f"rel/{rel.name}"] = hin.relation_matrix(rel.name)
     for desc in entry_index:
         key = (
             desc["kind"],
@@ -525,7 +533,7 @@ def _publish(
     arrays: dict[str, np.ndarray] = {}
     for name, matrix in matrices:
         _write_csr(f"rel/{name}", matrix, arrays)
-    index = _build_entry_index(entries, arrays)
+    index = _build_entry_index(entries, arrays, matrices)
     for desc, rows in zip(index, ranges):
         desc.update(rows)
     specs, size = _layout(arrays)
@@ -619,10 +627,11 @@ def attach_generation(path) -> AttachedGeneration:
         image = path.with_name(source["file"])
         size = image.stat().st_size
         arrays = _read_file(image, source["arrays"], mmap=True)
-        entries = _restore_entries(descriptor["entries"], arrays, trusted=True)
         hin = None
         if "relations" in descriptor:
             hin = _restore_network(descriptor, arrays, trusted=True)
+        entries = _restore_entries(descriptor["entries"], arrays, trusted=True, hin=hin)
+        if hin is not None:
             hin.engine().attach_state(descriptor["epoch"], entries)
         slices = {
             key[1]: (*value, int(desc["lo"]))

@@ -184,7 +184,7 @@ def save_snapshot(hin: HIN, path) -> dict:
     payloads: dict[str, dict[str, np.ndarray]] = {"network": {}, "cache": {}}
     for name, matrix in matrices:
         _write_csr(f"rel/{name}", matrix, payloads["network"])
-    entry_index = _build_entry_index(entries, payloads["cache"])
+    entry_index = _build_entry_index(entries, payloads["cache"], matrices)
     layouts = {kind: _layout(arrays) for kind, arrays in payloads.items()}
 
     # The standing-query registry is captured OUTSIDE the read-lock
@@ -273,8 +273,10 @@ def _read_payload(manifest: dict, path, kind: str, *, mmap: bool) -> dict:
         ) from None
 
 
-def _load_entries(manifest: dict, path, *, mmap: bool) -> list[tuple]:
-    """Rebuild (and hash-verify) the engine cache entries of *manifest*."""
+def _load_entries(manifest: dict, path, hin: HIN, *, mmap: bool) -> list[tuple]:
+    """Rebuild (and hash-verify) the engine cache entries of *manifest*
+    over the restored network *hin* (whose relation matrices an entry
+    may share)."""
     if not manifest["entries"]:
         return []
     arrays = _read_payload(manifest, path, "cache", mmap=mmap)
@@ -285,7 +287,7 @@ def _load_entries(manifest: dict, path, *, mmap: bool) -> list[tuple]:
             f"snapshot at {path} failed cache verification "
             f"(cached products do not match the manifest hash)"
         )
-    return _restore_entries(manifest["entries"], arrays, trusted=mmap)
+    return _restore_entries(manifest["entries"], arrays, trusted=mmap, hin=hin)
 
 
 def load_snapshot(path, *, mmap: bool = False) -> HIN:
@@ -341,7 +343,7 @@ def load_snapshot(path, *, mmap: bool = False) -> HIN:
                 f"(relation matrices do not match the manifest hash)"
             )
         hin.engine().attach_state(
-            manifest["epoch"], _load_entries(manifest, path, mmap=mmap)
+            manifest["epoch"], _load_entries(manifest, path, hin, mmap=mmap)
         )
         # Resume persisted standing queries at the restored epoch: each
         # spec re-registers (initial result from the warmed cache) and its

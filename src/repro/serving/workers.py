@@ -1,5 +1,5 @@
 """What the multi-process serving tiers share: one worker loop, one
-channel, one service scaffold.
+channel, one process-tier base class.
 
 :class:`~repro.serving.ClusterService` (every worker attaches the whole
 network) and :class:`~repro.serving.ShardedClusterService` (every
@@ -12,9 +12,10 @@ common remainder, written once:
   status per request no matter what failed;
 * :class:`_WorkerChannel` — one worker process plus its private queues
   and the post/collect protocol;
-* :class:`_ProcessTier` — the service scaffold: worker count default,
-  start method, generation directory, generation retirement,
-  ``worker_memory()``, ``close()``.
+* :class:`_ProcessTier` — the :class:`~repro.serving.QueryService`
+  subclass both tiers derive from: worker count default, start method,
+  generation directory, generation retirement, the start and close
+  orders, ``worker_memory()``.
 
 See ``docs/ARCHITECTURE.md`` → "Generations, the worker loop and
 fences" for the design.
@@ -32,7 +33,6 @@ import time
 from collections import deque
 from pathlib import Path
 
-from repro.serving.api import ServingAPI
 from repro.serving.service import QueryService
 from repro.serving.shm import attach_generation, descriptor_path
 
@@ -137,7 +137,7 @@ def _worker_main(
     worker's memory footprint (process RSS plus the attached
     generation's shared payload bytes); every other kind goes to
     *execute* ``(state, kind, payload) -> statuses`` — for the queue's
-    jobs that is :func:`~repro.serving.api._execute_job` with the
+    jobs that is :func:`~repro.serving.service._execute_job` with the
     request shape as *kind* and its query objects as *payload*.
     """
     current = None
@@ -299,17 +299,19 @@ class _WorkerChannel:
         self.result_queue.close()
 
 
-class _ProcessTier(ServingAPI):
-    """Scaffold of a multi-process service: N worker processes serving
-    published generations behind one embedded :class:`QueryService`.
+class _ProcessTier(QueryService):
+    """A :class:`QueryService` whose jobs run in N worker processes
+    serving published generations.
 
-    A subclass says what differs: ``_prepare(count)`` (publish the
-    generation(s) workers start on, before they fork),
+    The queue, coalescing and batching are the inherited ones; a
+    subclass overrides :meth:`~QueryService.run_group` to send each job
+    to a worker, and says what else differs: ``_prepare(count)``
+    (publish the generation(s) workers start on, before they fork),
     ``_worker_spec(i)`` (worker *i*'s ``(shared counter, descriptor
     stem, job executor)``),
     ``_fence(i)`` (the fence a job sent to worker *i* carries),
-    ``_exclusive()`` (a context manager granting every channel),
-    ``_on_commit(update)`` and ``run_group(shape, objs)``.
+    ``_exclusive()`` (a context manager granting every channel) and
+    ``_on_commit(update)``.
     """
 
     _label = "cluster"  # names the private descriptor directory
@@ -339,18 +341,19 @@ class _ProcessTier(ServingAPI):
             else Path(tempfile.mkdtemp(prefix=f"repro-{self._label}-"))
         )
         self._own_directory = directory is None
-        self._closed = False
+        self._stopped = False  # the tier's own flag; the queue's is _closed
+        self._threads = []  # no service thread until the queue starts
         self._channels: list[_WorkerChannel] = []
         # One retirement queue per worker's generation series (a tier
         # whose workers all follow one series uses the first only).
         self._published = [deque() for _ in range(count)]
         self._hook = None
-        self._service = None
         self.hin = hin
         try:
             self._prepare(count)
             # Workers fork/spawn BEFORE any service thread exists (fork
-            # while this object's own threads run would be unsound).
+            # while this object's own threads run would be unsound), so
+            # the queue starts last.
             for i in range(count):
                 self._channels.append(
                     _WorkerChannel(
@@ -358,9 +361,7 @@ class _ProcessTier(ServingAPI):
                     )
                 )
             self._hook = self.hin.add_commit_hook(self._on_commit)
-            self._service = QueryService(
-                self.hin, workers=count, executor=self
-            )
+            super().__init__(hin, workers=count)
         except BaseException:
             self.close()
             raise
@@ -372,16 +373,6 @@ class _ProcessTier(ServingAPI):
         held.append(generation)
         while len(held) > _KEEP_GENERATIONS:
             held.popleft().dispose()
-
-    def _serving_core(self) -> QueryService:
-        """The embedded :class:`QueryService` — it owns the request
-        queue; this tier is its execution backend."""
-        return self._service
-
-    @property
-    def epoch(self) -> int:
-        """The served network's current update epoch."""
-        return getattr(self.hin, "version", 0)
 
     def worker_memory(self) -> list[dict]:
         """One memory report per worker process.
@@ -410,13 +401,13 @@ class _ProcessTier(ServingAPI):
         service, so every branch tolerates resources that were never
         acquired.
         """
-        if self._closed:
+        if self._stopped:
             return
-        self._closed = True
+        self._stopped = True
         if self._hook is not None:
             self.hin.remove_commit_hook(self._hook)
-        if self._service is not None:
-            self._service.close()
+        if self._threads:  # the queue started: drain it and join
+            super().close()
         for channel in self._channels:
             channel.shutdown()
         for held in self._published:
@@ -424,9 +415,3 @@ class _ProcessTier(ServingAPI):
                 held.pop().dispose()
         if self._own_directory:
             shutil.rmtree(self._directory, ignore_errors=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

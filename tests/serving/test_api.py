@@ -1,8 +1,8 @@
 """One serving surface, three deployment shapes.
 
-ServingAPI is the contract that lets code written against the
-in-process :class:`QueryService` run unchanged against the replicated
-and sharded clusters: every verb exists on every service and answers the
+Both process tiers are :class:`QueryService` subclasses, so code written
+against the in-process service runs unchanged against the replicated and
+sharded clusters: every verb exists on every service and answers the
 same.
 """
 
@@ -17,13 +17,8 @@ import pytest
 
 import repro.serving as serving
 from repro.networks import HIN, NetworkSchema, UpdateBatch
-from repro.serving import (
-    ClusterService,
-    QueryService,
-    ServingAPI,
-    ShardedClusterService,
-)
-from repro.serving.api import ServingAPI as CanonicalServingAPI
+from repro.serving import ClusterService, QueryService, ShardedClusterService
+from repro.serving import workers as workers_module
 
 APA = "author-paper-author"
 
@@ -47,15 +42,15 @@ def any_service(request, small_bib):
 
 
 class TestSurface:
-    def test_every_service_is_a_serving_api(self, any_service):
-        assert isinstance(any_service, ServingAPI)
+    def test_every_service_is_a_query_service(self, any_service):
+        assert isinstance(any_service, QueryService)
 
     def test_verbs_share_one_definition(self):
-        # the mixin's method objects ARE each service's — no copies to
-        # drift apart, which is the point of the redesign
-        for cls in (QueryService, ClusterService, ShardedClusterService):
+        # QueryService's method objects ARE each tier's — no copies to
+        # drift apart
+        for cls in (ClusterService, ShardedClusterService):
             for verb in VERBS:
-                assert getattr(cls, verb) is getattr(CanonicalServingAPI, verb)
+                assert getattr(cls, verb) is getattr(QueryService, verb)
 
     def test_signatures_are_identical_across_services(self):
         for verb in VERBS:
@@ -64,14 +59,58 @@ class TestSurface:
                 assert inspect.signature(getattr(cls, verb)) == reference
 
     def test_exports(self):
-        for name in ("ServingAPI", "QueryService", "ClusterService",
+        for name in ("QueryService", "ClusterService",
                      "ShardedClusterService", "ShardPlan"):
             assert name in serving.__all__
             assert getattr(serving, name) is not None
+        assert not hasattr(serving, "ServingAPI")
 
-    def test_mixin_alone_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            ServingAPI().similar("a0", APA, 1)
+
+class TestLifecycle:
+    def test_every_verb_refuses_at_submit_after_close(self, any_service):
+        """Closing is the one submit-time raise, on every tier, and the
+        message names the service's own class."""
+        any_service.close()
+        submits = {
+            "similar": lambda: any_service.similar("a0", APA, 1),
+            "connected": lambda: any_service.connected("a0", APA, 1),
+            "rank": lambda: any_service.rank("author"),
+            "watch": lambda: any_service.watch("a0", APA, 1),
+        }
+        assert sorted(submits) == sorted(VERBS)
+        closed = f"^{type(any_service).__name__} is closed$"
+        for submit in submits.values():
+            with pytest.raises(RuntimeError, match=closed):
+                submit()
+        any_service.close()  # idempotent
+
+    @pytest.mark.parametrize("tier", [ClusterService, ShardedClusterService])
+    def test_workers_fork_before_any_service_thread(
+        self, small_bib, monkeypatch, tier
+    ):
+        """Forking while the queue's threads run is unsound, so every
+        worker process starts before the first ``repro-serve-*`` thread."""
+        real = workers_module._WorkerChannel
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append([t.name for t in threading.enumerate()])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(workers_module, "_WorkerChannel", recording)
+        if tier is ClusterService:
+            service = ClusterService(small_bib, processes=2)
+        else:
+            service = ShardedClusterService(small_bib, [APA], shards=2)
+        with service:
+            assert len(seen) == 2
+            assert not [
+                name for names in seen for name in names
+                if name.startswith("repro-serve-")
+            ]
+            assert any(
+                t.name.startswith("repro-serve-") for t in threading.enumerate()
+            )
 
 
 class TestBehaviour:

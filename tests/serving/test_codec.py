@@ -65,6 +65,12 @@ class TestOneCodec:
         assert manifest["epoch"] == 1 and len(manifest["entries"]) == 3
         for key in (*_SECTION, "entries"):
             assert manifest[key] == descriptor[key], key
+        # A forward one-step half *is* its relation matrix, so both
+        # documents name the relation's arrays for it instead of copying
+        # them; ``P-A``'s half is a transpose and owns its arrays.
+        assert sorted(e["csr"] for e in manifest["entries"] if "csr" in e) == [
+            "rel/published_in", "rel/writes"
+        ]
 
         by_token = {
             spath.token: spath
@@ -86,15 +92,43 @@ class TestOneCodec:
         for spath, whole, sliced in zip(served, manifest["entries"], shard["entries"]):
             lo, hi = plan.range_of(spath.source_type, 1)
             assert hi > lo
+            # A slice is a matrix of its own: it never names another's arrays.
+            whole = {key: value for key, value in whole.items() if key != "csr"}
             assert sliced == {
                 **whole, "lo": lo, "hi": hi, "shape": [hi - lo, whole["shape"][1]]
             }
 
-        # ... and with a matrix shared between two keys ("csr").
+        # ... and with a cached matrix shared between two keys.
         engine.prewarm([APVPA])
         manifest, descriptor = written()
-        assert any("csr" in entry for entry in manifest["entries"])
+        assert any(e.get("csr", "").startswith("entry") for e in manifest["entries"])
         assert manifest["entries"] == descriptor["entries"]
+
+    def test_a_relation_half_stays_one_object_through_a_restored_parent(
+        self, small_bib, tmp_path
+    ):
+        """Snapshot, restore, publish, attach: at every step ``APA``'s
+        ``W`` is the network's own ``writes`` matrix, written once."""
+        small_bib.engine().prewarm([APA])
+        save_snapshot(small_bib, tmp_path / "snap")
+        parent = load_snapshot(tmp_path / "snap", mmap=True)
+        published = publish_generation(
+            parent, parent.engine(), directory=tmp_path, generation=0
+        )
+        try:
+            descriptor = json.loads(published.path.read_text())
+            assert [e.get("csr") for e in descriptor["entries"]] == ["rel/writes"]
+            assert not [n for n in descriptor["source"]["arrays"] if n.endswith("/w/data")]
+            attached = attach_generation(published.path)
+            try:
+                ((_key, (w, _diag)),) = attached.hin.engine().export_state()[1]
+                assert w is attached.hin.relation_matrix("writes")
+                expected = small_bib.engine().pathsim_top_k(APA, 0, 3)
+                assert list(attached.hin.engine().pathsim_top_k(APA, 0, 3)) == list(expected)
+            finally:
+                attached.close()
+        finally:
+            published.dispose()
 
 
 def _widened(matrix, dtype=np.int64):

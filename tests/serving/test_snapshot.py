@@ -213,7 +213,9 @@ def _edit_manifest(path, edit):
 
 class TestSharedMatrices:
     """A PathSim entry's ``W`` *is* the cached half product — one object
-    under two keys — and a snapshot holds it once."""
+    under two keys — and a snapshot holds it once; a forward one-step
+    half (``APA``'s) *is* the relation matrix, which the network payload
+    already holds."""
 
     @staticmethod
     def _keys(engine):
@@ -228,21 +230,26 @@ class TestSharedMatrices:
         entries = engine.export_state()[1]
         distinct = {id(_matrix(k, v)): _matrix(k, v) for k, v in entries}
         assert len(distinct) < len(entries)
+        writes = small_bib.relation_matrix("writes")
+        assert id(writes) in distinct  # APA's W
         expected = [list(engine.pathsim_top_k(APVPA, a, 3)) for a in range(4)]
 
         manifest = save_snapshot(small_bib, tmp_path / "snap")
         assert manifest["format_version"] == 2
         diag_bytes = sum(8 * len(v[1]) for k, v in entries if k[0] == "pathsim")
         assert _payload_bytes(tmp_path / "snap", manifest) == diag_bytes + sum(
-            _csr_bytes(m) for m in distinct.values()
+            _csr_bytes(m) for m in distinct.values() if m is not writes
         )
 
         for mmap in (False, True):
-            warm = load_snapshot(tmp_path / "snap", mmap=mmap).engine()
+            loaded = load_snapshot(tmp_path / "snap", mmap=mmap)
+            warm = loaded.engine()
             restored = dict(warm.export_state()[1])
             assert len(restored) == len(entries)
             pathsim, half = self._keys(warm)
             assert restored[pathsim][0] is restored[half]
+            apa = ("pathsim", warm.path(APA).canonical_key())
+            assert restored[apa][0] is loaded.relation_matrix("writes")
             misses = warm.cache_info().misses
             assert [list(warm.pathsim_top_k(APVPA, a, 3)) for a in range(4)] == expected
             assert warm.cache_info().misses == misses
@@ -265,9 +272,10 @@ class TestSharedMatrices:
         assert not any("csr" in desc for desc in old["entries"])
         assert any("csr" in desc for desc in shared["entries"])
         half = dict(entries)[self._keys(engine)[1]]
+        writes = small_bib.relation_matrix("writes")  # APA's W
         assert _payload_bytes(tmp_path / "old", old) == _payload_bytes(
             tmp_path / "shared", shared
-        ) + _csr_bytes(half)
+        ) + _csr_bytes(half) + _csr_bytes(writes)
 
         for mmap in (False, True):
             warm = load_snapshot(tmp_path / "old", mmap=mmap).engine()

@@ -23,10 +23,12 @@ SCRIPTED = [
 ]
 
 
-def _run(script: Path) -> subprocess.CompletedProcess:
+def _run(script: Path, tmp: Path) -> subprocess.CompletedProcess:
+    """Run *script* with its temporary files confined to *tmp*."""
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["TMPDIR"] = str(tmp)
     return subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
@@ -38,14 +40,16 @@ def _run(script: Path) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("name", SCRIPTED)
-def test_example_script_runs(name):
+def test_example_script_runs(name, tmp_path):
     script = REPO_ROOT / "examples" / name
     assert script.exists(), f"examples/{name} is documented but missing"
-    proc = _run(script)
+    proc = _run(script, tmp_path)
     assert proc.returncode == 0, (
         f"examples/{name} failed\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
     )
     assert proc.stdout.strip(), f"examples/{name} printed nothing"
+    left = sorted(path.name for path in tmp_path.iterdir())
+    assert left == [], f"examples/{name} left temporary files behind: {left}"
 
 
 def test_facade_examples_use_the_query_surface():

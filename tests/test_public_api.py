@@ -84,7 +84,6 @@ def test_root_and_serving_exports_are_pinned():
     assert sorted(repro.serving.__all__) == [
         "ClusterService",
         "QueryService",
-        "ServingAPI",
         "ShardPlan",
         "ShardedClusterService",
         "load_snapshot",
@@ -271,10 +270,10 @@ def test_only_the_engine_constructor_chooses_how():
     ``engine.pathsim_top_k``.  Nothing above the engine takes either."""
     from repro.engine import MetaPathEngine
     from repro.query import QuerySession
-    from repro.serving.api import ServingAPI
+    from repro.serving import QueryService
     from repro.watch import WatchManager
 
-    for cls in (QuerySession, ServingAPI, WatchManager):
+    for cls in (QuerySession, QueryService, WatchManager):
         for name, signature in _public_methods(cls).items():
             assert not {"plan", "mode"} & set(signature.parameters), (
                 f"{cls.__name__}.{name}"
@@ -352,6 +351,18 @@ def test_batch_bound_and_term_floor_are_constants():
     ]
 
 
+def test_query_service_takes_no_backend():
+    """A process tier is a ``QueryService`` that overrides ``run_group``,
+    so the service is built from a network and a thread count only."""
+    from repro.serving import QueryService
+
+    assert _params(QueryService.__init__) == [
+        ("self", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("hin", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("workers", "KEYWORD_ONLY", 2),
+    ]
+
+
 def test_graph_from_edges_has_no_dtype_knob():
     """``Graph`` stores float64 whatever it is handed; a ``dtype=`` on the
     edge-list constructor could only truncate weights on the way in."""
@@ -382,15 +393,12 @@ def test_watch_spec_and_result_carry_what_not_how():
 
 def test_request_shapes_match_the_api_table():
     """The shapes the four verbs enqueue have exactly the arities of the
-    table in ``repro.serving.api``'s module docstring."""
-    from repro.serving.api import ServingAPI
+    table in ``repro.serving.service``'s module docstring."""
+    from repro.serving import QueryService
 
-    class Core(ServingAPI):
-        def __init__(self):
+    class Core(QueryService):
+        def __init__(self):  # no queue and no threads: only the verbs run
             self.submitted = []
-
-        def _serving_core(self):
-            return self
 
         def _spell(self, path):
             return path
