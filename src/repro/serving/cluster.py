@@ -105,6 +105,7 @@ class ClusterService(_ProcessTier):
     ):
         self._gen_counter = 0
         self._gen_value = None
+        self._stale = False
         self._publish_mutex = threading.Lock()
         self._jobs_dispatched = 0
         self._generations_published = 0
@@ -176,11 +177,16 @@ class ClusterService(_ProcessTier):
 
         Runs automatically from the ``hin.apply()`` commit hook; call it
         manually after warming the parent cache out-of-band.  Returns
-        the new generation counter.
+        the new generation counter, which only a publish that succeeded
+        advances.
         """
         with self._publish_mutex:
+            # Until a publish lands, workers may hold an older epoch than
+            # the parent's: jobs run parent-side (see run_group).
+            self._stale = True
+            self._export(self._gen_counter + 1)
+            self._stale = False
             self._gen_counter += 1
-            self._export(self._gen_counter)
             self._generations_published += 1
             # Publication point: workers swap on their next job.
             self._gen_value.value = self._gen_counter
@@ -195,7 +201,16 @@ class ClusterService(_ProcessTier):
     # ------------------------------------------------------------------
     def run_group(self, shape: tuple, objs) -> list[tuple]:
         """Dispatch one ``(shape, objs)`` job to a free worker (blocking);
-        one ``("ok", value) | ("err", error)`` status per object."""
+        one ``("ok", value) | ("err", error)`` status per object.
+
+        While a publish is running or after one failed, the workers'
+        generation may be older than the parent's epoch, so until a
+        publish succeeds the job runs parent-side
+        (:meth:`QueryService.run_group`) instead of waiting out the
+        worker fence.
+        """
+        if self._stale:
+            return super().run_group(shape, objs)
         channel = self._free.get()
         try:
             self._jobs_dispatched += 1

@@ -22,30 +22,33 @@ pages through the OS page cache.
 the arrays laid end to end, flat and C-contiguous, each at a
 64-byte-aligned offset, described by ``{name: {offset, dtype, shape}}``
 *specs* kept in the JSON document beside it (:func:`_layout` one way,
-:func:`_unpack` the other).  An image is always a file, written to a
-temporary name and renamed (:func:`_write_file`) — a generation's image
-and a warm-cache snapshot's payload (:mod:`repro.serving.snapshot`)
-alike.  Two things read it back (:func:`_read_file`):
+:func:`_unpack` the other).  A document and its image are written by
+one function, :func:`_write_document`: the image to a temporary name
+and renamed, then the document the same way, its ``source`` block
+naming the image and holding the specs.  A generation's descriptor and
+a warm-cache snapshot's manifest (:mod:`repro.serving.snapshot`) are
+both such documents, and one function reads either back with its state
+(:func:`_open_state`).  The image is read one of two ways
+(:func:`_read_file`):
 
 * a mapping — what a worker attaches and what
   ``load_snapshot(path, mmap=True)`` returns: read-only views over one
   ``np.memmap``, nothing deserialized;
 * an eager read into arrays the caller owns (``mmap=False``).
 
-Both JSON documents — a snapshot's manifest and a generation's
-descriptor — carry ``_FORMAT_VERSION``, which changes with the image
-layout; documents of another version are refused.
+Both kinds of document carry ``_FORMAT_VERSION``, which changes with
+the layout; documents of another version are refused.
 
 **The state codec.**  What goes into an image is decided here too: how
 a network and its engine cache at one epoch become a JSON network
 section, an entry index and flat arrays, and back (``_capture_state`` /
-``_write_csr`` / ``_build_entry_index`` one way, ``_read_envelope`` /
-``_read_csr`` / ``_restore_network`` / ``_restore_entries`` the other,
-under :func:`_restoring`).  Snapshots, replicated generations and shard
-generations all go through these functions.
+``_pack`` one way, ``_restore_network`` / ``_restore_entries`` the
+other, under :func:`_restoring`).  Snapshots, replicated generations
+and shard generations all go through these functions.
 
 A generation is described by a JSON **descriptor** naming the image
-file beside it and the structure over it; :func:`attach_generation`
+file beside it and the structure over it — a snapshot's manifest is
+such a descriptor with extra fields; :func:`attach_generation`
 turns a descriptor back into a live :class:`~repro.networks.hin.HIN`
 plus a warm :class:`~repro.engine.MetaPathEngine`, still zero-copy:
 matrices are constructed directly over the mapped buffers
@@ -91,7 +94,7 @@ __all__ = [
 ]
 
 _FORMAT = "repro-shm-generation"
-_FORMAT_VERSION = 2  # of the image layout; manifests and descriptors both carry it
+_FORMAT_VERSION = 3  # of the document + image layout; manifests and descriptors both carry it
 _ALIGN = 64  # cache-line align every array inside an image
 
 
@@ -141,21 +144,8 @@ def _unpack(specs: dict, size: int, source, read) -> dict:
     return {key: read(*where) for key, *where in checked}
 
 
-def _write_file(path: Path, arrays: dict, specs: dict, size: int) -> None:
-    """Write *arrays* as the image :func:`_layout` gave (*specs*, *size*)
-    at *path*, via a temp file + atomic rename.  Each array goes from
-    its own memory to the file; no whole image is assembled first."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        for key, value in arrays.items():
-            f.seek(specs[key]["offset"])
-            value.tofile(f)
-        f.truncate(size)
-    os.replace(tmp, path)
-
-
-def _read_file(path: Path, specs: dict, *, mmap: bool) -> dict:
-    """The arrays of the image file at *path*.
+def _read_file(path: Path, specs: dict, *, mmap: bool) -> tuple[dict, int]:
+    """The arrays of the image file at *path*, and its size in bytes.
 
     ``mmap=True`` returns read-only views over one mapping of the file
     — nothing is deserialized, and every process mapping the same file
@@ -166,7 +156,7 @@ def _read_file(path: Path, specs: dict, *, mmap: bool) -> dict:
     ------
     FileNotFoundError
         When *path* is missing — a retired generation's image, or a
-        snapshot payload that was never written (the caller names it).
+        snapshot image that was never written (the caller names it).
     repro.exceptions.SnapshotError
         When the file is shorter than *specs* say.
     """
@@ -184,7 +174,49 @@ def _read_file(path: Path, specs: dict, *, mmap: bool) -> dict:
                 f.seek(offset)
                 return np.fromfile(f, dtype, math.prod(shape)).reshape(shape)
 
-        return _unpack(specs, size, path, read)
+        return _unpack(specs, size, path, read), size
+
+
+def _write_document(path: Path, image: Path, document: dict, arrays: dict) -> None:
+    """Write *arrays* as the image file *image*, then *document* as the
+    JSON file *path*, each through a temporary name and a rename.
+
+    *document* gains the ``source`` block — the image's file name and
+    the arrays' specs (:func:`_layout`).  The document's rename is the
+    publication point: whoever reads it finds the complete image it
+    names.  Each array goes from its own memory to the file; no whole
+    image is assembled first.
+
+    The document must read back as itself, so what JSON cannot carry
+    (an ``object()`` node name) or would change (a tuple name comes
+    back a list, which a network cannot index by) is a
+    :class:`~repro.exceptions.SnapshotError` before any file is
+    written.  A failed write removes its temporary files; the image, if
+    already renamed into place, is the caller's to remove or keep.
+    """
+    specs, size = _layout(arrays)
+    document["source"] = {"file": image.name, "arrays": specs}
+    try:
+        text = json.dumps(document, indent=2)
+        if json.loads(text) != document:
+            raise TypeError("it reads back changed: a tuple comes back a list")
+    except (TypeError, ValueError) as exc:
+        raise SnapshotError(f"cannot write {path}: its content is not JSON ({exc})") from None
+    temps = [image.with_name(image.name + ".tmp"), path.with_name(path.name + ".tmp")]
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(temps[0], "wb") as f:
+            for key, value in arrays.items():
+                f.seek(specs[key]["offset"])
+                value.tofile(f)
+            f.truncate(size)
+        os.replace(temps[0], image)
+        temps[1].write_text(text, encoding="utf-8")
+        os.replace(temps[1], path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +379,24 @@ def _build_entry_index(entries, arrays: dict, matrices=()) -> list[dict]:
     return index
 
 
+def _pack(matrices, entries, ranges=()) -> tuple[dict, list[dict]]:
+    """One epoch's captured state as flat arrays: ``(arrays, index)``.
+
+    The relation *matrices* (``(name, matrix)``) go under ``rel/<name>``
+    and the cache *entries* behind the entry index
+    (:func:`_build_entry_index`); a shard's entries add their
+    ``lo``/``hi`` row *ranges* to it.  What every generation and every
+    snapshot writes.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    for name, matrix in matrices:
+        _write_csr(f"rel/{name}", matrix, arrays)
+    index = _build_entry_index(entries, arrays, matrices)
+    for desc, rows in zip(index, ranges):
+        desc.update(rows)
+    return arrays, index
+
+
 def _restore_entries(entry_index, arrays, trusted: bool, hin=None) -> list[tuple]:
     """The inverse of :func:`_build_entry_index`: engine ``(key, value)``
     pairs from a serialized entry index over *arrays*.  Entries naming
@@ -376,10 +426,37 @@ def _restore_entries(entry_index, arrays, trusted: bool, hin=None) -> list[tuple
     return entries
 
 
-def _read_envelope(path: Path, fmt: str, what: str) -> dict:
-    """The JSON object at *path*, checked to be a *fmt* document of the
-    supported version (*what* names it in errors).  A missing file is
-    the caller's ``FileNotFoundError``."""
+@contextmanager
+def _restoring(path, what: str):
+    """The one place a document becomes state: the body reads a *what*
+    (from *path*) and builds what it describes.  What a hand-edited
+    document makes that raise — a missing key, a value of the wrong
+    type (a list where specs belong, say), a shape its arrays do not
+    have — leaves as the
+    :class:`~repro.exceptions.SnapshotError` naming it.  A retired
+    image's ``FileNotFoundError`` passes through: the worker fence
+    depends on it."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(
+            f"malformed {what} at {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _open_state(path: Path, fmt: str, what: str, mmap: bool) -> tuple:
+    """The one way a document comes back as state: ``(document, arrays,
+    size, hin, entries)``.
+
+    Reads the *fmt* document at *path* (a *what*, in errors), checked to
+    be of the supported version, then reads or maps (*mmap*, the
+    trusted route) the image its ``source`` names, of *size* bytes,
+    into *arrays*; restores the network section, when the document has
+    one, as *hin* — whose engine gets the restored cache *entries* and
+    the document's epoch — and otherwise just the entries (a shard
+    generation's).  A missing document or image is the caller's
+    ``FileNotFoundError``.
+    """
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -387,32 +464,22 @@ def _read_envelope(path: Path, fmt: str, what: str) -> dict:
     if not isinstance(document, dict):
         raise SnapshotError(f"not a {fmt} {what}: not a JSON object")
     if document.get("format") != fmt:
-        raise SnapshotError(
-            f"not a {fmt} {what}: format={document.get('format')!r}"
-        )
+        raise SnapshotError(f"not a {fmt} {what}: format={document.get('format')!r}")
     if document.get("format_version") != _FORMAT_VERSION:
         raise SnapshotError(
             f"{what} format version {document.get('format_version')!r} "
             f"not supported (expected {_FORMAT_VERSION})"
         )
-    return document
-
-
-@contextmanager
-def _restoring(path, what: str):
-    """The one place a document becomes state: the body reads a *what*
-    (from *path*) and builds what it describes.  What a hand-edited
-    document makes that raise — a missing key, a value of the wrong
-    type, a shape its arrays do not have — leaves as the
-    :class:`~repro.exceptions.SnapshotError` naming it.  A retired
-    image's ``FileNotFoundError`` passes through: the worker fence
-    depends on it."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(
-            f"malformed {what} at {path}: {type(exc).__name__}: {exc}"
-        ) from exc
+    with _restoring(path, what):
+        source = document["source"]
+        arrays, size = _read_file(path.with_name(source["file"]), source["arrays"], mmap=mmap)
+        hin = None
+        if "relations" in document:
+            hin = _restore_network(document, arrays, trusted=mmap)
+        entries = _restore_entries(document["entries"], arrays, trusted=mmap, hin=hin)
+        if hin is not None:
+            hin.engine().attach_state(document["epoch"], entries)
+    return document, arrays, size, hin, entries
 
 
 # ----------------------------------------------------------------------
@@ -516,27 +583,19 @@ def descriptor_path(directory, stem: str, generation: int) -> Path:
 def _publish(
     directory, stem, generation, section, matrices, entries, ranges=()
 ) -> PublishedGeneration:
-    """The publish tail of every generation: write the captured state
-    as one image file and atomically write its descriptor beside it.
+    """The publish tail of every generation: pack the captured state
+    (:func:`_pack`) and write it as a descriptor beside one image
+    (:func:`_write_document`).
 
     The single descriptor format: a header (``generation``), the
     *section* — ``epoch`` plus, for a network generation, the network
-    section whose relation *matrices* are packed here
-    (:func:`_capture_state`) — the ``entries``
-    index over the arrays (the snapshot entry schema; shard entries add
-    their ``lo``/``hi`` row *ranges*) and the ``source``: the image's
-    file name and the specs of the arrays in it.  Workers must never
-    read a torn descriptor: the image is complete before the
-    descriptor's rename, which is the publication point.  A failed
-    write removes whatever it already wrote instead of leaking it.
+    section (:func:`_capture_state`) — the ``entries`` index over the
+    arrays and the ``source``.  Workers must never read a torn
+    descriptor: the image is complete before the descriptor's rename,
+    which is the publication point.  A failed write removes whatever it
+    already wrote instead of leaking it.
     """
-    arrays: dict[str, np.ndarray] = {}
-    for name, matrix in matrices:
-        _write_csr(f"rel/{name}", matrix, arrays)
-    index = _build_entry_index(entries, arrays, matrices)
-    for desc, rows in zip(index, ranges):
-        desc.update(rows)
-    specs, size = _layout(arrays)
+    arrays, index = _pack(matrices, entries, ranges)
     published = PublishedGeneration(
         generation, section["epoch"], descriptor_path(directory, stem, generation)
     )
@@ -546,17 +605,11 @@ def _publish(
         "generation": published.generation,
         **section,
         "entries": index,
-        "source": {"file": published.image.name, "arrays": specs},
     }
-    tmp = published.path.with_name(published.path.name + ".tmp")
     try:
-        published.path.parent.mkdir(parents=True, exist_ok=True)
-        _write_file(published.image, arrays, specs, size)
-        tmp.write_text(json.dumps(descriptor, indent=2), encoding="utf-8")
-        os.replace(tmp, published.path)
+        _write_document(published.path, published.image, descriptor, arrays)
     except BaseException:
         published.dispose()
-        tmp.unlink(missing_ok=True)
         raise
     return published
 
@@ -621,18 +674,8 @@ def attach_generation(path) -> AttachedGeneration:
         When the descriptor is unreadable or of an unsupported format.
     """
     path = Path(path)
-    descriptor = _read_envelope(path, _FORMAT, "generation descriptor")
+    descriptor, _, size, hin, entries = _open_state(path, _FORMAT, "generation descriptor", True)
     with _restoring(path, "generation descriptor"):
-        source = descriptor["source"]
-        image = path.with_name(source["file"])
-        size = image.stat().st_size
-        arrays = _read_file(image, source["arrays"], mmap=True)
-        hin = None
-        if "relations" in descriptor:
-            hin = _restore_network(descriptor, arrays, trusted=True)
-        entries = _restore_entries(descriptor["entries"], arrays, trusted=True, hin=hin)
-        if hin is not None:
-            hin.engine().attach_state(descriptor["epoch"], entries)
         slices = {
             key[1]: (*value, int(desc["lo"]))
             for desc, (key, value) in zip(descriptor["entries"], entries)

@@ -27,33 +27,36 @@ subscriptions resume maintenance across a restart.
 
 On-disk layout (``path`` is a directory)::
 
-    manifest.json             format, epoch, hashes, schema, entry index,
-                              each payload's array specs, watch specs
-    network-<epoch>-<h>.bin   relation matrices (CSR arrays)
-    cache-<epoch>-<h>.bin     cached products / PathSim parts
+    manifest.json             format, epoch, hashes, network section,
+                              entry index, watch specs, and the
+                              ``source``: the image's name and specs
+    state-<epoch>-<h>.bin     the image: relation matrices (CSR arrays
+                              under ``rel/``) and cached products /
+                              PathSim parts
 
-A payload is the same image file a generation publishes — the
-arrays flat at 64-byte-aligned offsets, their ``{offset, dtype, shape}``
-specs in the manifest — written, mapped and read by the container in
-:mod:`repro.serving.shm`, which also owns the state codec (what the
-arrays and the manifest's network section and entry index mean) and the
-format version.  This module adds what makes a *file* safe to trust:
-the hashes, the save ordering and the checks on the way back in.
+The manifest is a generation descriptor with extra fields, and the
+image is the same file a generation publishes — the arrays flat at
+64-byte-aligned offsets, their ``{offset, dtype, shape}`` specs in the
+manifest's ``source`` — written and read back by the functions in
+:mod:`repro.serving.shm` (``_write_document``, ``_open_state``), which
+also own the state codec and the format version.  This module adds what
+makes a *file* safe to trust: the hashes, the save ordering and the
+checks on the way back in.
 
-Payload files carry content-addressed names and the manifest is
-replaced atomically, so overwriting a snapshot in place is crash-safe:
-a save that dies mid-way leaves the previous snapshot loadable.
-Snapshots are portable across processes and machines (plain numpy
-arrays, no pickling) but tied to one library format version: a
-directory written at another version (the npz payloads of version 1
-included) is refused and must be saved again.
+The image carries a content-addressed name and the manifest is
+replaced atomically, last, so overwriting a snapshot in place is
+crash-safe: a save that dies mid-way leaves the previous snapshot
+loadable.  Snapshots are portable across processes and machines (plain
+numpy arrays, no pickling) but tied to one library format version: a
+directory written at another version (the two payload files of version
+2 and the npz payloads of version 1 included) is refused and must be
+saved again; saving over it removes the old payloads.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
+import re
 import threading
 from pathlib import Path
 
@@ -63,26 +66,26 @@ from repro.exceptions import SnapshotError
 from repro.networks.hin import HIN
 from repro.serving.shm import (
     _FORMAT_VERSION,
-    _build_entry_index,
     _capture_state,
     _index_dtype,
-    _layout,
-    _read_envelope,
-    _read_file,
-    _restore_entries,
-    _restore_network,
+    _open_state,
+    _pack,
     _restoring,
-    _write_csr,
-    _write_file,
+    _write_document,
 )
 
 __all__ = ["save_snapshot", "load_snapshot", "network_fingerprint"]
 
 _FORMAT = "repro-hin-snapshot"
+# The names a save owns in its directory — its image and those of
+# earlier saves, version 2's two payloads included, and temp files —
+# removed unless the new manifest names them.  Only these: the directory
+# may hold unrelated user files.
+_STRAY = re.compile(r"(state|network|cache)-.*\.bin(\.tmp)?|manifest\.json\.tmp")
 
 # One save at a time per target directory (within this process):
 # concurrent saves only hold the engine's shared READ lock, so without
-# this they could interleave and cross-delete each other's payloads.
+# this they could interleave and cross-delete each other's images.
 _save_locks: dict[str, threading.Lock] = {}
 _save_locks_mutex = threading.Lock()
 
@@ -134,12 +137,15 @@ def _content_fingerprint(counts: list, matrices: list) -> str:
     return digest.hexdigest()
 
 
-def _arrays_fingerprint(arrays) -> str:
-    """SHA-256 over a name→array mapping (sorted names, raw bytes)."""
+def _cache_fingerprint(arrays) -> str:
+    """SHA-256 over an image's cached arrays (sorted names, raw bytes):
+    every array but the relation matrices' ``rel/*``, which the content
+    hash covers."""
     digest = hashlib.sha256()
     for name in sorted(arrays):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(arrays[name]).tobytes())
+        if not name.startswith("rel/"):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(arrays[name]).tobytes())
     return digest.hexdigest()
 
 
@@ -153,17 +159,17 @@ def save_snapshot(hin: HIN, path) -> dict:
         engine's (``hin.engine()``) cache is captured with it.
     path:
         Directory to create/overwrite.  Files written: ``manifest.json``
-        plus uniquely-named payload files referenced by it.
+        plus the uniquely-named image file it references.
 
     The network and cache are captured under the engine's read lock
     (:func:`_capture_state`), so the snapshot describes exactly one
     update epoch even while writers are active.
 
-    Overwriting an existing snapshot is crash-safe: payload files carry
-    content-addressed names and the manifest is swapped in atomically
-    (write-then-rename) only after they are fully written, so a save
-    that dies mid-way leaves the previous snapshot loadable; files the
-    new manifest no longer references are removed last.  Returns the
+    Overwriting an existing snapshot is crash-safe: the image carries a
+    content-addressed name and the manifest is swapped in atomically
+    (write-then-rename) only after it is fully written, so a save that
+    dies mid-way leaves the previous snapshot loadable; files the new
+    manifest no longer references are removed last.  Returns the
     manifest dict.
 
     Raises
@@ -171,6 +177,9 @@ def save_snapshot(hin: HIN, path) -> dict:
     TypeError
         When *hin* is not a HIN — an engine included: call
         ``save_snapshot(engine.hin, path)``.
+    repro.exceptions.SnapshotError
+        When a node name or a watch query would not read back from JSON
+        as itself (an ``object()``, a tuple); nothing is written.
     """
     if not isinstance(hin, HIN):
         raise TypeError(
@@ -178,14 +187,8 @@ def save_snapshot(hin: HIN, path) -> dict:
             f"for an engine call save_snapshot(engine.hin, path)"
         )
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-
     section, matrices, entries = _capture_state(hin, hin.engine())
-    payloads: dict[str, dict[str, np.ndarray]] = {"network": {}, "cache": {}}
-    for name, matrix in matrices:
-        _write_csr(f"rel/{name}", matrix, payloads["network"])
-    entry_index = _build_entry_index(entries, payloads["cache"], matrices)
-    layouts = {kind: _layout(arrays) for kind, arrays in payloads.items()}
+    arrays, index = _pack(matrices, entries)
 
     # The standing-query registry is captured OUTSIDE the read-lock
     # window: spec_dicts() takes the registry mutex, and the canonical
@@ -202,92 +205,29 @@ def save_snapshot(hin: HIN, path) -> dict:
     # mutate them), and the O(total-bytes) SHA-256 work must not extend
     # the window during which a queued writer stalls new queries.
     content_hash = _content_fingerprint(list(section["node_counts"].items()), matrices)
-    cache_hash = _arrays_fingerprint(payloads["cache"])
-    files = {
-        "network": f"network-{section['epoch']}-{content_hash[:12]}.bin",
-        "cache": f"cache-{section['epoch']}-{cache_hash[:12]}.bin",
-    }
+    cache_hash = _cache_fingerprint(arrays)
+    digest = hashlib.sha256(f"{content_hash}:{cache_hash}".encode()).hexdigest()
     manifest = {
         "format": _FORMAT,
         "format_version": _FORMAT_VERSION,
         "content_hash": content_hash,
         "cache_hash": cache_hash,
-        "files": files,
-        "arrays": {kind: specs for kind, (specs, _) in layouts.items()},
         **section,
-        "entries": entry_index,
+        "entries": index,
         "watches": watch_specs,
     }
-
-    try:
-        manifest_text = json.dumps(manifest, indent=2)
-    except TypeError as exc:
-        raise SnapshotError(
-            f"node names are not JSON-serializable: {exc}"
-        ) from None
-    # Crash-safe ordering: payloads first (each via tmp + atomic rename,
-    # so a re-save at the same epoch never rewrites a referenced file in
-    # place), manifest swapped in atomically last, then orphans from
+    # Crash-safe ordering: the image first (tmp + atomic rename, so a
+    # re-save at the same epoch never rewrites a referenced file in
+    # place), manifest swapped in atomically last, then strays from
     # previous or crashed saves removed.  Serialized per directory so
-    # concurrent saves cannot delete each other's payloads.
+    # concurrent saves cannot delete each other's images.
     with _save_lock_for(out):
-        _write_files(out, files, payloads, layouts, manifest_text)
-    return manifest
-
-
-def _write_files(
-    out: Path, files: dict, payloads: dict, layouts: dict, manifest_text: str
-) -> None:
-    """Write one snapshot's payloads + manifest and clean prior strays."""
-    for kind, arrays in payloads.items():
-        _write_file(out / files[kind], arrays, *layouts[kind])
-    tmp_manifest = out / "manifest.json.tmp"
-    tmp_manifest.write_text(manifest_text, encoding="utf-8")
-    os.replace(tmp_manifest, out / "manifest.json")
-    # Remove only files matching the snapshot's OWN naming scheme: the
-    # target directory may contain unrelated user files.
-    keep = set(files.values())
-    stray_patterns = (
-        "network-*.bin",
-        "cache-*.bin",
-        "network-*.bin.tmp",
-        "cache-*.bin.tmp",
-        "manifest.json.tmp",
-    )
-    for pattern in stray_patterns:
-        for stray in out.glob(pattern):
-            if stray.name not in keep:
+        image = out / f"state-{section['epoch']}-{digest[:12]}.bin"
+        _write_document(out / "manifest.json", image, manifest, arrays)
+        for stray in out.iterdir():
+            if _STRAY.fullmatch(stray.name) and stray.name != image.name:
                 stray.unlink(missing_ok=True)
-
-
-def _read_payload(manifest: dict, path, kind: str, *, mmap: bool) -> dict:
-    """The arrays of *manifest*'s *kind* payload file under *path*; a
-    missing one is a :class:`~repro.exceptions.SnapshotError`."""
-    payload = Path(path) / manifest["files"][kind]
-    try:
-        return _read_file(payload, manifest["arrays"][kind], mmap=mmap)
-    except FileNotFoundError:
-        raise SnapshotError(
-            f"snapshot payload missing: {payload} (partial copy or "
-            f"interrupted save)"
-        ) from None
-
-
-def _load_entries(manifest: dict, path, hin: HIN, *, mmap: bool) -> list[tuple]:
-    """Rebuild (and hash-verify) the engine cache entries of *manifest*
-    over the restored network *hin* (whose relation matrices an entry
-    may share)."""
-    if not manifest["entries"]:
-        return []
-    arrays = _read_payload(manifest, path, "cache", mmap=mmap)
-    # Hash verification reads every byte — the exact cost the mmap path
-    # exists to skip (its contract is "trusted snapshot").
-    if not mmap and _arrays_fingerprint(arrays) != manifest["cache_hash"]:
-        raise SnapshotError(
-            f"snapshot at {path} failed cache verification "
-            f"(cached products do not match the manifest hash)"
-        )
-    return _restore_entries(manifest["entries"], arrays, trusted=mmap, hin=hin)
+    return manifest
 
 
 def load_snapshot(path, *, mmap: bool = False) -> HIN:
@@ -298,15 +238,15 @@ def load_snapshot(path, *, mmap: bool = False) -> HIN:
     path:
         A snapshot directory written by :func:`save_snapshot`.
     mmap:
-        ``False`` (default) deserializes the payloads into process
-        memory and re-verifies the manifest's content hash — a
+        ``False`` (default) deserializes the image into process memory
+        and re-verifies the manifest's content and cache hashes — a
         corrupted snapshot raises
         :class:`~repro.exceptions.SnapshotError`.  ``True`` returns a
         network whose matrices are zero-copy, read-only views mapped
-        straight over the payload files: nothing is deserialized, the
-        OS page cache shares one copy across every process mapping the
-        same snapshot, and startup is O(1) in the payload size.  The
-        content hash is **not** re-verified on this path (verification
+        straight over the image file: nothing is deserialized, the OS
+        page cache shares one copy across every process mapping the
+        same snapshot, and startup is O(1) in the image size.  The
+        hashes are **not** re-verified on this path (verification
         reads every byte, which is exactly the cost being skipped);
         mmap-load only snapshots you trust, e.g. ones this process
         wrote.
@@ -322,33 +262,39 @@ def load_snapshot(path, *, mmap: bool = False) -> HIN:
     ------
     repro.exceptions.SnapshotError
         On a missing/corrupt manifest (an existing but empty directory
-        included), missing payloads, or (eager path) payload bytes that
+        included), a missing image, or (eager path) image bytes that
         fail hash verification.
     """
     manifest_path = Path(path) / "manifest.json"
     try:
-        manifest = _read_envelope(manifest_path, _FORMAT, "snapshot manifest")
-    except FileNotFoundError:
-        raise SnapshotError(f"no snapshot manifest at {manifest_path}") from None
+        # Snapshots hold canonical CSR; the mmap views are read-only and
+        # must not be re-normalized in place (the trusted route).
+        manifest, arrays, _, hin, _ = _open_state(manifest_path, _FORMAT, "snapshot manifest", mmap)
+    except FileNotFoundError as exc:
+        raise SnapshotError(
+            f"snapshot file missing: {exc.filename} (no snapshot, a partial "
+            f"copy or an interrupted save)"
+        ) from None
     # A manifest that parses but is not the document save_snapshot wrote
     # fails inside this block as SnapshotError (repro.serving.shm).
     with _restoring(manifest_path, "snapshot manifest"):
-        arrays = _read_payload(manifest, path, "network", mmap=mmap)
-        # Snapshots hold canonical CSR; the mmap views are read-only and
-        # must not be re-normalized in place.
-        hin = _restore_network(manifest, arrays, trusted=mmap)
+        if hin is None:
+            raise SnapshotError(f"malformed snapshot manifest at {manifest_path}: no network")
+        # Hash verification reads every byte — the exact cost the mmap
+        # path exists to skip (its contract is "trusted snapshot").
         if not mmap and network_fingerprint(hin) != manifest["content_hash"]:
             raise SnapshotError(
                 f"snapshot at {path} failed content verification "
                 f"(relation matrices do not match the manifest hash)"
             )
-        hin.engine().attach_state(
-            manifest["epoch"], _load_entries(manifest, path, hin, mmap=mmap)
-        )
+        if not mmap and _cache_fingerprint(arrays) != manifest["cache_hash"]:
+            raise SnapshotError(
+                f"snapshot at {path} failed cache verification "
+                f"(cached products do not match the manifest hash)"
+            )
         # Resume persisted standing queries at the restored epoch: each
         # spec re-registers (initial result from the warmed cache) and its
         # subscription stays reachable via hin.watches().subscriptions().
-        # `.get`: pre-watch snapshots simply carry no registry.
         watch_specs = manifest.get("watches") or []
         if watch_specs:
             hin.watches().restore(watch_specs)

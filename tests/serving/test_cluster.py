@@ -96,6 +96,46 @@ class TestUpdates:
         assert list(answer) == list(small_bib.engine().pathsim_top_k(APA, 2, 3))
 
 
+class TestRepublishFailure:
+    def test_a_failed_publish_wedges_no_read(self, small_bib, cluster, monkeypatch):
+        """A commit hook whose publish raises: the commit lands and
+        ``hin.apply()`` re-raises; the counter stays at the last
+        generation published, every later read resolves and equals a
+        cold engine at its stamped epoch — parent-side while the workers
+        are behind — and the next commit publishes, so workers answer
+        again."""
+        import repro.serving.cluster as cluster_module
+        from repro.engine import MetaPathEngine
+
+        def failing(*args, **kwargs):
+            raise OSError("injected: cannot publish")
+
+        def reads_equal_a_cold_engine():
+            cold = MetaPathEngine(small_bib, mode="materialize")
+            futures = [
+                (author, path, cluster.similar(author, path, 3))
+                for author in range(small_bib.node_count("author"))
+                for path in (APA, APVPA)
+            ]
+            for author, path, future in futures:
+                got = future.result(timeout=10)  # the worker fence waits 60 s
+                assert got.network_version == small_bib.version
+                assert list(got) == list(cold.pathsim_top_k(path, author, 3))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cluster_module, "publish_generation", failing)
+            with pytest.raises(OSError, match="injected"):
+                small_bib.apply(UpdateBatch().add_edges("writes", [(3, 0)]))
+            assert cluster.generation == cluster.stats()["generation"] == 0
+            dispatched = cluster.stats()["jobs_dispatched"]
+            reads_equal_a_cold_engine()
+            assert cluster.stats()["jobs_dispatched"] == dispatched  # all parent-side
+        small_bib.apply(UpdateBatch().add_edges("writes", [(0, 3)]))
+        assert cluster.generation == 1
+        reads_equal_a_cold_engine()
+        assert cluster.stats()["jobs_dispatched"] > dispatched
+
+
 class TestWarmStart:
     def test_cold_start_from_snapshot(self, small_bib, tmp_path):
         engine = small_bib.engine()

@@ -27,7 +27,7 @@ from repro.serving.shm import (
     _read_csr,
     _read_file,
     _write_csr,
-    _write_file,
+    _write_document,
     attach_generation,
     publish_generation,
 )
@@ -65,6 +65,11 @@ class TestOneCodec:
         assert manifest["epoch"] == 1 and len(manifest["entries"]) == 3
         for key in (*_SECTION, "entries"):
             assert manifest[key] == descriptor[key], key
+        # One image schema: a manifest is a descriptor with extra fields,
+        # its one image holding the same arrays at the same offsets.
+        assert set(manifest["source"]) == set(descriptor["source"]) == {"file", "arrays"}
+        assert manifest["source"]["arrays"] == descriptor["source"]["arrays"]
+        assert "files" not in manifest and "arrays" not in manifest
         # A forward one-step half *is* its relation matrix, so both
         # documents name the relation's arrays for it instead of copying
         # them; ``P-A``'s half is a transpose and owns its arrays.
@@ -89,6 +94,7 @@ class TestOneCodec:
         finally:
             published.dispose()
         assert shard["epoch"] == 1 and not set(_SECTION[1:]) & set(shard)
+        assert set(shard["source"]) == {"file", "arrays"}
         for spath, whole, sliced in zip(served, manifest["entries"], shard["entries"]):
             lo, hi = plan.range_of(spath.source_type, 1)
             assert hi > lo
@@ -164,17 +170,19 @@ def _parts(matrix):
 
 
 def _through_every_backing(arrays):
-    """*arrays* written as the one container's image file and read back
-    by each of its readers — eagerly, and mapped (what a generation's
-    attach and an mmap snapshot load use) — as ``(loaded, trusted)``
-    pairs."""
+    """*arrays* written by the one document writer as an image file
+    beside its document and read back by each of the image's readers —
+    eagerly, and mapped (what a generation's attach and an mmap snapshot
+    load use) — as ``(loaded, trusted)`` pairs."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "m.bin"
-        specs, size = _layout(arrays)
-        _write_file(path, arrays, specs, size)
-        assert path.stat().st_size == size
-        yield _read_file(path, specs, mmap=False), False
-        yield _read_file(path, specs, mmap=True), True
+        image, document = Path(tmp) / "m.bin", {}
+        _write_document(Path(tmp) / "m.json", image, document, arrays)
+        assert json.loads((Path(tmp) / "m.json").read_text()) == document
+        assert document["source"] == {"file": "m.bin", "arrays": _layout(arrays)[0]}
+        for trusted in (False, True):
+            loaded, size = _read_file(image, document["source"]["arrays"], mmap=trusted)
+            assert size == image.stat().st_size == _layout(arrays)[1]
+            yield loaded, trusted
 
 
 # The shapes every backing must agree on: nothing at all (a cold

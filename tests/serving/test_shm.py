@@ -10,24 +10,25 @@ import pytest
 
 from repro.exceptions import SnapshotError
 from repro.networks import UpdateBatch
+from repro.serving import load_snapshot, save_snapshot
 from repro.serving.shm import (
-    _layout,
     _read_file,
-    _write_file,
+    _write_document,
     attach_generation,
     publish_generation,
 )
-from repro.serving.snapshot import _read_payload
+from tests.serving.test_snapshot import _tiny
 
 APA = "author-paper-author"
 APVPA = "author-paper-venue-paper-author"
 
 
 def _written(path, arrays):
-    """*arrays* as an image file at *path*; the specs a manifest would carry."""
-    specs, size = _layout(arrays)
-    _write_file(path, arrays, specs, size)
-    return specs
+    """*arrays* as an image file at *path*, beside its document; the
+    specs the document's ``source`` carries."""
+    document = {}
+    _write_document(path.with_suffix(".json"), path, document, arrays)
+    return document["source"]["arrays"]
 
 
 class TestMmapNpz:
@@ -41,8 +42,9 @@ class TestMmapNpz:
             "grid": np.arange(12.0).reshape(3, 4),
         }
         specs = _written(path, arrays)
-        mapped = _read_file(path, specs, mmap=True)
-        eager = _read_file(path, specs, mmap=False)
+        mapped, size = _read_file(path, specs, mmap=True)
+        eager, _ = _read_file(path, specs, mmap=False)
+        assert size == path.stat().st_size
         assert set(mapped) == set(eager) == set(arrays)
         for name, value in arrays.items():
             assert mapped[name].dtype == eager[name].dtype == value.dtype
@@ -52,20 +54,21 @@ class TestMmapNpz:
     def test_views_are_read_only(self, tmp_path):
         path = tmp_path / "payload.bin"
         specs = _written(path, {"a": np.arange(5.0)})
-        mapped = _read_file(path, specs, mmap=True)
+        mapped, _ = _read_file(path, specs, mmap=True)
         with pytest.raises(ValueError):
             mapped["a"][0] = 1.0
-        owned = _read_file(path, specs, mmap=False)
+        owned, _ = _read_file(path, specs, mmap=False)
         owned["a"][0] = 1.0  # the eager reader hands out its own memory
         assert mapped["a"][0] == 0.0
 
-    def test_missing_file_is_snapshot_error(self, tmp_path):
-        # The snapshot reader names a missing payload; the container
+    def test_missing_file_is_snapshot_error(self, small_bib, tmp_path):
+        # The snapshot reader names a missing image; the container
         # itself leaves it a FileNotFoundError (the generation fence's).
-        manifest = {"files": {"network": "nope.bin"}, "arrays": {"network": {}}}
+        manifest = save_snapshot(small_bib, tmp_path)
+        (tmp_path / manifest["source"]["file"]).unlink()
         for mmap in (False, True):
             with pytest.raises(SnapshotError, match="missing"):
-                _read_payload(manifest, tmp_path, "network", mmap=mmap)
+                load_snapshot(tmp_path, mmap=mmap)
             with pytest.raises(FileNotFoundError):
                 _read_file(tmp_path / "nope.bin", {}, mmap=mmap)
 
@@ -154,6 +157,15 @@ class TestGenerations:
         with pytest.raises(FileNotFoundError):
             attach_generation(path)
 
+    @pytest.mark.parametrize("name", [("x", 1), object()], ids=["tuple", "object"])
+    def test_a_name_json_cannot_carry_publishes_nothing(self, name, tmp_path):
+        # JSON would write a tuple back as an unhashable list, and cannot
+        # write an object() at all: refused before any file exists.
+        hin = _tiny([name, "y"])
+        with pytest.raises(SnapshotError, match="JSON"):
+            publish_generation(hin, hin.engine(), directory=tmp_path / "gens", generation=1)
+        assert not (tmp_path / "gens").exists()
+
     def test_dispose_is_idempotent(self, small_bib, tmp_path):
         _, published = self._publish(small_bib, tmp_path)
         published.dispose()
@@ -178,6 +190,7 @@ class TestGenerations:
             lambda d: {k: v for k, v in d.items() if k != "source"},
             lambda d: {k: v for k, v in d.items() if k != "entries"},
             lambda d: {**d, "source": {**d["source"], "arrays": {"x": {"offset": 0}}}},
+            lambda d: {**d, "source": {**d["source"], "arrays": []}},
             lambda d: {**d, "relations": [{**r, "shape": [1, 1]} for r in d["relations"]]},
             # The source of a generation written when images were
             # shared-memory segments.
@@ -188,6 +201,7 @@ class TestGenerations:
             "no source",
             "no entries",
             "half a spec",
+            "specs a list",
             "relation shape",
             "a segment source",
         ],

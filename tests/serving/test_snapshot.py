@@ -11,12 +11,20 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import SnapshotError
-from repro.networks import HIN
+from repro.networks import HIN, NetworkSchema
 from repro.serving import load_snapshot, network_fingerprint, save_snapshot
 from tests.serving.test_codec import _widened
 
 APA = "author-paper-author"
 APVPA = "author-paper-venue-paper-author"
+
+
+def _tiny(author_names):
+    """A two-author network whose author names are *author_names*."""
+    schema = NetworkSchema(["a", "p"], [("w", "a", "p")])
+    return HIN.from_edges(
+        schema, nodes={"a": author_names, "p": 2}, edges={"w": [(0, 0), (1, 1)]}
+    )
 
 
 def _warm(hin):
@@ -181,24 +189,42 @@ def _csr_bytes(m):
 
 
 def _payload(path, manifest, kind):
-    """The arrays of *manifest*'s *kind* payload, read straight off the
-    file at the offsets the manifest's specs give."""
-    file = path / manifest["files"][kind]
+    """The *kind* arrays of the snapshot's image — ``"network"``: the
+    relation matrices' ``rel/*``; ``"cache"``: the rest — read straight
+    off the file at the offsets the manifest's ``source`` gives."""
+    source = manifest["source"]
     return {
         name: np.fromfile(
-            file, spec["dtype"], math.prod(spec["shape"]), offset=spec["offset"]
+            path / source["file"],
+            spec["dtype"],
+            math.prod(spec["shape"]),
+            offset=spec["offset"],
         ).reshape(spec["shape"])
-        for name, spec in manifest["arrays"][kind].items()
+        for name, spec in source["arrays"].items()
+        if name.startswith("rel/") == (kind == "network")
     }
 
 
-def _overwrite(path, manifest, kind, name, array):
-    """Put *array*'s bytes where the payload file holds array *name*."""
-    spec = manifest["arrays"][kind][name]
+def _overwrite(path, manifest, name, array):
+    """Put *array*'s bytes where the image holds array *name*."""
+    spec = manifest["source"]["arrays"][name]
     assert array.nbytes == math.prod(spec["shape"]) * np.dtype(spec["dtype"]).itemsize
-    with open(path / manifest["files"][kind], "r+b") as f:
+    with open(path / manifest["source"]["file"], "r+b") as f:
         f.seek(spec["offset"])
         f.write(array.tobytes())
+
+
+def _truncate(path, manifest, kind):
+    """Cut the image off inside its *kind* arrays (see :func:`_payload`)."""
+    image = path / manifest["source"]["file"]
+    data = image.read_bytes()
+    rel_end = max(
+        spec["offset"] + math.prod(spec["shape"]) * np.dtype(spec["dtype"]).itemsize
+        for name, spec in manifest["source"]["arrays"].items()
+        if name.startswith("rel/")
+    )
+    assert 0 < rel_end < len(data)  # the cached arrays follow the relations
+    image.write_bytes(data[: rel_end // 2 if kind == "network" else (rel_end + len(data)) // 2])
 
 
 def _payload_bytes(path, manifest):
@@ -235,7 +261,7 @@ class TestSharedMatrices:
         expected = [list(engine.pathsim_top_k(APVPA, a, 3)) for a in range(4)]
 
         manifest = save_snapshot(small_bib, tmp_path / "snap")
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         diag_bytes = sum(8 * len(v[1]) for k, v in entries if k[0] == "pathsim")
         assert _payload_bytes(tmp_path / "snap", manifest) == diag_bytes + sum(
             _csr_bytes(m) for m in distinct.values() if m is not writes
@@ -292,21 +318,30 @@ def _without(key):
 def _every_spec(**changed):
     return lambda m: {
         **m,
-        "arrays": {
-            kind: {name: {**spec, **changed} for name, spec in specs.items()}
-            for kind, specs in m["arrays"].items()
+        "source": {
+            **m["source"],
+            "arrays": {
+                name: {**spec, **changed} for name, spec in m["source"]["arrays"].items()
+            },
         },
     }
+
+
+def _source(**changed):
+    return lambda m: {**m, "source": {**m["source"], **changed}}
 
 
 # Hand edits that leave manifest.json parseable but no longer the
 # document save_snapshot writes.
 _MALFORMED = {
     "a list": lambda m: [m],
-    "no files": _without("files"),
-    "no arrays": _without("arrays"),
+    "no source": _without("source"),
+    "no source arrays": lambda m: {**m, "source": {"file": m["source"]["file"]}},
+    "source arrays a list": _source(arrays=[]),
+    "no image name": lambda m: {**m, "source": {"arrays": m["source"]["arrays"]}},
+    "image name a path": _source(file="../elsewhere/state.bin"),
     "no epoch": _without("epoch"),
-    "no cache file": lambda m: {**m, "files": {"network": m["files"]["network"]}},
+    "no network": _without("relations"),
     "entries a number": lambda m: {**m, "entries": 7},
     "spec dtype": _every_spec(dtype="no-such-dtype"),
     "spec shape": _every_spec(shape="wide"),
@@ -333,7 +368,8 @@ class TestVerification:
 
     def test_unsupported_format_version(self, small_bib, tmp_path):
         save_snapshot(small_bib, tmp_path / "snap")
-        for version in (999, 1):  # 1: the npz-payload format; re-save, not convert
+        # 2: two payload files; 1: npz payloads.  Re-save, not convert.
+        for version in (999, 2, 1):
             _edit_manifest(tmp_path / "snap", lambda m: {**m, "format_version": version})
             for mmap in (False, True):
                 with pytest.raises(SnapshotError, match="format version .* not supported"):
@@ -355,7 +391,7 @@ class TestVerification:
         key = "rel/writes/data"
         weights = _payload(tmp_path / "snap", manifest, "network")[key]
         # silently different weights
-        _overwrite(tmp_path / "snap", manifest, "network", key, weights + 1.0)
+        _overwrite(tmp_path / "snap", manifest, key, weights + 1.0)
         with pytest.raises(SnapshotError, match="content"):
             load_snapshot(tmp_path / "snap")
 
@@ -364,7 +400,7 @@ class TestVerification:
         manifest = save_snapshot(small_bib, tmp_path / "snap")
         arrays = _payload(tmp_path / "snap", manifest, "cache")
         name = next(n for n in arrays if n.endswith("/data"))
-        _overwrite(tmp_path / "snap", manifest, "cache", name, arrays[name] * 2.0)
+        _overwrite(tmp_path / "snap", manifest, name, arrays[name] * 2.0)
         with pytest.raises(SnapshotError, match="cache"):
             load_snapshot(tmp_path / "snap")
 
@@ -373,9 +409,7 @@ class TestVerification:
         # fail loudly on load, never silently serve a partial network.
         _warm(small_bib)
         manifest = save_snapshot(small_bib, tmp_path / "snap")
-        payload = tmp_path / "snap" / manifest["files"]["network"]
-        data = payload.read_bytes()
-        payload.write_bytes(data[: len(data) // 2])
+        _truncate(tmp_path / "snap", manifest, "network")
         for mmap in (False, True):
             with pytest.raises(SnapshotError, match="truncated|corrupted"):
                 load_snapshot(tmp_path / "snap", mmap=mmap)
@@ -383,17 +417,15 @@ class TestVerification:
     def test_truncated_cache_payload_detected(self, small_bib, tmp_path):
         _warm(small_bib)
         manifest = save_snapshot(small_bib, tmp_path / "snap")
-        payload = tmp_path / "snap" / manifest["files"]["cache"]
-        data = payload.read_bytes()
-        payload.write_bytes(data[: len(data) // 3])
+        _truncate(tmp_path / "snap", manifest, "cache")
         for mmap in (False, True):
             with pytest.raises(SnapshotError, match="truncated|corrupted"):
                 load_snapshot(tmp_path / "snap", mmap=mmap)
 
-    def test_payload_deleted_between_save_and_load(self, small_bib, tmp_path):
+    def test_image_deleted_between_save_and_load(self, small_bib, tmp_path):
         _warm(small_bib)
         manifest = save_snapshot(small_bib, tmp_path / "snap")
-        (tmp_path / "snap" / manifest["files"]["cache"]).unlink()
+        (tmp_path / "snap" / manifest["source"]["file"]).unlink()
         for mmap in (False, True):
             with pytest.raises(SnapshotError, match="missing"):
                 load_snapshot(tmp_path / "snap", mmap=mmap)
@@ -409,21 +441,36 @@ class TestVerification:
 
     def test_resave_in_place_is_cleaned_and_loadable(self, small_bib, tmp_path):
         # Overwriting a snapshot after updates leaves exactly one
-        # loadable snapshot and no orphaned payload files — while
-        # unrelated user files in the directory survive untouched.
-        (tmp_path / "snap").mkdir()
-        bystander = tmp_path / "snap" / "my_dataset.bin"
+        # loadable snapshot and no orphaned images — while unrelated
+        # user files in the directory survive untouched.  A directory
+        # of the two-payload format (version 2) is refused, and saving
+        # over it removes its payloads.
+        snap = tmp_path / "snap"
+        snap.mkdir()
+        bystander = snap / "my_dataset.bin"
         bystander.write_bytes(b"not a snapshot payload")
+        for old in ("network-0-0123456789ab.bin", "cache-0-0123456789ab.bin"):
+            (snap / old).write_bytes(b"a version 2 payload")
+        (snap / "manifest.json").write_text(
+            json.dumps({"format": "repro-hin-snapshot", "format_version": 2})
+        )
+        with pytest.raises(SnapshotError, match="format version 2 not supported"):
+            load_snapshot(snap)
         _warm(small_bib)
-        first = save_snapshot(small_bib, tmp_path / "snap")
+        first = save_snapshot(small_bib, snap)
+        assert {p.name for p in snap.iterdir()} == {
+            "manifest.json", first["source"]["file"], bystander.name
+        }
         with small_bib.mutate() as m:
             m.add_edges("writes", [(0, 3)])
-        second = save_snapshot(small_bib, tmp_path / "snap")
-        assert second["files"] != first["files"]
-        on_disk = {p.name for p in (tmp_path / "snap").glob("*.bin")}
-        assert on_disk == set(second["files"].values()) | {bystander.name}
+        second = save_snapshot(small_bib, snap)
+        assert second["source"]["file"] != first["source"]["file"]
+        assert "files" not in second
+        assert {p.name for p in snap.iterdir()} == {
+            "manifest.json", second["source"]["file"], bystander.name
+        }
         assert bystander.read_bytes() == b"not a snapshot payload"
-        assert load_snapshot(tmp_path / "snap").version == 1
+        assert load_snapshot(snap).version == 1
 
     def test_a_save_that_dies_before_the_manifest_swap_changes_nothing(
         self, small_bib, tmp_path, monkeypatch
@@ -455,9 +502,26 @@ class TestVerification:
 
         second = save_snapshot(small_bib, tmp_path / "snap")
         assert {p.name for p in (tmp_path / "snap").iterdir()} == {
-            "manifest.json", *second["files"].values()
+            "manifest.json", second["source"]["file"]
         }
         assert load_snapshot(tmp_path / "snap").version == 1
+
+    @pytest.mark.parametrize("name", [("x", 1), object()], ids=["tuple", "object"])
+    def test_a_name_json_cannot_carry_is_refused_before_any_write(self, name, tmp_path):
+        # JSON cannot write an object(), and writes a tuple back as a
+        # list — a name no network can index by.  Either is refused
+        # before a file is written, and the snapshot already there
+        # still loads.
+        snap = tmp_path / "snap"
+        save_snapshot(_tiny(["x", "y"]), snap)
+        before = {p.name: p.read_bytes() for p in snap.iterdir()}
+        for target in (snap, tmp_path / "fresh"):
+            with pytest.raises(SnapshotError, match="JSON"):
+                save_snapshot(_tiny([name, "y"]), target)
+        assert not (tmp_path / "fresh").exists()
+        assert {p.name: p.read_bytes() for p in snap.iterdir()} == before
+        for mmap in (False, True):
+            assert load_snapshot(snap, mmap=mmap).names("a") == ["x", "y"]
 
     def test_attach_state_grows_a_smaller_cache(self, small_bib):
         # A snapshot from a larger-cached engine must not be silently
