@@ -15,15 +15,17 @@ Architecture
   flowing through the single-writer ``hin.apply()`` path; a commit hook
   (:meth:`repro.networks.hin.HIN.add_commit_hook`) exports every
   committed epoch as a new immutable **generation** — one image file
-  (:mod:`repro.serving.shm`) — and bumps a shared generation counter.
+  (:mod:`repro.serving.shm`) — and bumps a shared generation counter:
+  one machine word with no lock, because the parent is its one writer
+  (under the publish mutex) and workers only read it.
 * Each of N **worker processes** attaches the current generation
   zero-copy — relation matrices and the warm commuting-matrix cache are
   numpy views over the mapped image — and answers query jobs against
-  it.  Before picking up each job a worker compares the shared counter
-  with its attached generation and, when behind, attaches the new one
-  and atomically swaps; generations are immutable, so a worker can
-  never serve a torn matrix: it answers entirely at one epoch or
-  entirely at the next.
+  it over its one pipe to the parent.  Before picking up each job a
+  worker compares the shared counter with its attached generation and,
+  when behind, attaches the new one and atomically swaps; generations
+  are immutable, so a worker can never serve a torn matrix: it answers
+  entirely at one epoch or entirely at the next.
 * The parent-facing API is the **same futures surface** as
   :class:`~repro.serving.QueryService` — in fact the class *is* a
   ``QueryService`` whose :meth:`~ClusterService.run_group` runs each
@@ -117,8 +119,10 @@ class ClusterService(_ProcessTier):
             self._free.put(channel)
 
     def _prepare(self, _count) -> None:
-        """Generation 0: the live network as it stands."""
-        self._gen_value = self._ctx.Value("L", 0)
+        """Generation 0: the live network as it stands.  The counter
+        takes no lock (see the module docstring); under ``spawn`` a
+        lock would be a named semaphore that outlives ``close()``."""
+        self._gen_value = self._ctx.Value("L", 0, lock=False)
         self._export(0)
 
     def _export(self, generation: int) -> None:
