@@ -11,11 +11,13 @@ calling the pure functions below over ``(w, diag, q_rows, q_diag)``:
 
 ``w`` / ``diag``
     The scored rows of the half product and their diagonal entries of
-    ``M``.  The whole ``W`` for the engine; a ``w[lo:hi], diag[lo:hi]``
-    slice for a shard; a fancy-indexed ``w[idx], diag[idx]`` subset for
-    partial re-scores.  CSR row selection keeps each row's stored
-    entries and their order, so a row's dot product — and therefore its
-    score — is bitwise the same whichever subset it is scored in.
+    ``M``.  The whole ``W`` for the engine; rows ``[lo, hi)`` of both
+    for a shard (published from views of ``W``'s own arrays: the
+    entries ``w[lo:hi]`` holds, in their order, never copied); a
+    fancy-indexed ``w[idx], diag[idx]`` subset for partial re-scores.
+    CSR row selection keeps each row's stored entries and their order,
+    so a row's dot product — and therefore its score — is bitwise the
+    same whichever subset it is scored in.
 ``q_rows`` / ``q_diag``
     The queries' rows of ``W`` (one CSR block) and their diagonal
     entries.

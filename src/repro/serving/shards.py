@@ -190,7 +190,12 @@ def publish_shard_generation(
     ``_pathsim_parts`` materialization the single-process entry points
     use, so the packed values are bitwise the ones a replicated worker
     would compute — then written once into the generation's image
-    file, beside its descriptor.
+    file, beside its compact-JSON descriptor.  The rows are *views* of
+    ``W``'s own arrays (``data[a:b]``, ``indices[a:b]``, and
+    ``indptr[lo:hi+1] - a`` where ``a, b = indptr[lo], indptr[hi]``):
+    the bytes ``w[lo:hi]`` would pack, without its copy.  ``W`` is
+    replaced on update, never written, so the views stay valid after
+    the lock is released.
     The result is an ordinary generation
     (:mod:`repro.serving.shm`) whose PathSim entries carry their
     ``lo``/``hi`` row range and which has no network section: a shard
@@ -214,7 +219,14 @@ def publish_shard_generation(
         for spath in served:
             w, diag = engine._pathsim_parts(spath.mp)
             lo, hi = plan.range_of(spath.source_type, shard)
-            entries.append((("pathsim", spath.token), (w[lo:hi], diag[lo:hi])))
+            a, b = w.indptr[lo], w.indptr[hi]
+            # Rows [lo, hi) as views of W's own arrays: ``w[lo:hi]`` and
+            # the (data, indices, indptr) constructor, which prunes a
+            # view of a larger array, would both copy them first.
+            rows = sp.csr_matrix((hi - lo, w.shape[1]))
+            rows.data, rows.indices = w.data[a:b], w.indices[a:b]
+            rows.indptr = w.indptr[lo : hi + 1] - a
+            entries.append((("pathsim", spath.token), (rows, diag[lo:hi])))
             ranges.append({"lo": int(lo), "hi": int(hi)})
     stem = f"shard{int(shard)}-gen"
     return _publish(directory, stem, generation, {"epoch": int(epoch)}, [], entries, ranges)
@@ -577,32 +589,21 @@ class ShardedClusterService(_ProcessTier):
         engine = self.hin.engine()
         statuses = []
         for q_pos, q_index in enumerate(idx):
-            error = None
-            parts = []
-            for shard_statuses in per_shard:
-                status, value = shard_statuses[q_pos]
-                if status != "ok":
-                    error = value
-                    break
-                parts.append(value)
-            if error is not None:
-                statuses.append(("err", error))
+            answers = [shard_statuses[q_pos] for shard_statuses in per_shard]
+            errors = [value for status, value in answers if status != "ok"]
+            if errors:  # the first shard's error, as a one-shard job would
+                statuses.append(("err", errors[0]))
                 continue
-            merged_idx, merged_scores = merge_top_k(parts, need)
+            merged_idx, merged_scores = merge_top_k([value for _, value in answers], need)
             q_index = int(q_index)
             pairs = finalize_top_k(
                 zip(merged_idx, merged_scores), k,
                 q_index if exclude else None,
             )
-            statuses.append(
-                (
-                    "ok",
-                    engine._top_k_result(
-                        spath.mp, node_type, q_index, pairs, "pathsim",
-                        epoch, "materialize",
-                    ),
-                )
+            result = engine._top_k_result(
+                spath.mp, node_type, q_index, pairs, "pathsim", epoch, "materialize"
             )
+            statuses.append(("ok", result))
         return statuses
 
     # ------------------------------------------------------------------

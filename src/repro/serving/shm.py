@@ -185,7 +185,8 @@ def _write_document(path: Path, image: Path, document: dict, arrays: dict) -> No
     the arrays' specs (:func:`_layout`).  The document's rename is the
     publication point: whoever reads it finds the complete image it
     names.  Each array goes from its own memory to the file; no whole
-    image is assembled first.
+    image is assembled first.  The document is compact JSON: with an
+    ``indent``, ``json`` would use its pure-Python encoder.
 
     The document must read back as itself, so what JSON cannot carry
     (an ``object()`` node name) or would change (a tuple name comes
@@ -197,7 +198,7 @@ def _write_document(path: Path, image: Path, document: dict, arrays: dict) -> No
     specs, size = _layout(arrays)
     document["source"] = {"file": image.name, "arrays": specs}
     try:
-        text = json.dumps(document, indent=2)
+        text = json.dumps(document)
         if json.loads(text) != document:
             raise TypeError("it reads back changed: a tuple comes back a list")
     except (TypeError, ValueError) as exc:

@@ -23,7 +23,7 @@ fences" for the design.
 
 from __future__ import annotations
 
-import multiprocessing
+import multiprocessing.util
 import os
 import pickle
 import shutil
@@ -140,7 +140,9 @@ def _worker_main(worker_id, conn, gen_value, gen_dir, stem, execute):
     generation's shared payload bytes); every other kind goes to
     *execute* ``(state, kind, payload) -> statuses`` — for the queue's
     jobs that is :func:`~repro.serving.service._execute_job` with the
-    request shape as *kind* and its query objects as *payload*.
+    request shape as *kind* and its query objects as *payload*.  The
+    loop ends on ``_SHUTDOWN``, or on end-of-file: a parent that died
+    without sending it.
     """
     current = None
 
@@ -178,7 +180,10 @@ def _worker_main(worker_id, conn, gen_value, gen_dir, stem, execute):
             time.sleep(0.002)
 
     while True:
-        job = conn.recv()
+        try:
+            job = conn.recv()
+        except EOFError:  # the parent is gone: every copy of its end closed
+            break
         if job is _SHUTDOWN:
             break
         job_id, kind, payload, count, min_epoch, pinned = job
@@ -216,6 +221,10 @@ class _WorkerChannel:
 
     def __init__(self, ctx, worker_id, gen_dir, gen_value, stem, execute):
         self.conn, child = ctx.Pipe()
+        # A forked worker closes its copy of this end, and of every
+        # earlier channel's, so a parent that dies unannounced (SIGKILL)
+        # reads as EOF in each worker rather than as silence forever.
+        multiprocessing.util.register_after_fork(self.conn, type(self.conn).close)
         self.jobs = 0
         self.process = ctx.Process(
             target=_worker_main,

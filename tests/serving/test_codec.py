@@ -24,6 +24,7 @@ from repro.serving import load_snapshot, network_fingerprint, save_snapshot
 from repro.serving.shards import ShardPlan, _ServedPath, publish_shard_generation
 from repro.serving.shm import (
     _layout,
+    _publish,
     _read_csr,
     _read_file,
     _write_csr,
@@ -414,3 +415,87 @@ class TestCaptureBesideAWriter:
                 assert misses == 0  # answered from the captured cache
         after = set(shm.iterdir()) if shm.is_dir() else set()
         assert after - before == set()
+
+
+class TestShardSliceViews:
+    """A shard packs rows ``[lo, hi)`` of each served ``W`` as views of
+    ``W``'s own arrays: the image it writes is the one the row slice
+    ``w[lo:hi]`` packs, byte for byte, with nothing copied on the way."""
+
+    @pytest.fixture(params=["small", "dblp"])
+    def committed(self, request):
+        """A network one commit past its prewarm, and a plan over it:
+        six shards of ``small_bib`` leave trailing ranges empty."""
+        if request.param == "small":
+            hin, shards = request.getfixturevalue("small_bib"), 6
+        else:
+            hin, shards = _network(), 3
+        engine = hin.engine()
+        engine.prewarm([APA, PAP, APVPA])
+        hin.apply(UpdateBatch().add_edges("writes", [(0, 4), (1, 3)]))
+        served = [_ServedPath(engine.symmetric_path(p)) for p in (APA, PAP, APVPA)]
+        return hin, engine, served, ShardPlan.compute(hin, ["author", "paper"], shards)
+
+    def test_the_image_is_the_row_slice_byte_for_byte(self, committed, tmp_path):
+        hin, engine, served, plan = committed
+        empty = 0
+        for shard in range(plan.shards):
+            published = publish_shard_generation(
+                hin, engine, served, plan, shard, directory=tmp_path, generation=shard
+            )
+            entries, ranges = [], []
+            for spath in served:
+                w, diag = engine._pathsim_parts(spath.mp)
+                lo, hi = plan.ranges[spath.source_type][shard]
+                empty += lo == hi
+                entries.append((("pathsim", spath.token), (w[lo:hi], diag[lo:hi])))
+                ranges.append({"lo": lo, "hi": hi})
+            reference = _publish(
+                tmp_path, "sliced", shard, {"epoch": hin.version}, [], entries, ranges
+            )
+            try:
+                assert published.image.read_bytes() == reference.image.read_bytes()
+                ours, theirs = (json.loads(p.path.read_text()) for p in (published, reference))
+                assert ours["entries"] == theirs["entries"]
+                assert ours["source"]["arrays"] == theirs["source"]["arrays"]
+                a, b = (attach_generation(p.path) for p in (published, reference))
+                try:
+                    assert a.slices.keys() == b.slices.keys()
+                    for token, (w_a, diag_a, lo_a) in a.slices.items():
+                        w_b, diag_b, lo_b = b.slices[token]
+                        assert lo_a == lo_b and w_a.shape == w_b.shape
+                        for name in ("data", "indices", "indptr"):
+                            assert np.array_equal(getattr(w_a, name), getattr(w_b, name))
+                        assert np.array_equal(diag_a, diag_b)
+                finally:
+                    a.close()
+                    b.close()
+            finally:
+                published.dispose()
+                reference.dispose()
+        # Six shards of small_bib's four authors and five papers leave
+        # trailing ranges empty; three of the dblp network's leave none.
+        assert (empty > 0) == (plan.shards == 6)
+
+    def test_the_arrays_written_are_views_of_w(self, committed, tmp_path, monkeypatch):
+        hin, engine, served, plan = committed
+        handed = []
+
+        def write_document(path, image, document, arrays):
+            handed.append(arrays)
+            return _write_document(path, image, document, arrays)
+
+        monkeypatch.setattr("repro.serving.shm._write_document", write_document)
+        for shard in range(plan.shards):
+            publish_shard_generation(
+                hin, engine, served, plan, shard, directory=tmp_path, generation=shard
+            ).dispose()
+            arrays = handed[shard]
+            for i, spath in enumerate(served):
+                w, _diag = engine._pathsim_parts(spath.mp)
+                lo, hi = plan.ranges[spath.source_type][shard]
+                data, indices = arrays[f"entry{i}/w/data"], arrays[f"entry{i}/w/indices"]
+                assert data.size == indices.size == w.indptr[hi] - w.indptr[lo]
+                if data.size:
+                    assert np.shares_memory(data, w.data)
+                    assert np.shares_memory(indices, w.indices)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -200,6 +202,69 @@ class TestWorkerDeath:
             with pytest.raises(RuntimeError, match="died"):
                 service.similar(0, APA, 2).result(timeout=30)
         assert _worker_processes() == []
+
+
+#: Run in a child interpreter: build the ``argv[2]`` tier with workers
+#: started by ``argv[1]``, print their pids, then die the way no
+#: ``close()`` can follow.
+_KILLED_PARENT = """
+import multiprocessing, os, signal, sys
+from repro.datasets import make_dblp_four_area
+from repro.serving import ClusterService, ShardedClusterService, workers
+
+method, tier, directory = sys.argv[1:]
+workers._default_start_method = lambda: method
+hin = make_dblp_four_area(seed=0).hin
+if tier == "replicated":
+    service = ClusterService(hin, processes=2, directory=directory)
+else:
+    service = ShardedClusterService(hin, ["A-P-A"], shards=2, directory=directory)
+service.similar(0, "A-P-A", 3).result(timeout=60)
+children = multiprocessing.active_children()
+print(*[p.pid for p in children if p.name.startswith("repro-cluster-")], flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live process; a zombie awaiting its reaper is not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("tier_name", sorted(TIERS))
+def test_workers_exit_when_their_parent_is_killed(start_method, tier_name, tmp_path):
+    """SIGKILL runs no ``close()``: each worker must notice on its own,
+    by reading end-of-file on its pipe, and exit within seconds.  Under
+    ``fork`` that needs every copy of the parent's end closed in the
+    workers, or they wait in ``recv()`` for good."""
+    env = dict(os.environ)
+    src = str(Path(workers.__file__).resolve().parents[2])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    with open(tmp_path / "stderr", "w") as stderr:
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_PARENT, start_method, tier_name,
+             str(tmp_path / "generations")],
+            stdout=subprocess.PIPE, stderr=stderr, text=True, env=env,
+        )
+    # Only the pid line: a stranded worker holds the pipe open, so
+    # reading to end-of-file could wait for good.
+    pids = [int(pid) for pid in parent.stdout.readline().split()]
+    parent.stdout.close()
+    try:
+        assert parent.wait(timeout=120) == -signal.SIGKILL
+        assert len(pids) == 2, (tmp_path / "stderr").read_text()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if _running(pid)] == []
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.usefixtures("start_method")

@@ -101,3 +101,29 @@ def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
     assert [row[0] for row in held] == deep_paths
     assert all(row[-1] in ("cached", "absent") for row in held)
     assert _listing(*watched) == before
+
+
+def test_pairs_smoke_runs_a_checkout_against_itself(capsys):
+    """One ``--smoke`` pair of this checkout against itself: each run is
+    listed with its ``correct`` / ``failed``, every end-to-end metric gets
+    its row, and nothing is left in the checkout."""
+    pairs = _load("pairs")
+    watched = (TOOLS.parent, TOOLS.parent / "benchmarks" / "perf")
+    before = _listing(*watched)
+    root = str(TOOLS.parent)
+    argv = [root, root, "--smoke", "--pairs", "1", "--workload", "hot_read"]
+    assert pairs.main(argv) == 0
+    header, columns, run, table, *rows = capsys.readouterr().out.splitlines()
+    assert header == "# hot_read pairs=1 seeds=11-20 smoke"
+    assert columns.split() == ["pair", "seed", "first", "parent", "change"]
+    assert run.split() == ["1", "11", "parent"] + ["correct=True", "failed=0"] * 2
+    assert table.split() == [
+        "metric", "unit", "parent", "change", "change%", "wins", "parent_iqr",
+    ]
+    names = ["setup_s", "qps", "similar_p50_ms", "commit_p50_ms", "peak_rss_mb"]
+    assert [row.split()[0] for row in rows] == names
+    for row in rows:
+        _name, _unit, parent, change, percent, wins, iqr = row.split()
+        assert float(parent) > 0 and float(change) > 0
+        assert percent.endswith("%") and wins in ("0/1", "1/1") and float(iqr) == 0.0
+    assert _listing(*watched) == before
