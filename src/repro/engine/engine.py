@@ -27,6 +27,10 @@ The engine fixes this with five ideas:
    top-k selected with a partition (:func:`repro.engine.topk.top_k_indices`)
    instead of a full sort.  A batch is the same route over several
    queries: one block product, or that one mat-vec for a batch of one.
+   Where ``Wᵀ`` is at hand for free (a one-step or a two-step
+   palindromic half), a row whose reach is cheap skips both: only the
+   objects it reaches are scored
+   (:func:`repro.engine.kernels.pathsim_reach`).
 4. **Cost-based association planning.**  Chain products are evaluated
    in the association order a matrix-chain DP picks from per-relation
    statistics (:mod:`repro.engine.planner`), seeded from cached
@@ -67,7 +71,7 @@ from repro.utils.cache import CacheInfo, LRUCache
 from repro.utils.locks import RWLock
 from repro.utils.sparse import _canonical, add_delta, nonempty_rows
 from repro.utils.validation import check_k
-from repro.engine.topk import finalize_top_k, top_k_indices
+from repro.engine.topk import finalize_top_k, top_k_support
 
 __all__ = ["MetaPathEngine"]
 
@@ -90,13 +94,22 @@ _FUSED_AUTO_THRESHOLD = 4
 #: wins and 12.6 or more on ``P-A-P-A-P``, where fused wins.
 _MATERIALIZE_COST_RATIO = 10
 
+#: A materialized row is scored over its reach
+#: (:func:`~repro.engine.kernels.pathsim_reach`) while this many times
+#: its multiply-adds are at most ``nnz(W)``, the mat-vec's.  A reach
+#: multiply-add (a gather, a product and a scattered add) costs 10-16 ns
+#: against 1.0-1.5 ns for a mat-vec entry at dblp_6k (one pinned vCPU
+#: of a 2-vCPU x86-64 box, numpy 2.4, scipy 1.17); ``C*`` in
+#: ``tools/kernel_costs.py`` read 13.5-21 on the paths with real reach
+#: work.  Timing 900 rows of six paths both ways put every constant
+#: from 8 to 16 within 1-5 % of the per-row best; 12 is the middle.
+_REACH_COST = 12
+
 
 def _check_mode(mode: str) -> str:
     """*mode* if it names a top-k kernel policy, else ``ValueError``."""
     if mode not in ("auto", "fused", "materialize"):
-        raise ValueError(
-            f"mode must be 'auto', 'fused' or 'materialize', got {mode!r}"
-        )
+        raise ValueError(f"mode must be 'auto', 'fused' or 'materialize', got {mode!r}")
     return mode
 
 
@@ -256,9 +269,7 @@ class MetaPathEngine:
             symmetric = mp.is_symmetric()
             self._symmetric[key] = symmetric
         if not symmetric:
-            raise MetaPathError(
-                f"PathSim requires a symmetric meta-path, got {mp}"
-            )
+            raise MetaPathError(f"PathSim requires a symmetric meta-path, got {mp}")
         return mp
 
     def _resolve(self, node_type: str, obj) -> int:
@@ -268,9 +279,7 @@ class MetaPathEngine:
             idx = int(obj)
             n = self.hin.node_count(node_type)
             if not 0 <= idx < n:
-                raise NodeNotFoundError(
-                    f"{node_type!r} index {idx} out of range (n={n})"
-                )
+                raise NodeNotFoundError(f"{node_type!r} index {idx} out of range (n={n})")
             return idx
         return self.hin.index_of(node_type, obj)
 
@@ -535,9 +544,7 @@ class MetaPathEngine:
         fused row per query on the fused one."""
         return self._pathsim_top_k(path, queries, k, exclude_query)
 
-    def _pathsim_top_k(
-        self, path, queries, k, exclude: bool, mode: str | None = None
-    ) -> list[TopKResult]:
+    def _pathsim_top_k(self, path, queries, k, exclude, mode=None) -> list[TopKResult]:
         """The one PathSim top-k route: resolve the queries, pick one
         kernel for all of them, score, select each row."""
         k = check_k(k)
@@ -548,43 +555,65 @@ class MetaPathEngine:
             # Each row is pruned to exactly what _select consumes: the
             # top `need` positions (k plus the self-exclusion slot).
             need = k + 1 if exclude else k
-            block = [fused_row_scores(self, mp, i, need=need) for i in idx]
+            rows = [fused_row_scores(self, mp, i, need=need) for i in idx]
         else:
-            w, diag = self._pathsim_parts(mp)
-            block = kernels.pathsim_rows(w, diag, idx)
+            rows = self._materialized_rows(mp, idx)
         return [
-            self._select(
-                scores, mp, mp.source_type, i, k, exclude, "pathsim",
-                mode=kernel,
-            )
-            for scores, i in zip(block, idx)
+            self._select(row, mp, mp.source_type, i, k, exclude, "pathsim", kernel)
+            for row, i in zip(rows, idx)
         ]
 
-    def _select(
-        self,
-        scores: np.ndarray,
-        mp: MetaPath,
-        node_type: str,
-        query: int,
-        k: int,
-        exclude: bool,
-        measure: str,
-        mode: str | None = None,
-    ) -> TopKResult:
-        need = k + 1 if exclude else k
-        order = top_k_indices(scores, min(need, scores.size))
-        pairs = finalize_top_k(
-            ((j, scores[j]) for j in order), k, query if exclude else None
-        )
-        return self._top_k_result(
-            mp, node_type, query, pairs, measure,
-            getattr(self.hin, "version", None), mode,
-        )
+    def _materialized_rows(self, mp: MetaPath, idx: list) -> list:
+        """Each query's scores on the cached ``(W, diag)``: a
+        ``(reach, scores, n)`` triple where ``W`` can be read by column
+        for free (:meth:`_columns`) and the reach is cheap
+        (``_REACH_COST``), else a dense row of the mat-vec or block
+        product."""
+        w, diag = self._pathsim_parts(mp)
+        wt = self._columns(mp, w)
+        rows = {}
+        for i in idx if wt is not None else ():
+            if _REACH_COST * kernels.reach_flops(w, wt, i) <= w.nnz:
+                rows[i] = (*kernels.pathsim_reach(w, wt, diag, i), w.shape[0])
+        dense = [i for i in idx if i not in rows]
+        if dense:
+            rows.update(zip(dense, kernels.pathsim_rows(w, diag, dense)))
+        return [rows[i] for i in idx]
 
-    def _top_k_result(
-        self, mp: MetaPath, node_type: str, query: int, pairs, measure: str,
-        epoch, mode: str | None,
-    ) -> TopKResult:
+    def _columns(self, mp: MetaPath, w):
+        """``Wᵀ`` as CSR where *mp*'s half product *w* can be read by
+        column at no cost, else ``None``.
+
+        A one-step half's columns are the relation's reverse
+        orientation while the network holds it: it caches that
+        orientation for any backward traversal and maintains it through
+        every commit that resizes nothing.  Deriving it here would read
+        all of ``W`` (0.6-0.9 ms for ``writes`` at dblp_6k, 6-8
+        mat-vecs), and without it even a row's flop count costs a pass
+        over ``W``; so a dropped orientation is charged, and the rows
+        keep the mat-vec until it is held again.  A two-step palindromic
+        half ``R·Rᵀ`` is its own transpose, bit for bit: each entry sums
+        the same products in ascending order, fresh or maintained.  Any
+        other half would need a transpose built and kept, so it keeps
+        the mat-vec."""
+        key = mp.canonical_key()
+        half = key[: len(key) // 2]
+        if len(half) == 1:
+            name, forward = half[0]
+            return self.hin._transposes.get(name) if forward else self.hin.relation_matrix(name)
+        return w if len(half) == 2 and self._steps_symmetric(half) else None
+
+    def _select(self, scores, mp, node_type, query, k, exclude, measure, mode=None) -> TopKResult:
+        """Rank a dense score row, or a ``(support, scores, n)`` triple
+        whose length-*n* row is ``0.0`` off *support*; build the answer."""
+        if not isinstance(scores, tuple):
+            scores = (None, scores, scores.size)
+        order, ranked = top_k_support(*scores, k + 1 if exclude else k)
+        pairs = finalize_top_k(zip(order, ranked), k, query if exclude else None)
+        epoch = getattr(self.hin, "version", None)
+        return self._top_k_result(mp, node_type, query, pairs, measure, epoch, mode)
+
+    def _top_k_result(self, mp, node_type, query, pairs, measure, epoch, mode) -> TopKResult:
         """Ranked ``(index, score)`` *pairs* as the public result: names
         through ``hin.name_of`` plus the stamps.  Every top-k answer —
         selected here, merged across shards, or patched by a watch — is
@@ -650,9 +679,7 @@ class MetaPathEngine:
                 f"{mp.source_type!r} -> {mp.target_type!r}"
             )
         scores = self.connectivity_row(mp, i)
-        return self._select(
-            scores, mp, mp.target_type, i, k, exclude_query, "connectivity"
-        )
+        return self._select(scores, mp, mp.target_type, i, k, exclude_query, "connectivity")
 
     # ------------------------------------------------------------------
     # Incremental maintenance under network updates
@@ -739,11 +766,7 @@ class MetaPathEngine:
         report = dict(self._EMPTY_REPORT)
         for key in self._cache.keys():
             kind, full_steps = key
-            steps = (
-                full_steps[: len(full_steps) // 2]
-                if kind == "pathsim"
-                else full_steps
-            )
+            steps = full_steps[: len(full_steps) // 2] if kind == "pathsim" else full_steps
             rels = {name for name, _ in steps}
             if rels & dense_rels:
                 self._cache.pop(key)
@@ -758,9 +781,7 @@ class MetaPathEngine:
                 else:
                     report["kept"] += 1
                 continue
-            report["rows_touched"] += self._maintain_entry(
-                key, kind, steps, update, scratch
-            )
+            report["rows_touched"] += self._maintain_entry(key, kind, steps, update, scratch)
             report["rows_total"] += self._entry_shape(steps)[0]
             report["updated"] += 1
         self._epoch = update.epoch
@@ -918,11 +939,7 @@ class MetaPathEngine:
             d = update.deltas.get(name)
             if d is None or d.delta.nnz == 0:
                 continue
-            term = (
-                d.delta
-                if forward
-                else self._transposed(("delta", name), d.delta, scratch)
-            )
+            term = d.delta if forward else self._transposed(("delta", name), d.delta, scratch)
             # Old suffix first: a delta that only references newly added
             # nodes hits their all-zero rows in the old matrices and the
             # whole term vanishes structurally — stop multiplying the

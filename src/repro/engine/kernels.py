@@ -22,25 +22,35 @@ calling the pure functions below over ``(w, diag, q_rows, q_diag)``:
     The queries' rows of ``W`` (one CSR block) and their diagonal
     entries.
 
-**One row is one mat-vec.**  A block of one query is scored by
-:func:`pathsim_solo` — one CSR mat-vec over the query's dense row, read
-straight off the CSR arrays (:func:`dense_row`) — never by a block
-product, and :func:`pathsim_rows` never slices ``w[idx]`` for it.
-Both rules live here and nowhere else, so a query of one and a batch
-of one cost the same wherever they come from.
+**One row is one mat-vec** — unless the query's reach is cheaper.  A
+block of one query is scored by :func:`pathsim_solo` — one CSR mat-vec
+over the query's dense row, read straight off the CSR arrays
+(:func:`dense_row`) — never by a block product, and
+:func:`pathsim_rows` never slices ``w[idx]`` for it.  The exception is
+:func:`pathsim_reach`, for a caller that holds ``Wᵀ`` as CSR at no
+cost: it scores only the objects query *i* reaches, and it does
+``reach_flops(w, wt, i)`` multiply-adds where the mat-vec does
+``nnz(W)``.  The engine picks it row by row from that count.
 
 Answers are bit-identical across callers because there is nothing to
-keep in step: one division, one operand layout per kernel.
-``tests/engine/test_kernels.py`` pins the remaining identities (block
-row == solo row; kernel on a slice == columns of the kernel on the
-whole; partial == fancy-indexing the block).
+keep in step: one division, one operand layout per kernel.  The reach
+kernel keeps that too.  Column *k* of ``W`` is row *k* of ``Wᵀ``; for
+each ``k`` in row *i*'s support, in ascending order, it adds
+``Wᵀ[k, j] · W[i, k]`` into ``j``'s sum from ``0.0``.  Those are the
+terms the mat-vec adds for ``j``, in the same order.  The mat-vec also
+adds ``W[j, k] · 0.0`` for every other ``k``, and that leaves a sum of
+finite terms unchanged.  Objects outside the reach score ``0.0`` on
+both.  ``tests/engine/test_kernels.py`` pins the remaining identities
+(block row == solo row; kernel on a slice == columns of the kernel on
+the whole; partial == fancy-indexing the block; reach == the solo row
+on the reach, zero off it).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.sparse import safe_divide
+from repro.utils.sparse import _row_entries, safe_divide
 
 __all__ = [
     "dense_row",
@@ -49,6 +59,8 @@ __all__ = [
     "pathsim_block",
     "pathsim_rows",
     "pathsim_partial",
+    "pathsim_reach",
+    "reach_flops",
 ]
 
 
@@ -90,8 +102,6 @@ def pathsim_block(w, diag, q_rows, q_diag: np.ndarray) -> np.ndarray:
     """
     if q_rows.shape[0] == 1:
         return pathsim_solo(w, diag, dense_row(q_rows), q_diag[0])[None, :]
-    if q_rows.shape[0] == 0:
-        return np.zeros((0, w.shape[0]))
     dots = w.dot(q_rows.toarray(order="F").T)  # (len(diag), queries)
     return pathsim_scores(dots, diag[:, None] + q_diag[None, :]).T
 
@@ -126,3 +136,32 @@ def pathsim_partial(w, diag, candidates, q_rows, q_diag: np.ndarray) -> np.ndarr
     """
     dots = (w[candidates] @ q_rows.T).toarray()  # (candidates, queries)
     return pathsim_scores(dots, diag[candidates][:, None] + q_diag[None, :]).T
+
+
+def reach_flops(w, wt, i: int) -> int:
+    """Multiply-adds :func:`pathsim_reach` spends on row *i*: the
+    stored entries of ``Wᵀ``'s rows (``W``'s columns) in row *i*'s
+    support."""
+    cols = w.indices[w.indptr[i] : w.indptr[i + 1]]
+    return int((wt.indptr[cols + 1] - wt.indptr[cols]).sum())
+
+
+def pathsim_reach(w, wt, diag, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(reach, scores)``: *w*'s own row *i* scored against the rows
+    it reaches only — the sorted objects ``j`` whose numerator
+    ``M[i, j]`` is non-zero, and bitwise
+    ``pathsim_rows(w, diag, [i])[0][reach]``.  Every other object
+    scores exactly ``0.0`` there too.
+
+    *wt* is ``Wᵀ`` as CSR with sorted indices: the relation's cached
+    reverse orientation for a one-step half, ``W`` itself for a
+    bitwise-symmetric one.  Row *i*'s columns of ``Wᵀ`` are gathered
+    off the CSR arrays and summed per ``j`` by one ``np.bincount``,
+    which adds its weights in input order from ``0.0``.
+    """
+    lo, hi = w.indptr[i], w.indptr[i + 1]
+    entries, offsets = _row_entries(wt.indptr, w.indices[lo:hi])
+    terms = wt.data[entries] * np.repeat(w.data[lo:hi], np.diff(offsets))
+    dots = np.bincount(wt.indices[entries], terms, minlength=w.shape[0])
+    reach = np.flatnonzero(dots)
+    return reach, pathsim_scores(dots[reach], diag[i] + diag[reach])

@@ -147,6 +147,18 @@ def nonempty_rows(matrix: sp.csr_matrix) -> np.ndarray:
     return np.flatnonzero(np.diff(matrix.indptr))
 
 
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(entries, offsets)``: the positions of CSR rows *rows*' stored
+    entries, row after row in stored order, and where each row's run
+    starts in *entries* (an ``indptr`` over the gathered rows)."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    offsets = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(lengths, out=offsets[1:])
+    entries = np.arange(offsets[-1], dtype=indptr.dtype) + np.repeat(starts - offsets[:-1], lengths)
+    return entries, offsets
+
+
 def _take_rows(matrix: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     """``matrix[rows]`` for canonical CSR by a raw-array gather.
 
@@ -154,18 +166,11 @@ def _take_rows(matrix: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     its per-call index validation — which costs more than the gather
     itself when *rows* is a handful of a large matrix's rows.
     """
-    indptr = matrix.indptr
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    sub_indptr = np.zeros(rows.size + 1, dtype=indptr.dtype)
-    np.cumsum(lengths, out=sub_indptr[1:])
-    entries = np.arange(sub_indptr[-1], dtype=indptr.dtype) + np.repeat(
-        starts - sub_indptr[:-1], lengths
-    )
+    entries, offsets = _row_entries(matrix.indptr, rows)
     return _canonical_csr(
         matrix.data[entries],
         matrix.indices[entries],
-        sub_indptr,
+        offsets,
         (rows.size, matrix.shape[1]),
     )
 

@@ -235,3 +235,37 @@ class TestEngineIsTheKernel:
             )
             assert np.array_equal(row, stitched)
             assert np.array_equal(engine.pathsim_rows(path, [q, q])[1], row)
+
+
+@st.composite
+def reach_cases(draw):
+    """A random relation ``R`` (integer or fractional weights) as the
+    half ``W`` of both free-column shapes: a one-step half ``R`` read
+    through its transpose, and a two-step palindromic half ``R·Rᵀ``
+    read through itself."""
+    weights = draw(st.sampled_from([st.integers(0, 3), FLOAT_WEIGHTS]))
+    r, _ = draw(half_products(weights))
+    if draw(st.booleans()):
+        w, wt = r.tocsr(), r.T.tocsr()
+    else:
+        w = (r @ r.T).tocsr()
+        w.sum_duplicates()
+        wt = w
+    diag = np.asarray(w.multiply(w).sum(axis=1)).ravel()
+    return w, wt, diag, draw(st.integers(0, w.shape[0] - 1))
+
+
+@given(reach_cases())
+@settings(max_examples=200, deadline=None)
+def test_reach_equals_the_solo_row_on_the_reach_and_zero_off_it(case):
+    """``pathsim_reach`` scores are the solo mat-vec's row at the reach
+    entries, bit for bit, and that row is ``0.0`` everywhere else."""
+    w, wt, diag, i = case
+    reach, scores = kernels.pathsim_reach(w, wt, diag, i)
+    row = kernels.pathsim_solo(w, diag, kernels.dense_row(w, i), diag[i])
+    assert np.array_equal(reach, np.unique(reach))
+    assert np.array_equal(scores, row[reach])
+    off = np.ones(row.size, dtype=bool)
+    off[reach] = False
+    assert not row[off].any()
+    assert kernels.reach_flops(w, wt, i) == wt[w[i].indices].nnz

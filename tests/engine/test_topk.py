@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.topk import merge_top_k, shard_top_k, top_k_indices
+from repro.engine import topk
+from repro.engine.topk import merge_top_k, shard_top_k, top_k_indices, top_k_support
 from repro.networks import HIN, NetworkSchema
 
 
@@ -178,3 +181,77 @@ class TestEngineEdgeCases:
         engine = hin.engine()
         batch = engine.pathsim_top_k_batch("a-p-a", [], 3)
         assert batch == []
+
+
+@st.composite
+def score_vectors(draw):
+    """Score vectors shaped like PathSim rows — mostly zeros, few
+    positives, ties among them — plus, sometimes, negative entries."""
+    n = draw(st.integers(0, 40))
+    levels = [0.0, 0.0, 0.0, 0.25, 0.5, 1.0] + ([-0.5, -1.0] if draw(st.booleans()) else [])
+    scores = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    return scores, draw(st.integers(0, n + 3))
+
+
+class TestSelectionOverThePositives:
+    """``top_k_indices`` ranks only the positive entries of a vector
+    with no negative one and fills the rest of the answer with the
+    smallest zero-score indices; ``top_k_support`` does the same over a
+    sparse row.  Both must stay a stable argsort."""
+
+    @given(score_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_stable_argsort(self, case):
+        scores, k = case
+        expected = np.argsort(-scores, kind="stable")[:k]
+        assert np.array_equal(top_k_indices(scores, k), expected)
+        support = np.flatnonzero(scores)
+        indices, ranked = top_k_support(support, scores[support], scores.size, k)
+        assert np.array_equal(indices, expected)
+        assert np.array_equal(ranked, scores[expected])
+
+    @staticmethod
+    def _sparse(n, cells):
+        scores = np.zeros(n)
+        for j, value in cells.items():
+            scores[j] = value
+        return scores
+
+    @pytest.mark.parametrize(
+        "n, cells, k",
+        [
+            (7, {}, 3),  # all zeros
+            (12, {1: 0.2, 4: 0.7}, 4),  # fewer positives than k
+            (12, {0: 0.3, 2: 0.3}, 15),  # k >= n
+            (20, {0: 0.5, 1: 0.5, 3: 0.5, 9: 0.5}, 3),  # ties at the cut
+        ],
+    )
+    def test_mostly_zero_vectors_rank_only_the_positives(self, n, cells, k, monkeypatch):
+        scores = self._sparse(n, cells)
+        ranked = _spy_ranked(monkeypatch)
+        assert np.array_equal(top_k_indices(scores, k), reference_order(scores, k))
+        assert ranked == [len(cells)]
+
+    def test_a_quarter_positive_ranks_the_dense_vector(self, monkeypatch):
+        scores = self._sparse(12, {0: 0.3, 5: 0.1, 7: 0.3})
+        ranked = _spy_ranked(monkeypatch)
+        assert np.array_equal(top_k_indices(scores, 5), reference_order(scores, 5))
+        assert ranked == [12]
+
+    def test_a_negative_score_keeps_the_dense_selection(self, monkeypatch):
+        scores = np.array([0.0, -0.5, 0.25, 0.0, -1.0, 0.25])
+        ranked = _spy_ranked(monkeypatch)
+        for k in range(8):
+            assert np.array_equal(top_k_indices(scores, k), reference_order(scores, k))
+        assert ranked == [scores.size] * 8
+        support = np.array([1, 4])
+        indices, values = top_k_support(support, scores[support], 6, 3)
+        assert indices.tolist() == [0, 2, 3] and values.tolist() == [0.0, 0.0, 0.0]
+
+
+def _spy_ranked(monkeypatch) -> list:
+    """Log the length of every vector the selection partitions or sorts."""
+    sizes = []
+    real = topk._ranked
+    monkeypatch.setattr(topk, "_ranked", lambda s, k: sizes.append(s.size) or real(s, k))
+    return sizes

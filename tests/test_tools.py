@@ -103,6 +103,29 @@ def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
     assert _listing(*watched) == before
 
 
+def test_kernel_costs_smoke_prints_the_reach_route(capsys):
+    """``reach_main --smoke``: one row per hot or deep path whose half
+    is read by column for free, with its flop ratios ordered and a share
+    of rows in [0, 1], and nothing left in the checkout."""
+    kernel_costs = _load("kernel_costs")
+    watched = (TOOLS.parent, TOOLS.parent / "benchmarks" / "perf")
+    before = _listing(*watched)
+    assert kernel_costs.reach_main(["--smoke", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# reach route, smoke network, seed=3")
+    assert lines[1].split() == [
+        "path", "nnz(W)", "reach_ms/q", "matvec_ms/q", "flops/nnz_med", "p90", "max",
+        "reach_rows", "C*",
+    ]
+    rows = [row.split() for row in lines[2:]]
+    assert [row[0] for row in rows] == ["A-P-A", "A-P-A-P-A", "P-A-P-A-P"]
+    for row in rows:
+        median, p90, peak, share = (float(x) for x in row[4:8])
+        assert 0 <= median <= p90 <= peak and 0 <= share <= 1
+        assert float(row[2]) > 0 and float(row[3]) > 0
+    assert _listing(*watched) == before
+
+
 def test_pairs_smoke_runs_a_checkout_against_itself(capsys):
     """One ``--smoke`` pair of this checkout against itself: each run is
     listed with its ``correct`` / ``failed``, every end-to-end metric gets

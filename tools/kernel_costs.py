@@ -18,14 +18,28 @@ three ways, each on a fresh engine over the workload's network:
 ``nnz(W)`` is the materialized half product's.  Then it runs one
 measured ``deep_path`` round, exactly as the benchmark does (seeded
 ops, a ``QueryService`` on a cold engine), and prints which deep paths
-ended it holding a ``("pathsim", …)`` cache entry.  Nothing is written
-under the repository: the round's work directory is a temporary
-directory, removed afterwards.
+ended it holding a ``("pathsim", …)`` cache entry.
+
+Last comes the reach route (:func:`reach_main`).  Each ``HOT_PATHS`` or
+``DEEP_PATHS`` entry whose half ``W`` the engine reads by column for
+free (a one-step half whose reverse orientation the network holds, or
+a two-step palindromic half) serves the same
+uniform queries (k=50, warm ``W``) two ways: the reach kernel and the
+mat-vec, each with its selection, in ms per query.  It prints the
+median / p90 / max over all rows of ``flops(i) / nnz(W)``, where
+``flops(i)`` is row *i*'s reach multiply-adds.  ``reach_rows`` is the
+share of rows the engine's rule (``12·flops(i) ≤ nnz(W)``) sends to the
+reach kernel.  ``C*`` is what one reach multiply-add costs in mat-vec
+entries on these queries, the basis of that constant.
+
+Nothing is written under the repository: the round's work directory is
+a temporary directory, removed afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import shutil
 import sys
 import tempfile
@@ -102,21 +116,35 @@ def round_entries(harness, ctx) -> tuple:
     return held, dict(engine.kernel_counters), last.errors
 
 
-def main(argv=None) -> int:
+def _args(argv):
     parser = argparse.ArgumentParser(usage=USAGE, description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--smoke", action="store_true", help="the harness self-test's tiny network")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+@contextlib.contextmanager
+def _world(argv):
+    """``(args, harness, ctx)`` for one report; the run's work directory
+    is removed afterwards."""
+    args = _args(argv)
     harness = _harness()
     scale = harness.SMOKE if args.smoke else harness.FULL
     workdir = tempfile.mkdtemp(prefix="kernel-costs-")
     try:
-        ctx = harness.Context(scale, args.seed, 1.0, workdir)
+        yield args, harness, harness.Context(scale, args.seed, 1.0, workdir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def main(argv=None) -> int:
+    """Print the kernel table and one ``deep_path`` round's cache entries."""
+    with _world(argv) as (args, harness, ctx):
         rng = np.random.default_rng(args.seed)
+        cold = ctx.scale.deep_cold_per_path
         print(
             f"# kernel costs, {'smoke' if args.smoke else 'full'} network, "
-            f"seed={args.seed}, {scale.deep_cold_per_path} cold queries per "
-            f"path, k={K}"
+            f"seed={args.seed}, {cold} cold queries per path, k={K}"
         )
         print(
             f"{'path':<16}{'first_mat_ms':>13}{'mat_ms/q':>10}{'fused_ms/q':>11}"
@@ -124,7 +152,7 @@ def main(argv=None) -> int:
         )
         for path in harness.DEEP_PATHS:
             count = ctx.base.node_count(harness._TYPE_OF[path[0]])
-            queries = rng.integers(0, count, size=scale.deep_cold_per_path)
+            queries = rng.integers(0, count, size=cold)
             row = path_costs(ctx.base, path, [int(q) for q in queries])
             print(
                 f"{row['path']:<16}{row['first_mat_ms']:>13.1f}"
@@ -136,10 +164,78 @@ def main(argv=None) -> int:
         print(f"# one deep_path round: kernels {kernels}, errors={errors}")
         for path, cached in held.items():
             print(f"{path:<16}pathsim entry {'cached' if cached else 'absent'}")
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
     return 0 if errors == 0 else 1
 
 
+def _timed(queries, serve) -> float:
+    """Milliseconds per query of ``serve(i)`` over *queries*."""
+    start = time.perf_counter()
+    for i in queries:
+        serve(i)
+    return (time.perf_counter() - start) * 1e3 / len(queries)
+
+
+def reach_costs(hin, path, queries) -> dict:
+    """One reach-table row for *path*, or ``None`` when its half product
+    cannot be read by column for free."""
+    from repro.engine import MetaPathEngine, kernels
+    from repro.engine.engine import _REACH_COST
+    from repro.engine.topk import top_k_indices, top_k_support
+
+    engine = MetaPathEngine(hin, mode="materialize")
+    mp = engine.symmetric_path(path)
+    for name, _ in mp.canonical_key():  # held, as after any backward traversal
+        hin.oriented_matrix(name, forward=False)
+    w, diag = engine._pathsim_parts(mp)
+    wt = engine._columns(mp, w)
+    if wt is None:
+        return None
+    n = w.shape[0]
+    flops = np.array([kernels.reach_flops(w, wt, i) for i in range(n)])
+    reach_ms = _timed(
+        queries, lambda i: top_k_support(*kernels.pathsim_reach(w, wt, diag, i), n, K)
+    )
+    matvec_ms = _timed(
+        queries, lambda i: top_k_indices(kernels.pathsim_rows(w, diag, [i])[0], K)
+    )
+    ratio = flops / max(w.nnz, 1)
+    return {
+        "path": path,
+        "nnz_w": w.nnz,
+        "reach_ms": reach_ms,
+        "matvec_ms": matvec_ms,
+        "median": float(np.median(ratio)),
+        "p90": float(np.percentile(ratio, 90)),
+        "max": float(ratio.max()),
+        "reach_rows": float(np.mean(_REACH_COST * flops <= w.nnz)),
+        "c_star": (reach_ms / max(flops[queries].mean(), 1)) / (matvec_ms / max(w.nnz, 1)),
+    }
+
+
+def reach_main(argv=None) -> int:
+    """Print the reach route's costs on every free-column hot or deep path."""
+    with _world(argv) as (args, harness, ctx):
+        rng = np.random.default_rng(args.seed)
+        count = 4 * ctx.scale.deep_cold_per_path
+        print(
+            f"# reach route, {'smoke' if args.smoke else 'full'} network, "
+            f"seed={args.seed}, {count} uniform queries per path, k={K}"
+        )
+        print(
+            f"{'path':<16}{'nnz(W)':>11}{'reach_ms/q':>11}{'matvec_ms/q':>12}"
+            f"{'flops/nnz_med':>14}{'p90':>8}{'max':>8}{'reach_rows':>11}{'C*':>6}"
+        )
+        for path in dict.fromkeys(harness.HOT_PATHS + harness.DEEP_PATHS):
+            nodes = ctx.base.node_count(harness._TYPE_OF[path[0]])
+            row = reach_costs(ctx.base, path, rng.integers(0, nodes, size=count))
+            if row is not None:
+                print(
+                    f"{path:<16}{row['nnz_w']:>11}{row['reach_ms']:>11.3f}"
+                    f"{row['matvec_ms']:>12.3f}{row['median']:>14.4f}{row['p90']:>8.4f}"
+                    f"{row['max']:>8.4f}{row['reach_rows']:>11.3f}{row['c_star']:>6.1f}"
+                )
+    return 0
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main() or reach_main())
