@@ -197,7 +197,6 @@ class MetaPathEngine:
         # containers are the right choice.
         self._parsed: dict[str, MetaPath] = {}
         self._validated: set[tuple] = set()
-        self._symmetric: dict[tuple, bool] = {}
 
     @property
     def epoch(self) -> int:
@@ -263,12 +262,7 @@ class MetaPathEngine:
     def symmetric_path(self, spec) -> MetaPath:
         """Like :meth:`path`, but requires a symmetric path (PathSim's domain)."""
         mp = self.path(spec)
-        key = mp.canonical_key()
-        symmetric = self._symmetric.get(key)
-        if symmetric is None:
-            symmetric = mp.is_symmetric()
-            self._symmetric[key] = symmetric
-        if not symmetric:
+        if not mp.is_symmetric():
             raise MetaPathError(f"PathSim requires a symmetric meta-path, got {mp}")
         return mp
 
@@ -320,7 +314,10 @@ class MetaPathEngine:
         materialized query scans is at most ``_MATERIALIZE_COST_RATIO``
         times the entries a fused query threads (see
         :meth:`_auto_choice`); a path whose ``W`` outweighs its fused
-        queries stays fused.
+        queries stays fused.  An auto query whose fused scan threads
+        every row of ``W`` keeps it as the path's entry
+        (:func:`~repro.engine.fused.fused_row_scores`), so the next
+        query finds it cached.
         Answers are bit-identical either way; only the cost differs.
         """
         self._sync()
@@ -379,11 +376,19 @@ class MetaPathEngine:
         def compute():
             """Materialize the half product and its row-norm diagonal."""
             steps = tuple(mp.steps())
-            w = self._planner.materialize(steps[: len(steps) // 2]).tocsr()
-            diag = np.asarray(w.multiply(w).sum(axis=1)).ravel()
-            return w, diag
+            return self._pathsim_entry(self._planner.materialize(steps[: len(steps) // 2]))
 
         return self._cache.get_or_compute(key, compute)
+
+    @staticmethod
+    def _pathsim_entry(w) -> tuple:
+        """A path's ``("pathsim", key)`` value from its half product
+        *w*, planned (:meth:`_pathsim_parts`) or threaded whole by a
+        fused query (:func:`~repro.engine.fused.fused_row_scores`):
+        ``W`` as canonical CSR, and the diagonal summed in *w*'s stored
+        order before sorting, the order a fused query sums a row in."""
+        diag = kernels.row_norms(w)
+        return _canonical(w), diag
 
     @_reader
     def prewarm(self, paths: Sequence) -> "MetaPathEngine":
@@ -446,10 +451,7 @@ class MetaPathEngine:
         """
         mp = self.symmetric_path(path)
         w, diag = self._pathsim_parts(mp)
-        rows = np.array(
-            [self._resolve(mp.source_type, q) for q in queries],
-            dtype=np.int64,
-        )
+        rows = np.array([self._resolve(mp.source_type, q) for q in queries], dtype=np.int64)
         idx = np.asarray(candidates, dtype=np.int64)
         if rows.size == 0 or idx.size == 0:
             return np.zeros((rows.size, idx.size))
@@ -488,10 +490,7 @@ class MetaPathEngine:
         """
         mp = self.symmetric_path(path)
         w, diag = self._pathsim_parts(mp)
-        idx = np.array(
-            [self._resolve(mp.source_type, q) for q in queries],
-            dtype=np.int64,
-        )
+        idx = np.array([self._resolve(mp.source_type, q) for q in queries], dtype=np.int64)
         return idx, w[idx].tocsr(), diag[idx]
 
     @_reader
@@ -530,7 +529,9 @@ class MetaPathEngine:
         forces ``"fused"`` on a shared engine), which a non-benchmark
         change may not edit; it goes the next time the benchmark
         contract is opened.  Everything else constructs the engine
-        with the kernel it wants.
+        with the kernel it wants.  Whether a fused query may keep a
+        ``W`` it threads whole follows the engine's :attr:`topk_mode`,
+        not this override (:func:`~repro.engine.fused.fused_row_scores`).
         """
         (result,) = self._pathsim_top_k(path, [query], k, exclude_query, mode)
         return result
@@ -684,14 +685,9 @@ class MetaPathEngine:
     # ------------------------------------------------------------------
     # Incremental maintenance under network updates
     # ------------------------------------------------------------------
-    _EMPTY_REPORT = {
-        "updated": 0,
-        "padded": 0,
-        "evicted": 0,
-        "kept": 0,
-        "rows_touched": 0,
-        "rows_total": 0,
-    }
+    _EMPTY_REPORT = dict.fromkeys(
+        ("updated", "padded", "evicted", "kept", "rows_touched", "rows_total"), 0
+    )
 
     @_writer
     def apply_update(self, update: AppliedUpdate) -> dict:

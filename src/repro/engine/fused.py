@@ -1,4 +1,5 @@
-"""Fused single-source PathSim top-k: no commuting matrix, no half product.
+"""Fused single-source PathSim top-k: no commuting matrix, and no half
+product unless the query threads all of it anyway.
 
 The materialized PathSim path (:meth:`MetaPathEngine._pathsim_parts`)
 pays for the half product ``W`` — the full chain SpGEMM over every
@@ -21,6 +22,16 @@ materialized.  When the path's PathSim entry *is* cached, its
 incrementally-maintained diagonal is read directly instead of
 recomputing candidate norms.
 
+The one exception: on an ``auto`` engine, a query whose numerator
+reaches every source object and whose scan would take every candidate
+in its first block threads every row of ``W`` — a whole rebuild.  It
+threads them as one block instead and keeps that block, canonicalized,
+with its diagonal as the path's ``("pathsim", key)`` entry, built by the
+same :meth:`~repro.engine.engine.MetaPathEngine._pathsim_entry` as a
+planned one.  The path's next query is a materialized cache hit and no
+planner build of the half ever runs.  A forced ``"fused"`` engine and a
+scan pruned to fewer rows keep nothing.
+
 A batch is that same query several times: the engine's one PathSim
 top-k route calls :func:`fused_row_scores`, pruned to the top-k it
 selects, once per query, so there is no blocked fused kernel to keep
@@ -38,7 +49,11 @@ Exactness
 The fused route threads rows in another summation order than the
 materialized one, so it falls under the "Link weights" contract in
 ``docs/ARCHITECTURE.md``: bit-identical answers under integer weights,
-agreement to roundoff under fractional ones.
+agreement to roundoff under fractional ones.  A kept ``W`` is one more
+association order under that contract; its diagonal is summed in the
+threaded order, so a row scored from it and the same row threaded alone
+(:func:`~repro.engine.kernels.row_norms`) agree bit for bit under any
+weights.
 
 Objects the numerator never reaches score ``+0.0`` on both paths: the
 materialized kernel computes ``2·0/denom`` (or masks a zero
@@ -87,29 +102,6 @@ def _thread(block, mats, tally: list):
     return block.tocsr()
 
 
-def _row_norms(block) -> np.ndarray:
-    """Squared row norms of a CSR block — the PathSim diagonal entries
-    of its rows.
-
-    Sums the squared stored entries per row straight off the CSR arrays
-    (``multiply(block).sum(axis=1)`` builds a whole second matrix first).
-    Values match the materialized diagonal exactly: integer weights make
-    every square and sum exact in float64, independent of summation
-    order."""
-    out = np.zeros(block.shape[0])
-    data = np.asarray(block.data, dtype=np.float64)
-    if data.size == 0:
-        return out
-    sq = data * data
-    indptr = block.indptr
-    nonempty = np.flatnonzero(np.diff(indptr) > 0)
-    # reduceat over the nonempty rows' start offsets: each segment runs
-    # to the next listed start, and the skipped (empty) rows contribute
-    # no entries in between, so segment sums are exactly the row sums.
-    out[nonempty] = np.add.reduceat(sq, indptr[nonempty])
-    return out
-
-
 def _suffix_bound(v: float, diag_i: float) -> float:
     """Upper bound on any PathSim score a candidate with numerator
     ``<= v`` can still achieve against a query of diagonal *diag_i*.
@@ -144,6 +136,15 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     top *need* of the returned vector are therefore NOT the true
     scores; callers selecting ``k <= need`` entries see bit-identical
     answers.
+
+    On an ``auto`` engine, a query on a path with no cached entry whose
+    numerator reaches every source object, and whose scan's first block
+    takes every candidate, would thread every row of ``W`` anyway: it
+    threads them as one block, caches that block and its diagonal as
+    the path's ``("pathsim", key)`` entry
+    (:meth:`~repro.engine.engine.MetaPathEngine._pathsim_entry`), and
+    scores from it, so the path's next query is a materialized hit.  A
+    scan pruned to fewer rows never keeps anything.
     """
     first, second = _half_chains(engine, mp)
     key = mp.canonical_key()
@@ -154,15 +155,16 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     tally = engine._fused_tally.setdefault(key, [0, 0, 0, 0])
     tally[0] += 1
 
-    def thread(rows: np.ndarray):
-        """Rows *rows* of ``W``: one CSR row slice, threaded on."""
-        block = _thread(first[0][rows], first[1:], tally)
-        tally[2] += rows.size
+    def thread(rows: np.ndarray | None = None):
+        """Rows *rows* of ``W`` (every row for ``None``): one CSR row
+        slice, threaded on."""
+        block = _thread(first[0] if rows is None else first[0][rows], first[1:], tally)
+        tally[2] += block.shape[0]
         tally[3] += block.nnz
         return block
 
     w_q = thread(np.array([i], dtype=np.int64))
-    diag_i = float(_row_norms(w_q)[0])
+    diag_i = float(kernels.row_norms(w_q)[0])
     num = _thread(w_q, second, tally)
     n = num.shape[1]
     scores = np.zeros(n)
@@ -172,6 +174,15 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     vals = np.asarray(num.data, dtype=np.float64)
 
     cached = engine._cache.get(("pathsim", key))
+    # The scan threads candidates' rows in blocks of `chunk` and up.  The
+    # bound only dominates for non-negative numerators (the library's
+    # weights are counts); anything else takes every candidate at once.
+    pruned = need is not None and vals.min() >= 0.0
+    chunk = max(4 * max(need, 1), 64) if pruned else cols.size
+    if cached is None and cols.size == n and chunk >= n and engine.topk_mode == "auto":
+        # The first block would be every row of W: keep it as the entry.
+        cached = engine._pathsim_entry(thread())
+        engine._cache.put(("pathsim", key), cached)
     if cached is not None:
         scores[cols] = kernels.pathsim_scores(vals, diag_i + cached[1][cols])
         return scores
@@ -179,19 +190,17 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     def score_into(take: np.ndarray) -> np.ndarray:
         """Thread diagonals for candidate positions *take*, fill scores."""
         ccols, cvals = cols[take], vals[take]
-        block = kernels.pathsim_scores(cvals, diag_i + _row_norms(thread(ccols)))
+        block = kernels.pathsim_scores(cvals, diag_i + kernels.row_norms(thread(ccols)))
         scores[ccols] = block
         return block
 
-    # The bound only dominates for non-negative numerators (the library's
-    # weights are counts); anything else falls back to the full scan.
-    if need is None or need >= cols.size or vals.min() < 0.0:
+    if chunk >= cols.size:
         score_into(np.arange(cols.size))
         return scores
 
     order = np.lexsort((cols, -vals))  # descending numerator, then index
     pool = np.empty(0)  # running top-`need` computed scores
-    done, chunk = 0, max(4 * max(need, 1), 64)
+    done = 0
     while done < order.size:
         computed = score_into(order[done : done + chunk])
         done += computed.size
@@ -200,9 +209,7 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
         pool = np.concatenate([pool, computed])
         if pool.size > need:
             pool = np.partition(pool, pool.size - need)[pool.size - need :]
-        if pool.size >= need and _suffix_bound(
-            vals[order[done]], diag_i
-        ) < pool.min():
+        if pool.size >= need and _suffix_bound(vals[order[done]], diag_i) < pool.min():
             break  # no unvisited candidate can strictly beat the cut
         chunk *= 2
     return scores

@@ -61,6 +61,7 @@ __all__ = [
     "pathsim_partial",
     "pathsim_reach",
     "reach_flops",
+    "row_norms",
 ]
 
 
@@ -68,6 +69,30 @@ def pathsim_scores(numerators, denominators) -> np.ndarray:
     """``2·numerators / denominators``, exactly ``0.0`` wherever the
     denominator is zero (an object with no path instances at all)."""
     return safe_divide(2.0 * numerators, denominators)
+
+
+def row_norms(block) -> np.ndarray:
+    """Squared row norms of a CSR block — the PathSim diagonal entries
+    of its rows.
+
+    Sums the squared stored entries per row, in stored order, straight
+    off the CSR arrays (``multiply(block).sum(axis=1)`` builds a whole
+    second matrix first).  A row threaded alone and the same row of a
+    threaded block keep one entry order, so their norms are bitwise
+    equal under any weights; integer weights make every square and sum
+    exact in float64 whatever the order."""
+    out = np.zeros(block.shape[0])
+    data = np.asarray(block.data, dtype=np.float64)
+    if data.size == 0:
+        return out
+    sq = data * data
+    indptr = block.indptr
+    nonempty = np.flatnonzero(np.diff(indptr) > 0)
+    # reduceat over the nonempty rows' start offsets: each segment runs
+    # to the next listed start, and the skipped (empty) rows contribute
+    # no entries in between, so segment sums are exactly the row sums.
+    out[nonempty] = np.add.reduceat(sq, indptr[nonempty])
+    return out
 
 
 def dense_row(rows, i: int = 0) -> np.ndarray:

@@ -287,6 +287,10 @@ class MetaPath:
                     f"meta-path steps do not chain: {a.to_type!r} != {b.from_type!r}"
                 )
         self._steps = tuple(steps)
+        # Immutable, so the cache key and its symmetry are worked out
+        # once, not per query.
+        self._key = tuple((s.relation.name, s.forward) for s in self._steps)
+        self._symmetric = self._key == tuple((n, not f) for n, f in reversed(self._key))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -408,7 +412,7 @@ class MetaPath:
         materializations across spellings, and a prefix of a longer path
         keys the same entry as the shorter path itself.
         """
-        return tuple((s.relation.name, s.forward) for s in self._steps)
+        return self._key
 
     def prefix(self, length: int) -> "MetaPath":
         """The sub-path consisting of the first *length* steps."""
@@ -423,9 +427,7 @@ class MetaPath:
 
         PathSim is only defined for symmetric meta-paths (e.g. ``APCPA``).
         """
-        fwd = [(s.relation.name, s.forward) for s in self._steps]
-        bwd = [(s.relation.name, not s.forward) for s in reversed(self._steps)]
-        return fwd == bwd
+        return self._symmetric
 
     def reversed(self) -> "MetaPath":
         """The meta-path traversed target-to-source."""

@@ -293,18 +293,20 @@ class TestAutoDispatch:
 
     def test_fused_work_as_large_as_the_half_product_materializes(self):
         # Every a links to the same three b's: each query reaches every
-        # source and threads all of W's rows, so a fused query threads 86
-        # entries against W's 60 and auto materializes exactly at the
-        # threshold.
+        # source and threads all of W's rows, so the first fused query
+        # keeps the W it threaded as the path's entry and every later
+        # one is a materialized hit, with no planner build of the half.
         hin = _ab_hin([(a, b) for a in range(20) for b in range(3)], n_a=20)
         t = _FUSED_AUTO_THRESHOLD
         engine, modes = self._serve_past_threshold(
             hin, "a-b-a", list(range(t + 3))
         )
-        assert modes == ["fused"] * t + ["materialize"] * 3
-        assert engine.kernel_counters == {"fused": t, "materialize": 3}
+        assert modes == ["fused"] + ["materialize"] * (t + 2)
+        assert engine.kernel_counters == {"fused": 1, "materialize": t + 2}
         key = engine.symmetric_path("a-b-a").canonical_key()
         assert engine._cache.peek(("pathsim", key)) is not None
+        assert [k for k in engine._cache.keys() if k[0] == "product"] == []
+        assert engine._planner.counters["planned_products"] == 0
 
     def test_explain_names_a_forced_kernel(self, small_bib):
         # A forced engine runs its kernel whatever the cache holds, and
@@ -381,6 +383,187 @@ class TestAutoDispatch:
                 assert list(res) == refs[(path, q, k)], (op, res.mode)
         counters = engine.kernel_counters
         assert counters["fused"] + counters["materialize"] > 0
+
+
+def _venue_hin(seed=0):
+    """Integer-weighted authors, papers and five venues, linked densely
+    enough that every venue path's numerator reaches every venue."""
+    rng = np.random.default_rng(seed)
+    counts = {"a": 30, "p": 60, "v": 5}
+
+    def links(src, dst, n):
+        return list(
+            zip(
+                rng.integers(0, counts[src], n).tolist(),
+                rng.integers(0, counts[dst], n).tolist(),
+                rng.integers(1, 4, n).tolist(),
+            )
+        )
+
+    schema = NetworkSchema(["a", "p", "v"], [("w", "a", "p"), ("pv", "p", "v")])
+    edges = {"w": links("a", "p", 150), "pv": [(p, p % 5, 1) for p in range(60)]}
+    return HIN.from_edges(schema, nodes=counts, edges=edges)
+
+
+class TestHarvest:
+    """An ``auto`` query whose scan would thread every row of ``W`` keeps
+    that ``W`` as the path's ``("pathsim", key)`` entry."""
+
+    PATHS = ("v-p-a-p-v", "v-p-a-p-a-p-v")
+
+    def _harvested(self, hin, path, q=0, k=3):
+        engine = MetaPathEngine(hin)
+        res = engine.pathsim_top_k(path, q, k)
+        assert res.mode == "fused"
+        key = engine.symmetric_path(path).canonical_key()
+        return engine, res, engine._cache.peek(("pathsim", key))
+
+    def test_the_harvested_entry_is_the_planned_one_bitwise(self):
+        hin = _venue_hin()
+        for path in self.PATHS:
+            engine, _, entry = self._harvested(hin, path)
+            assert entry is not None
+            (w, diag), (w_ref, diag_ref) = entry, MetaPathEngine(hin)._pathsim_parts(path)
+            assert w.has_canonical_format and w.shape == w_ref.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(w, name), getattr(w_ref, name))
+            assert np.array_equal(diag, diag_ref)
+            # One fused query, then materialized hits; no planner build.
+            assert engine._fused_tally[engine.symmetric_path(path).canonical_key()][0] == 1
+            assert engine._planner.counters["planned_products"] == 0
+            assert engine.explain(path).kernel == "materialize"
+            reference = MetaPathEngine(hin, mode="materialize")
+            for q in range(5):
+                res = engine.pathsim_top_k(path, q, 3)
+                assert res.mode == "materialize"
+                assert list(res) == list(reference.pathsim_top_k(path, q, 3))
+
+    def test_a_forced_fused_engine_never_harvests(self):
+        hin = _venue_hin()
+        for path in self.PATHS:
+            engine = MetaPathEngine(hin, mode="fused")
+            reference = MetaPathEngine(hin, mode="materialize")
+            for q in range(5):
+                assert list(engine.pathsim_top_k(path, q, 3)) == list(
+                    reference.pathsim_top_k(path, q, 3)
+                )
+            key = engine.symmetric_path(path).canonical_key()
+            assert engine._fused_tally[key][0] == 5
+            assert [k for k in engine._cache.keys() if k[0] == "pathsim"] == []
+
+    def test_a_pruned_query_never_harvests(self):
+        # 100 sources that all reach each other: k=2 needs 3 rows, and
+        # the scan's first block (64 rows) is fewer than the candidates.
+        hin = _ab_hin([(a, b) for a in range(100) for b in range(3)], n_a=100, n_b=3)
+        engine = MetaPathEngine(hin)
+        res = engine.pathsim_top_k("a-b-a", 0, 2)
+        reference = MetaPathEngine(hin, mode="materialize").pathsim_top_k("a-b-a", 0, 2)
+        assert res.mode == "fused" and list(res) == list(reference)
+        key = engine.symmetric_path("a-b-a").canonical_key()
+        assert engine._cache.peek(("pathsim", key)) is None
+        assert engine.explain("a-b-a").kernel == "fused"
+
+    def test_a_kept_w_scores_a_row_as_threading_it_alone_does(self):
+        # Fractional weights: sums round, so the order decides the bits.
+        # The kept diagonal is summed in the threaded order, so a batch
+        # row read off it equals the same query threaded on a fresh
+        # engine bit for bit (summed in sorted order, some rows differ).
+        rng = np.random.default_rng(0)
+        counts = {"a": 12, "p": 40}
+        writes = zip(*(rng.integers(0, counts[t], 60).tolist() for t in "ap"))
+        hin = HIN.from_edges(
+            NetworkSchema(["a", "p"], [("w", "a", "p")]),
+            nodes=counts,
+            edges={"w": [(a, p, w) for (a, p), w in zip(writes, rng.uniform(0.01, 4.0, 60))]},
+        )
+        path = "a-p-a-p-a"
+        key = ("pathsim", MetaPathEngine(hin).symmetric_path(path).canonical_key())
+        engine, _, entry = self._harvested(hin, path, q=0, k=4)
+        assert entry is not None and engine._fused_tally[key[1]][0] == 1
+        compared = 0
+        for j in range(1, counts["a"]):
+            fresh = MetaPathEngine(hin)
+            solo = fresh.pathsim_top_k(path, j, 4)
+            if fresh._cache.peek(key) is not None:
+                continue  # j reaches every author and keeps W itself
+            (_, row) = MetaPathEngine(hin).pathsim_top_k_batch(path, [0, j], 4)
+            assert row.mode == solo.mode == "fused"
+            assert list(row) == list(solo)
+            compared += 1
+        assert compared >= 5
+
+    def test_two_threads_harvesting_at_once_leave_one_entry(self):
+        import threading
+
+        hin = _venue_hin()
+        path = self.PATHS[1]
+        engine = MetaPathEngine(hin)
+        barrier = threading.Barrier(2, timeout=30)
+        build = engine._pathsim_entry
+
+        def both_inside(w):
+            barrier.wait()  # both threads are past the cache miss
+            return build(w)
+
+        engine._pathsim_entry = both_inside
+        results = {}
+
+        def serve(q):
+            results[q] = engine.pathsim_top_k(path, q, 3)
+
+        threads = [threading.Thread(target=serve, args=(q,)) for q in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not barrier.broken and sorted(results) == [0, 1]
+        del engine._pathsim_entry
+        reference = MetaPathEngine(hin, mode="materialize")
+        for q in (0, 1):
+            assert results[q].mode == "fused"
+            assert list(results[q]) == list(reference.pathsim_top_k(path, q, 3))
+        assert [k for k in engine._cache.keys() if k[0] == "pathsim"] == [
+            ("pathsim", engine.symmetric_path(path).canonical_key())
+        ]
+        for q in range(5):
+            res = engine.pathsim_top_k(path, q, 3)
+            assert res.mode == "materialize"
+            assert list(res) == list(reference.pathsim_top_k(path, q, 3))
+
+    def test_threads_racing_on_cold_paths_agree(self):
+        # More threads than cores, switching often, all on cold paths of
+        # one auto engine: every answer is the materialized one and each
+        # path ends with exactly one entry.
+        import sys
+        import threading
+
+        hin = _venue_hin(seed=1)
+        engine = MetaPathEngine(hin)
+        reference = MetaPathEngine(hin, mode="materialize")
+        expected = {
+            (p, q): list(reference.pathsim_top_k(p, q, 3)) for p in self.PATHS for q in range(5)
+        }
+        wrong = []
+
+        def serve(offset):
+            for p, q in list(expected)[offset:] + list(expected)[:offset]:
+                if list(engine.pathsim_top_k(p, q, 3)) != expected[(p, q)]:
+                    wrong.append((p, q))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
+        held = sorted(k for k in engine._cache.keys() if k[0] == "pathsim")
+        keys = (engine.symmetric_path(p).canonical_key() for p in self.PATHS)
+        assert held == sorted(("pathsim", key) for key in keys)
 
 
 class TestUnifiedEmptyShape:

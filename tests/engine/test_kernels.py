@@ -156,8 +156,9 @@ def test_fractional_weights_keep_the_link_weight_contract():
     the routes that read one materialized ``W`` through these kernels
     (materialize, the partial block, the sharded scatter) stay bitwise
     equal, and the routes that sum or associate in another order (fused
-    row threading, the left-to-right ``hin.commuting_matrix`` against
-    the planned order, maintained vs rebuilt) agree to ``rtol=1e-12``."""
+    row threading, the ``W`` a fused query threads whole and keeps, the
+    left-to-right ``hin.commuting_matrix`` against the planned order,
+    maintained vs rebuilt) agree to ``rtol=1e-12``."""
     rng = np.random.default_rng(5)
     counts = {"a": 60, "p": 150, "v": 6}
 
@@ -194,6 +195,20 @@ def test_fractional_weights_keep_the_link_weight_contract():
     fused = MetaPathEngine(hin, mode="fused")
     for row, q in zip(rows, queries.tolist()):
         result = fused.pathsim_top_k(path, q, k)
+        np.testing.assert_allclose(result.scores, row[result.labels], rtol=1e-12)
+
+    # The first auto query on a venue path threads every row of W and
+    # keeps it: summed in the threaded order, not the plan's.
+    venues = "v-p-a-p-a-p-v"
+    auto = MetaPathEngine(hin)
+    assert auto.pathsim_top_k(venues, 0, 3).mode == "fused"
+    w_h, diag_h = auto._cache.peek(("pathsim", auto.symmetric_path(venues).canonical_key()))
+    w_p, diag_p = mat._pathsim_parts(venues)
+    np.testing.assert_allclose(w_h.toarray(), w_p.toarray(), rtol=1e-12)
+    np.testing.assert_allclose(diag_h, diag_p, rtol=1e-12)
+    for q, row in enumerate(mat.pathsim_rows(venues, range(counts["v"]))):
+        result = auto.pathsim_top_k(venues, q, 3)
+        assert result.mode == "materialize"
         np.testing.assert_allclose(result.scores, row[result.labels], rtol=1e-12)
     m = hin.commuting_matrix(path).toarray()
     diag_m = np.diag(m)

@@ -198,6 +198,48 @@ class TestFusedOracle:
 
 
 @st.composite
+def dense_hins(draw):
+    """The property schema with every ``a-b`` and ``b-c`` pair linked at a
+    drawn integer weight, so every symmetric path's numerator reaches
+    every source object and an ``auto`` engine's first query keeps the
+    ``W`` it threads."""
+    counts = {"a": 4, "b": 3, "c": 2}
+
+    def links(src, dst):
+        return [
+            (u, v, draw(st.integers(1, 3)))
+            for u in range(counts[src])
+            for v in range(counts[dst])
+        ]
+
+    return HIN.from_edges(
+        _schema(), nodes=counts, edges={"r_ab": links("a", "b"), "r_bc": links("b", "c")}
+    )
+
+
+class TestHarvest:
+    @given(dense_hins(), symmetric_paths(), update_batches(), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_a_harvested_entry_is_maintained_like_a_built_one(self, hin, path, batches, k):
+        """An ``auto`` engine keeps the ``W`` its first query threads, then
+        takes a random update stream: every answer, before and after each
+        commit, equals a cold ``mode="materialize"`` engine's at that
+        epoch."""
+        engine = hin.engine()  # incrementally maintained by hin.apply()
+        key = ("pathsim", engine.symmetric_path(path).canonical_key())
+        src = path.split("-")[0]
+        assert engine.pathsim_top_k(path, 0, k).mode == "fused"
+        assert engine._cache.peek(key) is not None
+        for batch in [None, *batches]:
+            if batch is not None:
+                hin.apply(batch)
+            cold = MetaPathEngine(hin, mode="materialize")
+            for query in range(hin.node_count(src)):
+                got = engine.pathsim_top_k(path, query, k)
+                assert list(got) == list(cold.pathsim_top_k(path, query, k))
+
+
+@st.composite
 def weighted_hins(draw):
     """The property schema with random links: integer weights, or
     fractional ones (the "Link weights" contract's other half)."""

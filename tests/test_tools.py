@@ -77,8 +77,9 @@ def test_route_census_smoke_counts_the_top_k_route(capsys):
 
 
 def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
-    """``--smoke``: the cost table and one deep_path round's cache entries,
-    one row per deep path each, with nothing left in the checkout."""
+    """``--smoke``: the cost table and one deep_path round's cache entries
+    with the fused queries each path served, one row per deep path each,
+    with nothing left in the checkout."""
     kernel_costs = _load("kernel_costs")
     deep_paths = kernel_costs._harness().DEEP_PATHS
     watched = (TOOLS.parent, TOOLS.parent / "benchmarks" / "perf")
@@ -99,7 +100,11 @@ def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
     assert lines[2 + n].endswith("errors=0")
     held = [row.split() for row in lines[3 + n :]]
     assert [row[0] for row in held] == deep_paths
-    assert all(row[-1] in ("cached", "absent") for row in held)
+    assert all(row[1:3] == ["pathsim", "entry"] for row in held)
+    assert all(row[3] in ("cached", "absent") for row in held)
+    assert all(row[4:6] == ["fused", "queries"] and int(row[6]) >= 0 for row in held)
+    # A path served fused at all served at least its first query so.
+    assert all(int(row[6]) > 0 for row in held if row[3] == "absent")
     assert _listing(*watched) == before
 
 

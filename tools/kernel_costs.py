@@ -18,7 +18,10 @@ three ways, each on a fresh engine over the workload's network:
 ``nnz(W)`` is the materialized half product's.  Then it runs one
 measured ``deep_path`` round, exactly as the benchmark does (seeded
 ops, a ``QueryService`` on a cold engine), and prints which deep paths
-ended it holding a ``("pathsim", …)`` cache entry.
+ended it holding a ``("pathsim", …)`` cache entry and how many fused
+queries each served in it (once a path holds its entry ``auto`` serves it
+materialized, so for a held path that is the count before it held it: 1
+where the first fused query kept the ``W`` it threaded).
 
 Last comes the reach route (:func:`reach_main`).  Each ``HOT_PATHS`` or
 ``DEEP_PATHS`` entry whose half ``W`` the engine reads by column for
@@ -104,15 +107,16 @@ def path_costs(hin, path, queries) -> dict:
 
 
 def round_entries(harness, ctx) -> tuple:
-    """``({path: holds a ("pathsim", …) entry}, kernel counters, errors)``
-    after one measured ``deep_path`` round."""
+    """``({path: (holds a ("pathsim", …) entry, fused queries served)},
+    kernel counters, errors)`` after one measured ``deep_path`` round."""
     workload = harness.WORKLOADS["deep_path"](ctx)
     last = workload.round(warmup=False)  # the same work as a measured round
     engine = last.hin.engine()
     held = {}
     for path in harness.DEEP_PATHS:
-        key = ("pathsim", engine.symmetric_path(path).canonical_key())
-        held[path] = engine._cache.peek(key) is not None
+        key = engine.symmetric_path(path).canonical_key()
+        served = engine._fused_tally.get(key, [0])[0]
+        held[path] = (engine._cache.peek(("pathsim", key)) is not None, served)
     return held, dict(engine.kernel_counters), last.errors
 
 
@@ -162,8 +166,9 @@ def main(argv=None) -> int:
             )
         held, kernels, errors = round_entries(harness, ctx)
         print(f"# one deep_path round: kernels {kernels}, errors={errors}")
-        for path, cached in held.items():
-            print(f"{path:<16}pathsim entry {'cached' if cached else 'absent'}")
+        for path, (cached, served) in held.items():
+            state = "cached" if cached else "absent"
+            print(f"{path:<16}pathsim entry {state:<7}fused queries {served}")
     return 0 if errors == 0 else 1
 
 
