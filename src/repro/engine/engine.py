@@ -61,7 +61,7 @@ import scipy.sparse as sp
 from dataclasses import replace as _dc_replace
 
 from repro.engine import kernels
-from repro.engine.fused import fused_row_scores
+from repro.engine.fused import _FUSED_AUTO_THRESHOLD, fused_row_scores
 from repro.engine.planner import ChainPlanner, PlanReport
 from repro.exceptions import MetaPathError, NodeNotFoundError
 from repro.networks.schema import MetaPath
@@ -81,10 +81,6 @@ __all__ = ["MetaPathEngine"]
 #: traverse it are evicted (they rebuild lazily) instead of computing a
 #: delta denser than a rebuild.
 _DELTA_REBUILD_THRESHOLD = 0.25
-
-#: Auto-dispatch serves a cold path's first answers fused (threading rows
-#: is cheap) and weighs materializing it once this many have gone through.
-_FUSED_AUTO_THRESHOLD = 4
 
 #: Past the threshold a path materializes only while the estimated
 #: ``nnz(W)`` (what one materialized query scans) is at most this many
@@ -182,8 +178,10 @@ class MetaPathEngine:
         self._cache = LRUCache(max_cached_matrices)
         self._rwlock = RWLock()
         self.topk_mode = _check_mode(mode)
-        # Per path: what the fused route threaded (see engine/fused.py).
+        # Per path: what the fused route threaded, and the PathSim
+        # diagonal a path auto keeps fused holds (see engine/fused.py).
         self._fused_tally: dict[tuple, list[int]] = {}
+        self._held_diag: dict[tuple, np.ndarray] = {}
         # Fused-vs-materialized dispatch counters (see planner_info()).
         self.kernel_counters = {"fused": 0, "materialize": 0}
         self._planner = ChainPlanner(self)
@@ -233,6 +231,7 @@ class MetaPathEngine:
         version = getattr(self.hin, "version", 0)
         if version != self._epoch:
             self._cache.clear()
+            self._held_diag = {}
             self._epoch = version
 
     # ------------------------------------------------------------------
@@ -317,7 +316,10 @@ class MetaPathEngine:
         queries stays fused.  An auto query whose fused scan threads
         every row of ``W`` keeps it as the path's entry
         (:func:`~repro.engine.fused.fused_row_scores`), so the next
-        query finds it cached.
+        query finds it cached.  A path that stays fused past the
+        threshold holds its diagonal, streamed once, and scores its
+        candidates from it (the engine's ``_held_diag``); that stream is
+        no query and leaves the count alone, so it never tips the choice.
         Answers are bit-identical either way; only the cost differs.
         """
         self._sync()
@@ -337,8 +339,8 @@ class MetaPathEngine:
         """
         self._sync()
         mp = self.path(path)
-        steps = tuple(mp.steps())
-        key = ("product", mp.canonical_key())
+        steps = mp.canonical_key()
+        key = ("product", steps)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -375,7 +377,7 @@ class MetaPathEngine:
 
         def compute():
             """Materialize the half product and its row-norm diagonal."""
-            steps = tuple(mp.steps())
+            steps = key[1]
             return self._pathsim_entry(self._planner.materialize(steps[: len(steps) // 2]))
 
         return self._cache.get_or_compute(key, compute)
@@ -658,7 +660,7 @@ class MetaPathEngine:
             w, _ = pathsim
             return w.dot(kernels.dense_row(w, i))
         row = None
-        for m in self._planner.row_chain(tuple(mp.steps())):
+        for m in self._planner.row_chain(key):
             row = m.getrow(i) if row is None else row.dot(m)
         return np.asarray(row.todense()).ravel()
 
@@ -722,6 +724,10 @@ class MetaPathEngine:
         delta); untouched entries are kept, padded with zero rows/columns
         when an endpoint type grew.
 
+        A commit drops every held fused diagonal
+        (:mod:`repro.engine.fused`), as ``_sync()`` does; the path's next
+        query past the threshold streams it anew.
+
         How maintained matrices compare with rebuilt ones is the "Link
         weights" contract in ``docs/ARCHITECTURE.md``.
 
@@ -768,8 +774,8 @@ class MetaPathEngine:
                 self._cache.pop(key)
                 report["evicted"] += 1
                 continue
-            grown_src = self._step_from_type(steps[0]) in update.node_growth
-            grown_dst = self._step_to_type(steps[-1]) in update.node_growth
+            grown_src = self._step_types(steps[0])[0] in update.node_growth
+            grown_dst = self._step_types(steps[-1])[1] in update.node_growth
             if not (rels & update.deltas.keys()):
                 if grown_src or grown_dst:
                     self._cache.replace(key, self._padded(key, kind, steps))
@@ -780,24 +786,20 @@ class MetaPathEngine:
             report["rows_touched"] += self._maintain_entry(key, kind, steps, update, scratch)
             report["rows_total"] += self._entry_shape(steps)[0]
             report["updated"] += 1
+        self._held_diag = {}
         self._epoch = update.epoch
         return report
 
-    def _step_from_type(self, step: tuple) -> str:
-        name, forward = step
-        rel = self.hin.schema.relation(name)
-        return rel.source if forward else rel.target
-
-    def _step_to_type(self, step: tuple) -> str:
-        name, forward = step
-        rel = self.hin.schema.relation(name)
-        return rel.target if forward else rel.source
+    def _step_types(self, step: tuple) -> tuple[str, str]:
+        """``(from, to)`` node types of one ``(relation name, forward)`` step."""
+        rel = self.hin.schema.relation(step[0])
+        return (rel.source, rel.target) if step[1] else (rel.target, rel.source)
 
     def _entry_shape(self, steps: tuple) -> tuple[int, int]:
         """Post-update shape of the product over *steps*."""
         return (
-            self.hin.node_count(self._step_from_type(steps[0])),
-            self.hin.node_count(self._step_to_type(steps[-1])),
+            self.hin.node_count(self._step_types(steps[0])[0]),
+            self.hin.node_count(self._step_types(steps[-1])[1]),
         )
 
     def _padded(self, key: tuple, kind: str, steps: tuple):
@@ -1083,7 +1085,7 @@ class MetaPathEngine:
         """
         self._sync()
         mp = self.path(path)
-        steps = tuple(mp.steps())
+        steps = mp.canonical_key()
         symmetric = mp.is_symmetric()
         if symmetric:
             steps = steps[: len(steps) // 2]
@@ -1109,6 +1111,7 @@ class MetaPathEngine:
         """Drop every materialized matrix (the blunt alternative to
         :meth:`apply_update`)."""
         self._cache.clear()
+        self._held_diag = {}
         self._epoch = getattr(self.hin, "version", 0)
 
     def __repr__(self) -> str:

@@ -42,7 +42,27 @@ either: it scores the materialized ``(W, diag)``
 Each query also counts what it threaded into the engine's per-path
 tally: the rows of ``W`` and their nnz, and every product's stored
 entries.  Auto-dispatch prices materializing the path from that tally
-(:meth:`~repro.engine.engine.MetaPathEngine._auto_choice`).
+(:meth:`~repro.engine.engine.MetaPathEngine._auto_choice`).  A
+diagonal stream (below) is not a query and counts nothing: counted, its
+whole pass over ``W`` would tip ``P-A-P-A-P`` into building the 6.94 M
+entries the count exists to spare.
+
+Held diagonal
+-------------
+A query past ``_FUSED_AUTO_THRESHOLD`` on an ``auto`` engine runs on a
+path the cost rule priced as staying fused, so its candidates' diagonals
+will be wanted again and again.  The first such query streams the whole
+diagonal once (:func:`half_norms`: rows ``0..n-1`` of the first half in
+blocks of ``_STREAM_ROWS``, keeping only the length-*n* vector, never
+``W``) into the engine's ``_held_diag`` next to the tally; it and every
+later query score their candidates straight from it, with no pruned
+scan.  The vector never enters the LRU cache, so exports, snapshots and
+generations do not see it.  It is replaced, never written to:
+``_sync()``, ``clear_cache()`` and every commit
+(:meth:`~repro.engine.engine.MetaPathEngine.apply_update`) drop it, and
+the path's next query past the threshold streams it anew.  A forced
+``"fused"`` engine and a path's first ``_FUSED_AUTO_THRESHOLD`` queries
+keep the pruned scan.
 
 Exactness
 ---------
@@ -53,7 +73,13 @@ agreement to roundoff under fractional ones.  A kept ``W`` is one more
 association order under that contract; its diagonal is summed in the
 threaded order, so a row scored from it and the same row threaded alone
 (:func:`~repro.engine.kernels.row_norms`) agree bit for bit under any
-weights.
+weights.  A held diagonal is summed the same way, one row of a block at
+a time, through the chains the half collapses to when it streams: a
+pruned scan through those same chains threads each candidate's norm bit
+for bit.  A scan that runs after the span cache changed (a product such
+as ``P-A-P`` cached since) threads other chains; that is one more
+association order, bitwise under integer weights and equal to roundoff
+under fractional ones.
 
 Objects the numerator never reaches score ``+0.0`` on both paths: the
 materialized kernel computes ``2·0/denom`` (or masks a zero
@@ -72,7 +98,19 @@ import numpy as np
 
 from repro.engine import kernels
 
-__all__ = ["fused_row_scores"]
+__all__ = ["fused_row_scores", "half_norms"]
+
+#: Auto-dispatch serves a cold path's first answers fused (threading rows
+#: is cheap) and weighs materializing it once this many have gone through;
+#: a path still fused past it holds its diagonal.
+_FUSED_AUTO_THRESHOLD = 4
+
+#: Rows of ``W`` per block of a diagonal stream.  Streaming ``P-A-P-A-P``'s
+#: 36,000 rows at dblp_6k took 98 / 86 / 82 / 88 / 105 ms (best of five)
+#: in blocks of 256 / 512 / 1,024 / 2,048 / 4,096 rows, at a tracemalloc
+#: peak of 1.6 / 2.8 / 5.2 / 9.8 / 19.1 MiB (2-vCPU x86-64, numpy 2.4,
+#: scipy 1.17).
+_STREAM_ROWS = 1024
 
 
 def _half_chains(engine, mp):
@@ -82,11 +120,11 @@ def _half_chains(engine, mp):
     ``second`` to ``Wᵀ``; threading a row through ``first + second``
     yields the commuting-matrix row.  Each half goes through the
     planner's cached-span collapse."""
-    steps = tuple(mp.steps())
-    half = len(steps) // 2
+    key = mp.canonical_key()
+    half = len(key) // 2
     return (
-        engine._planner.row_chain(steps[:half]),
-        engine._planner.row_chain(steps[half:]),
+        engine._planner.row_chain(key[:half]),
+        engine._planner.row_chain(key[half:]),
     )
 
 
@@ -100,6 +138,18 @@ def _thread(block, mats, tally: list):
         block = block.dot(m)
         tally[1] += block.nnz
     return block.tocsr()
+
+
+def half_norms(first) -> np.ndarray:
+    """Squared norms of every row of ``W``: the half chain *first*
+    threaded ``_STREAM_ROWS`` rows at a time, each block dropped once its
+    norms are read.  A diagonal stream; nothing goes into a tally."""
+    n = first[0].shape[0]
+    out = np.empty(n)
+    for lo in range(0, n, _STREAM_ROWS):
+        block = _thread(first[0][lo : lo + _STREAM_ROWS], first[1:], [0, 0])
+        out[lo : lo + block.shape[0]] = kernels.row_norms(block)
+    return out
 
 
 def _suffix_bound(v: float, diag_i: float) -> float:
@@ -144,7 +194,11 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     the path's ``("pathsim", key)`` entry
     (:meth:`~repro.engine.engine.MetaPathEngine._pathsim_entry`), and
     scores from it, so the path's next query is a materialized hit.  A
-    scan pruned to fewer rows never keeps anything.
+    scan pruned to fewer rows never keeps anything.  Past
+    ``_FUSED_AUTO_THRESHOLD`` queries on a path that holds no entry, an
+    ``auto`` engine scores every candidate from the path's held diagonal
+    instead, streamed by the first such query (:func:`half_norms`; see
+    the module docstring); the stream is not tallied.
     """
     first, second = _half_chains(engine, mp)
     key = mp.canonical_key()
@@ -179,10 +233,17 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     # weights are counts); anything else takes every candidate at once.
     pruned = need is not None and vals.min() >= 0.0
     chunk = max(4 * max(need, 1), 64) if pruned else cols.size
-    if cached is None and cols.size == n and chunk >= n and engine.topk_mode == "auto":
+    auto = cached is None and engine.topk_mode == "auto"
+    if auto and cols.size == n and chunk >= n:
         # The first block would be every row of W: keep it as the entry.
         cached = engine._pathsim_entry(thread())
         engine._cache.put(("pathsim", key), cached)
+    elif auto and tally[0] > _FUSED_AUTO_THRESHOLD:
+        # A path priced as staying fused: score from its held diagonal.
+        held = engine._held_diag.get(key)
+        if held is None:
+            held = engine._held_diag[key] = half_norms(first)
+        cached = (None, held)
     if cached is not None:
         scores[cols] = kernels.pathsim_scores(vals, diag_i + cached[1][cols])
         return scores

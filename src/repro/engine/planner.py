@@ -55,6 +55,14 @@ def _inverse_steps(names: tuple) -> tuple:
     return tuple((name, not forward) for name, forward in reversed(names))
 
 
+def _span_kind(i: int, j: int, n: int) -> str:
+    """Where the span ``[i, j)`` of an *n*-step chain sits: ``"full"``,
+    ``"prefix"``, ``"suffix"`` or ``"infix"``."""
+    if i == 0:
+        return "full" if j == n else "prefix"
+    return "suffix" if j == n else "infix"
+
+
 def _flops(a: tuple, b: tuple) -> float:
     """Estimated scalar multiplies of ``A·B`` from (rows, cols, nnz)."""
     za, zb = a[2], b[2]
@@ -132,9 +140,7 @@ class PlanReport:
             f"(left-to-right {self.left_flops:.3g}, "
             f"{self.estimated_speedup:.1f}x)"
         )
-        lines.append(
-            "  seeds: " + (", ".join(self.seeds) if self.seeds else "none")
-        )
+        lines.append("  seeds: " + (", ".join(self.seeds) if self.seeds else "none"))
         if self.kernel is not None:
             lines.append(f"  top-k kernel: {self.kernel}")
         return "\n".join(lines)
@@ -143,14 +149,15 @@ class PlanReport:
 class ChainPlan:
     """The DP's output for one chain: split table, seeds, cost estimates.
 
-    ``split[(i, j)]`` records the best association split for *every*
-    interval — including seeded ones — so execution can always fall
-    back to recomputation when a seed was evicted after planning.
+    ``steps`` are the chain's ``(relation name, forward)`` pairs (a
+    canonical key's form).  ``split[(i, j)]`` records the best
+    association split for *every* interval — including seeded ones — so
+    execution can always fall back to recomputation when a seed was
+    evicted after planning.
     """
 
-    def __init__(self, steps, names, types, split, seeds, used_seeds, cost, left_cost):
+    def __init__(self, steps, types, split, seeds, used_seeds, cost, left_cost):
         self.steps = tuple(steps)
-        self.names = tuple(names)
         self.types = tuple(types)
         self.split = split
         self.seeds = seeds
@@ -176,28 +183,23 @@ class ChainPlan:
             m = self.split[(i, j)]
             return f"({render(i, m)} * {render(m, j)})"
 
-        return render(0, len(self.names))
+        return render(0, len(self.steps))
 
     def seed_notes(self) -> tuple:
         """Human-readable description of each seed the plan consumes."""
-        n = len(self.names)
+        n = len(self.steps)
         notes = []
         for (i, j), seed in sorted(self.used_seeds.items()):
-            if i == 0 and j == n:
-                kind = "full"
-            elif i == 0:
-                kind = "prefix"
-            elif j == n:
-                kind = "suffix"
-            else:
-                kind = "infix"
             via = " via transpose" if seed.inverse else ""
-            notes.append(f"{kind} {self._label(i, j)} from cache{via}")
+            notes.append(f"{_span_kind(i, j, n)} {self._label(i, j)} from cache{via}")
         return tuple(notes)
 
 
 class ChainPlanner:
     """Plans and executes chain products for one engine.
+
+    A chain is a tuple of ``(relation name, forward)`` steps: a
+    :meth:`~repro.networks.schema.MetaPath.canonical_key` or a slice of one.
 
     Call sites hold the engine's read lock; the counters are advisory
     observability (plain int adds), exposed through
@@ -225,8 +227,8 @@ class ChainPlanner:
         """``(rows, cols, nnz)`` of one oriented step, read off the stored
         matrix in O(1) — a backward step swaps the shape rather than
         building the transpose."""
-        rel, forward = step
-        m = self._engine.hin.relation_matrix(rel)
+        name, forward = step
+        m = self._engine.hin.relation_matrix(name)
         rows, cols = m.shape if forward else m.shape[::-1]
         return (rows, cols, m.nnz)
 
@@ -252,19 +254,18 @@ class ChainPlanner:
         return seeds
 
     def plan(self, steps) -> ChainPlan:
-        """Matrix-chain DP over ``steps`` (``(Relation, forward)`` pairs).
+        """Matrix-chain DP over ``steps`` (``(relation name, forward)`` pairs).
 
         Ties break deterministically: a split only replaces the
         incumbent on strictly lower cost, scanning splits left to
         right, so equal-cost chains plan identically across runs.
         """
-        steps = tuple(steps)
-        names = tuple((rel.name, fwd) for rel, fwd in steps)
+        names = tuple(steps)
         n = len(names)
         est = {}
         best = {}
         split = {}
-        for i, step in enumerate(steps):
+        for i, step in enumerate(names):
             est[(i, i + 1)] = self._leaf_stats(step)
             best[(i, i + 1)] = 0.0
         seeds = self._probe_seeds(names)
@@ -294,8 +295,8 @@ class ChainPlanner:
         for m in range(1, n):
             left_cost += _flops(acc, est[(m, m + 1)])
             acc = _combine(acc, est[(m, m + 1)])
-        types = [self._engine._step_from_type(names[0])]
-        types.extend(self._engine._step_to_type(s) for s in names)
+        types = [self._engine._step_types(names[0])[0]]
+        types.extend(self._engine._step_types(s)[1] for s in names)
         self.counters["plans"] += 1
         # Prune seeds to the spans the chosen tree actually evaluates.
         reachable = set()
@@ -311,7 +312,7 @@ class ChainPlanner:
 
         walk(0, n)
         used = {span: seed for span, seed in used.items() if span in reachable}
-        return ChainPlan(steps, names, types, split, seeds, used, best[(0, n)], left_cost)
+        return ChainPlan(names, types, split, seeds, used, best[(0, n)], left_cost)
 
     # ------------------------------------------------------------------
     # Execution
@@ -319,10 +320,8 @@ class ChainPlanner:
     def materialize(self, steps):
         """Planned, cached product over *steps*: the engine's one chain
         evaluator."""
-        steps = tuple(steps)
         if len(steps) == 1:
-            rel, forward = steps[0]
-            return self._engine.hin.oriented_matrix(rel, forward)
+            return self._engine.hin.oriented_matrix(*steps[0])
         plan = self.plan(steps)
         self._note_seeds(plan)
         self.counters["planned_products"] += 1
@@ -338,13 +337,12 @@ class ChainPlanner:
         """
         cache = self._engine._cache
         hin = self._engine.hin
-        names = plan.names
+        names = plan.steps
 
         def build(i, j):
             """Materialize one interval: leaf, cache hit, or recursive split."""
             if j - i == 1:
-                rel, forward = plan.steps[i]
-                return hin.oriented_matrix(rel, forward)
+                return hin.oriented_matrix(*names[i])
             key = ("product", names[i:j])
             inverse_key = ("product", _inverse_steps(names[i:j]))
             found, value = cache.get_first((key, inverse_key))
@@ -374,22 +372,16 @@ class ChainPlanner:
         forward (one transpose) and cached, so later queries — and
         incremental maintenance — see a normal product entry.
         """
-        steps = tuple(steps)
-        names = tuple((rel.name, fwd) for rel, fwd in steps)
+        names = tuple(steps)
         cache = self._engine._cache
-        hin = self._engine.hin
         mats, i, n = [], 0, len(names)
         while i < n:
-            advanced = False
             for j in range(n, i + 1, -1):
-                sub = names[i:j]
-                key = ("product", sub)
-                inverse_key = ("product", _inverse_steps(sub))
-                found, value = None, cache.peek(key)
-                if value is not None:
-                    found, value = cache.get_first((key,))
-                elif cache.peek(inverse_key) is not None:
-                    found, value = cache.get_first((inverse_key,))
+                key, inverse_key = ("product", names[i:j]), ("product", _inverse_steps(names[i:j]))
+                # Peek first: a span nothing caches costs no miss.
+                if cache.peek(key) is None and cache.peek(inverse_key) is None:
+                    continue
+                found, value = cache.get_first((key, inverse_key))
                 if found is None:
                     continue
                 if found == inverse_key:
@@ -399,11 +391,9 @@ class ChainPlanner:
                 self.counters["seeded_spans"] += 1
                 mats.append(value)
                 i = j
-                advanced = True
                 break
-            if not advanced:
-                rel, forward = steps[i]
-                mats.append(hin.oriented_matrix(rel, forward))
+            else:
+                mats.append(self._engine.hin.oriented_matrix(*names[i]))
                 i += 1
         return mats
 
@@ -411,29 +401,16 @@ class ChainPlanner:
     # Reporting
     # ------------------------------------------------------------------
     def _note_seeds(self, plan: ChainPlan) -> None:
-        n = len(plan.names)
+        n = len(plan.steps)
         for (i, j), seed in plan.used_seeds.items():
             self.counters["seeded_spans"] += 1
-            if seed.inverse:
-                self.counters["inverse_seeds"] += 1
-            if i == 0 and j == n:
-                self.counters["full_seeds"] += 1
-            elif i == 0:
-                self.counters["prefix_seeds"] += 1
-            elif j == n:
-                self.counters["suffix_seeds"] += 1
-            else:
-                self.counters["infix_seeds"] += 1
+            self.counters["inverse_seeds"] += seed.inverse
+            self.counters[f"{_span_kind(i, j, n)}_seeds"] += 1
 
     def report(self, steps, *, path: str, symmetric: bool) -> PlanReport:
         """:class:`PlanReport` for *steps* without executing anything."""
-        steps = tuple(steps)
         if len(steps) == 1:
-            rel, forward = steps[0]
-            label = (
-                f"{self._engine._step_from_type((rel.name, forward))}-"
-                f"{self._engine._step_to_type((rel.name, forward))}"
-            )
+            label = "-".join(self._engine._step_types(steps[0]))
             return PlanReport(path, symmetric, label, 0.0, 0.0, ())
         plan = self.plan(steps)
         return PlanReport(

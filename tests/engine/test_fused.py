@@ -18,8 +18,10 @@ from repro.engine import (
     fused_row_scores,
     kernels,
 )
+from repro.engine import fused as fused_module
 from repro.engine.engine import _FUSED_AUTO_THRESHOLD
-from repro.networks import HIN, NetworkSchema
+from repro.engine.fused import _half_chains, _thread
+from repro.networks import HIN, NetworkSchema, UpdateBatch
 
 APA = "author-paper-author"
 APVPA = "author-paper-venue-paper-author"
@@ -38,6 +40,29 @@ def _ab_hin(edges, *, n_a=4, n_b=3, extra_rel=False):
     edge_map.setdefault("r2", [] if extra_rel else None)
     edge_map = {k: v for k, v in edge_map.items() if v is not None}
     return HIN.from_edges(schema, nodes={"a": n_a, "b": n_b}, edges=edge_map)
+
+
+def _group_hin(weights=None):
+    """``P-A-P`` over papers in groups of four that share the group's
+    eight authors: ``W`` holds 8 entries for every one of 400 papers, but
+    a query reaches only its own group, so a fused query threads 52
+    entries against ``W``'s 3,200 and ``auto`` keeps the path fused.
+    *weights*, if given, draws one link weight per edge."""
+    groups, size, authors = 100, 4, 8
+    writes = [
+        (g * authors + a, g * size + p)
+        for g in range(groups) for p in range(size) for a in range(authors)
+    ]
+    if weights is not None:
+        writes = [(a, p, w) for (a, p), w in zip(writes, weights(len(writes)))]
+    return HIN.from_edges(
+        NetworkSchema(["author", "paper"], [("writes", "author", "paper")]),
+        nodes={"author": groups * authors, "paper": groups * size},
+        edges={"writes": writes},
+    )
+
+
+GROUP_PATH = "paper-author-paper"
 
 
 def _both(hin, path, query, k, **kw):
@@ -249,12 +274,12 @@ class TestAutoDispatch:
         assert set(modes[t:]) == {"materialize"}
         assert engine.kernel_counters == {"fused": t, "materialize": 2}
 
-    def _serve_past_threshold(self, hin, path, queries):
-        """Serve *queries* one at a time on a cold auto engine, checking
-        each answer against a cold materialized engine and each reported
-        kernel against what ``explain`` named just before.  Returns the
-        engine and the kernels that ran."""
-        engine = MetaPathEngine(hin)
+    def _serve_past_threshold(self, hin, path, queries, engine=None):
+        """Serve *queries* one at a time on *engine* (a cold auto engine by
+        default), checking each answer against a cold materialized engine
+        and each reported kernel against what ``explain`` named just
+        before.  Returns the engine and the kernels that ran."""
+        engine = MetaPathEngine(hin) if engine is None else engine
         reference = MetaPathEngine(hin, mode="materialize")
         modes = []
         for q in queries:
@@ -266,28 +291,30 @@ class TestAutoDispatch:
         return engine, modes
 
     def test_half_product_outweighing_its_queries_stays_fused(self):
-        # P-A-P over papers in groups of four that share the group's eight
-        # authors: W holds 8 entries for every one of 400 papers, but a
-        # query reaches only its own group, so a fused query threads 52
-        # entries against W's 3,200.
-        groups, size, authors = 100, 4, 8
-        writes = [
-            (g * authors + a, g * size + p)
-            for g in range(groups) for p in range(size) for a in range(authors)
-        ]
-        hin = HIN.from_edges(
-            NetworkSchema(["author", "paper"], [("writes", "author", "paper")]),
-            nodes={"author": groups * authors, "paper": groups * size},
-            edges={"writes": writes},
-        )
-        path = "paper-author-paper"
+        hin, path = _group_hin(), GROUP_PATH
         t = _FUSED_AUTO_THRESHOLD
-        engine, modes = self._serve_past_threshold(
-            hin, path, [7 * q for q in range(t + 6)]
-        )
+        queries = [7 * q for q in range(t + 6)]
+        engine, modes = self._serve_past_threshold(hin, path, queries[:t])
+        key = engine.symmetric_path(path).canonical_key()
+        assert engine._held_diag == {}  # the first t queries scan
+
+        def tallied(q):
+            """What serving *q* added to the path's tally."""
+            before = list(engine._fused_tally[key])
+            modes.extend(self._serve_past_threshold(hin, path, [q], engine)[1])
+            return [a - b for a, b in zip(engine._fused_tally[key], before)]
+
+        # Query t+1 streams the diagonal and holds it: bitwise the planned
+        # diagonal.  The stream is no query, so query t+1 adds to the
+        # tally what query t+2 does: one query and one row of W.
+        streamed = tallied(queries[t])
+        held = engine._held_diag[key]
+        assert np.array_equal(held, MetaPathEngine(hin)._pathsim_parts(path)[1])
+        assert tallied(queries[t + 1]) == streamed and streamed[::2] == [1, 1]
+        modes += self._serve_past_threshold(hin, path, queries[t + 2 :], engine)[1]
         assert modes == ["fused"] * (t + 6)
         assert engine.kernel_counters == {"fused": t + 6, "materialize": 0}
-        key = engine.symmetric_path(path).canonical_key()
+        assert engine._held_diag[key] is held  # streamed once
         assert engine._cache.peek(("pathsim", key)) is None
         assert engine.explain(path).kernel == "fused"
 
@@ -564,6 +591,146 @@ class TestHarvest:
         held = sorted(k for k in engine._cache.keys() if k[0] == "pathsim")
         keys = (engine.symmetric_path(p).canonical_key() for p in self.PATHS)
         assert held == sorted(("pathsim", key) for key in keys)
+
+
+class TestHeldDiagonal:
+    """A path ``auto`` keeps fused past the threshold holds its PathSim
+    diagonal, streamed once, and scores every candidate from it."""
+
+    def _held(self, hin, queries):
+        engine = MetaPathEngine(hin)
+        for q in queries:
+            assert engine.pathsim_top_k(GROUP_PATH, q, 2).mode == "fused"
+        return engine, engine.symmetric_path(GROUP_PATH).canonical_key()
+
+    def test_a_held_diagonal_is_each_row_threaded_alone_bitwise(self):
+        # Fractional weights: sums round, so the order decides the bits.
+        rng = np.random.default_rng(0)
+        hin = _group_hin(lambda n: rng.uniform(0.01, 4.0, n))
+        engine, key = self._held(hin, [7 * q for q in range(_FUSED_AUTO_THRESHOLD + 1)])
+        first, _ = _half_chains(engine, engine.symmetric_path(GROUP_PATH))
+        alone = [
+            kernels.row_norms(_thread(first[0][[j]], first[1:], [0, 0]))[0]
+            for j in range(first[0].shape[0])
+        ]
+        assert np.array_equal(engine._held_diag[key], alone)
+        # So a held query answers as the pruned scan does, bit for bit.
+        scan = MetaPathEngine(hin, mode="fused")
+        for q in range(0, 400, 13):
+            held = engine.pathsim_top_k(GROUP_PATH, q, 3)
+            assert list(held) == list(scan.pathsim_top_k(GROUP_PATH, q, 3))
+
+    def test_a_forced_fused_engine_holds_no_diagonal(self):
+        engine = MetaPathEngine(_group_hin(), mode="fused")
+        for q in range(_FUSED_AUTO_THRESHOLD + 3):
+            engine.pathsim_top_k(GROUP_PATH, 7 * q, 2)
+        assert engine._held_diag == {}
+
+    def test_clear_cache_drops_it_and_the_next_query_streams_anew(self):
+        hin = _group_hin()
+        engine, key = self._held(hin, range(_FUSED_AUTO_THRESHOLD + 1))
+        held = engine._held_diag[key]
+        engine.clear_cache()
+        assert engine._held_diag == {}
+        engine.pathsim_top_k(GROUP_PATH, 5, 2)
+        assert engine._held_diag[key] is not held
+        assert np.array_equal(engine._held_diag[key], held)
+
+    def test_a_commit_drops_it_and_the_next_query_streams_anew(self):
+        # The commit grows the source type and links into it, so a vector
+        # kept across it would be short and stale.
+        hin = _group_hin()
+        engine = hin.engine()
+        for q in range(_FUSED_AUTO_THRESHOLD + 1):
+            engine.pathsim_top_k(GROUP_PATH, q, 2)
+        key = engine.symmetric_path(GROUP_PATH).canonical_key()
+        held = engine._held_diag[key]
+        hin.apply(UpdateBatch().add_nodes("paper", 1).add_edges("writes", [(0, 400), (9, 3)]))
+        assert engine._held_diag == {}
+        reference = MetaPathEngine(hin, mode="materialize")
+        for q in (0, 3, 400):
+            res = engine.pathsim_top_k(GROUP_PATH, q, 3)
+            assert res.mode == "fused"
+            assert list(res) == list(reference.pathsim_top_k(GROUP_PATH, q, 3))
+        assert engine._held_diag[key] is not held
+        _, diag = reference._pathsim_parts(GROUP_PATH)
+        assert np.array_equal(engine._held_diag[key], diag)
+
+    def test_two_threads_streaming_at_once_leave_one_vector(self, monkeypatch):
+        import threading
+
+        hin = _group_hin()
+        engine, key = self._held(hin, range(_FUSED_AUTO_THRESHOLD))
+        barrier = threading.Barrier(2, timeout=30)
+        stream = fused_module.half_norms
+
+        def both_inside(first):
+            barrier.wait()  # both threads are past the held-vector miss
+            return stream(first)
+
+        monkeypatch.setattr(fused_module, "half_norms", both_inside)
+        results = {}
+
+        def serve(q):
+            results[q] = engine.pathsim_top_k(GROUP_PATH, q, 3)
+
+        threads = [threading.Thread(target=serve, args=(q,)) for q in (9, 22)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not barrier.broken and sorted(results) == [9, 22]
+
+        def no_stream(first):
+            raise AssertionError("the held vector was streamed again")
+
+        monkeypatch.setattr(fused_module, "half_norms", no_stream)
+        assert list(engine._held_diag) == [key]
+        _, diag = MetaPathEngine(hin)._pathsim_parts(GROUP_PATH)
+        assert np.array_equal(engine._held_diag[key], diag)
+        reference = MetaPathEngine(hin, mode="materialize")
+        for q in (9, 22):
+            assert results[q].mode == "fused"
+            assert list(results[q]) == list(reference.pathsim_top_k(GROUP_PATH, q, 3))
+        for q in range(0, 400, 37):
+            res = engine.pathsim_top_k(GROUP_PATH, q, 3)
+            assert res.mode == "fused"
+            assert list(res) == list(reference.pathsim_top_k(GROUP_PATH, q, 3))
+
+    def test_threads_racing_across_the_threshold_agree(self):
+        # More threads than cores, switching often, on one cold auto
+        # engine: the path crosses the threshold under them, every answer
+        # is the materialized one and the one vector held is the diagonal.
+        import sys
+        import threading
+
+        hin = _group_hin()
+        engine = MetaPathEngine(hin)
+        reference = MetaPathEngine(hin, mode="materialize")
+        queries = list(range(0, 400, 17))
+        expected = {q: list(reference.pathsim_top_k(GROUP_PATH, q, 3)) for q in queries}
+        wrong = []
+
+        def serve(offset):
+            for q in queries[offset:] + queries[:offset]:
+                if list(engine.pathsim_top_k(GROUP_PATH, q, 3)) != expected[q]:
+                    wrong.append(q)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
+        key = engine.symmetric_path(GROUP_PATH).canonical_key()
+        assert list(engine._held_diag) == [key]
+        _, diag = reference._pathsim_parts(GROUP_PATH)
+        assert np.array_equal(engine._held_diag[key], diag)
 
 
 class TestUnifiedEmptyShape:

@@ -141,7 +141,7 @@ class TestSeeds:
         engine.commuting_matrix(APV)
         planner = engine._planner
         mp = engine.path(LONG)
-        plan = planner.plan(tuple(mp.steps()))
+        plan = planner.plan(mp.canonical_key())
         assert plan.used_seeds  # the warmed A-P-V span is in the plan
         for key in list(engine._cache.keys()):
             engine._cache.pop(key)

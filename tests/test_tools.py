@@ -78,8 +78,8 @@ def test_route_census_smoke_counts_the_top_k_route(capsys):
 
 def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
     """``--smoke``: the cost table and one deep_path round's cache entries
-    with the fused queries each path served, one row per deep path each,
-    with nothing left in the checkout."""
+    and held diagonals with the fused queries each path served, one row
+    per deep path each, with nothing left in the checkout."""
     kernel_costs = _load("kernel_costs")
     deep_paths = kernel_costs._harness().DEEP_PATHS
     watched = (TOOLS.parent, TOOLS.parent / "benchmarks" / "perf")
@@ -89,22 +89,28 @@ def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
     n = len(deep_paths)
     assert lines[0].startswith("# kernel costs, smoke network, seed=3")
     assert lines[1].split()[1:] == [
-        "first_mat_ms", "mat_ms/q", "fused_ms/q", "nnz(W)", "est_nnz(W)",
-        "entries/q", "auto",
+        "first_mat_ms", "mat_ms/q", "fused_ms/q", "held_ms/q", "stream_ms", "nnz(W)",
+        "est_nnz(W)", "entries/q", "auto",
     ]
     table = [row.split() for row in lines[2 : 2 + n]]
     assert [row[0] for row in table] == deep_paths
     assert all(row[-1] in ("fused", "materialize") for row in table)
-    assert all(int(row[4]) > 0 and float(row[6]) > 0 for row in table)
+    assert all(int(row[6]) > 0 and float(row[8]) > 0 for row in table)
+    # Only a path auto keeps fused holds its diagonal, so only it has a
+    # held cost; every path has a stream cost.
+    assert all((row[4] == "-") == (row[-1] == "materialize") for row in table)
+    assert all(row[4] == "-" or float(row[4]) > 0 for row in table)
+    assert all(float(row[5]) > 0 for row in table)
     assert lines[2 + n].startswith("# one deep_path round:")
     assert lines[2 + n].endswith("errors=0")
     held = [row.split() for row in lines[3 + n :]]
     assert [row[0] for row in held] == deep_paths
     assert all(row[1:3] == ["pathsim", "entry"] for row in held)
     assert all(row[3] in ("cached", "absent") for row in held)
-    assert all(row[4:6] == ["fused", "queries"] and int(row[6]) >= 0 for row in held)
+    assert all(row[4] == "diagonal" and row[5] in ("held", "absent") for row in held)
+    assert all(row[6:8] == ["fused", "queries"] and int(row[8]) >= 0 for row in held)
     # A path served fused at all served at least its first query so.
-    assert all(int(row[6]) > 0 for row in held if row[3] == "absent")
+    assert all(int(row[8]) > 0 for row in held if row[3] == "absent")
     assert _listing(*watched) == before
 
 

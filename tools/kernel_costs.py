@@ -13,15 +13,21 @@ three ways, each on a fresh engine over the workload's network:
 * ``mode="fused"``: the fused query (ms per query) and the stored entries
   it threaded per query, from the engine's per-path tally;
 * ``mode="auto"``: the kernel ``explain()`` names for the next query
-  after those queries, and auto's estimate of ``nnz(W)``.
+  after those queries, and auto's estimate of ``nnz(W)``.  Where those
+  queries left the path holding its diagonal (a path auto keeps fused),
+  ``held_ms/q`` is the same queries served again on that engine, every
+  one scored from the held vector; ``-`` elsewhere.
 
+``stream_ms`` is one stream of the whole diagonal through the half
+chain (what the first query past the threshold pays to hold it).
 ``nnz(W)`` is the materialized half product's.  Then it runs one
-measured ``deep_path`` round, exactly as the benchmark does (seeded
-ops, a ``QueryService`` on a cold engine), and prints which deep paths
-ended it holding a ``("pathsim", …)`` cache entry and how many fused
-queries each served in it (once a path holds its entry ``auto`` serves it
-materialized, so for a held path that is the count before it held it: 1
-where the first fused query kept the ``W`` it threaded).
+measured ``deep_path`` round, exactly as the benchmark does
+(seeded ops, a ``QueryService`` on a cold engine), and prints which
+deep paths ended it holding a ``("pathsim", …)`` cache entry, which
+hold their diagonal instead, and how many fused queries each served in
+it (once a path holds its entry ``auto`` serves it materialized, so for
+a held path that is the count before it held it: 1 where the first
+fused query kept the ``W`` it threaded).
 
 Last comes the reach route (:func:`reach_main`).  Each ``HOT_PATHS`` or
 ``DEEP_PATHS`` entry whose half ``W`` the engine reads by column for
@@ -77,28 +83,38 @@ def _serve(engine, path, queries) -> float:
 def path_costs(hin, path, queries) -> dict:
     """One table row: the three kernels' costs for *queries* on *path*."""
     from repro.engine import MetaPathEngine
+    from repro.engine.fused import _half_chains, half_norms
 
     mat = MetaPathEngine(hin, mode="materialize")
     start = time.perf_counter()
     mat.prewarm([path])
     first_ms = (time.perf_counter() - start) * 1e3
     mp = mat.symmetric_path(path)
+    key = mp.canonical_key()
     w_nnz = mat._pathsim_parts(mp)[0].nnz
     mat_ms = _serve(mat, path, queries)
     del mat
 
+    first = _half_chains(MetaPathEngine(hin), mp)[0]
+    start = time.perf_counter()
+    half_norms(first)
+    stream_ms = (time.perf_counter() - start) * 1e3
+
     fused = MetaPathEngine(hin, mode="fused")
     fused_ms = _serve(fused, path, queries)
-    served, work, rows, row_nnz = fused._fused_tally[mp.canonical_key()]
+    served, work, rows, row_nnz = fused._fused_tally[key]
 
     auto = MetaPathEngine(hin)
     for q in queries:
         auto.pathsim_top_k(path, q, K)
+    held = key in auto._held_diag and auto._cache.peek(("pathsim", key)) is None
     return {
         "path": path,
         "first_mat_ms": first_ms,
         "mat_ms": mat_ms,
         "fused_ms": fused_ms,
+        "held_ms": _serve(auto, path, queries) if held else None,
+        "stream_ms": stream_ms,
         "nnz_w": w_nnz,
         "est_nnz_w": hin.node_count(mp.source_type) * row_nnz / rows,
         "entries_per_query": work / served,
@@ -107,8 +123,9 @@ def path_costs(hin, path, queries) -> dict:
 
 
 def round_entries(harness, ctx) -> tuple:
-    """``({path: (holds a ("pathsim", …) entry, fused queries served)},
-    kernel counters, errors)`` after one measured ``deep_path`` round."""
+    """``({path: (holds a ("pathsim", …) entry, holds its diagonal,
+    fused queries served)}, kernel counters, errors)`` after one
+    measured ``deep_path`` round."""
     workload = harness.WORKLOADS["deep_path"](ctx)
     last = workload.round(warmup=False)  # the same work as a measured round
     engine = last.hin.engine()
@@ -116,7 +133,8 @@ def round_entries(harness, ctx) -> tuple:
     for path in harness.DEEP_PATHS:
         key = engine.symmetric_path(path).canonical_key()
         served = engine._fused_tally.get(key, [0])[0]
-        held[path] = (engine._cache.peek(("pathsim", key)) is not None, served)
+        cached = engine._cache.peek(("pathsim", key)) is not None
+        held[path] = (cached, key in engine._held_diag, served)
     return held, dict(engine.kernel_counters), last.errors
 
 
@@ -152,23 +170,27 @@ def main(argv=None) -> int:
         )
         print(
             f"{'path':<16}{'first_mat_ms':>13}{'mat_ms/q':>10}{'fused_ms/q':>11}"
-            f"{'nnz(W)':>11}{'est_nnz(W)':>12}{'entries/q':>11}  auto"
+            f"{'held_ms/q':>10}{'stream_ms':>10}{'nnz(W)':>11}{'est_nnz(W)':>12}"
+            f"{'entries/q':>11}  auto"
         )
         for path in harness.DEEP_PATHS:
             count = ctx.base.node_count(harness._TYPE_OF[path[0]])
             queries = rng.integers(0, count, size=cold)
             row = path_costs(ctx.base, path, [int(q) for q in queries])
+            held = "-" if row["held_ms"] is None else f"{row['held_ms']:.2f}"
             print(
                 f"{row['path']:<16}{row['first_mat_ms']:>13.1f}"
                 f"{row['mat_ms']:>10.2f}{row['fused_ms']:>11.2f}"
+                f"{held:>10}{row['stream_ms']:>10.1f}"
                 f"{row['nnz_w']:>11}{row['est_nnz_w']:>12.0f}"
                 f"{row['entries_per_query']:>11.0f}  {row['auto']}"
             )
         held, kernels, errors = round_entries(harness, ctx)
         print(f"# one deep_path round: kernels {kernels}, errors={errors}")
-        for path, (cached, served) in held.items():
+        for path, (cached, diagonal, served) in held.items():
             state = "cached" if cached else "absent"
-            print(f"{path:<16}pathsim entry {state:<7}fused queries {served}")
+            diag = "held" if diagonal else "absent"
+            print(f"{path:<16}pathsim entry {state:<7}diagonal {diag:<7}fused queries {served}")
     return 0 if errors == 0 else 1
 
 
