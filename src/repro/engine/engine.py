@@ -53,6 +53,7 @@ instance rather than constructing one per call site.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from collections.abc import Sequence
 
 import numpy as np
@@ -61,8 +62,8 @@ import scipy.sparse as sp
 from dataclasses import replace as _dc_replace
 
 from repro.engine import kernels
-from repro.engine.fused import _FUSED_AUTO_THRESHOLD, fused_row_scores
-from repro.engine.planner import ChainPlanner, PlanReport
+from repro.engine.fused import fused_row_scores, half_norms
+from repro.engine.planner import ChainPlanner, PlanReport, nnz_bound
 from repro.exceptions import MetaPathError, NodeNotFoundError
 from repro.networks.schema import MetaPath
 from repro.networks.updates import AppliedUpdate, pad_csr
@@ -82,12 +83,16 @@ __all__ = ["MetaPathEngine"]
 #: delta denser than a rebuild.
 _DELTA_REBUILD_THRESHOLD = 0.25
 
-#: Past the threshold a path materializes only while the estimated
-#: ``nnz(W)`` (what one materialized query scans) is at most this many
-#: times the entries a fused query threads.  An entry threaded costs
-#: 18–59 ns against 1.2–2.9 ns an entry scanned (``tools/kernel_costs.py``,
-#: dblp_6k).  The ratio read 0.7–8.2 on the deep paths where materializing
-#: wins and 12.6 or more on ``P-A-P-A-P``, where fused wins.
+#: ``auto`` materializes a path on its first query while the count
+#: bounding its ``nnz(W)`` (:func:`~repro.engine.planner.nnz_bound`) is at
+#: most this many times the stored entries of the half's relations: a
+#: build that costs about what the relations hold pays back within a few
+#: queries, while one that multiplies them (``P-A-P-A-P``'s 6.94 M
+#: entries from 2 × 90 K) costs a 255–310 ms build and 120 MiB for queries
+#: that a held diagonal answers in about 1 ms.  At dblp_6k the ratio reads
+#: 1.50–3.32 on the five deep paths that materialize and 38.95 on
+#: ``P-A-P-A-P`` (``tools/kernel_costs.py`` ``bound/rel``, seeds 11 and
+#: 21), so 10 sits about 3× from either side.
 _MATERIALIZE_COST_RATIO = 10
 
 #: A materialized row is scored over its reach
@@ -100,6 +105,13 @@ _MATERIALIZE_COST_RATIO = 10
 #: work.  Timing 900 rows of six paths both ways put every constant
 #: from 8 to 16 within 1-5 % of the per-row best; 12 is the middle.
 _REACH_COST = 12
+
+
+#: What ``auto`` knows of one symmetric path at this epoch: the count
+#: bounding ``nnz(W)``, the kernel it picked from it, and the path's
+#: PathSim diagonal once its first fused query has streamed it.  Replaced,
+#: never written to.
+_PathState = namedtuple("_PathState", "bound kernel diag", defaults=(None,))
 
 
 def _check_mode(mode: str) -> str:
@@ -178,10 +190,8 @@ class MetaPathEngine:
         self._cache = LRUCache(max_cached_matrices)
         self._rwlock = RWLock()
         self.topk_mode = _check_mode(mode)
-        # Per path: what the fused route threaded, and the PathSim
-        # diagonal a path auto keeps fused holds (see engine/fused.py).
-        self._fused_tally: dict[tuple, list[int]] = {}
-        self._held_diag: dict[tuple, np.ndarray] = {}
+        # Per symmetric path: auto's price and held diagonal (_PathState).
+        self._paths: dict[tuple, _PathState] = {}
         # Fused-vs-materialized dispatch counters (see planner_info()).
         self.kernel_counters = {"fused": 0, "materialize": 0}
         self._planner = ChainPlanner(self)
@@ -231,7 +241,7 @@ class MetaPathEngine:
         version = getattr(self.hin, "version", 0)
         if version != self._epoch:
             self._cache.clear()
-            self._held_diag = {}
+            self._paths = {}
             self._epoch = version
 
     # ------------------------------------------------------------------
@@ -279,53 +289,65 @@ class MetaPathEngine:
     # ------------------------------------------------------------------
     # Materialization (cached)
     # ------------------------------------------------------------------
-    def _auto_choice(self, mp: MetaPath, nq: int) -> str:
-        """The kernel auto-dispatch would pick for *nq* more queries on
-        *mp* right now — counter-free peeks only, so :meth:`explain` can
-        call it without skewing the LRU.
+    def _auto_choice(self, mp: MetaPath) -> str:
+        """The kernel auto-dispatch picks for *mp*'s next queries, however
+        many.  The PathSim entry is only peeked, and the chain priced is
+        the one the path's next fused query threads, so :meth:`explain`
+        prices a path as that query would.
 
-        Past the threshold, a materialized query's cost is estimated as
-        ``nnz(W)``: the source count times the mean nnz of the ``W`` rows
-        the fused route threaded (the planner's estimate can be off by
-        5x).  A fused query's cost is the entries it threaded.  A cold
-        batch larger than the threshold has no fused sample yet: both
-        sides are 0, so it materializes and the batch shares one product."""
+        ``"materialize"`` while the path's PathSim entry is cached.
+        Otherwise the path is priced once per epoch, on first touch, by
+        the count bounding ``nnz(W)`` (:func:`~repro.engine.planner.nnz_bound`
+        over :meth:`~repro.engine.planner.ChainPlanner.row_chain`):
+        ``"materialize"`` while it is at most ``_MATERIALIZE_COST_RATIO``
+        times the stored entries of the half's relations, else
+        ``"fused"``.  Of two readers pricing at once, the first stored
+        state stays."""
         key = mp.canonical_key()
         if self._cache.peek(("pathsim", key)) is not None:
             return "materialize"
-        queries, work, rows, row_nnz = self._fused_tally.get(key, (0, 0, 0, 0))
-        if queries + nq <= _FUSED_AUTO_THRESHOLD:
-            return "fused"
-        w_nnz = self.hin.node_count(mp.source_type) * row_nnz / max(rows, 1)
-        if w_nnz * queries <= _MATERIALIZE_COST_RATIO * work:
-            return "materialize"
-        return "fused"
+        state = self._paths.get(key)
+        if state is None:
+            half = key[: len(key) // 2]
+            bound = nnz_bound(self._planner.row_chain(half))
+            relations = sum(self.hin.relation_matrix(name).nnz for name, _ in half)
+            kernel = "materialize" if bound <= _MATERIALIZE_COST_RATIO * relations else "fused"
+            state = self._paths.setdefault(key, _PathState(bound, kernel))
+        return state.kernel
 
-    def _topk_kernel(self, mp: MetaPath, nq: int, mode: str | None = None) -> str:
-        """The kernel to run for *nq* more queries on *mp*: the engine's
+    def _held_diagonal(self, key: tuple, first) -> np.ndarray | None:
+        """The PathSim diagonal of a path ``auto`` priced as staying
+        fused, streamed once through its first half chain *first*
+        (:func:`~repro.engine.fused.half_norms`) by the path's first
+        query; ``None`` for a path priced to materialize or not priced
+        (a forced-kernel engine prices nothing)."""
+        state = self._paths.get(key)
+        if state is None or state.kernel != "fused":
+            return None
+        if state.diag is None:
+            state = self._paths[key] = state._replace(diag=half_norms(first))
+        return state.diag
+
+    def _topk_kernel(self, mp: MetaPath, mode: str | None = None) -> str:
+        """The kernel to run for the next queries on *mp*: the engine's
         :attr:`topk_mode` (or :meth:`pathsim_top_k`'s per-call *mode*).
 
-        ``"fused"`` and ``"materialize"`` are forced; ``"auto"`` picks
-        materialized when the path's PathSim entry is already cached,
-        fused while the path is cold.  Once ``_FUSED_AUTO_THRESHOLD``
-        answers have gone through fused, auto materializes (one SpGEMM
-        that every later query amortizes) only if the ``nnz(W)`` a
-        materialized query scans is at most ``_MATERIALIZE_COST_RATIO``
-        times the entries a fused query threads (see
-        :meth:`_auto_choice`); a path whose ``W`` outweighs its fused
-        queries stays fused.  An auto query whose fused scan threads
-        every row of ``W`` keeps it as the path's entry
-        (:func:`~repro.engine.fused.fused_row_scores`), so the next
-        query finds it cached.  A path that stays fused past the
-        threshold holds its diagonal, streamed once, and scores its
-        candidates from it (the engine's ``_held_diag``); that stream is
-        no query and leaves the count alone, so it never tips the choice.
-        Answers are bit-identical either way; only the cost differs.
+        ``"fused"`` and ``"materialize"`` are forced.  ``"auto"`` picks
+        materialized when the path's PathSim entry is cached; otherwise
+        it prices the path once per epoch, before its first query
+        (:meth:`_auto_choice`).  A path whose count fits materializes on that
+        first query: one SpGEMM that every later query amortizes.  Any
+        other path stays fused and never builds ``W``: its first query
+        streams its diagonal and holds it (:meth:`_held_diagonal`), and
+        every query scores its candidates from it.  The pick does not
+        depend on how many queries a batch brings, so a cold burst runs
+        the kernel a single query would.  Answers are bit-identical
+        either way; only the cost differs.
         """
         self._sync()
         chosen = _check_mode(self.topk_mode if mode is None else mode)
         if chosen == "auto":
-            chosen = self._auto_choice(mp, nq)
+            chosen = self._auto_choice(mp)
         self.kernel_counters[chosen] += 1
         return chosen
 
@@ -376,21 +398,13 @@ class MetaPathEngine:
         key = ("pathsim", mp.canonical_key())
 
         def compute():
-            """Materialize the half product and its row-norm diagonal."""
-            steps = key[1]
-            return self._pathsim_entry(self._planner.materialize(steps[: len(steps) // 2]))
+            """Materialize the half product and its row-norm diagonal,
+            each row's squared norm summed in the stored order."""
+            w = self._planner.materialize(key[1][: len(key[1]) // 2])
+            diag = kernels.row_norms(w)
+            return _canonical(w), diag
 
         return self._cache.get_or_compute(key, compute)
-
-    @staticmethod
-    def _pathsim_entry(w) -> tuple:
-        """A path's ``("pathsim", key)`` value from its half product
-        *w*, planned (:meth:`_pathsim_parts`) or threaded whole by a
-        fused query (:func:`~repro.engine.fused.fused_row_scores`):
-        ``W`` as canonical CSR, and the diagonal summed in *w*'s stored
-        order before sorting, the order a fused query sums a row in."""
-        diag = kernels.row_norms(w)
-        return _canonical(w), diag
 
     @_reader
     def prewarm(self, paths: Sequence) -> "MetaPathEngine":
@@ -520,7 +534,8 @@ class MetaPathEngine:
         decomposition, ``"fused"`` threads the query row through the
         relation chain without materializing it
         (:mod:`repro.engine.fused`), ``"auto"`` dispatches on cache
-        state (see :meth:`_topk_kernel`).  The kernel that ran is
+        state and on the path's price, counted before its first query
+        (see :meth:`_topk_kernel`).  The kernel that ran is
         reported as ``result.mode``; answers are bit-identical.  A
         query of one is :meth:`pathsim_top_k_batch` over ``[query]``:
         both are one route.
@@ -531,9 +546,9 @@ class MetaPathEngine:
         forces ``"fused"`` on a shared engine), which a non-benchmark
         change may not edit; it goes the next time the benchmark
         contract is opened.  Everything else constructs the engine
-        with the kernel it wants.  Whether a fused query may keep a
-        ``W`` it threads whole follows the engine's :attr:`topk_mode`,
-        not this override (:func:`~repro.engine.fused.fused_row_scores`).
+        with the kernel it wants.  Whether a fused query scores from a
+        held diagonal follows the path's ``auto`` price, not this
+        override.
         """
         (result,) = self._pathsim_top_k(path, [query], k, exclude_query, mode)
         return result
@@ -543,8 +558,9 @@ class MetaPathEngine:
         self, path, queries, k: int, *, exclude_query: bool = True
     ) -> list[TopKResult]:
         """:meth:`pathsim_top_k` for many queries, one answer each, in
-        order: one block product on the materialized kernel, one pruned
-        fused row per query on the fused one."""
+        order: one block product on the materialized kernel, one fused
+        row per query on the fused one.  The kernel is the one a single
+        query would get."""
         return self._pathsim_top_k(path, queries, k, exclude_query)
 
     def _pathsim_top_k(self, path, queries, k, exclude, mode=None) -> list[TopKResult]:
@@ -553,7 +569,7 @@ class MetaPathEngine:
         k = check_k(k)
         mp = self.symmetric_path(path)
         idx = [self._resolve(mp.source_type, q) for q in queries]
-        kernel = self._topk_kernel(mp, len(idx), mode)
+        kernel = self._topk_kernel(mp, mode)
         if kernel == "fused":
             # Each row is pruned to exactly what _select consumes: the
             # top `need` positions (k plus the self-exclusion slot).
@@ -724,9 +740,9 @@ class MetaPathEngine:
         delta); untouched entries are kept, padded with zero rows/columns
         when an endpoint type grew.
 
-        A commit drops every held fused diagonal
-        (:mod:`repro.engine.fused`), as ``_sync()`` does; the path's next
-        query past the threshold streams it anew.
+        A commit drops every path's ``auto`` state, its price and held
+        diagonal, as ``_sync()`` does; the path's next query prices it
+        anew at the new epoch (:meth:`_topk_kernel`).
 
         How maintained matrices compare with rebuilt ones is the "Link
         weights" contract in ``docs/ARCHITECTURE.md``.
@@ -786,7 +802,7 @@ class MetaPathEngine:
             report["rows_touched"] += self._maintain_entry(key, kind, steps, update, scratch)
             report["rows_total"] += self._entry_shape(steps)[0]
             report["updated"] += 1
-        self._held_diag = {}
+        self._paths = {}
         self._epoch = update.epoch
         return report
 
@@ -1081,7 +1097,10 @@ class MetaPathEngine:
 
         Symmetric paths report the plan for the half product ``W`` (the
         engine builds ``M = W W^T`` from it); asymmetric paths report
-        the full chain.
+        the full chain.  On an ``auto`` engine a symmetric path not yet
+        priced this epoch is priced here, as its next query would price
+        it (:meth:`_auto_choice`), so ``report.kernel`` is the kernel that
+        query runs.
         """
         self._sync()
         mp = self.path(path)
@@ -1092,8 +1111,8 @@ class MetaPathEngine:
         report = self._planner.report(steps, path=str(mp), symmetric=symmetric)
         if symmetric:
             # The top-k kernel the next query runs on: the forced one, or
-            # auto's pick (peeks only; the report stays side-effect-free).
-            kernel = self._auto_choice(mp, 1) if self.topk_mode == "auto" else self.topk_mode
+            # auto's pick.
+            kernel = self._auto_choice(mp) if self.topk_mode == "auto" else self.topk_mode
             report = _dc_replace(report, kernel=kernel)
         return report
 
@@ -1111,7 +1130,7 @@ class MetaPathEngine:
         """Drop every materialized matrix (the blunt alternative to
         :meth:`apply_update`)."""
         self._cache.clear()
-        self._held_diag = {}
+        self._paths = {}
         self._epoch = getattr(self.hin, "version", 0)
 
     def __repr__(self) -> str:

@@ -1,5 +1,5 @@
 """Fused single-source PathSim top-k: no commuting matrix, and no half
-product unless the query threads all of it anyway.
+product.
 
 The materialized PathSim path (:meth:`MetaPathEngine._pathsim_parts`)
 pays for the half product ``W`` — the full chain SpGEMM over every
@@ -20,17 +20,11 @@ the longest cached spans (forward or inverse spelling) into single
 matrices — the fused kernel reuses whatever the planner already
 materialized.  When the path's PathSim entry *is* cached, its
 incrementally-maintained diagonal is read directly instead of
-recomputing candidate norms.
-
-The one exception: on an ``auto`` engine, a query whose numerator
-reaches every source object and whose scan would take every candidate
-in its first block threads every row of ``W`` — a whole rebuild.  It
-threads them as one block instead and keeps that block, canonicalized,
-with its diagonal as the path's ``("pathsim", key)`` entry, built by the
-same :meth:`~repro.engine.engine.MetaPathEngine._pathsim_entry` as a
-planned one.  The path's next query is a materialized cache hit and no
-planner build of the half ever runs.  A forced ``"fused"`` engine and a
-scan pruned to fewer rows keep nothing.
+recomputing candidate norms.  Nothing here builds or caches ``W``: on an
+``auto`` engine a path whose ``W`` pays back is priced to materialize
+before its first query runs
+(:meth:`~repro.engine.engine.MetaPathEngine._auto_choice`), and one
+priced to stay fused never builds it.
 
 A batch is that same query several times: the engine's one PathSim
 top-k route calls :func:`fused_row_scores`, pruned to the top-k it
@@ -39,44 +33,32 @@ in step with it.  Standing-query maintenance does not thread rows
 either: it scores the materialized ``(W, diag)``
 (:meth:`~repro.engine.engine.MetaPathEngine.pathsim_partial_block`).
 
-Each query also counts what it threaded into the engine's per-path
-tally: the rows of ``W`` and their nnz, and every product's stored
-entries.  Auto-dispatch prices materializing the path from that tally
-(:meth:`~repro.engine.engine.MetaPathEngine._auto_choice`).  A
-diagonal stream (below) is not a query and counts nothing: counted, its
-whole pass over ``W`` would tip ``P-A-P-A-P`` into building the 6.94 M
-entries the count exists to spare.
-
 Held diagonal
 -------------
-A query past ``_FUSED_AUTO_THRESHOLD`` on an ``auto`` engine runs on a
-path the cost rule priced as staying fused, so its candidates' diagonals
-will be wanted again and again.  The first such query streams the whole
-diagonal once (:func:`half_norms`: rows ``0..n-1`` of the first half in
-blocks of ``_STREAM_ROWS``, keeping only the length-*n* vector, never
-``W``) into the engine's ``_held_diag`` next to the tally; it and every
-later query score their candidates straight from it, with no pruned
-scan.  The vector never enters the LRU cache, so exports, snapshots and
-generations do not see it.  It is replaced, never written to:
-``_sync()``, ``clear_cache()`` and every commit
-(:meth:`~repro.engine.engine.MetaPathEngine.apply_update`) drop it, and
-the path's next query past the threshold streams it anew.  A forced
-``"fused"`` engine and a path's first ``_FUSED_AUTO_THRESHOLD`` queries
-keep the pruned scan.
+A fused query on an ``auto`` engine runs on a path the engine priced as
+staying fused, so its candidates' diagonals will be wanted again and
+again.  The path's first query streams the whole diagonal once
+(:func:`half_norms`: rows ``0..n-1`` of the first half in blocks of
+``_STREAM_ROWS``, keeping only the length-*n* vector, never ``W``) into
+the path's state beside the engine's LRU cache
+(:meth:`~repro.engine.engine.MetaPathEngine._held_diagonal`); it and
+every later query score their candidates straight from it, with no
+pruned scan.  The vector never enters the LRU cache, so exports,
+snapshots and generations do not see it.  It is replaced, never written
+to: ``_sync()``, ``clear_cache()`` and every commit
+(:meth:`~repro.engine.engine.MetaPathEngine.apply_update`) drop the
+path's state, and its next query prices it and streams it anew.  A
+forced ``"fused"`` engine keeps the pruned scan.
 
 Exactness
 ---------
 The fused route threads rows in another summation order than the
 materialized one, so it falls under the "Link weights" contract in
 ``docs/ARCHITECTURE.md``: bit-identical answers under integer weights,
-agreement to roundoff under fractional ones.  A kept ``W`` is one more
-association order under that contract; its diagonal is summed in the
-threaded order, so a row scored from it and the same row threaded alone
-(:func:`~repro.engine.kernels.row_norms`) agree bit for bit under any
-weights.  A held diagonal is summed the same way, one row of a block at
-a time, through the chains the half collapses to when it streams: a
-pruned scan through those same chains threads each candidate's norm bit
-for bit.  A scan that runs after the span cache changed (a product such
+agreement to roundoff under fractional ones.  A held diagonal is summed
+one row of a block at a time, through the chains the half collapses to
+when it streams: a pruned scan through those same chains threads each
+candidate's norm bit for bit.  A scan that runs after the span cache changed (a product such
 as ``P-A-P`` cached since) threads other chains; that is one more
 association order, bitwise under integer weights and equal to roundoff
 under fractional ones.
@@ -99,11 +81,6 @@ import numpy as np
 from repro.engine import kernels
 
 __all__ = ["fused_row_scores", "half_norms"]
-
-#: Auto-dispatch serves a cold path's first answers fused (threading rows
-#: is cheap) and weighs materializing it once this many have gone through;
-#: a path still fused past it holds its diagonal.
-_FUSED_AUTO_THRESHOLD = 4
 
 #: Rows of ``W`` per block of a diagonal stream.  Streaming ``P-A-P-A-P``'s
 #: 36,000 rows at dblp_6k took 98 / 86 / 82 / 88 / 105 ms (best of five)
@@ -128,26 +105,22 @@ def _half_chains(engine, mp):
     )
 
 
-def _thread(block, mats, tally: list):
+def _thread(block, mats):
     """*block* times each matrix of *mats* in turn: thin sparse products,
-    cost bounded by the rows' reach.  The stored entries of *block* and
-    of every product are counted into ``tally[1]``, the path's fused
-    work."""
-    tally[1] += block.nnz
+    cost bounded by the rows' reach."""
     for m in mats:
         block = block.dot(m)
-        tally[1] += block.nnz
     return block.tocsr()
 
 
 def half_norms(first) -> np.ndarray:
     """Squared norms of every row of ``W``: the half chain *first*
     threaded ``_STREAM_ROWS`` rows at a time, each block dropped once its
-    norms are read.  A diagonal stream; nothing goes into a tally."""
+    norms are read."""
     n = first[0].shape[0]
     out = np.empty(n)
     for lo in range(0, n, _STREAM_ROWS):
-        block = _thread(first[0][lo : lo + _STREAM_ROWS], first[1:], [0, 0])
+        block = _thread(first[0][lo : lo + _STREAM_ROWS], first[1:])
         out[lo : lo + block.shape[0]] = kernels.row_norms(block)
     return out
 
@@ -187,74 +160,42 @@ def fused_row_scores(engine, mp, i: int, need: int | None = None) -> np.ndarray:
     scores; callers selecting ``k <= need`` entries see bit-identical
     answers.
 
-    On an ``auto`` engine, a query on a path with no cached entry whose
-    numerator reaches every source object, and whose scan's first block
-    takes every candidate, would thread every row of ``W`` anyway: it
-    threads them as one block, caches that block and its diagonal as
-    the path's ``("pathsim", key)`` entry
-    (:meth:`~repro.engine.engine.MetaPathEngine._pathsim_entry`), and
-    scores from it, so the path's next query is a materialized hit.  A
-    scan pruned to fewer rows never keeps anything.  Past
-    ``_FUSED_AUTO_THRESHOLD`` queries on a path that holds no entry, an
-    ``auto`` engine scores every candidate from the path's held diagonal
-    instead, streamed by the first such query (:func:`half_norms`; see
-    the module docstring); the stream is not tallied.
+    Where the path's PathSim entry is cached, every candidate is scored
+    from its diagonal.  On an ``auto`` engine a path priced as staying
+    fused scores every candidate from its held diagonal instead,
+    streamed by the path's first query (:func:`half_norms`; see the
+    module docstring).
     """
     first, second = _half_chains(engine, mp)
     key = mp.canonical_key()
-    # The path's tally for auto-dispatch (MetaPathEngine._auto_choice):
-    # [queries, entries threaded, rows of W threaded, their total nnz].
-    # Concurrent readers may lose an increment: the tally only prices
-    # the choice of kernel, and both kernels give the same answer.
-    tally = engine._fused_tally.setdefault(key, [0, 0, 0, 0])
-    tally[0] += 1
-
-    def thread(rows: np.ndarray | None = None):
-        """Rows *rows* of ``W`` (every row for ``None``): one CSR row
-        slice, threaded on."""
-        block = _thread(first[0] if rows is None else first[0][rows], first[1:], tally)
-        tally[2] += block.shape[0]
-        tally[3] += block.nnz
-        return block
-
-    w_q = thread(np.array([i], dtype=np.int64))
+    w_q = _thread(first[0][[i]], first[1:])
     diag_i = float(kernels.row_norms(w_q)[0])
-    num = _thread(w_q, second, tally)
-    n = num.shape[1]
-    scores = np.zeros(n)
+    num = _thread(w_q, second)
+    scores = np.zeros(num.shape[1])
     if num.nnz == 0:
         return scores
     cols = num.indices.astype(np.int64, copy=False)
     vals = np.asarray(num.data, dtype=np.float64)
 
     cached = engine._cache.get(("pathsim", key))
-    # The scan threads candidates' rows in blocks of `chunk` and up.  The
-    # bound only dominates for non-negative numerators (the library's
-    # weights are counts); anything else takes every candidate at once.
-    pruned = need is not None and vals.min() >= 0.0
-    chunk = max(4 * max(need, 1), 64) if pruned else cols.size
-    auto = cached is None and engine.topk_mode == "auto"
-    if auto and cols.size == n and chunk >= n:
-        # The first block would be every row of W: keep it as the entry.
-        cached = engine._pathsim_entry(thread())
-        engine._cache.put(("pathsim", key), cached)
-    elif auto and tally[0] > _FUSED_AUTO_THRESHOLD:
-        # A path priced as staying fused: score from its held diagonal.
-        held = engine._held_diag.get(key)
-        if held is None:
-            held = engine._held_diag[key] = half_norms(first)
-        cached = (None, held)
-    if cached is not None:
-        scores[cols] = kernels.pathsim_scores(vals, diag_i + cached[1][cols])
+    diag = engine._held_diagonal(key, first) if cached is None else cached[1]
+    if diag is not None:
+        scores[cols] = kernels.pathsim_scores(vals, diag_i + diag[cols])
         return scores
 
     def score_into(take: np.ndarray) -> np.ndarray:
         """Thread diagonals for candidate positions *take*, fill scores."""
         ccols, cvals = cols[take], vals[take]
-        block = kernels.pathsim_scores(cvals, diag_i + kernels.row_norms(thread(ccols)))
+        norms = kernels.row_norms(_thread(first[0][ccols], first[1:]))
+        block = kernels.pathsim_scores(cvals, diag_i + norms)
         scores[ccols] = block
         return block
 
+    # The scan threads candidates' rows in blocks of `chunk` and up.  The
+    # bound only dominates for non-negative numerators (the library's
+    # weights are counts); anything else takes every candidate at once.
+    pruned = need is not None and vals.min() >= 0.0
+    chunk = max(4 * max(need, 1), 64) if pruned else cols.size
     if chunk >= cols.size:
         score_into(np.arange(cols.size))
         return scores

@@ -44,9 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.utils.sparse import _canonical
 
-__all__ = ["ChainPlanner", "ChainPlan", "PlanReport"]
+__all__ = ["ChainPlanner", "ChainPlan", "PlanReport", "nnz_bound"]
 
 
 def _inverse_steps(names: tuple) -> tuple:
@@ -80,6 +82,27 @@ def _combine(a: tuple, b: tuple) -> tuple:
         return (rows, cols, 0)
     est = cells * (1.0 - math.exp(-work / cells))
     return (rows, cols, min(work, max(est, 1.0)))
+
+
+def nnz_bound(mats) -> int:
+    """An upper bound on the stored entries of the product of the CSR
+    matrices *mats*, read off their degree vectors.
+
+    Column *k* of the first matrix holds exactly ``col[k]`` entries.  A
+    later step ``S`` multiplies ``Σₖ col[k]·rownnz(S)[k]`` pairs, and
+    column *j* of the product can hold no more rows than ``S`` brings in
+    from the columns it links to *j*, nor more than the product has:
+    ``col ← min(Sᵀ·col, rows)`` on ``S``'s pattern.  The bound is the last
+    step's pair count, capped at the product's size; after one step that
+    count is exact.  One matrix is its own nnz."""
+    first = mats[0]
+    n, pairs = first.shape[0], int(first.nnz)
+    col = np.bincount(first.indices, minlength=first.shape[1])
+    for step in mats[1:]:
+        per_row = np.diff(step.indptr)
+        pairs = int(col @ per_row)
+        col = np.minimum(np.bincount(step.indices, np.repeat(col, per_row), step.shape[1]), n)
+    return min(pairs, n * mats[-1].shape[1])
 
 
 @dataclass(frozen=True)

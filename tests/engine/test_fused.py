@@ -18,8 +18,7 @@ from repro.engine import (
     fused_row_scores,
     kernels,
 )
-from repro.engine import fused as fused_module
-from repro.engine.engine import _FUSED_AUTO_THRESHOLD
+from repro.engine import engine as engine_module
 from repro.engine.fused import _half_chains, _thread
 from repro.networks import HIN, NetworkSchema, UpdateBatch
 
@@ -43,12 +42,13 @@ def _ab_hin(edges, *, n_a=4, n_b=3, extra_rel=False):
 
 
 def _group_hin(weights=None):
-    """``P-A-P`` over papers in groups of four that share the group's
-    eight authors: ``W`` holds 8 entries for every one of 400 papers, but
-    a query reaches only its own group, so a fused query threads 52
-    entries against ``W``'s 3,200 and ``auto`` keeps the path fused.
-    *weights*, if given, draws one link weight per edge."""
-    groups, size, authors = 100, 4, 8
+    """Papers in groups of 32 that share the group's two authors.
+    ``P-A-P-A-P``'s half ``W = P-A-P`` holds 32 entries for each of 320
+    papers: its count reads 16 times the 2 × 640 entries of the half's
+    relations, so ``auto`` prices the path as staying fused.  A query
+    reaches only its own group.  *weights*, if given, draws one link
+    weight per edge."""
+    groups, size, authors = 10, 32, 2
     writes = [
         (g * authors + a, g * size + p)
         for g in range(groups) for p in range(size) for a in range(authors)
@@ -62,7 +62,7 @@ def _group_hin(weights=None):
     )
 
 
-GROUP_PATH = "paper-author-paper"
+GROUP_PATH = "paper-author-paper-author-paper"
 
 
 def _both(hin, path, query, k, **kw):
@@ -246,9 +246,9 @@ class TestEdgeCaseMatrix:
 
 
 class TestAutoDispatch:
-    """``mode="auto"`` picks the kernel from cache state; whatever it
-    picks must be reported on the result and agree bit for bit with both
-    forced kernels."""
+    """``mode="auto"`` picks the kernel from cache state and the path's
+    first-touch price; whatever it picks must be reported on the result
+    and agree bit for bit with both forced kernels."""
 
     def _forced(self, hin, path, q, k):
         return (
@@ -260,21 +260,27 @@ class TestAutoDispatch:
             ),
         )
 
-    def test_cold_path_runs_fused_then_warms(self, small_bib):
+    def test_a_fitting_cold_path_materializes_on_its_first_query(self, small_bib):
         engine = MetaPathEngine(small_bib)  # mode="auto" is the default
         fused_ref, mat_ref = self._forced(small_bib, APVPA, 0, 3)
         assert fused_ref == mat_ref
         modes = []
-        for _ in range(_FUSED_AUTO_THRESHOLD + 2):
+        for _ in range(3):
             res = engine.pathsim_top_k(APVPA, 0, 3)
             modes.append(res.mode)
             assert list(res) == fused_ref
-        t = _FUSED_AUTO_THRESHOLD
-        assert modes[:t] == ["fused"] * t
-        assert set(modes[t:]) == {"materialize"}
-        assert engine.kernel_counters == {"fused": t, "materialize": 2}
+        assert modes == ["materialize"] * 3
+        assert engine.kernel_counters == {"fused": 0, "materialize": 3}
+        key = engine.symmetric_path(APVPA).canonical_key()
+        state = engine._paths[key]
+        half = key[: len(key) // 2]
+        relations = sum(small_bib.relation_matrix(name).nnz for name, _ in half)
+        assert state.kernel == "materialize" and state.diag is None
+        assert state.bound <= engine_module._MATERIALIZE_COST_RATIO * relations
+        assert state.bound >= engine._pathsim_parts(APVPA)[0].nnz
+        assert engine._planner.counters["planned_products"] == 1
 
-    def _serve_past_threshold(self, hin, path, queries, engine=None):
+    def _serve(self, hin, path, queries, engine=None):
         """Serve *queries* one at a time on *engine* (a cold auto engine by
         default), checking each answer against a cold materialized engine
         and each reported kernel against what ``explain`` named just
@@ -290,47 +296,35 @@ class TestAutoDispatch:
             modes.append(res.mode)
         return engine, modes
 
-    def test_half_product_outweighing_its_queries_stays_fused(self):
+    def test_half_product_outweighing_its_relations_stays_fused(self):
+        # The count prices the path before its first query: it stays
+        # fused, its first query streams and holds the diagonal (bitwise
+        # the planned one), and no W is ever built.
         hin, path = _group_hin(), GROUP_PATH
-        t = _FUSED_AUTO_THRESHOLD
-        queries = [7 * q for q in range(t + 6)]
-        engine, modes = self._serve_past_threshold(hin, path, queries[:t])
+        queries = [7 * q for q in range(10)]
+        engine, modes = self._serve(hin, path, queries[:1])
         key = engine.symmetric_path(path).canonical_key()
-        assert engine._held_diag == {}  # the first t queries scan
-
-        def tallied(q):
-            """What serving *q* added to the path's tally."""
-            before = list(engine._fused_tally[key])
-            modes.extend(self._serve_past_threshold(hin, path, [q], engine)[1])
-            return [a - b for a, b in zip(engine._fused_tally[key], before)]
-
-        # Query t+1 streams the diagonal and holds it: bitwise the planned
-        # diagonal.  The stream is no query, so query t+1 adds to the
-        # tally what query t+2 does: one query and one row of W.
-        streamed = tallied(queries[t])
-        held = engine._held_diag[key]
+        held = engine._paths[key].diag
+        assert engine._paths[key].kernel == "fused"
         assert np.array_equal(held, MetaPathEngine(hin)._pathsim_parts(path)[1])
-        assert tallied(queries[t + 1]) == streamed and streamed[::2] == [1, 1]
-        modes += self._serve_past_threshold(hin, path, queries[t + 2 :], engine)[1]
-        assert modes == ["fused"] * (t + 6)
-        assert engine.kernel_counters == {"fused": t + 6, "materialize": 0}
-        assert engine._held_diag[key] is held  # streamed once
+        modes += self._serve(hin, path, queries[1:], engine)[1]
+        assert modes == ["fused"] * 10
+        assert engine.kernel_counters == {"fused": 10, "materialize": 0}
+        assert engine._paths[key].diag is held  # streamed once
         assert engine._cache.peek(("pathsim", key)) is None
+        assert engine._planner.counters["planned_products"] == 0
         assert engine.explain(path).kernel == "fused"
 
-    def test_fused_work_as_large_as_the_half_product_materializes(self):
-        # Every a links to the same three b's: each query reaches every
-        # source and threads all of W's rows, so the first fused query
-        # keeps the W it threaded as the path's entry and every later
-        # one is a materialized hit, with no planner build of the half.
+    def test_a_one_step_half_is_its_relation_and_materializes(self):
+        # Every a links to the same three b's: the half is the relation
+        # itself, its count is its nnz, so the first query is a
+        # materialized one and no planner build ever runs.
         hin = _ab_hin([(a, b) for a in range(20) for b in range(3)], n_a=20)
-        t = _FUSED_AUTO_THRESHOLD
-        engine, modes = self._serve_past_threshold(
-            hin, "a-b-a", list(range(t + 3))
-        )
-        assert modes == ["fused"] + ["materialize"] * (t + 2)
-        assert engine.kernel_counters == {"fused": 1, "materialize": t + 2}
+        engine, modes = self._serve(hin, "a-b-a", list(range(5)))
+        assert modes == ["materialize"] * 5
+        assert engine.kernel_counters == {"fused": 0, "materialize": 5}
         key = engine.symmetric_path("a-b-a").canonical_key()
+        assert engine._paths[key].bound == hin.relation_matrix("r").nnz
         assert engine._cache.peek(("pathsim", key)) is not None
         assert [k for k in engine._cache.keys() if k[0] == "product"] == []
         assert engine._planner.counters["planned_products"] == 0
@@ -432,32 +426,29 @@ def _venue_hin(seed=0):
     return HIN.from_edges(schema, nodes=counts, edges=edges)
 
 
-class TestHarvest:
-    """An ``auto`` query whose scan would thread every row of ``W`` keeps
-    that ``W`` as the path's ``("pathsim", key)`` entry."""
+class TestFirstTouch:
+    """``auto`` prices a path before its first query: a path whose count
+    fits is built by that query, one that does not never builds ``W``,
+    however many queries a cold batch brings."""
 
     PATHS = ("v-p-a-p-v", "v-p-a-p-a-p-v")
 
-    def _harvested(self, hin, path, q=0, k=3):
-        engine = MetaPathEngine(hin)
-        res = engine.pathsim_top_k(path, q, k)
-        assert res.mode == "fused"
-        key = engine.symmetric_path(path).canonical_key()
-        return engine, res, engine._cache.peek(("pathsim", key))
-
-    def test_the_harvested_entry_is_the_planned_one_bitwise(self):
+    def test_a_fitting_path_is_built_by_its_first_query(self):
         hin = _venue_hin()
         for path in self.PATHS:
-            engine, _, entry = self._harvested(hin, path)
-            assert entry is not None
-            (w, diag), (w_ref, diag_ref) = entry, MetaPathEngine(hin)._pathsim_parts(path)
+            engine = MetaPathEngine(hin)
+            assert engine.pathsim_top_k(path, 0, 3).mode == "materialize"
+            key = engine.symmetric_path(path).canonical_key()
+            (w, diag), (w_ref, diag_ref) = (
+                engine._cache.peek(("pathsim", key)),
+                MetaPathEngine(hin, mode="materialize")._pathsim_parts(path),
+            )
             assert w.has_canonical_format and w.shape == w_ref.shape
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(w, name), getattr(w_ref, name))
             assert np.array_equal(diag, diag_ref)
-            # One fused query, then materialized hits; no planner build.
-            assert engine._fused_tally[engine.symmetric_path(path).canonical_key()][0] == 1
-            assert engine._planner.counters["planned_products"] == 0
+            assert engine.kernel_counters == {"fused": 0, "materialize": 1}
+            assert engine._paths[key].kernel == "materialize"
             assert engine.explain(path).kernel == "materialize"
             reference = MetaPathEngine(hin, mode="materialize")
             for q in range(5):
@@ -465,7 +456,7 @@ class TestHarvest:
                 assert res.mode == "materialize"
                 assert list(res) == list(reference.pathsim_top_k(path, q, 3))
 
-    def test_a_forced_fused_engine_never_harvests(self):
+    def test_a_forced_fused_engine_builds_and_prices_nothing(self):
         hin = _venue_hin()
         for path in self.PATHS:
             engine = MetaPathEngine(hin, mode="fused")
@@ -474,27 +465,33 @@ class TestHarvest:
                 assert list(engine.pathsim_top_k(path, q, 3)) == list(
                     reference.pathsim_top_k(path, q, 3)
                 )
-            key = engine.symmetric_path(path).canonical_key()
-            assert engine._fused_tally[key][0] == 5
+            assert engine._paths == {}
             assert [k for k in engine._cache.keys() if k[0] == "pathsim"] == []
 
-    def test_a_pruned_query_never_harvests(self):
-        # 100 sources that all reach each other: k=2 needs 3 rows, and
-        # the scan's first block (64 rows) is fewer than the candidates.
-        hin = _ab_hin([(a, b) for a in range(100) for b in range(3)], n_a=100, n_b=3)
+    def test_a_cold_burst_on_an_over_count_path_builds_no_w(self):
+        # 16 cold queries in one batch: the count prices the path as
+        # staying fused, so the batch streams one diagonal and threads
+        # 16 numerators; nothing builds or caches W.
+        hin = _group_hin()
         engine = MetaPathEngine(hin)
-        res = engine.pathsim_top_k("a-b-a", 0, 2)
-        reference = MetaPathEngine(hin, mode="materialize").pathsim_top_k("a-b-a", 0, 2)
-        assert res.mode == "fused" and list(res) == list(reference)
-        key = engine.symmetric_path("a-b-a").canonical_key()
+        queries = list(range(0, 320, 20))
+        batch = engine.pathsim_top_k_batch(GROUP_PATH, queries, 5)
+        reference = MetaPathEngine(hin, mode="materialize")
+        for q, res in zip(queries, batch):
+            assert res.mode == "fused"
+            assert list(res) == list(reference.pathsim_top_k(GROUP_PATH, q, 5))
+        key = engine.symmetric_path(GROUP_PATH).canonical_key()
+        assert engine._planner.counters["planned_products"] == 0
         assert engine._cache.peek(("pathsim", key)) is None
-        assert engine.explain("a-b-a").kernel == "fused"
+        assert engine.kernel_counters == {"fused": 1, "materialize": 0}
+        assert list(engine._paths) == [key]
+        _, diag = MetaPathEngine(hin, mode="materialize")._pathsim_parts(GROUP_PATH)
+        assert np.array_equal(engine._paths[key].diag, diag)
 
-    def test_a_kept_w_scores_a_row_as_threading_it_alone_does(self):
+    def test_a_first_touch_build_answers_as_the_materialize_engine_bitwise(self):
         # Fractional weights: sums round, so the order decides the bits.
-        # The kept diagonal is summed in the threaded order, so a batch
-        # row read off it equals the same query threaded on a fresh
-        # engine bit for bit (summed in sorted order, some rows differ).
+        # The first-touch build is the planner's W and diagonal, so every
+        # answer equals a cold materialize engine's bit for bit.
         rng = np.random.default_rng(0)
         counts = {"a": 12, "p": 40}
         writes = zip(*(rng.integers(0, counts[t], 60).tolist() for t in "ap"))
@@ -504,35 +501,27 @@ class TestHarvest:
             edges={"w": [(a, p, w) for (a, p), w in zip(writes, rng.uniform(0.01, 4.0, 60))]},
         )
         path = "a-p-a-p-a"
-        key = ("pathsim", MetaPathEngine(hin).symmetric_path(path).canonical_key())
-        engine, _, entry = self._harvested(hin, path, q=0, k=4)
-        assert entry is not None and engine._fused_tally[key[1]][0] == 1
-        compared = 0
-        for j in range(1, counts["a"]):
-            fresh = MetaPathEngine(hin)
-            solo = fresh.pathsim_top_k(path, j, 4)
-            if fresh._cache.peek(key) is not None:
-                continue  # j reaches every author and keeps W itself
-            (_, row) = MetaPathEngine(hin).pathsim_top_k_batch(path, [0, j], 4)
-            assert row.mode == solo.mode == "fused"
-            assert list(row) == list(solo)
-            compared += 1
-        assert compared >= 5
+        engine = MetaPathEngine(hin)
+        reference = MetaPathEngine(hin, mode="materialize")
+        batch = engine.pathsim_top_k_batch(path, list(range(counts["a"])), 4)
+        for q, res in enumerate(batch):
+            assert res.mode == "materialize"
+            assert list(res) == list(reference.pathsim_top_k(path, q, 4))
 
-    def test_two_threads_harvesting_at_once_leave_one_entry(self):
+    def test_two_threads_pricing_at_once_leave_one_state(self, monkeypatch):
         import threading
 
         hin = _venue_hin()
         path = self.PATHS[1]
         engine = MetaPathEngine(hin)
         barrier = threading.Barrier(2, timeout=30)
-        build = engine._pathsim_entry
+        count = engine_module.nnz_bound
 
-        def both_inside(w):
-            barrier.wait()  # both threads are past the cache miss
-            return build(w)
+        def both_inside(mats):
+            barrier.wait()  # both threads are past the unpriced check
+            return count(mats)
 
-        engine._pathsim_entry = both_inside
+        monkeypatch.setattr(engine_module, "nnz_bound", both_inside)
         results = {}
 
         def serve(q):
@@ -544,14 +533,14 @@ class TestHarvest:
         for t in threads:
             t.join(60)
         assert not barrier.broken and sorted(results) == [0, 1]
-        del engine._pathsim_entry
+        monkeypatch.setattr(engine_module, "nnz_bound", count)
         reference = MetaPathEngine(hin, mode="materialize")
         for q in (0, 1):
-            assert results[q].mode == "fused"
+            assert results[q].mode == "materialize"
             assert list(results[q]) == list(reference.pathsim_top_k(path, q, 3))
-        assert [k for k in engine._cache.keys() if k[0] == "pathsim"] == [
-            ("pathsim", engine.symmetric_path(path).canonical_key())
-        ]
+        key = engine.symmetric_path(path).canonical_key()
+        assert list(engine._paths) == [key]
+        assert [k for k in engine._cache.keys() if k[0] == "pathsim"] == [("pathsim", key)]
         for q in range(5):
             res = engine.pathsim_top_k(path, q, 3)
             assert res.mode == "materialize"
@@ -592,10 +581,30 @@ class TestHarvest:
         keys = (engine.symmetric_path(p).canonical_key() for p in self.PATHS)
         assert held == sorted(("pathsim", key) for key in keys)
 
+    def test_a_watch_recomputed_on_source_growth_prices_at_the_new_epoch(self):
+        # The watch's first answer prices the path as staying fused; a
+        # commit that grows the source type drops that state, and the
+        # hook's recompute prices the path again from the post-commit
+        # chain: no shape mismatch, and the answer is the cold one.
+        hin = _group_hin()
+        sub = hin.watches().watch(GROUP_PATH, 3, k=4)
+        engine = hin.engine()
+        key = engine.symmetric_path(GROUP_PATH).canonical_key()
+        assert engine._paths[key].kernel == "fused"
+        hin.apply(UpdateBatch().add_nodes("paper", 2).add_edges("writes", [(0, 320), (5, 321)]))
+        assert hin.watches().stats()["fallback"] == 1
+        _, current = sub.current()
+        cold = MetaPathEngine(hin, mode="materialize")
+        assert current == cold.pathsim_top_k(GROUP_PATH, 3, 4)
+        assert current.network_version == 1
+        assert engine._paths[key].diag.shape == (322,)
+        assert engine._cache.peek(("pathsim", key)) is None
+
 
 class TestHeldDiagonal:
-    """A path ``auto`` keeps fused past the threshold holds its PathSim
-    diagonal, streamed once, and scores every candidate from it."""
+    """A path ``auto`` prices as staying fused holds its PathSim
+    diagonal, streamed once by its first query, and scores every
+    candidate from it."""
 
     def _held(self, hin, queries):
         engine = MetaPathEngine(hin)
@@ -607,68 +616,70 @@ class TestHeldDiagonal:
         # Fractional weights: sums round, so the order decides the bits.
         rng = np.random.default_rng(0)
         hin = _group_hin(lambda n: rng.uniform(0.01, 4.0, n))
-        engine, key = self._held(hin, [7 * q for q in range(_FUSED_AUTO_THRESHOLD + 1)])
+        engine, key = self._held(hin, [7])
         first, _ = _half_chains(engine, engine.symmetric_path(GROUP_PATH))
         alone = [
-            kernels.row_norms(_thread(first[0][[j]], first[1:], [0, 0]))[0]
+            kernels.row_norms(_thread(first[0][[j]], first[1:]))[0]
             for j in range(first[0].shape[0])
         ]
-        assert np.array_equal(engine._held_diag[key], alone)
+        assert np.array_equal(engine._paths[key].diag, alone)
         # So a held query answers as the pruned scan does, bit for bit.
         scan = MetaPathEngine(hin, mode="fused")
-        for q in range(0, 400, 13):
+        for q in range(0, 320, 13):
             held = engine.pathsim_top_k(GROUP_PATH, q, 3)
             assert list(held) == list(scan.pathsim_top_k(GROUP_PATH, q, 3))
 
     def test_a_forced_fused_engine_holds_no_diagonal(self):
         engine = MetaPathEngine(_group_hin(), mode="fused")
-        for q in range(_FUSED_AUTO_THRESHOLD + 3):
+        for q in range(6):
             engine.pathsim_top_k(GROUP_PATH, 7 * q, 2)
-        assert engine._held_diag == {}
+        assert engine._paths == {}
 
     def test_clear_cache_drops_it_and_the_next_query_streams_anew(self):
         hin = _group_hin()
-        engine, key = self._held(hin, range(_FUSED_AUTO_THRESHOLD + 1))
-        held = engine._held_diag[key]
+        engine, key = self._held(hin, [0])
+        held = engine._paths[key].diag
         engine.clear_cache()
-        assert engine._held_diag == {}
+        assert engine._paths == {}
         engine.pathsim_top_k(GROUP_PATH, 5, 2)
-        assert engine._held_diag[key] is not held
-        assert np.array_equal(engine._held_diag[key], held)
+        assert engine._paths[key].diag is not held
+        assert np.array_equal(engine._paths[key].diag, held)
 
     def test_a_commit_drops_it_and_the_next_query_streams_anew(self):
         # The commit grows the source type and links into it, so a vector
         # kept across it would be short and stale.
         hin = _group_hin()
         engine = hin.engine()
-        for q in range(_FUSED_AUTO_THRESHOLD + 1):
-            engine.pathsim_top_k(GROUP_PATH, q, 2)
+        engine.pathsim_top_k(GROUP_PATH, 0, 2)
         key = engine.symmetric_path(GROUP_PATH).canonical_key()
-        held = engine._held_diag[key]
-        hin.apply(UpdateBatch().add_nodes("paper", 1).add_edges("writes", [(0, 400), (9, 3)]))
-        assert engine._held_diag == {}
+        held = engine._paths[key].diag
+        hin.apply(UpdateBatch().add_nodes("paper", 1).add_edges("writes", [(0, 320), (9, 3)]))
+        assert engine._paths == {}
         reference = MetaPathEngine(hin, mode="materialize")
-        for q in (0, 3, 400):
+        for q in (0, 3, 320):
             res = engine.pathsim_top_k(GROUP_PATH, q, 3)
             assert res.mode == "fused"
             assert list(res) == list(reference.pathsim_top_k(GROUP_PATH, q, 3))
-        assert engine._held_diag[key] is not held
+        assert engine._paths[key].diag is not held
         _, diag = reference._pathsim_parts(GROUP_PATH)
-        assert np.array_equal(engine._held_diag[key], diag)
+        assert np.array_equal(engine._paths[key].diag, diag)
 
     def test_two_threads_streaming_at_once_leave_one_vector(self, monkeypatch):
         import threading
 
         hin = _group_hin()
-        engine, key = self._held(hin, range(_FUSED_AUTO_THRESHOLD))
+        engine = MetaPathEngine(hin)
+        assert engine.explain(GROUP_PATH).kernel == "fused"  # priced, not streamed
+        key = engine.symmetric_path(GROUP_PATH).canonical_key()
+        assert engine._paths[key].diag is None
         barrier = threading.Barrier(2, timeout=30)
-        stream = fused_module.half_norms
+        stream = engine_module.half_norms
 
         def both_inside(first):
             barrier.wait()  # both threads are past the held-vector miss
             return stream(first)
 
-        monkeypatch.setattr(fused_module, "half_norms", both_inside)
+        monkeypatch.setattr(engine_module, "half_norms", both_inside)
         results = {}
 
         def serve(q):
@@ -684,30 +695,30 @@ class TestHeldDiagonal:
         def no_stream(first):
             raise AssertionError("the held vector was streamed again")
 
-        monkeypatch.setattr(fused_module, "half_norms", no_stream)
-        assert list(engine._held_diag) == [key]
+        monkeypatch.setattr(engine_module, "half_norms", no_stream)
+        assert list(engine._paths) == [key]
         _, diag = MetaPathEngine(hin)._pathsim_parts(GROUP_PATH)
-        assert np.array_equal(engine._held_diag[key], diag)
+        assert np.array_equal(engine._paths[key].diag, diag)
         reference = MetaPathEngine(hin, mode="materialize")
         for q in (9, 22):
             assert results[q].mode == "fused"
             assert list(results[q]) == list(reference.pathsim_top_k(GROUP_PATH, q, 3))
-        for q in range(0, 400, 37):
+        for q in range(0, 320, 37):
             res = engine.pathsim_top_k(GROUP_PATH, q, 3)
             assert res.mode == "fused"
             assert list(res) == list(reference.pathsim_top_k(GROUP_PATH, q, 3))
 
-    def test_threads_racing_across_the_threshold_agree(self):
+    def test_threads_racing_on_a_cold_path_agree(self):
         # More threads than cores, switching often, on one cold auto
-        # engine: the path crosses the threshold under them, every answer
-        # is the materialized one and the one vector held is the diagonal.
+        # engine: every answer is the materialized one and the one vector
+        # held is the diagonal.
         import sys
         import threading
 
         hin = _group_hin()
         engine = MetaPathEngine(hin)
         reference = MetaPathEngine(hin, mode="materialize")
-        queries = list(range(0, 400, 17))
+        queries = list(range(0, 320, 17))
         expected = {q: list(reference.pathsim_top_k(GROUP_PATH, q, 3)) for q in queries}
         wrong = []
 
@@ -728,9 +739,9 @@ class TestHeldDiagonal:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and wrong == []
         key = engine.symmetric_path(GROUP_PATH).canonical_key()
-        assert list(engine._held_diag) == [key]
+        assert list(engine._paths) == [key]
         _, diag = reference._pathsim_parts(GROUP_PATH)
-        assert np.array_equal(engine._held_diag[key], diag)
+        assert np.array_equal(engine._paths[key].diag, diag)
 
 
 class TestUnifiedEmptyShape:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import tracemalloc
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import MetaPathEngine, kernels
+from repro.engine import engine as engine_module
 from repro.engine.topk import merge_top_k, top_k_indices
 from repro.networks import HIN, NetworkSchema, UpdateBatch
 from repro.serving.shards import _execute_shard_job, _pack_queries
@@ -156,9 +158,9 @@ def test_fractional_weights_keep_the_link_weight_contract():
     the routes that read one materialized ``W`` through these kernels
     (materialize, the partial block, the sharded scatter) stay bitwise
     equal, and the routes that sum or associate in another order (fused
-    row threading, the ``W`` a fused query threads whole and keeps, the
-    left-to-right ``hin.commuting_matrix`` against the planned order,
-    maintained vs rebuilt) agree to ``rtol=1e-12``."""
+    row threading, the diagonal a path ``auto`` keeps fused streams and
+    holds, the left-to-right ``hin.commuting_matrix`` against the planned
+    order, maintained vs rebuilt) agree to ``rtol=1e-12``."""
     rng = np.random.default_rng(5)
     counts = {"a": 60, "p": 150, "v": 6}
 
@@ -197,19 +199,20 @@ def test_fractional_weights_keep_the_link_weight_contract():
         result = fused.pathsim_top_k(path, q, k)
         np.testing.assert_allclose(result.scores, row[result.labels], rtol=1e-12)
 
-    # The first auto query on a venue path threads every row of W and
-    # keeps it: summed in the threaded order, not the plan's.
+    # A path auto prices as staying fused streams its diagonal on its
+    # first query and holds it: summed through the half chain, not the
+    # plan's order.
     venues = "v-p-a-p-a-p-v"
     auto = MetaPathEngine(hin)
-    assert auto.pathsim_top_k(venues, 0, 3).mode == "fused"
-    w_h, diag_h = auto._cache.peek(("pathsim", auto.symmetric_path(venues).canonical_key()))
-    w_p, diag_p = mat._pathsim_parts(venues)
-    np.testing.assert_allclose(w_h.toarray(), w_p.toarray(), rtol=1e-12)
-    np.testing.assert_allclose(diag_h, diag_p, rtol=1e-12)
+    with patch.object(engine_module, "_MATERIALIZE_COST_RATIO", 0):
+        assert auto.explain(venues).kernel == "fused"
     for q, row in enumerate(mat.pathsim_rows(venues, range(counts["v"]))):
         result = auto.pathsim_top_k(venues, q, 3)
-        assert result.mode == "materialize"
+        assert result.mode == "fused"
         np.testing.assert_allclose(result.scores, row[result.labels], rtol=1e-12)
+    key = auto.symmetric_path(venues).canonical_key()
+    assert auto._cache.peek(("pathsim", key)) is None
+    np.testing.assert_allclose(auto._paths[key].diag, mat._pathsim_parts(venues)[1], rtol=1e-12)
     m = hin.commuting_matrix(path).toarray()
     diag_m = np.diag(m)
     left = kernels.pathsim_scores(m[queries], diag_m[queries, None] + diag_m[None, :])

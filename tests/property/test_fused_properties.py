@@ -150,7 +150,7 @@ class TestFusedOracle:
     @given(
         symmetric_paths(),
         st.lists(st.integers(0, 8), min_size=6, max_size=10),
-        st.integers(0, 10),
+        st.integers(1, 5),
         update_batches(),
         st.sampled_from([0, _MATERIALIZE_COST_RATIO, 10**9]),
         st.integers(1, 4),
@@ -159,11 +159,13 @@ class TestFusedOracle:
     def test_auto_across_the_threshold_and_an_update(
         self, path, picks, cut, batches, ratio, k
     ):
-        """An ``auto`` engine's answers over a query sequence that crosses
-        the threshold, with ``apply()`` in between, equal a cold
-        materialized engine's at every epoch, whichever way the cost rule
-        decides (the drawn ratio forces either side, or leaves it to
-        the default)."""
+        """An ``auto`` engine's answers over a query sequence with
+        ``apply()`` in between equal a cold materialized engine's at
+        every epoch, whichever side of the price's threshold the path
+        falls (the drawn ratio forces either side, or leaves it to the
+        default).  At ratio 0 every path with a non-empty ``W`` stays
+        fused and holds its diagonal from its first query, so a vector
+        kept across the commit would be scored at the new epoch."""
         hin = _base_hin()
         engine = hin.engine()
         src = path.split("-")[0]
@@ -200,9 +202,8 @@ class TestFusedOracle:
 @st.composite
 def dense_hins(draw):
     """The property schema with every ``a-b`` and ``b-c`` pair linked at a
-    drawn integer weight, so every symmetric path's numerator reaches
-    every source object and an ``auto`` engine's first query keeps the
-    ``W`` it threads."""
+    drawn integer weight: every symmetric path's numerator reaches every
+    source object, and every path's count fits."""
     counts = {"a": 4, "b": 3, "c": 2}
 
     def links(src, dst):
@@ -217,18 +218,19 @@ def dense_hins(draw):
     )
 
 
-class TestHarvest:
+class TestFirstTouch:
     @given(dense_hins(), symmetric_paths(), update_batches(), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
-    def test_a_harvested_entry_is_maintained_like_a_built_one(self, hin, path, batches, k):
-        """An ``auto`` engine keeps the ``W`` its first query threads, then
-        takes a random update stream: every answer, before and after each
+    def test_a_first_touch_build_is_maintained_like_a_built_one(self, hin, path, batches, k):
+        """On these dense networks every path's count fits, so an ``auto``
+        engine builds ``W`` on the path's first query, then takes a
+        random update stream: every answer, before and after each
         commit, equals a cold ``mode="materialize"`` engine's at that
         epoch."""
         engine = hin.engine()  # incrementally maintained by hin.apply()
         key = ("pathsim", engine.symmetric_path(path).canonical_key())
         src = path.split("-")[0]
-        assert engine.pathsim_top_k(path, 0, k).mode == "fused"
+        assert engine.pathsim_top_k(path, 0, k).mode == "materialize"
         assert engine._cache.peek(key) is not None
         for batch in [None, *batches]:
             if batch is not None:
@@ -311,3 +313,55 @@ class TestOneRoute:
             assert list(other) == list(first)
             assert other.network_version == first.network_version
             assert other.mode == first.mode
+
+
+#: For each source type: the relation that links a new node of it, and
+#: whether the new node is that relation's source end.
+_GROWTH_LINKS = {"a": ("r_ab", True), "b": ("r_bc", True), "c": ("r_bc", False)}
+
+
+def _pair_count(a, b) -> int:
+    """Multiply-add pairs of the sparse product ``a·b``, row by row."""
+    per_row = np.diff(b.indptr)
+    return sum(
+        int(per_row[a.indices[a.indptr[i] : a.indptr[i + 1]]].sum()) for i in range(a.shape[0])
+    )
+
+
+class TestTheCount:
+    @given(
+        weighted_hins(),
+        symmetric_paths(),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 1), st.floats(0.05, 4.0)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda link: link[:2],
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_the_count_bounds_nnz_w_across_a_growth_commit(self, hin, path, links):
+        """The count ``auto`` prices a path by is at least ``nnz(W)`` of a
+        cold build, before and after a commit that grows the path's
+        source type and links the new nodes in at fractional weights
+        (the base network's are fractional on half the draws).  When the
+        half's chain is two matrices, it is their product's exact pair
+        count, capped at the product's size."""
+        engine = hin.engine()
+        key = engine.symmetric_path(path).canonical_key()
+        src = path.split("-")[0]
+        rel, new_is_source = _GROWTH_LINKS[src]
+        for epoch in range(2):
+            if epoch:
+                n = hin.node_count(src)
+                added = max(u for u, _, _ in links) + 1
+                edges = [(n + u, v, w) if new_is_source else (v, n + u, w) for u, v, w in links]
+                hin.apply(UpdateBatch().add_nodes(src, added).add_edges(rel, edges))
+            assert engine.explain(path).kernel in ("fused", "materialize")
+            bound = engine._paths[key].bound
+            w = MetaPathEngine(hin, mode="materialize")._pathsim_parts(path)[0]
+            assert bound >= w.nnz
+            chain = engine._planner.row_chain(key[: len(key) // 2])
+            if len(chain) == 2:
+                first, last = chain
+                assert bound == min(_pair_count(first, last), first.shape[0] * last.shape[1])

@@ -77,9 +77,10 @@ def test_route_census_smoke_counts_the_top_k_route(capsys):
 
 
 def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
-    """``--smoke``: the cost table and one deep_path round's cache entries
-    and held diagonals with the fused queries each path served, one row
-    per deep path each, with nothing left in the checkout."""
+    """``--smoke``: the cost table with each path's count, and one
+    deep_path round's cache entries, held diagonals and first-touch
+    picks, one row per deep path each, with nothing left in the
+    checkout."""
     kernel_costs = _load("kernel_costs")
     deep_paths = kernel_costs._harness().DEEP_PATHS
     watched = (TOOLS.parent, TOOLS.parent / "benchmarks" / "perf")
@@ -90,12 +91,16 @@ def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
     assert lines[0].startswith("# kernel costs, smoke network, seed=3")
     assert lines[1].split()[1:] == [
         "first_mat_ms", "mat_ms/q", "fused_ms/q", "held_ms/q", "stream_ms", "nnz(W)",
-        "est_nnz(W)", "entries/q", "auto",
+        "bound(W)", "bound/rel", "auto",
     ]
     table = [row.split() for row in lines[2 : 2 + n]]
     assert [row[0] for row in table] == deep_paths
     assert all(row[-1] in ("fused", "materialize") for row in table)
-    assert all(int(row[6]) > 0 and float(row[8]) > 0 for row in table)
+    # The count bounds nnz(W), and its ratio to the relations decides.
+    assert all(int(row[7]) >= int(row[6]) > 0 and float(row[8]) > 0 for row in table)
+    from repro.engine.engine import _MATERIALIZE_COST_RATIO as ratio
+
+    assert all((float(row[8]) <= ratio) == (row[-1] == "materialize") for row in table)
     # Only a path auto keeps fused holds its diagonal, so only it has a
     # held cost; every path has a stream cost.
     assert all((row[4] == "-") == (row[-1] == "materialize") for row in table)
@@ -108,9 +113,12 @@ def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
     assert all(row[1:3] == ["pathsim", "entry"] for row in held)
     assert all(row[3] in ("cached", "absent") for row in held)
     assert all(row[4] == "diagonal" and row[5] in ("held", "absent") for row in held)
-    assert all(row[6:8] == ["fused", "queries"] and int(row[8]) >= 0 for row in held)
-    # A path served fused at all served at least its first query so.
-    assert all(int(row[8]) > 0 for row in held if row[3] == "absent")
+    assert all(row[6:8] == ["first", "touch"] for row in held)
+    # A path built at first touch holds its entry; one kept fused holds
+    # its diagonal and no entry.
+    assert all(row[8] in ("fused", "materialize") for row in held)
+    assert all(row[3] == "cached" for row in held if row[8] == "materialize")
+    assert all(row[3:6] == ["absent", "diagonal", "held"] for row in held if row[8] == "fused")
     assert _listing(*watched) == before
 
 

@@ -10,24 +10,24 @@ three ways, each on a fresh engine over the workload's network:
 
 * ``mode="materialize"``: the first materialization of the half product
   ``W`` (ms), then the warm materialized query (ms per query);
-* ``mode="fused"``: the fused query (ms per query) and the stored entries
-  it threaded per query, from the engine's per-path tally;
+* ``mode="fused"``: the pruned fused scan (ms per query);
 * ``mode="auto"``: the kernel ``explain()`` names for the next query
-  after those queries, and auto's estimate of ``nnz(W)``.  Where those
-  queries left the path holding its diagonal (a path auto keeps fused),
-  ``held_ms/q`` is the same queries served again on that engine, every
-  one scored from the held vector; ``-`` elsewhere.
+  after those queries.  Where those queries left the path holding its
+  diagonal (a path auto prices as staying fused), ``held_ms/q`` is the
+  same queries served again on that engine, every one scored from the
+  held vector; ``-`` elsewhere.
 
 ``stream_ms`` is one stream of the whole diagonal through the half
-chain (what the first query past the threshold pays to hold it).
-``nnz(W)`` is the materialized half product's.  Then it runs one
-measured ``deep_path`` round, exactly as the benchmark does
-(seeded ops, a ``QueryService`` on a cold engine), and prints which
-deep paths ended it holding a ``("pathsim", …)`` cache entry, which
-hold their diagonal instead, and how many fused queries each served in
-it (once a path holds its entry ``auto`` serves it materialized, so for
-a held path that is the count before it held it: 1 where the first
-fused query kept the ``W`` it threaded).
+chain (what a fused path's first query pays to hold it).  ``nnz(W)`` is
+the materialized half product's.  ``bound(W)`` is the count auto prices
+the path by before its first query (``planner.nnz_bound``), and
+``bound/rel`` is that count over the stored entries of the half's
+relations: auto materializes while it is at most
+``_MATERIALIZE_COST_RATIO``.  Then it runs one measured ``deep_path``
+round, exactly as the benchmark does (seeded ops, a ``QueryService`` on a
+cold engine), and prints which deep paths ended it holding a
+``("pathsim", …)`` cache entry, which hold their diagonal instead, and
+the kernel each path's price picked at its first touch.
 
 Last comes the reach route (:func:`reach_main`).  Each ``HOT_PATHS`` or
 ``DEEP_PATHS`` entry whose half ``W`` the engine reads by column for
@@ -100,14 +100,14 @@ def path_costs(hin, path, queries) -> dict:
     half_norms(first)
     stream_ms = (time.perf_counter() - start) * 1e3
 
-    fused = MetaPathEngine(hin, mode="fused")
-    fused_ms = _serve(fused, path, queries)
-    served, work, rows, row_nnz = fused._fused_tally[key]
+    fused_ms = _serve(MetaPathEngine(hin, mode="fused"), path, queries)
 
     auto = MetaPathEngine(hin)
     for q in queries:
         auto.pathsim_top_k(path, q, K)
-    held = key in auto._held_diag and auto._cache.peek(("pathsim", key)) is None
+    state = auto._paths[key]
+    held = state.diag is not None and auto._cache.peek(("pathsim", key)) is None
+    relations = sum(hin.relation_matrix(name).nnz for name, _ in key[: len(key) // 2])
     return {
         "path": path,
         "first_mat_ms": first_ms,
@@ -116,15 +116,15 @@ def path_costs(hin, path, queries) -> dict:
         "held_ms": _serve(auto, path, queries) if held else None,
         "stream_ms": stream_ms,
         "nnz_w": w_nnz,
-        "est_nnz_w": hin.node_count(mp.source_type) * row_nnz / rows,
-        "entries_per_query": work / served,
+        "bound_w": state.bound,
+        "bound_rel": state.bound / relations,
         "auto": auto.explain(path).kernel,
     }
 
 
 def round_entries(harness, ctx) -> tuple:
-    """``({path: (holds a ("pathsim", …) entry, holds its diagonal,
-    fused queries served)}, kernel counters, errors)`` after one
+    """``({path: (holds a ("pathsim", …) entry, holds its diagonal, the
+    kernel its first touch picked)}, kernel counters, errors)`` after one
     measured ``deep_path`` round."""
     workload = harness.WORKLOADS["deep_path"](ctx)
     last = workload.round(warmup=False)  # the same work as a measured round
@@ -132,9 +132,9 @@ def round_entries(harness, ctx) -> tuple:
     held = {}
     for path in harness.DEEP_PATHS:
         key = engine.symmetric_path(path).canonical_key()
-        served = engine._fused_tally.get(key, [0])[0]
+        state = engine._paths.get(key)
         cached = engine._cache.peek(("pathsim", key)) is not None
-        held[path] = (cached, key in engine._held_diag, served)
+        held[path] = (cached, state is not None and state.diag is not None, state and state.kernel)
     return held, dict(engine.kernel_counters), last.errors
 
 
@@ -170,8 +170,8 @@ def main(argv=None) -> int:
         )
         print(
             f"{'path':<16}{'first_mat_ms':>13}{'mat_ms/q':>10}{'fused_ms/q':>11}"
-            f"{'held_ms/q':>10}{'stream_ms':>10}{'nnz(W)':>11}{'est_nnz(W)':>12}"
-            f"{'entries/q':>11}  auto"
+            f"{'held_ms/q':>10}{'stream_ms':>10}{'nnz(W)':>11}{'bound(W)':>11}"
+            f"{'bound/rel':>10}  auto"
         )
         for path in harness.DEEP_PATHS:
             count = ctx.base.node_count(harness._TYPE_OF[path[0]])
@@ -182,15 +182,15 @@ def main(argv=None) -> int:
                 f"{row['path']:<16}{row['first_mat_ms']:>13.1f}"
                 f"{row['mat_ms']:>10.2f}{row['fused_ms']:>11.2f}"
                 f"{held:>10}{row['stream_ms']:>10.1f}"
-                f"{row['nnz_w']:>11}{row['est_nnz_w']:>12.0f}"
-                f"{row['entries_per_query']:>11.0f}  {row['auto']}"
+                f"{row['nnz_w']:>11}{row['bound_w']:>11}"
+                f"{row['bound_rel']:>10.2f}  {row['auto']}"
             )
         held, kernels, errors = round_entries(harness, ctx)
         print(f"# one deep_path round: kernels {kernels}, errors={errors}")
-        for path, (cached, diagonal, served) in held.items():
+        for path, (cached, diagonal, pick) in held.items():
             state = "cached" if cached else "absent"
             diag = "held" if diagonal else "absent"
-            print(f"{path:<16}pathsim entry {state:<7}diagonal {diag:<7}fused queries {served}")
+            print(f"{path:<16}pathsim entry {state:<7}diagonal {diag:<7}first touch {pick or '-'}")
     return 0 if errors == 0 else 1
 
 
