@@ -107,10 +107,10 @@ _MATERIALIZE_COST_RATIO = 10
 _REACH_COST = 12
 
 
-#: What ``auto`` knows of one symmetric path at this epoch: the count
-#: bounding ``nnz(W)``, the kernel it picked from it, and the path's
-#: PathSim diagonal once its first fused query has streamed it.  Replaced,
-#: never written to.
+#: What the engine knows of one symmetric path at this epoch: the count
+#: bounding ``nnz(W)``, the kernel ``auto`` picked from it, and the path's
+#: PathSim diagonal once a fused query has streamed it.  Replaced, never
+#: written to.
 _PathState = namedtuple("_PathState", "bound kernel diag", defaults=(None,))
 
 
@@ -296,16 +296,22 @@ class MetaPathEngine:
         prices a path as that query would.
 
         ``"materialize"`` while the path's PathSim entry is cached.
-        Otherwise the path is priced once per epoch, on first touch, by
-        the count bounding ``nnz(W)`` (:func:`~repro.engine.planner.nnz_bound`
-        over :meth:`~repro.engine.planner.ChainPlanner.row_chain`):
+        Otherwise the path is priced once per epoch, on first touch
+        (:meth:`_path_state`), by the count bounding ``nnz(W)``
+        (:func:`~repro.engine.planner.nnz_bound` over
+        :meth:`~repro.engine.planner.ChainPlanner.row_chain`):
         ``"materialize"`` while it is at most ``_MATERIALIZE_COST_RATIO``
         times the stored entries of the half's relations, else
-        ``"fused"``.  Of two readers pricing at once, the first stored
-        state stays."""
+        ``"fused"``."""
         key = mp.canonical_key()
         if self._cache.peek(("pathsim", key)) is not None:
             return "materialize"
+        return self._path_state(key).kernel
+
+    def _path_state(self, key: tuple) -> _PathState:
+        """*key*'s :class:`_PathState`, priced on first touch at this
+        epoch.  Of two readers pricing at once, the first stored state
+        stays."""
         state = self._paths.get(key)
         if state is None:
             half = key[: len(key) // 2]
@@ -313,17 +319,24 @@ class MetaPathEngine:
             relations = sum(self.hin.relation_matrix(name).nnz for name, _ in half)
             kernel = "materialize" if bound <= _MATERIALIZE_COST_RATIO * relations else "fused"
             state = self._paths.setdefault(key, _PathState(bound, kernel))
-        return state.kernel
+        return state
 
-    def _held_diagonal(self, key: tuple, first) -> np.ndarray | None:
-        """The PathSim diagonal of a path ``auto`` priced as staying
-        fused, streamed once through its first half chain *first*
-        (:func:`~repro.engine.fused.half_norms`) by the path's first
-        query; ``None`` for a path priced to materialize or not priced
-        (a forced-kernel engine prices nothing)."""
-        state = self._paths.get(key)
-        if state is None or state.kernel != "fused":
-            return None
+    def _half_chains(self, key: tuple) -> tuple:
+        """``(first, second)``: the row chains
+        (:meth:`~repro.engine.planner.ChainPlanner.row_chain`) of *key*'s
+        two symmetric halves.  ``first`` multiplies out to ``W``, and
+        ``second`` to ``Wᵀ``."""
+        half = len(key) // 2
+        return self._planner.row_chain(key[:half]), self._planner.row_chain(key[half:])
+
+    def _held_diagonal(self, key: tuple, first) -> np.ndarray:
+        """The PathSim diagonal the path holds at this epoch, streamed
+        through its first half chain *first*
+        (:func:`~repro.engine.fused.half_norms`) by its first fused query
+        without a cached entry, whichever mode forced or picked
+        ``"fused"``.  An unpriced path is priced first, so holding a
+        diagonal never sets or changes ``auto``'s pick."""
+        state = self._path_state(key)
         if state.diag is None:
             state = self._paths[key] = state._replace(diag=half_norms(first))
         return state.diag
@@ -337,12 +350,13 @@ class MetaPathEngine:
         it prices the path once per epoch, before its first query
         (:meth:`_auto_choice`).  A path whose count fits materializes on that
         first query: one SpGEMM that every later query amortizes.  Any
-        other path stays fused and never builds ``W``: its first query
-        streams its diagonal and holds it (:meth:`_held_diagonal`), and
-        every query scores its candidates from it.  The pick does not
-        depend on how many queries a batch brings, so a cold burst runs
-        the kernel a single query would.  Answers are bit-identical
-        either way; only the cost differs.
+        other path stays fused and never builds ``W``.  However
+        ``"fused"`` was chosen, a fused batch scores every candidate from
+        one diagonal: the cached entry's, else the one the path's first
+        fused query streams and holds (:meth:`_held_diagonal`).  The pick
+        does not depend on how many queries a batch brings, so a cold
+        burst runs the kernel a single query would.  Answers are
+        bit-identical either way; only the cost differs.
         """
         self._sync()
         chosen = _check_mode(self.topk_mode if mode is None else mode)
@@ -546,9 +560,9 @@ class MetaPathEngine:
         forces ``"fused"`` on a shared engine), which a non-benchmark
         change may not edit; it goes the next time the benchmark
         contract is opened.  Everything else constructs the engine
-        with the kernel it wants.  Whether a fused query scores from a
-        held diagonal follows the path's ``auto`` price, not this
-        override.
+        with the kernel it wants.  A fused call scores from the path's
+        cached or held diagonal, streaming it on a miss, and leaves the
+        path's ``auto`` pick as it was.
         """
         (result,) = self._pathsim_top_k(path, [query], k, exclude_query, mode)
         return result
@@ -570,17 +584,21 @@ class MetaPathEngine:
         mp = self.symmetric_path(path)
         idx = [self._resolve(mp.source_type, q) for q in queries]
         kernel = self._topk_kernel(mp, mode)
-        if kernel == "fused":
-            # Each row is pruned to exactly what _select consumes: the
-            # top `need` positions (k plus the self-exclusion slot).
-            need = k + 1 if exclude else k
-            rows = [fused_row_scores(self, mp, i, need=need) for i in idx]
-        else:
-            rows = self._materialized_rows(mp, idx)
+        rows = (self._fused_rows if kernel == "fused" else self._materialized_rows)(mp, idx)
         return [
             self._select(row, mp, mp.source_type, i, k, exclude, "pathsim", kernel)
             for row, i in zip(rows, idx)
         ]
+
+    def _fused_rows(self, mp: MetaPath, idx: list) -> list:
+        """Each query's dense fused row (:func:`~repro.engine.fused.fused_row_scores`),
+        from chains and a diagonal resolved once for the batch: the
+        cached entry's diagonal, else the path's held one."""
+        key = mp.canonical_key()
+        first, second = self._half_chains(key)
+        cached = self._cache.get(("pathsim", key))
+        diag = self._held_diagonal(key, first) if cached is None else cached[1]
+        return [fused_row_scores(first, second, diag, i) for i in idx]
 
     def _materialized_rows(self, mp: MetaPath, idx: list) -> list:
         """Each query's scores on the cached ``(W, diag)``: a

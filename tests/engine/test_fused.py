@@ -19,7 +19,7 @@ from repro.engine import (
     kernels,
 )
 from repro.engine import engine as engine_module
-from repro.engine.fused import _half_chains, _thread
+from repro.engine.fused import _thread, half_norms
 from repro.networks import HIN, NetworkSchema, UpdateBatch
 
 APA = "author-paper-author"
@@ -155,28 +155,29 @@ class TestEdgeCaseMatrix:
         assert engine.kernel_counters == {"fused": 0, "materialize": 0}
 
     def test_fused_helpers_reject_nothing_the_engine_allows(self, small_bib):
-        # The direct kernel entry point agrees with the dense row / block.
+        # The pure kernel, fed a cold engine's chains and a streamed
+        # diagonal, agrees with the dense row / block.
         engine = MetaPathEngine(small_bib, mode="materialize")
         mp = engine.symmetric_path(APVPA)
         row = engine.pathsim_row(mp, 1)
-        cold = MetaPathEngine(small_bib)
-        got = fused_row_scores(cold, mp, 1)
-        assert np.array_equal(got, row)
-        block = np.array([fused_row_scores(cold, mp, i) for i in (0, 1)])
+        first, second = MetaPathEngine(small_bib)._half_chains(mp.canonical_key())
+        diag = half_norms(first)
+        assert np.array_equal(fused_row_scores(first, second, diag, 1), row)
+        block = np.array([fused_row_scores(first, second, diag, i) for i in (0, 1)])
         assert np.array_equal(block, engine.pathsim_rows(mp, [0, 1]))
 
-    def test_pruned_row_serves_exact_top_k(self, small_bib):
-        # need= prunes the tail: positions past the top-`need` stay 0.0,
-        # but the selected top-k must be exactly the unpruned answer.
-        engine = MetaPathEngine(small_bib)
+    def test_the_pure_kernel_divides_by_the_diagonal_it_is_given(self, small_bib):
+        # The kernel reads its denominators from *diag* alone: a constant
+        # diagonal d scores 2·M[i, j] / (M[i, i] + d) wherever M[i, j] != 0.
+        engine = MetaPathEngine(small_bib, mode="materialize")
         mp = engine.symmetric_path(APVPA)
-        full = fused_row_scores(engine, mp, 0)
-        for need in (1, 2, 3):
-            pruned = fused_row_scores(engine, mp, 0, need=need)
-            order_full = np.lexsort((np.arange(full.size), -full))[:need]
-            order_pruned = np.lexsort((np.arange(pruned.size), -pruned))[:need]
-            assert np.array_equal(order_full, order_pruned)
-            assert np.array_equal(full[order_full], pruned[order_pruned])
+        m = engine.commuting_matrix(mp).toarray()
+        first, second = MetaPathEngine(small_bib)._half_chains(mp.canonical_key())
+        for i in (0, 1):
+            for d in (1.0, 5.0):
+                diag = np.full(m.shape[0], d)
+                expected = np.where(m[i] != 0, 2.0 * m[i] / (m[i, i] + d), 0.0)
+                assert np.array_equal(fused_row_scores(first, second, diag, i), expected)
 
     def test_forced_fused_reads_cached_diag(self, small_bib):
         # A prewarmed engine holds the maintained (w, diag) pair; forced
@@ -203,10 +204,10 @@ class TestEdgeCaseMatrix:
         engine = MetaPathEngine(small_bib, mode="fused")
         assert engine.pathsim_top_k_batch(APVPA, [], 3) == []
 
-    def test_pruning_engages_on_wide_candidate_sets(self):
-        # >64 candidates with small k: the pruned scan must stop early
-        # yet still hand _select the exact top slots.  Parity over every
-        # query is the oracle; the suffix bound makes it safe.
+    def test_forced_fused_matches_materialize_on_wide_candidate_sets(self):
+        # Hundreds of candidates per query with small k: every one is
+        # scored from the held diagonal, and _select takes the exact top
+        # slots.  Parity over every query is the oracle.
         from repro.datasets import make_dblp_four_area
 
         hin = make_dblp_four_area(
@@ -219,23 +220,6 @@ class TestEdgeCaseMatrix:
             assert list(fused.pathsim_top_k(APVPA, q, 2)) == list(
                 mat.pathsim_top_k(APVPA, q, 2)
             ), q
-
-    def test_suffix_bound_contract(self):
-        # The Cauchy-Schwarz score bound: dominates the attainable score,
-        # monotone in the numerator, saturates at 1 for v >= diag_i.
-        from repro.engine.fused import _suffix_bound
-
-        assert _suffix_bound(5.0, 0.0) == 0.0
-        assert _suffix_bound(7.0, 7.0) == 1.0
-        assert _suffix_bound(9.0, 7.0) == 1.0
-        lo, hi = _suffix_bound(2.0, 8.0), _suffix_bound(4.0, 8.0)
-        assert 0.0 < lo < hi <= 1.0
-        # dominates the true score for any feasible denominator diag_j
-        # (Cauchy-Schwarz forces diag_j >= v^2 / diag_i):
-        v, diag_i = 3.0, 8.0
-        for diag_j in (v * v / diag_i, 2.0, 5.0, 50.0):
-            true_score = 2.0 * v / (diag_i + diag_j)
-            assert true_score <= _suffix_bound(v, diag_i)
 
     def test_invalid_mode_rejected(self, small_bib):
         with pytest.raises(ValueError):
@@ -456,7 +440,9 @@ class TestFirstTouch:
                 assert res.mode == "materialize"
                 assert list(res) == list(reference.pathsim_top_k(path, q, 3))
 
-    def test_a_forced_fused_engine_builds_and_prices_nothing(self):
+    def test_a_forced_fused_engine_holds_a_diagonal_and_builds_nothing(self):
+        # Both paths fit auto's count, yet a forced-fused engine builds
+        # no W: it holds the diagonal its first query streamed.
         hin = _venue_hin()
         for path in self.PATHS:
             engine = MetaPathEngine(hin, mode="fused")
@@ -465,8 +451,11 @@ class TestFirstTouch:
                 assert list(engine.pathsim_top_k(path, q, 3)) == list(
                     reference.pathsim_top_k(path, q, 3)
                 )
-            assert engine._paths == {}
+            key = engine.symmetric_path(path).canonical_key()
+            assert list(engine._paths) == [key]
+            assert np.array_equal(engine._paths[key].diag, reference._pathsim_parts(path)[1])
             assert [k for k in engine._cache.keys() if k[0] == "pathsim"] == []
+            assert engine._planner.counters["planned_products"] == 0
 
     def test_a_cold_burst_on_an_over_count_path_builds_no_w(self):
         # 16 cold queries in one batch: the count prices the path as
@@ -617,23 +606,66 @@ class TestHeldDiagonal:
         rng = np.random.default_rng(0)
         hin = _group_hin(lambda n: rng.uniform(0.01, 4.0, n))
         engine, key = self._held(hin, [7])
-        first, _ = _half_chains(engine, engine.symmetric_path(GROUP_PATH))
+        first, _ = engine._half_chains(key)
         alone = [
             kernels.row_norms(_thread(first[0][[j]], first[1:]))[0]
             for j in range(first[0].shape[0])
         ]
         assert np.array_equal(engine._paths[key].diag, alone)
-        # So a held query answers as the pruned scan does, bit for bit.
-        scan = MetaPathEngine(hin, mode="fused")
-        for q in range(0, 320, 13):
-            held = engine.pathsim_top_k(GROUP_PATH, q, 3)
-            assert list(held) == list(scan.pathsim_top_k(GROUP_PATH, q, 3))
 
-    def test_a_forced_fused_engine_holds_no_diagonal(self):
-        engine = MetaPathEngine(_group_hin(), mode="fused")
-        for q in range(6):
+    def test_a_stream_in_ragged_blocks_is_the_one_block_stream_bitwise(self, monkeypatch):
+        # 320 rows in blocks of 1, 7, 64 and 319: each block edge and a
+        # ragged last block leave every row's norm where one block puts it.
+        from repro.engine import fused
+
+        rng = np.random.default_rng(1)
+        hin = _group_hin(lambda n: rng.uniform(0.01, 4.0, n))
+        key = MetaPathEngine(hin).symmetric_path(GROUP_PATH).canonical_key()
+        first, _ = MetaPathEngine(hin)._half_chains(key)
+        assert first[0].shape[0] <= fused._STREAM_ROWS
+        whole = half_norms(first)
+        for rows in (1, 7, 64, 319):
+            monkeypatch.setattr(fused, "_STREAM_ROWS", rows)
+            assert np.array_equal(half_norms(first), whole)
+            engine, key = self._held(hin, [7])
+            assert np.array_equal(engine._paths[key].diag, whole)
+
+    def test_a_forced_fused_engine_holds_one_diagonal_streamed_once(self):
+        hin = _group_hin()
+        engine = MetaPathEngine(hin, mode="fused")
+        key = engine.symmetric_path(GROUP_PATH).canonical_key()
+        engine.pathsim_top_k(GROUP_PATH, 0, 2)
+        held = engine._paths[key].diag
+        for q in range(1, 6):
             engine.pathsim_top_k(GROUP_PATH, 7 * q, 2)
-        assert engine._paths == {}
+        assert list(engine._paths) == [key] and engine._paths[key].diag is held
+        assert np.array_equal(held, MetaPathEngine(hin)._pathsim_parts(GROUP_PATH)[1])
+        assert engine._cache.peek(("pathsim", key)) is None
+        assert engine._planner.counters["planned_products"] == 0
+
+    def test_a_fused_call_on_an_auto_engine_leaves_the_pick(self):
+        # A per-call mode="fused" query holds the diagonal of a path
+        # priced either way, and the path's next auto query runs the
+        # kernel a fresh engine's would.
+        cases = [(_venue_hin(), path, "materialize") for path in TestFirstTouch.PATHS]
+        cases.append((_group_hin(), GROUP_PATH, "fused"))
+        for hin, path, pick in cases:
+            assert MetaPathEngine(hin).explain(path).kernel == pick
+            reference = MetaPathEngine(hin, mode="materialize")
+            for priced in (False, True):
+                engine = MetaPathEngine(hin)
+                if priced:
+                    assert engine.explain(path).kernel == pick
+                res = engine.pathsim_top_k(path, 1, 3, mode="fused")
+                assert res.mode == "fused"
+                assert list(res) == list(reference.pathsim_top_k(path, 1, 3))
+                key = engine.symmetric_path(path).canonical_key()
+                assert engine._paths[key].kernel == pick
+                assert engine._paths[key].diag is not None
+                assert engine.explain(path).kernel == pick
+                res = engine.pathsim_top_k(path, 2, 3)
+                assert res.mode == pick
+                assert list(res) == list(reference.pathsim_top_k(path, 2, 3))
 
     def test_clear_cache_drops_it_and_the_next_query_streams_anew(self):
         hin = _group_hin()

@@ -104,24 +104,21 @@ class TestOneRoute:
             ("rows", ["a3"]),
         ]
 
-    def test_a_fused_batch_prunes_each_row_like_a_single_query(
-        self, small_bib, monkeypatch
-    ):
-        import repro.engine.engine as engine_module
+    def test_a_fused_batch_resolves_its_chains_once(self, small_bib, monkeypatch):
+        resolved = []
+        real = MetaPathEngine._half_chains
 
-        needs = []
-        real = engine_module.fused_row_scores
+        def spy(engine, key):
+            resolved.append(key)
+            return real(engine, key)
 
-        def spy(engine, mp, i, need=None):
-            needs.append((i, need))
-            return real(engine, mp, i, need=need)
-
-        monkeypatch.setattr(engine_module, "fused_row_scores", spy)
+        monkeypatch.setattr(MetaPathEngine, "_half_chains", spy)
         engine = MetaPathEngine(small_bib, mode="fused")
         batch = engine.pathsim_top_k_batch(APVPA, [0, 2, 3], 2)
-        assert needs == [(0, 3), (2, 3), (3, 3)]
+        assert resolved == [engine.symmetric_path(APVPA).canonical_key()]
         for q, result in zip([0, 2, 3], batch):
             assert list(result) == list(engine.pathsim_top_k(APVPA, q, 2))
+        assert len(resolved) == 4  # one more per single query
 
     def test_the_block_kernel_scores_one_row_by_its_mat_vec(self, small_bib):
         engine = MetaPathEngine(small_bib, mode="materialize")

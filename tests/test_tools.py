@@ -101,11 +101,9 @@ def test_kernel_costs_smoke_prints_one_row_per_deep_path(capsys):
     from repro.engine.engine import _MATERIALIZE_COST_RATIO as ratio
 
     assert all((float(row[8]) <= ratio) == (row[-1] == "materialize") for row in table)
-    # Only a path auto keeps fused holds its diagonal, so only it has a
-    # held cost; every path has a stream cost.
-    assert all((row[4] == "-") == (row[-1] == "materialize") for row in table)
-    assert all(row[4] == "-" or float(row[4]) > 0 for row in table)
-    assert all(float(row[5]) > 0 for row in table)
+    # A forced-fused engine holds every path's diagonal after its first
+    # query, so every path has a fused, a held and a stream cost.
+    assert all(float(row[3]) > 0 and float(row[4]) > 0 and float(row[5]) > 0 for row in table)
     assert lines[2 + n].startswith("# one deep_path round:")
     assert lines[2 + n].endswith("errors=0")
     held = [row.split() for row in lines[3 + n :]]

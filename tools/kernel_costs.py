@@ -10,12 +10,12 @@ three ways, each on a fresh engine over the workload's network:
 
 * ``mode="materialize"``: the first materialization of the half product
   ``W`` (ms), then the warm materialized query (ms per query);
-* ``mode="fused"``: the pruned fused scan (ms per query);
+* ``mode="fused"``: the queries cold (ms per query, the first query's
+  stream of the diagonal included), then ``held_ms/q``: the same
+  queries served again on that engine, every one scored from the
+  diagonal it now holds;
 * ``mode="auto"``: the kernel ``explain()`` names for the next query
-  after those queries.  Where those queries left the path holding its
-  diagonal (a path auto prices as staying fused), ``held_ms/q`` is the
-  same queries served again on that engine, every one scored from the
-  held vector; ``-`` elsewhere.
+  after those queries.
 
 ``stream_ms`` is one stream of the whole diagonal through the half
 chain (what a fused path's first query pays to hold it).  ``nnz(W)`` is
@@ -83,7 +83,7 @@ def _serve(engine, path, queries) -> float:
 def path_costs(hin, path, queries) -> dict:
     """One table row: the three kernels' costs for *queries* on *path*."""
     from repro.engine import MetaPathEngine
-    from repro.engine.fused import _half_chains, half_norms
+    from repro.engine.fused import half_norms
 
     mat = MetaPathEngine(hin, mode="materialize")
     start = time.perf_counter()
@@ -95,25 +95,27 @@ def path_costs(hin, path, queries) -> dict:
     mat_ms = _serve(mat, path, queries)
     del mat
 
-    first = _half_chains(MetaPathEngine(hin), mp)[0]
+    first = MetaPathEngine(hin)._half_chains(key)[0]
     start = time.perf_counter()
     half_norms(first)
     stream_ms = (time.perf_counter() - start) * 1e3
 
-    fused_ms = _serve(MetaPathEngine(hin, mode="fused"), path, queries)
+    fused = MetaPathEngine(hin, mode="fused")
+    fused_ms = _serve(fused, path, queries)
+    held_ms = _serve(fused, path, queries)
+    del fused
 
     auto = MetaPathEngine(hin)
     for q in queries:
         auto.pathsim_top_k(path, q, K)
     state = auto._paths[key]
-    held = state.diag is not None and auto._cache.peek(("pathsim", key)) is None
     relations = sum(hin.relation_matrix(name).nnz for name, _ in key[: len(key) // 2])
     return {
         "path": path,
         "first_mat_ms": first_ms,
         "mat_ms": mat_ms,
         "fused_ms": fused_ms,
-        "held_ms": _serve(auto, path, queries) if held else None,
+        "held_ms": held_ms,
         "stream_ms": stream_ms,
         "nnz_w": w_nnz,
         "bound_w": state.bound,
@@ -177,11 +179,10 @@ def main(argv=None) -> int:
             count = ctx.base.node_count(harness._TYPE_OF[path[0]])
             queries = rng.integers(0, count, size=cold)
             row = path_costs(ctx.base, path, [int(q) for q in queries])
-            held = "-" if row["held_ms"] is None else f"{row['held_ms']:.2f}"
             print(
                 f"{row['path']:<16}{row['first_mat_ms']:>13.1f}"
                 f"{row['mat_ms']:>10.2f}{row['fused_ms']:>11.2f}"
-                f"{held:>10}{row['stream_ms']:>10.1f}"
+                f"{row['held_ms']:>10.2f}{row['stream_ms']:>10.1f}"
                 f"{row['nnz_w']:>11}{row['bound_w']:>11}"
                 f"{row['bound_rel']:>10.2f}  {row['auto']}"
             )
