@@ -70,7 +70,7 @@ from repro.networks.updates import AppliedUpdate, pad_csr
 from repro.query.results import TopKResult
 from repro.utils.cache import CacheInfo, LRUCache
 from repro.utils.locks import RWLock
-from repro.utils.sparse import _canonical, add_delta, nonempty_rows
+from repro.utils.sparse import _canonical, _take_rows, add_delta, nonempty_rows
 from repro.utils.validation import check_k
 from repro.engine.topk import finalize_top_k, top_k_support
 
@@ -468,7 +468,12 @@ class MetaPathEngine:
         proportional to the touched rows' nnz, not the network.  It
         always scores the materialized ``(W, diag)``, whatever the
         engine's :attr:`topk_mode`, and does not count as a top-k
-        dispatch in :attr:`kernel_counters`.
+        dispatch in :attr:`kernel_counters`.  So a watch on a path
+        ``auto`` prices fused builds that path's ``W`` on the first
+        commit that touches it: five watches on ``P-A-P-A-P`` at dblp_6k
+        (2-vCPU x86-64) made that commit 334–392 ms (a 6.94 M-entry
+        ``W``) and each later one 31–56 ms, maintaining it.  Re-streaming the diagonal on every
+        commit (about 75 ms) is not clearly cheaper, so this stays.
 
         Parameters
         ----------
@@ -579,10 +584,13 @@ class MetaPathEngine:
 
     def _pathsim_top_k(self, path, queries, k, exclude, mode=None) -> list[TopKResult]:
         """The one PathSim top-k route: resolve the queries, pick one
-        kernel for all of them, score, select each row."""
+        kernel for all of them, score, select each row.  No query runs
+        no kernel."""
         k = check_k(k)
         mp = self.symmetric_path(path)
         idx = [self._resolve(mp.source_type, q) for q in queries]
+        if not idx:
+            return []
         kernel = self._topk_kernel(mp, mode)
         rows = (self._fused_rows if kernel == "fused" else self._materialized_rows)(mp, idx)
         return [
@@ -746,12 +754,14 @@ class MetaPathEngine:
         the delta too: ``M + ΔM`` is summed on ``ΔM``'s rows only and
         spliced into one contiguous copy of ``M``
         (:func:`repro.utils.sparse.add_delta`), the PathSim diagonal is
-        corrected on those rows, each distinct matrix is patched once
-        however many keys hold it (a pathsim ``W`` and the cached half
-        product receive the same object), and backward traversals read
-        the pre-commit transposes the receipt carries instead of
-        transposing a relation.  Entries are replaced, never written
-        to, so readers, snapshots and exports see whole values.
+        re-read on those rows from the patched ``W``, each distinct
+        matrix is patched once however many keys hold it (a pathsim
+        ``W`` and the cached half product receive the same object), and
+        backward traversals read the pre-commit transposes the receipt
+        carries instead of transposing a relation.  The pass computes
+        every entry's successor from the cache as it stands, then
+        installs them all; entries are replaced, never written to, so
+        readers, snapshots and exports see whole values.
         Relations whose delta is denser than
         ``_DELTA_REBUILD_THRESHOLD`` (25%) of the relation get their
         dependent entries evicted instead (rebuild lazily beats a dense
@@ -788,38 +798,40 @@ class MetaPathEngine:
             if d.density_vs_rebuild > _DELTA_REBUILD_THRESHOLD
         }
         # Per-call scratch shared across entries: oriented transposes of
-        # the receipt's matrices, one delta and one patched matrix per
-        # distinct step tuple (a pathsim ``W`` and the cached half
-        # product are one matrix under two keys), and a pre-maintenance
-        # snapshot of cached values so symmetric products can be patched
-        # from their *old* half product regardless of processing order.
-        scratch = {
-            "transposes": {},
-            "delta_products": {},
-            "patched_products": {},
-            "snapshot": {key: self._cache.peek(key) for key in self._cache.keys()},
-        }
+        # the receipt's matrices, and one delta and one patched matrix per
+        # distinct step tuple (a pathsim ``W`` and the cached half product
+        # are one matrix under two keys).  Every successor is computed
+        # from the cache as it stands, so a symmetric product reads its
+        # *old* half product whatever the order, and installed after.
+        scratch = {"transposes": {}, "delta_products": {}, "patched_products": {}}
         report = dict(self._EMPTY_REPORT)
+        successors = {}
         for key in self._cache.keys():
             kind, full_steps = key
             steps = full_steps[: len(full_steps) // 2] if kind == "pathsim" else full_steps
             rels = {name for name, _ in steps}
             if rels & dense_rels:
-                self._cache.pop(key)
+                successors[key] = None
                 report["evicted"] += 1
                 continue
             grown_src = self._step_types(steps[0])[0] in update.node_growth
             grown_dst = self._step_types(steps[-1])[1] in update.node_growth
             if not (rels & update.deltas.keys()):
                 if grown_src or grown_dst:
-                    self._cache.replace(key, self._padded(key, kind, steps))
+                    successors[key] = self._padded(key, kind, steps)
                     report["padded"] += 1
                 else:
                     report["kept"] += 1
                 continue
-            report["rows_touched"] += self._maintain_entry(key, kind, steps, update, scratch)
+            successors[key], rows = self._maintain_entry(key, kind, steps, update, scratch)
+            report["rows_touched"] += rows
             report["rows_total"] += self._entry_shape(steps)[0]
             report["updated"] += 1
+        for key, value in successors.items():
+            if value is None:
+                self._cache.pop(key)
+            else:
+                self._cache.replace(key, value)
         self._paths = {}
         self._epoch = update.epoch
         return report
@@ -848,37 +860,20 @@ class MetaPathEngine:
         return pad_csr(w, shape), diag
 
     def _maintain_entry(
-        self,
-        key: tuple,
-        kind: str,
-        steps: tuple,
-        update: AppliedUpdate,
-        scratch: dict,
-    ) -> int:
-        """Replace one cached entry with ``pad(old) + delta``; returns the
-        number of rows the delta touches."""
+        self, key: tuple, kind: str, steps: tuple, update: AppliedUpdate, scratch: dict
+    ) -> tuple:
+        """``(pad(old) + delta, rows the delta touches)`` for one cached
+        entry.  A pathsim diagonal is re-read on those rows from the
+        patched ``W``, so it stays ``W``'s row norms in stored order."""
         delta = self._memo_delta(steps, update, scratch)
         rows = np.array([], dtype=np.int64) if delta is None else nonempty_rows(delta)
         value = self._padded(key, kind, steps)
-        if kind == "pathsim":
-            w, diag = value
-            if rows.size:
-                # diag maintained incrementally on the delta's support:
-                # ||w'_i||² = ||w_i||² + Σ_j (2 w_ij Δ_ij + Δ_ij²), with
-                # w_ij looked up at the delta's cells only.
-                starts = delta.indptr[rows]
-                cell_rows = np.repeat(rows, delta.indptr[rows + 1] - starts)
-                w_cells = np.asarray(w[cell_rows, delta.indices]).ravel()
-                diag = diag.copy()
-                diag[rows] += (
-                    np.add.reduceat(w_cells * delta.data, starts) * 2.0
-                    + np.add.reduceat(delta.data * delta.data, starts)
-                )
-            value = (self._patched_product(steps, w, delta, scratch), diag)
-        else:
-            value = self._patched_product(steps, value, delta, scratch)
-        self._cache.replace(key, value)
-        return rows.size
+        if kind != "pathsim":
+            return self._patched_product(steps, value, delta, scratch), rows.size
+        w = self._patched_product(steps, value[0], delta, scratch)
+        diag = value[1].copy()
+        diag[rows] = kernels.row_norms(_take_rows(w, rows))
+        return (w, diag), rows.size
 
     def _patched_product(self, steps: tuple, padded, delta, scratch: dict):
         """``padded + delta``, once per distinct product per
@@ -928,8 +923,9 @@ class MetaPathEngine:
         network even for a localized update.  Needs the *old* half
         product transposed: for a one-step half that is the relation's
         pre-update reverse orientation (CSR on the receipt, no
-        conversion); longer halves read the pre-maintenance snapshot
-        (the pathsim entry's ``W`` or the cached half product itself).
+        conversion); longer halves read the pathsim entry's ``W`` or the
+        cached half product from the cache, which the pass leaves as it
+        stands until it installs the successors.
         Returns ``NotImplemented`` when the path is asymmetric or no old
         half is cached, so the caller falls back to the general delta
         product.
@@ -942,9 +938,8 @@ class MetaPathEngine:
             name, forward = half[0]
             w_old_t = self._old_oriented((name, not forward), update, scratch)
         else:
-            snapshot = scratch["snapshot"]
-            cached = snapshot.get(("pathsim", steps))
-            w_old = cached[0] if cached is not None else snapshot.get(("product", half))
+            cached = self._cache.peek(("pathsim", steps))
+            w_old = cached[0] if cached is not None else self._cache.peek(("product", half))
             if w_old is None:
                 return NotImplemented
             w_old_t = pad_csr(w_old, self._entry_shape(half)).T

@@ -35,13 +35,14 @@ not thread rows either: it scores the materialized ``(W, diag)``
 Held diagonal
 -------------
 Every fused query scores all its candidates from one diagonal: the
-cached PathSim entry's, incrementally maintained, or else the path's
-held one.  A path's first fused query without a cached entry streams
-the whole diagonal once (:func:`half_norms`: rows ``0..n-1`` of the
-first half in blocks of ``_STREAM_ROWS``, keeping only the length-*n*
-vector, never ``W``) into the path's state beside the engine's LRU
-cache (:meth:`~repro.engine.engine.MetaPathEngine._held_diagonal`),
-whether ``auto`` priced the path fused or the engine or the call forced
+cached PathSim entry's (its ``W``'s row norms, which a commit re-reads
+on the rows it patches), or else the path's held one.  A path's first
+fused query without a cached entry streams the whole diagonal once
+(:func:`half_norms`: rows ``0..n-1`` of the first half in blocks of
+``_STREAM_ROWS``, keeping only the length-*n* vector, never ``W``) into
+the path's state beside the engine's LRU cache
+(:meth:`~repro.engine.engine.MetaPathEngine._held_diagonal`), whether
+``auto`` priced the path fused or the engine or the call forced
 ``"fused"``.  The vector never enters the LRU cache, so exports,
 snapshots and generations do not see it.  It is replaced, never written
 to: ``_sync()``, ``clear_cache()`` and every commit

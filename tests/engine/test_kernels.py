@@ -160,7 +160,9 @@ def test_fractional_weights_keep_the_link_weight_contract():
     equal, and the routes that sum or associate in another order (fused
     row threading, the diagonal a path ``auto`` keeps fused streams and
     holds, the left-to-right ``hin.commuting_matrix`` against the planned
-    order, maintained vs rebuilt) agree to ``rtol=1e-12``."""
+    order, maintained vs rebuilt) agree to ``rtol=1e-12``.  A maintained
+    PathSim diagonal is its ``W``'s row norms bit for bit, so a one-step
+    half (``W`` is the relation) answers as a cold engine after commits."""
     rng = np.random.default_rng(5)
     counts = {"a": 60, "p": 150, "v": 6}
 
@@ -218,12 +220,24 @@ def test_fractional_weights_keep_the_link_weight_contract():
     left = kernels.pathsim_scores(m[queries], diag_m[queries, None] + diag_m[None, :])
     np.testing.assert_allclose(left, rows, rtol=1e-12)
 
-    live = hin.engine().prewarm([path])
+    live = hin.engine().prewarm([path, "a-p-a", venues])
     hin.apply(UpdateBatch().add_edges("w", links("a", "p", 5)).set_weights("w", [(0, 0, 0.37)]))
     np.testing.assert_allclose(
         live.pathsim_rows(path, queries),
         MetaPathEngine(hin).pathsim_rows(path, queries),
         rtol=1e-12,
+    )
+
+    for _ in range(5):
+        hin.apply(UpdateBatch().set_weights("w", links("a", "p", 20)))
+    entries = [key for key in live._cache.keys() if key[0] == "pathsim"]
+    assert len(entries) == 3
+    for key in entries:
+        w, diag = live._cache.peek(key)
+        assert np.array_equal(diag, kernels.row_norms(w))
+    cold = MetaPathEngine(hin, mode="materialize")
+    assert live.pathsim_top_k_batch("a-p-a", range(60), k) == cold.pathsim_top_k_batch(
+        "a-p-a", range(60), k
     )
 
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.datasets import make_dblp_four_area
 from repro.engine import MetaPathEngine, kernels
-from repro.exceptions import NodeNotFoundError
+from repro.exceptions import MetaPathError, NodeNotFoundError
 from repro.serving import QueryService
 
 APA = "author-paper-author"
@@ -119,6 +120,20 @@ class TestOneRoute:
         for q, result in zip([0, 2, 3], batch):
             assert list(result) == list(engine.pathsim_top_k(APVPA, q, 2))
         assert len(resolved) == 4  # one more per single query
+
+    @pytest.mark.parametrize("mode", ["auto", "fused", "materialize"])
+    def test_an_empty_batch_runs_no_kernel(self, mode):
+        """No query holds no diagonal, builds no ``W`` and counts no
+        dispatch, on every mode; a bad ``k`` or an asymmetric path is
+        still refused."""
+        engine = MetaPathEngine(make_dblp_four_area(seed=0).hin, mode=mode)
+        before = (dict(engine._paths), len(engine._cache), dict(engine.kernel_counters))
+        assert engine.pathsim_top_k_batch("A-P-A-P-A", [], 5) == []
+        assert (engine._paths, len(engine._cache), engine.kernel_counters) == before
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            engine.pathsim_top_k_batch("A-P-A-P-A", [], -1)
+        with pytest.raises(MetaPathError, match="symmetric"):
+            engine.pathsim_top_k_batch("A-P-V", [], 5)
 
     def test_the_block_kernel_scores_one_row_by_its_mat_vec(self, small_bib):
         engine = MetaPathEngine(small_bib, mode="materialize")
